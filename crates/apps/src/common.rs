@@ -1,6 +1,8 @@
 //! Shared helpers for the ML applications.
 
-use orion_core::{Driver, Float, OwnedSession, RunReport, Schedule};
+use orion_core::{
+    CompiledLoop, DistArray, Driver, Element, Float, OwnedSession, RunReport, Schedule,
+};
 
 // The dtype-generic inner-loop helpers shared by the applications. These
 // live in the kernel layer (`orion_dsm::kernels`) so every app — and
@@ -22,12 +24,55 @@ pub struct TraceArtifacts {
 
 impl TraceArtifacts {
     /// Collects both artifacts from a driver whose run just finished.
-    pub fn collect(driver: &Driver, name: &str, compiled: &orion_core::CompiledLoop) -> Self {
+    pub fn collect(driver: &Driver, name: &str, compiled: &CompiledLoop) -> Self {
         TraceArtifacts {
             session: driver.trace_session(name),
             report: driver.run_report(compiled),
         }
     }
+}
+
+/// Whether the planner made loop dim 0 the space dimension of a grid
+/// loop (it may pick either: the larger dimension's array is pinned).
+pub(crate) fn space_is_dim0(compiled: &CompiledLoop) -> bool {
+    let sp = compiled.schedule.space_partition.as_ref();
+    sp.expect("a grid loop has a space partition").dim == 0
+}
+
+/// Maps a grid loop's two arrays between the order the app declares
+/// them in (the one subscripted by loop dim 0 first) and the roles the
+/// planner gave them, `(space, time)`. The mapping is a swap or
+/// nothing, so the same call converts in both directions.
+pub(crate) fn by_role<T>(space_is_dim0: bool, a: T, b: T) -> (T, T) {
+    if space_is_dim0 {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// Cuts a grid loop's two arrays (dim 0's first) into the planned
+/// `(space, time)` partitions: one space partition per worker, one
+/// time partition per rotation slot.
+pub(crate) fn split_by_role<T: Element>(
+    compiled: &CompiledLoop,
+    a: DistArray<T>,
+    b: DistArray<T>,
+) -> (Vec<DistArray<T>>, Vec<DistArray<T>>) {
+    let sched = &compiled.schedule;
+    let sp = sched
+        .space_partition
+        .as_ref()
+        .expect("a grid loop has a space partition");
+    let tp = sched
+        .time_partition
+        .as_ref()
+        .expect("a grid loop has a time partition");
+    let (space, time) = by_role(sp.dim == 0, a, b);
+    (
+        space.split_along(0, &sp.ranges),
+        time.split_along(0, &tp.ranges),
+    )
 }
 
 /// Span-buffer capacity for a run of `passes` over `schedule`: at most

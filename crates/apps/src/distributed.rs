@@ -53,7 +53,8 @@ use orion_net::{
 };
 use orion_runtime::{HbEvent, ThreadedPlan};
 
-use crate::sgd_mf::{mf_spec, MfConfig, MfModel};
+use crate::common::{by_role, space_is_dim0, split_by_role};
+use crate::sgd_mf::{mf_setup, MfConfig, MfModel};
 use crate::slr::{self, SlrConfig, SlrModel};
 
 /// Which application a node process should run (`mf` or `slr`).
@@ -281,30 +282,6 @@ fn mf_env_decode() -> (RatingsConfig, MfConfig, bool) {
     (data, cfg, h[4] == "1")
 }
 
-/// Compiles the MF schedule exactly as the sim oracle does on a
-/// `nodes × 1` cluster. Every process — coordinator and nodes — runs
-/// this with identical inputs; the fingerprint handshake proves it.
-fn mf_compile(
-    data: &RatingsData,
-    model: &MfModel,
-    nodes: usize,
-    ordered: bool,
-) -> (Driver, CompiledLoop, Arc<ThreadedPlan>) {
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let mut driver = Driver::new(ClusterSpec::new(nodes, 1));
-    driver.set_math_mode(model.cfg.math);
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    let spec = mf_spec(z_id, w_id, h_id, dims, ordered);
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("MF loop parallelizes");
-    let plan = driver.compile_threaded(&compiled);
-    (driver, compiled, plan)
-}
-
 // ---------------------------------------------------------------------
 // SGD MF: the node process.
 
@@ -316,16 +293,17 @@ fn save_mf_checkpoint(
     run_id: &str,
     node: usize,
     epoch: u64,
-    w_part: &DistArray<f32>,
+    space_part: &DistArray<f32>,
     homes: &Homes,
 ) {
-    checkpoint::save(w_part, ckpt_path(workdir, run_id, node, "W", epoch)).expect("checkpoint W");
+    checkpoint::save(space_part, ckpt_path(workdir, run_id, node, "S", epoch))
+        .expect("checkpoint the space partition");
     for (&tp, part) in homes {
         checkpoint::save(
             part,
-            ckpt_path(workdir, run_id, node, &format!("H{tp}"), epoch),
+            ckpt_path(workdir, run_id, node, &format!("T{tp}"), epoch),
         )
-        .expect("checkpoint H partition");
+        .expect("checkpoint a time partition");
     }
 }
 
@@ -336,14 +314,15 @@ fn load_mf_checkpoint(
     epoch: u64,
     my_tps: &[usize],
 ) -> (DistArray<f32>, Homes) {
-    let w_part = checkpoint::load(ckpt_path(workdir, run_id, node, "W", epoch)).expect("reload W");
+    let space_part = checkpoint::load(ckpt_path(workdir, run_id, node, "S", epoch))
+        .expect("reload the space partition");
     let mut homes = Homes::new();
     for &tp in my_tps {
-        let part = checkpoint::load(ckpt_path(workdir, run_id, node, &format!("H{tp}"), epoch))
-            .expect("reload H partition");
+        let part = checkpoint::load(ckpt_path(workdir, run_id, node, &format!("T{tp}"), epoch))
+            .expect("reload a time partition");
         homes.insert(tp as u32, part);
     }
-    (w_part, homes)
+    (space_part, homes)
 }
 
 enum EpochOutcome {
@@ -366,7 +345,11 @@ struct MfNode {
     ep: NodeEndpoint,
     plan: Arc<ThreadedPlan>,
     triples: Vec<(i64, i64, f32)>,
-    w_part: DistArray<f32>,
+    /// Whether the pinned factor is `W` (and `H` rotates) or the reverse.
+    space_is_users: bool,
+    /// This node's partition of the pinned factor.
+    space_part: DistArray<f32>,
+    /// Partitions of the rotated factor homed here between epochs.
     homes: Homes,
     home_of: Vec<usize>,
     step: f32,
@@ -382,9 +365,12 @@ struct MfNode {
 fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
     let (data_cfg, cfg, ordered) = mf_env_decode();
     let data = RatingsData::generate(data_cfg);
-    let dims = data.ratings.shape().dims().to_vec();
-    let model = MfModel::new(dims[0], dims[1], cfg);
-    let (driver, compiled, plan) = mf_compile(&data, &model, n_nodes, ordered);
+    let model = MfModel::for_data(&data, cfg);
+    // Compile exactly as the sim oracle does on a `nodes × 1` cluster:
+    // every process — coordinator and nodes — does this with identical
+    // inputs, and the fingerprint handshake proves it.
+    let (items, driver, compiled) = mf_setup(&data, &model, ClusterSpec::new(n_nodes, 1), ordered);
+    let plan = driver.compile_threaded(&compiled);
     let fingerprint = plan_fingerprint(&plan);
 
     let ep = NodeEndpoint::connect(&NodeConfig {
@@ -395,38 +381,27 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
     })
     .expect("node connects to the coordinator");
 
-    let sched = &compiled.schedule;
-    let sp = sched
-        .space_partition
-        .as_ref()
-        .expect("2-D schedule has a space partition");
-    let tpp = sched
-        .time_partition
-        .as_ref()
-        .expect("2-D schedule has a time partition");
-
-    // This node's slice of the model: its own space partition of W plus
-    // the time partitions of H it homes at pass start.
+    // This node's slice of the model: its own space partition of the
+    // pinned factor plus the time partitions of the rotated factor it
+    // homes at pass start.
     let mut home_of = vec![0usize; plan.n_time_partitions()];
     for w in 0..plan.n_workers() {
         for &tp in plan.initial_of(w) {
             home_of[tp] = w;
         }
     }
-    let w_part = model
-        .w
-        .split_along(0, &sp.ranges)
+    let (space_parts, time_parts) = split_by_role(&compiled, model.w, model.h);
+    let space_part = space_parts
         .into_iter()
         .nth(node)
         .expect("one space partition per node");
     let mut homes = Homes::new();
-    for (tp, part) in model.h.split_along(0, &tpp.ranges).into_iter().enumerate() {
+    for (tp, part) in time_parts.into_iter().enumerate() {
         if home_of[tp] == node {
             homes.insert(tp as u32, part);
         }
     }
-    let triples: Vec<(i64, i64, f32)> =
-        data.items().iter().map(|(i, v)| (i[0], i[1], *v)).collect();
+    let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
 
     let workdir = PathBuf::from(env(ENV_WORKDIR));
     let run_id = env(ENV_RUN_ID);
@@ -437,7 +412,8 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
         crash_epoch: crash_epoch(&workdir, &run_id, node),
         plan,
         triples,
-        w_part,
+        space_is_users: space_is_dim0(&compiled),
+        space_part,
         homes,
         home_of,
         workdir,
@@ -451,7 +427,7 @@ fn mf_node_main(coord: &str, node: usize, n_nodes: usize) -> ! {
         &state.run_id,
         node,
         0,
-        &state.w_part,
+        &state.space_part,
         &state.homes,
     );
 
@@ -499,7 +475,7 @@ fn mf_control_loop(state: &mut MfNode, node: usize) -> ! {
                     &state.run_id,
                     node,
                     epoch,
-                    &state.w_part,
+                    &state.space_part,
                     &state.homes,
                 );
                 state
@@ -512,10 +488,8 @@ fn mf_control_loop(state: &mut MfNode, node: usize) -> ! {
             }
             Msg::Rollback { epoch } => {
                 let my_tps: Vec<usize> = state.plan.initial_of(node).to_vec();
-                let (w_part, homes) =
+                (state.space_part, state.homes) =
                     load_mf_checkpoint(&state.workdir, &state.run_id, node, epoch, &my_tps);
-                state.w_part = w_part;
-                state.homes = homes;
                 state.ep.clear_inbox();
                 state
                     .ep
@@ -527,7 +501,7 @@ fn mf_control_loop(state: &mut MfNode, node: usize) -> ! {
             }
             Msg::Gather => {
                 let mut parts: Vec<(u32, Bytes)> =
-                    vec![(u32::MAX, checkpoint::to_bytes(&state.w_part))];
+                    vec![(u32::MAX, checkpoint::to_bytes(&state.space_part))];
                 parts.extend(
                     state
                         .homes
@@ -614,11 +588,12 @@ fn mf_run_epoch(state: &mut MfNode, node: usize, epoch: u64) -> EpochOutcome {
             "queue order must match schedule"
         );
         let t0 = Instant::now();
+        let (w_part, h_part) = by_role(state.space_is_users, &mut state.space_part, &mut part);
         for &pos in plan.blocks().items(e.block) {
             let (u, item, v) = state.triples[pos as usize];
             kernels::mf_row_update(
-                state.w_part.row_slice_mut(u),
-                part.row_slice_mut(item),
+                w_part.row_slice_mut(u),
+                h_part.row_slice_mut(item),
                 v,
                 state.step,
                 state.mode,
@@ -729,10 +704,10 @@ pub fn train_mf_distributed(
     );
     std::fs::create_dir_all(&opts.workdir)?;
 
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let model = MfModel::new(dims[0], dims[1], cfg);
-    let (mut driver, compiled, plan) = mf_compile(data, &model, opts.nodes, ordered);
+    let model = MfModel::for_data(data, cfg);
+    let (items, mut driver, compiled) =
+        mf_setup(data, &model, ClusterSpec::new(opts.nodes, 1), ordered);
+    let plan = driver.compile_threaded(&compiled);
     let fingerprint = plan_fingerprint(&plan);
 
     let mut ccfg = ClusterConfig::new(opts.nodes, opts.epochs, fingerprint);
@@ -785,39 +760,33 @@ pub fn train_mf_distributed(
         }
     }
 
-    // Gather: W space partitions tagged u32::MAX in node order, H time
+    // Gather: space partitions tagged u32::MAX in node order, time
     // partitions tagged by index.
     let gathered = cluster.gather()?;
     let msg_log = cluster.take_msg_log();
-    let mut w_parts: Vec<Option<DistArray<f32>>> = (0..opts.nodes).map(|_| None).collect();
-    let mut h_parts: Vec<Option<DistArray<f32>>> =
+    let mut space_parts: Vec<Option<DistArray<f32>>> = (0..opts.nodes).map(|_| None).collect();
+    let mut time_parts: Vec<Option<DistArray<f32>>> =
         (0..plan.n_time_partitions()).map(|_| None).collect();
     for (node, parts) in gathered.into_iter().enumerate() {
         for (tag, payload) in parts {
             let arr = checkpoint::from_bytes::<f32>(payload)
                 .map_err(|e| NetError::Protocol(format!("gathered state: {e}")))?;
             if tag == u32::MAX {
-                w_parts[node] = Some(arr);
+                space_parts[node] = Some(arr);
             } else {
-                h_parts[tag as usize] = Some(arr);
+                time_parts[tag as usize] = Some(arr);
             }
         }
     }
     cluster.shutdown();
-    let w = DistArray::merge_along(
-        0,
-        w_parts
+    let merged = |parts: Vec<Option<DistArray<f32>>>| {
+        let parts = parts
             .into_iter()
-            .map(|p| p.expect("every node reports its W partition"))
-            .collect(),
-    );
-    let h = DistArray::merge_along(
-        0,
-        h_parts
-            .into_iter()
-            .map(|p| p.expect("every H partition is gathered"))
-            .collect(),
-    );
+            .map(|p| p.expect("every partition is gathered"));
+        DistArray::merge_along(0, parts.collect())
+    };
+    let (space, time) = (merged(space_parts), merged(time_parts));
+    let (w, h) = by_role(space_is_dim0(&compiled), space, time);
     let model = MfModel {
         w,
         h,

@@ -21,7 +21,9 @@ use orion_data::CorpusData;
 use orion_dsm::kernels;
 use orion_ps::{PsApp, PsView, UpdateLog};
 
-use crate::common::{cost, mix64, span_capacity, TraceArtifacts};
+use crate::common::{
+    by_role, cost, mix64, space_is_dim0, span_capacity, split_by_role, TraceArtifacts,
+};
 
 /// LDA hyperparameters.
 #[derive(Debug, Clone)]
@@ -368,15 +370,6 @@ fn train_threaded_impl(
         driver.enable_tracing(span_capacity(&compiled.schedule, passes));
     }
     let plan = driver.compile_threaded(&compiled);
-    let sched = &compiled.schedule;
-    let sp = sched
-        .space_partition
-        .as_ref()
-        .expect("2-D LDA has a space partition");
-    let tp = sched
-        .time_partition
-        .as_ref()
-        .expect("2-D LDA has a time partition");
 
     let positions = plan.worker_positions();
     // Flat (doc, word, cell position) records; the position seeds the
@@ -392,18 +385,8 @@ fn train_threaded_impl(
     // array subscripted by the space dimension is worker-local, the
     // other rotates. Map `dt` (docs, loop dim 0) and `wt` (words, loop
     // dim 1) accordingly.
-    let space_is_docs = sp.dim == 0;
-    let (mut space_parts, mut time_parts) = if space_is_docs {
-        (
-            model.dt.split_along(0, &sp.ranges),
-            model.wt.split_along(0, &tp.ranges),
-        )
-    } else {
-        (
-            model.wt.split_along(0, &sp.ranges),
-            model.dt.split_along(0, &tp.ranges),
-        )
-    };
+    let space_is_docs = space_is_dim0(&compiled);
+    let (mut space_parts, mut time_parts) = split_by_role(&compiled, model.dt, model.wt);
     let cfg_arc = Arc::new(model.cfg.clone());
     let vocab = model.vocab;
 
@@ -432,16 +415,12 @@ fn train_threaded_impl(
                 let cur = sc.cursor;
                 sc.cursor += 1;
                 let LdaThreadScratch { ts, z, .. } = sc;
-                let (dt_row, wt_row) = if space_is_docs {
-                    (ap.row_slice_mut(d), bp.row_slice_mut(w))
-                } else {
-                    (bp.row_slice_mut(d), ap.row_slice_mut(w))
-                };
+                let (dp, wp) = by_role(space_is_docs, ap, bp);
                 gibbs_cell(
                     &cfg2,
                     vocab,
-                    dt_row,
-                    wt_row,
+                    dp.row_slice_mut(d),
+                    wp.row_slice_mut(w),
                     ts,
                     &mut z[cur],
                     pass,
@@ -470,14 +449,13 @@ fn train_threaded_impl(
                 model.ts[t] += sc.ts[t] - snap;
             }
         }
-        let (dt_parts, wt_parts) = if space_is_docs {
-            (&space_parts, &time_parts)
-        } else {
-            (&time_parts, &space_parts)
-        };
+        let (dt_parts, wt_parts) = by_role(space_is_docs, &space_parts, &time_parts);
+        // The likelihood normalizes per document, so it is not a
+        // per-item sum: it stays a serial readout of a merged snapshot,
+        // built from the partitions where they sit.
         let snap = LdaModel {
-            dt: DistArray::merge_along(0, dt_parts.clone()),
-            wt: DistArray::merge_along(0, wt_parts.clone()),
+            dt: DistArray::merge_along_ref(0, dt_parts),
+            wt: DistArray::merge_along_ref(0, wt_parts),
             ts: model.ts.clone(),
             z: Vec::new(),
             cfg: model.cfg.clone(),
@@ -485,11 +463,7 @@ fn train_threaded_impl(
         };
         driver.record_progress(pass, snap.neg_log_likelihood(corpus));
     }
-    let (dt_parts, wt_parts) = if space_is_docs {
-        (space_parts, time_parts)
-    } else {
-        (time_parts, space_parts)
-    };
+    let (dt_parts, wt_parts) = by_role(space_is_docs, space_parts, time_parts);
     model.dt = DistArray::merge_along(0, dt_parts);
     model.wt = DistArray::merge_along(0, wt_parts);
     let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "threaded/lda", &compiled));

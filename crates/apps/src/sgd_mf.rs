@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use orion_core::{
-    ClusterSpec, DistArray, Driver, LoopSpec, MathMode, RunStats, Strategy, Subscript, TuneConfig,
-    TuneOutcome,
+    ClusterSpec, CompiledLoop, DistArray, Driver, LoopSpec, MathMode, RunStats, Strategy,
+    Subscript, TuneConfig, TuneOutcome,
 };
 use orion_data::RatingsData;
 use orion_dsm::{kernels, Element};
@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::chaos::{run_chaos_loop, ChaosConfig, ChaosReport};
-use crate::common::{cost, span_capacity, TraceArtifacts};
+use crate::common::{by_role, cost, space_is_dim0, span_capacity, split_by_role, TraceArtifacts};
 use orion_dsm::checkpoint;
 
 /// SGD MF hyperparameters.
@@ -104,10 +104,15 @@ impl MfModel {
         }
     }
 
+    /// [`MfModel::new`] sized for `data`'s ratings matrix.
+    pub(crate) fn for_data(data: &RatingsData, cfg: MfConfig) -> Self {
+        let dims = data.ratings.shape().dims();
+        MfModel::new(dims[0], dims[1], cfg)
+    }
+
     /// Squared prediction error of one rating under the current factors.
     pub fn sq_err(&self, u: i64, i: i64, v: f32) -> f64 {
-        let p = kernels::dot(self.w.row_slice(u), self.h.row_slice(i), self.cfg.math);
-        ((v - p) as f64).powi(2)
+        sq_err_rows(self.w.row_slice(u), self.h.row_slice(i), v, self.cfg.math)
     }
 
     /// Nonzero squared training loss over the items.
@@ -147,6 +152,12 @@ impl MfModel {
         // rule only normalizes per-row step sizes.
         self.cfg.step_size * 4.0 / (1.0 + z).powf(0.25)
     }
+}
+
+/// Squared prediction error of one rating on raw rows — the one loss
+/// term every readout (serial or pooled) sums.
+fn sq_err_rows(w_row: &[f32], h_row: &[f32], v: f32, math: MathMode) -> f64 {
+    ((v - kernels::dot(w_row, h_row, math)) as f64).powi(2)
 }
 
 /// Dot product of two equal-length rows, in exact (seed-bit-identical)
@@ -191,6 +202,29 @@ pub(crate) fn mf_spec(
     b.build().expect("static MF spec is valid")
 }
 
+/// The setup every MF runner (and every cluster process) starts with:
+/// the item list, and a driver on `cluster` with the ratings and both
+/// factors registered and the MF loop parallelized over the items.
+pub(crate) fn mf_setup(
+    data: &RatingsData,
+    model: &MfModel,
+    cluster: ClusterSpec,
+    ordered: bool,
+) -> (Vec<(Vec<i64>, f32)>, Driver, CompiledLoop) {
+    let items = data.items();
+    let mut driver = Driver::new(cluster);
+    driver.set_math_mode(model.cfg.math);
+    let z_id = driver.register(&data.ratings);
+    let w_id = driver.register(&model.w);
+    let h_id = driver.register(&model.h);
+    let dims = data.ratings.shape().dims().to_vec();
+    let spec = mf_spec(z_id, w_id, h_id, dims, ordered);
+    let compiled = driver
+        .parallel_for(spec, &items)
+        .expect("MF loop parallelizes");
+    (items, driver, compiled)
+}
+
 /// Trains with Orion's automatic parallelization on the simulated
 /// cluster, recording loss per pass.
 pub fn train_orion(data: &RatingsData, cfg: MfConfig, run: &MfRunConfig) -> (MfModel, RunStats) {
@@ -220,19 +254,8 @@ fn train_orion_impl(
     run: &MfRunConfig,
     traced: bool,
 ) -> (MfModel, RunStats, Option<TraceArtifacts>) {
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let mut model = MfModel::new(dims[0], dims[1], cfg);
-
-    let mut driver = Driver::new(run.cluster.clone());
-    driver.set_math_mode(model.cfg.math);
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    let spec = mf_spec(z_id, w_id, h_id, dims, run.ordered);
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("MF loop parallelizes");
+    let mut model = MfModel::for_data(data, cfg);
+    let (items, mut driver, compiled) = mf_setup(data, &model, run.cluster.clone(), run.ordered);
     debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
     if traced {
         driver.enable_tracing(span_capacity(&compiled.schedule, run.passes));
@@ -266,19 +289,9 @@ pub fn train_orion_tuned(
     run: &MfRunConfig,
     tune: &TuneConfig,
 ) -> (MfModel, RunStats, TuneOutcome) {
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let mut model = MfModel::new(dims[0], dims[1], cfg);
-
-    let mut driver = Driver::new(run.cluster.clone());
-    driver.set_math_mode(model.cfg.math);
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    let spec = mf_spec(z_id, w_id, h_id, dims, run.ordered);
-    let mut compiled = driver
-        .parallel_for(spec, &items)
-        .expect("MF loop parallelizes");
+    let mut model = MfModel::for_data(data, cfg);
+    let (items, mut driver, mut compiled) =
+        mf_setup(data, &model, run.cluster.clone(), run.ordered);
 
     let iter_ns = cost::mf_iter_ns(model.cfg.rank) * cost::ORION_OVERHEAD;
     let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
@@ -350,18 +363,8 @@ fn train_orion_chaos_impl(
         !cfg.adaptive,
         "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
     );
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let mut model = MfModel::new(dims[0], dims[1], cfg);
-
-    let mut driver = Driver::new(run.cluster.clone());
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    let spec = mf_spec(z_id, w_id, h_id, dims, run.ordered);
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("MF loop parallelizes");
+    let mut model = MfModel::for_data(data, cfg);
+    let (items, mut driver, compiled) = mf_setup(data, &model, run.cluster.clone(), run.ordered);
     driver.set_fault_plan(chaos.plan.clone());
     if traced {
         // Re-executed passes and fault spans need headroom beyond the
@@ -409,17 +412,9 @@ fn train_orion_chaos_impl(
 /// Trains serially (the plain Julia program of Fig. 5 without
 /// `@parallel_for`): items in lexicographic order on one clock.
 pub fn train_serial(data: &RatingsData, cfg: MfConfig, passes: u64) -> (MfModel, RunStats) {
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let mut model = MfModel::new(dims[0], dims[1], cfg);
-    let mut driver = Driver::new(ClusterSpec::serial());
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    // Force the serial schedule: analysis is bypassed by an ordered spec
-    // on a single worker; simpler to run the compiled serial path.
-    let spec = mf_spec(z_id, w_id, h_id, dims, false);
-    let compiled = driver.parallel_for(spec, &items).expect("valid spec");
+    let mut model = MfModel::for_data(data, cfg);
+    // One worker: the compiled schedule is the serial order.
+    let (items, mut driver, compiled) = mf_setup(data, &model, ClusterSpec::serial(), false);
     let iter_ns = cost::mf_iter_ns(model.cfg.rank);
     let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
     for pass in 0..passes {
@@ -449,17 +444,16 @@ pub fn orion_pass_threaded(
     cluster: &ClusterSpec,
     ordered: bool,
 ) -> MfModel {
-    let threads = cluster.n_workers();
-    let (model, _, _) =
-        train_threaded_impl(data, model, threads, cluster.clone(), 1, ordered, false);
-    model
+    train_threaded_impl(data, model, cluster.clone(), 1, ordered, false).0
 }
 
 /// Trains for `passes` passes on the real-core execution path: a
-/// persistent pool of `threads` workers, space partitions of `W`
-/// pinned per worker, partitions of `H` rotated zero-copy through
-/// channels (Fig. 8 pipelining). Bit-identical to [`train_orion`] on a
-/// `ClusterSpec::new(1, threads)` cluster.
+/// persistent pool of `threads` workers, the factor of the planned
+/// space dimension (`W` on tall matrices, `H` on wide ones) pinned per
+/// worker, partitions of the other rotated zero-copy through channels
+/// (Fig. 8 pipelining), and the per-pass loss read on the same pool
+/// (§3.4 accumulator). Bit-identical to [`train_orion`] on a
+/// `ClusterSpec::new(1, threads)` cluster, loss curve included.
 ///
 /// # Panics
 ///
@@ -472,11 +466,9 @@ pub fn train_threaded(
     passes: u64,
     ordered: bool,
 ) -> (MfModel, RunStats) {
-    let dims = data.ratings.shape().dims().to_vec();
-    let model = MfModel::new(dims[0], dims[1], cfg);
+    let model = MfModel::for_data(data, cfg);
     let cluster = ClusterSpec::new(1, threads);
-    let (model, stats, _) =
-        train_threaded_impl(data, model, threads, cluster, passes, ordered, false);
+    let (model, stats, _) = train_threaded_impl(data, model, cluster, passes, ordered, false);
     (model, stats)
 }
 
@@ -490,11 +482,10 @@ pub fn train_threaded_traced(
     passes: u64,
     ordered: bool,
 ) -> (MfModel, RunStats, TraceArtifacts) {
-    let dims = data.ratings.shape().dims().to_vec();
-    let model = MfModel::new(dims[0], dims[1], cfg);
+    let model = MfModel::for_data(data, cfg);
     let cluster = ClusterSpec::new(1, threads);
     let (model, stats, artifacts) =
-        train_threaded_impl(data, model, threads, cluster, passes, ordered, true);
+        train_threaded_impl(data, model, cluster, passes, ordered, true);
     (
         model,
         stats,
@@ -507,8 +498,7 @@ pub fn train_threaded_traced(
 /// state through.
 fn train_threaded_impl(
     data: &RatingsData,
-    model: MfModel,
-    threads: usize,
+    mut model: MfModel,
     cluster: ClusterSpec,
     passes: u64,
     ordered: bool,
@@ -518,46 +508,51 @@ fn train_threaded_impl(
         !model.cfg.adaptive,
         "threaded pass supports the plain update"
     );
-    let items = data.items();
-    let dims = data.ratings.shape().dims().to_vec();
-    let mut driver = Driver::new(cluster);
+    // One pool thread per worker of the (single-machine) cluster.
+    let threads = cluster.n_workers();
+    let (items, mut driver, compiled) = mf_setup(data, &model, cluster, ordered);
     driver.set_threads(threads);
-    driver.set_math_mode(model.cfg.math);
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    let spec = mf_spec(z_id, w_id, h_id, dims, ordered);
-    let compiled = driver.parallel_for(spec, &items).expect("valid spec");
     if traced {
         driver.enable_tracing(span_capacity(&compiled.schedule, passes));
     }
     let plan = driver.compile_threaded(&compiled);
-    let sched = &compiled.schedule;
-    let sp = sched
-        .space_partition
-        .as_ref()
-        .expect("2-D schedule has a space partition");
-    let tp = sched
-        .time_partition
-        .as_ref()
-        .expect("2-D schedule has a time partition");
 
     let step = model.cfg.step_size;
     let mode = driver.math_mode();
-    let cfg = model.cfg.clone();
-    let (wz2, hz2) = (model.wz2, model.hz2);
-    let mut w_parts = model.w.split_along(0, &sp.ranges);
-    let mut h_parts = model.h.split_along(0, &tp.ranges);
+    // On wide matrices items are the space dimension: `H` is pinned
+    // per worker and `W` rotates.
+    let space_is_users = space_is_dim0(&compiled);
+    let (mut space_parts, mut time_parts) = split_by_role(&compiled, model.w, model.h);
     // Flat (user, item, rating) triples shared with every worker: the
-    // hot loop reads one contiguous record, no per-item index Vec.
-    let triples: Arc<Vec<(i64, i64, f32)>> =
-        Arc::new(items.iter().map(|(i, v)| (i[0], i[1], *v)).collect());
+    // hot loop reads one contiguous record, no per-item index Vec. Both
+    // the pass and the readout stream all of them through each worker's
+    // cache every epoch, so the record is kept to 12 bytes.
+    let row = |c: i64| u32::try_from(c).expect("factor row index fits u32");
+    let triples: Arc<Vec<(u32, u32, f32)>> = Arc::new(
+        items
+            .iter()
+            .map(|(i, v)| (row(i[0]), row(i[1]), *v))
+            .collect(),
+    );
     let body = Arc::new(
-        move |&(u, i, v): &(i64, i64, f32),
-              wp: &mut DistArray<f32>,
-              hp: &mut DistArray<f32>,
+        move |&(u, i, v): &(u32, u32, f32),
+              sp: &mut DistArray<f32>,
+              tp: &mut DistArray<f32>,
               _: &mut ()| {
-            kernels::mf_row_update(wp.row_slice_mut(u), hp.row_slice_mut(i), v, step, mode);
+            let (wp, hp) = by_role(space_is_users, sp, tp);
+            kernels::mf_row_update(
+                wp.row_slice_mut(u as i64),
+                hp.row_slice_mut(i as i64),
+                v,
+                step,
+                mode,
+            );
+        },
+    );
+    let sq_err = Arc::new(
+        move |&(u, i, v): &(u32, u32, f32), sp: &DistArray<f32>, tp: &DistArray<f32>| {
+            let (wp, hp) = by_role(space_is_users, sp, tp);
+            sq_err_rows(wp.row_slice(u as i64), hp.row_slice(i as i64), v, mode)
         },
     );
     let n_workers = plan.n_workers();
@@ -566,33 +561,40 @@ fn train_threaded_impl(
             &compiled.spec.name,
             &plan,
             &triples,
-            w_parts,
-            h_parts,
+            space_parts,
+            time_parts,
             vec![(); n_workers],
             &body,
         );
-        w_parts = out.space;
-        h_parts = out.time;
+        space_parts = out.space;
+        time_parts = out.time;
         if passes > 1 {
-            // Merge clones for the loss readout; partitions stay split
-            // for the next pass.
-            let snap = MfModel {
-                w: DistArray::merge_along(0, w_parts.clone()),
-                h: DistArray::merge_along(0, h_parts.clone()),
-                wz2: Vec::new(),
-                hz2: Vec::new(),
-                cfg: cfg.clone(),
-            };
-            driver.record_progress(pass, snap.loss(&items));
+            // The loss is read on the pool, against the partitions
+            // where they sit; validation re-reads it serially.
+            let loss = driver.eval_pass_threaded(
+                &plan,
+                &triples,
+                &mut space_parts,
+                &mut time_parts,
+                &sq_err,
+                |space, time| {
+                    let (w_parts, h_parts) = by_role(space_is_users, space, time);
+                    let snap = MfModel {
+                        w: DistArray::merge_along_ref(0, w_parts),
+                        h: DistArray::merge_along_ref(0, h_parts),
+                        wz2: Vec::new(),
+                        hz2: Vec::new(),
+                        cfg: model.cfg.clone(),
+                    };
+                    snap.loss(&items)
+                },
+            );
+            driver.record_progress(pass, loss);
         }
     }
-    let model = MfModel {
-        w: DistArray::merge_along(0, w_parts),
-        h: DistArray::merge_along(0, h_parts),
-        wz2,
-        hz2,
-        cfg,
-    };
+    let (w_parts, h_parts) = by_role(space_is_users, space_parts, time_parts);
+    model.w = DistArray::merge_along(0, w_parts);
+    model.h = DistArray::merge_along(0, h_parts);
     let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "threaded/sgd_mf", &compiled));
     (model, driver.finish(), artifacts)
 }
@@ -821,8 +823,7 @@ mod tests {
         };
         let (sim_model, _) = train_orion(&data, MfConfig::new(4), &run);
         // Threaded single pass from the same initialization.
-        let dims = data.ratings.shape().dims().to_vec();
-        let fresh = MfModel::new(dims[0], dims[1], MfConfig::new(4));
+        let fresh = MfModel::for_data(&data, MfConfig::new(4));
         let thr_model = orion_pass_threaded(&data, fresh, &cluster, false);
         assert_eq!(sim_model.w, thr_model.w, "W must match bitwise");
         assert_eq!(sim_model.h, thr_model.h, "H must match bitwise");

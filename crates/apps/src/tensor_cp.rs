@@ -26,7 +26,7 @@ use orion_core::{
 };
 use orion_data::TensorData;
 
-use crate::common::{cost, span_capacity, TraceArtifacts};
+use crate::common::{by_role, cost, space_is_dim0, span_capacity, split_by_role, TraceArtifacts};
 
 /// CP hyperparameters.
 #[derive(Debug, Clone)]
@@ -94,9 +94,23 @@ impl CpModel {
     pub fn loss(&self, items: &[(Vec<i64>, f32)]) -> f64 {
         items
             .iter()
-            .map(|(idx, x)| ((x - self.predict(idx[0], idx[1], idx[2])) as f64).powi(2))
+            .map(|(idx, x)| {
+                let (i, j, k) = (idx[0], idx[1], idx[2]);
+                sq_err_rows(
+                    self.u.row_slice(i),
+                    self.v.row_slice(j),
+                    self.s.row_slice(k),
+                    *x,
+                )
+            })
             .sum()
     }
+}
+
+/// Squared prediction error of one entry on raw factor rows — the one
+/// loss term every readout (serial or pooled) sums.
+fn sq_err_rows(u: &[f32], v: &[f32], s: &[f32], x: f32) -> f64 {
+    ((x - kernels::cp_predict(u, v, s, MathMode::Exact)) as f64).powi(2)
 }
 
 /// One SGD step for one entry; `S`'s gradient goes through `s_sink`
@@ -318,30 +332,11 @@ pub fn train_threaded(
     let compiled = driver.parallel_for(spec, &items).expect("compiles");
     debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
     let plan = driver.compile_threaded(&compiled);
-    let sched = &compiled.schedule;
-    let sp = sched
-        .space_partition
-        .as_ref()
-        .expect("buffered CP has a space partition");
-    let tp = sched
-        .time_partition
-        .as_ref()
-        .expect("buffered CP has a time partition");
 
     // The analyzer parallelizes over loop dims {0, 1} (the buffered
     // context dim carries no dependence); either may be space.
-    let space_is_users = sp.dim == 0;
-    let (mut space_parts, mut time_parts) = if space_is_users {
-        (
-            model.u.split_along(0, &sp.ranges),
-            model.v.split_along(0, &tp.ranges),
-        )
-    } else {
-        (
-            model.v.split_along(0, &sp.ranges),
-            model.u.split_along(0, &tp.ranges),
-        )
-    };
+    let space_is_users = space_is_dim0(&compiled);
+    let (mut space_parts, mut time_parts) = split_by_role(&compiled, model.u, model.v);
     let entries: Arc<Vec<(i64, i64, i64, f32)>> = Arc::new(
         items
             .iter()
@@ -355,18 +350,22 @@ pub fn train_threaded(
         let scratch: Vec<DistArrayBuffer<f32>> = (0..n_workers)
             .map(|_| DistArrayBuffer::additive(model.s.shape().clone()))
             .collect();
-        let s_snap = Arc::new(model.s.clone());
+        let s_pass = Arc::new(model.s.clone());
         let body = Arc::new(
             move |&(i, j, k, x): &(i64, i64, i64, f32),
                   ap: &mut DistArray<f32>,
                   bp: &mut DistArray<f32>,
                   buf: &mut DistArrayBuffer<f32>| {
-                let (u_row, v_row) = if space_is_users {
-                    (ap.row_slice_mut(i), bp.row_slice_mut(j))
-                } else {
-                    (bp.row_slice_mut(i), ap.row_slice_mut(j))
-                };
-                cp_update_rows(u_row, v_row, s_snap.row_slice(k), k, x, step, buf);
+                let (up, vp) = by_role(space_is_users, ap, bp);
+                cp_update_rows(
+                    up.row_slice_mut(i),
+                    vp.row_slice_mut(j),
+                    s_pass.row_slice(k),
+                    k,
+                    x,
+                    step,
+                    buf,
+                );
             },
         );
         let out = driver.run_pass_threaded(
@@ -385,33 +384,37 @@ pub fn train_threaded(
         for mut buf in out.scratch {
             buf.apply_to(&mut model.s, |elem, delta| *elem += delta);
         }
-        let snap = CpModel {
-            u: DistArray::merge_along(
-                0,
-                if space_is_users {
-                    space_parts.clone()
-                } else {
-                    time_parts.clone()
-                },
-            ),
-            v: DistArray::merge_along(
-                0,
-                if space_is_users {
-                    time_parts.clone()
-                } else {
-                    space_parts.clone()
-                },
-            ),
-            s: model.s.clone(),
-            cfg: model.cfg.clone(),
-        };
-        driver.record_progress(pass, snap.loss(&items));
+        // The loss is read on the pool, against the partitions where
+        // they sit; validation re-reads it serially.
+        let s_now = Arc::new(model.s.clone());
+        let sq_err = Arc::new(
+            move |&(i, j, k, x): &(i64, i64, i64, f32),
+                  ap: &DistArray<f32>,
+                  bp: &DistArray<f32>| {
+                let (up, vp) = by_role(space_is_users, ap, bp);
+                sq_err_rows(up.row_slice(i), vp.row_slice(j), s_now.row_slice(k), x)
+            },
+        );
+        let loss = driver.eval_pass_threaded(
+            &plan,
+            &entries,
+            &mut space_parts,
+            &mut time_parts,
+            &sq_err,
+            |space, time| {
+                let (u_parts, v_parts) = by_role(space_is_users, space, time);
+                let snap = CpModel {
+                    u: DistArray::merge_along_ref(0, u_parts),
+                    v: DistArray::merge_along_ref(0, v_parts),
+                    s: model.s.clone(),
+                    cfg: model.cfg.clone(),
+                };
+                snap.loss(&items)
+            },
+        );
+        driver.record_progress(pass, loss);
     }
-    let (u_parts, v_parts) = if space_is_users {
-        (space_parts, time_parts)
-    } else {
-        (time_parts, space_parts)
-    };
+    let (u_parts, v_parts) = by_role(space_is_users, space_parts, time_parts);
     model.u = DistArray::merge_along(0, u_parts);
     model.v = DistArray::merge_along(0, v_parts);
     (model, driver.finish())

@@ -17,9 +17,10 @@ use orion_ir::{ArrayMeta, DistArrayId, LoopSpec};
 use std::sync::Arc;
 
 use orion_runtime::{
-    build_schedule, comm_model_with_spec, default_threads, run_grid_pass_pooled,
-    run_one_d_pass_pooled, CompiledBlocks, GridPassOutput, HbEvent, LoopCommModel, OneDPassOutput,
-    PassStats, Schedule, SimExecutor, ThreadPhase, ThreadSpan, ThreadedPlan, WorkerPool,
+    build_schedule, comm_model_with_spec, default_threads, run_grid_eval_pooled,
+    run_grid_pass_pooled, run_one_d_pass_pooled, CompiledBlocks, EvalSlots, GridPassOutput,
+    HbEvent, LoopCommModel, OneDPassOutput, PassStats, Schedule, SimExecutor, ThreadPhase,
+    ThreadSpan, ThreadedPlan, WorkerPool,
 };
 use orion_sim::{ClusterSpec, FaultPlan, RunStats, VirtualTime};
 use orion_trace::{LinkBytes, LoadStats, OwnedSession, RunReport, SpanCat, Transfer};
@@ -137,6 +138,9 @@ pub struct Driver {
     /// Persistent worker pool, created lazily on the first threaded pass
     /// and reused across passes and epochs.
     pool: Option<WorkerPool>,
+    /// Per-item result slots of [`Driver::eval_pass_threaded`], allocated
+    /// on the first readout and reused by every later one.
+    eval_slots: Option<EvalSlots>,
     /// Floating-point reduction policy loop bodies should honor
     /// (`Exact` keeps seed bit-identity; `FastMath` permits vectorized
     /// reassociation when the `fast-math` feature is compiled in).
@@ -167,6 +171,7 @@ impl Driver {
             hb_checkers: HashMap::new(),
             threads: None,
             pool: None,
+            eval_slots: None,
             math_mode: MathMode::default(),
             wire_links: Vec::new(),
             tune_outcomes: HashMap::new(),
@@ -657,6 +662,66 @@ impl Driver {
         self.sanitize_hb(loop_name, plan.blocks(), &out.events, "threaded pass");
         self.absorb_thread_spans(&out.spans, out.wall_ns);
         out
+    }
+
+    /// Evaluates a per-item `f64` on real cores against the partitions
+    /// of a grid schedule, where [`Driver::run_pass_threaded`] left
+    /// them, and returns the sum over all items — the driver-side
+    /// readout of a §3.4 accumulator such as the training loss of
+    /// Fig. 5. Nothing rotates and nothing is written: worker `w`
+    /// evaluates `f(&item, &space[w], &time[block % n_time])` for the
+    /// items of its own blocks. The per-item values are summed in item
+    /// order, so the result is bit-identical to the serial
+    /// `items.iter().map(f).sum()` whatever the worker count.
+    ///
+    /// The virtual timeline does not advance: like every engine's
+    /// driver-side metric evaluation, the readout is not part of the
+    /// pass, and progress points keep pass wall time only.
+    ///
+    /// Under validation the result is cross-checked against `serial`,
+    /// the caller's serial readout over the same partitions (not
+    /// called otherwise).
+    ///
+    /// # Panics
+    ///
+    /// Panics if partition counts mismatch `plan`, if a worker dies
+    /// (with the worker's panic message), or — under validation — if
+    /// the pooled and serial readouts differ in any bit.
+    pub fn eval_pass_threaded<T, A, B, F, D>(
+        &mut self,
+        plan: &Arc<ThreadedPlan>,
+        items: &Arc<Vec<T>>,
+        space: &mut Vec<DistArray<A, D>>,
+        time: &mut Vec<DistArray<B, D>>,
+        f: &Arc<F>,
+        serial: impl FnOnce(&[DistArray<A, D>], &[DistArray<B, D>]) -> f64,
+    ) -> f64
+    where
+        T: Send + Sync + 'static,
+        A: Element,
+        B: Element,
+        D: Device,
+        F: Fn(&T, &DistArray<A, D>, &DistArray<B, D>) -> f64 + Send + Sync + 'static,
+    {
+        self.ensure_pool(plan.n_workers());
+        let pool = self.pool.as_ref().expect("pool just ensured");
+        let slots = match &self.eval_slots {
+            Some(slots) if slots.len() == plan.total_items() => slots,
+            _ => self.eval_slots.insert(EvalSlots::new(plan.total_items())),
+        };
+        run_grid_eval_pooled(pool, plan, items, space, time, slots, f);
+        let sum: f64 = slots.values().sum();
+        if self.validate {
+            let expected = serial(space, time);
+            assert!(
+                sum.to_bits() == expected.to_bits(),
+                "pooled readout {sum:e} ({:#018x}) differs from the serial readout \
+                 {expected:e} ({:#018x})",
+                sum.to_bits(),
+                expected.to_bits()
+            );
+        }
+        sum
     }
 
     /// Executes one pass of a 1-D / fully-parallel schedule on real

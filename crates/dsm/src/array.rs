@@ -717,6 +717,17 @@ impl<T: Element, D: Device> DistArray<T, D> {
     /// Panics when `parts` is empty or shapes are inconsistent with a
     /// tiling along `dim`.
     pub fn merge_along(dim: Dim, parts: Vec<DistArray<T, D>>) -> DistArray<T, D> {
+        Self::merge_along_ref(dim, &parts)
+    }
+
+    /// [`DistArray::merge_along`] over borrowed partitions: builds the
+    /// whole array and leaves the partitions where they are, for
+    /// read-outs between passes that keep the model split.
+    ///
+    /// # Panics
+    ///
+    /// As [`DistArray::merge_along`].
+    pub fn merge_along_ref(dim: Dim, parts: &[DistArray<T, D>]) -> DistArray<T, D> {
         assert!(!parts.is_empty(), "cannot merge zero partitions");
         let mut dims = parts[0].shape.dims().to_vec();
         for part in &parts[1..] {
@@ -746,7 +757,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
         let storage = if all_dense {
             let mut values: Vec<T> = Vec::with_capacity(shape.volume() as usize);
             for outer in 0..n_outer {
-                for part in &parts {
+                for part in parts {
                     let part_block = (part.shape.dims()[dim] * s_dim) as usize;
                     let lo = outer as usize * part_block;
                     let Storage::Dense(pv) = &part.storage else {
@@ -763,24 +774,11 @@ impl<T: Element, D: Device> DistArray<T, D> {
             for part in parts {
                 let len_p = part.shape.dims()[dim];
                 let part_block = len_p * s_dim;
-                match part.storage {
-                    Storage::Sparse(store) => {
-                        for (part_flat, v) in store.into_sorted() {
-                            let outer = part_flat / part_block;
-                            let c = (part_flat % part_block) / s_dim;
-                            let inner = part_flat % s_dim;
-                            pairs.push((outer * block + (start + c) * s_dim + inner, v));
-                        }
-                    }
-                    Storage::Dense(values) => {
-                        for (flat, v) in values.into_vec().into_iter().enumerate() {
-                            let part_flat = flat as u64;
-                            let outer = part_flat / part_block;
-                            let c = (part_flat % part_block) / s_dim;
-                            let inner = part_flat % s_dim;
-                            pairs.push((outer * block + (start + c) * s_dim + inner, v));
-                        }
-                    }
+                for (part_flat, v) in part.iter_flat() {
+                    let outer = part_flat / part_block;
+                    let c = (part_flat % part_block) / s_dim;
+                    let inner = part_flat % s_dim;
+                    pairs.push((outer * block + (start + c) * s_dim + inner, v.clone()));
                 }
                 start += len_p;
             }

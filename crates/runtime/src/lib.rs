@@ -15,6 +15,9 @@
 //!   same schedules on a persistent [`WorkerPool`] of real OS threads
 //!   with partition ownership and zero-copy channel-based rotation —
 //!   the repo's real multi-core execution path;
+//! - [`run_grid_eval_pooled`] reads a per-item metric (the §3.4 loss
+//!   accumulator) on the same pool, against the partitions in place,
+//!   into [`EvalSlots`] the driver sums in item order;
 //! - [`comm_model_from_plan`] derives the communication model from the
 //!   analyzer's array placements.
 //!
@@ -62,6 +65,6 @@ pub use schedule::{
     ScheduleOptions, SyncMode, PIPELINE_DEPTH,
 };
 pub use threaded::{
-    run_grid_pass_pooled, run_one_d_pass_pooled, GridPassOutput, OneDPassOutput, ThreadPhase,
-    ThreadSpan, ThreadedPlan,
+    run_grid_eval_pooled, run_grid_pass_pooled, run_one_d_pass_pooled, EvalSlots, GridPassOutput,
+    OneDPassOutput, ThreadPhase, ThreadSpan, ThreadedPlan,
 };

@@ -23,7 +23,7 @@
 //! proptests).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -401,30 +401,9 @@ where
     }
     drop(result_tx);
 
-    let mut results: Vec<GridResult<A, B, S, D>> = Vec::with_capacity(n_workers);
-    while results.len() < n_workers {
-        match result_rx.recv_timeout(POISON_POLL) {
-            Ok(r) => results.push(r),
-            Err(err) => {
-                if let Some(msg) = pool.panic_message() {
-                    panic!("{msg}");
-                }
-                if err == RecvTimeoutError::Disconnected {
-                    // Result senders vanished before the panic was
-                    // recorded; give the pool worker a beat to finish
-                    // unwinding, then report.
-                    std::thread::sleep(POISON_POLL);
-                    match pool.panic_message() {
-                        Some(msg) => panic!("{msg}"),
-                        None => panic!("threaded pass lost workers without a recorded panic"),
-                    }
-                }
-            }
-        }
-    }
+    let results = collect_results(pool, &result_rx, n_workers, |r| r.0);
     let wall_ns = start.elapsed().as_nanos() as u64;
 
-    results.sort_by_key(|r| r.0);
     let mut out_space = Vec::with_capacity(n_workers);
     let mut out_scratch = Vec::with_capacity(n_workers);
     let mut out_spans = Vec::with_capacity(n_workers);
@@ -453,6 +432,127 @@ where
         events: out_events,
         wall_ns,
     }
+}
+
+/// Per-item `f64` results of evaluation passes, one slot per item
+/// position (paper §3.4: the per-pass training loss is an accumulator
+/// the executors fill and the driver only aggregates).
+///
+/// The slots are per *position*, not per worker: a float sum joined
+/// from per-worker partials associates differently from the serial
+/// `items.iter().map(f).sum()`, so its bits would depend on the worker
+/// count. Workers store each value at its item position instead and
+/// the driver reduces [`EvalSlots::values`] in item order — the same
+/// additions in the same order as the serial loop. Allocated once per
+/// job (8 bytes per item) and overwritten by every evaluation pass.
+#[derive(Debug, Clone)]
+pub struct EvalSlots(Arc<[AtomicU64]>);
+
+impl EvalSlots {
+    /// Zeroed slots for `n_items` item positions.
+    pub fn new(n_items: usize) -> Self {
+        EvalSlots((0..n_items).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    /// Number of item positions.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no item positions.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The values of the latest evaluation pass, in item order.
+    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
+        // Relaxed: each slot has exactly one writer per pass, and the
+        // pass returns only after receiving every worker's completion
+        // message, which orders the stores before these loads.
+        self.0
+            .iter()
+            .map(|s| f64::from_bits(s.load(Ordering::Relaxed)))
+    }
+}
+
+/// Evaluates `f` over every item of a 2-D (grid) schedule on the pool
+/// without rotating or writing anything: the partitions are shared
+/// immutably, worker `w` walks its own execution list (the schedule's
+/// load balance carries over) and stores
+/// `f(&item, &space[w], &time[block % n_time])` at the item's position
+/// in `slots`. The partitions are lent to the pool for the duration of
+/// the call and are back in place, untouched, when it returns.
+///
+/// # Panics
+///
+/// Panics if partition or slot counts do not match the plan, if the
+/// pool is smaller than the plan's worker count, or — with the
+/// panicking worker's message — if a worker dies mid-pass (the
+/// partition vectors are then left empty).
+pub fn run_grid_eval_pooled<T, A, B, F, D>(
+    pool: &WorkerPool,
+    plan: &Arc<ThreadedPlan>,
+    items: &Arc<Vec<T>>,
+    space_parts: &mut Vec<DistArray<A, D>>,
+    time_parts: &mut Vec<DistArray<B, D>>,
+    slots: &EvalSlots,
+    f: &Arc<F>,
+) where
+    T: Send + Sync + 'static,
+    A: Element,
+    B: Element,
+    D: Device,
+    F: Fn(&T, &DistArray<A, D>, &DistArray<B, D>) -> f64 + Send + Sync + 'static,
+{
+    let n_workers = plan.n_workers;
+    assert!(
+        pool.size() >= n_workers,
+        "pool has {} workers but the plan needs {n_workers}",
+        pool.size()
+    );
+    assert_eq!(
+        space_parts.len(),
+        n_workers,
+        "one space partition per worker"
+    );
+    assert_eq!(
+        time_parts.len(),
+        plan.n_time,
+        "one array partition per time partition"
+    );
+    assert_eq!(slots.len(), plan.total_items(), "one slot per item");
+
+    let parts = Arc::new((std::mem::take(space_parts), std::mem::take(time_parts)));
+    let (done_tx, done_rx) = channel::<usize>();
+    for w in 0..n_workers {
+        let plan = Arc::clone(plan);
+        let items = Arc::clone(items);
+        let f = Arc::clone(f);
+        let parts = Arc::clone(&parts);
+        let slots = slots.clone();
+        let done_tx = done_tx.clone();
+        let job = Box::new(move || {
+            let (space, time) = &*parts;
+            for e in &plan.per_worker[w] {
+                let tp = &time[e.block % plan.n_time];
+                for &pos in plan.blocks.items(e.block) {
+                    let v = f(&items[pos as usize], &space[w], tp);
+                    slots.0[pos as usize].store(v.to_bits(), Ordering::Relaxed);
+                }
+            }
+            // Release the shared partitions before reporting, so the
+            // caller is their sole owner once every worker has reported.
+            drop(parts);
+            let _ = done_tx.send(w);
+        });
+        if let Err(_job) = pool.submit(w, job) {
+            break; // poison; the collection loop reports the panic
+        }
+    }
+    drop(done_tx);
+    collect_results(pool, &done_rx, n_workers, |&w| w);
+    (*space_parts, *time_parts) = Arc::try_unwrap(parts)
+        .unwrap_or_else(|_| panic!("a worker still holds the partitions after reporting"));
 }
 
 /// Executes one pass of a 1-D (or fully-parallel) schedule on the
@@ -517,26 +617,8 @@ where
     }
     drop(result_tx);
 
-    let mut results: Vec<OneDResult<S>> = Vec::with_capacity(n_workers);
-    while results.len() < n_workers {
-        match result_rx.recv_timeout(POISON_POLL) {
-            Ok(r) => results.push(r),
-            Err(err) => {
-                if let Some(msg) = pool.panic_message() {
-                    panic!("{msg}");
-                }
-                if err == RecvTimeoutError::Disconnected {
-                    std::thread::sleep(POISON_POLL);
-                    match pool.panic_message() {
-                        Some(msg) => panic!("{msg}"),
-                        None => panic!("threaded pass lost workers without a recorded panic"),
-                    }
-                }
-            }
-        }
-    }
+    let results = collect_results(pool, &result_rx, n_workers, |r| r.0);
     let wall_ns = start.elapsed().as_nanos() as u64;
-    results.sort_by_key(|r| r.0);
     let mut out_scratch = Vec::with_capacity(n_workers);
     let mut out_spans = Vec::with_capacity(n_workers);
     let mut out_events = Vec::with_capacity(n_workers);
@@ -551,6 +633,39 @@ where
         events: out_events,
         wall_ns,
     }
+}
+
+/// Waits for one result per worker and returns them in worker order,
+/// re-raising a worker's panic (with its message) instead of hanging.
+fn collect_results<R>(
+    pool: &WorkerPool,
+    result_rx: &Receiver<R>,
+    n_workers: usize,
+    worker_of: impl Fn(&R) -> usize,
+) -> Vec<R> {
+    let mut results: Vec<R> = Vec::with_capacity(n_workers);
+    while results.len() < n_workers {
+        match result_rx.recv_timeout(POISON_POLL) {
+            Ok(r) => results.push(r),
+            Err(err) => {
+                if let Some(msg) = pool.panic_message() {
+                    panic!("{msg}");
+                }
+                if err == RecvTimeoutError::Disconnected {
+                    // Result senders vanished before the panic was
+                    // recorded; give the pool worker a beat to finish
+                    // unwinding, then report.
+                    std::thread::sleep(POISON_POLL);
+                    match pool.panic_message() {
+                        Some(msg) => panic!("{msg}"),
+                        None => panic!("threaded pass lost workers without a recorded panic"),
+                    }
+                }
+            }
+        }
+    }
+    results.sort_by_key(worker_of);
+    results
 }
 
 /// Blocking parcel receive that bails out (returning `None`) when the

@@ -23,19 +23,21 @@ fn workdir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn mf_conformance() {
-    let data = RatingsData::generate(RatingsConfig::tiny());
+/// `tiny()` is tall (users are the space dimension, `W` is pinned and
+/// `H` rotates); the wide shape makes the planner swap the roles.
+fn mf_conformance(tag: &str, data_cfg: RatingsConfig, nodes: usize) {
+    let data = RatingsData::generate(data_cfg);
     let cfg = sgd_mf::MfConfig::new(4);
     let run = sgd_mf::MfRunConfig {
-        cluster: ClusterSpec::new(NODES, 1),
+        cluster: ClusterSpec::new(nodes, 1),
         passes: 3,
         ordered: false,
     };
-    let (sim_model, _) = sgd_mf::train_orion(&data, cfg.clone(), &run);
+    let (sim_model, sim_stats) = sgd_mf::train_orion(&data, cfg.clone(), &run);
 
-    let dir = workdir("mf");
-    let mut opts = DistOptions::new(NODES, run.passes, &dir);
-    opts.run_id = "mf_conf".into();
+    let dir = workdir(tag);
+    let mut opts = DistOptions::new(nodes, run.passes, &dir);
+    opts.run_id = format!("{tag}_conf");
     opts.record_msgs = true;
     let out = distributed::train_mf_distributed(&data, cfg, run.ordered, &opts)
         .expect("distributed MF run succeeds");
@@ -43,14 +45,14 @@ fn mf_conformance() {
     // O204 runtime monitor: the recorded coordinator traffic must
     // replay cleanly against the protocol model.
     assert!(!out.msg_log.is_empty(), "record_msgs captures traffic");
-    orion::check::proto::monitor_log(NODES, &out.msg_log)
+    orion::check::proto::monitor_log(nodes, &out.msg_log)
         .expect("fault-free MF protocol log passes the O204 monitor");
     assert_eq!(out.epochs.len(), run.passes as usize);
     assert!(
         out.epochs.iter().all(|e| e
             .links
             .iter()
-            .any(|l| l.src < NODES && l.dst < NODES && l.bytes > 0)),
+            .any(|l| l.src < nodes && l.dst < nodes && l.bytes > 0)),
         "every MF epoch rotates partitions over real sockets"
     );
     assert_eq!(
@@ -61,8 +63,13 @@ fn mf_conformance() {
         sim_model.h, out.model.h,
         "H must be bit-identical to the sim oracle"
     );
+    assert_eq!(
+        out.stats.final_metric().map(f64::to_bits),
+        sim_stats.final_metric().map(f64::to_bits),
+        "the final loss must be bit-identical to the sim oracle"
+    );
     let _ = std::fs::remove_dir_all(&dir);
-    println!("ok - mf_conformance");
+    println!("ok - {tag}_conformance");
 }
 
 fn slr_conformance() {
@@ -135,7 +142,14 @@ fn main() {
     // here; only the original invocation proceeds to the assertions.
     distributed::maybe_node();
 
-    mf_conformance();
+    mf_conformance("mf", RatingsConfig::tiny(), NODES);
+    let wide = RatingsConfig {
+        n_users: 60,
+        n_items: 400,
+        nnz: 3_000,
+        ..RatingsConfig::tiny()
+    };
+    mf_conformance("mf_wide", wide, 2);
     slr_conformance();
     mf_crash_recovery();
     println!("distributed_conformance: all checks passed");
