@@ -1,6 +1,6 @@
-//! Chaos training harness: runs an application's training loop under a
+//! Chaos training: how [`crate::run::run`] is told to train under a
 //! fault plan with periodic checkpointing and restore-and-reexecute
-//! recovery (paper §4.3).
+//! recovery (paper §4.3), and what it reports back.
 //!
 //! The contract that makes recovery *provably* equivalent to fault-free
 //! execution (asserted bit-for-bit by `tests/chaos_recovery.rs`): each
@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use orion_core::{CheckpointPolicy, Driver, FaultEvent, FaultPlan, RecoveryStats};
+use orion_core::{CheckpointPolicy, FaultPlan, RecoveryStats};
 
 /// How a chaos run is configured: the fault plan plus the checkpoint
 /// policy.
@@ -80,54 +80,4 @@ impl ChaosReport {
     pub fn overhead_ns(&self) -> u64 {
         self.fault_ns + self.recovery_ns + self.checkpoint_ns
     }
-}
-
-/// Drives `passes` passes of training with checkpoint-every-N and
-/// restore-and-reexecute recovery; returns the number of passes
-/// re-executed.
-///
-/// `state` is the application model. `save(state)` checkpoints it and
-/// returns the bytes written; `restore(state)` reloads the latest
-/// checkpoint and returns the bytes read; `run_one(driver, state, pass)`
-/// executes pass number `pass` and returns a [`FaultEvent`] if a machine
-/// crashed during it (in which case the pass's effects on `state` are
-/// erased by the subsequent `restore`).
-///
-/// An initial checkpoint is written before pass 0, so "the latest
-/// checkpoint" always exists; each due checkpoint is written once even
-/// if recovery revisits its pass number.
-pub fn run_chaos_loop<S>(
-    driver: &mut Driver,
-    state: &mut S,
-    passes: u64,
-    policy: &CheckpointPolicy,
-    mut save: impl FnMut(&mut S) -> u64,
-    mut restore: impl FnMut(&mut S) -> u64,
-    mut run_one: impl FnMut(&mut Driver, &mut S, u64) -> Option<FaultEvent>,
-) -> u64 {
-    let bytes = save(state);
-    driver.charge_checkpoint(bytes);
-    let mut last_ckpt = 0u64;
-    let mut reexecuted = 0u64;
-    let mut pass = 0u64;
-    while pass < passes {
-        if policy.due(pass) && pass != last_ckpt {
-            let bytes = save(state);
-            driver.charge_checkpoint(bytes);
-            last_ckpt = pass;
-        }
-        match run_one(driver, state, pass) {
-            None => pass += 1,
-            Some(ev) => {
-                let bytes = restore(state);
-                driver.complete_recovery(&ev, bytes);
-                driver.rollback_progress(last_ckpt);
-                // Everything since the checkpoint reruns, plus the
-                // crashed pass itself ran once for nothing.
-                reexecuted += pass - last_ckpt + 1;
-                pass = last_ckpt;
-            }
-        }
-    }
-    reexecuted
 }

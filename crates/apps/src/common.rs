@@ -1,7 +1,8 @@
 //! Shared helpers for the ML applications.
 
 use orion_core::{
-    CompiledLoop, DistArray, Driver, Element, Float, OwnedSession, RunReport, Schedule,
+    CompiledLoop, DistArray, DistArrayBuffer, Driver, Element, Float, OwnedSession, RunReport,
+    Schedule,
 };
 
 // The dtype-generic inner-loop helpers shared by the applications. These
@@ -73,6 +74,26 @@ pub(crate) fn split_by_role<T: Element>(
         space.split_along(0, &sp.ranges),
         time.split_along(0, &tp.ranges),
     )
+}
+
+/// One additive DistArray Buffer shaped like `array` per worker (§3.3).
+pub(crate) fn write_buffers(array: &DistArray<f32>, n_workers: usize) -> Vec<DistArrayBuffer<f32>> {
+    (0..n_workers)
+        .map(|_| DistArrayBuffer::additive(array.shape().clone()))
+        .collect()
+}
+
+/// The pass-boundary buffer flush: every worker exchanges its buffer's
+/// bytes, then `apply` folds each buffer into the array in worker order.
+pub(crate) fn flush_buffers(
+    driver: &mut Driver,
+    mut buffers: Vec<DistArrayBuffer<f32>>,
+    mut apply: impl FnMut(&mut DistArrayBuffer<f32>),
+) {
+    let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
+    let per_worker = up / buffers.len().max(1) as u64;
+    driver.sync_exchange(per_worker, per_worker);
+    buffers.iter_mut().for_each(&mut apply);
 }
 
 /// Span-buffer capacity for a run of `passes` over `schedule`: at most

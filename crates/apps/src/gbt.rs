@@ -12,11 +12,13 @@
 use std::sync::Arc;
 
 use orion_core::{
-    kernels, ClusterSpec, DistArray, Driver, LoopSpec, RunStats, Strategy, Subscript,
+    kernels, ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, LoopSpec, RunStats,
+    Strategy, Subscript,
 };
 use orion_data::TabularData;
 
-use crate::common::{cost, span_capacity, TraceArtifacts};
+use crate::common::cost;
+use crate::run::{train, App, Engine, Pool, RunError};
 
 /// GBT hyperparameters.
 #[derive(Debug, Clone)]
@@ -246,245 +248,248 @@ pub struct GbtRunConfig {
     pub cluster: ClusterSpec,
 }
 
-/// Trains the ensemble; the per-level split-finding loop over features
-/// runs under Orion's 1-D parallelization. Records MSE per boosting
-/// round.
-pub fn train_orion(data: &TabularData, cfg: GbtConfig, run: &GbtRunConfig) -> (GbtModel, RunStats) {
-    let (model, stats, _) = train_orion_impl(data, cfg, run, false);
-    (model, stats)
+/// GBT as an [`App`]: one pass is one boosting round, whose per-level
+/// split-finding loop over features runs under Orion's 1-D
+/// parallelization; the metric is the MSE after the round.
+#[derive(Debug, Clone)]
+pub struct GbtApp {
+    /// Hyperparameters (`n_trees` is the pass count the `train_*`
+    /// wrappers run).
+    pub cfg: GbtConfig,
 }
 
-/// [`train_orion`] with span tracing on: additionally returns the
-/// Perfetto-exportable session and the run report.
-pub fn train_orion_traced(
-    data: &TabularData,
-    cfg: GbtConfig,
-    run: &GbtRunConfig,
-) -> (GbtModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) = train_orion_impl(data, cfg, run, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
+/// What [`GbtApp`]'s setup builds: the ensemble so far and its
+/// predictions.
+#[derive(Debug)]
+pub struct GbtJob {
+    model: GbtModel,
+    items: Vec<(Vec<i64>, u32)>,
+    preds: Vec<f32>,
+    feature_cost: f64,
 }
 
-fn train_orion_impl(
+/// The engine-specific part of a round: the per-feature histograms of
+/// (gradient sum, count) per (leaf, bin), given the gradients, the
+/// node → slot table, the sample → node assignment and the slots ×
+/// bins length of one histogram.
+type HistPass<'a> =
+    dyn FnMut(&mut Driver, &Arc<Vec<f64>>, Vec<usize>, &[usize], usize) -> Vec<Vec<BinStat>> + 'a;
+
+/// One boosting round: residual gradients, the tree grown level by
+/// level from the histograms `hist_pass` gathers, leaf values, updated
+/// predictions.
+fn boost_round(
     data: &TabularData,
-    cfg: GbtConfig,
-    run: &GbtRunConfig,
-    traced: bool,
-) -> (GbtModel, RunStats, Option<TraceArtifacts>) {
-    let n_features = data.config.n_features;
-    let n_samples = data.config.n_samples;
-    let n_bins = cfg.n_bins;
-
-    let mut driver = Driver::new(run.cluster.clone());
-    // Iteration space: the features.
-    let feat_arr: DistArray<u32> =
-        DistArray::dense_from_fn("features", vec![n_features as u64], |i| i[0] as u32);
-    let items: Vec<(Vec<i64>, u32)> = feat_arr.iter().map(|(i, &v)| (i, v)).collect();
-    let feats_id = driver.register(&feat_arr);
-    // Gradient vector (read by every feature) and per-feature histogram
-    // slots (each feature writes only its own row).
-    let grad_arr: DistArray<f32> = DistArray::dense("gradients", vec![n_samples as u64]);
-    let grads_id = driver.register(&grad_arr);
-    let hist_arr: DistArray<f32> =
-        DistArray::dense("histograms", vec![n_features as u64, (2 * n_bins) as u64]);
-    let hist_id = driver.register(&hist_arr);
-
-    let spec = LoopSpec::builder("gbt_split_finding", feats_id, vec![n_features as u64])
-        .read(grads_id, vec![Subscript::Full])
-        .write(hist_id, vec![Subscript::loop_index(0), Subscript::Full])
-        .build()
-        .expect("static GBT spec is valid");
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("GBT split loop parallelizes");
-    debug_assert!(matches!(
-        compiled.strategy(),
-        Strategy::FullyParallel { .. } | Strategy::OneD { .. }
-    ));
-    if traced {
-        // One split-finding pass per (round, level).
-        let passes = (cfg.n_trees * cfg.max_depth) as u64;
-        driver.enable_tracing(span_capacity(&compiled.schedule, passes));
-    }
-
-    let mut model = GbtModel {
-        base: data.targets.iter().sum::<f32>() / n_samples as f32,
-        trees: Vec::new(),
-        cfg,
-    };
-    let mut preds = vec![model.base; n_samples];
-    let feature_cost = cost::gbt_feature_ns(n_samples) * cost::ORION_OVERHEAD;
-
-    for round in 0..model.cfg.n_trees {
-        // Residual gradients for squared loss.
-        let grads: Vec<f64> = (0..n_samples)
+    model: &mut GbtModel,
+    preds: &mut [f32],
+    driver: &mut Driver,
+    hist_pass: &mut HistPass,
+) {
+    let (n_samples, n_features) = (data.config.n_samples, data.config.n_features);
+    let n_bins = model.cfg.n_bins;
+    // Residual gradients for squared loss.
+    let grads: Arc<Vec<f64>> = Arc::new(
+        (0..n_samples)
             .map(|i| (data.targets[i] - preds[i]) as f64)
-            .collect();
-
-        // Grow the tree level by level.
-        let mut tree = Tree::default();
-        tree.nodes.push(Node::Leaf { value: 0.0 });
-        let mut assign: Vec<usize> = vec![0; n_samples]; // node of each sample
-        for _depth in 0..model.cfg.max_depth {
-            let (leaves, slot_of_node) = leaf_slots(&tree);
-            if leaves.is_empty() {
-                break;
-            }
-
-            // The Orion-parallelized loop: per-feature histograms of
-            // (gradient sum, count) per (leaf, bin).
-            let mut hists: Vec<Vec<BinStat>> =
-                vec![vec![BinStat::default(); leaves.len() * n_bins]; n_features];
-            driver.run_pass(&compiled, &mut |_pos| feature_cost, &mut |_w, pos| {
-                let f = items[pos].1 as usize;
-                kernels::feature_histogram(
-                    f,
-                    n_samples,
-                    n_features,
-                    n_bins,
-                    &data.features,
-                    &slot_of_node,
-                    &assign,
-                    &grads,
-                    NO_SLOT,
-                    &mut hists[f],
-                );
-            });
-            // Gathering the histograms to the driver costs one exchange.
-            let hist_bytes = (n_features * leaves.len() * n_bins * 12) as u64;
-            driver.sync_exchange(hist_bytes / run.cluster.n_workers().max(1) as u64, 0);
-
-            // Pick the best split per leaf (variance gain).
-            if !grow_level(&mut tree, &mut assign, &leaves, &hists, data, n_bins) {
-                break;
-            }
+            .collect(),
+    );
+    let mut tree = Tree::default();
+    tree.nodes.push(Node::Leaf { value: 0.0 });
+    let mut assign: Vec<usize> = vec![0; n_samples]; // node of each sample
+    for _depth in 0..model.cfg.max_depth {
+        let (leaves, slot_of_node) = leaf_slots(&tree);
+        if leaves.is_empty() {
+            break;
         }
-
-        // Leaf values: shrunken mean residual of the samples they hold.
-        finalize_tree(&mut tree, &assign, &grads, model.cfg.learning_rate);
-
-        // Update predictions and record the round.
-        for (p, x) in preds.iter_mut().zip(data.features.chunks_exact(n_features)) {
-            *p += tree.predict(x);
+        let hist_len = leaves.len() * n_bins;
+        let hists = hist_pass(driver, &grads, slot_of_node, &assign, hist_len);
+        // Gathering the histograms to the driver costs one exchange.
+        let hist_bytes = (n_features * hist_len * 12) as u64;
+        let n_workers = driver.cluster().n_workers().max(1) as u64;
+        driver.sync_exchange(hist_bytes / n_workers, 0);
+        // Pick the best split per leaf (variance gain).
+        if !grow_level(&mut tree, &mut assign, &leaves, &hists, data, n_bins) {
+            break;
         }
-        model.trees.push(tree);
-        driver.record_progress(round as u64, model.mse(data));
     }
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "orion/gbt", &compiled));
-    (model, driver.finish(), artifacts)
+    // Leaf values: shrunken mean residual of the samples they hold.
+    finalize_tree(&mut tree, &assign, &grads, model.cfg.learning_rate);
+    for (p, x) in preds.iter_mut().zip(data.features.chunks_exact(n_features)) {
+        *p += tree.predict(x);
+    }
+    model.trees.push(tree);
 }
 
-/// Trains the ensemble on the real worker pool: each per-level
-/// split-finding pass fans the features out across `threads` OS
-/// threads, each worker accumulating histograms for its features into
-/// worker-local scratch that the driver scatters back. Split selection
-/// is deterministic on the gathered histograms, so the ensemble is
-/// identical to [`train_orion`]'s.
-///
-/// # Panics
-///
-/// Panics if a worker thread dies.
-pub fn train_threaded(data: &TabularData, cfg: GbtConfig, threads: usize) -> (GbtModel, RunStats) {
-    let n_features = data.config.n_features;
-    let n_samples = data.config.n_samples;
-    let n_bins = cfg.n_bins;
+impl App for GbtApp {
+    type Data = TabularData;
+    type Model = GbtModel;
+    type Job = GbtJob;
 
-    let mut driver = Driver::new(ClusterSpec::new(1, threads));
-    driver.set_threads(threads);
-    let feat_arr: DistArray<u32> =
-        DistArray::dense_from_fn("features", vec![n_features as u64], |i| i[0] as u32);
-    let items: Vec<(Vec<i64>, u32)> = feat_arr.iter().map(|(i, &v)| (i, v)).collect();
-    let feats_id = driver.register(&feat_arr);
-    let grad_arr: DistArray<f32> = DistArray::dense("gradients", vec![n_samples as u64]);
-    let grads_id = driver.register(&grad_arr);
-    let hist_arr: DistArray<f32> =
-        DistArray::dense("histograms", vec![n_features as u64, (2 * n_bins) as u64]);
-    let hist_id = driver.register(&hist_arr);
-    let spec = LoopSpec::builder("gbt_split_finding", feats_id, vec![n_features as u64])
-        .read(grads_id, vec![Subscript::Full])
-        .write(hist_id, vec![Subscript::loop_index(0), Subscript::Full])
-        .build()
-        .expect("static GBT spec is valid");
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("GBT split loop parallelizes");
-    let plan = driver.compile_threaded(&compiled);
+    const NAME: &'static str = "gbt";
 
-    let feats: Arc<Vec<u32>> = Arc::new(items.iter().map(|(_, v)| *v).collect());
-    let x: Arc<Vec<f32>> = Arc::new(data.features.clone());
-    let mut model = GbtModel {
-        base: data.targets.iter().sum::<f32>() / n_samples as f32,
-        trees: Vec::new(),
-        cfg,
-    };
-    let mut preds = vec![model.base; n_samples];
-
-    for round in 0..model.cfg.n_trees {
-        let grads: Arc<Vec<f64>> = Arc::new(
-            (0..n_samples)
-                .map(|i| (data.targets[i] - preds[i]) as f64)
-                .collect(),
+    fn setup(&self, data: &TabularData, driver: &mut Driver) -> (CompiledLoop, GbtJob) {
+        let (n_samples, n_features) = (data.config.n_samples, data.config.n_features);
+        // Iteration space: the features.
+        let feat_arr: DistArray<u32> =
+            DistArray::dense_from_fn("features", vec![n_features as u64], |i| i[0] as u32);
+        let items: Vec<(Vec<i64>, u32)> = feat_arr.iter().map(|(i, &v)| (i, v)).collect();
+        let feats_id = driver.register(&feat_arr);
+        // Gradient vector (read by every feature) and per-feature histogram
+        // slots (each feature writes only its own row).
+        let grad_arr: DistArray<f32> = DistArray::dense("gradients", vec![n_samples as u64]);
+        let grads_id = driver.register(&grad_arr);
+        let hist_arr: DistArray<f32> = DistArray::dense(
+            "histograms",
+            vec![n_features as u64, (2 * self.cfg.n_bins) as u64],
         );
-        let mut tree = Tree::default();
-        tree.nodes.push(Node::Leaf { value: 0.0 });
-        let mut assign: Vec<usize> = vec![0; n_samples];
-        for _depth in 0..model.cfg.max_depth {
-            let (leaves, slot_of_node) = leaf_slots(&tree);
-            if leaves.is_empty() {
-                break;
-            }
-            let hist_len = leaves.len() * n_bins;
-            // The tree state is round-local, so each level's body
-            // captures fresh snapshots; the pool itself persists.
-            let slots = Arc::new(slot_of_node);
-            let assigned = Arc::new(assign.clone());
-            let (g2, x2) = (Arc::clone(&grads), Arc::clone(&x));
-            let body = Arc::new(move |&f: &u32, sc: &mut Vec<(u32, Vec<BinStat>)>| {
-                let mut hist = vec![BinStat::default(); hist_len];
-                kernels::feature_histogram(
-                    f as usize, n_samples, n_features, n_bins, &x2, &slots, &assigned, &g2,
-                    NO_SLOT, &mut hist,
-                );
-                sc.push((f, hist));
-            });
-            let scratch: Vec<Vec<(u32, Vec<BinStat>)>> = vec![Vec::new(); plan.n_workers()];
-            let out =
-                driver.run_pass_threaded_one_d(&compiled.spec.name, &plan, &feats, scratch, &body);
-            let mut hists: Vec<Vec<BinStat>> = vec![vec![BinStat::default(); hist_len]; n_features];
-            for sc in out.scratch {
-                for (f, hist) in sc {
-                    hists[f as usize] = hist;
-                }
-            }
-            let hist_bytes = (n_features * leaves.len() * n_bins * 12) as u64;
-            driver.sync_exchange(hist_bytes / threads.max(1) as u64, 0);
-            if !grow_level(&mut tree, &mut assign, &leaves, &hists, data, n_bins) {
-                break;
-            }
-        }
-        finalize_tree(&mut tree, &assign, &grads, model.cfg.learning_rate);
-        for (p, xr) in preds.iter_mut().zip(data.features.chunks_exact(n_features)) {
-            *p += tree.predict(xr);
-        }
-        model.trees.push(tree);
-        driver.record_progress(round as u64, model.mse(data));
+        let hist_id = driver.register(&hist_arr);
+        let spec = LoopSpec::builder("gbt_split_finding", feats_id, vec![n_features as u64])
+            .read(grads_id, vec![Subscript::Full])
+            .write(hist_id, vec![Subscript::loop_index(0), Subscript::Full])
+            .build()
+            .expect("static GBT spec is valid");
+        let compiled = driver
+            .parallel_for(spec, &items)
+            .expect("GBT split loop parallelizes");
+        debug_assert!(matches!(
+            compiled.strategy(),
+            Strategy::FullyParallel { .. } | Strategy::OneD { .. }
+        ));
+        let model = GbtModel {
+            base: data.targets.iter().sum::<f32>() / n_samples as f32,
+            trees: Vec::new(),
+            cfg: self.cfg.clone(),
+        };
+        let job = GbtJob {
+            preds: vec![model.base; n_samples],
+            model,
+            items,
+            feature_cost: cost::gbt_feature_ns(n_samples) * cost::ORION_OVERHEAD,
+        };
+        (compiled, job)
     }
-    (model, driver.finish())
+
+    fn sim_pass(
+        &self,
+        data: &TabularData,
+        job: &mut GbtJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        _round: u64,
+    ) -> Option<FaultEvent> {
+        let (n_samples, n_features) = (data.config.n_samples, data.config.n_features);
+        let n_bins = self.cfg.n_bins;
+        let GbtJob {
+            model,
+            items,
+            preds,
+            feature_cost,
+        } = job;
+        boost_round(
+            data,
+            model,
+            preds,
+            driver,
+            &mut |driver, grads, slot_of_node, assign, hist_len| {
+                let mut hists = vec![vec![BinStat::default(); hist_len]; n_features];
+                driver.run_pass(compiled, &mut |_pos| *feature_cost, &mut |_w, pos| {
+                    let f = items[pos].1 as usize;
+                    kernels::feature_histogram(
+                        f,
+                        n_samples,
+                        n_features,
+                        n_bins,
+                        &data.features,
+                        &slot_of_node,
+                        assign,
+                        grads,
+                        NO_SLOT,
+                        &mut hists[f],
+                    );
+                });
+                hists
+            },
+        );
+        None
+    }
+
+    fn metric(&self, data: &TabularData, job: &GbtJob) -> f64 {
+        job.model.mse(data)
+    }
+
+    fn into_model(job: GbtJob) -> GbtModel {
+        job.model
+    }
+
+    /// Each per-level split-finding pass fans the features out across
+    /// the pool, each worker accumulating histograms for its features
+    /// into worker-local scratch that the driver scatters back. Split
+    /// selection is deterministic on the gathered histograms, so the
+    /// ensemble is identical to the simulated engine's.
+    fn pooled(
+        &self,
+        data: &TabularData,
+        mut job: GbtJob,
+        pool: &mut Pool<'_>,
+        rounds: u64,
+    ) -> Result<GbtModel, RunError> {
+        let (n_samples, n_features) = (data.config.n_samples, data.config.n_features);
+        let n_bins = self.cfg.n_bins;
+        let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
+        let feats: Arc<Vec<u32>> = Arc::new(job.items.iter().map(|(_, v)| *v).collect());
+        let x: Arc<Vec<f32>> = Arc::new(data.features.clone());
+        for round in 0..rounds {
+            boost_round(
+                data,
+                &mut job.model,
+                &mut job.preds,
+                pool.driver,
+                &mut |driver, grads, slot_of_node, assign, hist_len| {
+                    // The tree state is round-local, so each level's body
+                    // captures fresh snapshots; the pool itself persists.
+                    let slots = Arc::new(slot_of_node);
+                    let assigned = Arc::new(assign.to_vec());
+                    let (g2, x2) = (Arc::clone(grads), Arc::clone(&x));
+                    let body = Arc::new(move |&f: &u32, sc: &mut Vec<(u32, Vec<BinStat>)>| {
+                        let mut hist = vec![BinStat::default(); hist_len];
+                        kernels::feature_histogram(
+                            f as usize, n_samples, n_features, n_bins, &x2, &slots, &assigned, &g2,
+                            NO_SLOT, &mut hist,
+                        );
+                        sc.push((f, hist));
+                    });
+                    let scratch: Vec<Vec<(u32, Vec<BinStat>)>> = vec![Vec::new(); plan.n_workers()];
+                    let out = driver.run_pass_threaded_one_d(
+                        &compiled.spec.name,
+                        &plan,
+                        &feats,
+                        scratch,
+                        &body,
+                    );
+                    let mut hists = vec![vec![BinStat::default(); hist_len]; n_features];
+                    for (f, hist) in out.scratch.into_iter().flatten() {
+                        hists[f as usize] = hist;
+                    }
+                    hists
+                },
+            );
+            pool.record(round, self.metric(data, &job));
+        }
+        Ok(job.model)
+    }
+
+    /// One split-finding pass per (round, level).
+    fn loop_runs(&self, rounds: u64) -> u64 {
+        rounds * self.cfg.max_depth as u64
+    }
 }
 
-/// Serial training: same algorithm on one worker.
-pub fn train_serial(data: &TabularData, cfg: GbtConfig) -> (GbtModel, RunStats) {
-    train_orion(
-        data,
-        cfg,
-        &GbtRunConfig {
-            cluster: ClusterSpec::serial(),
-        },
-    )
+/// Trains the ensemble on the simulated cluster, recording MSE per
+/// boosting round.
+pub fn train_orion(data: &TabularData, cfg: GbtConfig, run: &GbtRunConfig) -> (GbtModel, RunStats) {
+    let rounds = cfg.n_trees as u64;
+    let engine = Engine::Sim(run.cluster.clone());
+    train(&GbtApp { cfg }, data, engine, rounds)
 }
 
 #[cfg(test)]
@@ -494,6 +499,12 @@ mod tests {
 
     fn data() -> TabularData {
         TabularData::generate(TabularConfig::tiny())
+    }
+
+    /// Serial training: same algorithm on one worker.
+    fn train_serial(data: &TabularData, cfg: GbtConfig) -> (GbtModel, RunStats) {
+        let cluster = ClusterSpec::serial();
+        train_orion(data, cfg, &GbtRunConfig { cluster })
     }
 
     #[test]
@@ -521,28 +532,6 @@ mod tests {
         };
         let (mp, _) = train_orion(&d, GbtConfig::new(5), &run);
         assert_eq!(ms.mse(&d), mp.mse(&d), "ensembles must be identical");
-    }
-
-    #[test]
-    fn threaded_pass_equals_simulated_pass() {
-        let d = data();
-        let threads = 3;
-        let run = GbtRunConfig {
-            cluster: ClusterSpec::new(1, threads),
-        };
-        let (sim, _) = train_orion(&d, GbtConfig::new(5), &run);
-        let (thr, _) = train_threaded(&d, GbtConfig::new(5), threads);
-        assert_eq!(sim.trees.len(), thr.trees.len());
-        assert_eq!(sim.mse(&d), thr.mse(&d), "ensembles must be identical");
-        let f = d.config.n_features;
-        for i in 0..d.config.n_samples {
-            let xr = &d.features[i * f..(i + 1) * f];
-            assert_eq!(
-                sim.predict(xr).to_bits(),
-                thr.predict(xr).to_bits(),
-                "prediction {i} diverged"
-            );
-        }
     }
 
     #[test]

@@ -16,14 +16,15 @@
 
 use std::sync::Arc;
 
-use orion_core::{ClusterSpec, DistArray, Driver, LoopSpec, RunStats, Subscript};
+use orion_core::{
+    ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, LoopSpec, RunStats, Subscript,
+};
 use orion_data::CorpusData;
 use orion_dsm::kernels;
 use orion_ps::{PsApp, PsView, UpdateLog};
 
-use crate::common::{
-    by_role, cost, mix64, space_is_dim0, span_capacity, split_by_role, TraceArtifacts,
-};
+use crate::common::{by_role, cost, mix64, space_is_dim0, split_by_role};
+use crate::run::{train, App, Engine, Pool, RunError};
 
 /// LDA hyperparameters.
 #[derive(Debug, Clone)]
@@ -183,88 +184,91 @@ pub struct LdaRunConfig {
     pub ordered: bool,
 }
 
-pub(crate) fn lda_spec(
-    tokens: orion_core::DistArrayId,
-    dt: orion_core::DistArrayId,
-    wt: orion_core::DistArrayId,
-    ts: orion_core::DistArrayId,
-    dims: Vec<u64>,
-    ordered: bool,
-) -> LoopSpec {
-    let b = LoopSpec::builder("lda_gibbs", tokens, dims)
-        .read_write(dt, vec![Subscript::loop_index(0), Subscript::Full])
-        .read_write(wt, vec![Subscript::loop_index(1), Subscript::Full])
-        .read(ts, vec![Subscript::Full])
-        .write(ts, vec![Subscript::Full])
-        .buffer_writes(ts);
-    let b = if ordered { b.ordered() } else { b };
-    b.build().expect("static LDA spec is valid")
+/// LDA as an [`App`]: `dt` local by document, `wt` rotated by word,
+/// `ts` worker-local with buffered write-back at pass boundaries.
+#[derive(Debug, Clone)]
+pub struct LdaApp {
+    /// Hyperparameters.
+    pub cfg: LdaConfig,
+    /// Preserve lexicographic order.
+    pub ordered: bool,
 }
 
-/// Trains with Orion's automatic parallelization: `dt` local by
-/// document, `wt` rotated by word, `ts` worker-local with buffered
-/// write-back at pass boundaries.
-pub fn train_orion(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    run: &LdaRunConfig,
-) -> (LdaModel, RunStats) {
-    let (model, stats, _) = train_orion_impl(corpus, cfg, run, false);
-    (model, stats)
+/// What [`LdaApp`]'s setup builds: the sampler state and per-cell costs.
+#[derive(Debug)]
+pub struct LdaJob {
+    model: LdaModel,
+    items: Vec<(Vec<i64>, u32)>,
+    iter_cost: Vec<f64>,
 }
 
-/// [`train_orion`] with span tracing on: additionally returns the
-/// Perfetto-exportable session and the run report.
-pub fn train_orion_traced(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    run: &LdaRunConfig,
-) -> (LdaModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) = train_orion_impl(corpus, cfg, run, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
+/// Scratch a pool worker carries through one threaded LDA pass: its
+/// local topic summary plus the assignments of its cells in execution
+/// order, consumed through `cursor`.
+struct LdaThreadScratch {
+    ts: Vec<i64>,
+    z: Vec<Vec<u16>>,
+    cursor: usize,
 }
 
-fn train_orion_impl(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    run: &LdaRunConfig,
-    traced: bool,
-) -> (LdaModel, RunStats, Option<TraceArtifacts>) {
-    let items = corpus.items();
-    let dims = corpus.tokens.shape().dims().to_vec();
-    let mut model = LdaModel::init(corpus, cfg);
-    let k = model.cfg.n_topics;
+impl App for LdaApp {
+    type Data = CorpusData;
+    type Model = LdaModel;
+    type Job = LdaJob;
 
-    let mut driver = Driver::new(run.cluster.clone());
-    let tok_id = driver.register(&corpus.tokens);
-    let dt_id = driver.register(&model.dt);
-    let wt_id = driver.register(&model.wt);
-    let ts_arr: DistArray<i64> = DistArray::dense("topic_sum", vec![k as u64]);
-    let ts_id = driver.register(&ts_arr);
-    driver.set_served_reads_per_iter(0.25);
-    let spec = lda_spec(tok_id, dt_id, wt_id, ts_id, dims, run.ordered);
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("LDA loop parallelizes");
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, run.passes));
+    const NAME: &'static str = "lda";
+
+    fn setup(&self, corpus: &CorpusData, driver: &mut Driver) -> (CompiledLoop, LdaJob) {
+        let items = corpus.items();
+        let dims = corpus.tokens.shape().dims().to_vec();
+        let model = LdaModel::init(corpus, self.cfg.clone());
+        let k = model.cfg.n_topics;
+        let tokens = driver.register(&corpus.tokens);
+        let dt = driver.register(&model.dt);
+        let wt = driver.register(&model.wt);
+        let ts_arr: DistArray<i64> = DistArray::dense("topic_sum", vec![k as u64]);
+        let ts = driver.register(&ts_arr);
+        driver.set_served_reads_per_iter(0.25);
+        let b = LoopSpec::builder("lda_gibbs", tokens, dims)
+            .read_write(dt, vec![Subscript::loop_index(0), Subscript::Full])
+            .read_write(wt, vec![Subscript::loop_index(1), Subscript::Full])
+            .read(ts, vec![Subscript::Full])
+            .write(ts, vec![Subscript::Full])
+            .buffer_writes(ts);
+        let b = if self.ordered { b.ordered() } else { b };
+        let spec = b.build().expect("static LDA spec is valid");
+        let compiled = driver
+            .parallel_for(spec, &items)
+            .expect("LDA loop parallelizes");
+        let iter_cost = items
+            .iter()
+            .map(|(_, c)| cost::lda_token_ns(k) * *c as f64 * cost::ORION_OVERHEAD)
+            .collect();
+        let job = LdaJob {
+            model,
+            items,
+            iter_cost,
+        };
+        (compiled, job)
     }
 
-    let n_workers = compiled.schedule.n_workers;
-    let iter_cost: Vec<f64> = items
-        .iter()
-        .map(|(_, c)| cost::lda_token_ns(k) * *c as f64 * cost::ORION_OVERHEAD)
-        .collect();
-
-    for pass in 0..run.passes {
+    fn sim_pass(
+        &self,
+        _corpus: &CorpusData,
+        job: &mut LdaJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        pass: u64,
+    ) -> Option<FaultEvent> {
+        let LdaJob {
+            model,
+            items,
+            iter_cost,
+        } = job;
         // Worker-local topic summaries: snapshot + local updates; merged
         // at the pass boundary (the buffered-write application).
         let snapshot = model.ts.clone();
-        let mut local_ts: Vec<Vec<i64>> = vec![snapshot.clone(); n_workers];
+        let mut local_ts: Vec<Vec<i64>> = vec![snapshot.clone(); compiled.schedule.n_workers];
         {
             let LdaModel {
                 dt,
@@ -273,8 +277,8 @@ fn train_orion_impl(
                 cfg,
                 vocab,
                 ..
-            } = &mut model;
-            driver.run_pass(&compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
+            } = &mut *model;
+            driver.run_pass(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
                 let (idx, _) = &items[pos];
                 gibbs_cell(
                     cfg,
@@ -290,198 +294,160 @@ fn train_orion_impl(
         }
         // Apply buffered summary deltas.
         for lt in &local_ts {
-            for t in 0..k {
-                model.ts[t] += lt[t] - snapshot[t];
+            for (t, snap) in snapshot.iter().enumerate() {
+                model.ts[t] += lt[t] - snap;
             }
         }
-        driver.record_progress(pass, model.neg_log_likelihood(corpus));
+        None
     }
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "orion/lda", &compiled));
-    (model, driver.finish(), artifacts)
-}
 
-/// Scratch a pool worker carries through one threaded LDA pass: its
-/// local topic summary plus the assignments of its cells in execution
-/// order, consumed through `cursor`.
-struct LdaThreadScratch {
-    ts: Vec<i64>,
-    z: Vec<Vec<u16>>,
-    cursor: usize,
-}
-
-/// Trains LDA on the real worker pool: same schedule, same sampling
-/// decisions, and bit-identical count tables as [`train_orion`] on a
-/// matching cluster, but executed by OS threads with pipelined rotation
-/// of the word–topic partitions.
-pub fn train_threaded(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    threads: usize,
-    passes: u64,
-    ordered: bool,
-) -> (LdaModel, RunStats) {
-    let (model, stats, _) = train_threaded_impl(corpus, cfg, threads, passes, ordered, false);
-    (model, stats)
-}
-
-/// [`train_threaded`] with span tracing on.
-pub fn train_threaded_traced(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    threads: usize,
-    passes: u64,
-    ordered: bool,
-) -> (LdaModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) =
-        train_threaded_impl(corpus, cfg, threads, passes, ordered, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-fn train_threaded_impl(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    threads: usize,
-    passes: u64,
-    ordered: bool,
-    traced: bool,
-) -> (LdaModel, RunStats, Option<TraceArtifacts>) {
-    let items = corpus.items();
-    let dims = corpus.tokens.shape().dims().to_vec();
-    let mut model = LdaModel::init(corpus, cfg);
-    let k = model.cfg.n_topics;
-
-    let mut driver = Driver::new(ClusterSpec::new(1, threads));
-    driver.set_threads(threads);
-    let tok_id = driver.register(&corpus.tokens);
-    let dt_id = driver.register(&model.dt);
-    let wt_id = driver.register(&model.wt);
-    let ts_arr: DistArray<i64> = DistArray::dense("topic_sum", vec![k as u64]);
-    let ts_id = driver.register(&ts_arr);
-    driver.set_served_reads_per_iter(0.25);
-    let spec = lda_spec(tok_id, dt_id, wt_id, ts_id, dims, ordered);
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("LDA loop parallelizes");
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, passes));
+    fn metric(&self, corpus: &CorpusData, job: &LdaJob) -> f64 {
+        job.model.neg_log_likelihood(corpus)
     }
-    let plan = driver.compile_threaded(&compiled);
 
-    let positions = plan.worker_positions();
-    // Flat (doc, word, cell position) records; the position seeds the
-    // sampler and is carried so sharded cells stay addressable.
-    let cells: Arc<Vec<(i64, i64, u32)>> = Arc::new(
-        items
-            .iter()
-            .enumerate()
-            .map(|(pos, (idx, _))| (idx[0], idx[1], pos as u32))
-            .collect(),
-    );
-    // The analyzer is free to pick either loop dimension as space: the
-    // array subscripted by the space dimension is worker-local, the
-    // other rotates. Map `dt` (docs, loop dim 0) and `wt` (words, loop
-    // dim 1) accordingly.
-    let space_is_docs = space_is_dim0(&compiled);
-    let (mut space_parts, mut time_parts) = split_by_role(&compiled, model.dt, model.wt);
-    let cfg_arc = Arc::new(model.cfg.clone());
-    let vocab = model.vocab;
+    fn into_model(job: LdaJob) -> LdaModel {
+        job.model
+    }
 
-    for pass in 0..passes {
-        let snapshot = model.ts.clone();
-        // Shard the assignments: each worker takes ownership of its
-        // cells' z vectors in execution order and walks them by cursor.
-        let mut scratch = Vec::with_capacity(plan.n_workers());
-        for ps in &positions {
-            let z: Vec<Vec<u16>> = ps
+    /// Same schedule, same sampling decisions as the simulated pass, but
+    /// executed by OS threads with pipelined rotation of the word–topic
+    /// partitions.
+    fn pooled(
+        &self,
+        corpus: &CorpusData,
+        job: LdaJob,
+        pool: &mut Pool<'_>,
+        passes: u64,
+    ) -> Result<LdaModel, RunError> {
+        let LdaJob {
+            mut model, items, ..
+        } = job;
+        let k = model.cfg.n_topics;
+        let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
+        let positions = plan.worker_positions();
+        // Flat (doc, word, cell position) records; the position seeds the
+        // sampler and is carried so sharded cells stay addressable.
+        let cells: Arc<Vec<(i64, i64, u32)>> = Arc::new(
+            items
                 .iter()
-                .map(|&p| std::mem::take(&mut model.z[p as usize]))
-                .collect();
-            scratch.push(LdaThreadScratch {
-                ts: snapshot.clone(),
-                z,
-                cursor: 0,
-            });
-        }
-        let cfg2 = Arc::clone(&cfg_arc);
-        let body = Arc::new(
-            move |&(d, w, pos): &(i64, i64, u32),
-                  ap: &mut DistArray<u32>,
-                  bp: &mut DistArray<u32>,
-                  sc: &mut LdaThreadScratch| {
-                let cur = sc.cursor;
-                sc.cursor += 1;
-                let LdaThreadScratch { ts, z, .. } = sc;
-                let (dp, wp) = by_role(space_is_docs, ap, bp);
-                gibbs_cell(
-                    &cfg2,
-                    vocab,
-                    dp.row_slice_mut(d),
-                    wp.row_slice_mut(w),
-                    ts,
-                    &mut z[cur],
-                    pass,
-                    pos as usize,
-                );
-            },
+                .enumerate()
+                .map(|(pos, (idx, _))| (idx[0], idx[1], pos as u32))
+                .collect(),
         );
-        let out = driver.run_pass_threaded(
-            &compiled.spec.name,
-            &plan,
-            &cells,
-            space_parts,
-            time_parts,
-            scratch,
-            &body,
-        );
-        space_parts = out.space;
-        time_parts = out.time;
-        // Return the assignments and merge the buffered summary deltas
-        // in worker order, exactly like the simulated pass.
-        for (w, sc) in out.scratch.into_iter().enumerate() {
-            for (&p, zcell) in positions[w].iter().zip(sc.z) {
-                model.z[p as usize] = zcell;
+        // The analyzer is free to pick either loop dimension as space: the
+        // array subscripted by the space dimension is worker-local, the
+        // other rotates. Map `dt` (docs, loop dim 0) and `wt` (words, loop
+        // dim 1) accordingly.
+        let space_is_docs = space_is_dim0(compiled);
+        let (mut space_parts, mut time_parts) = split_by_role(compiled, model.dt, model.wt);
+        let cfg_arc = Arc::new(model.cfg.clone());
+        let vocab = model.vocab;
+
+        for pass in 0..passes {
+            let snapshot = model.ts.clone();
+            // Shard the assignments: each worker takes ownership of its
+            // cells' z vectors in execution order and walks them by cursor.
+            let mut scratch = Vec::with_capacity(plan.n_workers());
+            for ps in &positions {
+                let z: Vec<Vec<u16>> = ps
+                    .iter()
+                    .map(|&p| std::mem::take(&mut model.z[p as usize]))
+                    .collect();
+                scratch.push(LdaThreadScratch {
+                    ts: snapshot.clone(),
+                    z,
+                    cursor: 0,
+                });
             }
-            for (t, snap) in snapshot.iter().enumerate().take(k) {
-                model.ts[t] += sc.ts[t] - snap;
+            let cfg2 = Arc::clone(&cfg_arc);
+            let body = Arc::new(
+                move |&(d, w, pos): &(i64, i64, u32),
+                      ap: &mut DistArray<u32>,
+                      bp: &mut DistArray<u32>,
+                      sc: &mut LdaThreadScratch| {
+                    let cur = sc.cursor;
+                    sc.cursor += 1;
+                    let LdaThreadScratch { ts, z, .. } = sc;
+                    let (dp, wp) = by_role(space_is_docs, ap, bp);
+                    gibbs_cell(
+                        &cfg2,
+                        vocab,
+                        dp.row_slice_mut(d),
+                        wp.row_slice_mut(w),
+                        ts,
+                        &mut z[cur],
+                        pass,
+                        pos as usize,
+                    );
+                },
+            );
+            let out = pool.driver.run_pass_threaded(
+                &compiled.spec.name,
+                &plan,
+                &cells,
+                space_parts,
+                time_parts,
+                scratch,
+                &body,
+            );
+            space_parts = out.space;
+            time_parts = out.time;
+            // Return the assignments and merge the buffered summary deltas
+            // in worker order, exactly like the simulated pass.
+            for (w, sc) in out.scratch.into_iter().enumerate() {
+                for (&p, zcell) in positions[w].iter().zip(sc.z) {
+                    model.z[p as usize] = zcell;
+                }
+                for (t, snap) in snapshot.iter().enumerate().take(k) {
+                    model.ts[t] += sc.ts[t] - snap;
+                }
             }
+            let (dt_parts, wt_parts) = by_role(space_is_docs, &space_parts, &time_parts);
+            // The likelihood normalizes per document, so it is not a
+            // per-item sum: it stays a serial readout of a merged snapshot,
+            // built from the partitions where they sit.
+            let snap = LdaModel {
+                dt: DistArray::merge_along_ref(0, dt_parts),
+                wt: DistArray::merge_along_ref(0, wt_parts),
+                ts: model.ts.clone(),
+                z: Vec::new(),
+                cfg: model.cfg.clone(),
+                vocab,
+            };
+            pool.record(pass, snap.neg_log_likelihood(corpus));
         }
-        let (dt_parts, wt_parts) = by_role(space_is_docs, &space_parts, &time_parts);
-        // The likelihood normalizes per document, so it is not a
-        // per-item sum: it stays a serial readout of a merged snapshot,
-        // built from the partitions where they sit.
-        let snap = LdaModel {
-            dt: DistArray::merge_along_ref(0, dt_parts),
-            wt: DistArray::merge_along_ref(0, wt_parts),
-            ts: model.ts.clone(),
-            z: Vec::new(),
-            cfg: model.cfg.clone(),
-            vocab,
-        };
-        driver.record_progress(pass, snap.neg_log_likelihood(corpus));
+        let (dt_parts, wt_parts) = by_role(space_is_docs, space_parts, time_parts);
+        model.dt = DistArray::merge_along(0, dt_parts);
+        model.wt = DistArray::merge_along(0, wt_parts);
+        Ok(model)
     }
-    let (dt_parts, wt_parts) = by_role(space_is_docs, space_parts, time_parts);
-    model.dt = DistArray::merge_along(0, dt_parts);
-    model.wt = DistArray::merge_along(0, wt_parts);
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "threaded/lda", &compiled));
-    (model, driver.finish(), artifacts)
 }
 
-/// Trains serially: one worker, globally fresh topic summary.
+/// Trains with Orion's automatic parallelization on the simulated
+/// cluster.
+pub fn train_orion(
+    corpus: &CorpusData,
+    cfg: LdaConfig,
+    run: &LdaRunConfig,
+) -> (LdaModel, RunStats) {
+    let app = LdaApp {
+        cfg,
+        ordered: run.ordered,
+    };
+    train(&app, corpus, Engine::Sim(run.cluster.clone()), run.passes)
+}
+
+/// Trains serially: one worker, globally fresh topic summary. On one
+/// worker the local summary *is* the global one and merging is exact,
+/// so the parallel runner degenerates to true serial execution (minus
+/// the Orion abstraction overhead, handled by the caller's
+/// interpretation).
 pub fn train_serial(corpus: &CorpusData, cfg: LdaConfig, passes: u64) -> (LdaModel, RunStats) {
-    let run = LdaRunConfig {
-        cluster: ClusterSpec::serial(),
-        passes,
+    let app = LdaApp {
+        cfg,
         ordered: false,
     };
-    // On one worker the local summary *is* the global one and merging is
-    // exact, so the parallel runner degenerates to true serial execution
-    // (minus the Orion abstraction overhead, handled by the caller's
-    // interpretation).
-    train_orion(corpus, cfg, &run)
+    train(&app, corpus, Engine::Sim(ClusterSpec::serial()), passes)
 }
 
 /// Resamples one cell under *stale* word–topic counts: the worker reads
@@ -895,7 +861,10 @@ mod tests {
             passes,
             ordered: false,
         };
+        // (The analyzer choosing 1-D is the debug_assert inside.)
         let (m1d, s1d) = train_orion_1d(&c, LdaConfig::new(4), &run);
+        assert_eq!(s1d.progress.len(), passes as usize);
+        assert!(s1d.total_bytes > 0, "buffer flush must be communicated");
         // Counts stay conserved under the buffered flush.
         let total_ts: i64 = m1d.ts.iter().sum();
         assert_eq!(total_ts as u64, c.n_tokens);
@@ -912,48 +881,6 @@ mod tests {
             (l2d - last).abs() < 0.15,
             "2D {l2d} vs 1D {last} diverged unreasonably"
         );
-    }
-
-    #[test]
-    fn one_d_lda_analyzer_chooses_one_d() {
-        // Covered by the debug_assert inside train_orion_1d; exercise it
-        // on a single short run in debug-capable test builds.
-        let c = corpus();
-        let run = LdaRunConfig {
-            cluster: ClusterSpec::new(2, 2),
-            passes: 1,
-            ordered: false,
-        };
-        let (_, stats) = train_orion_1d(&c, LdaConfig::new(4), &run);
-        assert_eq!(stats.progress.len(), 1);
-        assert!(stats.total_bytes > 0, "buffer flush must be communicated");
-    }
-
-    #[test]
-    fn threaded_pass_equals_simulated_pass() {
-        let c = corpus();
-        let (threads, passes) = (3, 3);
-        for ordered in [false, true] {
-            let run = LdaRunConfig {
-                cluster: ClusterSpec::new(1, threads),
-                passes,
-                ordered,
-            };
-            let (sim, _) = train_orion(&c, LdaConfig::new(4), &run);
-            let (thr, _) = train_threaded(&c, LdaConfig::new(4), threads, passes, ordered);
-            assert_eq!(sim.z, thr.z, "assignments diverged (ordered={ordered})");
-            assert_eq!(sim.ts, thr.ts, "topic totals diverged (ordered={ordered})");
-            for d in 0..c.config.n_docs as i64 {
-                assert_eq!(sim.dt.row_slice(d), thr.dt.row_slice(d), "doc {d} diverged");
-            }
-            for w in 0..c.config.vocab as i64 {
-                assert_eq!(
-                    sim.wt.row_slice(w),
-                    thr.wt.row_slice(w),
-                    "word {w} diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! | [`gbt`] | Gradient boosted trees | Gradient boosting | 1D (independent features) |
 //! | [`tensor_cp`] | CP tensor decomposition | SGD | Serial as written; 2D Unordered with the context factor buffered |
 //!
-//! Each application provides the *serial imperative program* (the code a
-//! user writes), the Orion-parallelized runner (automatic dependence
-//! analysis + distributed schedule on the simulated cluster), and —
-//! where the paper compares systems — adapters for the Bösen-style
-//! parameter server, the STRADS-style manual model-parallel baseline,
-//! and the TensorFlow-style mini-batch dataflow baseline.
+//! Each application implements [`run::App`] once — one setup, the
+//! simulated pass, the partition-form pass, the metric — and
+//! [`run::run`] executes it on the simulated cluster, the thread pool
+//! or a TCP cluster, with tracing, tuning and chaos recovery as
+//! orthogonal options. Where the paper compares systems the modules add
+//! adapters for the Bösen-style parameter server, the STRADS-style
+//! manual model-parallel baseline, and the TensorFlow-style mini-batch
+//! dataflow baseline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +25,7 @@ pub mod common;
 pub mod distributed;
 pub mod gbt;
 pub mod lda;
+pub mod run;
 pub mod serve;
 pub mod sgd_mf;
 pub mod slr;

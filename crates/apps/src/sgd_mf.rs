@@ -8,15 +8,15 @@
 //! `{(0, +∞), (+∞, 0)}` and unordered-2D parallelization with the
 //! smaller factor matrix rotating.
 //!
-//! Runners: serial, Orion-parallelized (ordered or unordered, with or
-//! without adaptive revision), real-threaded Orion, Bösen-style data
-//! parallelism ([`MfPsAdapter`]), and TensorFlow-style mini-batch
-//! dataflow ([`MfDataflowAdapter`]).
+//! [`MfApp`] runs on every engine of [`crate::run`] (ordered or
+//! unordered, with or without adaptive revision on the simulated one);
+//! baselines: Bösen-style data parallelism ([`MfPsAdapter`]) and
+//! TensorFlow-style mini-batch dataflow ([`MfDataflowAdapter`]).
 
 use std::sync::Arc;
 
 use orion_core::{
-    ClusterSpec, CompiledLoop, DistArray, Driver, LoopSpec, MathMode, RunStats, Strategy,
+    ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, LoopSpec, MathMode, RunStats,
     Subscript, TuneConfig, TuneOutcome,
 };
 use orion_data::RatingsData;
@@ -25,9 +25,9 @@ use orion_ps::{PsApp, PsView, UpdateLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chaos::{run_chaos_loop, ChaosConfig, ChaosReport};
-use crate::common::{by_role, cost, space_is_dim0, span_capacity, split_by_role, TraceArtifacts};
-use orion_dsm::checkpoint;
+use crate::common::{by_role, cost, space_is_dim0, split_by_role};
+use crate::distributed::DistOptions;
+use crate::run::{train, App, Engine, Pool, RunError, RunOutput};
 
 /// SGD MF hyperparameters.
 #[derive(Debug, Clone)]
@@ -187,391 +187,212 @@ pub struct MfRunConfig {
     pub ordered: bool,
 }
 
-/// Builds the MF loop spec over registered arrays.
-pub(crate) fn mf_spec(
-    z: orion_core::DistArrayId,
-    w: orion_core::DistArrayId,
-    h: orion_core::DistArrayId,
-    dims: Vec<u64>,
-    ordered: bool,
-) -> LoopSpec {
-    let b = LoopSpec::builder("sgd_mf", z, dims)
-        .read_write(w, vec![Subscript::loop_index(0), Subscript::Full])
-        .read_write(h, vec![Subscript::loop_index(1), Subscript::Full]);
-    let b = if ordered { b.ordered() } else { b };
-    b.build().expect("static MF spec is valid")
+/// SGD MF as an [`App`]: the hyperparameters plus the `ordered`
+/// argument of `@parallel_for`.
+///
+/// Only the simulated engine runs the adaptive update: its `wz2`/`hz2`
+/// accumulators are neither partitioned nor checkpointed, so chaos
+/// recovery, the threaded engine and the TCP cluster panic in adaptive
+/// mode.
+#[derive(Debug, Clone)]
+pub struct MfApp {
+    /// Hyperparameters.
+    pub cfg: MfConfig,
+    /// Preserve lexicographic iteration order.
+    pub ordered: bool,
+    /// Per-iteration cost factor over the plain serial program.
+    overhead: f64,
 }
 
-/// The setup every MF runner (and every cluster process) starts with:
-/// the item list, and a driver on `cluster` with the ratings and both
-/// factors registered and the MF loop parallelized over the items.
-pub(crate) fn mf_setup(
-    data: &RatingsData,
-    model: &MfModel,
-    cluster: ClusterSpec,
-    ordered: bool,
-) -> (Vec<(Vec<i64>, f32)>, Driver, CompiledLoop) {
-    let items = data.items();
-    let mut driver = Driver::new(cluster);
-    driver.set_math_mode(model.cfg.math);
-    let z_id = driver.register(&data.ratings);
-    let w_id = driver.register(&model.w);
-    let h_id = driver.register(&model.h);
-    let dims = data.ratings.shape().dims().to_vec();
-    let spec = mf_spec(z_id, w_id, h_id, dims, ordered);
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("MF loop parallelizes");
-    (items, driver, compiled)
-}
-
-/// Trains with Orion's automatic parallelization on the simulated
-/// cluster, recording loss per pass.
-pub fn train_orion(data: &RatingsData, cfg: MfConfig, run: &MfRunConfig) -> (MfModel, RunStats) {
-    let (model, stats, _) = train_orion_impl(data, cfg, run, false);
-    (model, stats)
-}
-
-/// [`train_orion`] with span tracing on: additionally returns the
-/// Perfetto-exportable session and the run report. The training result
-/// is bit-identical to the untraced run.
-pub fn train_orion_traced(
-    data: &RatingsData,
-    cfg: MfConfig,
-    run: &MfRunConfig,
-) -> (MfModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) = train_orion_impl(data, cfg, run, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-fn train_orion_impl(
-    data: &RatingsData,
-    cfg: MfConfig,
-    run: &MfRunConfig,
-    traced: bool,
-) -> (MfModel, RunStats, Option<TraceArtifacts>) {
-    let mut model = MfModel::for_data(data, cfg);
-    let (items, mut driver, compiled) = mf_setup(data, &model, run.cluster.clone(), run.ordered);
-    debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, run.passes));
+impl MfApp {
+    /// MF under Orion's abstraction (Fig. 9a: one Orion worker is a bit
+    /// slower than the serial program).
+    pub fn new(cfg: MfConfig, ordered: bool) -> Self {
+        MfApp {
+            cfg,
+            ordered,
+            overhead: cost::ORION_OVERHEAD,
+        }
     }
-
-    let iter_ns = cost::mf_iter_ns(model.cfg.rank) * cost::ORION_OVERHEAD;
-    // Flat (user, item, rating) records: the hot loop indexes one
-    // contiguous triple instead of chasing a heap-allocated index Vec
-    // per rating.
-    let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
-    for pass in 0..run.passes {
-        driver.run_pass(&compiled, &mut |_pos| iter_ns, &mut |_w, pos| {
-            let (u, i, v) = triples[pos];
-            model.sgd_update(u, i, v);
-        });
-        driver.record_progress(pass, model.loss(&items));
-    }
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "orion/sgd_mf", &compiled));
-    (model, driver.finish(), artifacts)
 }
 
-/// [`train_orion`] behind the calibrating auto-tuner
-/// (`Driver::run_pass_tuned`): the first pass calibrates the static
-/// plan with seeded no-op passes, re-plans strategy / partition dims /
-/// worker count / prefetch regime from measured costs, and trains on
-/// the winner. Additionally returns the tuner's decision record (with
-/// the `O020` diagnostic when the plan changed).
-pub fn train_orion_tuned(
-    data: &RatingsData,
-    cfg: MfConfig,
-    run: &MfRunConfig,
-    tune: &TuneConfig,
-) -> (MfModel, RunStats, TuneOutcome) {
-    let mut model = MfModel::for_data(data, cfg);
-    let (items, mut driver, mut compiled) =
-        mf_setup(data, &model, run.cluster.clone(), run.ordered);
+/// What [`MfApp`]'s setup builds: the model and the flat rating records.
+#[derive(Debug)]
+pub struct MfJob {
+    pub(crate) model: MfModel,
+    items: Vec<(Vec<i64>, f32)>,
+    /// Flat (user, item, rating) triples shared with every worker: the
+    /// hot loops read one contiguous record, no per-item index Vec. Both
+    /// the pass and the readout stream all of them through each worker's
+    /// cache every epoch, so the record is kept to 12 bytes.
+    pub(crate) triples: Arc<Vec<(u32, u32, f32)>>,
+    iter_ns: f64,
+}
 
-    let iter_ns = cost::mf_iter_ns(model.cfg.rank) * cost::ORION_OVERHEAD;
-    let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
-    for pass in 0..run.passes {
-        driver.run_pass_tuned(
-            &mut compiled,
-            &items,
-            tune,
-            &mut |_pos| iter_ns,
-            &mut |_w, pos| {
-                let (u, i, v) = triples[pos];
-                model.sgd_update(u, i, v);
-            },
+/// The MF step in partition form — what a pool worker and a cluster
+/// node run against the `(space, time)` partitions they hold.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MfGrid {
+    /// On wide matrices items are the space dimension: `H` is pinned
+    /// per worker and `W` rotates.
+    pub(crate) space_is_users: bool,
+    step: f32,
+    mode: MathMode,
+}
+
+impl MfGrid {
+    pub(crate) fn new(compiled: &CompiledLoop, model: &MfModel, mode: MathMode) -> Self {
+        assert!(
+            !model.cfg.adaptive,
+            "partitioned engines support the plain update: adaptive accumulators are not partitioned"
         );
-        driver.record_progress(pass, model.loss(&items));
+        MfGrid {
+            space_is_users: space_is_dim0(compiled),
+            step: model.cfg.step_size,
+            mode,
+        }
     }
-    let outcome = driver
-        .tune_outcome("sgd_mf")
-        .expect("tuned loop has an outcome")
-        .clone();
-    (model, driver.finish(), outcome)
-}
 
-/// Trains under a fault plan with checkpoint-every-N recovery: crashes
-/// discard the partial pass, reload `W`/`H` from the latest checkpoint,
-/// and re-execute — ending bit-identical to the fault-free run (asserted
-/// by `tests/chaos_recovery.rs`).
-///
-/// # Panics
-///
-/// Panics in adaptive mode: the `wz2`/`hz2` accumulators live outside
-/// the checkpointed DistArrays, so restore could not reproduce them.
-pub fn train_orion_chaos(
-    data: &RatingsData,
-    cfg: MfConfig,
-    run: &MfRunConfig,
-    chaos: &ChaosConfig,
-) -> (MfModel, RunStats, ChaosReport) {
-    let (model, stats, report, _) = train_orion_chaos_impl(data, cfg, run, chaos, false);
-    (model, stats, report)
-}
-
-/// [`train_orion_chaos`] with span tracing on: additionally returns the
-/// Perfetto-exportable session (with `Fault`/`Recovery`/`Checkpoint`
-/// spans) and the run report carrying recovery-overhead totals.
-pub fn train_orion_chaos_traced(
-    data: &RatingsData,
-    cfg: MfConfig,
-    run: &MfRunConfig,
-    chaos: &ChaosConfig,
-) -> (MfModel, RunStats, ChaosReport, TraceArtifacts) {
-    let (model, stats, report, artifacts) = train_orion_chaos_impl(data, cfg, run, chaos, true);
-    (
-        model,
-        stats,
-        report,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-fn train_orion_chaos_impl(
-    data: &RatingsData,
-    cfg: MfConfig,
-    run: &MfRunConfig,
-    chaos: &ChaosConfig,
-    traced: bool,
-) -> (MfModel, RunStats, ChaosReport, Option<TraceArtifacts>) {
-    assert!(
-        !cfg.adaptive,
-        "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
-    );
-    let mut model = MfModel::for_data(data, cfg);
-    let (items, mut driver, compiled) = mf_setup(data, &model, run.cluster.clone(), run.ordered);
-    driver.set_fault_plan(chaos.plan.clone());
-    if traced {
-        // Re-executed passes and fault spans need headroom beyond the
-        // fault-free span count; the buffer grows if a plan exceeds it.
-        driver.enable_tracing(span_capacity(&compiled.schedule, run.passes * 2 + 2));
+    #[inline]
+    pub(crate) fn update(
+        &self,
+        &(u, i, v): &(u32, u32, f32),
+        sp: &mut DistArray<f32>,
+        tp: &mut DistArray<f32>,
+    ) {
+        let (wp, hp) = by_role(self.space_is_users, sp, tp);
+        kernels::mf_row_update(
+            wp.row_slice_mut(u as i64),
+            hp.row_slice_mut(i as i64),
+            v,
+            self.step,
+            self.mode,
+        );
     }
-    std::fs::create_dir_all(&chaos.dir).expect("checkpoint dir is creatable");
-    let policy = chaos.policy();
-
-    let iter_ns = cost::mf_iter_ns(model.cfg.rank) * cost::ORION_OVERHEAD;
-    let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
-    let reexecuted = run_chaos_loop(
-        &mut driver,
-        &mut model,
-        run.passes,
-        &policy,
-        |m| {
-            checkpoint::save(&m.w, policy.path_for("W")).expect("checkpoint W")
-                + checkpoint::save(&m.h, policy.path_for("H")).expect("checkpoint H")
-        },
-        |m| {
-            m.w = checkpoint::load(policy.path_for("W")).expect("reload W");
-            m.h = checkpoint::load(policy.path_for("H")).expect("reload H");
-            let len = |p: &std::path::Path| std::fs::metadata(p).map_or(0, |md| md.len());
-            len(&policy.path_for("W")) + len(&policy.path_for("H"))
-        },
-        |driver, m, pass| {
-            let (_, fault) =
-                driver.run_pass_checked(&compiled, &mut |_pos| iter_ns, &mut |_w, pos| {
-                    let (u, i, v) = triples[pos];
-                    m.sgd_update(u, i, v);
-                });
-            if fault.is_none() {
-                driver.record_progress(pass, m.loss(&items));
-            }
-            fault
-        },
-    );
-    let report = ChaosReport::from_stats(driver.recovery_stats(), reexecuted);
-    let artifacts =
-        traced.then(|| TraceArtifacts::collect(&driver, "orion/sgd_mf_chaos", &compiled));
-    (model, driver.finish(), report, artifacts)
 }
 
-/// Trains serially (the plain Julia program of Fig. 5 without
-/// `@parallel_for`): items in lexicographic order on one clock.
-pub fn train_serial(data: &RatingsData, cfg: MfConfig, passes: u64) -> (MfModel, RunStats) {
-    let mut model = MfModel::for_data(data, cfg);
-    // One worker: the compiled schedule is the serial order.
-    let (items, mut driver, compiled) = mf_setup(data, &model, ClusterSpec::serial(), false);
-    let iter_ns = cost::mf_iter_ns(model.cfg.rank);
-    let triples: Vec<(i64, i64, f32)> = items.iter().map(|(i, v)| (i[0], i[1], *v)).collect();
-    for pass in 0..passes {
-        driver.run_pass(&compiled, &mut |_pos| iter_ns, &mut |_w, pos| {
-            let (u, i, v) = triples[pos];
-            model.sgd_update(u, i, v);
-        });
-        driver.record_progress(pass, model.loss(&items));
+impl App for MfApp {
+    type Data = RatingsData;
+    type Model = MfModel;
+    type Job = MfJob;
+
+    const NAME: &'static str = "sgd_mf";
+
+    fn math(&self) -> MathMode {
+        self.cfg.math
     }
-    (model, driver.finish())
-}
 
-/// Runs one Orion pass on real OS threads (partition ownership +
-/// channel rotation) and returns the updated model — used to demonstrate
-/// and test true concurrent execution of the derived schedule.
-///
-/// Only the plain (non-adaptive) update is supported: the adaptive
-/// accumulators are row-aligned with `W`/`H` and would need the same
-/// partitioning.
-///
-/// # Panics
-///
-/// Panics if the compiled strategy is not a 2-D grid.
-pub fn orion_pass_threaded(
-    data: &RatingsData,
-    model: MfModel,
-    cluster: &ClusterSpec,
-    ordered: bool,
-) -> MfModel {
-    train_threaded_impl(data, model, cluster.clone(), 1, ordered, false).0
-}
-
-/// Trains for `passes` passes on the real-core execution path: a
-/// persistent pool of `threads` workers, the factor of the planned
-/// space dimension (`W` on tall matrices, `H` on wide ones) pinned per
-/// worker, partitions of the other rotated zero-copy through channels
-/// (Fig. 8 pipelining), and the per-pass loss read on the same pool
-/// (§3.4 accumulator). Bit-identical to [`train_orion`] on a
-/// `ClusterSpec::new(1, threads)` cluster, loss curve included.
-///
-/// # Panics
-///
-/// Panics in adaptive mode (accumulators are not partitioned) and if a
-/// worker thread dies.
-pub fn train_threaded(
-    data: &RatingsData,
-    cfg: MfConfig,
-    threads: usize,
-    passes: u64,
-    ordered: bool,
-) -> (MfModel, RunStats) {
-    let model = MfModel::for_data(data, cfg);
-    let cluster = ClusterSpec::new(1, threads);
-    let (model, stats, _) = train_threaded_impl(data, model, cluster, passes, ordered, false);
-    (model, stats)
-}
-
-/// [`train_threaded`] with span tracing on: the measured wall-clock
-/// compute and rotation phases of every worker land in the trace as
-/// `Compute`/`Rotation` spans.
-pub fn train_threaded_traced(
-    data: &RatingsData,
-    cfg: MfConfig,
-    threads: usize,
-    passes: u64,
-    ordered: bool,
-) -> (MfModel, RunStats, TraceArtifacts) {
-    let model = MfModel::for_data(data, cfg);
-    let cluster = ClusterSpec::new(1, threads);
-    let (model, stats, artifacts) =
-        train_threaded_impl(data, model, cluster, passes, ordered, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-/// Shared engine of the threaded MF runners: takes the (already
-/// initialized) model so single-pass callers can thread their own
-/// state through.
-fn train_threaded_impl(
-    data: &RatingsData,
-    mut model: MfModel,
-    cluster: ClusterSpec,
-    passes: u64,
-    ordered: bool,
-    traced: bool,
-) -> (MfModel, RunStats, Option<TraceArtifacts>) {
-    assert!(
-        !model.cfg.adaptive,
-        "threaded pass supports the plain update"
-    );
-    // One pool thread per worker of the (single-machine) cluster.
-    let threads = cluster.n_workers();
-    let (items, mut driver, compiled) = mf_setup(data, &model, cluster, ordered);
-    driver.set_threads(threads);
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, passes));
-    }
-    let plan = driver.compile_threaded(&compiled);
-
-    let step = model.cfg.step_size;
-    let mode = driver.math_mode();
-    // On wide matrices items are the space dimension: `H` is pinned
-    // per worker and `W` rotates.
-    let space_is_users = space_is_dim0(&compiled);
-    let (mut space_parts, mut time_parts) = split_by_role(&compiled, model.w, model.h);
-    // Flat (user, item, rating) triples shared with every worker: the
-    // hot loop reads one contiguous record, no per-item index Vec. Both
-    // the pass and the readout stream all of them through each worker's
-    // cache every epoch, so the record is kept to 12 bytes.
-    let row = |c: i64| u32::try_from(c).expect("factor row index fits u32");
-    let triples: Arc<Vec<(u32, u32, f32)>> = Arc::new(
-        items
+    fn setup(&self, data: &RatingsData, driver: &mut Driver) -> (CompiledLoop, MfJob) {
+        let model = MfModel::for_data(data, self.cfg.clone());
+        let items = data.items();
+        let z = driver.register(&data.ratings);
+        let w = driver.register(&model.w);
+        let h = driver.register(&model.h);
+        let dims = data.ratings.shape().dims().to_vec();
+        let b = LoopSpec::builder("sgd_mf", z, dims)
+            .read_write(w, vec![Subscript::loop_index(0), Subscript::Full])
+            .read_write(h, vec![Subscript::loop_index(1), Subscript::Full]);
+        let b = if self.ordered { b.ordered() } else { b };
+        let spec = b.build().expect("static MF spec is valid");
+        let compiled = driver
+            .parallel_for(spec, &items)
+            .expect("MF loop parallelizes");
+        let row = |c: i64| u32::try_from(c).expect("factor row index fits u32");
+        let triples = items
             .iter()
             .map(|(i, v)| (row(i[0]), row(i[1]), *v))
-            .collect(),
-    );
-    let body = Arc::new(
-        move |&(u, i, v): &(u32, u32, f32),
-              sp: &mut DistArray<f32>,
-              tp: &mut DistArray<f32>,
-              _: &mut ()| {
-            let (wp, hp) = by_role(space_is_users, sp, tp);
-            kernels::mf_row_update(
-                wp.row_slice_mut(u as i64),
-                hp.row_slice_mut(i as i64),
-                v,
-                step,
-                mode,
-            );
-        },
-    );
-    let sq_err = Arc::new(
-        move |&(u, i, v): &(u32, u32, f32), sp: &DistArray<f32>, tp: &DistArray<f32>| {
-            let (wp, hp) = by_role(space_is_users, sp, tp);
-            sq_err_rows(wp.row_slice(u as i64), hp.row_slice(i as i64), v, mode)
-        },
-    );
-    let n_workers = plan.n_workers();
-    for pass in 0..passes {
-        let out = driver.run_pass_threaded(
-            &compiled.spec.name,
-            &plan,
-            &triples,
-            space_parts,
-            time_parts,
-            vec![(); n_workers],
-            &body,
+            .collect();
+        let job = MfJob {
+            iter_ns: cost::mf_iter_ns(model.cfg.rank) * self.overhead,
+            model,
+            items,
+            triples: Arc::new(triples),
+        };
+        (compiled, job)
+    }
+
+    fn sim_pass(
+        &self,
+        _data: &RatingsData,
+        job: &mut MfJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        _pass: u64,
+    ) -> Option<FaultEvent> {
+        let MfJob {
+            model,
+            triples,
+            iter_ns,
+            ..
+        } = job;
+        let (_, fault) = driver.run_pass_checked(compiled, &mut |_pos| *iter_ns, &mut |_w, pos| {
+            let (u, i, v) = triples[pos];
+            model.sgd_update(u as i64, i as i64, v);
+        });
+        fault
+    }
+
+    fn metric(&self, _data: &RatingsData, job: &MfJob) -> f64 {
+        job.model.loss(&job.items)
+    }
+
+    fn into_model(job: MfJob) -> MfModel {
+        job.model
+    }
+
+    /// The factor of the planned space dimension (`W` on tall matrices,
+    /// `H` on wide ones) is pinned per worker, partitions of the other
+    /// rotate zero-copy through channels (Fig. 8 pipelining), and the
+    /// per-pass loss is read on the same pool (§3.4 accumulator).
+    fn pooled(
+        &self,
+        _data: &RatingsData,
+        job: MfJob,
+        pool: &mut Pool<'_>,
+        passes: u64,
+    ) -> Result<MfModel, RunError> {
+        let MfJob {
+            mut model,
+            items,
+            triples,
+            ..
+        } = job;
+        let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
+        let grid = MfGrid::new(compiled, &model, pool.driver.math_mode());
+        let MfGrid {
+            space_is_users,
+            mode,
+            ..
+        } = grid;
+        let (mut space_parts, mut time_parts) = split_by_role(compiled, model.w, model.h);
+        let body = Arc::new(
+            move |t: &(u32, u32, f32),
+                  sp: &mut DistArray<f32>,
+                  tp: &mut DistArray<f32>,
+                  _: &mut ()| grid.update(t, sp, tp),
         );
-        space_parts = out.space;
-        time_parts = out.time;
-        if passes > 1 {
+        let sq_err = Arc::new(
+            move |&(u, i, v): &(u32, u32, f32), sp: &DistArray<f32>, tp: &DistArray<f32>| {
+                let (wp, hp) = by_role(space_is_users, sp, tp);
+                sq_err_rows(wp.row_slice(u as i64), hp.row_slice(i as i64), v, mode)
+            },
+        );
+        let n_workers = plan.n_workers();
+        for pass in 0..passes {
+            let out = pool.driver.run_pass_threaded(
+                &compiled.spec.name,
+                &plan,
+                &triples,
+                space_parts,
+                time_parts,
+                vec![(); n_workers],
+                &body,
+            );
+            space_parts = out.space;
+            time_parts = out.time;
             // The loss is read on the pool, against the partitions
             // where they sit; validation re-reads it serially.
-            let loss = driver.eval_pass_threaded(
+            let loss = pool.driver.eval_pass_threaded(
                 &plan,
                 &triples,
                 &mut space_parts,
@@ -589,14 +410,77 @@ fn train_threaded_impl(
                     snap.loss(&items)
                 },
             );
-            driver.record_progress(pass, loss);
+            pool.record(pass, loss);
         }
+        let (w_parts, h_parts) = by_role(space_is_users, space_parts, time_parts);
+        model.w = DistArray::merge_along(0, w_parts);
+        model.h = DistArray::merge_along(0, h_parts);
+        Ok(model)
     }
-    let (w_parts, h_parts) = by_role(space_is_users, space_parts, time_parts);
-    model.w = DistArray::merge_along(0, w_parts);
-    model.h = DistArray::merge_along(0, h_parts);
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "threaded/sgd_mf", &compiled));
-    (model, driver.finish(), artifacts)
+
+    fn tune(
+        &self,
+        job: &MfJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        cfg: &TuneConfig,
+    ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
+        Ok(driver.tune_loop(compiled, &job.items, cfg, &mut |_pos| job.iter_ns))
+    }
+
+    fn checkpointed<'a>(&self, job: &'a mut MfJob) -> Vec<(&'static str, &'a mut DistArray<f32>)> {
+        assert!(
+            !self.cfg.adaptive,
+            "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
+        );
+        vec![("W", &mut job.model.w), ("H", &mut job.model.h)]
+    }
+
+    fn run_net(
+        &self,
+        data: &RatingsData,
+        opts: &DistOptions,
+    ) -> Result<RunOutput<MfModel>, RunError> {
+        crate::distributed::run_net(self, data, opts)
+    }
+}
+
+/// Trains with Orion's automatic parallelization on the simulated
+/// cluster, recording loss per pass.
+pub fn train_orion(data: &RatingsData, cfg: MfConfig, run: &MfRunConfig) -> (MfModel, RunStats) {
+    let engine = Engine::Sim(run.cluster.clone());
+    train(&MfApp::new(cfg, run.ordered), data, engine, run.passes)
+}
+
+/// Trains serially (the plain Julia program of Fig. 5 without
+/// `@parallel_for`): items in lexicographic order on one clock — on one
+/// worker the compiled schedule is the serial order.
+pub fn train_serial(data: &RatingsData, cfg: MfConfig, passes: u64) -> (MfModel, RunStats) {
+    let app = MfApp {
+        overhead: 1.0,
+        ..MfApp::new(cfg, false)
+    };
+    train(&app, data, Engine::Sim(ClusterSpec::serial()), passes)
+}
+
+/// Trains for `passes` passes on the real-core execution path: a
+/// persistent pool of `threads` workers. Bit-identical to
+/// [`train_orion`] on a `ClusterSpec::new(1, threads)` cluster, loss
+/// curve included.
+///
+/// # Panics
+///
+/// Panics in adaptive mode (accumulators are not partitioned) and if a
+/// worker thread dies.
+pub fn train_threaded(
+    data: &RatingsData,
+    cfg: MfConfig,
+    threads: usize,
+    passes: u64,
+    ordered: bool,
+) -> (MfModel, RunStats) {
+    let app = MfApp::new(cfg, ordered);
+    train(&app, data, Engine::Threads(threads), passes)
 }
 
 /// Adapter running SGD MF under the Bösen-style parameter server
@@ -809,77 +693,6 @@ mod tests {
             to > tu * 1.2,
             "ordered {to}s/iter should exceed unordered {tu}s/iter"
         );
-    }
-
-    #[test]
-    fn threaded_pass_equals_simulated_pass() {
-        let data = tiny();
-        let cluster = ClusterSpec::new(2, 2);
-        // Simulated single pass.
-        let run = MfRunConfig {
-            cluster: cluster.clone(),
-            passes: 1,
-            ordered: false,
-        };
-        let (sim_model, _) = train_orion(&data, MfConfig::new(4), &run);
-        // Threaded single pass from the same initialization.
-        let fresh = MfModel::for_data(&data, MfConfig::new(4));
-        let thr_model = orion_pass_threaded(&data, fresh, &cluster, false);
-        assert_eq!(sim_model.w, thr_model.w, "W must match bitwise");
-        assert_eq!(sim_model.h, thr_model.h, "H must match bitwise");
-    }
-
-    #[test]
-    fn data_parallel_converges_slower_per_pass_than_orion() {
-        let data = RatingsData::generate(orion_data::RatingsConfig {
-            n_users: 600,
-            n_items: 480,
-            nnz: 40_000,
-            true_rank: 8,
-            skew: 0.7,
-            noise: 0.1,
-            seed: 1,
-        });
-        let passes = 8;
-        let cfg = MfConfig::new(16);
-        let run = MfRunConfig {
-            cluster: ClusterSpec::new(8, 4),
-            passes,
-            ordered: false,
-        };
-        let (_, orion) = train_orion(&data, cfg.clone(), &run);
-        // The PS baseline gets its own tuned step size — the largest
-        // stable one, as the paper tunes each system individually.
-        let ps_cfg = orion_ps::PsConfig::vanilla(ClusterSpec::new(8, 4), 0.02);
-        let mut ps = orion_ps::PsEngine::new(MfPsAdapter::new(&data, cfg), ps_cfg);
-        for _ in 0..passes {
-            ps.run_pass();
-        }
-        let ps_stats = ps.finish();
-        let lo = orion.final_metric().unwrap();
-        let lp = ps_stats.final_metric().unwrap();
-        assert!(
-            lo < lp * 0.9,
-            "dependence-aware {lo} must beat stale data-parallel {lp} per pass"
-        );
-    }
-
-    #[test]
-    fn tuned_training_is_deterministic_and_never_slower() {
-        let data = tiny();
-        let run = MfRunConfig {
-            cluster: ClusterSpec::new(2, 2),
-            passes: 4,
-            ordered: false,
-        };
-        let tune = TuneConfig::default();
-        let (m1, _, o1) = train_orion_tuned(&data, MfConfig::new(4), &run, &tune);
-        let (m2, _, o2) = train_orion_tuned(&data, MfConfig::new(4), &run, &tune);
-        // Same schedule => bit-identical factors, same decision record.
-        assert_eq!(m1.w, m2.w);
-        assert_eq!(m1.h, m2.h);
-        assert_eq!(o1, o2);
-        assert!(o1.chosen.measured_ns <= o1.baseline.measured_ns);
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //! discovers the indices to prefetch in bulk (§4.4) — reproduced here by
 //! running the loop body against an [`IndexRecorder`].
 
-use orion_core::{
-    ClusterSpec, DistArray, DistArrayBuffer, Driver, IndexRecorder, LoopSpec, MathMode,
-    PrefetchMode, RunStats, Strategy, Subscript, TuneConfig, TuneOutcome,
-};
-use orion_data::SparseData;
-use orion_dsm::kernels;
 use std::sync::Arc;
 
-use crate::chaos::{run_chaos_loop, ChaosConfig, ChaosReport};
-use crate::common::{cost, sigmoid, span_capacity, TraceArtifacts};
-use orion_dsm::checkpoint;
+use orion_core::{
+    ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, IndexRecorder,
+    LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript, TuneConfig, TuneOutcome,
+};
+use orion_data::{SparseData, SparseSample};
+use orion_dsm::kernels;
+
+use crate::common::{cost, flush_buffers, sigmoid, write_buffers};
+use crate::distributed::DistOptions;
+use crate::run::{train, App, Engine, Pool, RunError, RunOutput};
 
 /// SLR hyperparameters.
 #[derive(Debug, Clone)]
@@ -136,224 +137,43 @@ pub struct SlrRunConfig {
     pub prefetch_override: Option<PrefetchMode>,
 }
 
-/// Trains with Orion: 1-D data parallelism via buffered weight writes,
+/// SLR as an [`App`]: 1-D data parallelism via buffered weight writes,
 /// served weights with bulk prefetching.
-pub fn train_orion(data: &SparseData, cfg: SlrConfig, run: &SlrRunConfig) -> (SlrModel, RunStats) {
-    let (model, stats, _) = train_orion_impl(data, cfg, run, false);
-    (model, stats)
-}
-
-/// [`train_orion`] with span tracing on: additionally returns the
-/// Perfetto-exportable session and the run report.
-pub fn train_orion_traced(
-    data: &SparseData,
-    cfg: SlrConfig,
-    run: &SlrRunConfig,
-) -> (SlrModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) = train_orion_impl(data, cfg, run, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-/// [`train_orion`] with profile-guided adaptive planning: a seeded
-/// calibration pass fits the measured compute/bandwidth/skew into the
-/// cost model, candidate plans (worker counts, prefetch regimes) are
-/// re-measured, and the loop runs under the winner. SLR's recorded
-/// prefetch pass re-executes every pass by default; the tuner discovers
-/// that caching the recorded indices is strictly cheaper and upgrades
-/// the regime (§6.3) — reported as an `O020` diagnostic.
-pub fn train_orion_tuned(
-    data: &SparseData,
-    cfg: SlrConfig,
-    run: &SlrRunConfig,
-    tune: &TuneConfig,
-) -> (SlrModel, RunStats, TuneOutcome) {
-    let n_features = data.config.n_features;
-    let mut model = SlrModel::new(n_features, cfg);
-    let samples_arr: DistArray<f32> = DistArray::sparse_from(
-        "samples",
-        vec![data.samples.len() as u64],
-        data.samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (vec![i as i64], s.label as f32)),
-    );
-    let items: Vec<(Vec<i64>, f32)> = samples_arr.iter().map(|(i, &v)| (i, v)).collect();
-
-    let mut driver = Driver::new(run.cluster.clone());
-    driver.set_math_mode(model.cfg.math);
-    let mode = driver.math_mode();
-    let samples_id = driver.register(&samples_arr);
-    let weights_id = driver.register(&model.weights);
-    driver.set_served_reads_per_iter(data.mean_nnz());
-    let spec = LoopSpec::builder("slr_sgd", samples_id, vec![data.samples.len() as u64])
-        .read(weights_id, vec![Subscript::unknown()])
-        .write(weights_id, vec![Subscript::unknown()])
-        .buffer_writes(weights_id)
-        .build()
-        .expect("static SLR spec is valid");
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("SLR loop parallelizes with buffers");
-    let iter_cost: Vec<f64> = data
-        .samples
-        .iter()
-        .map(|s| cost::slr_iter_ns(s.features.len()) * cost::ORION_OVERHEAD)
-        .collect();
-    // Re-plan once up front: the tuned schedule fixes the worker count
-    // the per-pass write buffers must match.
-    let (compiled, outcome) = driver.tune_loop(&compiled, &items, tune, &mut |pos| iter_cost[pos]);
-    let n_workers = compiled.schedule.n_workers;
-
-    for pass in 0..run.passes {
-        let mut buffers: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-            .map(|_| DistArrayBuffer::additive(model.weights.shape().clone()))
-            .collect();
-        {
-            let weights = &model.weights;
-            let step = model.cfg.step_size;
-            driver.run_pass(&compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
-                let sample = &data.samples[pos];
-                let buf = &mut buffers[w];
-                let margin = SlrModel::margin_with(
-                    &sample.features,
-                    |f| weights.get_flat_or_default(f as u64) + buf_read(buf, f),
-                    mode,
-                );
-                let coef = logistic_grad_coef(sample.label, margin);
-                for &f in &sample.features {
-                    buf.write(&[f as i64], -step * coef);
-                }
-            });
-        }
-        let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
-        driver.sync_exchange(up / n_workers as u64, up / n_workers as u64);
-        for buf in &mut buffers {
-            apply_buffer(&mut model, buf);
-        }
-        driver.record_progress(pass, model.loss(data));
-    }
-    (model, driver.finish(), outcome)
-}
-
-fn train_orion_impl(
-    data: &SparseData,
-    cfg: SlrConfig,
-    run: &SlrRunConfig,
-    traced: bool,
-) -> (SlrModel, RunStats, Option<TraceArtifacts>) {
-    let n_features = data.config.n_features;
-    let mut model = SlrModel::new(n_features, cfg);
-    // The iteration space: one element per sample, valued by its label.
-    let samples_arr: DistArray<f32> = DistArray::sparse_from(
-        "samples",
-        vec![data.samples.len() as u64],
-        data.samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (vec![i as i64], s.label as f32)),
-    );
-    let items: Vec<(Vec<i64>, f32)> = samples_arr.iter().map(|(i, &v)| (i, v)).collect();
-
-    let mut driver = Driver::new(run.cluster.clone());
-    driver.set_math_mode(model.cfg.math);
-    let mode = driver.math_mode();
-    let samples_id = driver.register(&samples_arr);
-    let weights_id = driver.register(&model.weights);
-    driver.set_served_reads_per_iter(data.mean_nnz());
-    let spec = LoopSpec::builder("slr_sgd", samples_id, vec![data.samples.len() as u64])
-        .read(weights_id, vec![Subscript::unknown()])
-        .write(weights_id, vec![Subscript::unknown()])
-        .buffer_writes(weights_id)
-        .build()
-        .expect("static SLR spec is valid");
-    let mut compiled = driver
-        .parallel_for(spec, &items)
-        .expect("SLR loop parallelizes with buffers");
-    debug_assert!(matches!(
-        compiled.strategy(),
-        Strategy::FullyParallel { .. }
-    ));
-    if let (Some(mode), Some(served)) = (run.prefetch_override, compiled.comm.served.as_mut()) {
-        served.mode = mode;
-    }
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, run.passes));
-    }
-
-    // The synthesized prefetch function (the recording pass of §4.4):
-    // execute only the subscript-producing statements and log indices.
-    // Its *observable output* — how many weight values each pass
-    // prefetches — feeds the communication model via mean_nnz above; the
-    // recorder also proves the synthesized pass visits exactly the
-    // accessed indices (asserted in tests).
-    let n_workers = compiled.schedule.n_workers;
-    let iter_cost: Vec<f64> = data
-        .samples
-        .iter()
-        .map(|s| cost::slr_iter_ns(s.features.len()) * cost::ORION_OVERHEAD)
-        .collect();
-
-    for pass in 0..run.passes {
-        let mut buffers: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-            .map(|_| DistArrayBuffer::additive(model.weights.shape().clone()))
-            .collect();
-        {
-            let weights = &model.weights;
-            let step = model.cfg.step_size;
-            driver.run_pass(&compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
-                let sample = &data.samples[pos];
-                let buf = &mut buffers[w];
-                // Worker view: shared snapshot + its own buffered writes.
-                let margin = SlrModel::margin_with(
-                    &sample.features,
-                    |f| weights.get_flat_or_default(f as u64) + buf_read(buf, f),
-                    mode,
-                );
-                let coef = logistic_grad_coef(sample.label, margin);
-                for &f in &sample.features {
-                    buf.write(&[f as i64], -step * coef);
-                }
-            });
-        }
-        // Flush buffers: exchange bytes, then apply with the UDF.
-        let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
-        driver.sync_exchange(up / n_workers as u64, up / n_workers as u64);
-        for buf in &mut buffers {
-            apply_buffer(&mut model, buf);
-        }
-        driver.record_progress(pass, model.loss(data));
-    }
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "orion/slr", &compiled));
-    (model, driver.finish(), artifacts)
-}
-
-/// Trains under a fault plan with checkpoint-every-N recovery. The
-/// weight DistArray only mutates at the pass-end buffer apply, so a
-/// crashed pass simply discards its buffers; restore then rewinds the
-/// weights to the latest checkpoint and the passes since re-execute,
-/// ending bit-identical to the fault-free run.
 ///
-/// # Panics
-///
-/// Panics in adaptive mode: the `z2` accumulators live outside the
-/// checkpointed DistArray.
-pub fn train_orion_chaos(
-    data: &SparseData,
-    cfg: SlrConfig,
-    run: &SlrRunConfig,
-    chaos: &ChaosConfig,
-) -> (SlrModel, RunStats, ChaosReport) {
-    assert!(
-        !cfg.adaptive,
-        "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
-    );
-    let n_features = data.config.n_features;
-    let mut model = SlrModel::new(n_features, cfg);
-    let samples_arr: DistArray<f32> = DistArray::sparse_from(
+/// Chaos recovery and the TCP cluster panic in adaptive mode: the `z2`
+/// accumulators live outside the checkpointed DistArray.
+#[derive(Debug, Clone)]
+pub struct SlrApp {
+    /// Hyperparameters.
+    pub cfg: SlrConfig,
+    /// Override the analyzer-chosen prefetch mode; a tuned plan keeps
+    /// the override too.
+    pub prefetch_override: Option<PrefetchMode>,
+}
+
+impl SlrApp {
+    fn apply_prefetch_override(&self, compiled: &mut CompiledLoop) {
+        if let (Some(mode), Some(served)) = (self.prefetch_override, compiled.comm.served.as_mut())
+        {
+            served.mode = mode;
+        }
+    }
+}
+
+/// What [`SlrApp`]'s setup builds: the model and the per-sample costs.
+#[derive(Debug)]
+pub struct SlrJob {
+    pub(crate) model: SlrModel,
+    items: Vec<(Vec<i64>, f32)>,
+    iter_cost: Vec<f64>,
+    /// `Net` only: each node's (= worker's) buffered updates of the
+    /// epoch in flight.
+    pub(crate) updates: Vec<Option<bytes::Bytes>>,
+}
+
+/// The iteration space: one element per sample, valued by its label.
+fn sample_items(data: &SparseData) -> (DistArray<f32>, Vec<(Vec<i64>, f32)>) {
+    let samples: DistArray<f32> = DistArray::sparse_from(
         "samples",
         vec![data.samples.len() as u64],
         data.samples
@@ -361,85 +181,25 @@ pub fn train_orion_chaos(
             .enumerate()
             .map(|(i, s)| (vec![i as i64], s.label as f32)),
     );
-    let items: Vec<(Vec<i64>, f32)> = samples_arr.iter().map(|(i, &v)| (i, v)).collect();
+    let items = samples.iter().map(|(i, &v)| (i, v)).collect();
+    (samples, items)
+}
 
-    let mut driver = Driver::new(run.cluster.clone());
-    driver.set_math_mode(model.cfg.math);
-    let mode = driver.math_mode();
-    let samples_id = driver.register(&samples_arr);
-    let weights_id = driver.register(&model.weights);
-    driver.set_served_reads_per_iter(data.mean_nnz());
-    let spec = LoopSpec::builder("slr_sgd", samples_id, vec![data.samples.len() as u64])
-        .read(weights_id, vec![Subscript::unknown()])
-        .write(weights_id, vec![Subscript::unknown()])
-        .buffer_writes(weights_id)
-        .build()
-        .expect("static SLR spec is valid");
-    let mut compiled = driver
-        .parallel_for(spec, &items)
-        .expect("SLR loop parallelizes with buffers");
-    if let (Some(mode), Some(served)) = (run.prefetch_override, compiled.comm.served.as_mut()) {
-        served.mode = mode;
+/// The buffered per-sample step every engine runs: the margin under
+/// the worker's view — `read`'s pass-start weights plus its own
+/// buffered writes — then one buffered write per active feature.
+pub(crate) fn slr_step(
+    sample: &SparseSample,
+    read: impl Fn(u32) -> f32,
+    buf: &mut DistArrayBuffer<f32>,
+    step: f32,
+    mode: MathMode,
+) {
+    let margin = SlrModel::margin_with(&sample.features, |f| read(f) + buf_read(buf, f), mode);
+    let coef = logistic_grad_coef(sample.label, margin);
+    for &f in &sample.features {
+        buf.write(&[f as i64], -step * coef);
     }
-    driver.set_fault_plan(chaos.plan.clone());
-    std::fs::create_dir_all(&chaos.dir).expect("checkpoint dir is creatable");
-    let policy = chaos.policy();
-
-    let n_workers = compiled.schedule.n_workers;
-    let iter_cost: Vec<f64> = data
-        .samples
-        .iter()
-        .map(|s| cost::slr_iter_ns(s.features.len()) * cost::ORION_OVERHEAD)
-        .collect();
-    let reexecuted = run_chaos_loop(
-        &mut driver,
-        &mut model,
-        run.passes,
-        &policy,
-        |m| checkpoint::save(&m.weights, policy.path_for("weights")).expect("checkpoint weights"),
-        |m| {
-            m.weights = checkpoint::load(policy.path_for("weights")).expect("reload weights");
-            std::fs::metadata(policy.path_for("weights")).map_or(0, |md| md.len())
-        },
-        |driver, m, pass| {
-            let mut buffers: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-                .map(|_| DistArrayBuffer::additive(m.weights.shape().clone()))
-                .collect();
-            let fault = {
-                let weights = &m.weights;
-                let step = m.cfg.step_size;
-                let (_, fault) =
-                    driver.run_pass_checked(&compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
-                        let sample = &data.samples[pos];
-                        let buf = &mut buffers[w];
-                        let margin = SlrModel::margin_with(
-                            &sample.features,
-                            |f| weights.get_flat_or_default(f as u64) + buf_read(buf, f),
-                            mode,
-                        );
-                        let coef = logistic_grad_coef(sample.label, margin);
-                        for &f in &sample.features {
-                            buf.write(&[f as i64], -step * coef);
-                        }
-                    });
-                fault
-            };
-            if fault.is_some() {
-                // Crash mid-pass: the buffered updates never reached the
-                // weights; dropping the buffers erases the pass.
-                return fault;
-            }
-            let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
-            driver.sync_exchange(up / n_workers as u64, up / n_workers as u64);
-            for buf in &mut buffers {
-                apply_buffer(m, buf);
-            }
-            driver.record_progress(pass, m.loss(data));
-            None
-        },
-    );
-    let report = ChaosReport::from_stats(driver.recovery_stats(), reexecuted);
-    (model, driver.finish(), report)
 }
 
 /// Peeks a buffered (pending) delta without draining.
@@ -472,12 +232,177 @@ pub(crate) fn apply_buffer(model: &mut SlrModel, buf: &mut DistArrayBuffer<f32>)
     }
 }
 
+impl App for SlrApp {
+    type Data = SparseData;
+    type Model = SlrModel;
+    type Job = SlrJob;
+
+    const NAME: &'static str = "slr";
+
+    fn math(&self) -> MathMode {
+        self.cfg.math
+    }
+
+    fn setup(&self, data: &SparseData, driver: &mut Driver) -> (CompiledLoop, SlrJob) {
+        let model = SlrModel::new(data.config.n_features, self.cfg.clone());
+        let (samples, items) = sample_items(data);
+        let samples_id = driver.register(&samples);
+        let weights_id = driver.register(&model.weights);
+        // The synthesized prefetch function (the recording pass of §4.4)
+        // executes only the subscript-producing statements and logs
+        // indices. Its observable output — how many weight values each
+        // pass prefetches — feeds the communication model here.
+        driver.set_served_reads_per_iter(data.mean_nnz());
+        let spec = LoopSpec::builder("slr_sgd", samples_id, vec![data.samples.len() as u64])
+            .read(weights_id, vec![Subscript::unknown()])
+            .write(weights_id, vec![Subscript::unknown()])
+            .buffer_writes(weights_id)
+            .build()
+            .expect("static SLR spec is valid");
+        let mut compiled = driver
+            .parallel_for(spec, &items)
+            .expect("SLR loop parallelizes with buffers");
+        debug_assert!(matches!(
+            compiled.strategy(),
+            Strategy::FullyParallel { .. }
+        ));
+        self.apply_prefetch_override(&mut compiled);
+        let iter_cost = data
+            .samples
+            .iter()
+            .map(|s| cost::slr_iter_ns(s.features.len()) * cost::ORION_OVERHEAD)
+            .collect();
+        let job = SlrJob {
+            model,
+            items,
+            iter_cost,
+            updates: vec![None; compiled.schedule.n_workers],
+        };
+        (compiled, job)
+    }
+
+    /// The weight DistArray only mutates at the pass-end buffer apply,
+    /// so a crashed pass simply discards its buffers.
+    fn sim_pass(
+        &self,
+        data: &SparseData,
+        job: &mut SlrJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        _pass: u64,
+    ) -> Option<FaultEvent> {
+        let mut buffers = write_buffers(&job.model.weights, compiled.schedule.n_workers);
+        let (weights, iter_cost) = (&job.model.weights, &job.iter_cost);
+        let (step, mode) = (job.model.cfg.step_size, driver.math_mode());
+        let (_, fault) =
+            driver.run_pass_checked(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
+                let read = |f| weights.get_flat_or_default(f as u64);
+                slr_step(&data.samples[pos], read, &mut buffers[w], step, mode);
+            });
+        if fault.is_none() {
+            flush_buffers(driver, buffers, |buf| apply_buffer(&mut job.model, buf));
+        }
+        fault
+    }
+
+    fn metric(&self, data: &SparseData, job: &SlrJob) -> f64 {
+        job.model.loss(data)
+    }
+
+    fn into_model(job: SlrJob) -> SlrModel {
+        job.model
+    }
+
+    /// Each worker fills its own write buffer against a shared weight
+    /// snapshot; buffers accumulate the same deltas in the same order as
+    /// the simulated pass and apply in worker order.
+    fn pooled(
+        &self,
+        data: &SparseData,
+        mut job: SlrJob,
+        pool: &mut Pool<'_>,
+        passes: u64,
+    ) -> Result<SlrModel, RunError> {
+        // Samples shared immutably with every worker; the schedule's item
+        // positions are sample indices.
+        let samples = Arc::new(data.samples.clone());
+        let (step, mode) = (job.model.cfg.step_size, pool.driver.math_mode());
+        for pass in 0..passes {
+            let buffers = write_buffers(&job.model.weights, pool.plan.n_workers());
+            // Per-pass weight snapshot: workers read the pass-start weights
+            // (buffered writes are invisible until the flush), exactly like
+            // the simulated engine.
+            let weights = Arc::new(job.model.weights.clone());
+            let body = Arc::new(
+                move |sample: &SparseSample, buf: &mut DistArrayBuffer<f32>| {
+                    let read = |f| weights.get_flat_or_default(f as u64);
+                    slr_step(sample, read, buf, step, mode);
+                },
+            );
+            let out = pool.driver.run_pass_threaded_one_d(
+                &pool.compiled.spec.name,
+                &pool.plan,
+                &samples,
+                buffers,
+                &body,
+            );
+            flush_buffers(pool.driver, out.scratch, |buf| {
+                apply_buffer(&mut job.model, buf)
+            });
+            pool.record(pass, self.metric(data, &job));
+        }
+        Ok(job.model)
+    }
+
+    /// SLR's recorded prefetch pass re-executes every pass by default;
+    /// the tuner discovers that caching the recorded indices is strictly
+    /// cheaper and upgrades the regime (§6.3) — reported as an `O020`
+    /// diagnostic. The tuned schedule also fixes the worker count the
+    /// per-pass write buffers match.
+    fn tune(
+        &self,
+        job: &SlrJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        cfg: &TuneConfig,
+    ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
+        let (mut tuned, outcome) =
+            driver.tune_loop(compiled, &job.items, cfg, &mut |pos| job.iter_cost[pos]);
+        self.apply_prefetch_override(&mut tuned);
+        Ok((tuned, outcome))
+    }
+
+    fn checkpointed<'a>(&self, job: &'a mut SlrJob) -> Vec<(&'static str, &'a mut DistArray<f32>)> {
+        assert!(
+            !self.cfg.adaptive,
+            "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
+        );
+        vec![("weights", &mut job.model.weights)]
+    }
+
+    fn run_net(
+        &self,
+        data: &SparseData,
+        opts: &DistOptions,
+    ) -> Result<RunOutput<SlrModel>, RunError> {
+        crate::distributed::run_net(self, data, opts)
+    }
+}
+
+/// Trains with Orion: 1-D data parallelism via buffered weight writes,
+/// served weights with bulk prefetching.
+pub fn train_orion(data: &SparseData, cfg: SlrConfig, run: &SlrRunConfig) -> (SlrModel, RunStats) {
+    let app = SlrApp {
+        cfg,
+        prefetch_override: run.prefetch_override,
+    };
+    train(&app, data, Engine::Sim(run.cluster.clone()), run.passes)
+}
+
 /// Trains on the real-core execution path: the buffered 1-D
 /// data-parallel schedule runs on a persistent pool of `threads` OS
-/// threads, each worker filling its own write buffer against a shared
-/// weight snapshot. Bit-identical to [`train_orion`] on a
-/// `ClusterSpec::new(1, threads)` cluster — buffers accumulate the same
-/// deltas in the same order and apply in worker order.
+/// threads. Bit-identical to [`train_orion`] on a
+/// `ClusterSpec::new(1, threads)` cluster.
 ///
 /// # Panics
 ///
@@ -488,107 +413,11 @@ pub fn train_threaded(
     threads: usize,
     passes: u64,
 ) -> (SlrModel, RunStats) {
-    let (model, stats, _) = train_threaded_impl(data, cfg, threads, passes, false);
-    (model, stats)
-}
-
-/// [`train_threaded`] with span tracing on: every worker's measured
-/// wall-clock compute phases land in the trace as `Compute` spans.
-pub fn train_threaded_traced(
-    data: &SparseData,
-    cfg: SlrConfig,
-    threads: usize,
-    passes: u64,
-) -> (SlrModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) = train_threaded_impl(data, cfg, threads, passes, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-fn train_threaded_impl(
-    data: &SparseData,
-    cfg: SlrConfig,
-    threads: usize,
-    passes: u64,
-    traced: bool,
-) -> (SlrModel, RunStats, Option<TraceArtifacts>) {
-    let n_features = data.config.n_features;
-    let mut model = SlrModel::new(n_features, cfg);
-    let samples_arr: DistArray<f32> = DistArray::sparse_from(
-        "samples",
-        vec![data.samples.len() as u64],
-        data.samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (vec![i as i64], s.label as f32)),
-    );
-    let items: Vec<(Vec<i64>, f32)> = samples_arr.iter().map(|(i, &v)| (i, v)).collect();
-
-    let mut driver = Driver::new(ClusterSpec::new(1, threads));
-    driver.set_threads(threads);
-    driver.set_math_mode(model.cfg.math);
-    let mode = driver.math_mode();
-    let samples_id = driver.register(&samples_arr);
-    let weights_id = driver.register(&model.weights);
-    driver.set_served_reads_per_iter(data.mean_nnz());
-    let spec = LoopSpec::builder("slr_sgd", samples_id, vec![data.samples.len() as u64])
-        .read(weights_id, vec![Subscript::unknown()])
-        .write(weights_id, vec![Subscript::unknown()])
-        .buffer_writes(weights_id)
-        .build()
-        .expect("static SLR spec is valid");
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("SLR loop parallelizes with buffers");
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, passes));
-    }
-    let plan = driver.compile_threaded(&compiled);
-    let n_workers = plan.n_workers();
-
-    // Samples shared immutably with every worker; the schedule's item
-    // positions are sample indices.
-    let samples = Arc::new(data.samples.clone());
-    let step = model.cfg.step_size;
-    for pass in 0..passes {
-        let buffers: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-            .map(|_| DistArrayBuffer::additive(model.weights.shape().clone()))
-            .collect();
-        // Per-pass weight snapshot: workers read the pass-start weights
-        // (buffered writes are invisible until the flush), exactly like
-        // the simulated engine.
-        let weights = Arc::new(model.weights.clone());
-        let body = {
-            let weights = Arc::clone(&weights);
-            Arc::new(
-                move |sample: &orion_data::SparseSample, buf: &mut DistArrayBuffer<f32>| {
-                    let margin = SlrModel::margin_with(
-                        &sample.features,
-                        |f| weights.get_flat_or_default(f as u64) + buf_read(buf, f),
-                        mode,
-                    );
-                    let coef = logistic_grad_coef(sample.label, margin);
-                    for &f in &sample.features {
-                        buf.write(&[f as i64], -step * coef);
-                    }
-                },
-            )
-        };
-        let out =
-            driver.run_pass_threaded_one_d(&compiled.spec.name, &plan, &samples, buffers, &body);
-        let mut buffers = out.scratch;
-        let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
-        driver.sync_exchange(up / n_workers as u64, up / n_workers as u64);
-        for buf in &mut buffers {
-            apply_buffer(&mut model, buf);
-        }
-        driver.record_progress(pass, model.loss(data));
-    }
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "threaded/slr", &compiled));
-    (model, driver.finish(), artifacts)
+    let app = SlrApp {
+        cfg,
+        prefetch_override: None,
+    };
+    train(&app, data, Engine::Threads(threads), passes)
 }
 
 /// Trains serially: immediate weight updates, one worker.
@@ -597,15 +426,7 @@ pub fn train_serial(data: &SparseData, cfg: SlrConfig, passes: u64) -> (SlrModel
     let mut driver = Driver::new(ClusterSpec::serial());
     driver.set_math_mode(model.cfg.math);
     let mode = driver.math_mode();
-    let samples_arr: DistArray<f32> = DistArray::sparse_from(
-        "samples",
-        vec![data.samples.len() as u64],
-        data.samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (vec![i as i64], s.label as f32)),
-    );
-    let items: Vec<(Vec<i64>, f32)> = samples_arr.iter().map(|(i, &v)| (i, v)).collect();
+    let (samples_arr, items) = sample_items(data);
     let samples_id = driver.register(&samples_arr);
     let weights_id = driver.register(&model.weights);
     // Serial program: no buffering, direct writes (the original
@@ -662,6 +483,7 @@ pub fn record_prefetch_indices(data: &SparseData, block: &[usize]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::{run, RunConfig};
     use orion_data::SparseConfig;
 
     fn data() -> SparseData {
@@ -677,27 +499,6 @@ mod tests {
         assert!(lf < l0, "loss should fall: {l0} -> {lf}");
         assert!(lf < 0.65, "final loss {lf} too high");
         let _ = model;
-    }
-
-    #[test]
-    fn threaded_pass_equals_simulated_pass() {
-        let d = data();
-        let (threads, passes) = (3, 4);
-        let run = SlrRunConfig {
-            cluster: ClusterSpec::new(1, threads),
-            passes,
-            prefetch_override: None,
-        };
-        let (sim, sim_stats) = train_orion(&d, SlrConfig::new(), &run);
-        let (thr, thr_stats) = train_threaded(&d, SlrConfig::new(), threads, passes);
-        for f in 0..d.config.n_features as u64 {
-            assert_eq!(
-                sim.weights.get_flat_or_default(f).to_bits(),
-                thr.weights.get_flat_or_default(f).to_bits(),
-                "weight {f} diverged"
-            );
-        }
-        assert_eq!(sim_stats.final_metric(), thr_stats.final_metric());
     }
 
     #[test]
@@ -760,49 +561,60 @@ mod tests {
     }
 
     #[test]
-    fn tuned_training_upgrades_prefetch_and_is_deterministic() {
+    fn tuned_training_upgrades_prefetch() {
         let d = data();
-        let run = SlrRunConfig {
+        let run_cfg = SlrRunConfig {
             cluster: ClusterSpec::new(2, 2),
             passes: 3,
             prefetch_override: None,
         };
-        let mk = || train_orion_tuned(&d, SlrConfig::new(), &run, &TuneConfig::default());
-        let (m1, s1, o1) = mk();
-        let (m2, s2, o2) = mk();
-        // Bit-identical models and stats across runs.
-        for f in 0..d.config.n_features as u64 {
-            assert_eq!(
-                m1.weights.get_flat_or_default(f).to_bits(),
-                m2.weights.get_flat_or_default(f).to_bits(),
-                "weight {f} diverged across tuned runs"
-            );
-        }
-        assert_eq!(s1.final_metric(), s2.final_metric());
-        assert_eq!(o1.chosen.label, o2.chosen.label);
-        assert_eq!(o1.chosen.measured_ns, o2.chosen.measured_ns);
-        // The tuner never picks a slower plan than the static baseline,
-        // and for SLR it should strictly win by caching the recorded
+        let mut cfg = RunConfig::new(Engine::Sim(run_cfg.cluster.clone()), run_cfg.passes);
+        cfg.tune = Some(TuneConfig::default());
+        let app = SlrApp {
+            cfg: SlrConfig::new(),
+            prefetch_override: None,
+        };
+        let tuned = run(&app, &d, &cfg).unwrap();
+        // For SLR the tuner should strictly win by caching the recorded
         // prefetch indices (the §6.3 regime the static planner re-records
         // every pass).
-        assert!(o1.chosen.measured_ns <= o1.baseline.measured_ns);
-        assert!(o1.replanned, "SLR should re-plan to cached prefetch");
+        let outcome = tuned.tune.unwrap();
+        assert!(outcome.replanned, "SLR should re-plan to cached prefetch");
         assert!(
-            o1.chosen.label.contains("cached prefetch"),
+            outcome.chosen.label.contains("cached prefetch"),
             "expected a cached-prefetch upgrade, chose: {}",
-            o1.chosen.label
+            outcome.chosen.label
         );
         // The tuner may pick a different worker count, which regroups
         // the buffered updates (exactly as static would with that
         // count) — float reorder only, so losses match static to high
         // precision even when not bit-identical.
-        let (_, static_stats) = train_orion(&d, SlrConfig::new(), &run);
-        let lf = s1.final_metric().unwrap();
+        let (_, static_stats) = train_orion(&d, SlrConfig::new(), &run_cfg);
+        let lf = tuned.stats.final_metric().unwrap();
         let ls = static_stats.final_metric().unwrap();
         assert!(
             (lf - ls).abs() < 1e-6,
             "tuning must not change the algorithm: tuned {lf} vs static {ls}"
         );
+    }
+
+    #[test]
+    fn a_tuned_plan_keeps_the_prefetch_override() {
+        // The override is the user's explicit regime: tuning re-plans
+        // around it, so the forced no-prefetch run still dwarfs the
+        // tuned default.
+        let d = data();
+        let mut cfg = RunConfig::new(Engine::Sim(ClusterSpec::new(2, 2)), 2);
+        cfg.tune = Some(TuneConfig::default());
+        let wall = |prefetch_override| {
+            let app = SlrApp {
+                cfg: SlrConfig::new(),
+                prefetch_override,
+            };
+            let stats = run(&app, &d, &cfg).unwrap().stats;
+            stats.progress.last().unwrap().time.as_secs_f64()
+        };
+        assert!(wall(Some(PrefetchMode::Disabled)) > wall(None) * 5.0);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! driver (`examples/orion_lint.rs`) and the golden-snapshot tests.
 //!
 //! Each [`AppSpec`] carries exactly what `orion-check` needs to produce
-//! a full report: the [`LoopSpec`] a training program declares, the
-//! [`ArrayMeta`] table a [`Driver`] would hold after registering the
-//! program's arrays, and the iteration indices the schedule is built
-//! from. The data sizes are the `tiny()` generator configs, so reports
-//! are deterministic and cheap to produce.
+//! a full report: the [`LoopSpec`] and the [`ArrayMeta`] table the
+//! app's own [`App::setup`] declares — so the linter, the cost model and
+//! the tuner analyse the very spec that trains — and the iteration
+//! indices the schedule is built from. The data sizes are the `tiny()`
+//! generator configs, so reports are deterministic and cheap to produce.
 //!
 //! [`canonical`] returns the five Table-2 applications in their
 //! shipping form — all of them lint clean (warning-free), which is what
@@ -17,19 +17,19 @@
 //! golden tests.
 
 use orion_core::{
-    analyze, build_schedule, ArrayMeta, ClusterSpec, DistArray, Driver, LoopSpec, ParallelPlan,
-    Schedule, Subscript,
+    analyze, build_schedule, ArrayMeta, ClusterSpec, Driver, LoopSpec, ParallelPlan, Schedule,
 };
 use orion_data::{
     CorpusConfig, CorpusData, RatingsConfig, RatingsData, SparseConfig, SparseData, TabularConfig,
-    TensorConfig, TensorData,
+    TabularData, TensorConfig, TensorData,
 };
 
-use crate::lda::LdaModel;
-use crate::sgd_mf::{MfConfig, MfModel};
-use crate::slr::{SlrConfig, SlrModel};
-use crate::tensor_cp::{CpConfig, CpModel};
-use crate::{lda, sgd_mf, tensor_cp};
+use crate::gbt::{GbtApp, GbtConfig};
+use crate::lda::{LdaApp, LdaConfig};
+use crate::run::App;
+use crate::sgd_mf::{MfApp, MfConfig};
+use crate::slr::{SlrApp, SlrConfig};
+use crate::tensor_cp::{CpApp, CpConfig};
 
 /// One application's loop, ready for analysis and linting.
 #[derive(Debug, Clone)]
@@ -66,10 +66,23 @@ impl AppSpec {
     }
 }
 
-const N_WORKERS: usize = 4;
+/// The spec and array table `app`'s own setup declares on a 2 × 2
+/// cluster — the very loop that trains — with the indices of one pass.
+fn derive<A: App>(app: &A, data: &A::Data, indices: Vec<Vec<i64>>) -> AppSpec {
+    let cluster = ClusterSpec::new(2, 2);
+    let n_workers = cluster.n_workers();
+    let mut driver = Driver::new(cluster);
+    let (compiled, _) = app.setup(data, &mut driver);
+    AppSpec {
+        spec: compiled.spec,
+        metas: driver.metas().to_vec(),
+        indices,
+        n_workers,
+    }
+}
 
-fn cluster() -> ClusterSpec {
-    ClusterSpec::new(2, 2)
+fn indices_of<T>(items: Vec<(Vec<i64>, T)>) -> Vec<Vec<i64>> {
+    items.into_iter().map(|(i, _)| i).collect()
 }
 
 /// The five canonical applications (Table 2), lint clean.
@@ -99,114 +112,49 @@ pub fn by_name(name: &str) -> Option<AppSpec> {
 /// SGD matrix factorization: 2-D unordered over (users, items).
 pub fn sgd_mf() -> AppSpec {
     let data = RatingsData::generate(RatingsConfig::tiny());
-    let dims = data.ratings.shape().dims().to_vec();
-    let model = MfModel::new(dims[0], dims[1], MfConfig::new(4));
-    let mut driver = Driver::new(cluster());
-    let z = driver.register(&data.ratings);
-    let w = driver.register(&model.w);
-    let h = driver.register(&model.h);
-    AppSpec {
-        spec: sgd_mf::mf_spec(z, w, h, dims, false),
-        metas: driver.metas().to_vec(),
-        indices: data.items().into_iter().map(|(i, _)| i).collect(),
-        n_workers: N_WORKERS,
-    }
+    let app = MfApp::new(MfConfig::new(4), false);
+    derive(&app, &data, indices_of(data.items()))
 }
 
 /// LDA collapsed Gibbs: 2-D unordered with the topic summary buffered.
 pub fn lda() -> AppSpec {
     let corpus = CorpusData::generate(CorpusConfig::tiny());
-    let dims = corpus.tokens.shape().dims().to_vec();
-    let model = LdaModel::init(&corpus, crate::lda::LdaConfig::new(8));
-    let ts: DistArray<i64> = DistArray::dense("topic_sum", vec![model.cfg.n_topics as u64]);
-    let mut driver = Driver::new(cluster());
-    let tok = driver.register(&corpus.tokens);
-    let dt = driver.register(&model.dt);
-    let wt = driver.register(&model.wt);
-    let ts = driver.register(&ts);
-    AppSpec {
-        spec: lda::lda_spec(tok, dt, wt, ts, dims, false),
-        metas: driver.metas().to_vec(),
-        indices: corpus.items().into_iter().map(|(i, _)| i).collect(),
-        n_workers: N_WORKERS,
-    }
-}
-
-/// Registers the SLR arrays and returns the pieces shared by the
-/// buffered and unbuffered variants.
-fn slr_parts() -> (
-    Driver,
-    orion_core::DistArrayId,
-    orion_core::DistArrayId,
-    usize,
-) {
-    let data = SparseData::generate(SparseConfig::tiny());
-    let model = SlrModel::new(data.config.n_features, SlrConfig::new());
-    let samples: DistArray<f32> = DistArray::sparse_from(
-        "samples",
-        vec![data.samples.len() as u64],
-        data.samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (vec![i as i64], s.label as f32)),
-    );
-    let mut driver = Driver::new(cluster());
-    let samples_id = driver.register(&samples);
-    let weights_id = driver.register(&model.weights);
-    (driver, samples_id, weights_id, data.samples.len())
+    let app = LdaApp {
+        cfg: LdaConfig::new(8),
+        ordered: false,
+    };
+    derive(&app, &corpus, indices_of(corpus.items()))
 }
 
 /// Sparse logistic regression: 1-D data parallelism via buffered
 /// weight writes; the weights are served with bulk prefetch.
 pub fn slr() -> AppSpec {
-    let (driver, samples, weights, n) = slr_parts();
-    let spec = LoopSpec::builder("slr_sgd", samples, vec![n as u64])
-        .read(weights, vec![Subscript::unknown()])
-        .write(weights, vec![Subscript::unknown()])
-        .buffer_writes(weights)
-        .build()
-        .expect("static SLR spec is valid");
-    AppSpec {
-        spec,
-        metas: driver.metas().to_vec(),
-        indices: (0..n as i64).map(|i| vec![i]).collect(),
-        n_workers: N_WORKERS,
-    }
+    let data = SparseData::generate(SparseConfig::tiny());
+    let app = SlrApp {
+        cfg: SlrConfig::new(),
+        prefetch_override: None,
+    };
+    let indices = (0..data.samples.len() as i64).map(|i| vec![i]).collect();
+    derive(&app, &data, indices)
 }
 
 /// SLR *without* the buffer exemption: the runtime-only subscripts
 /// force serialization (O001 + O002).
 pub fn slr_unbuffered() -> AppSpec {
-    let (driver, samples, weights, n) = slr_parts();
-    let spec = LoopSpec::builder("slr_sgd_unbuffered", samples, vec![n as u64])
-        .read(weights, vec![Subscript::unknown()])
-        .write(weights, vec![Subscript::unknown()])
-        .build()
-        .expect("static SLR spec is valid");
-    AppSpec {
-        spec,
-        metas: driver.metas().to_vec(),
-        indices: (0..n as i64).map(|i| vec![i]).collect(),
-        n_workers: N_WORKERS,
-    }
+    let mut app = slr();
+    app.spec.name = "slr_sgd_unbuffered".into();
+    app.spec.buffered.clear();
+    app
 }
 
-/// Registers the CP tensor arrays for either variant.
+/// The CP loop with or without the context factor's buffer.
 fn cp_app(buffer_s: bool) -> AppSpec {
     let data = TensorData::generate(TensorConfig::tiny());
-    let dims = data.entries.shape().dims().to_vec();
-    let model = CpModel::new(&dims, CpConfig::new(4));
-    let mut driver = Driver::new(cluster());
-    let t = driver.register(&data.entries);
-    let u = driver.register(&model.u);
-    let v = driver.register(&model.v);
-    let s = driver.register(&model.s);
-    AppSpec {
-        spec: tensor_cp::cp_spec(t, u, v, s, dims, buffer_s),
-        metas: driver.metas().to_vec(),
-        indices: data.items().into_iter().map(|(i, _)| i).collect(),
-        n_workers: N_WORKERS,
-    }
+    let app = CpApp {
+        cfg: CpConfig::new(4),
+        buffer_s,
+    };
+    derive(&app, &data, indices_of(data.items()))
 }
 
 /// CP tensor decomposition with the context factor buffered: 2-D
@@ -223,29 +171,14 @@ pub fn tensor_cp_unbuffered() -> AppSpec {
 
 /// GBT split finding: independent features, 1-D.
 pub fn gbt() -> AppSpec {
-    let cfg = TabularConfig::tiny();
-    let n_features = cfg.n_features;
-    let n_samples = cfg.n_samples;
-    let feat_arr: DistArray<u32> =
-        DistArray::dense_from_fn("features", vec![n_features as u64], |i| i[0] as u32);
-    let grad_arr: DistArray<f32> = DistArray::dense("gradients", vec![n_samples as u64]);
-    let hist_arr: DistArray<f32> =
-        DistArray::dense("histograms", vec![n_features as u64, 2 * 16_u64]);
-    let mut driver = Driver::new(cluster());
-    let feats = driver.register(&feat_arr);
-    let grads = driver.register(&grad_arr);
-    let hist = driver.register(&hist_arr);
-    let spec = LoopSpec::builder("gbt_split_finding", feats, vec![n_features as u64])
-        .read(grads, vec![Subscript::Full])
-        .write(hist, vec![Subscript::loop_index(0), Subscript::Full])
-        .build()
-        .expect("static GBT spec is valid");
-    AppSpec {
-        spec,
-        metas: driver.metas().to_vec(),
-        indices: (0..n_features as i64).map(|i| vec![i]).collect(),
-        n_workers: N_WORKERS,
-    }
+    let data = TabularData::generate(TabularConfig::tiny());
+    let app = GbtApp {
+        cfg: GbtConfig::new(1),
+    };
+    let indices = (0..data.config.n_features as i64)
+        .map(|i| vec![i])
+        .collect();
+    derive(&app, &data, indices)
 }
 
 #[cfg(test)]

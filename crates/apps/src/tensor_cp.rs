@@ -21,12 +21,13 @@
 use std::sync::Arc;
 
 use orion_core::{
-    kernels, ClusterSpec, DistArray, DistArrayBuffer, Driver, LoopSpec, MathMode, RunStats,
-    Strategy, Subscript,
+    kernels, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, LoopSpec,
+    MathMode, RunStats, Strategy, Subscript,
 };
 use orion_data::TensorData;
 
-use crate::common::{by_role, cost, space_is_dim0, span_capacity, split_by_role, TraceArtifacts};
+use crate::common::{by_role, cost, flush_buffers, space_is_dim0, split_by_role, write_buffers};
+use crate::run::{train, unsupported, App, Engine, Pool, RunError};
 
 /// CP hyperparameters.
 #[derive(Debug, Clone)]
@@ -169,46 +170,218 @@ fn cp_update_rows(
     kernels::cp_update_rows(u, v, s, g, |c, delta| buf.write(&[k, c as i64], delta));
 }
 
-/// Builds the spec; `buffer_s` exempts the context factor's writes.
-pub(crate) fn cp_spec(
-    t: orion_core::DistArrayId,
-    u: orion_core::DistArrayId,
-    v: orion_core::DistArrayId,
-    s: orion_core::DistArrayId,
-    dims: Vec<u64>,
-    buffer_s: bool,
-) -> LoopSpec {
-    let b = LoopSpec::builder(
-        if buffer_s {
+/// CP as an [`App`]. Without `buffer_s` the analyzer schedules the loop
+/// serially; with it, unordered 2-D over (users, items) with the small
+/// factor applied through buffers at pass boundaries.
+#[derive(Debug, Clone)]
+pub struct CpApp {
+    /// Hyperparameters.
+    pub cfg: CpConfig,
+    /// Buffer the context factor's writes (enables 2-D parallelism; the
+    /// threaded engine runs only this form).
+    pub buffer_s: bool,
+}
+
+/// What [`CpApp`]'s setup builds: the factors and the observed entries.
+#[derive(Debug)]
+pub struct CpJob {
+    model: CpModel,
+    items: Vec<(Vec<i64>, f32)>,
+    iter_ns: f64,
+}
+
+/// The `S` buffer's apply UDF: plain addition.
+fn add(elem: &mut f32, delta: f32) {
+    *elem += delta;
+}
+
+impl App for CpApp {
+    type Data = TensorData;
+    type Model = CpModel;
+    type Job = CpJob;
+
+    const NAME: &'static str = "tensor_cp";
+
+    fn setup(&self, data: &TensorData, driver: &mut Driver) -> (CompiledLoop, CpJob) {
+        let items = data.items();
+        let dims = data.entries.shape().dims().to_vec();
+        let model = CpModel::new(&dims, self.cfg.clone());
+        let t = driver.register(&data.entries);
+        let u = driver.register(&model.u);
+        let v = driver.register(&model.v);
+        let s = driver.register(&model.s);
+        driver.set_served_reads_per_iter(model.cfg.rank as f64);
+        let name = if self.buffer_s {
             "cp_sgd_buffered"
         } else {
             "cp_sgd"
-        },
-        t,
-        dims,
-    )
-    .read_write(u, vec![Subscript::loop_index(0), Subscript::Full])
-    .read_write(v, vec![Subscript::loop_index(1), Subscript::Full])
-    .read_write(s, vec![Subscript::loop_index(2), Subscript::Full]);
-    let b = if buffer_s { b.buffer_writes(s) } else { b };
-    b.build().expect("static CP spec is valid")
+        };
+        let b = LoopSpec::builder(name, t, dims)
+            .read_write(u, vec![Subscript::loop_index(0), Subscript::Full])
+            .read_write(v, vec![Subscript::loop_index(1), Subscript::Full])
+            .read_write(s, vec![Subscript::loop_index(2), Subscript::Full]);
+        let b = if self.buffer_s { b.buffer_writes(s) } else { b };
+        let spec = b.build().expect("static CP spec is valid");
+        let compiled = driver.parallel_for(spec, &items).expect("compiles");
+        if self.buffer_s {
+            debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
+        } else {
+            debug_assert!(matches!(compiled.strategy(), Strategy::Serial));
+        }
+        let job = CpJob {
+            iter_ns: cost::mf_iter_ns(model.cfg.rank) * 1.5 * cost::ORION_OVERHEAD,
+            model,
+            items,
+        };
+        (compiled, job)
+    }
+
+    fn sim_pass(
+        &self,
+        _data: &TensorData,
+        job: &mut CpJob,
+        driver: &mut Driver,
+        compiled: &CompiledLoop,
+        _pass: u64,
+    ) -> Option<FaultEvent> {
+        let CpJob {
+            model,
+            items,
+            iter_ns,
+        } = job;
+        if self.buffer_s {
+            let mut buffers = write_buffers(&model.s, compiled.schedule.n_workers);
+            driver.run_pass(compiled, &mut |_| *iter_ns, &mut |w, pos| {
+                let (idx, x) = &items[pos];
+                cp_update(model, idx, *x, Some(&mut buffers[w]));
+            });
+            flush_buffers(driver, buffers, |buf| buf.apply_to(&mut model.s, add));
+        } else {
+            driver.run_pass(compiled, &mut |_| *iter_ns, &mut |_w, pos| {
+                let (idx, x) = &items[pos];
+                cp_update(model, idx, *x, None);
+            });
+        }
+        None
+    }
+
+    fn metric(&self, _data: &TensorData, job: &CpJob) -> f64 {
+        job.model.loss(&job.items)
+    }
+
+    fn into_model(job: CpJob) -> CpModel {
+        job.model
+    }
+
+    /// The unordered 2-D (users, items) schedule with pipelined rotation;
+    /// the context factor is a shared pass-start snapshot whose gradients
+    /// collect in per-worker buffers applied at pass boundaries.
+    fn pooled(
+        &self,
+        _data: &TensorData,
+        job: CpJob,
+        pool: &mut Pool<'_>,
+        passes: u64,
+    ) -> Result<CpModel, RunError> {
+        if !self.buffer_s {
+            return Err(unsupported::<Self>("threads", "buffer_s: false"));
+        }
+        let CpJob {
+            mut model, items, ..
+        } = job;
+        let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
+        // The analyzer parallelizes over loop dims {0, 1} (the buffered
+        // context dim carries no dependence); either may be space.
+        let space_is_users = space_is_dim0(compiled);
+        let (mut space_parts, mut time_parts) = split_by_role(compiled, model.u, model.v);
+        let entries: Arc<Vec<(i64, i64, i64, f32)>> = Arc::new(
+            items
+                .iter()
+                .map(|(idx, x)| (idx[0], idx[1], idx[2], *x))
+                .collect(),
+        );
+        let step = model.cfg.step_size;
+
+        for pass in 0..passes {
+            let scratch = write_buffers(&model.s, plan.n_workers());
+            let s_pass = Arc::new(model.s.clone());
+            let body = Arc::new(
+                move |&(i, j, k, x): &(i64, i64, i64, f32),
+                      ap: &mut DistArray<f32>,
+                      bp: &mut DistArray<f32>,
+                      buf: &mut DistArrayBuffer<f32>| {
+                    let (up, vp) = by_role(space_is_users, ap, bp);
+                    cp_update_rows(
+                        up.row_slice_mut(i),
+                        vp.row_slice_mut(j),
+                        s_pass.row_slice(k),
+                        k,
+                        x,
+                        step,
+                        buf,
+                    );
+                },
+            );
+            let out = pool.driver.run_pass_threaded(
+                &compiled.spec.name,
+                &plan,
+                &entries,
+                space_parts,
+                time_parts,
+                scratch,
+                &body,
+            );
+            space_parts = out.space;
+            time_parts = out.time;
+            flush_buffers(pool.driver, out.scratch, |buf| {
+                buf.apply_to(&mut model.s, add)
+            });
+            // The loss is read on the pool, against the partitions where
+            // they sit; validation re-reads it serially.
+            let s_now = Arc::new(model.s.clone());
+            let sq_err = Arc::new(
+                move |&(i, j, k, x): &(i64, i64, i64, f32),
+                      ap: &DistArray<f32>,
+                      bp: &DistArray<f32>| {
+                    let (up, vp) = by_role(space_is_users, ap, bp);
+                    sq_err_rows(up.row_slice(i), vp.row_slice(j), s_now.row_slice(k), x)
+                },
+            );
+            let loss = pool.driver.eval_pass_threaded(
+                &plan,
+                &entries,
+                &mut space_parts,
+                &mut time_parts,
+                &sq_err,
+                |space, time| {
+                    let (u_parts, v_parts) = by_role(space_is_users, space, time);
+                    let snap = CpModel {
+                        u: DistArray::merge_along_ref(0, u_parts),
+                        v: DistArray::merge_along_ref(0, v_parts),
+                        s: model.s.clone(),
+                        cfg: model.cfg.clone(),
+                    };
+                    snap.loss(&items)
+                },
+            );
+            pool.record(pass, loss);
+        }
+        let (u_parts, v_parts) = by_role(space_is_users, space_parts, time_parts);
+        model.u = DistArray::merge_along(0, u_parts);
+        model.v = DistArray::merge_along(0, v_parts);
+        Ok(model)
+    }
 }
 
 /// Analyzes the CP loop without buffering: the correct verdict is
 /// `Serial` (every 2-D pair is defeated by the third mode's dependence
 /// family). Exposed for tests and the example.
 pub fn analyze_unbuffered(data: &TensorData, cfg: &CpConfig) -> Strategy {
-    let dims = data.entries.shape().dims().to_vec();
-    let mut driver = Driver::new(ClusterSpec::serial());
-    let t_id = driver.register(&data.entries);
-    let model = CpModel::new(&dims, cfg.clone());
-    let u_id = driver.register(&model.u);
-    let v_id = driver.register(&model.v);
-    let s_id = driver.register(&model.s);
-    let items = data.items();
-    let compiled = driver
-        .parallel_for(cp_spec(t_id, u_id, v_id, s_id, dims, false), &items)
-        .expect("compiles");
+    let app = CpApp {
+        cfg: cfg.clone(),
+        buffer_s: false,
+    };
+    let (compiled, _) = app.setup(data, &mut Driver::new(ClusterSpec::serial()));
     compiled.strategy().clone()
 }
 
@@ -223,201 +396,13 @@ pub struct CpRunConfig {
     pub buffer_s: bool,
 }
 
-/// Trains CP under Orion. Without `buffer_s` the analyzer schedules the
-/// loop serially; with it, unordered 2-D over (users, items) with the
-/// small factor applied through buffers at pass boundaries.
+/// Trains CP under Orion on the simulated cluster.
 pub fn train_orion(data: &TensorData, cfg: CpConfig, run: &CpRunConfig) -> (CpModel, RunStats) {
-    let (model, stats, _) = train_orion_impl(data, cfg, run, false);
-    (model, stats)
-}
-
-/// [`train_orion`] with span tracing on: additionally returns the
-/// Perfetto-exportable session and the run report.
-pub fn train_orion_traced(
-    data: &TensorData,
-    cfg: CpConfig,
-    run: &CpRunConfig,
-) -> (CpModel, RunStats, TraceArtifacts) {
-    let (model, stats, artifacts) = train_orion_impl(data, cfg, run, true);
-    (
-        model,
-        stats,
-        artifacts.expect("traced run yields artifacts"),
-    )
-}
-
-fn train_orion_impl(
-    data: &TensorData,
-    cfg: CpConfig,
-    run: &CpRunConfig,
-    traced: bool,
-) -> (CpModel, RunStats, Option<TraceArtifacts>) {
-    let items = data.items();
-    let dims = data.entries.shape().dims().to_vec();
-    let mut model = CpModel::new(&dims, cfg);
-
-    let mut driver = Driver::new(run.cluster.clone());
-    let t_id = driver.register(&data.entries);
-    let u_id = driver.register(&model.u);
-    let v_id = driver.register(&model.v);
-    let s_id = driver.register(&model.s);
-    driver.set_served_reads_per_iter(model.cfg.rank as f64);
-    let spec = cp_spec(t_id, u_id, v_id, s_id, dims, run.buffer_s);
-    let compiled = driver.parallel_for(spec, &items).expect("compiles");
-    if run.buffer_s {
-        debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
-    } else {
-        debug_assert!(matches!(compiled.strategy(), Strategy::Serial));
-    }
-    if traced {
-        driver.enable_tracing(span_capacity(&compiled.schedule, run.passes));
-    }
-
-    let iter_ns = cost::mf_iter_ns(model.cfg.rank) * 1.5 * cost::ORION_OVERHEAD;
-    let n_workers = compiled.schedule.n_workers;
-    for pass in 0..run.passes {
-        if run.buffer_s {
-            let mut buffers: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-                .map(|_| DistArrayBuffer::additive(model.s.shape().clone()))
-                .collect();
-            driver.run_pass(&compiled, &mut |_| iter_ns, &mut |w, pos| {
-                let (idx, x) = &items[pos];
-                cp_update(&mut model, idx, *x, Some(&mut buffers[w]));
-            });
-            let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
-            driver.sync_exchange(up / n_workers.max(1) as u64, up / n_workers.max(1) as u64);
-            for buf in &mut buffers {
-                buf.apply_to(&mut model.s, |elem, delta| *elem += delta);
-            }
-        } else {
-            driver.run_pass(&compiled, &mut |_| iter_ns, &mut |_w, pos| {
-                let (idx, x) = &items[pos];
-                cp_update(&mut model, idx, *x, None);
-            });
-        }
-        driver.record_progress(pass, model.loss(&items));
-    }
-    let artifacts = traced.then(|| TraceArtifacts::collect(&driver, "orion/tensor_cp", &compiled));
-    (model, driver.finish(), artifacts)
-}
-
-/// Trains buffered CP on the real worker pool: the unordered 2-D
-/// (users, items) schedule runs on `threads` OS threads with pipelined
-/// rotation; the context factor is a shared pass-start snapshot whose
-/// gradients collect in per-worker buffers applied at pass boundaries.
-/// Bit-identical to [`train_orion`] with `buffer_s: true` on a
-/// `ClusterSpec::new(1, threads)` cluster.
-///
-/// # Panics
-///
-/// Panics if a worker thread dies.
-pub fn train_threaded(
-    data: &TensorData,
-    cfg: CpConfig,
-    threads: usize,
-    passes: u64,
-) -> (CpModel, RunStats) {
-    let items = data.items();
-    let dims = data.entries.shape().dims().to_vec();
-    let mut model = CpModel::new(&dims, cfg);
-
-    let mut driver = Driver::new(ClusterSpec::new(1, threads));
-    driver.set_threads(threads);
-    let t_id = driver.register(&data.entries);
-    let u_id = driver.register(&model.u);
-    let v_id = driver.register(&model.v);
-    let s_id = driver.register(&model.s);
-    driver.set_served_reads_per_iter(model.cfg.rank as f64);
-    let spec = cp_spec(t_id, u_id, v_id, s_id, dims, true);
-    let compiled = driver.parallel_for(spec, &items).expect("compiles");
-    debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
-    let plan = driver.compile_threaded(&compiled);
-
-    // The analyzer parallelizes over loop dims {0, 1} (the buffered
-    // context dim carries no dependence); either may be space.
-    let space_is_users = space_is_dim0(&compiled);
-    let (mut space_parts, mut time_parts) = split_by_role(&compiled, model.u, model.v);
-    let entries: Arc<Vec<(i64, i64, i64, f32)>> = Arc::new(
-        items
-            .iter()
-            .map(|(idx, x)| (idx[0], idx[1], idx[2], *x))
-            .collect(),
-    );
-    let step = model.cfg.step_size;
-    let n_workers = plan.n_workers();
-
-    for pass in 0..passes {
-        let scratch: Vec<DistArrayBuffer<f32>> = (0..n_workers)
-            .map(|_| DistArrayBuffer::additive(model.s.shape().clone()))
-            .collect();
-        let s_pass = Arc::new(model.s.clone());
-        let body = Arc::new(
-            move |&(i, j, k, x): &(i64, i64, i64, f32),
-                  ap: &mut DistArray<f32>,
-                  bp: &mut DistArray<f32>,
-                  buf: &mut DistArrayBuffer<f32>| {
-                let (up, vp) = by_role(space_is_users, ap, bp);
-                cp_update_rows(
-                    up.row_slice_mut(i),
-                    vp.row_slice_mut(j),
-                    s_pass.row_slice(k),
-                    k,
-                    x,
-                    step,
-                    buf,
-                );
-            },
-        );
-        let out = driver.run_pass_threaded(
-            &compiled.spec.name,
-            &plan,
-            &entries,
-            space_parts,
-            time_parts,
-            scratch,
-            &body,
-        );
-        space_parts = out.space;
-        time_parts = out.time;
-        let up: u64 = out.scratch.iter().map(DistArrayBuffer::payload_bytes).sum();
-        driver.sync_exchange(up / n_workers.max(1) as u64, up / n_workers.max(1) as u64);
-        for mut buf in out.scratch {
-            buf.apply_to(&mut model.s, |elem, delta| *elem += delta);
-        }
-        // The loss is read on the pool, against the partitions where
-        // they sit; validation re-reads it serially.
-        let s_now = Arc::new(model.s.clone());
-        let sq_err = Arc::new(
-            move |&(i, j, k, x): &(i64, i64, i64, f32),
-                  ap: &DistArray<f32>,
-                  bp: &DistArray<f32>| {
-                let (up, vp) = by_role(space_is_users, ap, bp);
-                sq_err_rows(up.row_slice(i), vp.row_slice(j), s_now.row_slice(k), x)
-            },
-        );
-        let loss = driver.eval_pass_threaded(
-            &plan,
-            &entries,
-            &mut space_parts,
-            &mut time_parts,
-            &sq_err,
-            |space, time| {
-                let (u_parts, v_parts) = by_role(space_is_users, space, time);
-                let snap = CpModel {
-                    u: DistArray::merge_along_ref(0, u_parts),
-                    v: DistArray::merge_along_ref(0, v_parts),
-                    s: model.s.clone(),
-                    cfg: model.cfg.clone(),
-                };
-                snap.loss(&items)
-            },
-        );
-        driver.record_progress(pass, loss);
-    }
-    let (u_parts, v_parts) = by_role(space_is_users, space_parts, time_parts);
-    model.u = DistArray::merge_along(0, u_parts);
-    model.v = DistArray::merge_along(0, v_parts);
-    (model, driver.finish())
+    let app = CpApp {
+        cfg,
+        buffer_s: run.buffer_s,
+    };
+    train(&app, data, Engine::Sim(run.cluster.clone()), run.passes)
 }
 
 #[cfg(test)]
@@ -543,34 +528,6 @@ mod tests {
             tp.as_secs_f64() < ts.as_secs_f64() * 0.6,
             "parallel {tp} should clearly beat serial {ts} at scale"
         );
-    }
-
-    #[test]
-    fn threaded_pass_equals_simulated_pass() {
-        let d = data();
-        let (threads, passes) = (3, 4);
-        let run = CpRunConfig {
-            cluster: ClusterSpec::new(1, threads),
-            passes,
-            buffer_s: true,
-        };
-        let (sim, _) = train_orion(&d, CpConfig::new(4), &run);
-        let (thr, _) = train_threaded(&d, CpConfig::new(4), threads, passes);
-        let dims = d.entries.shape().dims().to_vec();
-        for (name, a, b, n) in [
-            ("U", &sim.u, &thr.u, dims[0]),
-            ("V", &sim.v, &thr.v, dims[1]),
-            ("S", &sim.s, &thr.s, dims[2]),
-        ] {
-            for row in 0..n as i64 {
-                let (ra, rb) = (a.row_slice(row), b.row_slice(row));
-                assert_eq!(
-                    ra.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    rb.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "{name} row {row} diverged"
-                );
-            }
-        }
     }
 
     #[test]

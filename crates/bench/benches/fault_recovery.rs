@@ -8,7 +8,8 @@
 //! fault-free baseline) land in `results/BENCH_fault.json`.
 
 use orion_apps::chaos::ChaosConfig;
-use orion_apps::sgd_mf::{train_orion, train_orion_chaos, MfConfig, MfRunConfig};
+use orion_apps::run::{run, Engine, RunConfig};
+use orion_apps::sgd_mf::{train_orion, MfApp, MfConfig, MfRunConfig};
 use orion_bench::{banner, eval_cluster, fmt_secs, results_dir};
 use orion_core::{clean_checkpoints, FaultPlan, VirtualTime};
 use orion_data::{RatingsConfig, RatingsData};
@@ -23,14 +24,14 @@ fn main() {
         "checkpoint-interval sweep under a mid-run machine crash (SGD MF)",
     );
     let data = RatingsData::generate(RatingsConfig::netflix_like());
-    let run = MfRunConfig {
+    let sim = MfRunConfig {
         cluster: eval_cluster(),
         passes: PASSES,
         ordered: false,
     };
     let cfg = MfConfig::new(8);
 
-    let (_, clean_stats) = train_orion(&data, cfg.clone(), &run);
+    let (_, clean_stats) = train_orion(&data, cfg.clone(), &sim);
     let clean_wall = clean_stats.progress.last().expect("progress").time;
     println!(
         "\nfault-free baseline: {} over {PASSES} passes",
@@ -52,7 +53,10 @@ fn main() {
     let mut sweep_rows = Vec::new();
     for every in INTERVALS {
         let chaos = ChaosConfig::new(plan.clone(), every, &dir, &format!("bench_e{every}"));
-        let (_, stats, report) = train_orion_chaos(&data, cfg.clone(), &run, &chaos);
+        let mut chaos_run = RunConfig::new(Engine::Sim(sim.cluster.clone()), PASSES);
+        chaos_run.chaos = Some(chaos.clone());
+        let out = run(&MfApp::new(cfg.clone(), false), &data, &chaos_run).expect("MF recovers");
+        let (stats, report) = (out.stats, out.chaos.expect("a chaos run reports"));
         clean_checkpoints(&chaos.policy(), &["W", "H"]);
         let wall = stats.progress.last().expect("progress").time;
         let overhead = (wall.as_secs_f64() - clean_wall.as_secs_f64()) / clean_wall.as_secs_f64();

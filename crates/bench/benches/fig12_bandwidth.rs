@@ -3,7 +3,8 @@
 //! Orion. CM's aggressive proactive communication uses substantially
 //! more bandwidth than Orion's schedule-driven rotation.
 
-use orion_apps::lda::{train_orion_traced, LdaConfig, LdaPsAdapter, LdaRunConfig};
+use orion_apps::lda::{LdaApp, LdaConfig, LdaPsAdapter};
+use orion_apps::run::{run, Engine, RunConfig};
 use orion_bench::{banner, eval_cluster, write_csv, write_report};
 use orion_data::{CorpusConfig, CorpusData};
 use orion_ps::{CmConfig, PsConfig, PsEngine};
@@ -30,15 +31,14 @@ fn main() {
 
     // Traced run: the per-link histograms behind this figure also feed a
     // phase/traffic RunReport written next to the CSV.
-    let (_, orion_stats, artifacts) = train_orion_traced(
-        &corpus,
-        LdaConfig::new(k),
-        &LdaRunConfig {
-            cluster: eval_cluster(),
-            passes,
-            ordered: false,
-        },
-    );
+    let app = LdaApp {
+        cfg: LdaConfig::new(k),
+        ordered: false,
+    };
+    let mut traced = RunConfig::new(Engine::Sim(eval_cluster()), passes);
+    traced.trace = true;
+    let out = run(&app, &corpus, &traced).expect("LDA traces on the simulated engine");
+    let (orion_stats, artifacts) = (out.stats, out.trace.expect("a traced run yields artifacts"));
 
     // The traces are binned independently (each run's own horizon);
     // print side by side by bin index with each trace's own timestamps.

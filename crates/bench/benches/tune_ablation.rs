@@ -21,12 +21,13 @@
 //! `ORION_TUNE_SMOKE=1` for a fast CI run.
 
 use orion_apps::common::cost;
-use orion_apps::gbt::{self, GbtConfig};
-use orion_apps::lda::{self, LdaConfig};
-use orion_apps::sgd_mf::{self, MfConfig};
-use orion_apps::slr::{self, SlrConfig};
+use orion_apps::gbt::{GbtApp, GbtConfig};
+use orion_apps::lda::{LdaApp, LdaConfig};
+use orion_apps::run::{run, Engine, RunConfig};
+use orion_apps::sgd_mf::{MfApp, MfConfig};
+use orion_apps::slr::{SlrApp, SlrConfig};
 use orion_apps::specs::{self, AppSpec};
-use orion_apps::tensor_cp::{self, CpConfig};
+use orion_apps::tensor_cp::{CpApp, CpConfig};
 use orion_bench::{banner, results_dir};
 use orion_core::ClusterSpec;
 use orion_data::{
@@ -248,23 +249,53 @@ fn main() {
     let tensor = TensorData::generate(TensorConfig::tiny());
     let tabular = TabularData::generate(TabularConfig::tiny());
     let trees = if smoke { 2 } else { 5 };
-    let run_app = |app: &str, threads: usize| match app {
-        "sgd_mf" => wall_ms(|| {
-            sgd_mf::train_threaded(&ratings, MfConfig::new(4), threads, passes, false);
-        }),
-        "lda_gibbs" => wall_ms(|| {
-            lda::train_threaded(&corpus, LdaConfig::new(8), threads, passes, false);
-        }),
-        "slr_sgd" => wall_ms(|| {
-            slr::train_threaded(&sparse, SlrConfig::new(), threads, passes);
-        }),
-        "cp_sgd" => wall_ms(|| {
-            tensor_cp::train_threaded(&tensor, CpConfig::new(4), threads, passes);
-        }),
-        "gbt" => wall_ms(|| {
-            gbt::train_threaded(&tabular, GbtConfig::new(trees), threads);
-        }),
-        other => unreachable!("unknown app {other}"),
+    let run_app = |app: &str, threads: usize| {
+        let threaded = |passes| RunConfig::new(Engine::Threads(threads), passes);
+        wall_ms(|| match app {
+            "sgd_mf" => drop(run(
+                &MfApp::new(MfConfig::new(4), false),
+                &ratings,
+                &threaded(passes),
+            )),
+            "lda_gibbs" => {
+                let cfg = LdaConfig::new(8);
+                drop(run(
+                    &LdaApp {
+                        cfg,
+                        ordered: false,
+                    },
+                    &corpus,
+                    &threaded(passes),
+                ))
+            }
+            "slr_sgd" => {
+                let cfg = SlrConfig::new();
+                let app = SlrApp {
+                    cfg,
+                    prefetch_override: None,
+                };
+                drop(run(&app, &sparse, &threaded(passes)))
+            }
+            "cp_sgd" => {
+                let cfg = CpConfig::new(4);
+                drop(run(
+                    &CpApp {
+                        cfg,
+                        buffer_s: true,
+                    },
+                    &tensor,
+                    &threaded(passes),
+                ))
+            }
+            "gbt" => drop(run(
+                &GbtApp {
+                    cfg: GbtConfig::new(trees),
+                },
+                &tabular,
+                &threaded(trees as u64),
+            )),
+            other => unreachable!("unknown app {other}"),
+        })
     };
     println!(
         "\n{:<10} {:>9} {:>9} {:>13} {:>13}",

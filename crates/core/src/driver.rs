@@ -149,9 +149,6 @@ pub struct Driver {
     /// ([`Driver::run_pass_distributed`]); merged with the simulated
     /// network's modelled traffic in [`Driver::run_report`].
     wire_links: Vec<LinkBytes>,
-    /// Auto-tuner decision records, keyed by loop name
-    /// ([`Driver::run_pass_tuned`] re-plans once per loop).
-    tune_outcomes: HashMap<String, TuneOutcome>,
 }
 
 impl Driver {
@@ -174,7 +171,6 @@ impl Driver {
             eval_slots: None,
             math_mode: MathMode::default(),
             wire_links: Vec::new(),
-            tune_outcomes: HashMap::new(),
         }
     }
 
@@ -364,38 +360,6 @@ impl Driver {
             },
             tuned.outcome,
         )
-    }
-
-    /// [`Driver::run_pass`] behind the auto-tuner: on the first call
-    /// for a loop, calibrates and re-plans it (swapping the tuned
-    /// schedule into `compiled` in place), then runs the pass. Later
-    /// calls reuse the tuned plan — re-planning happens once per loop
-    /// name, like compilation itself.
-    ///
-    /// Tuned execution stays bit-identical per plan: the schedule is
-    /// fixed after the first call, and the same schedule always yields
-    /// the same execution order (and therefore the same results).
-    pub fn run_pass_tuned<T: Element>(
-        &mut self,
-        compiled: &mut CompiledLoop,
-        items: &[(Vec<i64>, T)],
-        cfg: &TuneConfig,
-        cost: &mut dyn FnMut(usize) -> f64,
-        body: &mut dyn FnMut(usize, usize),
-    ) -> PassStats {
-        if !self.tune_outcomes.contains_key(&compiled.spec.name) {
-            let (tuned, outcome) = self.tune_loop(compiled, items, cfg, cost);
-            *compiled = tuned;
-            self.tune_outcomes
-                .insert(compiled.spec.name.clone(), outcome);
-        }
-        self.run_pass(compiled, cost, body)
-    }
-
-    /// The auto-tuner's decision record for a loop previously run via
-    /// [`Driver::run_pass_tuned`], if any.
-    pub fn tune_outcome(&self, loop_name: &str) -> Option<&TuneOutcome> {
-        self.tune_outcomes.get(loop_name)
     }
 
     /// Feeds the pass's recorded time slots to the loop's race checker
@@ -797,18 +761,7 @@ impl Driver {
             return (stats, None);
         };
         let detected = stats.end + self.recovery_cfg.barrier_timeout;
-        for w in 0..self.executor.cluster.n_workers() {
-            self.executor.trace.record(
-                SpanCat::Fault,
-                self.executor.cluster.machine_of(w),
-                w,
-                self.executor.clocks.get(w).as_nanos(),
-                detected.as_nanos(),
-                0,
-                crash.machine as u64,
-            );
-            self.executor.clocks.wait_until(w, detected);
-        }
+        self.stall_all(SpanCat::Fault, detected, 0, crash.machine as u64);
         self.recovery.crashes += 1;
         self.recovery.fault_ns += detected.saturating_sub(stats.end).as_nanos();
         let ev = FaultEvent {
@@ -820,6 +773,18 @@ impl Driver {
         (stats, Some(ev))
     }
 
+    /// Stalls every worker until `until`, recording a `cat` span from the
+    /// worker's own clock to `until` on each.
+    fn stall_all(&mut self, cat: SpanCat, until: VirtualTime, bytes: u64, arg: u64) {
+        let ex = &mut self.executor;
+        for w in 0..ex.cluster.n_workers() {
+            let (machine, from) = (ex.cluster.machine_of(w), ex.clocks.get(w).as_nanos());
+            ex.trace
+                .record(cat, machine, w, from, until.as_nanos(), bytes, arg);
+            ex.clocks.wait_until(w, until);
+        }
+    }
+
     /// Finishes recovering from `ev` after the caller reloaded
     /// `reload_bytes` of checkpoint state: charges the machine restart
     /// delay plus checkpoint-reload disk time, records a `Recovery` span
@@ -827,18 +792,12 @@ impl Driver {
     pub fn complete_recovery(&mut self, ev: &FaultEvent, reload_bytes: u64) -> VirtualTime {
         let from = self.executor.clocks.barrier();
         let recovered = from + ev.restart_delay + self.recovery_cfg.io_time(reload_bytes);
-        for w in 0..self.executor.cluster.n_workers() {
-            self.executor.trace.record(
-                SpanCat::Recovery,
-                self.executor.cluster.machine_of(w),
-                w,
-                from.as_nanos(),
-                recovered.as_nanos(),
-                reload_bytes,
-                ev.machine as u64,
-            );
-            self.executor.clocks.wait_until(w, recovered);
-        }
+        self.stall_all(
+            SpanCat::Recovery,
+            recovered,
+            reload_bytes,
+            ev.machine as u64,
+        );
         self.executor.net.release_nics(recovered);
         self.recovery.recovery_ns += recovered.saturating_sub(from).as_nanos();
         recovered
@@ -850,18 +809,7 @@ impl Driver {
     pub fn charge_checkpoint(&mut self, bytes: u64) -> VirtualTime {
         let from = self.executor.clocks.barrier();
         let done = from + self.recovery_cfg.io_time(bytes);
-        for w in 0..self.executor.cluster.n_workers() {
-            self.executor.trace.record(
-                SpanCat::Checkpoint,
-                self.executor.cluster.machine_of(w),
-                w,
-                from.as_nanos(),
-                done.as_nanos(),
-                bytes,
-                0,
-            );
-            self.executor.clocks.wait_until(w, done);
-        }
+        self.stall_all(SpanCat::Checkpoint, done, bytes, 0);
         self.executor.net.release_nics(done);
         self.recovery.checkpoints_written += 1;
         self.recovery.checkpoint_bytes += bytes;
@@ -1050,20 +998,8 @@ mod tests {
 
     #[test]
     fn mf_loop_compiles_to_2d_unordered() {
-        let z = ratings();
         let mut d = Driver::new(ClusterSpec::new(2, 2));
-        let w: DistArray<f32> = DistArray::dense("W", vec![16, 8]);
-        let h: DistArray<f32> = DistArray::dense("H", vec![12, 8]);
-        let z_id = d.register(&z);
-        let w_id = d.register(&w);
-        let h_id = d.register(&h);
-        let spec = LoopSpec::builder("sgd_mf", z_id, vec![16, 12])
-            .read_write(w_id, vec![Subscript::loop_index(0), Subscript::Full])
-            .read_write(h_id, vec![Subscript::loop_index(1), Subscript::Full])
-            .build()
-            .unwrap();
-        let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
-        let c = d.parallel_for(spec, &items).unwrap();
+        let (c, _items) = mf_compiled(&mut d);
         assert!(matches!(
             c.strategy(),
             Strategy::TwoD { ordered: false, .. }
@@ -1091,56 +1027,33 @@ mod tests {
     }
 
     #[test]
-    fn tuned_pass_runs_under_the_sanitizer_and_records_an_outcome() {
-        let mut d = Driver::new(ClusterSpec::new(2, 2));
-        let (mut c, items) = mf_compiled(&mut d);
-        let cfg = TuneConfig::default();
-        let mut hits = vec![0u32; items.len()];
-        // Validation is on in test builds (`Driver::validate_by_default`),
-        // so every tuned pass is fed to the O100 sanitizer via the
-        // swapped-in schedule.
-        assert!(Driver::validate_by_default());
-        let stats = d.run_pass_tuned(&mut c, &items, &cfg, &mut |_| 75.0, &mut |_w, pos| {
-            hits[pos] += 1;
-        });
-        assert_eq!(stats.iterations, items.len() as u64);
-        assert!(hits.iter().all(|&h| h == 1));
-        let outcome = d.tune_outcome("sgd_mf").expect("outcome recorded");
-        assert!(outcome.candidates_evaluated >= 2);
-        assert!(outcome.chosen.measured_ns <= outcome.baseline.measured_ns);
-        // Second pass reuses the tuned plan without re-planning.
-        let before = outcome.clone();
-        d.run_pass_tuned(&mut c, &items, &cfg, &mut |_| 75.0, &mut |_w, pos| {
-            hits[pos] += 1;
-        });
-        assert_eq!(d.tune_outcome("sgd_mf"), Some(&before));
-    }
-
-    #[test]
-    fn tuned_plan_is_bit_identical_across_runs() {
+    fn tuned_loop_runs_under_the_sanitizer_and_is_bit_identical_across_runs() {
         // Same schedule => same execution order => same float results.
         let run = || {
             let mut d = Driver::new(ClusterSpec::new(2, 2));
-            let (mut c, items) = mf_compiled(&mut d);
-            let cfg = TuneConfig::default();
+            let (c, items) = mf_compiled(&mut d);
+            let (c, outcome) = d.tune_loop(&c, &items, &TuneConfig::default(), &mut |_| 75.0);
+            assert!(outcome.candidates_evaluated >= 2);
+            assert!(outcome.chosen.measured_ns <= outcome.baseline.measured_ns);
+            // Validation is on in test builds (`Driver::validate_by_default`),
+            // so every pass of the swapped-in schedule is fed to the O100
+            // sanitizer.
+            assert!(Driver::validate_by_default());
             let mut acc = vec![0.0f32; 16];
             for _ in 0..3 {
-                d.run_pass_tuned(&mut c, &items, &cfg, &mut |_| 75.0, &mut |_w, pos| {
+                let stats = d.run_pass(&c, &mut |_| 75.0, &mut |_w, pos| {
                     let (idx, v) = &items[pos];
                     acc[idx[0] as usize] += v * 0.5 + acc[idx[0] as usize] * 1e-3;
                 });
+                assert_eq!(stats.iterations, items.len() as u64);
             }
-            (acc, c.schedule.n_workers, c.plan.strategy.clone())
+            (acc, c.schedule.n_workers, c.plan.strategy.clone(), outcome)
         };
-        let (a, wa, sa) = run();
-        let (b, wb, sb) = run();
-        assert_eq!(a, b);
-        assert_eq!(wa, wb);
-        assert_eq!(sa, sb);
+        assert_eq!(run(), run());
     }
 
     #[test]
-    fn run_pass_executes_and_advances_time() {
+    fn run_pass_executes_advances_time_and_reports_untraced() {
         let z = ratings();
         let mut d = Driver::new(ClusterSpec::new(2, 2));
         let z_id = d.register(&z);
@@ -1161,6 +1074,12 @@ mod tests {
         let total: f32 = a.iter().map(|(_, &v)| v).sum();
         let expect: f32 = items.iter().map(|(_, v)| v).sum();
         assert_eq!(total, expect);
+        // Untraced: no spans are recorded, but the report still carries
+        // traffic and load.
+        let report = d.run_report(&c);
+        assert!(report.wall_ns > 0);
+        assert_eq!(report.load.per_worker_items.iter().sum::<u64>(), 48);
+        assert!(d.trace_session("x").spans.is_empty());
     }
 
     #[test]
@@ -1175,20 +1094,8 @@ mod tests {
 
     #[test]
     fn traced_run_yields_coverage_and_report() {
-        let z = ratings();
         let mut d = Driver::new(ClusterSpec::new(2, 2));
-        let z_id = d.register(&z);
-        let w: DistArray<f32> = DistArray::dense("W", vec![16, 8]);
-        let h: DistArray<f32> = DistArray::dense("H", vec![12, 8]);
-        let w_id = d.register(&w);
-        let h_id = d.register(&h);
-        let spec = LoopSpec::builder("sgd_mf", z_id, vec![16, 12])
-            .read_write(w_id, vec![Subscript::loop_index(0), Subscript::Full])
-            .read_write(h_id, vec![Subscript::loop_index(1), Subscript::Full])
-            .build()
-            .unwrap();
-        let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
-        let c = d.parallel_for(spec, &items).unwrap();
+        let (c, _items) = mf_compiled(&mut d);
         d.enable_tracing(1024);
         assert!(d.tracing_enabled());
         for _ in 0..2 {
@@ -1210,41 +1117,6 @@ mod tests {
         assert_eq!(report.load.per_worker_items.iter().sum::<u64>(), 48);
         // Rotated placement attributes bytes to W or H.
         assert!(!report.bytes_by_array.is_empty());
-    }
-
-    #[test]
-    fn untraced_report_still_carries_traffic_and_load() {
-        let z = ratings();
-        let mut d = Driver::new(ClusterSpec::new(2, 2));
-        let z_id = d.register(&z);
-        let mut a: DistArray<f32> = DistArray::dense("a", vec![16, 1]);
-        let a_id = d.register(&a);
-        let spec = LoopSpec::builder("agg", z_id, vec![16, 12])
-            .read_write(a_id, vec![Subscript::loop_index(0), Subscript::Constant(0)])
-            .build()
-            .unwrap();
-        let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
-        let c = d.parallel_for(spec, &items).unwrap();
-        d.run_pass(&c, &mut |_| 50.0, &mut |_, pos| {
-            let (idx, v) = &items[pos];
-            a.update(&[idx[0], 0], |x| *x += v);
-        });
-        let report = d.run_report(&c);
-        assert!(report.wall_ns > 0);
-        assert_eq!(report.load.per_worker_items.iter().sum::<u64>(), 48);
-        // No spans recorded: coverage is 0 but traffic/load still report.
-        assert!(d.trace_session("x").spans.is_empty());
-    }
-
-    #[test]
-    fn validation_is_on_by_default_in_tests() {
-        // Tests build with debug assertions, so every driver-executed
-        // schedule in the suite runs under the race sanitizer.
-        assert!(Driver::validate_by_default());
-        let mut d = Driver::new(ClusterSpec::serial());
-        assert!(d.validating());
-        d.set_validate(false);
-        assert!(!d.validating());
     }
 
     #[test]
@@ -1338,21 +1210,9 @@ mod tests {
 
     #[test]
     fn sanitizer_stays_quiet_on_compiled_schedules() {
-        let z = ratings();
         let mut d = Driver::new(ClusterSpec::new(2, 2));
         assert!(d.validating());
-        let w: DistArray<f32> = DistArray::dense("W", vec![16, 8]);
-        let h: DistArray<f32> = DistArray::dense("H", vec![12, 8]);
-        let z_id = d.register(&z);
-        let w_id = d.register(&w);
-        let h_id = d.register(&h);
-        let spec = LoopSpec::builder("sgd_mf", z_id, vec![16, 12])
-            .read_write(w_id, vec![Subscript::loop_index(0), Subscript::Full])
-            .read_write(h_id, vec![Subscript::loop_index(1), Subscript::Full])
-            .build()
-            .unwrap();
-        let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
-        let c = d.parallel_for(spec, &items).unwrap();
+        let (c, _items) = mf_compiled(&mut d);
         for _ in 0..3 {
             d.run_pass(&c, &mut |_| 10.0, &mut |_, _| {});
         }

@@ -16,11 +16,19 @@
 //!    2D unordered / unimodular-transformed / serial), chooses array
 //!    placements and prefetch plans, and compiles a distributed
 //!    computation schedule;
-//! 4. runs passes with [`Driver::run_pass`]: the real algorithm executes
+//! 4. optionally re-plans the compiled loop once from measured costs
+//!    with [`Driver::tune_loop`];
+//! 5. runs passes with [`Driver::run_pass`]: the real algorithm executes
 //!    in schedule order while a cluster simulation accounts time and
-//!    network traffic.
+//!    network traffic — or on real cores with
+//!    [`Driver::run_pass_threaded`] / [`Driver::run_pass_threaded_one_d`],
+//!    or on a TCP cluster with [`Driver::run_pass_distributed`].
 //!
-//! See the `examples/` directory for complete programs (SGD matrix
+//! The packaged applications do not call these one by one: each is one
+//! `orion_apps::run::App` impl, and `orion_apps::run::run(app, data,
+//! &RunConfig)` owns the driver — engine, tracing, tuning and chaos
+//! recovery are fields of the config, not separate trainers. See the
+//! `examples/` directory for complete programs (SGD matrix
 //! factorization, LDA topic modeling, sparse logistic regression,
 //! gradient boosted trees).
 

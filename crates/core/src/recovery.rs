@@ -6,7 +6,7 @@
 //! checkpoint, re-executing the passes since. These types carry the
 //! policy knobs and the accounting; the driver methods
 //! (`run_pass_checked`, `complete_recovery`, `charge_checkpoint`) do the
-//! virtual-time charging, and `orion_apps::chaos` owns the loop.
+//! virtual-time charging, and `orion_apps::run` owns the loop.
 
 use std::path::{Path, PathBuf};
 

@@ -28,9 +28,11 @@
 //! schedule always produces bit-identical training results because the
 //! runtime's execution order is a pure function of the schedule.
 //!
-//! The user-facing entry points are `Driver::run_pass_tuned` and
-//! `Driver::tune_loop` in `orion-core`; this crate also exposes the raw
-//! pieces for benchmarks and tests.
+//! The user-facing entry points are `Driver::tune_loop` in `orion-core`
+//! (re-plan a compiled loop once, right after `parallel_for`) and
+//! `RunConfig::tune` in `orion-apps`, which makes that call for any
+//! application that supports it; this crate also exposes the raw pieces
+//! for benchmarks and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -340,8 +340,8 @@ fn replan_diagnostic(
     ))
     .with_help(
         "the tuned schedule passed the O100 sanitizer and the happens-before \
-         checker; drop the tuner (run_pass instead of run_pass_tuned) to keep \
-         the static plan",
+         checker; skip the tuner (run the loop parallel_for compiled, not \
+         the one tune_loop returns) to keep the static plan",
     )
 }
 

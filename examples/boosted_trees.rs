@@ -5,44 +5,19 @@
 //!
 //! Pass `--trace out.json` to dump a Perfetto-loadable phase trace of
 //! the split-finding passes (see `docs/OBSERVABILITY.md`). Pass
-//! `--threads N` to size the real multi-core run (default: available
-//! parallelism).
+//! `--engine sim|threads` to run only that engine (`--threads N` alone
+//! selects the thread pool and sizes it; default: available parallelism).
 
-use orion::apps::gbt::{train_orion, train_orion_traced, train_threaded, GbtConfig, GbtRunConfig};
-use orion::core::{default_threads, ClusterSpec};
+mod common;
+
+use common::EngineKind;
+use orion::apps::gbt::{GbtApp, GbtConfig, Node};
+use orion::apps::run::Engine;
+use orion::core::ClusterSpec;
 use orion::data::{TabularConfig, TabularData};
-use orion::trace::write_perfetto;
-
-/// `--trace <path>` from argv.
-fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
-/// `--threads N` from argv: worker threads for the real multi-core run
-/// (default: available parallelism).
-fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return Some(
-                args.next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads takes a positive integer"),
-            );
-        }
-    }
-    None
-}
 
 fn main() {
-    let trace_path = trace_arg();
+    let args = common::parse("boosted_trees", &["--engine", "--threads", "--trace"]);
     let data = TabularData::generate(TabularConfig::bench());
     println!(
         "dataset: {} samples × {} features, target variance {:.3}",
@@ -51,49 +26,60 @@ fn main() {
         data.target_variance()
     );
 
-    let cfg = GbtConfig::new(20);
-    let run = GbtRunConfig {
-        cluster: ClusterSpec::new(4, 5),
+    let app = GbtApp {
+        cfg: GbtConfig::new(20),
     };
-    let (model, stats) = if let Some(path) = &trace_path {
-        let (model, stats, artifacts) = train_orion_traced(&data, cfg, &run);
-        let file = std::fs::File::create(path).expect("create trace file");
-        let mut w = std::io::BufWriter::new(file);
-        write_perfetto(&mut w, &[artifacts.session.view()]).expect("write trace");
-        println!("\n{}", artifacts.report.render());
-        println!("wrote Perfetto trace to {}", path.display());
-        (model, stats)
-    } else {
-        train_orion(&data, cfg, &run)
-    };
-
-    println!("\n{:>5}  {:>10}  {:>12}", "tree", "MSE", "virtual t");
-    for p in stats.progress.iter().step_by(2) {
-        println!("{:>5}  {:>10.4}  {:>12}", p.iteration, p.metric, p.time);
+    let rounds = app.cfg.n_trees as u64;
+    if args.runs(EngineKind::Net) {
+        // No node side yet: reports the typed error.
+        let run = args.run_config(args.net_engine(rounds, "gbt"), rounds, "gbt");
+        common::run_or_exit(&app, &data, &run);
     }
-    println!(
-        "\nensemble of {} trees, final MSE {:.4} ({}x below target variance)",
-        model.trees.len(),
-        model.mse(&data),
-        (data.target_variance() / model.mse(&data)) as u64
-    );
+    let mut sessions = Vec::new();
+    let mut sim_model = None;
+    if args.runs(EngineKind::Sim) {
+        let run = args.run_config(Engine::Sim(ClusterSpec::new(4, 5)), rounds, "gbt");
+        let out = common::run_or_exit(&app, &data, &run);
+        if let Some(artifacts) = out.trace {
+            println!("\n{}", artifacts.report.render());
+            sessions.push(artifacts.session);
+        }
+        let model = sim_model.insert(out.model);
 
-    // ---- The real multi-core execution path: per-feature split
-    // finding fanned out across a persistent pool of OS threads; the
-    // ensemble is identical to the simulated engine's. ----
-    let threads = threads_arg().unwrap_or_else(default_threads);
-    let wall_start = std::time::Instant::now();
-    let (thr_model, _) = train_threaded(&data, GbtConfig::new(20), threads);
-    let wall = wall_start.elapsed();
-    println!(
-        "\nthreaded engine ({threads} worker thread(s)): real wall-clock {:.1} ms, \
-         final MSE {:.4}",
-        wall.as_secs_f64() * 1e3,
-        thr_model.mse(&data),
-    );
+        println!("\n{:>5}  {:>10}  {:>12}", "tree", "MSE", "virtual t");
+        for p in out.stats.progress.iter().step_by(2) {
+            println!("{:>5}  {:>10.4}  {:>12}", p.iteration, p.metric, p.time);
+        }
+        println!(
+            "\nensemble of {} trees, final MSE {:.4} ({}x below target variance)",
+            model.trees.len(),
+            model.mse(&data),
+            (data.target_variance() / model.mse(&data)) as u64
+        );
+    }
+
+    if args.runs(EngineKind::Threads) {
+        // ---- The real multi-core execution path: per-feature split
+        // finding fanned out across a persistent pool of OS threads; the
+        // ensemble is identical to the simulated engine's. ----
+        let wall_start = std::time::Instant::now();
+        let out = common::run_or_exit(&app, &data, &args.threads_config(rounds, "gbt"));
+        let wall = wall_start.elapsed();
+        println!(
+            "\nthreaded engine ({} worker thread(s)): real wall-clock {:.1} ms, \
+             final MSE {:.4}",
+            args.threads(),
+            wall.as_secs_f64() * 1e3,
+            out.model.mse(&data),
+        );
+        sessions.extend(out.trace.map(|artifacts| artifacts.session));
+        sim_model.get_or_insert(out.model);
+    }
+    args.write_trace(&sessions, "");
 
     // Inspect the first tree's root split.
-    if let orion::apps::gbt::Node::Split {
+    let model = sim_model.expect("an in-process engine ran");
+    if let Node::Split {
         feature, threshold, ..
     } = &model.trees[0].nodes[0]
     {

@@ -13,108 +13,42 @@
 //! calibration passes fit the cost model from measurements, candidate
 //! plans are re-measured, and the `O020` re-plan decision is printed —
 //! see `docs/TUNING.md`.
+//!
+//! `--engine sim|threads|net` runs only that engine's section
+//! (`--threads N` / `--nodes N` alone select theirs; `--nodes N` trains
+//! on a localhost TCP cluster, see `docs/DISTRIBUTED.md`); `--fault-plan
+//! <path>` trains under scripted faults (`docs/FAULTS.md`). Every flag
+//! maps onto one `RunConfig` — see `examples/common/mod.rs`.
 
-use orion::apps::chaos::ChaosConfig;
-use orion::apps::distributed::{maybe_node, run_as_node, train_mf_distributed, DistOptions};
-use orion::apps::sgd_mf::{
-    train_orion, train_orion_chaos, train_orion_chaos_traced, train_orion_traced,
-    train_orion_tuned, train_serial, train_threaded, train_threaded_traced, MfConfig, MfPsAdapter,
-    MfRunConfig,
-};
-use orion::core::{clean_checkpoints, default_threads, ClusterSpec, FaultPlan, TuneConfig};
+mod common;
+
+use common::EngineKind;
+use orion::apps::distributed::maybe_node;
+use orion::apps::run::Engine;
+use orion::apps::sgd_mf::{train_orion, train_serial, MfApp, MfConfig, MfPsAdapter, MfRunConfig};
+use orion::core::{clean_checkpoints, ClusterSpec};
 use orion::data::{RatingsConfig, RatingsData};
 use orion::ps::{PsConfig, PsEngine};
-use orion::trace::write_perfetto;
 use orion::tune::fmt_ns;
-
-/// `--trace <path>` from argv.
-fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
-/// `--threads N` from argv: worker threads for the real multi-core run
-/// (default: available parallelism).
-fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return Some(
-                args.next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads takes a positive integer"),
-            );
-        }
-    }
-    None
-}
-
-/// `--autotune` from argv: run the profile-guided adaptive planner
-/// (calibrate, re-plan, report the O020 decision) instead of the static
-/// comparison — see `docs/TUNING.md`.
-fn autotune_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--autotune")
-}
-
-/// `--nodes N` from argv: run the multi-process distributed demo on a
-/// localhost TCP cluster of N node processes (see `docs/DISTRIBUTED.md`)
-/// instead of the simulated comparison.
-fn nodes_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--nodes" {
-            return Some(
-                args.next()
-                    .expect("--nodes needs a count")
-                    .parse()
-                    .expect("--nodes takes a positive integer"),
-            );
-        }
-    }
-    None
-}
-
-/// `--coordinator ADDR` from argv: join an existing cluster as a node
-/// process (normally only spawned internally by the coordinator).
-fn coordinator_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--coordinator" {
-            return Some(args.next().expect("--coordinator needs host:port"));
-        }
-    }
-    None
-}
-
-/// `--fault-plan <path>` from argv: a scripted fault plan (see
-/// `docs/FAULTS.md` for the format) applied to the Orion run with
-/// checkpoint-every-2 recovery.
-fn fault_plan_arg() -> Option<FaultPlan> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--fault-plan" {
-            let p = args.next().expect("--fault-plan needs a file path");
-            return Some(FaultPlan::from_file(&p).expect("fault plan parses"));
-        }
-    }
-    None
-}
 
 fn main() {
     // Distributed-run plumbing: children re-execute this binary with
     // ORION_NET_ROLE=node and must divert before any other work.
     maybe_node();
-    if let Some(addr) = coordinator_arg() {
-        run_as_node(&addr);
-    }
+    let args = common::parse(
+        "matrix_factorization",
+        &[
+            "--engine",
+            "--threads",
+            "--nodes",
+            "--trace",
+            "--fault-plan",
+            "--autotune",
+            "--coordinator",
+        ],
+    );
 
-    let trace_path = trace_arg();
+    let trace_path = args.trace();
     let data = RatingsData::generate(RatingsConfig {
         n_users: 400,
         n_items: 320,
@@ -127,17 +61,21 @@ fn main() {
     let passes = 10u64;
     let cfg = MfConfig::new(16);
     let cluster = ClusterSpec::new(8, 4);
+    let app = MfApp::new(cfg.clone(), false);
 
-    if let Some(nodes) = nodes_arg() {
+    if args.runs(EngineKind::Net) {
         // The multi-process path: one OS process per node, partitions
         // rotating over localhost TCP, sim as conformance oracle.
-        let dir = std::env::temp_dir().join(format!("orion_mf_dist_{}", std::process::id()));
-        let mut opts = DistOptions::new(nodes, passes, &dir);
-        opts.run_id = "mf_example".into();
+        let nodes = args.nodes();
+        let run = args.run_config(args.net_engine(passes, "mf_example"), passes, "mf");
         println!("training SGD MF on a {nodes}-process localhost cluster, {passes} epochs\n");
-        let out = train_mf_distributed(&data, cfg.clone(), false, &opts)
-            .expect("distributed run completes");
-        for e in &out.epochs {
+        let out = common::run_or_exit(&app, &data, &run);
+        for e in &out
+            .net
+            .as_ref()
+            .expect("a Net run reports its epochs")
+            .epochs
+        {
             let rotated: u64 = e
                 .links
                 .iter()
@@ -165,173 +103,139 @@ fn main() {
             out.stats.final_metric().unwrap(),
             sim_model.w == out.model.w && sim_model.h == out.model.h,
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(args.scratch_dir("mf_example"));
         return;
     }
 
-    if autotune_arg() {
-        // Profile-guided adaptive planning: short seeded calibration
-        // passes fit measured compute/bandwidth/skew into the cost
-        // model, candidate plans are re-measured, the winner runs.
-        println!(
-            "auto-tuning SGD MF ({} ratings, {passes} passes)\n",
-            data.nnz()
+    let mut sessions = Vec::new();
+    let mut sim_report = None;
+    if args.runs(EngineKind::Sim) {
+        let run = args.run_config(Engine::Sim(cluster.clone()), passes, "mf");
+        if args.autotune() {
+            println!(
+                "auto-tuning SGD MF ({} ratings, {passes} passes)\n",
+                data.nnz()
+            );
+        } else {
+            println!(
+                "training SGD MF, rank 16, {} ratings, {} passes\n",
+                data.nnz(),
+                passes
+            );
+        }
+        let out = common::run_or_exit(&app, &data, &run);
+        if let Some(report) = out.chaos {
+            clean_checkpoints(&run.chaos.as_ref().unwrap().policy(), &["W", "H"]);
+            println!(
+                "fault plan: {} crash(es) recovered, {} pass(es) re-executed, \
+                 {} checkpoint(s), {:.3}s virtual fault-handling overhead\n",
+                report.crashes_recovered,
+                report.passes_reexecuted,
+                report.checkpoints_written,
+                report.overhead_ns() as f64 / 1e9,
+            );
+        }
+        if let Some(artifacts) = out.trace {
+            sessions.push(artifacts.session);
+            sim_report = Some(artifacts.report);
+        }
+        if let Some(outcome) = out.tune {
+            // Profile-guided adaptive planning: short seeded calibration
+            // passes fit measured compute/bandwidth/skew into the cost
+            // model, candidate plans are re-measured, the winner runs.
+            for d in &outcome.diagnostics {
+                println!("{}", d.render());
+            }
+            println!(
+                "static plan:  {} — measured {}/pass",
+                outcome.baseline.label,
+                fmt_ns(outcome.baseline.measured_ns)
+            );
+            println!(
+                "tuned plan:   {} — measured {}/pass ({} candidate(s) evaluated)",
+                outcome.chosen.label,
+                fmt_ns(outcome.chosen.measured_ns),
+                outcome.candidates_evaluated,
+            );
+            println!(
+                "re-planned: {}; final loss {:.1}; virtual time {}",
+                outcome.replanned,
+                out.stats.final_metric().unwrap(),
+                out.stats.progress.last().unwrap().time,
+            );
+            return;
+        }
+        let orion_stats = out.stats;
+        let (_, serial) = train_serial(&data, cfg.clone(), passes);
+
+        // The data-parallel baseline gets its own tuned (smaller) step size,
+        // the largest that stays stable under conflicting updates.
+        let mut ps = PsEngine::new(
+            MfPsAdapter::new(&data, cfg.clone()),
+            PsConfig::vanilla(cluster, 0.02),
         );
-        let run = MfRunConfig {
-            cluster,
-            passes,
-            ordered: false,
+        if trace_path.is_some() {
+            // Generous capacity: a handful of spans per (worker, round, pass).
+            ps.enable_tracing(8 * 32 * passes as usize * 64);
+        }
+        for _ in 0..passes {
+            ps.run_pass();
+        }
+        let ps_stats = if trace_path.is_some() {
+            let (stats, session) = ps.finish_traced("bosen/sgd_mf");
+            sessions.push(session);
+            stats
+        } else {
+            ps.finish()
         };
-        let (_, stats, outcome) = train_orion_tuned(&data, cfg, &run, &TuneConfig::default());
-        for d in &outcome.diagnostics {
-            println!("{}", d.render());
+
+        println!(
+            "{:>4}  {:>14}  {:>22}  {:>16}",
+            "pass", "serial", "Orion (dep-aware)", "data parallelism"
+        );
+        for p in 0..passes as usize {
+            println!(
+                "{:>4}  {:>14.1}  {:>22.1}  {:>16.1}",
+                p,
+                serial.progress[p].metric,
+                orion_stats.progress[p].metric,
+                ps_stats.progress[p].metric
+            );
         }
         println!(
-            "static plan:  {} — measured {}/pass",
-            outcome.baseline.label,
-            fmt_ns(outcome.baseline.measured_ns)
+            "\nOrion matches serial convergence per pass while running on 32 workers;\n\
+             data parallelism needs many more passes for the same loss (paper Fig. 9b)."
         );
         println!(
-            "tuned plan:   {} — measured {}/pass ({} candidate(s) evaluated)",
-            outcome.chosen.label,
-            fmt_ns(outcome.chosen.measured_ns),
-            outcome.candidates_evaluated,
+            "virtual time for {passes} passes: serial {}, Orion {}",
+            serial.progress.last().unwrap().time,
+            orion_stats.progress.last().unwrap().time,
         );
+    }
+
+    if args.runs(EngineKind::Threads) {
+        // ---- The real multi-core execution path: the same schedule on a
+        // persistent pool of OS threads, bit-identical to the simulated
+        // engine, with Compute/Rotation spans from the actual threads. ----
+        let run = args.threads_config(passes, "mf");
+        let wall_start = std::time::Instant::now();
+        let out = common::run_or_exit(&app, &data, &run);
+        let wall = wall_start.elapsed();
         println!(
-            "re-planned: {}; final loss {:.1}; virtual time {}",
-            outcome.replanned,
-            stats.final_metric().unwrap(),
-            stats.progress.last().unwrap().time,
+            "threaded engine ({} worker thread(s)): real wall-clock {:.1} ms \
+             for {passes} passes, final loss {:.1}",
+            args.threads(),
+            wall.as_secs_f64() * 1e3,
+            out.stats.final_metric().unwrap(),
         );
-        return;
+        sessions.extend(out.trace.map(|artifacts| artifacts.session));
     }
 
-    println!(
-        "training SGD MF, rank 16, {} ratings, {} passes\n",
-        data.nnz(),
-        passes
-    );
-
-    let (_, serial) = train_serial(&data, cfg.clone(), passes);
-    let run = MfRunConfig {
-        cluster: cluster.clone(),
-        passes,
-        ordered: false,
-    };
-    let fault_plan = fault_plan_arg();
-    let (orion_stats, orion_trace) = if let Some(plan) = fault_plan {
-        let dir = std::env::temp_dir().join(format!("orion_mf_example_{}", std::process::id()));
-        let chaos = ChaosConfig::new(plan, 2, &dir, "mf");
-        let (stats, report, artifacts) = if trace_path.is_some() {
-            let (_, stats, report, artifacts) =
-                train_orion_chaos_traced(&data, cfg.clone(), &run, &chaos);
-            (stats, report, Some(artifacts))
-        } else {
-            let (_, stats, report) = train_orion_chaos(&data, cfg.clone(), &run, &chaos);
-            (stats, report, None)
-        };
-        clean_checkpoints(&chaos.policy(), &["W", "H"]);
-        println!(
-            "fault plan: {} crash(es) recovered, {} pass(es) re-executed, \
-             {} checkpoint(s), {:.3}s virtual fault-handling overhead\n",
-            report.crashes_recovered,
-            report.passes_reexecuted,
-            report.checkpoints_written,
-            report.overhead_ns() as f64 / 1e9,
-        );
-        (stats, artifacts)
-    } else if trace_path.is_some() {
-        let (_, stats, artifacts) = train_orion_traced(&data, cfg.clone(), &run);
-        (stats, Some(artifacts))
-    } else {
-        let (_, stats) = train_orion(&data, cfg.clone(), &run);
-        (stats, None)
-    };
-
-    // The data-parallel baseline gets its own tuned (smaller) step size,
-    // the largest that stays stable under conflicting updates.
-    let mut ps = PsEngine::new(
-        MfPsAdapter::new(&data, cfg.clone()),
-        PsConfig::vanilla(cluster, 0.02),
-    );
-    if trace_path.is_some() {
-        // Generous capacity: a handful of spans per (worker, round, pass).
-        ps.enable_tracing(8 * 32 * passes as usize * 64);
-    }
-    for _ in 0..passes {
-        ps.run_pass();
-    }
-    let (ps_stats, ps_trace) = if trace_path.is_some() {
-        let (stats, session) = ps.finish_traced("bosen/sgd_mf");
-        (stats, Some(session))
-    } else {
-        (ps.finish(), None)
-    };
-
-    println!(
-        "{:>4}  {:>14}  {:>22}  {:>16}",
-        "pass", "serial", "Orion (dep-aware)", "data parallelism"
-    );
-    for p in 0..passes as usize {
-        println!(
-            "{:>4}  {:>14.1}  {:>22.1}  {:>16.1}",
-            p,
-            serial.progress[p].metric,
-            orion_stats.progress[p].metric,
-            ps_stats.progress[p].metric
-        );
-    }
-    println!(
-        "\nOrion matches serial convergence per pass while running on 32 workers;\n\
-         data parallelism needs many more passes for the same loss (paper Fig. 9b)."
-    );
-    println!(
-        "virtual time for {passes} passes: serial {}, Orion {}",
-        serial.progress.last().unwrap().time,
-        orion_stats.progress.last().unwrap().time,
-    );
-
-    // ---- The real multi-core execution path: the same schedule on a
-    // persistent pool of OS threads, bit-identical to the simulated
-    // engine, with Compute/Rotation spans from the actual threads. ----
-    let threads = threads_arg().unwrap_or_else(default_threads);
-    let wall_start = std::time::Instant::now();
-    let (thr_stats, thr_trace) = if trace_path.is_some() {
-        let (_, stats, artifacts) = train_threaded_traced(&data, cfg, threads, passes, false);
-        (stats, Some(artifacts))
-    } else {
-        let (_, stats) = train_threaded(&data, cfg, threads, passes, false);
-        (stats, None)
-    };
-    let wall = wall_start.elapsed();
-    println!(
-        "threaded engine ({threads} worker thread(s)): real wall-clock {:.1} ms \
-         for {passes} passes, final loss {:.1}",
-        wall.as_secs_f64() * 1e3,
-        thr_stats.final_metric().unwrap(),
-    );
-
-    if let (Some(path), Some(artifacts), Some(ps_session), Some(thr)) =
-        (trace_path, orion_trace, ps_trace, thr_trace)
-    {
-        let file = std::fs::File::create(&path).expect("create trace file");
-        let mut w = std::io::BufWriter::new(file);
-        write_perfetto(
-            &mut w,
-            &[
-                artifacts.session.view(),
-                ps_session.view(),
-                thr.session.view(),
-            ],
-        )
-        .expect("write trace");
+    if let (Some(path), Some(report)) = (&trace_path, &sim_report) {
         let report_path = format!("{}.report.json", path.display());
-        std::fs::write(&report_path, artifacts.report.to_json()).expect("write report");
-        println!("\n{}", artifacts.report.render());
-        println!(
-            "wrote Perfetto trace to {} (load at https://ui.perfetto.dev)\n\
-             wrote run report to {report_path}",
-            path.display()
-        );
+        std::fs::write(&report_path, report.to_json()).expect("write report");
+        println!("\n{}", report.render());
+        println!("wrote run report to {report_path}");
     }
+    args.write_trace(&sessions, " (load at https://ui.perfetto.dev)");
 }

@@ -12,6 +12,8 @@
 //!   Perfetto-loadable trace, plus a run report with latency
 //!   percentiles at `out.json.report.json` (see `docs/SERVING.md`).
 
+mod common;
+
 use orion::apps::serve::{MfAnswer, MfQuery, MfServe};
 use orion::apps::sgd_mf::{train_orion, MfConfig, MfRunConfig};
 use orion::core::ClusterSpec;
@@ -19,24 +21,11 @@ use orion::data::{RatingsConfig, RatingsData};
 use orion::serve::{EngineConfig, Request, ServeEngine, TrafficConfig};
 use orion::trace::{write_perfetto, SessionView, Tracer};
 
-fn flag_value(name: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
 fn main() {
-    let shards: usize = flag_value("--shards")
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
-        .unwrap_or(4);
-    let n_requests: usize = flag_value("--requests")
-        .map(|v| v.parse().expect("--requests takes a positive integer"))
-        .unwrap_or(5000);
-    let trace_path: Option<std::path::PathBuf> = flag_value("--trace").map(Into::into);
+    let args = common::parse("model_serving", &["--shards", "--requests", "--trace"]);
+    let shards = args.count("--shards").unwrap_or(4);
+    let n_requests = args.count("--requests").unwrap_or(5000);
+    let trace_path = args.trace();
 
     // 1. Train: a small Netflix-like MF model via Orion's automatic
     //    parallelization.

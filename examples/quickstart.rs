@@ -9,23 +9,14 @@
 //! Pass `--trace out.json` to dump a Perfetto-loadable phase trace of
 //! the run (see `docs/OBSERVABILITY.md`).
 
+mod common;
+
 use orion::core::{ClusterSpec, DistArray, Driver, LoopSpec, Subscript};
 use orion::data::{RatingsConfig, RatingsData};
-use orion::trace::write_perfetto;
-
-/// `--trace <path>` from argv.
-fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
 
 fn main() {
-    let trace_path = trace_arg();
+    let args = common::parse("quickstart", &["--trace"]);
+    let trace_path = args.trace();
     // A seeded synthetic ratings matrix (users × items).
     let data = RatingsData::generate(RatingsConfig::tiny());
     let dims = data.ratings.shape().dims().to_vec();
@@ -91,13 +82,10 @@ fn main() {
         println!("pass {pass:2}  loss {loss:10.3}  t={}", driver.now());
     }
 
-    let stats = if let Some(path) = trace_path {
+    let stats = if trace_path.is_some() {
         let (stats, session, report) = driver.finish_traced("orion/quickstart", &compiled);
-        let file = std::fs::File::create(&path).expect("create trace file");
-        let mut w = std::io::BufWriter::new(file);
-        write_perfetto(&mut w, &[session.view()]).expect("write trace");
         println!("\n{}", report.render());
-        println!("wrote Perfetto trace to {}", path.display());
+        args.write_trace(&[session], "");
         stats
     } else {
         driver.finish()

@@ -13,113 +13,40 @@
 //! from measurements instead: it discovers that caching the recorded
 //! indices is strictly cheaper and reports the `O020` re-plan decision
 //! (see `docs/TUNING.md`).
+//!
+//! `--engine sim|threads|net` runs only that engine's section
+//! (`--threads N` / `--nodes N` alone select theirs); `--fault-plan
+//! <path>` applies scripted faults to every prefetch regime and composes
+//! with `--trace`. Every flag maps onto one `RunConfig` — see
+//! `examples/common/mod.rs`.
 
-use orion::apps::chaos::ChaosConfig;
-use orion::apps::distributed::{maybe_node, run_as_node, train_slr_distributed, DistOptions};
-use orion::apps::slr::{
-    train_orion, train_orion_chaos, train_orion_traced, train_orion_tuned, train_threaded,
-    train_threaded_traced, SlrConfig, SlrRunConfig,
-};
-use orion::core::{
-    clean_checkpoints, default_threads, ClusterSpec, FaultPlan, PrefetchMode, TuneConfig,
-};
+mod common;
+
+use common::EngineKind;
+use orion::apps::distributed::maybe_node;
+use orion::apps::run::Engine;
+use orion::apps::slr::{train_orion, SlrApp, SlrConfig, SlrRunConfig};
+use orion::core::{clean_checkpoints, ClusterSpec, PrefetchMode};
 use orion::data::{SparseConfig, SparseData};
-use orion::trace::write_perfetto;
 use orion::tune::fmt_ns;
-
-/// `--trace <path>` from argv.
-fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
-/// `--threads N` from argv: worker threads for the real multi-core run
-/// (default: available parallelism).
-fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return Some(
-                args.next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads takes a positive integer"),
-            );
-        }
-    }
-    None
-}
-
-/// `--autotune` from argv: run the profile-guided adaptive planner
-/// (calibrate, re-plan, report the O020 decision) instead of the static
-/// regime sweep — see `docs/TUNING.md`.
-fn autotune_arg() -> bool {
-    std::env::args().skip(1).any(|a| a == "--autotune")
-}
-
-/// `--nodes N` from argv: run the multi-process distributed demo on a
-/// localhost TCP cluster of N stateless worker processes with the
-/// coordinator serving the weights (see `docs/DISTRIBUTED.md`).
-fn nodes_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--nodes" {
-            return Some(
-                args.next()
-                    .expect("--nodes needs a count")
-                    .parse()
-                    .expect("--nodes takes a positive integer"),
-            );
-        }
-    }
-    None
-}
-
-/// `--coordinator ADDR` from argv: join an existing cluster as a node
-/// process (normally only spawned internally by the coordinator).
-fn coordinator_arg() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--coordinator" {
-            return Some(args.next().expect("--coordinator needs host:port"));
-        }
-    }
-    None
-}
-
-/// `--fault-plan <path>` from argv: scripted faults (see
-/// `docs/FAULTS.md`) applied to every prefetch regime with
-/// checkpoint-every-2 recovery. Mutually exclusive with `--trace`.
-fn fault_plan_arg() -> Option<FaultPlan> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--fault-plan" {
-            let p = args.next().expect("--fault-plan needs a file path");
-            return Some(FaultPlan::from_file(&p).expect("fault plan parses"));
-        }
-    }
-    None
-}
 
 fn main() {
     // Distributed-run plumbing: children re-execute this binary with
     // ORION_NET_ROLE=node and must divert before any other work.
     maybe_node();
-    if let Some(addr) = coordinator_arg() {
-        run_as_node(&addr);
-    }
-
-    let trace_path = trace_arg();
-    let fault_plan = fault_plan_arg();
-    assert!(
-        trace_path.is_none() || fault_plan.is_none(),
-        "--trace and --fault-plan are mutually exclusive here"
+    let args = common::parse(
+        "sparse_logreg",
+        &[
+            "--engine",
+            "--threads",
+            "--nodes",
+            "--trace",
+            "--fault-plan",
+            "--autotune",
+            "--coordinator",
+        ],
     );
+
     let data = SparseData::generate(SparseConfig {
         n_samples: 1_500,
         n_features: 20_000,
@@ -136,23 +63,32 @@ fn main() {
     );
 
     let passes = 5u64;
+    // Data parallelism needs a gentler step than serial SGD would
+    // tolerate: buffered updates of hot features apply in one lump.
+    let cfg = SlrConfig {
+        step_size: 0.002,
+        adaptive: false,
+        ..SlrConfig::new()
+    };
+    let app = |prefetch_override| SlrApp {
+        cfg: cfg.clone(),
+        prefetch_override,
+    };
 
-    if let Some(nodes) = nodes_arg() {
+    if args.runs(EngineKind::Net) {
         // The multi-process path: stateless worker processes prefetch
         // served weights and ship buffered updates over localhost TCP,
         // with the sim as conformance oracle.
-        let dir = std::env::temp_dir().join(format!("orion_slr_dist_{}", std::process::id()));
-        let mut opts = DistOptions::new(nodes, passes, &dir);
-        opts.run_id = "slr_example".into();
-        let cfg = SlrConfig {
-            step_size: 0.002,
-            adaptive: false,
-            ..SlrConfig::new()
-        };
+        let nodes = args.nodes();
+        let run = args.run_config(args.net_engine(passes, "slr_example"), passes, "slr");
         println!("\ntraining SLR on a {nodes}-process localhost cluster, {passes} epochs\n");
-        let out =
-            train_slr_distributed(&data, cfg.clone(), &opts).expect("distributed run completes");
-        for e in &out.epochs {
+        let out = common::run_or_exit(&app(None), &data, &run);
+        for e in &out
+            .net
+            .as_ref()
+            .expect("a Net run reports its epochs")
+            .epochs
+        {
             let served: u64 = e
                 .links
                 .iter()
@@ -180,26 +116,18 @@ fn main() {
             out.stats.final_metric().unwrap(),
             sim_model.weights == out.model.weights,
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(args.scratch_dir("slr_example"));
         return;
     }
 
-    if autotune_arg() {
+    let sim = || Engine::Sim(ClusterSpec::new(1, 8));
+    if args.runs(EngineKind::Sim) && args.autotune() {
         // Profile-guided adaptive planning: the static planner picks the
         // recording-pass prefetch regime; calibration discovers caching
         // the recorded indices is strictly cheaper (§6.3) and re-plans.
         println!("\nauto-tuning SLR ({passes} passes)\n");
-        let run = SlrRunConfig {
-            cluster: ClusterSpec::new(1, 8),
-            passes,
-            prefetch_override: None,
-        };
-        let cfg = SlrConfig {
-            step_size: 0.002,
-            adaptive: false,
-            ..SlrConfig::new()
-        };
-        let (_, stats, outcome) = train_orion_tuned(&data, cfg, &run, &TuneConfig::default());
+        let out = common::run_or_exit(&app(None), &data, &args.run_config(sim(), passes, "tuned"));
+        let outcome = out.tune.expect("a tuned run reports its decision");
         for d in &outcome.diagnostics {
             println!("{}", d.render());
         }
@@ -217,103 +145,72 @@ fn main() {
         println!(
             "re-planned: {}; final loss {:.4}; virtual time {}",
             outcome.replanned,
-            stats.final_metric().unwrap(),
-            stats.progress.last().unwrap().time,
+            out.stats.final_metric().unwrap(),
+            out.stats.progress.last().unwrap().time,
         );
         return;
     }
 
     let mut rows = Vec::new();
     let mut sessions = Vec::new();
-    for (label, mode) in [
-        ("no prefetch", PrefetchMode::Disabled),
-        ("synthesized prefetch", PrefetchMode::Recorded),
-        ("cached prefetch indices", PrefetchMode::CachedRecorded),
-    ] {
-        let run = SlrRunConfig {
-            cluster: ClusterSpec::new(1, 8),
-            passes,
-            prefetch_override: Some(mode),
-        };
-        // Data parallelism needs a gentler step than serial SGD would
-        // tolerate: buffered updates of hot features apply in one lump.
-        let cfg = SlrConfig {
-            step_size: 0.002,
-            adaptive: false,
-            ..SlrConfig::new()
-        };
-        let stats = if let Some(plan) = &fault_plan {
-            let dir =
-                std::env::temp_dir().join(format!("orion_slr_example_{}", std::process::id()));
-            let tag = label.replace(' ', "_");
-            let chaos = ChaosConfig::new(plan.clone(), 2, &dir, &tag);
-            let (_, stats, report) = train_orion_chaos(&data, cfg, &run, &chaos);
-            clean_checkpoints(&chaos.policy(), &["weights"]);
-            println!(
-                "  [{label}] {} crash(es) recovered, {} pass(es) re-executed, \
-                 {:.3}s virtual fault-handling overhead",
-                report.crashes_recovered,
-                report.passes_reexecuted,
-                report.overhead_ns() as f64 / 1e9,
-            );
-            stats
-        } else if trace_path.is_some() {
-            let (_, stats, mut artifacts) = train_orion_traced(&data, cfg, &run);
-            artifacts.session.name = format!("orion/slr [{label}]");
-            sessions.push(artifacts.session);
-            stats
-        } else {
-            train_orion(&data, cfg, &run).1
-        };
-        let secs = stats.progress.last().unwrap().time.as_secs_f64() / passes as f64;
-        rows.push((label, secs, stats.final_metric().unwrap()));
+    if args.runs(EngineKind::Sim) {
+        for (label, mode) in [
+            ("no prefetch", PrefetchMode::Disabled),
+            ("synthesized prefetch", PrefetchMode::Recorded),
+            ("cached prefetch indices", PrefetchMode::CachedRecorded),
+        ] {
+            let run = args.run_config(sim(), passes, &label.replace(' ', "_"));
+            let out = common::run_or_exit(&app(Some(mode)), &data, &run);
+            if let Some(report) = out.chaos {
+                clean_checkpoints(&run.chaos.as_ref().unwrap().policy(), &["weights"]);
+                println!(
+                    "  [{label}] {} crash(es) recovered, {} pass(es) re-executed, \
+                     {:.3}s virtual fault-handling overhead",
+                    report.crashes_recovered,
+                    report.passes_reexecuted,
+                    report.overhead_ns() as f64 / 1e9,
+                );
+            }
+            if let Some(mut artifacts) = out.trace {
+                artifacts.session.name = format!("orion/slr [{label}]");
+                sessions.push(artifacts.session);
+            }
+            let secs = out.stats.progress.last().unwrap().time.as_secs_f64() / passes as f64;
+            rows.push((label, secs, out.stats.final_metric().unwrap()));
+        }
     }
 
-    // ---- The real multi-core execution path: the buffered 1-D pass on
-    // a persistent pool of OS threads, bit-identical to the simulated
-    // engine. ----
-    let threads = threads_arg().unwrap_or_else(default_threads);
-    let thr_cfg = SlrConfig {
-        step_size: 0.002,
-        adaptive: false,
-        ..SlrConfig::new()
-    };
-    let wall_start = std::time::Instant::now();
-    let thr_stats = if trace_path.is_some() {
-        let (_, stats, artifacts) = train_threaded_traced(&data, thr_cfg, threads, passes);
-        sessions.push(artifacts.session);
-        stats
-    } else {
-        train_threaded(&data, thr_cfg, threads, passes).1
-    };
-    let wall = wall_start.elapsed();
-    println!(
-        "\nthreaded engine ({threads} worker thread(s)): real wall-clock {:.1} ms \
-         for {passes} passes, final loss {:.4}",
-        wall.as_secs_f64() * 1e3,
-        thr_stats.final_metric().unwrap(),
-    );
-
-    if let Some(path) = &trace_path {
-        let file = std::fs::File::create(path).expect("create trace file");
-        let mut w = std::io::BufWriter::new(file);
-        let views: Vec<_> = sessions.iter().map(|s| s.view()).collect();
-        write_perfetto(&mut w, &views).expect("write trace");
+    if args.runs(EngineKind::Threads) {
+        // ---- The real multi-core execution path: the buffered 1-D pass on
+        // a persistent pool of OS threads, bit-identical to the simulated
+        // engine. ----
+        let run = args.threads_config(passes, "threads");
+        let wall_start = std::time::Instant::now();
+        let out = common::run_or_exit(&app(None), &data, &run);
+        let wall = wall_start.elapsed();
         println!(
-            "wrote Perfetto trace to {} (one pid group per prefetch regime)",
-            path.display()
+            "\nthreaded engine ({} worker thread(s)): real wall-clock {:.1} ms \
+             for {passes} passes, final loss {:.4}",
+            args.threads(),
+            wall.as_secs_f64() * 1e3,
+            out.stats.final_metric().unwrap(),
+        );
+        sessions.extend(out.trace.map(|artifacts| artifacts.session));
+    }
+
+    args.write_trace(&sessions, " (one pid group per prefetch regime)");
+
+    if !rows.is_empty() {
+        println!(
+            "\n{:<26}  {:>16}  {:>12}",
+            "mode", "virtual s/pass", "final loss"
+        );
+        for (label, secs, loss) in &rows {
+            println!("{label:<26}  {secs:>16.6}  {loss:>12.4}");
+        }
+        println!(
+            "\nsame losses (prefetching never changes results), wildly different times —\n\
+             the paper measures 7682 s -> 9.2 s -> 6.3 s per pass on KDD2010 (§6.3)."
         );
     }
-
-    println!(
-        "\n{:<26}  {:>16}  {:>12}",
-        "mode", "virtual s/pass", "final loss"
-    );
-    for (label, secs, loss) in &rows {
-        println!("{label:<26}  {secs:>16.6}  {loss:>12.4}");
-    }
-    println!(
-        "\nsame losses (prefetching never changes results), wildly different times —\n\
-         the paper measures 7682 s -> 9.2 s -> 6.3 s per pass on KDD2010 (§6.3)."
-    );
 }

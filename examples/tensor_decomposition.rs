@@ -8,46 +8,22 @@
 //!
 //! Pass `--trace out.json` to dump a Perfetto-loadable phase trace of
 //! the buffered 2-D parallel run (see `docs/OBSERVABILITY.md`). Pass
-//! `--threads N` to size the real multi-core run (default: available
-//! parallelism).
+//! `--engine sim|threads` to run only that engine (`--threads N` alone
+//! selects the thread pool and sizes it; default: available parallelism).
 
-use orion::apps::tensor_cp::{
-    analyze_unbuffered, train_orion, train_orion_traced, train_threaded, CpConfig, CpRunConfig,
-};
-use orion::core::{default_threads, ClusterSpec};
+mod common;
+
+use common::EngineKind;
+use orion::apps::run::Engine;
+use orion::apps::tensor_cp::{analyze_unbuffered, train_orion, CpApp, CpConfig, CpRunConfig};
+use orion::core::ClusterSpec;
 use orion::data::{TensorConfig, TensorData};
-use orion::trace::write_perfetto;
-
-/// `--trace <path>` from argv.
-fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
-/// `--threads N` from argv: worker threads for the real multi-core run
-/// (default: available parallelism).
-fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return Some(
-                args.next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads takes a positive integer"),
-            );
-        }
-    }
-    None
-}
 
 fn main() {
-    let trace_path = trace_arg();
+    let args = common::parse(
+        "tensor_decomposition",
+        &["--engine", "--threads", "--trace"],
+    );
     let data = TensorData::generate(TensorConfig::bench());
     println!(
         "tensor: {:?}, {} observed entries",
@@ -62,68 +38,73 @@ fn main() {
 
     // With the context factor S buffered: 2-D unordered over (users, items).
     let passes = 12u64;
-    let serial = train_orion(
-        &data,
-        CpConfig::new(8),
-        &CpRunConfig {
-            cluster: ClusterSpec::serial(),
-            passes,
-            buffer_s: false,
-        },
-    )
-    .1;
     let mut buffered_cfg = CpConfig::new(8);
     buffered_cfg.step_size = 0.02; // tuned for lumped S application
-    let buffered_run = CpRunConfig {
-        cluster: ClusterSpec::new(2, 2),
-        passes,
+    let app = CpApp {
+        cfg: buffered_cfg,
         buffer_s: true,
     };
-    let parallel = if let Some(path) = &trace_path {
-        let (_, stats, artifacts) = train_orion_traced(&data, buffered_cfg, &buffered_run);
-        let file = std::fs::File::create(path).expect("create trace file");
-        let mut w = std::io::BufWriter::new(file);
-        write_perfetto(&mut w, &[artifacts.session.view()]).expect("write trace");
-        println!("\n{}", artifacts.report.render());
-        println!("wrote Perfetto trace to {}", path.display());
-        stats
-    } else {
-        train_orion(&data, buffered_cfg, &buffered_run).1
-    };
+    if args.runs(EngineKind::Net) {
+        // No node side yet: reports the typed error.
+        let run = args.run_config(args.net_engine(passes, "cp"), passes, "cp");
+        common::run_or_exit(&app, &data, &run);
+    }
+    let mut sessions = Vec::new();
+    if args.runs(EngineKind::Sim) {
+        let serial = train_orion(
+            &data,
+            CpConfig::new(8),
+            &CpRunConfig {
+                cluster: ClusterSpec::serial(),
+                passes,
+                buffer_s: false,
+            },
+        )
+        .1;
+        let run = args.run_config(Engine::Sim(ClusterSpec::new(2, 2)), passes, "cp");
+        let out = common::run_or_exit(&app, &data, &run);
+        if let Some(artifacts) = out.trace {
+            println!("\n{}", artifacts.report.render());
+            sessions.push(artifacts.session);
+        }
+        let parallel = out.stats;
 
-    println!(
-        "\n{:>4}  {:>20}  {:>24}",
-        "pass", "serial (t, loss)", "buffered 2D (t, loss)"
-    );
-    for p in 0..passes as usize {
         println!(
-            "{:>4}  {:>10} {:>9.1}  {:>12} {:>11.1}",
-            p,
-            format!("{}", serial.progress[p].time),
-            serial.progress[p].metric,
-            format!("{}", parallel.progress[p].time),
-            parallel.progress[p].metric
+            "\n{:>4}  {:>20}  {:>24}",
+            "pass", "serial (t, loss)", "buffered 2D (t, loss)"
+        );
+        for p in 0..passes as usize {
+            println!(
+                "{:>4}  {:>10} {:>9.1}  {:>12} {:>11.1}",
+                p,
+                format!("{}", serial.progress[p].time),
+                serial.progress[p].metric,
+                format!("{}", parallel.progress[p].time),
+                parallel.progress[p].metric
+            );
+        }
+        println!(
+            "\nBuffering S trades some per-pass convergence (its updates apply at\n\
+             pass boundaries) for 2-D parallel execution — the same relaxation\n\
+             trade the paper's §3.3 makes, confined to one small factor."
         );
     }
-    println!(
-        "\nBuffering S trades some per-pass convergence (its updates apply at\n\
-         pass boundaries) for 2-D parallel execution — the same relaxation\n\
-         trade the paper's §3.3 makes, confined to one small factor."
-    );
 
-    // ---- The real multi-core execution path: the buffered 2-D schedule
-    // on a persistent pool of OS threads, bit-identical to the simulated
-    // engine. ----
-    let threads = threads_arg().unwrap_or_else(default_threads);
-    let mut thr_cfg = CpConfig::new(8);
-    thr_cfg.step_size = 0.02;
-    let wall_start = std::time::Instant::now();
-    let (_, thr_stats) = train_threaded(&data, thr_cfg, threads, passes);
-    let wall = wall_start.elapsed();
-    println!(
-        "\nthreaded engine ({threads} worker thread(s)): real wall-clock {:.1} ms \
-         for {passes} passes, final loss {:.1}",
-        wall.as_secs_f64() * 1e3,
-        thr_stats.final_metric().unwrap(),
-    );
+    if args.runs(EngineKind::Threads) {
+        // ---- The real multi-core execution path: the buffered 2-D schedule
+        // on a persistent pool of OS threads, bit-identical to the simulated
+        // engine. ----
+        let wall_start = std::time::Instant::now();
+        let out = common::run_or_exit(&app, &data, &args.threads_config(passes, "cp"));
+        let wall = wall_start.elapsed();
+        println!(
+            "\nthreaded engine ({} worker thread(s)): real wall-clock {:.1} ms \
+             for {passes} passes, final loss {:.1}",
+            args.threads(),
+            wall.as_secs_f64() * 1e3,
+            out.stats.final_metric().unwrap(),
+        );
+        sessions.extend(out.trace.map(|artifacts| artifacts.session));
+    }
+    args.write_trace(&sessions, "");
 }

@@ -6,98 +6,78 @@
 //! Run with: `cargo run --release --example topic_model`
 //!
 //! Pass `--trace out.json` to dump a Perfetto-loadable phase trace of
-//! the Orion run (see `docs/OBSERVABILITY.md`). Pass `--threads N` to
-//! size the real multi-core run (default: available parallelism).
+//! the Orion run (see `docs/OBSERVABILITY.md`). Pass
+//! `--engine sim|threads` to run only that engine (`--threads N` alone
+//! selects the thread pool and sizes it; default: available parallelism).
 
-use orion::apps::lda::{
-    train_orion, train_orion_traced, train_serial, train_threaded, LdaConfig, LdaRunConfig,
-};
-use orion::core::{default_threads, ClusterSpec};
+mod common;
+
+use common::EngineKind;
+use orion::apps::lda::{train_serial, LdaApp, LdaConfig};
+use orion::apps::run::Engine;
+use orion::core::ClusterSpec;
 use orion::data::{CorpusConfig, CorpusData};
-use orion::trace::write_perfetto;
-
-/// `--trace <path>` from argv.
-fn trace_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return args.next().map(Into::into);
-        }
-    }
-    None
-}
-
-/// `--threads N` from argv: worker threads for the real multi-core run
-/// (default: available parallelism).
-fn threads_arg() -> Option<usize> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return Some(
-                args.next()
-                    .expect("--threads needs a count")
-                    .parse()
-                    .expect("--threads takes a positive integer"),
-            );
-        }
-    }
-    None
-}
 
 fn main() {
-    let trace_path = trace_arg();
+    let args = common::parse("topic_model", &["--engine", "--threads", "--trace"]);
     let corpus = CorpusData::generate(CorpusConfig::nytimes_like());
     println!(
         "corpus: {} docs, vocab {}, {} tokens",
         corpus.config.n_docs, corpus.config.vocab, corpus.n_tokens
     );
 
-    let cfg = LdaConfig::new(20);
-    let passes = 10u64;
-
-    let (_, serial) = train_serial(&corpus, cfg.clone(), passes);
-    let run = LdaRunConfig {
-        cluster: ClusterSpec::new(8, 4),
-        passes,
+    let app = LdaApp {
+        cfg: LdaConfig::new(20),
         ordered: false,
     };
-    let (model, parallel) = if let Some(path) = &trace_path {
-        let (model, stats, artifacts) = train_orion_traced(&corpus, cfg, &run);
-        let file = std::fs::File::create(path).expect("create trace file");
-        let mut w = std::io::BufWriter::new(file);
-        write_perfetto(&mut w, &[artifacts.session.view()]).expect("write trace");
-        println!("\n{}", artifacts.report.render());
-        println!("wrote Perfetto trace to {}", path.display());
-        (model, stats)
-    } else {
-        train_orion(&corpus, cfg, &run)
-    };
-
-    println!(
-        "\n{:>4}  {:>18}  {:>18}",
-        "pass", "serial NLL/token", "Orion NLL/token"
-    );
-    for p in 0..passes as usize {
+    let passes = 10u64;
+    if args.runs(EngineKind::Net) {
+        // No node side yet: reports the typed error.
+        let run = args.run_config(args.net_engine(passes, "lda"), passes, "lda");
+        common::run_or_exit(&app, &corpus, &run);
+    }
+    let mut sessions = Vec::new();
+    let mut sim = None;
+    if args.runs(EngineKind::Sim) {
+        let (_, serial) = train_serial(&corpus, app.cfg.clone(), passes);
+        let run = args.run_config(Engine::Sim(ClusterSpec::new(8, 4)), passes, "lda");
+        let out = common::run_or_exit(&app, &corpus, &run);
+        if let Some(artifacts) = out.trace {
+            println!("\n{}", artifacts.report.render());
+            sessions.push(artifacts.session);
+        }
         println!(
-            "{:>4}  {:>18.4}  {:>18.4}",
-            p, serial.progress[p].metric, parallel.progress[p].metric
+            "\n{:>4}  {:>18}  {:>18}",
+            "pass", "serial NLL/token", "Orion NLL/token"
         );
+        for p in 0..passes as usize {
+            println!(
+                "{:>4}  {:>18.4}  {:>18.4}",
+                p, serial.progress[p].metric, out.stats.progress[p].metric
+            );
+        }
+        sim = Some((out.model, out.stats));
     }
 
-    // ---- The real multi-core execution path: the same rotation
-    // schedule on a persistent pool of OS threads, bit-identical count
-    // tables to the simulated engine. ----
-    let threads = threads_arg().unwrap_or_else(default_threads);
-    let wall_start = std::time::Instant::now();
-    let (_, thr_stats) = train_threaded(&corpus, LdaConfig::new(20), threads, passes, false);
-    let wall = wall_start.elapsed();
-    println!(
-        "\nthreaded engine ({threads} worker thread(s)): real wall-clock {:.1} ms \
-         for {passes} passes, final NLL/token {:.4}",
-        wall.as_secs_f64() * 1e3,
-        thr_stats.final_metric().unwrap(),
-    );
+    if args.runs(EngineKind::Threads) {
+        // ---- The real multi-core execution path: the same rotation
+        // schedule on a persistent pool of OS threads, bit-identical count
+        // tables to the simulated engine. ----
+        let wall_start = std::time::Instant::now();
+        let out = common::run_or_exit(&app, &corpus, &args.threads_config(passes, "lda"));
+        let wall = wall_start.elapsed();
+        println!(
+            "\nthreaded engine ({} worker thread(s)): real wall-clock {:.1} ms \
+             for {passes} passes, final NLL/token {:.4}",
+            args.threads(),
+            wall.as_secs_f64() * 1e3,
+            out.stats.final_metric().unwrap(),
+        );
+        sessions.extend(out.trace.map(|artifacts| artifacts.session));
+    }
+    args.write_trace(&sessions, "");
 
+    let Some((model, parallel)) = sim else { return };
     // Show the top words of a few topics (by word–topic counts).
     println!("\ntop words per topic (word ids):");
     for t in 0..4usize {

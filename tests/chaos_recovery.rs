@@ -10,13 +10,9 @@
 //! violates a dependence.
 
 use orion::apps::chaos::ChaosConfig;
-use orion::apps::sgd_mf::{
-    train_orion as train_mf, train_orion_chaos as train_mf_chaos,
-    train_orion_chaos_traced as train_mf_chaos_traced, MfConfig, MfRunConfig,
-};
-use orion::apps::slr::{
-    train_orion as train_slr, train_orion_chaos as train_slr_chaos, SlrConfig, SlrRunConfig,
-};
+use orion::apps::run::{run, App, Engine, RunConfig, RunOutput};
+use orion::apps::sgd_mf::{train_orion as train_mf, MfApp, MfConfig, MfModel, MfRunConfig};
+use orion::apps::slr::{train_orion as train_slr, SlrApp, SlrConfig, SlrModel, SlrRunConfig};
 use orion::core::{clean_checkpoints, ClusterSpec, FaultPlan, RunStats, VirtualTime};
 use orion::data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
 use orion::trace::write_perfetto;
@@ -45,6 +41,41 @@ fn slr_run(passes: u64) -> SlrRunConfig {
     }
 }
 
+/// `app` on the 2×2 simulated cluster under `chaos`, traced or not.
+fn run_chaos<A: App>(
+    app: &A,
+    data: &A::Data,
+    passes: u64,
+    chaos: &ChaosConfig,
+    trace: bool,
+) -> RunOutput<A::Model> {
+    let mut cfg = RunConfig::new(Engine::Sim(ClusterSpec::new(2, 2)), passes);
+    cfg.chaos = Some(chaos.clone());
+    cfg.trace = trace;
+    run(app, data, &cfg).expect("MF and SLR recover on the simulated engine")
+}
+
+fn mf_chaos(data: &RatingsData, passes: u64, chaos: &ChaosConfig) -> RunOutput<MfModel> {
+    run_chaos(
+        &MfApp::new(MfConfig::new(4), false),
+        data,
+        passes,
+        chaos,
+        false,
+    )
+}
+
+fn slr_app() -> SlrApp {
+    SlrApp {
+        cfg: SlrConfig::new(),
+        prefetch_override: None,
+    }
+}
+
+fn slr_chaos(data: &SparseData, passes: u64, chaos: &ChaosConfig) -> RunOutput<SlrModel> {
+    run_chaos(&slr_app(), data, passes, chaos, false)
+}
+
 /// A plan crashing machine 1 halfway through the fault-free run.
 fn mid_run_crash(clean_wall: VirtualTime) -> FaultPlan {
     FaultPlan::new(42).crash(
@@ -63,8 +94,8 @@ fn mf_crash_recovery_is_bit_identical() {
 
     let dir = tmp_dir("mf");
     let chaos = ChaosConfig::new(mid_run_crash(clean_wall), 2, &dir, "mf");
-    let (recovered, chaos_stats, report) =
-        train_mf_chaos(&data, MfConfig::new(4), &mf_run(passes), &chaos);
+    let out = mf_chaos(&data, passes, &chaos);
+    let (recovered, chaos_stats, report) = (out.model, out.stats, out.chaos.unwrap());
 
     assert_eq!(report.crashes_recovered, 1, "the planned crash must fire");
     assert!(report.passes_reexecuted >= 1);
@@ -96,8 +127,8 @@ fn slr_crash_recovery_is_bit_identical() {
 
     let dir = tmp_dir("slr");
     let chaos = ChaosConfig::new(mid_run_crash(clean_wall), 2, &dir, "slr");
-    let (recovered, chaos_stats, report) =
-        train_slr_chaos(&data, SlrConfig::new(), &slr_run(passes), &chaos);
+    let out = slr_chaos(&data, passes, &chaos);
+    let (recovered, chaos_stats, report) = (out.model, out.stats, out.chaos.unwrap());
 
     assert_eq!(report.crashes_recovered, 1, "the planned crash must fire");
     assert!(report.passes_reexecuted >= 1);
@@ -121,8 +152,8 @@ fn stragglers_stretch_wall_clock_but_not_results() {
     let dir = tmp_dir("straggler");
     let plan = FaultPlan::new(7).straggler(0, 3.0).straggler(3, 1.5);
     let chaos = ChaosConfig::new(plan, passes, &dir, "straggler");
-    let (slow, slow_stats, report) =
-        train_mf_chaos(&data, MfConfig::new(4), &mf_run(passes), &chaos);
+    let out = mf_chaos(&data, passes, &chaos);
+    let (slow, slow_stats, report) = (out.model, out.stats, out.chaos.unwrap());
 
     assert_eq!(report.crashes_recovered, 0);
     assert_eq!(report.passes_reexecuted, 0);
@@ -154,7 +185,8 @@ fn sparse_checkpoints_recover_from_the_initial_one() {
 
     let dir = tmp_dir("sparse_ckpt");
     let chaos = ChaosConfig::new(mid_run_crash(clean_wall), 1_000, &dir, "sparse");
-    let (recovered, _, report) = train_mf_chaos(&data, MfConfig::new(4), &mf_run(passes), &chaos);
+    let out = mf_chaos(&data, passes, &chaos);
+    let (recovered, report) = (out.model, out.chaos.unwrap());
 
     assert_eq!(report.crashes_recovered, 1);
     assert_eq!(
@@ -170,19 +202,11 @@ fn sparse_checkpoints_recover_from_the_initial_one() {
     clean_checkpoints(&chaos.policy(), &["W", "H"]);
 }
 
-#[test]
-fn traced_chaos_run_exports_fault_and_recovery_spans() {
-    let data = RatingsData::generate(RatingsConfig::tiny());
-    let passes = 6;
-    let (_, clean_stats) = train_mf(&data, MfConfig::new(4), &mf_run(passes));
-    let clean_wall = wall(&clean_stats);
-
-    let dir = tmp_dir("traced");
-    let chaos = ChaosConfig::new(mid_run_crash(clean_wall), 2, &dir, "traced");
-    let (_, _, report, artifacts) =
-        train_mf_chaos_traced(&data, MfConfig::new(4), &mf_run(passes), &chaos);
-
-    assert_eq!(report.crashes_recovered, 1);
+/// A traced chaos run must show the detection stall, the restore and
+/// the checkpoint IO, in the session and in the run report.
+fn assert_fault_spans<M>(out: &RunOutput<M>) {
+    assert_eq!(out.chaos.unwrap().crashes_recovered, 1);
+    let artifacts = out.trace.as_ref().expect("a traced run yields artifacts");
     let cats: std::collections::BTreeSet<&str> = artifacts
         .session
         .spans
@@ -209,7 +233,39 @@ fn traced_chaos_run_exports_fault_and_recovery_spans() {
     assert!(artifacts.report.recovery_overhead() > 0.0);
     let report_json = artifacts.report.to_json();
     assert!(report_json.contains("\"recovery_overhead_ns\""));
+}
+
+#[test]
+fn traced_chaos_run_exports_fault_and_recovery_spans() {
+    let data = RatingsData::generate(RatingsConfig::tiny());
+    let passes = 6;
+    let (_, clean_stats) = train_mf(&data, MfConfig::new(4), &mf_run(passes));
+    let clean_wall = wall(&clean_stats);
+
+    let dir = tmp_dir("traced");
+    let chaos = ChaosConfig::new(mid_run_crash(clean_wall), 2, &dir, "traced");
+    let app = MfApp::new(MfConfig::new(4), false);
+    assert_fault_spans(&run_chaos(&app, &data, passes, &chaos, true));
     clean_checkpoints(&chaos.policy(), &["W", "H"]);
+}
+
+/// Options compose: SLR chaos traces like MF's (it could not before the
+/// one generic runner).
+#[test]
+fn traced_slr_chaos_run_exports_fault_and_recovery_spans() {
+    let data = SparseData::generate(SparseConfig::tiny());
+    let passes = 6;
+    let (clean, clean_stats) = train_slr(&data, SlrConfig::new(), &slr_run(passes));
+
+    let dir = tmp_dir("traced_slr");
+    let chaos = ChaosConfig::new(mid_run_crash(wall(&clean_stats)), 2, &dir, "traced_slr");
+    let out = run_chaos(&slr_app(), &data, passes, &chaos, true);
+    assert_fault_spans(&out);
+    assert_eq!(
+        out.model.weights, clean.weights,
+        "tracing never changes results"
+    );
+    clean_checkpoints(&chaos.policy(), &["weights"]);
 }
 
 #[test]
@@ -224,15 +280,14 @@ fn chaos_runs_are_reproducible() {
     let mk = |tag: &str| {
         let dir = tmp_dir(tag);
         let chaos = ChaosConfig::new(plan.clone(), 2, &dir, tag);
-        let out = train_slr_chaos(&data, SlrConfig::new(), &slr_run(passes), &chaos);
+        let out = slr_chaos(&data, passes, &chaos);
         clean_checkpoints(&chaos.policy(), &["weights"]);
         out
     };
-    let (m1, s1, r1) = mk("repro_a");
-    let (m2, s2, r2) = mk("repro_b");
-    assert_eq!(m1.weights, m2.weights);
-    assert_eq!(s1.progress, s2.progress);
-    assert_eq!(r1, r2);
+    let (a, b) = (mk("repro_a"), mk("repro_b"));
+    assert_eq!(a.model.weights, b.model.weights);
+    assert_eq!(a.stats.progress, b.stats.progress);
+    assert_eq!(a.chaos, b.chaos);
 }
 
 /// Chaos runs are sanitized: validation defaults on in test builds, so

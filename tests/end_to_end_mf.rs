@@ -8,7 +8,7 @@
 //! with a rendered `O100` diagnostic.
 
 use orion::apps::sgd_mf::{
-    orion_pass_threaded, train_orion, train_serial, MfConfig, MfModel, MfPsAdapter, MfRunConfig,
+    train_orion, train_serial, train_threaded, MfConfig, MfPsAdapter, MfRunConfig,
 };
 use orion::core::{ClusterSpec, Driver};
 use orion::data::{RatingsConfig, RatingsData};
@@ -68,15 +68,18 @@ fn threaded_engine_matches_simulated_across_passes() {
         passes,
         ordered: false,
     };
-    let (sim_model, _) = train_orion(&d, MfConfig::new(4), &run);
+    let (sim_model, sim_stats) = train_orion(&d, MfConfig::new(4), &run);
 
-    let dims = d.ratings.shape().dims().to_vec();
-    let mut thr_model = MfModel::new(dims[0], dims[1], MfConfig::new(4));
-    for _ in 0..passes {
-        thr_model = orion_pass_threaded(&d, thr_model, &cluster, false);
-    }
+    // One pool thread per worker of the oracle's cluster: the same
+    // 6-worker schedule, whatever the machine topology.
+    let (thr_model, thr_stats) =
+        train_threaded(&d, MfConfig::new(4), cluster.n_workers(), passes, false);
     assert_eq!(sim_model.w, thr_model.w);
     assert_eq!(sim_model.h, thr_model.h);
+    let bits = |stats: &orion::core::RunStats| -> Vec<u64> {
+        stats.progress.iter().map(|p| p.metric.to_bits()).collect()
+    };
+    assert_eq!(bits(&sim_stats), bits(&thr_stats), "one point per pass");
 }
 
 /// More workers must not change the unordered-parallel result's loss

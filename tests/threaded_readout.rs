@@ -13,8 +13,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use orion::analysis::Strategy;
+use orion::apps::run::{self, Engine, RunConfig};
 use orion::apps::sgd_mf::{self, MfConfig, MfRunConfig};
-use orion::apps::tensor_cp::{self, CpConfig, CpRunConfig};
+use orion::apps::tensor_cp::{self, CpApp, CpConfig, CpRunConfig};
 use orion::core::{ClusterSpec, Driver, RunStats};
 use orion::data::{RatingsConfig, RatingsData, TensorConfig, TensorData};
 use orion::dsm::DistArray;
@@ -58,7 +59,7 @@ fn tensor(wide: bool) -> TensorData {
 
 /// Every pass's recorded metric must carry the oracle's bits.
 fn assert_same_curve(got: &RunStats, expect: &RunStats, case: &str) {
-    assert_eq!(got.progress.len(), PASSES as usize, "{case}");
+    assert_eq!(got.progress.len(), expect.progress.len(), "{case}");
     for (g, e) in got.progress.iter().zip(&expect.progress) {
         assert_eq!(
             g.metric.to_bits(),
@@ -84,12 +85,29 @@ fn mf_readout_matches_the_oracle_bit_for_bit() {
                 let (model, got) =
                     sgd_mf::train_threaded(&data, MfConfig::new(4), threads, PASSES, ordered);
                 let case = format!("wide={wide} threads={threads} ordered={ordered}");
+                assert_eq!(expect.progress.len(), PASSES as usize, "{case}");
                 assert_same_curve(&got, &expect, &case);
                 assert_eq!(bits(&model.w), bits(&oracle.w), "{case}: W");
                 assert_eq!(bits(&model.h), bits(&oracle.h), "{case}: H");
             }
         }
     }
+}
+
+/// A one-pass run records its one point too: the loss curve has no
+/// hidden `passes > 1` rule.
+#[test]
+fn mf_single_pass_run_records_its_loss() {
+    let data = ratings(false);
+    let run = MfRunConfig {
+        cluster: ClusterSpec::new(1, 2),
+        passes: 1,
+        ordered: false,
+    };
+    let (_, expect) = sgd_mf::train_orion(&data, MfConfig::new(4), &run);
+    let (_, got) = sgd_mf::train_threaded(&data, MfConfig::new(4), 2, 1, false);
+    assert_eq!(got.progress.len(), 1);
+    assert_same_curve(&got, &expect, "passes=1");
 }
 
 #[test]
@@ -103,8 +121,15 @@ fn cp_readout_matches_the_oracle_bit_for_bit() {
                 buffer_s: true,
             };
             let (oracle, expect) = tensor_cp::train_orion(&data, CpConfig::new(4), &run);
-            let (model, got) = tensor_cp::train_threaded(&data, CpConfig::new(4), threads, PASSES);
+            let app = CpApp {
+                cfg: CpConfig::new(4),
+                buffer_s: true,
+            };
+            let threaded = RunConfig::new(Engine::Threads(threads), PASSES);
+            let out = run::run(&app, &data, &threaded).expect("buffered CP runs on threads");
+            let (model, got) = (out.model, out.stats);
             let case = format!("wide={wide} threads={threads}");
+            assert_eq!(expect.progress.len(), PASSES as usize, "{case}");
             assert_same_curve(&got, &expect, &case);
             assert_eq!(bits(&model.u), bits(&oracle.u), "{case}: U");
             assert_eq!(bits(&model.v), bits(&oracle.v), "{case}: V");

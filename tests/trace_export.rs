@@ -2,9 +2,11 @@
 //! Perfetto `trace_event` JSON, the exporter's byte output is pinned by a
 //! golden file, and tracing never perturbs training results.
 
+use orion::apps::common::TraceArtifacts;
+use orion::apps::run::{run, Engine, RunConfig};
 use orion::apps::serve::MfServe;
-use orion::apps::sgd_mf::{train_orion, train_orion_traced, MfConfig, MfRunConfig};
-use orion::core::ClusterSpec;
+use orion::apps::sgd_mf::{train_orion, MfApp, MfConfig, MfModel, MfRunConfig};
+use orion::core::{ClusterSpec, RunStats};
 use orion::data::{RatingsConfig, RatingsData};
 use orion::serve::{EngineConfig, Request, ServeEngine, TrafficConfig};
 use orion::trace::json::validate_trace_events;
@@ -20,6 +22,19 @@ fn run_cfg(passes: u64) -> MfRunConfig {
         passes,
         ordered: false,
     }
+}
+
+/// [`train_orion`] with `RunConfig::trace` on.
+fn train_orion_with_trace(
+    d: &RatingsData,
+    cfg: MfConfig,
+    sim: &MfRunConfig,
+) -> (MfModel, RunStats, TraceArtifacts) {
+    let mut traced = RunConfig::new(Engine::Sim(sim.cluster.clone()), sim.passes);
+    traced.trace = true;
+    let out = run(&MfApp::new(cfg, sim.ordered), d, &traced).expect("MF traces on Sim");
+    let artifacts = out.trace.expect("a traced run yields artifacts");
+    (out.model, out.stats, artifacts)
 }
 
 /// A tiny hand-built session covering every span category plus a wire
@@ -89,7 +104,7 @@ fn golden_trace_matches_committed_file() {
 #[test]
 fn mf_trace_is_schema_valid_with_four_categories() {
     let d = data();
-    let (_, stats, artifacts) = train_orion_traced(&d, MfConfig::new(4), &run_cfg(3));
+    let (_, stats, artifacts) = train_orion_with_trace(&d, MfConfig::new(4), &run_cfg(3));
     let mut buf = Vec::new();
     write_perfetto(&mut buf, &[artifacts.session.view()]).expect("write");
     let out = String::from_utf8(buf).expect("utf8");
@@ -115,7 +130,7 @@ fn traced_run_is_bit_identical_to_untraced() {
     let cfg = MfConfig::new(4);
     let run = run_cfg(4);
     let (plain_model, plain_stats) = train_orion(&d, cfg.clone(), &run);
-    let (traced_model, traced_stats, artifacts) = train_orion_traced(&d, cfg, &run);
+    let (traced_model, traced_stats, artifacts) = train_orion_with_trace(&d, cfg, &run);
     assert_eq!(plain_model.w, traced_model.w);
     assert_eq!(plain_model.h, traced_model.h);
     assert_eq!(plain_stats.total_bytes, traced_stats.total_bytes);
@@ -133,7 +148,7 @@ fn traced_run_is_bit_identical_to_untraced() {
 #[test]
 fn run_report_json_parses() {
     let d = data();
-    let (_, _, artifacts) = train_orion_traced(&d, MfConfig::new(4), &run_cfg(2));
+    let (_, _, artifacts) = train_orion_with_trace(&d, MfConfig::new(4), &run_cfg(2));
     let doc = orion::trace::json::parse(&artifacts.report.to_json()).expect("report JSON parses");
     assert!(doc.get("wall_ns").is_some());
     assert!(doc.get("phase_totals_ns").is_some());
