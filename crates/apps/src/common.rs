@@ -77,6 +77,8 @@ pub(crate) fn split_by_role<T: Element>(
 }
 
 /// One additive DistArray Buffer shaped like `array` per worker (§3.3).
+/// Made once per job: a flush leaves them empty with their tables
+/// allocated, ready for the next pass.
 pub(crate) fn write_buffers(array: &DistArray<f32>, n_workers: usize) -> Vec<DistArrayBuffer<f32>> {
     (0..n_workers)
         .map(|_| DistArrayBuffer::additive(array.shape().clone()))
@@ -87,13 +89,13 @@ pub(crate) fn write_buffers(array: &DistArray<f32>, n_workers: usize) -> Vec<Dis
 /// bytes, then `apply` folds each buffer into the array in worker order.
 pub(crate) fn flush_buffers(
     driver: &mut Driver,
-    mut buffers: Vec<DistArrayBuffer<f32>>,
-    mut apply: impl FnMut(&mut DistArrayBuffer<f32>),
+    buffers: &mut [DistArrayBuffer<f32>],
+    apply: impl FnMut(&mut DistArrayBuffer<f32>),
 ) {
     let up: u64 = buffers.iter().map(DistArrayBuffer::payload_bytes).sum();
     let per_worker = up / buffers.len().max(1) as u64;
     driver.sync_exchange(per_worker, per_worker);
-    buffers.iter_mut().for_each(&mut apply);
+    buffers.iter_mut().for_each(apply);
 }
 
 /// Span-buffer capacity for a run of `passes` over `schedule`: at most

@@ -35,7 +35,7 @@
 //! stays the conformance oracle: same seed, same plan → bit-identical
 //! model state (enforced by `tests/distributed_conformance.rs`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use orion_core::{
     CheckpointPolicy, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, MathMode, RunReport,
-    RunStats, Shape,
+    RunStats,
 };
 use orion_data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
 use orion_dsm::{checkpoint, codec};
@@ -995,6 +995,7 @@ impl NetApp for SlrApp {
             })
             .chain(std::iter::once(HbEvent::ServerApply { node: node_id }))
             .collect();
+        let shape = job.model.weights.shape().clone();
         SlrNode {
             data,
             positions,
@@ -1002,7 +1003,8 @@ impl NetApp for SlrApp {
             events,
             step: self.cfg.step_size,
             mode,
-            shape: job.model.weights.shape().clone(),
+            snapshot: vec![0.0; shape.volume() as usize],
+            buf: DistArrayBuffer::additive(shape),
         }
     }
 
@@ -1043,11 +1045,8 @@ impl NetApp for SlrApp {
         let SlrJob { model, updates, .. } = job;
         for payload in updates.iter_mut().map(Option::take) {
             let payload = payload.expect("every node sent its server update");
-            let mut buf = DistArrayBuffer::<f32>::additive(model.weights.shape().clone());
-            for (idx, v) in codec::decode_updates::<f32>(payload) {
-                buf.write(&[idx as i64], v);
-            }
-            slr::apply_buffer(model, &mut buf);
+            // A drained buffer on the wire: distinct features, ascending.
+            slr::apply_updates(model, codec::decode_updates::<f32>(payload));
         }
     }
 }
@@ -1060,7 +1059,11 @@ pub(crate) struct SlrNode {
     events: Vec<HbEvent>,
     step: f32,
     mode: MathMode,
-    shape: Shape,
+    /// The served weights this node reads, dense by feature: every epoch
+    /// overwrites the entries at `indices`, no sample reads any other.
+    snapshot: Vec<f32>,
+    /// The node's write buffer, empty between epochs.
+    buf: DistArrayBuffer<f32>,
 }
 
 impl NetNode for SlrNode {
@@ -1079,38 +1082,37 @@ impl NetNode for SlrNode {
             .expect("send PrefetchRequest");
         // Await this epoch's prefetch response; stale responses from an
         // abandoned epoch carry an older epoch tag and are dropped.
-        let snapshot: HashMap<u64, f32> = loop {
+        loop {
             match ctx.ep.next_coord_msg(ROTATION_TIMEOUT) {
                 Ok(Msg::PrefetchResponse { epoch: e, payload }) if e == epoch => {
-                    break codec::decode_updates::<f32>(payload).into_iter().collect();
+                    for (f, w) in codec::decode_updates::<f32>(payload) {
+                        self.snapshot[f as usize] = w;
+                    }
+                    break;
                 }
                 Ok(Msg::PrefetchResponse { .. }) => {}
                 Ok(ctrl @ (Msg::Rollback { .. } | Msg::Shutdown)) => return Err(ctrl),
                 Ok(other) => panic!("node {node}: unexpected {other:?} awaiting prefetch"),
                 Err(e) => panic!("node {node}: {e}"),
             }
-        };
+        }
         let rotation_ns = t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
-        let mut buf = DistArrayBuffer::<f32>::additive(self.shape.clone());
         // The worker view of the sim pass: the served snapshot.
-        let read = |f: u32| snapshot.get(&(f as u64)).copied().unwrap_or(0.0);
+        let snapshot = &self.snapshot;
+        let read = |f: u32| snapshot[f as usize];
         for (i, &pos) in self.positions.iter().enumerate() {
             ctx.maybe_crash(epoch, i, self.positions.len());
             slr::slr_step(
                 &self.data.samples[pos],
                 read,
-                &mut buf,
+                &mut self.buf,
                 self.step,
                 self.mode,
             );
         }
-        let updates: Vec<(u64, f32)> = buf
-            .drain()
-            .into_iter()
-            .map(|(idx, v)| (idx[0] as u64, v))
-            .collect();
+        let updates: Vec<(u64, f32)> = self.buf.drain_flat().collect();
         ctx.ep
             .send_coord(&Msg::ServerUpdate {
                 epoch,

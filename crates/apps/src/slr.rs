@@ -14,8 +14,9 @@
 use std::sync::Arc;
 
 use orion_core::{
-    ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, IndexRecorder,
-    LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript, TuneConfig, TuneOutcome,
+    run_one_d_pass_pooled, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver,
+    FaultEvent, IndexRecorder, LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript,
+    ThreadedPlan, TuneConfig, TuneOutcome, WorkerPool,
 };
 use orion_data::{SparseData, SparseSample};
 use orion_dsm::kernels;
@@ -98,24 +99,28 @@ impl SlrModel {
     /// its flat offset — every lookup here and in the training loops
     /// skips subscript translation entirely.
     pub fn loss(&self, data: &SparseData) -> f64 {
-        let mut total = 0.0f64;
-        for s in &data.samples {
-            let m = Self::margin_with(
-                &s.features,
-                |f| self.weights.get_flat_or_default(f as u64),
-                self.cfg.math,
-            );
-            let ym = s.label as f32 * m;
-            // log(1 + exp(-ym)), stable.
-            total += if ym > 30.0 {
-                0.0
-            } else if ym < -30.0 {
-                (-ym) as f64
-            } else {
-                ((-ym).exp() as f64).ln_1p()
-            };
-        }
+        let total = data
+            .samples
+            .iter()
+            .fold(0.0f64, |total, s| total + self.loss_term(s));
         total / data.samples.len() as f64
+    }
+
+    /// One sample's logistic loss, `log(1 + exp(-y m))`, stable.
+    fn loss_term(&self, s: &SparseSample) -> f64 {
+        let m = Self::margin_with(
+            &s.features,
+            |f| self.weights.get_flat_or_default(f as u64),
+            self.cfg.math,
+        );
+        let ym = s.label as f32 * m;
+        if ym > 30.0 {
+            0.0
+        } else if ym < -30.0 {
+            (-ym) as f64
+        } else {
+            ((-ym).exp() as f64).ln_1p()
+        }
     }
 }
 
@@ -166,6 +171,9 @@ pub struct SlrJob {
     pub(crate) model: SlrModel,
     items: Vec<(Vec<i64>, f32)>,
     iter_cost: Vec<f64>,
+    /// One write buffer per worker of the compiled schedule, empty
+    /// between passes.
+    buffers: Vec<DistArrayBuffer<f32>>,
     /// `Net` only: each node's (= worker's) buffered updates of the
     /// epoch in flight.
     pub(crate) updates: Vec<Option<bytes::Bytes>>,
@@ -186,8 +194,8 @@ fn sample_items(data: &SparseData) -> (DistArray<f32>, Vec<(Vec<i64>, f32)>) {
 }
 
 /// The buffered per-sample step every engine runs: the margin under
-/// the worker's view — `read`'s pass-start weights plus its own
-/// buffered writes — then one buffered write per active feature.
+/// `read`'s pass-start weights (buffered writes are not read back, §3.3),
+/// then one buffered write per active feature.
 pub(crate) fn slr_step(
     sample: &SparseSample,
     read: impl Fn(u32) -> f32,
@@ -195,40 +203,107 @@ pub(crate) fn slr_step(
     step: f32,
     mode: MathMode,
 ) {
-    let margin = SlrModel::margin_with(&sample.features, |f| read(f) + buf_read(buf, f), mode);
-    let coef = logistic_grad_coef(sample.label, margin);
+    let margin = SlrModel::margin_with(&sample.features, read, mode);
+    let delta = -step * logistic_grad_coef(sample.label, margin);
     for &f in &sample.features {
-        buf.write(&[f as i64], -step * coef);
+        buf.write_flat(f as u64, delta);
     }
 }
 
-/// Peeks a buffered (pending) delta without draining.
-fn buf_read(buf: &DistArrayBuffer<f32>, _f: u32) -> f32 {
-    // DistArrayBuffer intentionally exposes no random reads (buffered
-    // writes are exempt from dependence analysis precisely because they
-    // are not read back, §3.3); worker-local visibility of one's own
-    // updates is approximated as zero correction.
-    let _ = buf;
-    0.0
-}
-
-/// Applies one worker's buffered writes with the configured UDF — plain
-/// addition, or the AdaGrad-style adaptive step of the "SLR AdaRev"
-/// variant (the apply-UDF hook of §3.3 that "makes it easy to implement
-/// various adaptive gradient algorithms").
-pub(crate) fn apply_buffer(model: &mut SlrModel, buf: &mut DistArrayBuffer<f32>) {
-    if model.cfg.adaptive {
-        let step = model.cfg.step_size;
-        for (idx, delta) in buf.drain() {
-            let f = idx[0] as usize;
+/// Applies one worker's buffered writes, `(feature, delta)` ascending by
+/// feature, with the configured UDF — plain addition, or the
+/// AdaGrad-style adaptive step of the "SLR AdaRev" variant (the
+/// apply-UDF hook of §3.3 that "makes it easy to implement various
+/// adaptive gradient algorithms").
+pub(crate) fn apply_updates(model: &mut SlrModel, updates: impl IntoIterator<Item = (u64, f32)>) {
+    let SlrModel { weights, z2, cfg } = model;
+    if cfg.adaptive {
+        for (f, delta) in updates {
             // Recover the accumulated gradient from the pre-scaled delta.
-            let g = delta / step;
-            model.z2[f] += g * g;
-            let scale = 2.0 / (1.0 + model.z2[f]).sqrt();
-            model.weights.update_flat(f as u64, |w| *w += delta * scale);
+            let g = delta / cfg.step_size;
+            let z2 = &mut z2[f as usize];
+            *z2 += g * g;
+            let scale = 2.0 / (1.0 + *z2).sqrt();
+            weights.update_flat(f, |w| *w += delta * scale);
         }
     } else {
-        buf.apply_to(&mut model.weights, |wv, delta| *wv += delta);
+        for (f, delta) in updates {
+            weights.update_flat(f, |w| *w += delta);
+        }
+    }
+}
+
+/// Per-worker scratch carrying the model lent to a pooled pass: the
+/// handle travels out with the job and back with its result, so once
+/// the pass has returned the caller owns the model alone again.
+type Lent<S> = (Arc<SlrModel>, S);
+
+fn lend<S>(model: &Arc<SlrModel>, scratch: &mut Vec<S>) -> Vec<Lent<S>> {
+    scratch.drain(..).map(|s| (Arc::clone(model), s)).collect()
+}
+
+fn take_back<S>(scratch: &mut Vec<S>, lent: Vec<Lent<S>>) {
+    scratch.extend(lent.into_iter().map(|(_, s)| s));
+}
+
+/// The per-pass loss read on the worker pool (a §3.4 accumulator): the
+/// workers evaluate the loss terms of their own samples against the
+/// just-flushed weights, a second dispatch of the 1-D plan that writes
+/// nothing, advances no virtual clock and feeds no checker. Term `i` is
+/// then placed at sample position `i` and the terms are added in sample
+/// order — per-worker partial sums would associate differently — so the
+/// result carries the bits of [`SlrModel::loss`] for any worker count.
+#[derive(Debug)]
+pub struct PooledLoss {
+    /// Sample positions each worker evaluates, in its execution order.
+    positions: Vec<Vec<u32>>,
+    /// Each worker's terms of the latest readout, parallel to `positions`.
+    terms: Vec<Vec<f64>>,
+    by_sample: Vec<f64>,
+}
+
+impl PooledLoss {
+    /// Reusable readout state for `plan`'s workers and items.
+    pub fn new(plan: &ThreadedPlan) -> Self {
+        let positions = plan.worker_positions();
+        PooledLoss {
+            terms: vec![Vec::new(); positions.len()],
+            positions,
+            by_sample: vec![0.0; plan.total_items()],
+        }
+    }
+
+    /// Mean logistic loss of `model` over `samples` (the items `plan` was
+    /// compiled over), evaluated on `pool`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pool is smaller than the plan or a worker dies.
+    pub fn eval(
+        &mut self,
+        pool: &WorkerPool,
+        plan: &Arc<ThreadedPlan>,
+        samples: &Arc<Vec<SparseSample>>,
+        model: &Arc<SlrModel>,
+    ) -> f64 {
+        self.terms.iter_mut().for_each(Vec::clear);
+        let term = Arc::new(|s: &SparseSample, (model, terms): &mut Lent<Vec<f64>>| {
+            terms.push(model.loss_term(s));
+        });
+        let out = run_one_d_pass_pooled(pool, plan, samples, lend(model, &mut self.terms), &term);
+        take_back(&mut self.terms, out.scratch);
+        for (positions, terms) in self.positions.iter().zip(&self.terms) {
+            for (&pos, &term) in positions.iter().zip(terms) {
+                self.by_sample[pos as usize] = term;
+            }
+        }
+        self.by_sample.iter().fold(0.0f64, |total, t| total + t) / self.by_sample.len() as f64
+    }
+
+    /// Each worker's loss terms of the latest readout, in its execution
+    /// order.
+    pub fn worker_terms(&self) -> &[Vec<f64>] {
+        &self.terms
     }
 }
 
@@ -273,6 +348,7 @@ impl App for SlrApp {
             .map(|s| cost::slr_iter_ns(s.features.len()) * cost::ORION_OVERHEAD)
             .collect();
         let job = SlrJob {
+            buffers: write_buffers(&model.weights, compiled.schedule.n_workers),
             model,
             items,
             iter_cost,
@@ -291,16 +367,30 @@ impl App for SlrApp {
         compiled: &CompiledLoop,
         _pass: u64,
     ) -> Option<FaultEvent> {
-        let mut buffers = write_buffers(&job.model.weights, compiled.schedule.n_workers);
-        let (weights, iter_cost) = (&job.model.weights, &job.iter_cost);
-        let (step, mode) = (job.model.cfg.step_size, driver.math_mode());
+        let SlrJob {
+            model,
+            iter_cost,
+            buffers,
+            ..
+        } = job;
+        if buffers.len() != compiled.schedule.n_workers {
+            // A tuned plan may schedule a different worker count.
+            *buffers = write_buffers(&model.weights, compiled.schedule.n_workers);
+        }
+        let weights = &model.weights;
+        let (step, mode) = (model.cfg.step_size, driver.math_mode());
         let (_, fault) =
             driver.run_pass_checked(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
                 let read = |f| weights.get_flat_or_default(f as u64);
                 slr_step(&data.samples[pos], read, &mut buffers[w], step, mode);
             });
-        if fault.is_none() {
-            flush_buffers(driver, buffers, |buf| apply_buffer(&mut job.model, buf));
+        match fault {
+            None => flush_buffers(driver, buffers, |buf| {
+                apply_updates(model, buf.drain_flat())
+            }),
+            Some(_) => buffers
+                .iter_mut()
+                .for_each(|buf| buf.drain_flat().for_each(drop)),
         }
         fault
     }
@@ -313,45 +403,49 @@ impl App for SlrApp {
         job.model
     }
 
-    /// Each worker fills its own write buffer against a shared weight
-    /// snapshot; buffers accumulate the same deltas in the same order as
-    /// the simulated pass and apply in worker order.
+    /// Each worker fills its own write buffer against the pass-start
+    /// weights; buffers accumulate the same deltas in the same order as
+    /// the simulated pass and apply in worker order. The model is lent to
+    /// the workers inside their scratch and is back — sole owner, no
+    /// copy — when a pass returns; the loss is read the same way.
     fn pooled(
         &self,
         data: &SparseData,
-        mut job: SlrJob,
+        job: SlrJob,
         pool: &mut Pool<'_>,
         passes: u64,
     ) -> Result<SlrModel, RunError> {
         // Samples shared immutably with every worker; the schedule's item
         // positions are sample indices.
         let samples = Arc::new(data.samples.clone());
-        let (step, mode) = (job.model.cfg.step_size, pool.driver.math_mode());
+        let (mut model, mut buffers) = (Arc::new(job.model), job.buffers);
+        let mut readout = PooledLoss::new(&pool.plan);
+        let (step, mode) = (model.cfg.step_size, pool.driver.math_mode());
+        let body = Arc::new(
+            move |sample: &SparseSample, (model, buf): &mut Lent<DistArrayBuffer<f32>>| {
+                let read = |f| model.weights.get_flat_or_default(f as u64);
+                slr_step(sample, read, buf, step, mode);
+            },
+        );
         for pass in 0..passes {
-            let buffers = write_buffers(&job.model.weights, pool.plan.n_workers());
-            // Per-pass weight snapshot: workers read the pass-start weights
-            // (buffered writes are invisible until the flush), exactly like
-            // the simulated engine.
-            let weights = Arc::new(job.model.weights.clone());
-            let body = Arc::new(
-                move |sample: &SparseSample, buf: &mut DistArrayBuffer<f32>| {
-                    let read = |f| weights.get_flat_or_default(f as u64);
-                    slr_step(sample, read, buf, step, mode);
-                },
-            );
             let out = pool.driver.run_pass_threaded_one_d(
                 &pool.compiled.spec.name,
                 &pool.plan,
                 &samples,
-                buffers,
+                lend(&model, &mut buffers),
                 &body,
             );
-            flush_buffers(pool.driver, out.scratch, |buf| {
-                apply_buffer(&mut job.model, buf)
+            take_back(&mut buffers, out.scratch);
+            let owned = Arc::get_mut(&mut model).expect("the pass handed the model back");
+            flush_buffers(pool.driver, &mut buffers, |buf| {
+                apply_updates(owned, buf.drain_flat())
             });
-            pool.record(pass, self.metric(data, &job));
+            let workers = pool.driver.pool().expect("the pass above ran on the pool");
+            let loss = readout.eval(workers, &pool.plan, &samples, &model);
+            pool.driver.check_readout(loss, || model.loss(data));
+            pool.record(pass, loss);
         }
-        Ok(job.model)
+        Ok(Arc::try_unwrap(model).expect("the readout handed the model back"))
     }
 
     /// SLR's recorded prefetch pass re-executes every pass by default;

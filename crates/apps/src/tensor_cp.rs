@@ -167,7 +167,9 @@ fn cp_update_rows(
 ) {
     let pred = kernels::cp_predict(u, v, s, MathMode::Exact);
     let g = step * 2.0 * (x - pred);
-    kernels::cp_update_rows(u, v, s, g, |c, delta| buf.write(&[k, c as i64], delta));
+    // `S` is `n_contexts × rank`, row-major: `(k, c)` sits at `k * rank + c`.
+    let row = k as u64 * s.len() as u64;
+    kernels::cp_update_rows(u, v, s, g, |c, delta| buf.write_flat(row + c as u64, delta));
 }
 
 /// CP as an [`App`]. Without `buffer_s` the analyzer schedules the loop
@@ -188,6 +190,9 @@ pub struct CpJob {
     model: CpModel,
     items: Vec<(Vec<i64>, f32)>,
     iter_ns: f64,
+    /// One `S` write buffer per worker (`buffer_s` only; unwritten
+    /// buffers hold no table), empty between passes.
+    buffers: Vec<DistArrayBuffer<f32>>,
 }
 
 /// The `S` buffer's apply UDF: plain addition.
@@ -230,6 +235,7 @@ impl App for CpApp {
         }
         let job = CpJob {
             iter_ns: cost::mf_iter_ns(model.cfg.rank) * 1.5 * cost::ORION_OVERHEAD,
+            buffers: write_buffers(&model.s, compiled.schedule.n_workers),
             model,
             items,
         };
@@ -248,9 +254,9 @@ impl App for CpApp {
             model,
             items,
             iter_ns,
+            buffers,
         } = job;
         if self.buffer_s {
-            let mut buffers = write_buffers(&model.s, compiled.schedule.n_workers);
             driver.run_pass(compiled, &mut |_| *iter_ns, &mut |w, pos| {
                 let (idx, x) = &items[pos];
                 cp_update(model, idx, *x, Some(&mut buffers[w]));
@@ -287,7 +293,10 @@ impl App for CpApp {
             return Err(unsupported::<Self>("threads", "buffer_s: false"));
         }
         let CpJob {
-            mut model, items, ..
+            mut model,
+            items,
+            mut buffers,
+            ..
         } = job;
         let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
         // The analyzer parallelizes over loop dims {0, 1} (the buffered
@@ -303,7 +312,6 @@ impl App for CpApp {
         let step = model.cfg.step_size;
 
         for pass in 0..passes {
-            let scratch = write_buffers(&model.s, plan.n_workers());
             let s_pass = Arc::new(model.s.clone());
             let body = Arc::new(
                 move |&(i, j, k, x): &(i64, i64, i64, f32),
@@ -328,12 +336,11 @@ impl App for CpApp {
                 &entries,
                 space_parts,
                 time_parts,
-                scratch,
+                buffers,
                 &body,
             );
-            space_parts = out.space;
-            time_parts = out.time;
-            flush_buffers(pool.driver, out.scratch, |buf| {
+            (space_parts, time_parts, buffers) = (out.space, out.time, out.scratch);
+            flush_buffers(pool.driver, &mut buffers, |buf| {
                 buf.apply_to(&mut model.s, add)
             });
             // The loss is read on the pool, against the partitions where

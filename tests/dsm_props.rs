@@ -5,6 +5,8 @@
 use orion::dsm::kernels::{self, BinStat, MathMode, LANES};
 use orion::dsm::{checkpoint, codec, DistArray, DistArrayBuffer, RangePartition, Shape};
 use proptest::prelude::*;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 
 fn arb_dims() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(1u64..8, 1..4)
@@ -128,6 +130,88 @@ proptest! {
             let a = direct.get(&[i]).unwrap();
             let b = via_buffer.get(&[i]).unwrap();
             prop_assert!((a - b).abs() < 1e-4, "slot {i}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn buffer_matches_a_btree_reference(
+        dims in (1u64..6, 1u64..40),
+        custom in any::<bool>(),
+        ops in proptest::collection::vec((0u32..7, 0u64..240, -50i64..50, 0usize..6), 0..120),
+    ) {
+        // The dense table against the tree it replaced: same pairs in
+        // the same order, same `len` / `payload_bytes` / `age`, through
+        // any interleaving of writes, drains and applies — so a buffer
+        // reused after a drain behaves like a fresh one.
+        let shape = Shape::new(vec![dims.0, dims.1]);
+        // Not commutative: the result depends on the write order.
+        let double_add = |acc: &mut i64, v: i64| *acc = acc.wrapping_mul(2).wrapping_add(v);
+        let mut buf: DistArrayBuffer<i64> = match custom {
+            true => DistArrayBuffer::new(shape.clone(), double_add),
+            false => DistArrayBuffer::additive(shape.clone()),
+        };
+        let mut array: DistArray<i64> = DistArray::dense("a", vec![dims.0, dims.1]);
+        let (mut pending, mut age) = (BTreeMap::<u64, i64>::new(), 0u64);
+        let mut applied = vec![0i64; shape.volume() as usize];
+        let with_index = |pairs: Vec<(u64, i64)>| -> Vec<(Vec<i64>, i64)> {
+            pairs.into_iter().map(|(f, v)| (shape.unflatten(f), v)).collect()
+        };
+        for (op, key, v, k) in ops {
+            let flat = key % shape.volume();
+            match op {
+                0 | 1 => {
+                    match op {
+                        0 => buf.write(&shape.unflatten(flat), v),
+                        _ => buf.write_flat(flat, v),
+                    }
+                    match (pending.entry(flat), custom) {
+                        (Entry::Vacant(e), _) => drop(e.insert(v)),
+                        (Entry::Occupied(mut e), true) => double_add(e.get_mut(), v),
+                        (Entry::Occupied(mut e), false) => *e.get_mut() += v,
+                    }
+                }
+                2 => {
+                    buf.tick();
+                    age += 1;
+                }
+                3 => {
+                    let expect = with_index(std::mem::take(&mut pending).into_iter().collect());
+                    prop_assert_eq!(buf.drain(), expect);
+                    age = 0;
+                }
+                4 => {
+                    let expect: Vec<(u64, i64)> = std::mem::take(&mut pending).into_iter().collect();
+                    prop_assert_eq!(buf.drain_flat().collect::<Vec<_>>(), expect);
+                    age = 0;
+                }
+                5 => {
+                    // Largest magnitude first, ties by ascending key.
+                    let mut order: Vec<(u64, i64)> = pending.iter().map(|(&f, &v)| (f, v)).collect();
+                    order.sort_by_key(|&(f, v)| (std::cmp::Reverse(v.unsigned_abs()), f));
+                    order.truncate(k);
+                    for (f, _) in &order {
+                        pending.remove(f);
+                    }
+                    if pending.is_empty() {
+                        // Taking everything is a full drain: key order.
+                        order.sort_unstable();
+                        age = 0;
+                    }
+                    prop_assert_eq!(buf.drain_largest(k, |v| v.unsigned_abs() as f64), with_index(order));
+                }
+                _ => {
+                    for (f, v) in std::mem::take(&mut pending) {
+                        applied[f as usize] = applied[f as usize].wrapping_mul(3).wrapping_add(v);
+                    }
+                    buf.apply_to(&mut array, |x, v| *x = x.wrapping_mul(3).wrapping_add(v));
+                    prop_assert_eq!(array.dense_values(), &applied[..]);
+                    age = 0;
+                }
+            }
+            prop_assert_eq!(buf.len(), pending.len());
+            prop_assert_eq!(buf.is_empty(), pending.is_empty());
+            prop_assert_eq!(buf.payload_bytes(), pending.len() as u64 * 16);
+            prop_assert_eq!(buf.age(), age);
         }
     }
 

@@ -15,9 +15,10 @@ use std::sync::Arc;
 use orion::analysis::Strategy;
 use orion::apps::run::{self, Engine, RunConfig};
 use orion::apps::sgd_mf::{self, MfConfig, MfRunConfig};
+use orion::apps::slr::{self, PooledLoss, SlrConfig, SlrModel, SlrRunConfig};
 use orion::apps::tensor_cp::{self, CpApp, CpConfig, CpRunConfig};
 use orion::core::{ClusterSpec, Driver, RunStats};
-use orion::data::{RatingsConfig, RatingsData, TensorConfig, TensorData};
+use orion::data::{RatingsConfig, RatingsData, SparseConfig, SparseData, TensorConfig, TensorData};
 use orion::dsm::DistArray;
 use orion::runtime::{build_schedule, run_grid_eval_pooled, EvalSlots, ThreadedPlan, WorkerPool};
 
@@ -136,6 +137,69 @@ fn cp_readout_matches_the_oracle_bit_for_bit() {
             assert_eq!(bits(&model.s), bits(&oracle.s), "{case}: S");
         }
     }
+}
+
+/// SLR reads its loss on the pool too, through a 1-D plan and the
+/// weights lent to the workers: every recorded metric and the final
+/// weights carry the oracle's bits for any thread count.
+#[test]
+fn slr_readout_matches_the_oracle_bit_for_bit() {
+    let data = SparseData::generate(SparseConfig::tiny());
+    for threads in 1..=3 {
+        let run = SlrRunConfig {
+            cluster: ClusterSpec::new(1, threads),
+            passes: PASSES,
+            prefetch_override: None,
+        };
+        let (oracle, expect) = slr::train_orion(&data, SlrConfig::new(), &run);
+        let (model, got) = slr::train_threaded(&data, SlrConfig::new(), threads, PASSES);
+        let case = format!("slr threads={threads}");
+        assert_eq!(expect.progress.len(), PASSES as usize, "{case}");
+        assert_same_curve(&got, &expect, &case);
+        assert_eq!(
+            bits(&model.weights),
+            bits(&oracle.weights),
+            "{case}: weights"
+        );
+    }
+}
+
+/// A trained SLR model, the 1-D plan over its samples, and the terms of
+/// one pooled loss readout.
+fn slr_readout(workers: usize) -> (SparseData, Arc<SlrModel>, PooledLoss, f64) {
+    let data = SparseData::generate(SparseConfig::tiny());
+    let (model, _) = slr::train_serial(&data, SlrConfig::new(), 2);
+    let n = data.samples.len();
+    let indices: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![i]).collect();
+    let indices: Vec<&[i64]> = indices.iter().map(Vec::as_slice).collect();
+    let strategy = Strategy::FullyParallel { dim: 0 };
+    let sched = build_schedule(&strategy, &indices, &[n as u64], workers);
+    let plan = Arc::new(ThreadedPlan::compile(&sched));
+    let (samples, model) = (Arc::new(data.samples.clone()), Arc::new(model));
+    let mut readout = PooledLoss::new(&plan);
+    let loss = readout.eval(&WorkerPool::new(workers), &plan, &samples, &model);
+    (data, model, readout, loss)
+}
+
+#[test]
+fn validated_slr_readout_accepts_the_sample_order_sum() {
+    let (data, model, _, loss) = slr_readout(2);
+    let mut driver = Driver::new(ClusterSpec::new(1, 2));
+    driver.set_validate(true);
+    driver.check_readout(loss, || model.loss(&data));
+}
+
+/// The seeded negative case: joining per-worker partial sums adds the
+/// same terms in another association, which the cross-check must see.
+#[test]
+#[should_panic(expected = "differs from the serial readout")]
+fn validated_slr_readout_catches_a_sum_in_worker_order() {
+    let (data, model, readout, _) = slr_readout(2);
+    let partials = readout.worker_terms().iter().map(|t| t.iter().sum::<f64>());
+    let in_worker_order = partials.sum::<f64>() / data.samples.len() as f64;
+    let mut driver = Driver::new(ClusterSpec::new(1, 2));
+    driver.set_validate(true);
+    driver.check_readout(in_worker_order, || model.loss(&data));
 }
 
 /// Both shapes really exercise both layouts.
