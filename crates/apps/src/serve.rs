@@ -10,31 +10,110 @@
 //! shard, a cache hit, or a batch boundary can never change an answer.
 //!
 //! Tie-breaking for every top-k list is total and deterministic: score
-//! descending (`f32::total_cmp`), then id ascending.
+//! descending (`f32::total_cmp`, `u32::cmp`), then id ascending. Scans
+//! feed a bounded [`TopK`] selector as they go; the oracles sort every
+//! pair with [`top_k_reference`].
+
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 
 use orion_dsm::checkpoint::{self, CheckpointError};
 use orion_dsm::kernels::{self, MathMode};
-use orion_serve::{RawRequest, ServeCtx, ServeModel, ShardedArray};
+use orion_serve::{LanePanels, RawRequest, ServeCtx, ServeModel, ShardedArray};
 
 use crate::lda::LdaModel;
 use crate::sgd_mf::MfModel;
 use crate::slr::SlrModel;
 
-/// Selects the top `k` of `(id, score)` pairs: score descending, id
-/// ascending on ties. Total order via `total_cmp`, so NaNs (which the
-/// trained models never produce, but proptest inputs may) still order
-/// deterministically.
-pub fn top_k_f32(mut scored: Vec<(u64, f32)>, k: usize) -> Vec<(u64, f32)> {
-    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    scored.truncate(k);
-    scored
+/// A score a top-k list ranks by, under a total order.
+pub trait Score: Copy {
+    /// `total_cmp` for floats — so NaNs (which the trained models never
+    /// produce, but proptest inputs may) still order deterministically —
+    /// and `cmp` for counts.
+    fn rank(&self, other: &Self) -> Ordering;
 }
 
-/// Top `k` of `(id, count)` pairs: count descending, id ascending.
-pub fn top_k_u32(mut scored: Vec<(u64, u32)>, k: usize) -> Vec<(u64, u32)> {
-    scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+impl Score for f32 {
+    fn rank(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
+impl Score for u32 {
+    fn rank(&self, other: &Self) -> Ordering {
+        self.cmp(other)
+    }
+}
+
+/// One `(id, score)` pair, ordered as top-k lists are: `Less` is listed
+/// first — score descending, id ascending on ties.
+struct Ranked<S>(u64, S);
+
+impl<S: Score> Ord for Ranked<S> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.1.rank(&self.1).then(self.0.cmp(&other.0))
+    }
+}
+
+impl<S: Score> PartialOrd for Ranked<S> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<S: Score> PartialEq for Ranked<S> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl<S: Score> Eq for Ranked<S> {}
+
+/// Streaming top-k selector: keeps the best `min(k, n)` of the pairs
+/// pushed so far in a heap whose root is the worst of them, so a scan of
+/// `n` rows costs O(n log k) and holds `min(k, n)` slots whatever `k` a
+/// query names.
+pub struct TopK<S: Score> {
+    k: usize,
+    heap: BinaryHeap<Ranked<S>>,
+}
+
+impl<S: Score> TopK<S> {
+    /// A selector for the best `k` of at most `n` pairs.
+    pub fn new(k: usize, n: u64) -> Self {
+        let k = k.min(usize::try_from(n).unwrap_or(usize::MAX));
+        TopK {
+            k,
+            heap: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    /// Offers one pair.
+    #[inline]
+    pub fn push(&mut self, id: u64, score: S) {
+        let candidate = Ranked(id, score);
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+
+    /// The kept pairs, best first.
+    pub fn into_sorted(self) -> Vec<(u64, S)> {
+        let sorted = self.heap.into_sorted_vec();
+        sorted.into_iter().map(|Ranked(id, s)| (id, s)).collect()
+    }
+}
+
+/// The brute-force reference the oracles use: sorts every pair and keeps
+/// the first `k`.
+pub fn top_k_reference<S: Score>(mut scored: Vec<(u64, S)>, k: usize) -> Vec<(u64, S)> {
+    scored.sort_by(|a, b| b.1.rank(&a.1).then(a.0.cmp(&b.0)));
     scored.truncate(k);
     scored
 }
@@ -73,18 +152,32 @@ pub enum MfAnswer {
 }
 
 /// MF serving model: `arrays()[0]` is `W` (users × rank, the primary —
-/// requests route by user), `arrays()[1]` is `H` (items × rank).
+/// requests route by user), `arrays()[1]` is `H` (items × rank), which
+/// `Recommend` scans through `h_panels`, one lane-panel index per shard
+/// of `H`.
 pub struct MfServe {
     arrays: Vec<ShardedArray<f32>>,
+    h_panels: Vec<LanePanels<f32>>,
 }
 
 impl MfServe {
+    /// The one place a model is assembled: the two sharded arrays plus
+    /// the scan index over `H`, built here so it exists before the first
+    /// query whichever way the model was loaded.
+    fn new(w: ShardedArray<f32>, h: ShardedArray<f32>) -> Self {
+        let h_panels = h.shards().iter().map(LanePanels::from_shard).collect();
+        MfServe {
+            arrays: vec![w, h],
+            h_panels,
+        }
+    }
+
     /// Shards a trained model, `W` by the partitioner in `shard_w` and
     /// `H` uniformly into the same number of shards.
     pub fn from_model(model: &MfModel, n_shards: usize) -> Self {
         let w = ShardedArray::from_array(&model.w, n_shards);
         let h = ShardedArray::from_array(&model.h, w.n_shards());
-        MfServe { arrays: vec![w, h] }
+        Self::new(w, h)
     }
 
     /// Like [`MfServe::from_model`] but partitions `W` with the
@@ -94,7 +187,7 @@ impl MfServe {
     pub fn from_model_balanced(model: &MfModel, user_weights: &[u64], n_shards: usize) -> Self {
         let w = ShardedArray::from_array_balanced(&model.w, user_weights, n_shards);
         let h = ShardedArray::from_array(&model.h, w.n_shards());
-        MfServe { arrays: vec![w, h] }
+        Self::new(w, h)
     }
 
     /// Loads the two checkpoint images written by
@@ -110,7 +203,7 @@ impl MfServe {
     ) -> Result<Self, CheckpointError> {
         let w = ShardedArray::from_checkpoint_bytes(w, n_shards)?;
         let h = ShardedArray::from_checkpoint_bytes(h, w.n_shards())?;
-        Ok(MfServe { arrays: vec![w, h] })
+        Ok(Self::new(w, h))
     }
 
     /// Checkpoint images of a trained model, `(W, H)`.
@@ -168,20 +261,21 @@ impl ServeModel for MfServe {
             MfQuery::Predict { user, item } => {
                 let w = ctx.row(0, *user);
                 let h = ctx.row(1, *item);
-                MfAnswer::Score(kernels::dot(&w, &h, MathMode::Exact))
+                MfAnswer::Score(kernels::dot(w, h, MathMode::Exact))
             }
             MfQuery::Recommend { user, k } => {
                 let w = ctx.row(0, *user);
-                let mut scored = Vec::with_capacity(self.n_items() as usize);
-                for s in 0..ctx.n_shards(1) {
-                    let shard = ctx.scan(1, s);
-                    let width = shard.width();
-                    for (local, row) in shard.values().chunks_exact(width).enumerate() {
-                        let item = shard.rows().start + local as u64;
-                        scored.push((item, kernels::dot(&w, row, MathMode::Exact)));
+                let mut top = TopK::new(*k, self.n_items());
+                for (s, panels) in self.h_panels.iter().enumerate() {
+                    let mut item = ctx.scan(1, s).rows().start;
+                    for (real_rows, panel) in panels.panels() {
+                        for &score in &kernels::dot_panel(w, panel)[..real_rows] {
+                            top.push(item, score);
+                            item += 1;
+                        }
                     }
                 }
-                MfAnswer::TopK(top_k_f32(scored, *k))
+                MfAnswer::TopK(top.into_sorted())
             }
         }
     }
@@ -209,7 +303,7 @@ pub fn oracle_mf_recommend(model: &MfModel, user: u64, k: usize) -> Vec<(u64, f3
             )
         })
         .collect();
-    top_k_f32(scored, k)
+    top_k_reference(scored, k)
 }
 
 // ---------------------------------------------------------------------------
@@ -403,15 +497,15 @@ impl ServeModel for LdaServe {
         match query {
             LdaQuery::DocTopics { doc } => LdaAnswer::Histogram(ctx.row(0, *doc).to_vec()),
             LdaQuery::TopWords { topic, k } => {
-                let mut scored = Vec::new();
+                let mut top = TopK::new(*k, self.arrays[1].n_rows());
                 for s in 0..ctx.n_shards(1) {
                     let shard = ctx.scan(1, s);
-                    let width = shard.width();
-                    for (local, row) in shard.values().chunks_exact(width).enumerate() {
-                        scored.push((shard.rows().start + local as u64, row[*topic]));
+                    let rows = shard.values().chunks_exact(shard.width());
+                    for (word, row) in (shard.rows().start..).zip(rows) {
+                        top.push(word, row[*topic]);
                     }
                 }
-                LdaAnswer::TopK(top_k_u32(scored, *k))
+                LdaAnswer::TopK(top.into_sorted())
             }
         }
     }
@@ -429,7 +523,7 @@ pub fn oracle_lda_top_words(model: &LdaModel, topic: usize, k: usize) -> Vec<(u6
     let scored = (0..vocab)
         .map(|w| (w, model.wt.row_slice(w as i64)[topic]))
         .collect();
-    top_k_u32(scored, k)
+    top_k_reference(scored, k)
 }
 
 #[cfg(test)]
@@ -437,12 +531,55 @@ mod tests {
     use super::*;
     use orion_serve::{EngineConfig, ServeEngine};
 
+    /// The streaming selector's answer, after checking that the
+    /// sort-based reference gives the same ids and the same score bits
+    /// (`rank` is `Equal` only then) and that `k` sized nothing.
+    fn top_k<S: Score>(scored: &[(u64, S)], k: usize) -> Vec<(u64, S)> {
+        let mut top = TopK::new(k, scored.len() as u64);
+        assert_eq!(top.k, k.min(scored.len()), "slots follow the rows, not k");
+        for &(id, score) in scored {
+            top.push(id, score);
+        }
+        let got = top.into_sorted();
+        let want = top_k_reference(scored.to_vec(), k);
+        assert_eq!(got.len(), want.len(), "k = {k}");
+        for (g, w) in got.iter().zip(&want) {
+            assert!(g.0 == w.0 && g.1.rank(&w.1) == Ordering::Equal, "k = {k}");
+        }
+        got
+    }
+
     #[test]
     fn top_k_breaks_ties_by_id() {
-        let scored = vec![(3, 1.0f32), (1, 2.0), (2, 2.0), (0, 0.5)];
-        assert_eq!(top_k_f32(scored, 3), vec![(1, 2.0), (2, 2.0), (3, 1.0)]);
-        let counts = vec![(5, 7u32), (2, 9), (9, 9)];
-        assert_eq!(top_k_u32(counts, 2), vec![(2, 9), (9, 9)]);
+        let scored = [(3, 1.0f32), (1, 2.0), (2, 2.0), (0, 0.5)];
+        assert_eq!(top_k(&scored, 3), vec![(1, 2.0), (2, 2.0), (3, 1.0)]);
+        let counts = [(5, 7u32), (2, 9), (9, 9)];
+        assert_eq!(top_k(&counts, 2), vec![(2, 9), (9, 9)]);
+
+        // `total_cmp` order, not `partial_cmp`: +NaN above +∞, +0.0
+        // above -0.0, -NaN below -∞; equal bits fall back to the id.
+        let odd = [
+            (0, -0.0f32),
+            (1, f32::NEG_INFINITY),
+            (2, f32::NAN),
+            (3, 0.0),
+            (4, -f32::NAN),
+            (5, f32::INFINITY),
+            (6, f32::NAN),
+            (7, -0.0),
+        ];
+        let bits = |list: Vec<(u64, f32)>| -> Vec<(u64, u32)> {
+            list.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+        };
+        let all = bits(top_k(&odd, odd.len()));
+        let ids: Vec<u64> = all.iter().map(|p| p.0).collect();
+        assert_eq!(ids, [2, 6, 5, 3, 0, 7, 1, 4]);
+        // Every length a query can name, hostile ones included, is a
+        // prefix of that list.
+        for k in [0, 1, odd.len() - 1, odd.len(), odd.len() + 1, usize::MAX] {
+            assert_eq!(bits(top_k(&odd, k)), all[..k.min(odd.len())], "k = {k}");
+        }
+        assert_eq!(top_k::<u32>(&[], usize::MAX), vec![]);
     }
 
     #[test]

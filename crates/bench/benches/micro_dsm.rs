@@ -18,6 +18,7 @@ use std::hint::black_box;
 
 use orion_bench::{results_dir, write_report, KernelReport, KernelRow};
 use orion_dsm::{codec, kernels, DistArray, DistArrayBuffer, MathMode, RangePartition};
+use orion_serve::{LanePanels, ShardedArray};
 
 fn bench_dense_access(c: &mut Criterion) {
     let mut a: DistArray<f32> = DistArray::dense("a", vec![1000, 16]);
@@ -569,11 +570,65 @@ fn run_simd_head_to_head() {
         },
     );
 
+    // The serve scan: one query row against every row of an item array,
+    // rank 32 × 4 000 rows. Serial is one latency-bound add chain per
+    // row; the lane-panel kernel runs LANES rows' chains side by side
+    // over the transposed panels — Exact on both sides, so the scores
+    // are compared bit for bit before anything is timed.
+    let (scan_rank, scan_rows) = (32usize, 4_000usize);
+    let query = kernel_fixture(scan_rank, 10);
+    let items = DistArray::dense_from_vec(
+        "H",
+        vec![scan_rows as u64, scan_rank as u64],
+        kernel_fixture(scan_rank * scan_rows, 11),
+    );
+    let sharded = ShardedArray::from_array(&items, 1);
+    let panels = LanePanels::from_shard(sharded.shard(0));
+    let serial_scores = |out: &mut Vec<f32>| {
+        for row in items.dense_values().chunks_exact(scan_rank) {
+            out.push(kernels::dot_serial(black_box(&query), row));
+        }
+    };
+    let panel_scores = |out: &mut Vec<f32>| {
+        for (real_rows, panel) in panels.panels() {
+            out.extend_from_slice(&kernels::dot_panel(black_box(&query), panel)[..real_rows]);
+        }
+    };
+    let (mut serial, mut lanes) = (Vec::new(), Vec::new());
+    serial_scores(&mut serial);
+    panel_scores(&mut lanes);
+    assert_eq!(
+        lanes.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        serial.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+        "Exact lane-panel dot must match the serial order bitwise"
+    );
+    let scan_reps = 20;
+    let scans = |scores_of: &dyn Fn(&mut Vec<f32>)| {
+        let mut scores = Vec::with_capacity(scan_rows);
+        for _ in 0..scan_reps {
+            scores.clear();
+            scores_of(&mut scores);
+            black_box(&scores);
+        }
+    };
+    let lane_panel_dot = kernel_row(
+        "lane_panel_dot",
+        (scan_reps * scan_rank * scan_rows) as u64,
+        || scans(&serial_scores),
+        || scans(&panel_scores),
+    );
+
     let report = KernelReport {
         simd_enabled: kernels::simd_enabled(),
         fast_math_available: kernels::fast_math_available(),
         rows: vec![
-            dense_dot, row_update, histogram, gather_sum, cp_update, gbt_hist,
+            dense_dot,
+            row_update,
+            histogram,
+            gather_sum,
+            cp_update,
+            gbt_hist,
+            lane_panel_dot,
         ],
     };
     write_report("BENCH_simd.json", &report);

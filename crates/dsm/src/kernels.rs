@@ -29,6 +29,15 @@
 //!   associated, so they are validated by convergence-equivalence tests
 //!   rather than bit-identity.
 //!
+//! - **Exact across-row lane kernels over transposed panels**
+//!   ([`dot_panel`]) put the lanes across [`LANES`] *rows* instead of
+//!   along one row: in the `(row, c)` nest of a scan the only carried
+//!   dependence is the reduction along `c`, so with the rows of a panel
+//!   stored `panel[c * LANES + j]` the dependence-free row dimension is
+//!   innermost and every lane runs the serial reduction of its own row —
+//!   no sum is reassociated. Always compiled, no feature and no
+//!   [`MathMode`]: the result is [`dot_serial`]'s, bit for bit.
+//!
 //! Remainder handling: every lane variant splits its input with
 //! `chunks_exact(LANES)` and processes the remainder (`len % LANES`
 //! elements) with the serial code, so any length is legal and lengths
@@ -214,6 +223,29 @@ fn fold_lanes<T: Float>(mut acc: [T; LANES]) -> T {
         width /= 2;
     }
     acc[0]
+}
+
+// ---------------------------------------------------------------------------
+// Exact across-row lane kernels over transposed panels (always compiled)
+// ---------------------------------------------------------------------------
+
+/// Exact dot of one query row against the [`LANES`] rows of a transposed
+/// panel, `panel[c * LANES + j]` being element `c` of row `j`: lane `j`
+/// starts from `NEG_ZERO` and adds `w[c] * panel[c * LANES + j]` for
+/// ascending `c` — the operations of `dot_serial(w, row_j)` in the same
+/// order, so the same bits, with the lanes independent of each other.
+/// (Where the result is a NaN it is a NaN on both sides, but Rust leaves
+/// the sign and payload of a NaN an operation produces unspecified, so
+/// those are outside the contract.) Truncates to the shorter of `w` and
+/// the panel's width like [`dot_serial`].
+pub fn dot_panel<T: Float>(w: &[T], panel: &[T]) -> [T; LANES] {
+    let mut acc = [T::NEG_ZERO; LANES];
+    for (x, col) in w.iter().zip(panel.chunks_exact(LANES)) {
+        for j in 0..LANES {
+            acc[j] += *x * col[j];
+        }
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------

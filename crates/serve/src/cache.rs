@@ -1,12 +1,14 @@
 //! A bounded LRU cache with hit/miss accounting, one per shard.
 //!
-//! The cache sits in front of row fetches in the serve engine: point
-//! and scoring queries go through it, streaming top-k scans deliberately
-//! bypass it (a full scan would evict the whole working set for rows
-//! that are read once). Values are bit-exact copies of shard rows, so a
-//! cached answer is identical to an uncached one — the property the
-//! oracle conformance suite asserts by re-running every query with the
-//! cache disabled.
+//! The cache sits beside row fetches in the serve engine: point and
+//! scoring queries record every row they read in it, streaming top-k
+//! scans deliberately bypass it (a full scan would evict the whole
+//! working set for rows that are read once). The engine stores keys only
+//! (`LruCache<u64, ()>`): the rows are borrowed from the immutable
+//! shards either way, so a "cached" answer is the uncached one by
+//! construction, and what the cache contributes is recency — the hit and
+//! miss counts the virtual service model prices. The oracle conformance
+//! suite still re-runs every query with the cache disabled.
 
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -16,7 +16,7 @@
 //!   completed request so latency percentiles land in the
 //!   [`RunReport`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use orion_dsm::Element;
 use orion_trace::{LoadStats, RunReport, Span, SpanCat, Tracer};
@@ -52,9 +52,11 @@ pub trait ServeModel: Send + Sync {
     fn answer(&self, query: &Self::Query, ctx: &mut ServeCtx<'_, Self::Elem>) -> Self::Answer;
 }
 
-/// One array's caches: an LRU per shard, keyed by global row id, each
-/// holding bit-exact row copies.
-type ShardCaches<T> = Vec<Mutex<LruCache<u64, Arc<[T]>>>>;
+/// One array's caches: an LRU per shard over global row ids. Keys only —
+/// the rows themselves are borrowed from the immutable shards — so what
+/// a cache keeps is recency, and the hit and miss counts the virtual
+/// service model charges for.
+type ShardCaches = Vec<Mutex<LruCache<u64, ()>>>;
 
 /// Per-request access counters, filled by [`ServeCtx`] and fed into the
 /// virtual service-time model.
@@ -72,40 +74,44 @@ pub struct AccessCounts {
 /// fetches plus direct shard scans, with per-request accounting.
 pub struct ServeCtx<'a, T: Element> {
     arrays: &'a [ShardedArray<T>],
-    caches: &'a [ShardCaches<T>],
+    caches: &'a [ShardCaches],
     /// Counters for the service-time model.
     pub counts: AccessCounts,
 }
 
 impl<'a, T: Element> ServeCtx<'a, T> {
-    /// Fetches one row of `array` through that shard's LRU cache.
-    /// The returned bytes are identical whether the fetch hits, misses,
-    /// or the cache is disabled.
+    /// Borrows one row of `array` from its shard and records the fetch
+    /// in that shard's LRU. The returned bytes are the shard's own, so
+    /// they are identical whether the fetch hits, misses, or the cache
+    /// is disabled.
     ///
     /// # Panics
     ///
     /// Panics if `row` is out of bounds — queries address trained
     /// models, so an out-of-range key is a routing bug.
-    pub fn row(&mut self, array: usize, row: u64) -> Arc<[T]> {
+    pub fn row(&mut self, array: usize, row: u64) -> &'a [T] {
         let a = &self.arrays[array];
         let shard = a.shard_of(row);
-        let mut cache = self.caches[array][shard].lock().expect("cache lock");
-        if let Some(hit) = cache.get(&row) {
-            self.counts.row_hits += 1;
-            return Arc::clone(hit);
-        }
-        self.counts.row_misses += 1;
-        let fresh: Arc<[T]> = a
+        let values = a
+            .shard(shard)
             .row(row)
-            .unwrap_or_else(|| panic!("row {row} out of bounds of `{}`", a.name()))
-            .into();
-        cache.insert(row, Arc::clone(&fresh));
-        fresh
+            .unwrap_or_else(|| panic!("row {row} out of bounds of `{}`", a.name()));
+        let mut cache = self.caches[array][shard].lock().expect("cache lock");
+        if cache.get(&row).is_some() {
+            self.counts.row_hits += 1;
+        } else {
+            self.counts.row_misses += 1;
+            cache.insert(row, ());
+        }
+        values
     }
 
     /// Direct access to one shard of `array` for streaming scans.
     /// Bypasses the cache by design (a full scan would evict the whole
-    /// working set) but charges every element to the scan counter.
+    /// working set) but charges every element to the scan counter — the
+    /// shard's logical element count, which is also what a model that
+    /// reads the rows through its own [`LanePanels`](crate::LanePanels)
+    /// index of this shard owes.
     pub fn scan(&mut self, array: usize, shard: usize) -> &'a ServeShard<T> {
         let s = self.arrays[array].shard(shard);
         self.counts.scanned_elems += s.values().len() as u64;
@@ -214,7 +220,7 @@ impl ServeStats {
 /// LRU caches.
 pub struct ServeEngine<M: ServeModel> {
     model: M,
-    caches: Vec<ShardCaches<M::Elem>>,
+    caches: Vec<ShardCaches>,
     config: EngineConfig,
 }
 

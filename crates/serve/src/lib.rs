@@ -18,7 +18,8 @@
 //!
 //! - [`shard`]: [`ServeShard`]/[`ShardedArray`] — checkpoint → immutable
 //!   row-major shards, partitioned by the existing [`RangePartition`]
-//!   machinery (uniform or traffic-balanced).
+//!   machinery (uniform or traffic-balanced); [`LanePanels`], the
+//!   transposed scan index a model builds over the array it scans.
 //! - [`cache`]: [`LruCache`] with hit/miss accounting, one per shard.
 //! - [`engine`]: the [`ServeModel`] trait, thread-safe [`ServeEngine`],
 //!   and the deterministic virtual-clock session loop.
@@ -42,5 +43,5 @@ pub use cache::{CacheStats, LruCache};
 pub use engine::{
     AccessCounts, EngineConfig, Request, ServeCtx, ServeEngine, ServeModel, ServeStats,
 };
-pub use shard::{ServeShard, ShardedArray};
+pub use shard::{LanePanels, ServeShard, ShardedArray};
 pub use traffic::{RawRequest, TrafficConfig};

@@ -15,6 +15,7 @@ use std::path::Path;
 use bytes::Bytes;
 
 use orion_dsm::checkpoint::{self, CheckpointError};
+use orion_dsm::kernels::LANES;
 use orion_dsm::{DistArray, Element, RangePartition};
 
 /// One immutable shard: a contiguous run of rows of a served array.
@@ -64,6 +65,53 @@ impl<T: Element> ServeShard<T> {
     /// Payload size in wire bytes (capacity accounting).
     pub fn bytes(&self) -> u64 {
         (self.values.len() * T::WIRE_BYTES) as u64
+    }
+}
+
+/// A scan index over one shard: the shard's rows once more, transposed
+/// into panels of [`LANES`] consecutive rows laid out
+/// `panel[c * LANES + j]` = element `c` of the panel's row `j`, the layout
+/// `orion_dsm::kernels::dot_panel` scores a whole panel from. Built once
+/// at load by a model for the array it scans; point reads keep using the
+/// row-major slab. The last panel is padded with `T::default()` up to
+/// [`LANES`] rows, and [`LanePanels::panels`] says how many of its rows
+/// are real.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LanePanels<T: Element> {
+    n_rows: usize,
+    width: usize,
+    values: Vec<T>,
+}
+
+impl<T: Element> LanePanels<T> {
+    /// Transposes `shard` one panel at a time: [`LANES`] rows are read
+    /// front to back and scattered into the one panel being filled.
+    pub fn from_shard(shard: &ServeShard<T>) -> Self {
+        let width = shard.width;
+        let n_rows = shard.n_rows() as usize;
+        let mut values = vec![T::default(); n_rows.div_ceil(LANES) * width * LANES];
+        let panels = values.chunks_exact_mut(width * LANES);
+        for (panel, rows) in panels.zip(shard.values.chunks(width * LANES)) {
+            for (j, row) in rows.chunks_exact(width).enumerate() {
+                for (c, v) in row.iter().enumerate() {
+                    panel[c * LANES + j] = v.clone();
+                }
+            }
+        }
+        LanePanels {
+            n_rows,
+            width,
+            values,
+        }
+    }
+
+    /// The panels in row order, each with the number of real rows it
+    /// holds: [`LANES`], except that the last panel may hold fewer.
+    pub fn panels(&self) -> impl Iterator<Item = (usize, &[T])> {
+        self.values
+            .chunks_exact(self.width * LANES)
+            .enumerate()
+            .map(|(p, panel)| ((self.n_rows - p * LANES).min(LANES), panel))
     }
 }
 
@@ -121,7 +169,15 @@ impl<T: Element> ShardedArray<T> {
         assert!(rows > 0, "cannot shard an empty array");
         let width = (array.shape().volume() / rows) as usize;
         let partition = make(rows);
-        let values = array.to_dense_vec();
+        // A dense array is sliced where it lies; only a sparse one is
+        // materialized first.
+        let densified;
+        let values = if array.is_dense() {
+            array.dense_values()
+        } else {
+            densified = array.to_dense_vec();
+            &densified
+        };
         let shards = partition
             .ranges
             .iter()
@@ -246,6 +302,37 @@ mod tests {
             }
         }
         assert_eq!(s.row(7), None);
+    }
+
+    #[test]
+    fn lane_panels_transpose_and_pad() {
+        // 7 × 3 in shards of 3, 2, 2 rows; then 19 rows: two full panels
+        // and a ragged one.
+        let tall = DistArray::dense_from_fn("T", vec![19, 3], |i| (i[0] * 10 + i[1]) as f32);
+        for sharded in [
+            ShardedArray::from_array(&arr(), 3),
+            ShardedArray::from_array(&tall, 1),
+        ] {
+            for shard in sharded.shards() {
+                let index = LanePanels::from_shard(shard);
+                let mut row = shard.rows().start;
+                for (real_rows, panel) in index.panels() {
+                    assert_eq!(panel.len(), 3 * LANES);
+                    for j in 0..LANES {
+                        for c in 0..3 {
+                            let want = if j < real_rows {
+                                shard.row(row + j as u64).unwrap()[c]
+                            } else {
+                                0.0
+                            };
+                            assert_eq!(panel[c * LANES + j], want);
+                        }
+                    }
+                    row += real_rows as u64;
+                }
+                assert_eq!(row, shard.rows().end);
+            }
+        }
     }
 
     #[test]

@@ -538,3 +538,123 @@ proptest! {
         prop_assert!((ps - pl).abs() <= tol * ps.abs().max(1.0), "cp_predict {ps} vs {pl}");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The exact across-row lane kernel: lane order = serial order = same bits.
+// ---------------------------------------------------------------------------
+
+/// Mostly ordinary magnitudes, with the values a bit-exact contract has
+/// to survive mixed in: signed zeros, infinities, NaN and denormals.
+fn arb_edge_f32() -> impl Strategy<Value = f32> {
+    const EDGES: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+    ];
+    (0usize..128, -8.0f32..8.0).prop_map(|(tag, x)| *EDGES.get(tag).unwrap_or(&x))
+}
+
+/// The bits of a result, all NaNs folded to one: Rust leaves the sign
+/// and payload of a NaN an operation produces unspecified (LLVM commutes
+/// the operands of `acc + product` differently in two loops, and x86
+/// keeps the first operand's NaN), so no two loops can promise them.
+/// Everything that is not a NaN — ±0.0, ±∞, denormals — keeps its bits.
+fn exact_bits(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Scores `n_rows` row-major rows of `width` against `w` through
+/// `kernel`, one zero-padded `panel[c * LANES + j]` at a time, and
+/// demands `dot_serial`'s bits on every lane that holds a row.
+fn assert_panel_dot_is_serial(
+    kernel: impl Fn(&[f32], &[f32]) -> [f32; LANES],
+    w: &[f32],
+    rows: &[f32],
+    width: usize,
+    n_rows: usize,
+) {
+    for first in (0..n_rows).step_by(LANES) {
+        let real = (n_rows - first).min(LANES);
+        let mut panel = vec![0.0f32; width * LANES];
+        for j in 0..real {
+            for c in 0..width {
+                panel[c * LANES + j] = rows[(first + j) * width + c];
+            }
+        }
+        let got = kernel(w, &panel);
+        for j in 0..real {
+            let row = &rows[(first + j) * width..(first + j + 1) * width];
+            assert_eq!(
+                exact_bits(got[j]),
+                exact_bits(kernels::dot_serial(w, row)),
+                "lane {j} of the panel at row {first} is not the serial dot (width {width})"
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Widths below, at and between multiples of `LANES`, row counts
+    /// that leave a ragged last panel, and a query row shorter or longer
+    /// than the panel (both sides truncate to the shorter).
+    #[test]
+    fn dot_panel_is_dot_serial_on_every_lane(
+        fixture in (0usize..=70, 0usize..=20, 0usize..=72).prop_flat_map(|(width, n_rows, w_len)| (
+            Just((width, n_rows)),
+            proptest::collection::vec(arb_edge_f32(), w_len),
+            proptest::collection::vec(arb_edge_f32(), width * n_rows),
+        )),
+        same_len in any::<bool>(),
+    ) {
+        let ((width, n_rows), mut w, rows) = fixture;
+        if same_len {
+            w.resize(width, 1.5);
+        }
+        assert_panel_dot_is_serial(kernels::dot_panel, &w, &rows, width, n_rows);
+    }
+}
+
+/// The seeded negative cases: the two ways a lane kernel stops being
+/// exact, each caught by the assertion the property above runs.
+#[test]
+#[should_panic(expected = "is not the serial dot")]
+fn panel_check_catches_a_positive_zero_start() {
+    let from_plus_zero = |w: &[f32], panel: &[f32]| {
+        let mut acc = [0.0f32; LANES];
+        for (x, col) in w.iter().zip(panel.chunks_exact(LANES)) {
+            for j in 0..LANES {
+                acc[j] += *x * col[j];
+            }
+        }
+        acc
+    };
+    // Every product is -0.0: the serial fold from -0.0 stays -0.0.
+    assert_panel_dot_is_serial(from_plus_zero, &[1.0, 2.0], &[-0.0; 6], 2, 3);
+}
+
+#[test]
+#[should_panic(expected = "is not the serial dot")]
+fn panel_check_catches_two_folded_partial_sums() {
+    let two_halves = |w: &[f32], panel: &[f32]| {
+        let half = w.len() / 2;
+        let (lo, hi) = (
+            kernels::dot_panel(&w[..half], &panel[..half * LANES]),
+            kernels::dot_panel(&w[half..], &panel[half * LANES..]),
+        );
+        std::array::from_fn(|j| lo[j] + hi[j])
+    };
+    // Serial: ((1e8 + 1) - 1e8) + 1 = 1; halves: (1e8 + 1) + (-1e8 + 1) = 0.
+    let w = [1e8, 1.0, -1e8, 1.0];
+    assert_panel_dot_is_serial(two_halves, &w, &[1.0; 4], 4, 1);
+}

@@ -9,13 +9,13 @@ use std::sync::Arc;
 use std::thread;
 
 use orion::apps::serve::{MfAnswer, MfQuery, MfServe};
-use orion::apps::sgd_mf::{train_orion, MfConfig, MfRunConfig};
+use orion::apps::sgd_mf::{train_orion, MfConfig, MfModel, MfRunConfig};
 use orion::core::ClusterSpec;
 use orion::data::{RatingsConfig, RatingsData};
 use orion::serve::{EngineConfig, Request, ServeEngine, TrafficConfig};
 use orion::trace::Tracer;
 
-fn trained_model() -> orion::apps::sgd_mf::MfModel {
+fn trained_model() -> MfModel {
     let data = RatingsData::generate(RatingsConfig::tiny());
     let run = MfRunConfig {
         cluster: ClusterSpec::new(4, 2),
@@ -166,4 +166,40 @@ fn admission_reopens_after_completions() {
     assert_eq!(stats.rejected, 0);
     assert!(answers.iter().all(Option::is_some));
     assert_eq!(stats.completed, 60);
+}
+
+/// The row caches hold keys only — what they are for is the hit and
+/// miss counts the virtual service model charges — so those counts are
+/// pinned: a seeded Zipf session through a default-config engine, users
+/// and items both outnumbering a shard's 256 slots so that rows are
+/// evicted. The constants were recorded when the caches still held
+/// `Arc<[f32]>` row copies; the session's virtual wall follows from
+/// them.
+#[test]
+fn session_cache_counts_are_pinned() {
+    let model = MfModel::new(2_000, 600, MfConfig::new(4));
+    let eng = ServeEngine::new(MfServe::from_model(&model, 2), EngineConfig::default());
+    let traffic = TrafficConfig {
+        n_requests: 6_000,
+        streams: 3,
+        rate_rps: 20_000.0,
+        zipf_s: 1.1,
+        key_domain: eng.model().n_users(),
+        key2_domain: eng.model().n_items(),
+        seed: 17,
+    };
+    let session: Vec<Request<MfQuery>> = traffic
+        .generate()
+        .iter()
+        .map(|raw| Request {
+            arrive_ns: raw.arrive_ns,
+            query: eng.model().query_from_raw(raw, 0.95, 10),
+        })
+        .collect();
+    let (stats, _) = eng.run_session(&session, &mut Tracer::default());
+    let c = stats.cache;
+    assert_eq!(
+        (c.hits, c.misses, c.evictions, stats.rejected, stats.wall_ns),
+        (9_094, 2_616, 1_592, 0, 100_470_074)
+    );
 }

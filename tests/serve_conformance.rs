@@ -4,6 +4,7 @@
 //! a full train → checkpoint → load → serve round trip, with the cache
 //! on and off.
 
+use orion::apps::common::mix64;
 use orion::apps::serve::{
     oracle_lda_doc_topics, oracle_lda_top_words, oracle_mf_predict, oracle_mf_recommend,
     oracle_slr_score, LdaAnswer, LdaQuery, LdaServe, MfAnswer, MfQuery, MfServe, SlrQuery,
@@ -12,6 +13,7 @@ use orion::apps::serve::{
 use orion::apps::{lda, sgd_mf, slr};
 use orion::core::ClusterSpec;
 use orion::data::{CorpusConfig, CorpusData, RatingsConfig, RatingsData, SparseConfig, SparseData};
+use orion::dsm::DistArray;
 use orion::serve::{EngineConfig, ServeEngine};
 
 fn ckpt_dir(name: &str) -> std::path::PathBuf {
@@ -94,6 +96,126 @@ fn mf_recommendations_match_oracle() {
                         }
                     }
                     other => panic!("unexpected answer {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// Scan shapes and list lengths at every edge: item counts around the
+/// lane-panel width (a lone row, a ragged panel, exactly one panel, one
+/// row over, and a large odd count), shard counts that cut panels at
+/// every offset, ranks below and above the lane width, and every list
+/// length a query can name — hostile ones included. Factors and counts
+/// come from three-value palettes, so at low rank most scores tie and
+/// the tie-break by id decides the lists, across shard boundaries too;
+/// the user factors are not dyadic, so at rank 32 the sums round and the
+/// order of the additions shows in the bits.
+const SCAN_ROWS: [u64; 5] = [1, 7, 8, 9, 4_001];
+const SCAN_SHARDS: [usize; 4] = [1, 2, 3, 7];
+const SCAN_WIDTHS: [usize; 3] = [1, 5, 32];
+
+fn scan_ks(n: u64) -> [usize; 7] {
+    let n = n as usize;
+    [0, 1, 10, n - 1, n, n + 1, usize::MAX]
+}
+
+/// Shard counts a model with `n` scanned rows can be loaded with (every
+/// array of a model is cut into the same number of shards, and a shard
+/// holds at least one row).
+fn scan_shards(n: u64) -> impl Iterator<Item = usize> {
+    SCAN_SHARDS.into_iter().filter(move |&s| s as u64 <= n)
+}
+
+fn palette_pick<T: Copy>(palette: [T; 3], i: &[i64], salt: u64) -> T {
+    palette[(mix64(salt ^ (i[0] as u64) << 8 ^ i[1] as u64) % 3) as usize]
+}
+
+#[test]
+fn mf_recommend_matches_oracle_at_every_scan_edge() {
+    const USERS: u64 = 7;
+    for n_items in SCAN_ROWS {
+        for rank in SCAN_WIDTHS {
+            let mut model = sgd_mf::MfModel::new(USERS, n_items, sgd_mf::MfConfig::new(rank));
+            let dims = |rows| vec![rows, rank as u64];
+            model.w = DistArray::dense_from_fn("W", dims(USERS), |i| {
+                palette_pick([-0.3f32, 0.1, 0.7], i, 1)
+            });
+            model.h = DistArray::dense_from_fn("H", dims(n_items), |i| {
+                palette_pick([-1.0f32, 0.0, 0.5], i, 2)
+            });
+            let (w, h) = MfServe::checkpoint_bytes(&model);
+            let queries: Vec<(u64, usize)> = [0, USERS - 1]
+                .into_iter()
+                .flat_map(|user| scan_ks(n_items).map(|k| (user, k)))
+                .collect();
+            let want: Vec<Vec<(u64, u32)>> = queries
+                .iter()
+                .map(|&(user, k)| {
+                    let list = oracle_mf_recommend(&model, user, k);
+                    list.into_iter().map(|(i, s)| (i, s.to_bits())).collect()
+                })
+                .collect();
+            for n_shards in scan_shards(n_items) {
+                for cache in [256, 0] {
+                    let engine = ServeEngine::new(
+                        MfServe::from_checkpoint_bytes(w.clone(), h.clone(), n_shards)
+                            .expect("intact checkpoint loads"),
+                        EngineConfig::default().with_cache_capacity(cache),
+                    );
+                    for (&(user, k), want) in queries.iter().zip(&want) {
+                        let got = match engine.answer(&MfQuery::Recommend { user, k }) {
+                            MfAnswer::TopK(list) => list,
+                            other => panic!("unexpected answer {other:?}"),
+                        };
+                        let got: Vec<(u64, u32)> =
+                            got.into_iter().map(|(i, s)| (i, s.to_bits())).collect();
+                        assert_eq!(
+                            &got, want,
+                            "{n_items} items, rank {rank}, {n_shards} shards, cache {cache}, \
+                             user {user}, k {k}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lda_top_words_match_oracle_at_every_scan_edge() {
+    const DOCS: u64 = 7;
+    for vocab in SCAN_ROWS {
+        for n_topics in SCAN_WIDTHS {
+            let dims = |rows| vec![rows, n_topics as u64];
+            let model = lda::LdaModel {
+                dt: DistArray::dense("doc_topic", dims(DOCS)),
+                wt: DistArray::dense_from_fn("word_topic", dims(vocab), |i| {
+                    palette_pick([0u32, 3, 4], i, 3)
+                }),
+                ts: vec![0; n_topics],
+                z: Vec::new(),
+                cfg: lda::LdaConfig::new(n_topics),
+                vocab,
+            };
+            let (dt, wt) = LdaServe::checkpoint_bytes(&model);
+            for n_shards in scan_shards(vocab) {
+                for cache in [64, 0] {
+                    let engine = ServeEngine::new(
+                        LdaServe::from_checkpoint_bytes(dt.clone(), wt.clone(), n_shards)
+                            .expect("intact checkpoint loads"),
+                        EngineConfig::default().with_cache_capacity(cache),
+                    );
+                    for topic in [0, n_topics - 1] {
+                        for k in scan_ks(vocab) {
+                            assert_eq!(
+                                engine.answer(&LdaQuery::TopWords { topic, k }),
+                                LdaAnswer::TopK(oracle_lda_top_words(&model, topic, k)),
+                                "{vocab} words, {n_topics} topics, {n_shards} shards, \
+                                 cache {cache}, topic {topic}, k {k}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -1,8 +1,10 @@
 //! Property tests of the serving substrate: checkpoint → shard round
 //! trips over arbitrary shapes and dtypes, corruption rejection (a
-//! malformed image must never become a shard), and LRU cache invariants
-//! against a reference model.
+//! malformed image must never become a shard), LRU cache invariants
+//! against a reference model, and the streaming top-k selector against
+//! the sort-based reference.
 
+use orion::apps::serve::{top_k_reference, Score, TopK};
 use orion::dsm::checkpoint::{self, CheckpointError};
 use orion::dsm::{DistArray, Shape};
 use orion::serve::{LruCache, ShardedArray};
@@ -108,8 +110,62 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
+/// A scan's worth of `(id, score)` pairs: unique ids offered in a
+/// shuffled order, scores drawn from a short palette so that most of
+/// them tie.
+fn arb_scored<S: Score + core::fmt::Debug + 'static>(
+    palette: &'static [S],
+) -> impl Strategy<Value = Vec<(u64, S)>> {
+    proptest::collection::vec((any::<u32>(), 0..palette.len()), 0..60).prop_map(|draws| {
+        let mut keyed: Vec<(u32, u64, S)> = draws
+            .iter()
+            .enumerate()
+            .map(|(id, &(key, p))| (key, id as u64, palette[p]))
+            .collect();
+        keyed.sort_by_key(|t| (t.0, t.1));
+        keyed.into_iter().map(|(_, id, s)| (id, s)).collect()
+    })
+}
+
+/// The selector and the reference give the same ids and the same score
+/// bits (`rank` is `Equal` only then) for every list length a query can
+/// name around `n`, hostile ones included.
+fn selector_matches_reference<S: Score>(scored: &[(u64, S)], any_k: usize) -> Result<(), String> {
+    let n = scored.len();
+    for k in [0, 1, n.saturating_sub(1), n, n + 1, usize::MAX, any_k] {
+        let mut top = TopK::new(k, n as u64);
+        for &(id, score) in scored {
+            top.push(id, score);
+        }
+        let (got, want) = (top.into_sorted(), top_k_reference(scored.to_vec(), k));
+        let same = got.len() == want.len()
+            && got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.0 == w.0 && g.1.rank(&w.1).is_eq());
+        if !same {
+            return Err(format!("k = {k} of n = {n}"));
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `f32` scores in `total_cmp` order — NaNs of both signs, ±∞ and
+    /// ±0.0 among them — and `u32` counts, ties broken by id.
+    #[test]
+    fn streaming_top_k_matches_sorted_reference(
+        floats in arb_scored(&[
+            f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, 1.0, -2.5, 1e-40,
+        ]),
+        counts in arb_scored(&[0u32, 1, 2, u32::MAX]),
+        any_k in 0usize..70,
+    ) {
+        prop_assert_eq!(selector_matches_reference(&floats, any_k), Ok(()));
+        prop_assert_eq!(selector_matches_reference(&counts, any_k), Ok(()));
+    }
 
     /// Dense f32 arrays of any shape round-trip through checkpoint
     /// bytes into shards bit-exactly, for any shard count: every row
