@@ -564,13 +564,14 @@ fn train_net<A: NetApp>(
 ///
 /// # Panics
 ///
-/// Panics in adaptive mode (accumulators are not checkpointed) and on
-/// protocol violations.
+/// Panics on protocol violations.
 ///
 /// # Errors
 ///
 /// Returns the underlying [`NetError`] if the cluster cannot be
-/// launched or an unrecoverable transport fault occurs.
+/// launched or an unrecoverable transport fault occurs, and
+/// [`NetError::Protocol`] in adaptive mode (the accumulators are not
+/// partitioned; nothing is launched).
 pub fn train_mf_distributed(
     data: &RatingsData,
     cfg: MfConfig,
@@ -588,12 +589,14 @@ pub fn train_mf_distributed(
 ///
 /// # Panics
 ///
-/// Panics in adaptive mode and on protocol violations.
+/// Panics on protocol violations.
 ///
 /// # Errors
 ///
 /// Returns the underlying [`NetError`] if the cluster cannot be
-/// launched or an unrecoverable transport fault occurs.
+/// launched or an unrecoverable transport fault occurs, and
+/// [`NetError::Protocol`] in adaptive mode (the accumulators live
+/// outside the served array; nothing is launched).
 pub fn train_slr_distributed(
     data: &SparseData,
     cfg: SlrConfig,
@@ -627,10 +630,6 @@ impl NetApp for MfApp {
     type Node = MfNode;
 
     fn to_env(&self, data: &RatingsData) -> (String, String) {
-        assert!(
-            !self.cfg.adaptive,
-            "distributed MF supports the plain update"
-        );
         let (d, cfg) = (&data.config, &self.cfg);
         (
             format!(
@@ -920,10 +919,6 @@ impl NetApp for SlrApp {
     type Node = SlrNode;
 
     fn to_env(&self, data: &SparseData) -> (String, String) {
-        assert!(
-            !self.cfg.adaptive,
-            "distributed SLR supports the plain update"
-        );
         let d = &data.config;
         (
             format!(
@@ -1125,5 +1120,41 @@ impl NetNode for SlrNode {
             rotation_ns,
             events: self.events.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A node honours the math mode the coordinator ships: `FastMath`
+    /// (and `Exact`) survive `to_env → from_env`, with the rest of the
+    /// hyperparameters.
+    #[test]
+    fn math_mode_round_trips_through_the_node_env() {
+        let ratings = RatingsData::generate(RatingsConfig::tiny());
+        let sparse = SparseData::generate(SparseConfig::tiny());
+        for (mf_cfg, slr_cfg) in [
+            (MfConfig::new(4), SlrConfig::new()),
+            (MfConfig::new(4).fast_math(), SlrConfig::new().fast_math()),
+        ] {
+            let mf = MfApp::new(mf_cfg.clone(), true);
+            let (data_env, hyper_env) = mf.to_env(&ratings);
+            let (node_mf, node_ratings) = MfApp::from_env(&data_env, &hyper_env);
+            assert_eq!(node_mf.cfg.math, mf_cfg.math);
+            assert_eq!(node_mf.math(), mf_cfg.math);
+            assert_eq!(node_mf.cfg.step_size.to_bits(), mf_cfg.step_size.to_bits());
+            assert!(node_mf.ordered);
+            assert_eq!(node_ratings.ratings, ratings.ratings);
+
+            let slr = SlrApp {
+                cfg: slr_cfg.clone(),
+                prefetch_override: None,
+            };
+            let (data_env, hyper_env) = slr.to_env(&sparse);
+            let (node_slr, _) = SlrApp::from_env(&data_env, &hyper_env);
+            assert_eq!(node_slr.cfg.math, slr_cfg.math);
+            assert_eq!(node_slr.math(), slr_cfg.math);
+        }
     }
 }

@@ -270,12 +270,12 @@ pub trait App {
     }
 
     /// The model arrays a chaos run checkpoints and restores, by file
-    /// name — all of the state a pass reads. Empty: no chaos support.
+    /// name — all of the state a pass reads.
     fn checkpointed<'a>(
         &self,
         _job: &'a mut Self::Job,
-    ) -> Vec<(&'static str, &'a mut DistArray<f32>)> {
-        Vec::new()
+    ) -> Result<Vec<(&'static str, &'a mut DistArray<f32>)>, RunError> {
+        Err(unsupported::<Self>("sim", "chaos"))
     }
 
     /// Runs on a localhost TCP cluster; overridden by the apps that
@@ -306,9 +306,7 @@ pub(crate) fn new_driver<A: App>(app: &A, cluster: ClusterSpec) -> Driver {
 ///
 /// # Panics
 ///
-/// Panics if a `Net` run's `passes` differ from its `epochs`, and
-/// wherever the app documents (e.g. adaptive steps off the `Sim`
-/// engine).
+/// Panics if a `Net` run's `passes` differ from its `epochs`.
 pub fn run<A: App>(
     app: &A,
     data: &A::Data,
@@ -377,18 +375,16 @@ fn run_sim<A: App>(
     // fault to find.
     let policy = cfg.chaos.as_ref().map(ChaosConfig::policy);
     let checkpoint = |job: &mut A::Job, driver: &mut Driver, policy: &CheckpointPolicy| {
-        let arrays = app.checkpointed(job);
-        if arrays.is_empty() {
-            return Err(unsupported::<A>("sim", "chaos"));
-        }
         let mut bytes = 0;
-        for (name, array) in arrays {
+        for (name, array) in app.checkpointed(job)? {
             bytes += checkpoint::save(array, policy.path_for(name)).expect("checkpoint saves");
         }
         driver.charge_checkpoint(bytes);
-        Ok(())
+        Ok::<(), RunError>(())
     };
     if let (Some(chaos), Some(policy)) = (&cfg.chaos, &policy) {
+        // Nothing is created for an app that cannot checkpoint.
+        app.checkpointed(&mut job)?;
         std::fs::create_dir_all(&chaos.dir).expect("checkpoint dir is creatable");
         driver.set_fault_plan(chaos.plan.clone());
         // The initial checkpoint: "the latest checkpoint" always exists.
@@ -410,7 +406,7 @@ fn run_sim<A: App>(
             Some(fault) => {
                 let policy = policy.as_ref().expect("only a fault plan crashes machines");
                 let mut bytes = 0;
-                for (name, array) in app.checkpointed(&mut job) {
+                for (name, array) in app.checkpointed(&mut job)? {
                     let path = policy.path_for(name);
                     *array = checkpoint::load(&path).expect("checkpoint reloads");
                     bytes += std::fs::metadata(path).map_or(0, |md| md.len());

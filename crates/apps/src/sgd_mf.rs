@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::common::{by_role, cost, space_is_dim0, split_by_role};
 use crate::distributed::DistOptions;
-use crate::run::{train, App, Engine, Pool, RunError, RunOutput};
+use crate::run::{train, unsupported, App, Engine, Pool, RunError, RunOutput};
 
 /// SGD MF hyperparameters.
 #[derive(Debug, Clone)]
@@ -192,8 +192,8 @@ pub struct MfRunConfig {
 ///
 /// Only the simulated engine runs the adaptive update: its `wz2`/`hz2`
 /// accumulators are neither partitioned nor checkpointed, so chaos
-/// recovery, the threaded engine and the TCP cluster panic in adaptive
-/// mode.
+/// recovery, the threaded engine and the TCP cluster are
+/// [`RunError::Unsupported`] in adaptive mode.
 #[derive(Debug, Clone)]
 pub struct MfApp {
     /// Hyperparameters.
@@ -242,10 +242,6 @@ pub(crate) struct MfGrid {
 
 impl MfGrid {
     pub(crate) fn new(compiled: &CompiledLoop, model: &MfModel, mode: MathMode) -> Self {
-        assert!(
-            !model.cfg.adaptive,
-            "partitioned engines support the plain update: adaptive accumulators are not partitioned"
-        );
         MfGrid {
             space_is_users: space_is_dim0(compiled),
             step: model.cfg.step_size,
@@ -351,6 +347,9 @@ impl App for MfApp {
         pool: &mut Pool<'_>,
         passes: u64,
     ) -> Result<MfModel, RunError> {
+        if self.cfg.adaptive {
+            return Err(unsupported::<Self>("threads", "adaptive"));
+        }
         let MfJob {
             mut model,
             items,
@@ -428,12 +427,14 @@ impl App for MfApp {
         Ok(driver.tune_loop(compiled, &job.items, cfg, &mut |_pos| job.iter_ns))
     }
 
-    fn checkpointed<'a>(&self, job: &'a mut MfJob) -> Vec<(&'static str, &'a mut DistArray<f32>)> {
-        assert!(
-            !self.cfg.adaptive,
-            "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
-        );
-        vec![("W", &mut job.model.w), ("H", &mut job.model.h)]
+    fn checkpointed<'a>(
+        &self,
+        job: &'a mut MfJob,
+    ) -> Result<Vec<(&'static str, &'a mut DistArray<f32>)>, RunError> {
+        if self.cfg.adaptive {
+            return Err(unsupported::<Self>("sim", "adaptive"));
+        }
+        Ok(vec![("W", &mut job.model.w), ("H", &mut job.model.h)])
     }
 
     fn run_net(
@@ -441,6 +442,9 @@ impl App for MfApp {
         data: &RatingsData,
         opts: &DistOptions,
     ) -> Result<RunOutput<MfModel>, RunError> {
+        if self.cfg.adaptive {
+            return Err(unsupported::<Self>("net", "adaptive"));
+        }
         crate::distributed::run_net(self, data, opts)
     }
 }
@@ -470,8 +474,9 @@ pub fn train_serial(data: &RatingsData, cfg: MfConfig, passes: u64) -> (MfModel,
 ///
 /// # Panics
 ///
-/// Panics in adaptive mode (accumulators are not partitioned) and if a
-/// worker thread dies.
+/// Panics in adaptive mode ([`run`](crate::run::run) reports it as
+/// [`RunError::Unsupported`]: the accumulators are not partitioned) and
+/// if a worker thread dies.
 pub fn train_threaded(
     data: &RatingsData,
     cfg: MfConfig,

@@ -23,7 +23,7 @@ use orion_dsm::kernels;
 
 use crate::common::{cost, flush_buffers, sigmoid, write_buffers};
 use crate::distributed::DistOptions;
-use crate::run::{train, App, Engine, Pool, RunError, RunOutput};
+use crate::run::{train, unsupported, App, Engine, Pool, RunError, RunOutput};
 
 /// SLR hyperparameters.
 #[derive(Debug, Clone)]
@@ -145,8 +145,9 @@ pub struct SlrRunConfig {
 /// SLR as an [`App`]: 1-D data parallelism via buffered weight writes,
 /// served weights with bulk prefetching.
 ///
-/// Chaos recovery and the TCP cluster panic in adaptive mode: the `z2`
-/// accumulators live outside the checkpointed DistArray.
+/// Chaos recovery and the TCP cluster are [`RunError::Unsupported`] in
+/// adaptive mode: the `z2` accumulators live outside the checkpointed
+/// DistArray.
 #[derive(Debug, Clone)]
 pub struct SlrApp {
     /// Hyperparameters.
@@ -466,12 +467,14 @@ impl App for SlrApp {
         Ok((tuned, outcome))
     }
 
-    fn checkpointed<'a>(&self, job: &'a mut SlrJob) -> Vec<(&'static str, &'a mut DistArray<f32>)> {
-        assert!(
-            !self.cfg.adaptive,
-            "chaos recovery requires the plain update: adaptive accumulators are not checkpointed"
-        );
-        vec![("weights", &mut job.model.weights)]
+    fn checkpointed<'a>(
+        &self,
+        job: &'a mut SlrJob,
+    ) -> Result<Vec<(&'static str, &'a mut DistArray<f32>)>, RunError> {
+        if self.cfg.adaptive {
+            return Err(unsupported::<Self>("sim", "adaptive"));
+        }
+        Ok(vec![("weights", &mut job.model.weights)])
     }
 
     fn run_net(
@@ -479,6 +482,9 @@ impl App for SlrApp {
         data: &SparseData,
         opts: &DistOptions,
     ) -> Result<RunOutput<SlrModel>, RunError> {
+        if self.cfg.adaptive {
+            return Err(unsupported::<Self>("net", "adaptive"));
+        }
         crate::distributed::run_net(self, data, opts)
     }
 }

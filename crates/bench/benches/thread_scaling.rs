@@ -24,7 +24,7 @@ use orion_apps::slr::{self, SlrConfig, SlrRunConfig};
 use orion_bench::{banner, results_dir};
 use orion_core::ClusterSpec;
 use orion_data::{RatingsConfig, RatingsData, SparseConfig, SparseData, SparseSample};
-use orion_dsm::{kernels, DistArray};
+use orion_dsm::{kernels, DistArray, MathMode};
 use orion_runtime::{
     build_schedule, run_grid_pass_pooled, run_one_d_pass_pooled, ThreadedPlan, WorkerPool,
 };
@@ -40,24 +40,6 @@ fn smoke() -> bool {
     std::env::var("ORION_THREADS_SMOKE").is_ok()
 }
 
-/// Which kernel variants the timed body runs — the scalar-vs-SIMD
-/// columns. `Dispatch` is what the app's own code path selects in this
-/// build (the main sweep); the other three force a variant so one
-/// binary measures every column.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Kernels {
-    /// The app's dispatcher-built body (`sgd_mf::mf_update` etc.).
-    Dispatch,
-    /// Serial reference kernels: a default build under `MathMode::Exact`.
-    Scalar,
-    /// Lane order-preserving kernels, serial reductions: a
-    /// `--features simd` build under `MathMode::Exact`.
-    Simd,
-    /// Lane kernels including reassociated reductions: a `fast-math`
-    /// build under `MathMode::FastMath`.
-    FastMath,
-}
-
 /// One measured point.
 struct Point {
     threads: usize,
@@ -71,7 +53,7 @@ fn mf_pass_wall(
     threads: usize,
     passes: u64,
     stall: bool,
-    kcfg: Kernels,
+    math: MathMode,
 ) -> f64 {
     let items = data.items();
     let dims = data.ratings.shape().dims().to_vec();
@@ -105,22 +87,7 @@ fn mf_pass_wall(
                     std::thread::sleep(STALL);
                 }
             }
-            if kcfg == Kernels::Dispatch {
-                sgd_mf::mf_update(wp.row_slice_mut(u), hp.row_slice_mut(i), v, 0.05);
-                return;
-            }
-            let (w, h) = (wp.row_slice_mut(u), hp.row_slice_mut(i));
-            let pred = if kcfg == Kernels::FastMath {
-                kernels::dot_lanes(w, h)
-            } else {
-                kernels::dot_serial(w, h)
-            };
-            let coef = 0.05f32 * 2.0 * (v - pred);
-            if kcfg == Kernels::Scalar {
-                kernels::mf_update_rows_serial(w, h, coef);
-            } else {
-                kernels::mf_update_rows_lanes(w, h, coef);
-            }
+            kernels::mf_row_update(wp.row_slice_mut(u), hp.row_slice_mut(i), v, 0.05, math);
         },
     );
     let mut w_parts = w.split_along(0, &sp.ranges);
@@ -153,7 +120,7 @@ fn slr_pass_wall(
     threads: usize,
     passes: u64,
     stall: bool,
-    kcfg: Kernels,
+    math: MathMode,
 ) -> f64 {
     let n = data.samples.len();
     let strat = Strategy::OneD { dim: 0 };
@@ -171,13 +138,7 @@ fn slr_pass_wall(
                 std::thread::sleep(STALL);
             }
         }
-        let margin = if kcfg == Kernels::FastMath {
-            kernels::gather_sum_lanes(&s.features, |f| weights[f as usize])
-        } else {
-            // The SLR margin is a pure reduction: scalar, simd, and the
-            // dispatcher under Exact all run the serial order.
-            kernels::gather_sum_serial(&s.features, |f| weights[f as usize])
-        };
+        let margin = kernels::gather_sum(&s.features, |f| weights[f as usize], math);
         *acc += slr::logistic_grad_coef(s.label, margin);
     });
     let mut elapsed = 0.0f64;
@@ -316,7 +277,7 @@ fn main() {
     for (workload, stall) in [("compute", false), ("overlap", true)] {
         let mut pts = Vec::new();
         for &t in &THREADS {
-            let ms = mf_pass_wall(&ratings, 16, t, mf_passes, stall, Kernels::Dispatch);
+            let ms = mf_pass_wall(&ratings, 16, t, mf_passes, stall, MathMode::Exact);
             pts.push(Point {
                 threads: t,
                 wall_ms: ms,
@@ -330,7 +291,7 @@ fn main() {
         });
         let mut pts = Vec::new();
         for &t in &THREADS {
-            let ms = slr_pass_wall(&sparse, t, slr_passes, stall, Kernels::Dispatch);
+            let ms = slr_pass_wall(&sparse, t, slr_passes, stall, MathMode::Exact);
             pts.push(Point {
                 threads: t,
                 wall_ms: ms,
@@ -362,55 +323,29 @@ fn main() {
         }
     }
 
-    // Scalar-vs-SIMD columns: the compute workload re-timed with each
-    // kernel variant forced, so one binary measures what the feature
-    // matrix (default / `simd` / `fast-math` + FastMath) would run.
-    // SGD MF uses rank 64, where the per-rating dot is long enough for
-    // lane kernels to matter.
+    // Exact-vs-FastMath columns: the compute workload re-timed under
+    // each `MathMode`, so one binary measures both folds of the
+    // reductions. SGD MF uses rank 64, where the per-rating dot is long
+    // enough for the lane fold to matter.
     println!(
-        "\n{:<8} {:>8} {:>11} {:>11} {:>13} {:>7} {:>7}",
-        "app", "threads", "scalar ms", "simd ms", "fastmath ms", "simd", "fm"
+        "\n{:<8} {:>8} {:>11} {:>13} {:>7}",
+        "app", "threads", "exact ms", "fastmath ms", "fm"
     );
     let mut kernel_rows: Vec<String> = Vec::new();
-    for &t in &THREADS {
-        let sc = mf_pass_wall(&ratings, 64, t, mf_passes, false, Kernels::Scalar);
-        let si = mf_pass_wall(&ratings, 64, t, mf_passes, false, Kernels::Simd);
-        let fm = mf_pass_wall(&ratings, 64, t, mf_passes, false, Kernels::FastMath);
-        println!(
-            "{:<8} {:>8} {:>11.2} {:>11.2} {:>13.2} {:>6.2}x {:>6.2}x",
-            "sgd_mf",
-            t,
-            sc,
-            si,
-            fm,
-            sc / si,
-            sc / fm
-        );
-        kernel_rows.push(format!(
-            "{{\"app\":\"sgd_mf\",\"threads\":{t},\"scalar_ms\":{sc:.3},\"simd_ms\":{si:.3},\
-             \"fastmath_ms\":{fm:.3},\"simd_speedup\":{:.3},\"fastmath_speedup\":{:.3}}}",
-            sc / si,
-            sc / fm
-        ));
-    }
-    for &t in &THREADS {
-        let sc = slr_pass_wall(&sparse, t, slr_passes, false, Kernels::Scalar);
-        let fm = slr_pass_wall(&sparse, t, slr_passes, false, Kernels::FastMath);
-        println!(
-            "{:<8} {:>8} {:>11.2} {:>11} {:>13.2} {:>7} {:>6.2}x",
-            "slr",
-            t,
-            sc,
-            "-",
-            fm,
-            "-",
-            sc / fm
-        );
-        kernel_rows.push(format!(
-            "{{\"app\":\"slr\",\"threads\":{t},\"scalar_ms\":{sc:.3},\
-             \"fastmath_ms\":{fm:.3},\"fastmath_speedup\":{:.3}}}",
-            sc / fm
-        ));
+    for app in ["sgd_mf", "slr"] {
+        let wall = |t, math| match app {
+            "sgd_mf" => mf_pass_wall(&ratings, 64, t, mf_passes, false, math),
+            _ => slr_pass_wall(&sparse, t, slr_passes, false, math),
+        };
+        for &t in &THREADS {
+            let (ex, fm) = (wall(t, MathMode::Exact), wall(t, MathMode::FastMath));
+            println!("{app:<8} {t:>8} {ex:>11.2} {fm:>13.2} {:>6.2}x", ex / fm);
+            kernel_rows.push(format!(
+                "{{\"app\":\"{app}\",\"threads\":{t},\"exact_ms\":{ex:.3},\
+                 \"fastmath_ms\":{fm:.3},\"fastmath_speedup\":{:.3}}}",
+                ex / fm
+            ));
+        }
     }
 
     // Headline: the workload whose scaling the host can actually show.

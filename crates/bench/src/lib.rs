@@ -68,8 +68,8 @@ impl Report for RunReport {
     }
 }
 
-/// One scalar-vs-SIMD kernel measurement: per-operation nanoseconds of
-/// the serial reference and the explicit-width lane variant.
+/// One serial-vs-lane kernel measurement: per-operation nanoseconds of
+/// the serial fold and the explicit-width lane body it is compared with.
 #[derive(Debug, Clone)]
 pub struct KernelRow {
     /// Kernel name (`dense_dot`, `row_update`, …).
@@ -89,15 +89,13 @@ impl KernelRow {
     }
 }
 
-/// The scalar-vs-SIMD kernel comparison table (`BENCH_simd.json`). Both
-/// variants are always compiled, so any build measures both; the flags
-/// record which one the *dispatchers* select in this build.
+/// The serial-vs-lane kernel comparison table (`BENCH_simd.json`): the
+/// reductions under `MathMode::Exact` against `MathMode::FastMath`, and
+/// the serial scan against the exact lane-panel scan.
 #[derive(Debug, Clone)]
 pub struct KernelReport {
-    /// Whether this build dispatches order-preserving kernels to lanes.
-    pub simd_enabled: bool,
-    /// Whether this build can honor `MathMode::FastMath`.
-    pub fast_math_available: bool,
+    /// Lane width of the lane bodies (`orion_dsm::kernels::LANES`).
+    pub lanes: usize,
     /// The measured kernels.
     pub rows: Vec<KernelRow>,
 }
@@ -105,9 +103,8 @@ pub struct KernelReport {
 impl Report for KernelReport {
     fn to_json(&self) -> String {
         let mut json = format!(
-            "{{\n  \"bench\": \"kernel_simd\",\n  \"simd_enabled\": {},\n  \
-             \"fast_math_available\": {},\n  \"kernels\": [\n",
-            self.simd_enabled, self.fast_math_available
+            "{{\n  \"bench\": \"kernel_simd\",\n  \"lanes\": {},\n  \"kernels\": [\n",
+            self.lanes
         );
         for (i, r) in self.rows.iter().enumerate() {
             json.push_str(&format!(
@@ -127,8 +124,8 @@ impl Report for KernelReport {
 
     fn render(&self) -> String {
         let mut out = format!(
-            "scalar vs SIMD kernels (simd_enabled={}, fast_math_available={})\n{:<24} {:>12} {:>12} {:>9}\n",
-            self.simd_enabled, self.fast_math_available, "kernel", "scalar ns/op", "simd ns/op", "speedup"
+            "serial vs {}-lane kernels\n{:<24} {:>12} {:>12} {:>9}\n",
+            self.lanes, "kernel", "scalar ns/op", "simd ns/op", "speedup"
         );
         for r in &self.rows {
             out.push_str(&format!(

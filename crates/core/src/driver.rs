@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use orion_analysis::{analyze, ParallelPlan, Strategy};
 use orion_check::{full_report, HbChecker, RaceChecker};
-use orion_dsm::{Device, DistArray, Element, MathMode};
+use orion_dsm::{DistArray, Element, MathMode};
 use orion_ir::{ArrayMeta, DistArrayId, LoopSpec};
 use std::sync::Arc;
 
@@ -142,8 +142,8 @@ pub struct Driver {
     /// on the first readout and reused by every later one.
     eval_slots: Option<EvalSlots>,
     /// Floating-point reduction policy loop bodies should honor
-    /// (`Exact` keeps seed bit-identity; `FastMath` permits vectorized
-    /// reassociation when the `fast-math` feature is compiled in).
+    /// (`Exact` keeps seed bit-identity; `FastMath` runs the
+    /// reassociated lane fold).
     math_mode: MathMode,
     /// Real per-link wire bytes accumulated by distributed passes
     /// ([`Driver::run_pass_distributed`]); merged with the simulated
@@ -179,9 +179,7 @@ impl Driver {
     /// every reduction bit-identical to the serial seed;
     /// [`MathMode::FastMath`] opts reassociating reductions (dot
     /// products, gathered sums) into multi-accumulator vectorized
-    /// forms — still deterministic, but associated differently. The
-    /// mode only takes effect when the `fast-math` cargo feature is
-    /// compiled in; otherwise kernels silently stay exact.
+    /// forms — still deterministic, but associated differently.
     pub fn set_math_mode(&mut self, mode: MathMode) {
         self.math_mode = mode;
     }
@@ -602,23 +600,22 @@ impl Driver {
     /// access pair must be ordered by a handoff or barrier edge, else
     /// the pass panics with a rendered O110–O112 diagnostic.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_pass_threaded<T, A, B, S, F, D>(
+    pub fn run_pass_threaded<T, A, B, S, F>(
         &mut self,
         loop_name: &str,
         plan: &Arc<ThreadedPlan>,
         items: &Arc<Vec<T>>,
-        space: Vec<DistArray<A, D>>,
-        time: Vec<DistArray<B, D>>,
+        space: Vec<DistArray<A>>,
+        time: Vec<DistArray<B>>,
         scratch: Vec<S>,
         body: &Arc<F>,
-    ) -> GridPassOutput<A, B, S, D>
+    ) -> GridPassOutput<A, B, S>
     where
         T: Send + Sync + 'static,
         A: Element,
         B: Element,
         S: Send + 'static,
-        D: Device,
-        F: Fn(&T, &mut DistArray<A, D>, &mut DistArray<B, D>, &mut S) + Send + Sync + 'static,
+        F: Fn(&T, &mut DistArray<A>, &mut DistArray<B>, &mut S) + Send + Sync + 'static,
     {
         self.ensure_pool(plan.n_workers());
         let pool = self.pool.as_ref().expect("pool just ensured");
@@ -651,21 +648,20 @@ impl Driver {
     /// Panics if partition counts mismatch `plan`, if a worker dies
     /// (with the worker's panic message), or — under validation — if
     /// the pooled and serial readouts differ in any bit.
-    pub fn eval_pass_threaded<T, A, B, F, D>(
+    pub fn eval_pass_threaded<T, A, B, F>(
         &mut self,
         plan: &Arc<ThreadedPlan>,
         items: &Arc<Vec<T>>,
-        space: &mut Vec<DistArray<A, D>>,
-        time: &mut Vec<DistArray<B, D>>,
+        space: &mut Vec<DistArray<A>>,
+        time: &mut Vec<DistArray<B>>,
         f: &Arc<F>,
-        serial: impl FnOnce(&[DistArray<A, D>], &[DistArray<B, D>]) -> f64,
+        serial: impl FnOnce(&[DistArray<A>], &[DistArray<B>]) -> f64,
     ) -> f64
     where
         T: Send + Sync + 'static,
         A: Element,
         B: Element,
-        D: Device,
-        F: Fn(&T, &DistArray<A, D>, &DistArray<B, D>) -> f64 + Send + Sync + 'static,
+        F: Fn(&T, &DistArray<A>, &DistArray<B>) -> f64 + Send + Sync + 'static,
     {
         self.ensure_pool(plan.n_workers());
         let pool = self.pool.as_ref().expect("pool just ensured");

@@ -54,8 +54,7 @@ pub use orion_check::{
     LintOptions, Race, RaceChecker, RaceViolation,
 };
 pub use orion_dsm::{
-    codec, group_by, kernels, Accumulator, CpuDevice, DenseStorage, Device, DistArray,
-    DistArrayBuffer, Element, Float, LazyArray, MathMode, RangePartition, Shape,
+    codec, kernels, DistArray, DistArrayBuffer, Element, Float, MathMode, RangePartition, Shape,
 };
 pub use orion_ir::{
     render_all, ArrayMeta, ArrayRef, Code, Diagnostic, Dim, DistArrayId, LoopSpec, Severity,

@@ -7,25 +7,21 @@ use rand::Rng;
 
 use orion_ir::{ArrayMeta, Density, Dim, DistArrayId};
 
-use crate::device::{CpuDevice, DenseStorage, Device};
 use crate::element::Element;
 use crate::index::Shape;
 use crate::sparse::{SparseIter, SparseStore};
 
 /// Backing storage of a DistArray (paper §3.1: "A DistArray can contain
 /// elements of any serializable type and may be either dense or sparse").
-/// The buffers live behind the [`Device`] parameter; on the default
-/// [`CpuDevice`], `Dense` holds a plain `Vec<T>` so existing pattern
-/// matches keep compiling.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Storage<T: Element, D: Device = CpuDevice> {
+pub(crate) enum Storage<T: Element> {
     /// Row-major dense values, one per index position.
-    Dense(D::Dense<T>),
+    Dense(Vec<T>),
     /// Explicitly materialized elements keyed by local flat index, held
     /// in frozen sorted-pair form (see [`SparseStore`]). Iteration is
     /// ascending by flat key, which the simulated runtime relies on for
     /// reproducible schedules.
-    Sparse(SparseStore<T, D>),
+    Sparse(SparseStore<T>),
 }
 
 /// An N-dimensional dense or sparse array, addressable by global index.
@@ -52,18 +48,18 @@ pub enum Storage<T: Element, D: Device = CpuDevice> {
 /// assert_eq!(w.get_flat(flat), Some(&5.0));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct DistArray<T: Element, D: Device = CpuDevice> {
+pub struct DistArray<T: Element> {
     name: String,
     shape: Shape,
     origin: Vec<i64>,
-    storage: Storage<T, D>,
+    storage: Storage<T>,
 }
 
-impl<T: Element, D: Device> DistArray<T, D> {
+impl<T: Element> DistArray<T> {
     /// Creates a dense array of default-valued elements.
     pub fn dense(name: impl Into<String>, dims: Vec<u64>) -> Self {
         let shape = Shape::new(dims);
-        let data = D::alloc(shape.volume() as usize);
+        let data = vec![T::default(); shape.volume() as usize];
         DistArray {
             name: name.into(),
             origin: vec![0; shape.ndims()],
@@ -88,7 +84,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
             name: name.into(),
             origin: vec![0; shape.ndims()],
             shape,
-            storage: Storage::Dense(D::upload(values)),
+            storage: Storage::Dense(values),
         }
     }
 
@@ -107,19 +103,8 @@ impl<T: Element, D: Device> DistArray<T, D> {
             name: name.into(),
             origin: vec![0; shape.ndims()],
             shape,
-            storage: Storage::Dense(D::upload(data)),
+            storage: Storage::Dense(data),
         }
-    }
-
-    /// Creates a dense array filled with values drawn from `rng` by
-    /// `sample` (e.g. Gaussian factor-matrix initialization).
-    pub fn dense_random(
-        name: impl Into<String>,
-        dims: Vec<u64>,
-        rng: &mut impl Rng,
-        mut sample: impl FnMut(&mut dyn rand::RngCore) -> T,
-    ) -> Self {
-        Self::dense_from_fn(name, dims, |_| sample(rng))
     }
 
     /// Creates an empty sparse array with the given bounds.
@@ -220,7 +205,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     }
 
     /// The backing storage (read-only; used by checkpointing).
-    pub fn storage(&self) -> &Storage<T, D> {
+    pub(crate) fn storage(&self) -> &Storage<T> {
         &self.storage
     }
 
@@ -232,20 +217,8 @@ impl<T: Element, D: Device> DistArray<T, D> {
     /// Panics for sparse arrays.
     pub fn dense_values(&self) -> &[T] {
         match &self.storage {
-            Storage::Dense(v) => v.as_slice(),
+            Storage::Dense(v) => v,
             Storage::Sparse(_) => panic!("dense_values on sparse array `{}`", self.name),
-        }
-    }
-
-    /// Mutable variant of [`DistArray::dense_values`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for sparse arrays.
-    pub fn dense_values_mut(&mut self) -> &mut [T] {
-        match &mut self.storage {
-            Storage::Dense(v) => v.as_mut_slice(),
-            Storage::Sparse(_) => panic!("dense_values_mut on sparse array `{}`", self.name),
         }
     }
 
@@ -260,7 +233,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     /// copied bit-for-bit; the result is indexed by local flat offset.
     pub fn to_dense_vec(&self) -> Vec<T> {
         match &self.storage {
-            Storage::Dense(v) => v.as_slice().to_vec(),
+            Storage::Dense(v) => v.clone(),
             Storage::Sparse(s) => {
                 let mut out = vec![T::default(); self.shape.volume() as usize];
                 for (flat, v) in s.iter() {
@@ -286,7 +259,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     ///
     /// This is the entry point of the flat-offset hot path: translate
     /// once per loop iteration, then use [`DistArray::get_flat`] /
-    /// [`DistArray::set_flat`] / [`DistArray::update_flat`].
+    /// [`DistArray::update_flat`].
     #[inline]
     pub fn flat_of(&self, index: &[i64]) -> Option<u64> {
         if index.len() != self.shape.ndims() {
@@ -311,7 +284,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     /// # Panics
     ///
     /// Panics if `flat` is outside the local volume.
-    pub fn global_of(&self, flat: u64) -> Vec<i64> {
+    fn global_of(&self, flat: u64) -> Vec<i64> {
         let mut idx = self.shape.unflatten(flat);
         for (c, &o) in idx.iter_mut().zip(&self.origin) {
             *c += o;
@@ -325,7 +298,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     #[inline]
     pub fn get_flat(&self, flat: u64) -> Option<&T> {
         match &self.storage {
-            Storage::Dense(v) => v.as_slice().get(flat as usize),
+            Storage::Dense(v) => v.get(flat as usize),
             Storage::Sparse(s) => s.get(flat),
         }
     }
@@ -339,7 +312,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     #[inline]
     pub fn get_flat_or_default(&self, flat: u64) -> T {
         match &self.storage {
-            Storage::Dense(v) => v.as_slice()[flat as usize].clone(),
+            Storage::Dense(v) => v[flat as usize].clone(),
             Storage::Sparse(s) => {
                 assert!(
                     flat < self.shape.volume(),
@@ -357,9 +330,9 @@ impl<T: Element, D: Device> DistArray<T, D> {
     ///
     /// Panics if `flat` is outside the local volume.
     #[inline]
-    pub fn set_flat(&mut self, flat: u64, value: T) {
+    fn set_flat(&mut self, flat: u64, value: T) {
         match &mut self.storage {
-            Storage::Dense(v) => v.as_mut_slice()[flat as usize] = value,
+            Storage::Dense(v) => v[flat as usize] = value,
             Storage::Sparse(s) => {
                 assert!(
                     flat < self.shape.volume(),
@@ -380,7 +353,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     #[inline]
     pub fn update_flat(&mut self, flat: u64, f: impl FnOnce(&mut T)) {
         match &mut self.storage {
-            Storage::Dense(v) => f(&mut v.as_mut_slice()[flat as usize]),
+            Storage::Dense(v) => f(&mut v[flat as usize]),
             Storage::Sparse(s) => {
                 assert!(
                     flat < self.shape.volume(),
@@ -461,7 +434,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     pub fn row_slice(&self, row: i64) -> &[T] {
         let (start, len) = self.row_bounds(row);
         match &self.storage {
-            Storage::Dense(v) => &v.as_slice()[start..start + len],
+            Storage::Dense(v) => &v[start..start + len],
             Storage::Sparse(_) => panic!("row_slice on sparse array `{}`", self.name),
         }
     }
@@ -474,7 +447,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     pub fn row_slice_mut(&mut self, row: i64) -> &mut [T] {
         let (start, len) = self.row_bounds(row);
         match &mut self.storage {
-            Storage::Dense(v) => &mut v.as_mut_slice()[start..start + len],
+            Storage::Dense(v) => &mut v[start..start + len],
             Storage::Sparse(_) => panic!("row_slice_mut on sparse array `{}`", self.name),
         }
     }
@@ -501,11 +474,11 @@ impl<T: Element, D: Device> DistArray<T, D> {
 
     /// Iterates `(local_flat, &value)` over materialized elements in
     /// ascending flat order — the allocation-free spine of every bulk
-    /// operation. Pair with [`DistArray::global_of`] or
-    /// [`Shape::coord_of`] when coordinates are needed.
-    pub fn iter_flat(&self) -> FlatIter<'_, T> {
+    /// operation. Pair with [`Shape::coord_of`] when coordinates are
+    /// needed.
+    pub fn iter_flat(&self) -> impl ExactSizeIterator<Item = (u64, &T)> + '_ {
         match &self.storage {
-            Storage::Dense(v) => FlatIter::Dense(v.as_slice().iter().enumerate()),
+            Storage::Dense(v) => FlatIter::Dense(v.iter().enumerate()),
             Storage::Sparse(s) => FlatIter::Sparse(s.iter()),
         }
     }
@@ -516,15 +489,6 @@ impl<T: Element, D: Device> DistArray<T, D> {
     /// [`DistArray::iter_flat`] instead.
     pub fn iter(&self) -> Box<dyn Iterator<Item = (Vec<i64>, &T)> + '_> {
         Box::new(self.iter_flat().map(move |(f, v)| (self.global_of(f), v)))
-    }
-
-    /// Applies `f` to every materialized element in place (the `map`
-    /// transformation with `map_values = true`).
-    pub fn map_values(&mut self, mut f: impl FnMut(&mut T)) {
-        match &mut self.storage {
-            Storage::Dense(v) => v.as_mut_slice().iter_mut().for_each(&mut f),
-            Storage::Sparse(s) => s.values_mut().for_each(&mut f),
-        }
     }
 
     /// Counts materialized elements per coordinate along `dim` — the
@@ -598,7 +562,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
             }
             Storage::Dense(v) => {
                 let mut out = vec![T::default(); v.len()];
-                for (flat, val) in v.as_slice().iter().enumerate() {
+                for (flat, val) in v.iter().enumerate() {
                     let idx = self.shape.unflatten(flat as u64);
                     let new_flat = self
                         .shape
@@ -606,7 +570,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
                         .expect("permutation stays in bounds");
                     out[new_flat as usize] = val.clone();
                 }
-                *v = D::upload(out);
+                *v = out;
             }
         }
     }
@@ -624,7 +588,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     ///
     /// Panics if the ranges do not exactly tile the dimension, or the
     /// array is already a partition.
-    pub fn split_along(self, dim: Dim, ranges: &[Range<u64>]) -> Vec<DistArray<T, D>> {
+    pub fn split_along(self, dim: Dim, ranges: &[Range<u64>]) -> Vec<DistArray<T>> {
         assert!(
             self.origin.iter().all(|&o| o == 0),
             "cannot split a partition of `{}`",
@@ -652,9 +616,8 @@ impl<T: Element, D: Device> DistArray<T, D> {
         let block = extent * s_dim;
         let n_outer = shape.volume() / block;
 
-        let part_storages: Vec<Storage<T, D>> = match storage {
+        let part_storages: Vec<Storage<T>> = match storage {
             Storage::Dense(values) => {
-                let values = values.into_vec();
                 let mut out: Vec<Vec<T>> = ranges
                     .iter()
                     .map(|r| Vec::with_capacity((n_outer * (r.end - r.start) * s_dim) as usize))
@@ -667,9 +630,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
                         part.extend_from_slice(&values[lo..hi]);
                     }
                 }
-                out.into_iter()
-                    .map(|p| Storage::Dense(D::upload(p)))
-                    .collect()
+                out.into_iter().map(Storage::Dense).collect()
             }
             Storage::Sparse(store) => {
                 let mut out: Vec<Vec<(u64, T)>> = ranges.iter().map(|_| Vec::new()).collect();
@@ -716,7 +677,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     ///
     /// Panics when `parts` is empty or shapes are inconsistent with a
     /// tiling along `dim`.
-    pub fn merge_along(dim: Dim, parts: Vec<DistArray<T, D>>) -> DistArray<T, D> {
+    pub fn merge_along(dim: Dim, parts: Vec<DistArray<T>>) -> DistArray<T> {
         Self::merge_along_ref(dim, &parts)
     }
 
@@ -727,7 +688,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
     /// # Panics
     ///
     /// As [`DistArray::merge_along`].
-    pub fn merge_along_ref(dim: Dim, parts: &[DistArray<T, D>]) -> DistArray<T, D> {
+    pub fn merge_along_ref(dim: Dim, parts: &[DistArray<T>]) -> DistArray<T> {
         assert!(!parts.is_empty(), "cannot merge zero partitions");
         let mut dims = parts[0].shape.dims().to_vec();
         for part in &parts[1..] {
@@ -763,10 +724,10 @@ impl<T: Element, D: Device> DistArray<T, D> {
                     let Storage::Dense(pv) = &part.storage else {
                         unreachable!()
                     };
-                    values.extend_from_slice(&pv.as_slice()[lo..lo + part_block]);
+                    values.extend_from_slice(&pv[lo..lo + part_block]);
                 }
             }
-            Storage::Dense(D::upload(values))
+            Storage::Dense(values)
         } else {
             // Start along `dim` of each part, in order.
             let mut pairs: Vec<(u64, T)> = Vec::new();
@@ -823,7 +784,7 @@ impl<T: Element, D: Device> DistArray<T, D> {
 
 /// Ascending-flat-offset iterator over materialized elements; see
 /// [`DistArray::iter_flat`]. Allocation-free for both storage kinds.
-pub enum FlatIter<'a, T> {
+enum FlatIter<'a, T> {
     /// Linear scan of dense row-major values.
     Dense(std::iter::Enumerate<std::slice::Iter<'a, T>>),
     /// Ordered merge scan of frozen and staged sparse elements.
@@ -1060,13 +1021,6 @@ mod tests {
     }
 
     #[test]
-    fn map_values_applies_everywhere() {
-        let mut a: DistArray<f32> = DistArray::dense_from_fn("a", vec![2, 2], |_| 1.0);
-        a.map_values(|v| *v *= 3.0);
-        assert!(a.iter().all(|(_, &v)| v == 3.0));
-    }
-
-    #[test]
     fn meta_reflects_storage() {
         let a: DistArray<f32> = DistArray::sparse_from("z", vec![10, 10], vec![(vec![1, 1], 1.0)]);
         let m = a.meta(DistArrayId(3));
@@ -1086,16 +1040,6 @@ mod tests {
         assert_eq!(d.payload_bytes(), 64);
         let s: DistArray<f32> = DistArray::sparse_from("z", vec![10], vec![(vec![1], 1.0)]);
         assert_eq!(s.payload_bytes(), 12);
-    }
-
-    #[test]
-    fn dense_random_uses_rng() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let a: DistArray<f32> =
-            DistArray::dense_random("w", vec![8], &mut rng, |r| r.random::<f32>());
-        let distinct: std::collections::BTreeSet<u32> =
-            a.iter().map(|(_, v)| v.to_bits()).collect();
-        assert!(distinct.len() > 1);
     }
 
     #[test]

@@ -231,19 +231,14 @@ impl<T: Element> DistArrayBuffer<T> {
 
     /// Applies (and clears) all pending updates to the backing array with
     /// a user-defined element-wise function, executed atomically per
-    /// element (§3.3: "supports atomic read-modify-writes"). Generic over
-    /// the array's device: the buffer itself is host-side staging.
+    /// element (§3.3: "supports atomic read-modify-writes").
     ///
     /// # Panics
     ///
     /// Panics if the array's shape differs from the buffer's, or if the
     /// array is a partition homed away from the origin: the buffer's
     /// flat indices are global, a partition's are local.
-    pub fn apply_to<D: crate::device::Device>(
-        &mut self,
-        array: &mut DistArray<T, D>,
-        mut udf: impl FnMut(&mut T, T),
-    ) {
+    pub fn apply_to(&mut self, array: &mut DistArray<T>, mut udf: impl FnMut(&mut T, T)) {
         assert_eq!(
             array.shape(),
             &self.shape,

@@ -65,7 +65,12 @@ pub fn to_bytes<T: Element>(array: &DistArray<T>) -> Bytes {
     match array.storage() {
         Storage::Dense(values) => {
             buf.put_u8(0);
-            buf.put_slice(&codec::encode_dense_run(0, values));
+            // A dense run: base flat index (always 0), count, elements.
+            buf.put_u64_le(0);
+            buf.put_u64_le(values.len() as u64);
+            for v in values {
+                v.encode(&mut buf);
+            }
         }
         Storage::Sparse(store) => {
             buf.put_u8(1);

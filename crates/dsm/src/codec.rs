@@ -57,40 +57,6 @@ pub fn updates_wire_bytes<T: Element>(n: u64) -> u64 {
     8 + n * (8 + T::WIRE_BYTES as u64)
 }
 
-/// Encodes a dense run of values starting at a base flat index.
-///
-/// Layout: `u64` base, `u64` count, then the elements back to back.
-pub fn encode_dense_run<T: Element>(base: u64, values: &[T]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + values.len() * T::WIRE_BYTES);
-    buf.put_u64_le(base);
-    buf.put_u64_le(values.len() as u64);
-    for v in values {
-        v.encode(&mut buf);
-    }
-    buf.freeze()
-}
-
-/// Decodes the output of [`encode_dense_run`].
-///
-/// # Panics
-///
-/// Panics on a truncated or malformed buffer.
-pub fn decode_dense_run<T: Element>(mut wire: Bytes) -> (u64, Vec<T>) {
-    let base = wire.get_u64_le();
-    let n = wire.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(T::decode(&mut wire));
-    }
-    assert!(!wire.has_remaining(), "trailing bytes after dense run");
-    (base, out)
-}
-
-/// Wire size of a dense run of `n` values without encoding it.
-pub fn dense_run_wire_bytes<T: Element>(n: u64) -> u64 {
-    16 + n * T::WIRE_BYTES as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,16 +74,6 @@ mod tests {
         let wire = encode_updates::<f32>(&[]);
         assert_eq!(wire.len(), 8);
         assert!(decode_updates::<f32>(wire).is_empty());
-    }
-
-    #[test]
-    fn dense_run_roundtrip() {
-        let values: Vec<u32> = (0..17).collect();
-        let wire = encode_dense_run(42, &values);
-        assert_eq!(wire.len() as u64, dense_run_wire_bytes::<u32>(17));
-        let (base, decoded) = decode_dense_run::<u32>(wire);
-        assert_eq!(base, 42);
-        assert_eq!(decoded, values);
     }
 
     #[test]

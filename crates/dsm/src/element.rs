@@ -55,10 +55,6 @@ impl_element!(u64, 8, put_u64_le, get_u64_le);
 impl_element!(i32, 4, put_i32_le, get_i32_le);
 impl_element!(i64, 8, put_i64_le, get_i64_le);
 
-/// A sparse rating / data-sample cell: the value plus nothing else; kept
-/// as a named type so application code reads naturally.
-pub type Rating = f32;
-
 /// A floating-point [`Element`]: the numeric sub-trait the kernel layer
 /// dispatches on. [`Element`] deliberately carries no arithmetic beyond
 /// [`Element::accumulate`] (it also covers integer count types); `Float`

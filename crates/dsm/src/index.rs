@@ -113,11 +113,6 @@ impl Shape {
             })
             .collect()
     }
-
-    /// Iterates all indices in row-major order.
-    pub fn iter_indices(&self) -> impl Iterator<Item = Vec<i64>> + '_ {
-        (0..self.volume()).map(move |f| self.unflatten(f))
-    }
 }
 
 #[cfg(test)]
@@ -172,12 +167,5 @@ mod tests {
                 assert_eq!(s.coord_of(f, d), x);
             }
         }
-    }
-
-    #[test]
-    fn iter_indices_in_order() {
-        let s = Shape::new(vec![2, 2]);
-        let all: Vec<_> = s.iter_indices().collect();
-        assert_eq!(all, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
     }
 }

@@ -1,31 +1,31 @@
 //! Distributed shared memory for Orion: DistArrays and their supporting
 //! machinery (paper §3).
 //!
-//! - [`DistArray`] — dense/sparse N-dimensional tensors with point and
-//!   set queries, in-place updates, `map`, `group_by` and `randomize`;
-//!   splittable into per-worker partitions that keep answering global
-//!   indices.
-//! - [`LazyArray`] — deferred creation (`text_file`, `map`) with operator
-//!   fusion at materialization (§3.1).
-//! - [`RangePartition`] / [`GridPartition`] — uniform and
-//!   histogram-balanced range partitioning, and the 2-D space × time grid
-//!   used by dependence-aware schedules (§4.3).
+//! - [`DistArray`] — dense/sparse N-dimensional tensors over plain
+//!   `Vec`s, with point and set queries, in-place updates and
+//!   `randomize`; splittable into per-worker partitions that keep
+//!   answering global indices. Creation is eager: the paper's deferred
+//!   evaluation / operator fusion (§3.1) is not reproduced.
+//! - [`RangePartition`] — uniform and histogram-balanced range
+//!   partitioning of one dimension (§4.3); the space × time grid of a
+//!   dependence-aware schedule is two of these.
 //! - [`DistArrayBuffer`] — write-back buffers with user-defined atomic
 //!   apply logic, the escape hatch that turns dependence violations into
 //!   explicit data parallelism (§3.3).
-//! - [`Accumulator`] — per-worker reduction variables (§3.4).
 //! - [`codec`] — the wire format used to account (and pay for)
 //!   serialization of rotated partitions and parameter-server traffic.
 //! - [`checkpoint`] — eager DistArray checkpointing to disk (§4.3
 //!   fault tolerance).
 //! - [`AccessValidator`] — runtime verification that a loop body's
 //!   actual accesses are covered by its declared [`orion_ir::LoopSpec`].
-//! - [`Device`] / [`CpuDevice`] — the storage layer DistArray buffers
-//!   live behind, making `DistArray<T, D>` dtype- and device-generic.
-//! - [`kernels`] — explicit-width SIMD implementations of the five
-//!   applications' inner loops, with scalar fallbacks (`simd` feature)
-//!   and an opt-in [`MathMode::FastMath`] for reassociating reductions
-//!   (`fast-math` feature).
+//! - [`kernels`] — the five applications' inner loops, one body per
+//!   order-preserving kernel, and a [`MathMode`] that picks the fold of
+//!   the three reassociating reductions.
+//!
+//! The paper's accumulators (§3.4) live with the executors that fold
+//! them: `orion_runtime::EvalSlots` and `orion_apps::slr::PooledLoss`
+//! keep one slot per item position and sum in item order, so a readout
+//! does not depend on the worker count.
 //!
 //! # Invariants the wire layer relies on
 //!
@@ -46,28 +46,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod accumulator;
 mod array;
 mod buffer;
 pub mod checkpoint;
 pub mod codec;
-mod device;
 mod element;
 mod index;
 pub mod kernels;
-mod lazy;
 mod partition;
 mod sparse;
 mod validator;
 
-pub use accumulator::Accumulator;
-pub use array::{DistArray, FlatIter, Storage};
+pub use array::DistArray;
 pub use buffer::DistArrayBuffer;
-pub use device::{CpuDevice, DenseStorage, Device};
-pub use element::{Element, Float, Rating};
+pub use element::{Element, Float};
 pub use index::Shape;
 pub use kernels::MathMode;
-pub use lazy::{group_by, LazyArray};
-pub use partition::{GridPartition, RangePartition};
-pub use sparse::{SparseIter, SparseStore};
+pub use partition::RangePartition;
 pub use validator::{AccessValidator, AccessViolation};

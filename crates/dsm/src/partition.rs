@@ -11,7 +11,7 @@ use orion_ir::Dim;
 /// ```
 /// use orion_dsm::RangePartition;
 /// let p = RangePartition::uniform(0, 10, 3);
-/// assert_eq!(p.n_parts(), 3);
+/// assert_eq!(p.ranges.len(), 3);
 /// assert_eq!(p.part_of(0), 0);
 /// assert_eq!(p.part_of(9), 2);
 /// ```
@@ -119,11 +119,6 @@ impl RangePartition {
         RangePartition { dim, ranges }
     }
 
-    /// Number of parts.
-    pub fn n_parts(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// The part owning coordinate `coord`.
     ///
     /// # Panics
@@ -141,30 +136,6 @@ impl RangePartition {
     /// The covered extent.
     pub fn extent(&self) -> u64 {
         self.ranges.last().map(|r| r.end).unwrap_or(0)
-    }
-}
-
-/// The 2-D space × time partitioning of an iteration space (Fig. 7b/7c):
-/// `space` assigns iterations to workers; `time` sequences them across
-/// global time steps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridPartition {
-    /// Partitioning of the space dimension (one part per worker group).
-    pub space: RangePartition,
-    /// Partitioning of the time dimension (one part per time index).
-    pub time: RangePartition,
-}
-
-impl GridPartition {
-    /// The `(space, time)` block of an iteration index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either coordinate is out of range.
-    pub fn block_of(&self, index: &[i64]) -> (usize, usize) {
-        let s = self.space.part_of(index[self.space.dim] as u64);
-        let t = self.time.part_of(index[self.time.dim] as u64);
-        (s, t)
     }
 }
 
@@ -209,7 +180,7 @@ mod tests {
         let mut w = vec![1u64; 100];
         w[0] = 100;
         let p = RangePartition::balanced(0, &w, 4);
-        assert_eq!(p.n_parts(), 4);
+        assert_eq!(p.ranges.len(), 4);
         assert_eq!(p.extent(), 100);
         let loads: Vec<u64> = p
             .ranges
@@ -268,7 +239,7 @@ mod tests {
         };
         let balanced = RangePartition::balanced(0, &w, parts);
         assert_eq!(balanced.extent(), w.len() as u64);
-        assert_eq!(balanced.n_parts(), parts);
+        assert_eq!(balanced.ranges.len(), parts);
         assert!(balanced.ranges.iter().all(|r| r.start < r.end));
         let uniform = RangePartition::uniform(0, w.len() as u64, parts);
         assert!(
@@ -302,16 +273,5 @@ mod tests {
             best[parts][n],
             "balanced must hit the optimal bottleneck load"
         );
-    }
-
-    #[test]
-    fn grid_block_lookup() {
-        let g = GridPartition {
-            space: RangePartition::uniform(0, 8, 2),
-            time: RangePartition::uniform(1, 9, 3),
-        };
-        assert_eq!(g.block_of(&[0, 0]), (0, 0));
-        assert_eq!(g.block_of(&[7, 8]), (1, 2));
-        assert_eq!(g.block_of(&[4, 3]), (1, 1));
     }
 }

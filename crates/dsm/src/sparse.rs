@@ -6,12 +6,9 @@
 //! *logical* contract (ascending-flat-key order, last-write-wins) on a
 //! layout built for the training hot path:
 //!
-//! - **Frozen pairs**: two parallel device buffers `keys`/`vals`, keys
+//! - **Frozen pairs**: two parallel vectors `keys`/`vals`, keys
 //!   strictly ascending. Point queries are a binary search over a
-//!   contiguous `u64` array; full scans are linear memory walks. The
-//!   frozen columns are exposed as contiguous slices
-//!   ([`SparseStore::frozen_keys`] / [`SparseStore::frozen_vals`]) for
-//!   kernel dispatch.
+//!   contiguous `u64` array; full scans are linear memory walks.
 //! - **Staging map**: writes to keys not already frozen land in a small
 //!   `BTreeMap` so ad-hoc inserts stay cheap without resorting the frozen
 //!   arrays. [`SparseStore::freeze`] merges the staging map in (one linear
@@ -28,28 +25,25 @@
 
 use std::collections::BTreeMap;
 
-use crate::device::{CpuDevice, DenseStorage, Device};
 use crate::element::Element;
 
 /// Sorted-pair sparse storage with a staging area for ad-hoc writes.
-/// The frozen columns live in `D`'s dense buffers, so a non-CPU device
-/// would hold them resident while the staging map stays host-side.
 #[derive(Debug, Clone, Default)]
-pub struct SparseStore<T: Element, D: Device = CpuDevice> {
+pub(crate) struct SparseStore<T: Element> {
     /// Strictly ascending flat keys of frozen elements.
-    keys: D::Dense<u64>,
+    keys: Vec<u64>,
     /// Values parallel to `keys`.
-    vals: D::Dense<T>,
+    vals: Vec<T>,
     /// Elements written since the last freeze, disjoint from `keys`.
     staging: BTreeMap<u64, T>,
 }
 
-impl<T: Element, D: Device> SparseStore<T, D> {
+impl<T: Element> SparseStore<T> {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SparseStore {
-            keys: D::Dense::default(),
-            vals: D::Dense::default(),
+            keys: Vec::new(),
+            vals: Vec::new(),
             staging: BTreeMap::new(),
         }
     }
@@ -60,7 +54,7 @@ impl<T: Element, D: Device> SparseStore<T, D> {
     ///
     /// Panics if keys are not strictly ascending (debug builds assert;
     /// release builds trust the caller — all in-crate callers sort first).
-    pub fn from_sorted(pairs: Vec<(u64, T)>) -> Self {
+    pub(crate) fn from_sorted(pairs: Vec<(u64, T)>) -> Self {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "from_sorted requires strictly ascending keys"
@@ -72,62 +66,31 @@ impl<T: Element, D: Device> SparseStore<T, D> {
             vals.push(v);
         }
         SparseStore {
-            keys: D::upload(keys),
-            vals: D::upload(vals),
+            keys,
+            vals,
             staging: BTreeMap::new(),
         }
     }
 
     /// Number of materialized elements (frozen + staged).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len() + self.staging.len()
-    }
-
-    /// True when no element is materialized.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty() && self.staging.is_empty()
-    }
-
-    /// Number of elements still in the staging map (diagnostics/tests).
-    pub fn staged(&self) -> usize {
-        self.staging.len()
-    }
-
-    /// The frozen key column as one contiguous slice (kernel dispatch;
-    /// excludes staged writes — call [`SparseStore::freeze`] first).
-    pub fn frozen_keys(&self) -> &[u64] {
-        self.keys.as_slice()
-    }
-
-    /// The frozen value column as one contiguous slice, parallel to
-    /// [`SparseStore::frozen_keys`].
-    pub fn frozen_vals(&self) -> &[T] {
-        self.vals.as_slice()
     }
 
     /// Point query by flat key.
     #[inline]
-    pub fn get(&self, key: u64) -> Option<&T> {
-        match self.keys.as_slice().binary_search(&key) {
-            Ok(i) => Some(&self.vals.as_slice()[i]),
+    pub(crate) fn get(&self, key: u64) -> Option<&T> {
+        match self.keys.binary_search(&key) {
+            Ok(i) => Some(&self.vals[i]),
             Err(_) => self.staging.get(&key),
-        }
-    }
-
-    /// Mutable point query by flat key.
-    #[inline]
-    pub fn get_mut(&mut self, key: u64) -> Option<&mut T> {
-        match self.keys.as_slice().binary_search(&key) {
-            Ok(i) => Some(&mut self.vals.as_mut_slice()[i]),
-            Err(_) => self.staging.get_mut(&key),
         }
     }
 
     /// Inserts or overwrites (last write wins, like `BTreeMap::insert`).
     #[inline]
-    pub fn insert(&mut self, key: u64, value: T) {
-        match self.keys.as_slice().binary_search(&key) {
-            Ok(i) => self.vals.as_mut_slice()[i] = value,
+    pub(crate) fn insert(&mut self, key: u64, value: T) {
+        match self.keys.binary_search(&key) {
+            Ok(i) => self.vals[i] = value,
             Err(_) => {
                 self.staging.insert(key, value);
             }
@@ -136,9 +99,9 @@ impl<T: Element, D: Device> SparseStore<T, D> {
 
     /// Read-modify-write; missing elements start from `T::default()`.
     #[inline]
-    pub fn update(&mut self, key: u64, f: impl FnOnce(&mut T)) {
-        match self.keys.as_slice().binary_search(&key) {
-            Ok(i) => f(&mut self.vals.as_mut_slice()[i]),
+    pub(crate) fn update(&mut self, key: u64, f: impl FnOnce(&mut T)) {
+        match self.keys.binary_search(&key) {
+            Ok(i) => f(&mut self.vals[i]),
             Err(_) => f(self.staging.entry(key).or_default()),
         }
     }
@@ -147,13 +110,13 @@ impl<T: Element, D: Device> SparseStore<T, D> {
     /// merge). After this, point queries are pure binary search and
     /// iteration is a straight scan. Idempotent; cheap when staging is
     /// empty.
-    pub fn freeze(&mut self) {
+    pub(crate) fn freeze(&mut self) {
         if self.staging.is_empty() {
             return;
         }
         let staged = std::mem::take(&mut self.staging);
-        let old_keys = std::mem::take(&mut self.keys).into_vec();
-        let old_vals = std::mem::take(&mut self.vals).into_vec();
+        let old_keys = std::mem::take(&mut self.keys);
+        let old_vals = std::mem::take(&mut self.vals);
         let total = old_keys.len() + staged.len();
         let mut keys = Vec::with_capacity(total);
         let mut vals = Vec::with_capacity(total);
@@ -185,44 +148,32 @@ impl<T: Element, D: Device> SparseStore<T, D> {
                 (None, None) => break,
             }
         }
-        self.keys = D::upload(keys);
-        self.vals = D::upload(vals);
+        self.keys = keys;
+        self.vals = vals;
     }
 
     /// Iterates `(flat_key, &value)` in ascending key order, merging the
     /// frozen arrays and the staging map with two pointers. When staging
     /// is empty (the common, post-freeze case) this is a pure linear scan
     /// of the parallel vectors.
-    pub fn iter(&self) -> SparseIter<'_, T> {
+    pub(crate) fn iter(&self) -> SparseIter<'_, T> {
         SparseIter {
-            keys: self.keys.as_slice(),
-            vals: self.vals.as_slice(),
+            keys: &self.keys,
+            vals: &self.vals,
             pos: 0,
             staged: self.staging.iter().peekable(),
         }
     }
 
-    /// Applies `f` to every materialized value.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.vals
-            .as_mut_slice()
-            .iter_mut()
-            .chain(self.staging.values_mut())
-    }
-
     /// Drains the store into ascending `(key, value)` pairs.
-    pub fn into_sorted(mut self) -> Vec<(u64, T)> {
+    pub(crate) fn into_sorted(mut self) -> Vec<(u64, T)> {
         self.freeze();
-        self.keys
-            .into_vec()
-            .into_iter()
-            .zip(self.vals.into_vec())
-            .collect()
+        self.keys.into_iter().zip(self.vals).collect()
     }
 }
 
 /// Ascending-key iterator over a [`SparseStore`]; see [`SparseStore::iter`].
-pub struct SparseIter<'a, T> {
+pub(crate) struct SparseIter<'a, T> {
     keys: &'a [u64],
     vals: &'a [T],
     pos: usize,
@@ -269,15 +220,15 @@ impl<T> ExactSizeIterator for SparseIter<'_, T> {}
 
 /// Logical equality: same elements in the same order, regardless of how
 /// they are split between frozen and staged storage.
-impl<T: Element, D: Device> PartialEq for SparseStore<T, D> {
+impl<T: Element> PartialEq for SparseStore<T> {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
-impl<T: Element + Eq, D: Device> Eq for SparseStore<T, D> {}
+impl<T: Element + Eq> Eq for SparseStore<T> {}
 
-impl<T: Element, D: Device> FromIterator<(u64, T)> for SparseStore<T, D> {
+impl<T: Element> FromIterator<(u64, T)> for SparseStore<T> {
     /// Collects arbitrary-order pairs; duplicates resolve last-write-wins
     /// (matching repeated `BTreeMap::insert`).
     fn from_iter<I: IntoIterator<Item = (u64, T)>>(iter: I) -> Self {
@@ -307,20 +258,20 @@ mod tests {
         s.insert(1, 10);
         let got: Vec<(u64, u32)> = s.iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(got, vec![(1, 10), (2, 20), (5, 50), (8, 80)]);
-        assert_eq!(s.staged(), 2);
+        assert_eq!(s.staging.len(), 2);
         s.freeze();
-        assert_eq!(s.staged(), 0);
+        assert_eq!(s.staging.len(), 0);
         let again: Vec<(u64, u32)> = s.iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(got, again);
-        assert_eq!(s.frozen_keys(), &[1, 2, 5, 8]);
-        assert_eq!(s.frozen_vals(), &[10, 20, 50, 80]);
+        assert_eq!(s.keys, &[1, 2, 5, 8]);
+        assert_eq!(s.vals, &[10, 20, 50, 80]);
     }
 
     #[test]
     fn writes_to_frozen_keys_hit_in_place() {
         let mut s: SparseStore<u32> = SparseStore::from_sorted(vec![(3, 1)]);
         s.insert(3, 2);
-        assert_eq!(s.staged(), 0, "frozen hit must not stage");
+        assert_eq!(s.staging.len(), 0, "frozen hit must not stage");
         assert_eq!(s.get(3), Some(&2));
         s.update(3, |v| *v += 5);
         assert_eq!(s.get(3), Some(&7));
@@ -333,7 +284,7 @@ mod tests {
         s.update(9, |v| *v += 4);
         s.update(9, |v| *v += 4);
         assert_eq!(s.get(9), Some(&8));
-        assert_eq!(s.staged(), 1);
+        assert_eq!(s.staging.len(), 1);
     }
 
     #[test]

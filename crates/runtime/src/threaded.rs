@@ -28,7 +28,7 @@ use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use orion_dsm::{CpuDevice, Device, DistArray, Element};
+use orion_dsm::{DistArray, Element};
 
 use crate::event::HbEvent;
 use crate::pool::WorkerPool;
@@ -40,7 +40,7 @@ use crate::schedule::{Exec, Schedule};
 const POISON_POLL: Duration = Duration::from_millis(50);
 
 /// A rotated time partition in flight between workers.
-type Parcel<B, D> = (usize, DistArray<B, D>);
+type Parcel<B> = (usize, DistArray<B>);
 
 /// What a worker executes (compute) or waits on (rotation) during a
 /// threaded pass.
@@ -184,11 +184,11 @@ impl ThreadedPlan {
 /// time partitions (partition order), per-worker scratch (worker
 /// order), per-worker timed phases, and the pass's wall-clock time.
 #[derive(Debug)]
-pub struct GridPassOutput<A: Element, B: Element, S, D: Device = CpuDevice> {
+pub struct GridPassOutput<A: Element, B: Element, S> {
     /// Space partitions after the pass, one per worker.
-    pub space: Vec<DistArray<A, D>>,
+    pub space: Vec<DistArray<A>>,
     /// Rotated time partitions after the pass, in partition order.
-    pub time: Vec<DistArray<B, D>>,
+    pub time: Vec<DistArray<B>>,
     /// Per-worker scratch state after the pass.
     pub scratch: Vec<S>,
     /// Timed compute/rotation phases per worker.
@@ -235,22 +235,21 @@ pub struct OneDPassOutput<S> {
 /// Panics if partition counts do not match the plan, if the pool is
 /// smaller than the plan's worker count, or — with the panicking
 /// worker's message — if a worker dies mid-pass.
-pub fn run_grid_pass_pooled<T, A, B, S, F, D>(
+pub fn run_grid_pass_pooled<T, A, B, S, F>(
     pool: &WorkerPool,
     plan: &Arc<ThreadedPlan>,
     items: &Arc<Vec<T>>,
-    space_parts: Vec<DistArray<A, D>>,
-    time_parts: Vec<DistArray<B, D>>,
+    space_parts: Vec<DistArray<A>>,
+    time_parts: Vec<DistArray<B>>,
     scratch: Vec<S>,
     body: &Arc<F>,
-) -> GridPassOutput<A, B, S, D>
+) -> GridPassOutput<A, B, S>
 where
     T: Send + Sync + 'static,
     A: Element,
     B: Element,
     S: Send + 'static,
-    D: Device,
-    F: Fn(&T, &mut DistArray<A, D>, &mut DistArray<B, D>, &mut S) + Send + Sync + 'static,
+    F: Fn(&T, &mut DistArray<A>, &mut DistArray<B>, &mut S) + Send + Sync + 'static,
 {
     let n_workers = plan.n_workers;
     let n_time = plan.n_time;
@@ -274,10 +273,10 @@ where
     // Parcel channel per worker; each worker's sender table has its own
     // slot empty (rotation edges never target their sender), so a pass
     // abandoned on poison drops every foreign sender it holds.
-    type Endpoints<B, D> = (Vec<Sender<Parcel<B, D>>>, Vec<Receiver<Parcel<B, D>>>);
-    type SenderTable<B, D> = Vec<Option<Sender<Parcel<B, D>>>>;
-    let (senders, receivers): Endpoints<B, D> = (0..n_workers).map(|_| channel()).unzip();
-    let sender_tables: Vec<SenderTable<B, D>> = (0..n_workers)
+    type Endpoints<B> = (Vec<Sender<Parcel<B>>>, Vec<Receiver<Parcel<B>>>);
+    type SenderTable<B> = Vec<Option<Sender<Parcel<B>>>>;
+    let (senders, receivers): Endpoints<B> = (0..n_workers).map(|_| channel()).unzip();
+    let sender_tables: Vec<SenderTable<B>> = (0..n_workers)
         .map(|w| {
             senders
                 .iter()
@@ -289,8 +288,8 @@ where
     drop(senders);
 
     // Seed each worker's local queue with its initial time partitions.
-    let mut time_slot: Vec<Option<DistArray<B, D>>> = time_parts.into_iter().map(Some).collect();
-    let mut local_queues: Vec<VecDeque<Parcel<B, D>>> = vec![VecDeque::new(); n_workers];
+    let mut time_slot: Vec<Option<DistArray<B>>> = time_parts.into_iter().map(Some).collect();
+    let mut local_queues: Vec<VecDeque<Parcel<B>>> = vec![VecDeque::new(); n_workers];
     for (w, init) in plan.initial.iter().enumerate() {
         for &tp in init {
             let part = time_slot[tp].take().expect("each partition starts once");
@@ -302,16 +301,16 @@ where
         "every time partition must have an initial owner"
     );
 
-    type GridResult<A, B, S, D> = (
+    type GridResult<A, B, S> = (
         usize,
-        DistArray<A, D>,
-        Vec<Parcel<B, D>>,
-        VecDeque<Parcel<B, D>>,
+        DistArray<A>,
+        Vec<Parcel<B>>,
+        VecDeque<Parcel<B>>,
         S,
         Vec<ThreadSpan>,
         Vec<HbEvent>,
     );
-    let (result_tx, result_rx) = channel::<GridResult<A, B, S, D>>();
+    let (result_tx, result_rx) = channel::<GridResult<A, B, S>>();
     let poison = pool.poison_flag();
     let start = Instant::now();
 
@@ -329,7 +328,7 @@ where
         let result_tx = result_tx.clone();
         let poison = Arc::clone(&poison);
         let job = Box::new(move || {
-            let mut kept: Vec<Parcel<B, D>> = Vec::new();
+            let mut kept: Vec<Parcel<B>> = Vec::new();
             let mut spans: Vec<ThreadSpan> = Vec::new();
             let mut events: Vec<HbEvent> = Vec::new();
             let mut forwards = plan.forward[w].iter();
@@ -408,7 +407,7 @@ where
     let mut out_scratch = Vec::with_capacity(n_workers);
     let mut out_spans = Vec::with_capacity(n_workers);
     let mut out_events = Vec::with_capacity(n_workers);
-    let mut out_time: Vec<Option<DistArray<B, D>>> = (0..n_time).map(|_| None).collect();
+    let mut out_time: Vec<Option<DistArray<B>>> = (0..n_time).map(|_| None).collect();
     for (_, space, kept, queue, sc, spans, events) in results {
         out_space.push(space);
         out_scratch.push(sc);
@@ -489,20 +488,19 @@ impl EvalSlots {
 /// pool is smaller than the plan's worker count, or — with the
 /// panicking worker's message — if a worker dies mid-pass (the
 /// partition vectors are then left empty).
-pub fn run_grid_eval_pooled<T, A, B, F, D>(
+pub fn run_grid_eval_pooled<T, A, B, F>(
     pool: &WorkerPool,
     plan: &Arc<ThreadedPlan>,
     items: &Arc<Vec<T>>,
-    space_parts: &mut Vec<DistArray<A, D>>,
-    time_parts: &mut Vec<DistArray<B, D>>,
+    space_parts: &mut Vec<DistArray<A>>,
+    time_parts: &mut Vec<DistArray<B>>,
     slots: &EvalSlots,
     f: &Arc<F>,
 ) where
     T: Send + Sync + 'static,
     A: Element,
     B: Element,
-    D: Device,
-    F: Fn(&T, &DistArray<A, D>, &DistArray<B, D>) -> f64 + Send + Sync + 'static,
+    F: Fn(&T, &DistArray<A>, &DistArray<B>) -> f64 + Send + Sync + 'static,
 {
     let n_workers = plan.n_workers;
     assert!(
@@ -671,10 +669,7 @@ fn collect_results<R>(
 /// Blocking parcel receive that bails out (returning `None`) when the
 /// pool is poisoned or the upstream sender vanished, so a peer panic
 /// can never deadlock the rotation ring.
-fn recv_parcel<B: Element, D: Device>(
-    rx: &Receiver<Parcel<B, D>>,
-    poison: &AtomicBool,
-) -> Option<Parcel<B, D>> {
+fn recv_parcel<B: Element>(rx: &Receiver<Parcel<B>>, poison: &AtomicBool) -> Option<Parcel<B>> {
     loop {
         match rx.recv_timeout(POISON_POLL) {
             Ok(parcel) => return Some(parcel),

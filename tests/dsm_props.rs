@@ -1,6 +1,6 @@
 //! Property tests of the DSM substrate: index arithmetic, split/merge,
 //! partition tiling and balance, buffer-vs-serial equivalence, codec and
-//! checkpoint round trips, and the scalar-vs-lane kernel contracts.
+//! checkpoint round trips, and the kernel contracts.
 
 use orion::dsm::kernels::{self, BinStat, MathMode, LANES};
 use orion::dsm::{checkpoint, codec, DistArray, DistArrayBuffer, RangePartition, Shape};
@@ -311,15 +311,71 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel contracts: every order-preserving lane kernel is bit-identical
-// to its serial reference for every length class `len % LANES ∈ 0..LANES`
-// (including the pure-scalar `len < LANES` degenerate), and the
-// reduction dispatchers honor the MathMode contract.
+// Kernel contracts: each order-preserving kernel has one body, checked
+// against a naive loop written here (any length 0..=70, every slice's
+// length drawn on its own so truncate-to-shorter is covered, signed
+// zeros, infinities, NaN and denormals mixed in); the reduction
+// dispatchers honor the MathMode contract.
 // ---------------------------------------------------------------------------
 
+/// Longest slice the naive-loop properties draw: past eight full
+/// `LANES` chunks, with every remainder in between.
+const KMAX: usize = 70;
+
+/// Mostly ordinary magnitudes from `range`, with the values a bit-exact
+/// contract has to survive mixed in: signed zeros, infinities, NaN and
+/// denormals.
+fn arb_edge_f32_in(range: std::ops::Range<f32>) -> impl Strategy<Value = f32> {
+    const EDGES: [f32; 8] = [
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        1e-40,
+        -1e-40,
+        f32::MIN_POSITIVE,
+    ];
+    (0usize..128, range).prop_map(|(tag, x)| *EDGES.get(tag).unwrap_or(&x))
+}
+
+fn arb_edge_f32() -> impl Strategy<Value = f32> {
+    arb_edge_f32_in(-8.0..8.0)
+}
+
+fn arb_edge_vec() -> impl Strategy<Value = Vec<f32>> {
+    proptest::collection::vec(arb_edge_f32(), 0..=KMAX)
+}
+
+/// The bits of a result, all NaNs folded to one: Rust leaves the sign
+/// and payload of a NaN an operation produces unspecified (LLVM commutes
+/// the operands of `acc + product` differently in two loops, and x86
+/// keeps the first operand's NaN), so no two loops can promise them.
+/// Everything that is not a NaN — ±0.0, ±∞, denormals — keeps its bits.
+fn exact_bits(x: f32) -> u32 {
+    if x.is_nan() {
+        f32::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// [`exact_bits`] for `f64`.
+fn exact_bits64(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|&x| exact_bits(x)).collect()
+}
+
 /// Lengths covering every remainder class mod [`LANES`] at 0–3 full
-/// chunks, so each proptest exercises the chunked body, the scalar
-/// remainder peel, and both empty edges.
+/// chunks, so each reduction proptest exercises the chunked body, the
+/// scalar remainder peel, and both empty edges.
 fn arb_kernel_len() -> impl Strategy<Value = usize> {
     (0usize..4, 0usize..LANES).prop_map(|(chunks, rem)| chunks * LANES + rem)
 }
@@ -328,107 +384,131 @@ fn arb_kvec(n: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-8.0f32..8.0, n)
 }
 
-fn bits(v: &[f32]) -> Vec<u32> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn scaled_add_lanes_bit_identical(
-        yx in (arb_kernel_len(), arb_kernel_len())
-            .prop_flat_map(|(ny, nx)| (arb_kvec(ny), arb_kvec(nx))),
-        alpha in -4.0f32..4.0,
+    fn scaled_add_matches_naive_loop(
+        y in arb_edge_vec(),
+        x in arb_edge_vec(),
+        alpha in arb_edge_f32(),
     ) {
-        // Lengths drawn independently: both variants must agree on the
-        // truncate-to-shorter semantics too.
-        let (y, x) = yx;
-        let (mut y1, mut y2) = (y.clone(), y);
-        kernels::scaled_add_serial(&mut y1, &x, alpha);
-        kernels::scaled_add_lanes(&mut y2, &x, alpha);
-        prop_assert_eq!(bits(&y1), bits(&y2));
+        let mut want = y.clone();
+        for i in 0..y.len().min(x.len()) {
+            want[i] = y[i] + alpha * x[i];
+        }
+        let mut got = y;
+        kernels::scaled_add(&mut got, &x, alpha);
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
-    fn gather_lanes_bit_identical_same_access_order(
-        table_idx in (1usize..64, arb_kernel_len()).prop_flat_map(|(t, n)| {
-            (arb_kvec(t), proptest::collection::vec(0u32..t as u32, n))
-        }),
+    fn gather_matches_naive_loop_same_access_order(
+        table_idx in (1usize..64).prop_flat_map(|t| (
+            proptest::collection::vec(arb_edge_f32(), t),
+            proptest::collection::vec(0u32..t as u32, 0..=KMAX),
+        )),
+        dst in arb_edge_vec(),
     ) {
         let (table, idx) = table_idx;
-        let (mut d1, mut d2) = (vec![0.0f32; idx.len()], vec![0.0f32; idx.len()]);
-        let (mut o1, mut o2) = (Vec::new(), Vec::new());
-        kernels::gather_serial(&mut d1, &idx, |f| { o1.push(f); table[f as usize] });
-        kernels::gather_lanes(&mut d2, &idx, |f| { o2.push(f); table[f as usize] });
-        prop_assert_eq!(bits(&d1), bits(&d2));
-        // The lane variant must also observe the gather callback in the
-        // serial access order (prefetch recording depends on it).
-        prop_assert_eq!(o1, o2);
+        let n = dst.len().min(idx.len());
+        let mut want = dst.clone();
+        for i in 0..n {
+            want[i] = table[idx[i] as usize];
+        }
+        let mut got = dst;
+        let mut order = Vec::new();
+        kernels::gather(&mut got, &idx, |f| { order.push(f); table[f as usize] });
+        prop_assert_eq!(bits(&got), bits(&want));
+        // The callback fires once per gathered element, in index order
+        // (prefetch recording depends on it).
+        prop_assert_eq!(&order[..], &idx[..n]);
     }
 
     #[test]
-    fn mf_update_rows_lanes_bit_identical(
-        wh in (arb_kernel_len(), arb_kernel_len())
-            .prop_flat_map(|(nw, nh)| (arb_kvec(nw), arb_kvec(nh))),
-        coef in -2.0f32..2.0,
+    fn mf_update_rows_matches_naive_loop(
+        w in arb_edge_vec(),
+        h in arb_edge_vec(),
+        coef in arb_edge_f32(),
     ) {
-        let (w, h) = wh;
-        let (mut w1, mut h1) = (w.clone(), h.clone());
-        let (mut w2, mut h2) = (w, h);
-        kernels::mf_update_rows_serial(&mut w1, &mut h1, coef);
-        kernels::mf_update_rows_lanes(&mut w2, &mut h2, coef);
-        prop_assert_eq!(bits(&w1), bits(&w2));
-        prop_assert_eq!(bits(&h1), bits(&h2));
+        // Both rows are updated from the *old* values of the other.
+        let (mut want_w, mut want_h) = (w.clone(), h.clone());
+        for i in 0..w.len().min(h.len()) {
+            want_w[i] = w[i] + coef * h[i];
+            want_h[i] = h[i] + coef * w[i];
+        }
+        let (mut got_w, mut got_h) = (w, h);
+        kernels::mf_update_rows(&mut got_w, &mut got_h, coef);
+        prop_assert_eq!(bits(&got_w), bits(&want_w));
+        prop_assert_eq!(bits(&got_h), bits(&want_h));
     }
 
     #[test]
-    fn cp_update_rows_lanes_bit_identical_same_emit_sequence(
-        uvs in arb_kernel_len()
-            .prop_flat_map(|n| (arb_kvec(n), arb_kvec(n), arb_kvec(n))),
-        g in -1.0f32..1.0,
+    fn cp_update_rows_matches_naive_loop_same_emit_sequence(
+        u in arb_edge_vec(),
+        v in arb_edge_vec(),
+        s in arb_edge_vec(),
+        g in arb_edge_f32(),
     ) {
-        let (u, v, s) = uvs;
-        let (mut u1, mut v1) = (u.clone(), v.clone());
-        let (mut u2, mut v2) = (u, v);
-        let (mut e1, mut e2) = (Vec::new(), Vec::new());
-        kernels::cp_update_rows_serial(&mut u1, &mut v1, &s, g, |c, d| e1.push((c, d.to_bits())));
-        kernels::cp_update_rows_lanes(&mut u2, &mut v2, &s, g, |c, d| e2.push((c, d.to_bits())));
-        prop_assert_eq!(bits(&u1), bits(&u2));
-        prop_assert_eq!(bits(&v1), bits(&v2));
-        prop_assert_eq!(e1, e2);
+        let n = u.len().min(v.len()).min(s.len());
+        let (mut want_u, mut want_v) = (u.clone(), v.clone());
+        let mut want_emits = Vec::new();
+        for c in 0..n {
+            want_u[c] = u[c] + g * v[c] * s[c];
+            want_v[c] = v[c] + g * u[c] * s[c];
+            want_emits.push((c, exact_bits(g * u[c] * v[c])));
+        }
+        let (mut got_u, mut got_v) = (u, v);
+        let mut emits = Vec::new();
+        kernels::cp_update_rows(&mut got_u, &mut got_v, &s, g, |c, d| {
+            emits.push((c, exact_bits(d)))
+        });
+        prop_assert_eq!(bits(&got_u), bits(&want_u));
+        prop_assert_eq!(bits(&got_v), bits(&want_v));
+        prop_assert_eq!(emits, want_emits);
     }
 
     #[test]
-    fn topic_cdf_lanes_bit_identical(
-        counts in arb_kernel_len().prop_flat_map(|k| (
-            proptest::collection::vec(0u32..500, k),
-            proptest::collection::vec(0u32..500, k),
-            proptest::collection::vec(-5i64..2_000, k),
-        )),
+    fn topic_cdf_matches_naive_loop(
+        dt in proptest::collection::vec(0u32..500, 0..=KMAX),
+        wt in proptest::collection::vec(0u32..500, 0..=KMAX),
+        ts in proptest::collection::vec(-5i64..2_000, 0..=KMAX),
+        out_len in 0usize..=KMAX,
         alpha in 0.01f64..2.0,
         beta in 0.001f64..1.0,
         vbeta in 0.5f64..100.0,
     ) {
-        let (dt, wt, ts) = counts;
-        let k = dt.len();
-        let (mut w1, mut w2) = (vec![0.0f64; k], vec![0.0f64; k]);
-        let t1 = kernels::topic_cdf_serial(&dt, &wt, &ts, alpha, beta, vbeta, &mut w1);
-        let t2 = kernels::topic_cdf_lanes(&dt, &wt, &ts, alpha, beta, vbeta, &mut w2);
-        prop_assert_eq!(t1.to_bits(), t2.to_bits());
-        for (a, b) in w1.iter().zip(&w2) {
+        // Two passes — every weight first, then the running sum — in
+        // place of the kernel's fused loop; slots past the shortest
+        // input keep their sentinel.
+        let k = dt.len().min(wt.len()).min(ts.len()).min(out_len);
+        let each: Vec<f64> = (0..k)
+            .map(|t| {
+                (dt[t] as f64 + alpha) * (wt[t] as f64 + beta) / (ts[t].max(0) as f64 + vbeta)
+            })
+            .collect();
+        let mut want = vec![-1.0f64; out_len];
+        let mut running = 0.0f64;
+        for t in 0..k {
+            running += each[t];
+            want[t] = running;
+        }
+        let mut got = vec![-1.0f64; out_len];
+        let total = kernels::topic_cdf(&dt, &wt, &ts, alpha, beta, vbeta, &mut got);
+        prop_assert_eq!(total.to_bits(), running.to_bits());
+        for (a, b) in got.iter().zip(&want) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
     #[test]
-    fn feature_histogram_lanes_bit_identical(
+    fn feature_histogram_matches_naive_loop(
         fixture in
-            (arb_kernel_len(), 1usize..4, 2usize..10, 1usize..5).prop_flat_map(
+            (0usize..=KMAX, 1usize..4, 2usize..10, 1usize..5).prop_flat_map(
                 |(ns, nf, nb, nodes)| (
                     Just((ns, nf, nb)),
                     (
-                        proptest::collection::vec(0.0f32..1.0, ns * nf),
+                        proptest::collection::vec(arb_edge_f32_in(0.0..1.0), ns * nf),
                         proptest::collection::vec(0usize..nodes, ns),
                     ),
                     (
@@ -437,7 +517,7 @@ proptest! {
                             prop_oneof![0usize..3, Just(usize::MAX)],
                             nodes,
                         ),
-                        proptest::collection::vec(-1.0f64..1.0, ns),
+                        proptest::collection::vec(arb_edge_f32().prop_map(f64::from), ns),
                     ),
                 )
             ),
@@ -446,43 +526,31 @@ proptest! {
         let ((n_samples, n_features, n_bins), (features, assign), (slot_of_node, grads)) = fixture;
         prop_assume!(feature < n_features);
         let n_slots = 3;
-        let mut h1 = vec![BinStat::<f64>::default(); n_slots * n_bins];
-        let mut h2 = h1.clone();
-        kernels::feature_histogram_serial(
+        // Cell by cell in place of the kernel's sample-by-sample
+        // scatter: each cell folds the samples that land in it, in
+        // ascending sample order.
+        let bin_of = |i: usize| {
+            let scaled = features[i * n_features + feature] * n_bins as f32;
+            (scaled as f64 as usize).min(n_bins - 1)
+        };
+        let mut want = vec![BinStat::<f64>::default(); n_slots * n_bins];
+        for (cell, stat) in want.iter_mut().enumerate() {
+            for i in 0..n_samples {
+                if slot_of_node[assign[i]] == cell / n_bins && bin_of(i) == cell % n_bins {
+                    stat.sum += grads[i];
+                    stat.count += 1;
+                }
+            }
+        }
+        let mut got = vec![BinStat::<f64>::default(); n_slots * n_bins];
+        kernels::feature_histogram(
             feature, n_samples, n_features, n_bins, &features, &slot_of_node,
-            &assign, &grads, usize::MAX, &mut h1,
+            &assign, &grads, usize::MAX, &mut got,
         );
-        kernels::feature_histogram_lanes(
-            feature, n_samples, n_features, n_bins, &features, &slot_of_node,
-            &assign, &grads, usize::MAX, &mut h2,
-        );
-        for (a, b) in h1.iter().zip(&h2) {
-            prop_assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+        for (a, b) in got.iter().zip(&want) {
+            prop_assert_eq!(exact_bits64(a.sum), exact_bits64(b.sum));
             prop_assert_eq!(a.count, b.count);
         }
-    }
-
-    #[test]
-    fn order_preserving_dispatchers_match_serial_reference(
-        yx in arb_kernel_len().prop_flat_map(|n| (arb_kvec(n), arb_kvec(n))),
-        alpha in -2.0f32..2.0,
-    ) {
-        let (y, x) = yx;
-        // Whatever variant the build selects, the dispatcher's result
-        // must equal the serial reference bit for bit — this is the
-        // invariant the threaded/chaos conformance suites lean on when
-        // compiled with `--features simd`.
-        let (mut y1, mut y2) = (y.clone(), y.clone());
-        kernels::scaled_add_serial(&mut y1, &x, alpha);
-        kernels::scaled_add(&mut y2, &x, alpha);
-        prop_assert_eq!(bits(&y1), bits(&y2));
-
-        let (mut w1, mut h1) = (y.clone(), x.clone());
-        let (mut w2, mut h2) = (y, x);
-        kernels::mf_update_rows_serial(&mut w1, &mut h1, alpha);
-        kernels::mf_update_rows(&mut w2, &mut h2, alpha);
-        prop_assert_eq!(bits(&w1), bits(&w2));
-        prop_assert_eq!(bits(&h1), bits(&h2));
     }
 
     #[test]
@@ -495,26 +563,15 @@ proptest! {
         let exact = kernels::dot(&a, &b, MathMode::Exact);
         prop_assert_eq!(exact.to_bits(), kernels::dot_serial(&a, &b).to_bits());
 
-        // FastMath is the lane fold when compiled in, otherwise it must
-        // silently fall back to the exact order.
+        // FastMath is always the lane fold.
         let fast = kernels::dot(&a, &b, MathMode::FastMath);
-        let want = if kernels::fast_math_available() {
-            kernels::dot_lanes(&a, &b)
-        } else {
-            kernels::dot_serial(&a, &b)
-        };
-        prop_assert_eq!(fast.to_bits(), want.to_bits());
+        prop_assert_eq!(fast.to_bits(), kernels::dot_lanes(&a, &b).to_bits());
 
         let get = |f: u32| (f as f32) * 0.125 - 2.0;
         let gexact = kernels::gather_sum(&idx, get, MathMode::Exact);
         prop_assert_eq!(gexact.to_bits(), kernels::gather_sum_serial(&idx, get).to_bits());
         let gfast = kernels::gather_sum(&idx, get, MathMode::FastMath);
-        let gwant = if kernels::fast_math_available() {
-            kernels::gather_sum_lanes(&idx, get)
-        } else {
-            kernels::gather_sum_serial(&idx, get)
-        };
-        prop_assert_eq!(gfast.to_bits(), gwant.to_bits());
+        prop_assert_eq!(gfast.to_bits(), kernels::gather_sum_lanes(&idx, get).to_bits());
     }
 
     #[test]
@@ -542,35 +599,6 @@ proptest! {
 // ---------------------------------------------------------------------------
 // The exact across-row lane kernel: lane order = serial order = same bits.
 // ---------------------------------------------------------------------------
-
-/// Mostly ordinary magnitudes, with the values a bit-exact contract has
-/// to survive mixed in: signed zeros, infinities, NaN and denormals.
-fn arb_edge_f32() -> impl Strategy<Value = f32> {
-    const EDGES: [f32; 8] = [
-        0.0,
-        -0.0,
-        f32::INFINITY,
-        f32::NEG_INFINITY,
-        f32::NAN,
-        1e-40,
-        -1e-40,
-        f32::MIN_POSITIVE,
-    ];
-    (0usize..128, -8.0f32..8.0).prop_map(|(tag, x)| *EDGES.get(tag).unwrap_or(&x))
-}
-
-/// The bits of a result, all NaNs folded to one: Rust leaves the sign
-/// and payload of a NaN an operation produces unspecified (LLVM commutes
-/// the operands of `acc + product` differently in two loops, and x86
-/// keeps the first operand's NaN), so no two loops can promise them.
-/// Everything that is not a NaN — ±0.0, ±∞, denormals — keeps its bits.
-fn exact_bits(x: f32) -> u32 {
-    if x.is_nan() {
-        f32::NAN.to_bits()
-    } else {
-        x.to_bits()
-    }
-}
 
 /// Scores `n_rows` row-major rows of `width` against `w` through
 /// `kernel`, one zero-padded `panel[c * LANES + j]` at a time, and

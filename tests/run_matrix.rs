@@ -3,7 +3,8 @@
 //! on/off — plus `tune` and `chaos` on `Sim` where the app supports
 //! them — the model bits and every recorded metric's bits equal the
 //! plain `Sim` run on the matching cluster, and every combination that
-//! means nothing returns the typed error instead of running.
+//! means nothing — adaptive steps off the plain `Sim` run included —
+//! returns the typed error instead of running.
 //!
 //! Debug test builds validate by default (asserted below), so the O100
 //! sanitizer and the happens-before checker run on every cell.
@@ -181,6 +182,31 @@ fn check<A: App>(
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Adaptive steps keep accumulators that are neither partitioned nor
+/// checkpointed: each `Threads` / `Net` / `Sim` + chaos cell that would
+/// need them is the typed error, returned before any directory (let
+/// alone a process) exists.
+fn check_adaptive<A: App>(app: &A, data: &A::Data, engines: &[&str]) {
+    let scratch = format!("orion_matrix_adaptive_{}_{}", A::NAME, std::process::id());
+    let dir = std::env::temp_dir().join(scratch);
+    for &engine in engines {
+        let cfg = match engine {
+            "threads" => RunConfig::new(Engine::Threads(2), 2),
+            "net" => RunConfig::new(Engine::Net(DistOptions::new(2, 2, &dir)), 2),
+            _ => {
+                let mut cfg = RunConfig::new(Engine::Sim(ClusterSpec::new(1, 2)), 2);
+                cfg.chaos = Some(ChaosConfig::new(FaultPlan::new(42), 1, &dir, "adaptive"));
+                cfg
+            }
+        };
+        assert_unsupported(run(app, data, &cfg), engine, "adaptive");
+        assert!(
+            !dir.exists(),
+            "{engine}: rejected before anything is created"
+        );
+    }
+}
+
 #[test]
 fn sgd_mf_column() {
     let data = RatingsData::generate(RatingsConfig::tiny());
@@ -198,6 +224,10 @@ fn sgd_mf_column() {
             &model_bits,
         );
     }
+    let mut adaptive = MfConfig::new(4);
+    adaptive.adaptive = true;
+    let app = MfApp::new(adaptive, false);
+    check_adaptive(&app, &data, &["threads", "net", "sim"]);
 }
 
 #[test]
@@ -212,6 +242,9 @@ fn slr_column() {
         arrays: &["weights"],
     };
     check(&app, &data, 3, caps, &|m: &SlrModel| f32_bits(&m.weights));
+    let mut adaptive = app;
+    adaptive.cfg.adaptive = true;
+    check_adaptive(&adaptive, &data, &["net", "sim"]);
 }
 
 const PLAIN: Caps = Caps {

@@ -149,7 +149,6 @@ fn sgd_mf_fastmath_convergence_equivalence() {
     use orion::apps::sgd_mf::{train_orion, MfConfig, MfRunConfig};
     use orion::core::ClusterSpec;
     use orion::data::{RatingsConfig, RatingsData};
-    use orion::dsm::kernels;
 
     let d = RatingsData::generate(RatingsConfig::tiny());
     let items = d.items();
@@ -166,19 +165,13 @@ fn sgd_mf_fastmath_convergence_equivalence() {
     assert_eq!(fast1.w, fast2.w);
     assert_eq!(fast1.h, fast2.h);
 
-    if kernels::fast_math_available() {
-        let le = exact.loss(&items);
-        let lf = fast1.loss(&items);
-        assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
-        assert!(
-            (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
-            "exact loss {le} vs fast-math loss {lf}"
-        );
-    } else {
-        // No fast-math in this build: FastMath must have been a no-op.
-        assert_eq!(exact.w, fast1.w);
-        assert_eq!(exact.h, fast1.h);
-    }
+    let le = exact.loss(&items);
+    let lf = fast1.loss(&items);
+    assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
+    assert!(
+        (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
+        "exact loss {le} vs fast-math loss {lf}"
+    );
 }
 
 #[test]
@@ -186,7 +179,6 @@ fn slr_fastmath_convergence_equivalence() {
     use orion::apps::slr::{train_orion, SlrConfig, SlrRunConfig};
     use orion::core::ClusterSpec;
     use orion::data::{SparseConfig, SparseData};
-    use orion::dsm::kernels;
 
     let d = SparseData::generate(SparseConfig::tiny());
     let run = SlrRunConfig {
@@ -200,15 +192,11 @@ fn slr_fastmath_convergence_equivalence() {
 
     assert_eq!(fast1.weights, fast2.weights);
 
-    if kernels::fast_math_available() {
-        let le = exact.loss(&d);
-        let lf = fast1.loss(&d);
-        assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
-        assert!(
-            (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
-            "exact loss {le} vs fast-math loss {lf}"
-        );
-    } else {
-        assert_eq!(exact.weights, fast1.weights);
-    }
+    let le = exact.loss(&d);
+    let lf = fast1.loss(&d);
+    assert!(le.is_finite() && lf.is_finite(), "{le} vs {lf}");
+    assert!(
+        (le - lf).abs() <= FASTMATH_RTOL * le.abs().max(1e-9),
+        "exact loss {le} vs fast-math loss {lf}"
+    );
 }
