@@ -243,6 +243,8 @@ pub(crate) trait NetApp: App + Sized {
 /// One node's measured epoch, reported in `EpochDone`.
 pub(crate) struct EpochWork {
     compute_ns: u64,
+    /// Everything in the epoch that is not the kernel: partitions
+    /// encoded and written, awaited and decoded.
     rotation_ns: u64,
     /// Happens-before event log for the O11x detector.
     events: Vec<HbEvent>,
@@ -319,9 +321,8 @@ impl NodeCtx {
     }
 
     fn send_partition(&mut self, dst: usize, epoch: u64, tp: u32, part: &DistArray<f32>) {
-        let payload = checkpoint::to_bytes(part);
         self.ep
-            .send_peer(dst, &Msg::Partition { epoch, tp, payload });
+            .send_partition(dst, epoch, tp, |frame| checkpoint::encode_into(part, frame));
     }
 }
 
@@ -837,7 +838,9 @@ impl NetNode for MfNode {
                             tp,
                             dst: dst as u32,
                         });
+                        let t0 = Instant::now();
                         ctx.send_partition(dst, epoch, tp, &part);
+                        rotation_ns += t0.elapsed().as_nanos() as u64;
                     }
                 }
                 _ => kept.push((tp, part)),
@@ -853,7 +856,9 @@ impl NetNode for MfNode {
             if home == node {
                 self.homes.insert(tp, part);
             } else {
+                let t0 = Instant::now();
                 ctx.send_partition(home, epoch, tp, &part);
+                rotation_ns += t0.elapsed().as_nanos() as u64;
             }
         }
         for &tp in plan.initial_of(node) {

@@ -24,6 +24,18 @@ fn smoke() -> bool {
     std::env::var("ORION_NET_BENCH_SMOKE").is_ok()
 }
 
+/// The commit the numbers were taken on (`-dirty` when the tree had
+/// uncommitted changes), or `unknown` outside a git checkout.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".into(), |rev| rev.trim().to_string())
+}
+
 /// One cluster size's measurements.
 struct Row {
     nodes: usize,
@@ -161,8 +173,11 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"net_rotation\",\n  \"smoke\": {smoke},\n  \
+         \"host_parallelism\": {},\n  \"git_rev\": \"{}\",\n  \
          \"app\": \"sgd_mf\",\n  \"ratings\": {},\n  \"rank\": {},\n  \
          \"passes\": {passes},\n  \"rows\": [\n    {}\n  ]\n}}\n",
+        std::thread::available_parallelism().map_or(1, usize::from),
+        git_rev(),
         data.nnz(),
         cfg.rank,
         rows.iter()

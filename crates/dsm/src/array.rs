@@ -414,17 +414,6 @@ impl<T: Element> DistArray<T> {
         self.update_flat(flat, f);
     }
 
-    /// Merges any sparse elements staged by ad-hoc writes into the
-    /// frozen sorted-pair representation, restoring pure binary-search
-    /// reads and linear-scan iteration. No-op for dense arrays; cheap
-    /// when nothing is staged. Call after a write burst, before a read
-    /// or iteration phase.
-    pub fn freeze(&mut self) {
-        if let Storage::Sparse(s) = &mut self.storage {
-            s.freeze();
-        }
-    }
-
     /// Contiguous slice of the last dimension at a (dense, 2-D) row —
     /// the workhorse set query of the ML applications (`W[i, :]`).
     ///
@@ -912,9 +901,6 @@ mod tests {
         a.set(&[5], 50);
         let items: Vec<(u64, u32)> = a.iter_flat().map(|(f, &v)| (f, v)).collect();
         assert_eq!(items, vec![(2, 20), (5, 50), (8, 80)]);
-        a.freeze();
-        let again: Vec<(u64, u32)> = a.iter_flat().map(|(f, &v)| (f, v)).collect();
-        assert_eq!(items, again);
     }
 
     #[test]

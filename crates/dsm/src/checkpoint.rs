@@ -11,7 +11,7 @@
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::array::{DistArray, Storage};
 use crate::codec;
@@ -48,37 +48,54 @@ impl From<std::io::Error> for CheckpointError {
 
 /// Serializes an array to its checkpoint byte representation.
 pub fn to_bytes<T: Element>(array: &DistArray<T>) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(T::WIRE_BYTES as u32);
+    let mut image = Vec::new();
+    encode_into(array, &mut image);
+    Bytes::from(image)
+}
+
+/// Exactly how many bytes [`encode_into`] appends for `array`.
+pub fn encoded_len<T: Element>(array: &DistArray<T>) -> usize {
+    let header = 4 + 4 + 4 + array.name().len() + 4 + 16 * array.shape().ndims() + 1;
+    header
+        + match array.storage() {
+            Storage::Dense(values) => 16 + values.len() * T::WIRE_BYTES,
+            Storage::Sparse(store) => codec::updates_wire_bytes::<T>(store.len() as u64) as usize,
+        }
+}
+
+/// Appends the checkpoint image of `array` — the bytes of [`to_bytes`]
+/// — to a buffer the caller owns, so a rotated partition is written
+/// straight into the frame that carries it. Reserves
+/// [`encoded_len`] up front: an empty buffer ends up exactly sized.
+pub fn encode_into<T: Element>(array: &DistArray<T>, out: &mut Vec<u8>) {
+    out.reserve(encoded_len(array));
+    out.put_u32_le(MAGIC);
+    out.put_u32_le(T::WIRE_BYTES as u32);
     let name = array.name().as_bytes();
-    buf.put_u32_le(name.len() as u32);
-    buf.put_slice(name);
+    out.put_u32_le(name.len() as u32);
+    out.put_slice(name);
     let dims = array.shape().dims();
-    buf.put_u32_le(dims.len() as u32);
+    out.put_u32_le(dims.len() as u32);
     for &d in dims {
-        buf.put_u64_le(d);
+        out.put_u64_le(d);
     }
     for &o in array.origin() {
-        buf.put_i64_le(o);
+        out.put_i64_le(o);
     }
     match array.storage() {
         Storage::Dense(values) => {
-            buf.put_u8(0);
+            out.put_u8(0);
             // A dense run: base flat index (always 0), count, elements.
-            buf.put_u64_le(0);
-            buf.put_u64_le(values.len() as u64);
-            for v in values {
-                v.encode(&mut buf);
-            }
+            out.put_u64_le(0);
+            out.put_u64_le(values.len() as u64);
+            T::encode_slice(values, out);
         }
         Storage::Sparse(store) => {
-            buf.put_u8(1);
+            out.put_u8(1);
             let updates: Vec<(u64, T)> = store.iter().map(|(k, v)| (k, v.clone())).collect();
-            buf.put_slice(&codec::encode_updates(&updates));
+            out.put_slice(&codec::encode_updates(&updates));
         }
     }
-    buf.freeze()
 }
 
 /// Deserializes a checkpoint produced by [`to_bytes`].
@@ -118,7 +135,15 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
     need(ndims * 16 + 1, &wire)?;
     let dims: Vec<u64> = (0..ndims).map(|_| wire.get_u64_le()).collect();
     let origin: Vec<i64> = (0..ndims).map(|_| wire.get_i64_le()).collect();
-    let volume: u64 = dims.iter().product();
+    // A hostile shape must not reach `Shape::new` (zero extents panic)
+    // or wrap the volume every later length check is made against.
+    let volume = dims
+        .iter()
+        .try_fold(1u64, |v, &d| v.checked_mul(d))
+        .filter(|&v| v > 0)
+        .ok_or_else(|| {
+            CheckpointError::Corrupt(format!("shape {dims:?} overflows or has a zero extent"))
+        })?;
     let tag = wire.get_u8();
     // The payload is decoded inline rather than through `codec`: the
     // codec decoders are wire-path helpers that panic on malformed
@@ -147,8 +172,7 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
                     wire.remaining()
                 )));
             }
-            let values: Vec<T> = (0..n).map(|_| T::decode(&mut wire)).collect();
-            Ok(DistArray::dense_from_vec(name, dims, values).with_origin(origin))
+            Ok(DistArray::dense_from_vec(name, dims, T::decode_slice(&wire)).with_origin(origin))
         }
         1 => {
             need(8, &wire)?;
@@ -328,6 +352,32 @@ mod tests {
     fn bad_magic_rejected() {
         let err = from_bytes::<f32>(Bytes::from_static(&[0u8; 64])).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt(_)));
+    }
+
+    /// A shape whose volume wraps (2^32 × 2^32 ≡ 0) used to pass the
+    /// `count == volume` check with a count of 0 (release) or panic in
+    /// the product (debug); so did a zero extent, in `Shape::new`.
+    #[test]
+    fn overflowing_or_empty_shape_is_corrupt() {
+        let a: DistArray<f32> = DistArray::dense("W", vec![2, 2]);
+        let image = to_bytes(&a);
+        // magic, width, name len, "W", ndims = 17 bytes; then dims.
+        for dims in [[1u64 << 32, 1 << 32], [0, 4], [u64::MAX, 2]] {
+            for tag in [0u8, 1] {
+                let mut v = image[..17].to_vec();
+                dims.iter().for_each(|d| v.put_u64_le(*d));
+                v.extend_from_slice(&[0u8; 16]); // origin
+                v.put_u8(tag);
+                // An empty payload of either kind: dense (base, count) or
+                // a sparse count.
+                v.resize(v.len() + if tag == 0 { 16 } else { 8 }, 0);
+                let err = from_bytes::<f32>(Bytes::from(v)).unwrap_err();
+                assert!(
+                    matches!(&err, CheckpointError::Corrupt(m) if m.contains("overflows")),
+                    "{dims:?} tag {tag}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

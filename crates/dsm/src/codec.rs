@@ -5,6 +5,16 @@
 //! time and network bytes based on the exact encoded sizes. (STRADS's
 //! intra-machine "pointer swapping" optimization — §6.4 — shows up as
 //! *skipping* this codec for same-machine transfers.)
+//!
+//! What marshalling costs here: a dense payload goes through
+//! [`Element::encode_slice`] / [`Element::decode_slice`], one pass per
+//! side — ≈ 20–26 GB/s out and ≈ 10–14 GB/s in on the ledger's 256 KB
+//! `f32` partition (`dsm.ckpt_encode_mb_s` / `dsm.ckpt_decode_mb_s`),
+//! against ≈ 13–23 GB/s for a plain copy of the same bytes
+//! (`net.msg_codec_mb_s`); it was ≈ 0.9–1.3 GB/s each way when every
+//! element made its own buffer call, a quarter of an `mf_net` epoch.
+//! The sparse `(index, value)` pairs below still encode per pair: they
+//! are control-plane sized (SLR's prefetch set, a sparse checkpoint).
 
 /// The wire byte buffer (re-exported so callers can build and inspect
 /// encoded payloads without naming the underlying crate).

@@ -21,6 +21,21 @@ pub trait Element: Clone + Send + Sync + Default + PartialEq + core::fmt::Debug 
     /// framing is the caller's responsibility.
     fn decode(buf: &mut impl Buf) -> Self;
 
+    /// Appends the wire encoding of every value of `values`, in order,
+    /// to `out`: the bytes of calling [`Element::encode`] on each, made
+    /// in one pass over the slice (a block copy on little-endian
+    /// targets) rather than one buffer call per element.
+    fn encode_slice(values: &[Self], out: &mut Vec<u8>);
+
+    /// Decodes `wire.len() / WIRE_BYTES` values, the inverse of
+    /// [`Element::encode_slice`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wire.len()` is not a multiple of
+    /// [`Element::WIRE_BYTES`] — framing is the caller's responsibility.
+    fn decode_slice(wire: &[u8]) -> Vec<Self>;
+
     /// `*self += v`: how an additive [`crate::DistArrayBuffer`] combines
     /// two writes to one element. A trait method rather than a function
     /// the buffer stores, so its hot write path calls it directly.
@@ -28,16 +43,34 @@ pub trait Element: Clone + Send + Sync + Default + PartialEq + core::fmt::Debug 
 }
 
 macro_rules! impl_element {
-    ($t:ty, $bytes:expr, $put:ident, $get:ident) => {
+    ($($t:ty),*) => {$(
         impl Element for $t {
-            const WIRE_BYTES: usize = $bytes;
+            const WIRE_BYTES: usize = size_of::<$t>();
 
             fn encode(&self, buf: &mut impl BufMut) {
-                buf.$put(*self);
+                buf.put_slice(&self.to_le_bytes());
             }
 
             fn decode(buf: &mut impl Buf) -> Self {
-                buf.$get()
+                let mut wire = [0u8; Self::WIRE_BYTES];
+                buf.copy_to_slice(&mut wire);
+                Self::from_le_bytes(wire)
+            }
+
+            fn encode_slice(values: &[Self], out: &mut Vec<u8>) {
+                let start = out.len();
+                out.resize(start + values.len() * Self::WIRE_BYTES, 0);
+                for (wire, v) in out[start..].chunks_exact_mut(Self::WIRE_BYTES).zip(values) {
+                    wire.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+
+            fn decode_slice(wire: &[u8]) -> Vec<Self> {
+                let chunks = wire.chunks_exact(Self::WIRE_BYTES);
+                assert!(chunks.remainder().is_empty(), "partial element on the wire");
+                chunks
+                    .map(|c| Self::from_le_bytes(c.try_into().expect("chunk of WIRE_BYTES")))
+                    .collect()
             }
 
             #[inline]
@@ -45,15 +78,10 @@ macro_rules! impl_element {
                 *self += v;
             }
         }
-    };
+    )*};
 }
 
-impl_element!(f32, 4, put_f32_le, get_f32_le);
-impl_element!(f64, 8, put_f64_le, get_f64_le);
-impl_element!(u32, 4, put_u32_le, get_u32_le);
-impl_element!(u64, 8, put_u64_le, get_u64_le);
-impl_element!(i32, 4, put_i32_le, get_i32_le);
-impl_element!(i64, 8, put_i64_le, get_i64_le);
+impl_element!(f32, f64, u32, u64, i32, i64);
 
 /// A floating-point [`Element`]: the numeric sub-trait the kernel layer
 /// dispatches on. [`Element`] deliberately carries no arithmetic beyond
@@ -154,6 +182,12 @@ mod tests {
         let mut buf = BytesMut::new();
         v.encode(&mut buf);
         assert_eq!(buf.len(), T::WIRE_BYTES);
+        let mut twice = buf.to_vec();
+        twice.extend_from_slice(&buf);
+        let mut sliced = Vec::new();
+        T::encode_slice(&[v.clone(), v.clone()], &mut sliced);
+        assert_eq!(sliced, twice);
+        assert_eq!(T::decode_slice(&sliced), [v.clone(), v.clone()]);
         let mut b = buf.freeze();
         assert_eq!(T::decode(&mut b), v);
     }

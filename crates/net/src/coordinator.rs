@@ -120,7 +120,8 @@ pub struct EpochStats {
     pub wall_ns: u64,
     /// Per-node self-reported compute time.
     pub compute_ns: Vec<u64>,
-    /// Per-node self-reported rotation-wait time.
+    /// Per-node self-reported rotation time (encode, write, wait,
+    /// decode).
     pub rotation_ns: Vec<u64>,
     /// Every link that carried traffic this epoch (node→node rotation,
     /// node→coordinator reports, coordinator→node responses).

@@ -17,6 +17,9 @@
 //! [`write_frame`] over `Read`/`Write` (used by the socket runtime), and
 //! the incremental [`FrameDecoder`] that accepts arbitrarily-chunked
 //! byte slices (used by the interleaved-partial-read property tests).
+//! There is one way onto a stream: [`write_frame`] builds header and
+//! body in one buffer and issues one write, so a frame is never split
+//! into a 16-byte segment and its payload under `TCP_NODELAY`.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -105,55 +108,66 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u32, u64), FrameError> {
     Ok((kind, len))
 }
 
-/// Reads exactly `buf.len()` bytes, distinguishing a clean EOF before the
-/// first byte (`at_boundary` ⇒ [`FrameError::Closed`]) from an EOF after
-/// a partial read ([`FrameError::Truncated`]).
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8], at_boundary: bool) -> Result<(), FrameError> {
+/// Builds one frame in `buf` and puts it on the stream with a single
+/// `write_all` (then a flush): header placeholder, then `body` appends
+/// the payload in place and returns the frame kind, then kind and
+/// length are patched in. The only function in this crate that writes
+/// frame bytes; `buf` is the caller's so a sender can reuse one
+/// allocation across frames. The length is checked against
+/// [`MAX_FRAME_LEN`] before anything is written. Returns the wire size
+/// in bytes (header + payload), the number fed into per-link accounting.
+pub fn write_frame<W: Write>(
+    w: &mut W,
+    buf: &mut Vec<u8>,
+    body: impl FnOnce(&mut Vec<u8>) -> u32,
+) -> Result<u64, FrameError> {
+    buf.clear();
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&[0u8; HEADER_LEN - 4]);
+    let kind = body(buf);
+    let len = (buf.len() - HEADER_LEN) as u64;
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(len));
+    }
+    buf[4..8].copy_from_slice(&kind.to_le_bytes());
+    buf[8..16].copy_from_slice(&len.to_le_bytes());
+    w.write_all(buf)?;
+    w.flush()?;
+    Ok(buf.len() as u64)
+}
+
+/// Reads one complete frame, blocking until it arrives. Returns the
+/// message kind and the payload bytes. A clean EOF before the first
+/// header byte is [`FrameError::Closed`]; any later EOF is
+/// [`FrameError::Truncated`]. The payload is read straight into
+/// reserved capacity — sized from a header that already passed the
+/// [`MAX_FRAME_LEN`] guard — so its bytes are written once.
+pub fn read_frame<R: Read>(r: &mut R) -> Result<(u32, Bytes), FrameError> {
+    let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
+    while filled < HEADER_LEN {
+        match r.read(&mut header[filled..]) {
+            Ok(0) if filled == 0 => return Err(FrameError::Closed),
             Ok(0) => {
-                if filled == 0 && at_boundary {
-                    return Err(FrameError::Closed);
-                }
                 return Err(FrameError::Truncated {
-                    expected: buf.len(),
+                    expected: HEADER_LEN,
                     got: filled,
-                });
+                })
             }
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    Ok(())
-}
-
-/// Writes one frame and flushes the stream. Returns the wire size in
-/// bytes (header + payload), the number fed into per-link accounting.
-pub fn write_frame<W: Write>(w: &mut W, kind: u32, payload: &[u8]) -> Result<u64, FrameError> {
-    let len = payload.len() as u64;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
-    header[4..8].copy_from_slice(&kind.to_le_bytes());
-    header[8..16].copy_from_slice(&len.to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(HEADER_LEN as u64 + len)
-}
-
-/// Reads one complete frame, blocking until it arrives. Returns the
-/// message kind and the payload bytes.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(u32, Bytes), FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    read_full(r, &mut header, true)?;
     let (kind, len) = parse_header(&header)?;
-    let mut payload = vec![0u8; len as usize];
-    read_full(r, &mut payload, false)?;
+    let mut payload = Vec::with_capacity(len as usize);
+    let got = r.by_ref().take(len).read_to_end(&mut payload)?;
+    if got < len as usize {
+        return Err(FrameError::Truncated {
+            expected: len as usize,
+            got,
+        });
+    }
     Ok((kind, Bytes::from(payload)))
 }
 
@@ -225,7 +239,11 @@ mod tests {
 
     fn frame_bytes(kind: u32, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, kind, payload).expect("in-memory write");
+        write_frame(&mut out, &mut Vec::new(), |b| {
+            b.extend_from_slice(payload);
+            kind
+        })
+        .expect("in-memory write");
         out
     }
 
@@ -273,10 +291,13 @@ mod tests {
         wire.extend_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         let mut r = Cursor::new(wire);
         assert!(matches!(read_frame(&mut r), Err(FrameError::Oversized(_))));
-        assert!(matches!(
-            write_frame(&mut Vec::new(), 0, &vec![0u8; MAX_FRAME_LEN as usize + 1]),
-            Err(FrameError::Oversized(_))
-        ));
+        let mut sink = Vec::new();
+        let sent = write_frame(&mut sink, &mut Vec::new(), |b| {
+            b.resize(HEADER_LEN + MAX_FRAME_LEN as usize + 1, 0);
+            0
+        });
+        assert!(matches!(sent, Err(FrameError::Oversized(_))));
+        assert!(sink.is_empty(), "refused before any byte is written");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use std::io::{Read, Write};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use orion_runtime::HbEvent;
 
 use crate::frame::{self, FrameError};
@@ -90,7 +90,9 @@ pub enum Msg {
         node: u32,
         /// Real time spent in compute this epoch.
         compute_ns: u64,
-        /// Real time spent blocked on partition rotation this epoch.
+        /// Real time spent on partition rotation this epoch: encoding and
+        /// writing the partitions sent, waiting for and decoding the
+        /// ones received.
         rotation_ns: u64,
         /// Per-destination wire accounting for the epoch.
         sent: Vec<LinkStat>,
@@ -177,7 +179,8 @@ pub enum Msg {
     Shutdown,
 }
 
-fn put_bytes(b: &mut BytesMut, payload: &Bytes) {
+fn put_bytes(b: &mut Vec<u8>, payload: &Bytes) {
+    b.reserve(8 + payload.len());
     b.put_u64_le(payload.len() as u64);
     b.put_slice(payload);
 }
@@ -236,8 +239,35 @@ fn get_count(b: &mut Bytes, elem_min: usize, what: &str) -> Result<usize, FrameE
 impl Msg {
     /// Encodes to a frame kind and payload.
     pub fn encode(&self) -> (u32, Bytes) {
-        let mut b = BytesMut::new();
-        let kind = match self {
+        let mut body = Vec::new();
+        let kind = self.encode_body(&mut body);
+        (kind, Bytes::from(body))
+    }
+
+    /// Appends the body of a [`Msg::Partition`] whose payload `write`
+    /// produces in place, and returns its frame kind: how a node sends a
+    /// partition without first materializing it as a [`Bytes`].
+    pub(crate) fn partition_body(
+        b: &mut Vec<u8>,
+        epoch: u64,
+        tp: u32,
+        write: impl FnOnce(&mut Vec<u8>),
+    ) -> u32 {
+        b.put_u64_le(epoch);
+        b.put_u32_le(tp);
+        // Length-prefixed like `put_bytes`, the length patched in once
+        // the payload has been written.
+        let at = b.len();
+        b.put_u64_le(0);
+        write(b);
+        let len = (b.len() - at - 8) as u64;
+        b[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        kind::PARTITION
+    }
+
+    /// Appends the payload encoding to `b` and returns the frame kind.
+    pub(crate) fn encode_body(&self, b: &mut Vec<u8>) -> u32 {
+        match self {
             Msg::Hello {
                 node,
                 port,
@@ -297,10 +327,8 @@ impl Msg {
                 kind::EPOCH_DONE
             }
             Msg::Partition { epoch, tp, payload } => {
-                b.put_u64_le(*epoch);
-                b.put_u32_le(*tp);
-                put_bytes(&mut b, payload);
-                kind::PARTITION
+                b.reserve(20 + payload.len());
+                Msg::partition_body(b, *epoch, *tp, |b| b.put_slice(payload))
             }
             Msg::ServerUpdate {
                 epoch,
@@ -309,7 +337,7 @@ impl Msg {
             } => {
                 b.put_u64_le(*epoch);
                 b.put_u32_le(*node);
-                put_bytes(&mut b, payload);
+                put_bytes(b, payload);
                 kind::SERVER_UPDATE
             }
             Msg::PrefetchRequest {
@@ -327,7 +355,7 @@ impl Msg {
             }
             Msg::PrefetchResponse { epoch, payload } => {
                 b.put_u64_le(*epoch);
-                put_bytes(&mut b, payload);
+                put_bytes(b, payload);
                 kind::PREFETCH_RESPONSE
             }
             Msg::Checkpoint { epoch } => {
@@ -354,13 +382,12 @@ impl Msg {
                 b.put_u64_le(parts.len() as u64);
                 for (tag, payload) in parts {
                     b.put_u32_le(*tag);
-                    put_bytes(&mut b, payload);
+                    put_bytes(b, payload);
                 }
                 kind::FINAL_STATE
             }
             Msg::Shutdown => kind::SHUTDOWN,
-        };
-        (kind, b.freeze())
+        }
     }
 
     /// Decodes a frame back into a message. Every read is length-checked
@@ -492,10 +519,10 @@ impl Msg {
     }
 }
 
-/// Encodes `msg` and writes it as one frame; returns wire bytes written.
+/// Encodes `msg` in place into one frame and writes it; returns wire
+/// bytes written.
 pub fn send_msg<W: Write>(w: &mut W, msg: &Msg) -> Result<u64, FrameError> {
-    let (kind, payload) = msg.encode();
-    frame::write_frame(w, kind, &payload)
+    frame::write_frame(w, &mut Vec::new(), |b| msg.encode_body(b))
 }
 
 /// Reads one frame and decodes it into a message.
@@ -581,10 +608,10 @@ mod tests {
     #[test]
     fn corrupt_counts_are_malformed_not_panics() {
         // A Peers frame whose count claims more entries than bytes.
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         b.put_u64_le(1 << 40);
         assert!(matches!(
-            Msg::decode(3, b.freeze()),
+            Msg::decode(3, Bytes::from(b)),
             Err(FrameError::Malformed(_))
         ));
         // Truncated Hello.
@@ -617,11 +644,10 @@ mod tests {
         ));
         // Trailing garbage.
         let (kind, payload) = Msg::Gather.encode();
-        let mut with_junk = BytesMut::new();
-        with_junk.put_slice(&payload);
+        let mut with_junk = payload.to_vec();
         with_junk.put_u8(7);
         assert!(matches!(
-            Msg::decode(kind, with_junk.freeze()),
+            Msg::decode(kind, Bytes::from(with_junk)),
             Err(FrameError::Malformed(_))
         ));
     }

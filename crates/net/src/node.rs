@@ -20,7 +20,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::error::NetError;
-use crate::message::{recv_msg, send_msg, LinkStat, Msg};
+use crate::frame::write_frame;
+use crate::message::{recv_msg, LinkStat, Msg};
 
 /// Identity and rendezvous info a node process starts from (parsed out
 /// of the `ORION_NET_*` environment the coordinator set).
@@ -69,6 +70,8 @@ pub struct NodeEndpoint {
     /// (bytes, frames) per destination; index `n_nodes` is the
     /// coordinator.
     sent: Vec<(u64, u64)>,
+    /// The buffer every outgoing frame is built in, kept across sends.
+    frame: Vec<u8>,
 }
 
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(60);
@@ -132,6 +135,7 @@ impl NodeEndpoint {
             pending: VecDeque::new(),
             inbox: BTreeMap::new(),
             sent: vec![(0, 0); cfg.n_nodes + 1],
+            frame: Vec::new(),
         };
         endpoint.send_coord(&Msg::Hello {
             node: cfg.node as u32,
@@ -194,17 +198,28 @@ impl NodeEndpoint {
 
     /// Sends a message to the coordinator.
     pub fn send_coord(&mut self, msg: &Msg) -> Result<(), NetError> {
-        let bytes = send_msg(&mut self.coord_writer, msg)?;
+        let bytes = write_frame(&mut self.coord_writer, &mut self.frame, |b| {
+            msg.encode_body(b)
+        })?;
         let slot = self.n_nodes;
         self.sent[slot].0 += bytes;
         self.sent[slot].1 += 1;
         Ok(())
     }
 
-    /// Sends a message to a peer node, connecting lazily. Returns false
-    /// if the peer is unreachable — tolerated, because a vanished peer
-    /// means the coordinator is about to roll the epoch back anyway.
-    pub fn send_peer(&mut self, dst: usize, msg: &Msg) -> bool {
+    /// Sends rotated partition `(epoch, tp)` to a peer node as one
+    /// [`Msg::Partition`] frame, connecting lazily; `payload` appends the
+    /// serialized partition straight into the frame (this crate does not
+    /// know the array codec). Returns false if the peer is unreachable —
+    /// tolerated, because a vanished peer means the coordinator is about
+    /// to roll the epoch back anyway.
+    pub fn send_partition(
+        &mut self,
+        dst: usize,
+        epoch: u64,
+        tp: u32,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> bool {
         if dst == self.node || dst >= self.n_nodes {
             return false;
         }
@@ -224,7 +239,9 @@ impl NodeEndpoint {
         let conn = self.peer_conns[dst]
             .as_mut()
             .expect("connection just ensured");
-        match send_msg(conn, msg) {
+        match write_frame(conn, &mut self.frame, |b| {
+            Msg::partition_body(b, epoch, tp, payload)
+        }) {
             Ok(bytes) => {
                 self.sent[dst].0 += bytes;
                 self.sent[dst].1 += 1;

@@ -10,8 +10,15 @@
 //! miss counts the virtual service model prices. The oracle conformance
 //! suite still re-runs every query with the cache disabled.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
+
+/// SipHash with fixed keys, not `RandomState`'s per-process ones: the
+/// bucket layout — and so the cost of a lookup, which sets the served
+/// latency percentiles — is the same in every process. Keys are row ids
+/// of a bounded cache, so there is no flooding to defend against.
+type FixedState = BuildHasherDefault<DefaultHasher>;
 
 /// Counters exposed by [`LruCache::stats`] (and aggregated across shards
 /// by the engine). Invariant: `hits + misses == lookups`.
@@ -59,7 +66,7 @@ impl CacheStats {
 /// path with the same accounting invariants.
 #[derive(Debug)]
 pub struct LruCache<K: Eq + Hash + Clone, V> {
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, FixedState>,
     slab: Vec<Entry<K, V>>,
     /// Most-recently-used entry, `NONE` when empty.
     head: usize,
@@ -86,7 +93,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// An empty cache holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
         LruCache {
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, FixedState::default()),
             slab: Vec::with_capacity(capacity),
             head: NONE,
             tail: NONE,

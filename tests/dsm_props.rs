@@ -3,7 +3,7 @@
 //! checkpoint round trips, and the kernel contracts.
 
 use orion::dsm::kernels::{self, BinStat, MathMode, LANES};
-use orion::dsm::{checkpoint, codec, DistArray, DistArrayBuffer, RangePartition, Shape};
+use orion::dsm::{checkpoint, codec, DistArray, DistArrayBuffer, Element, RangePartition, Shape};
 use proptest::prelude::*;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -308,6 +308,238 @@ proptest! {
         vb.sort_unstable();
         prop_assert_eq!(va, vb);
     }
+}
+
+// ---------------------------------------------------------------------------
+// The wire: the slice codec is the per-element codec, the checkpoint
+// image has not moved, and hostile images are `Corrupt`, never a panic.
+// ---------------------------------------------------------------------------
+
+/// `encode_slice` is the concatenation of per-element `encode`, and
+/// `decode_slice` inverts it, for every prefix of `values` (lengths
+/// 0..=70) — compared as wire bytes, so NaN payloads and signed zeros
+/// count.
+fn assert_slice_codec_is_elementwise<T: Element>(values: &[T]) {
+    assert!(values.len() >= KMAX);
+    for n in 0..=KMAX {
+        let mut one_by_one = Vec::new();
+        for v in &values[..n] {
+            v.encode(&mut one_by_one);
+        }
+        // Appends: what the buffer already holds stays in front.
+        let mut sliced = vec![0xA5u8; 3];
+        T::encode_slice(&values[..n], &mut sliced);
+        assert_eq!(&sliced[..3], &[0xA5u8; 3]);
+        assert_eq!(&sliced[3..], &one_by_one[..], "{n} values");
+        assert_eq!(one_by_one.len(), n * T::WIRE_BYTES);
+
+        let back = T::decode_slice(&one_by_one);
+        let mut again = Vec::new();
+        T::encode_slice(&back, &mut again);
+        assert_eq!(back.len(), n);
+        assert_eq!(again, one_by_one, "decode_slice inverts encode_slice");
+        let mut cursor = codec::Bytes::from(one_by_one);
+        for v in &back {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            v.encode(&mut a);
+            T::decode(&mut cursor).encode(&mut b);
+            assert_eq!(a, b, "decode_slice agrees with per-element decode");
+        }
+    }
+}
+
+#[test]
+fn slice_codec_is_the_element_codec_for_all_six_types() {
+    let f32_edges = [
+        0.0f32,
+        -0.0,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::from_bits(1),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::from_bits(0x7FC0_1234),
+        f32::from_bits(0xFF80_0001), // signalling, negative
+        f32::from_bits(0x7FFF_FFFF),
+    ];
+    let f64_edges = [
+        0.0f64,
+        -0.0,
+        f64::MIN_POSITIVE / 2.0,
+        -f64::from_bits(1),
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::from_bits(0x7FF8_0000_DEAD_BEEF),
+        f64::from_bits(0xFFF0_0000_0000_0001),
+    ];
+    let f32s: Vec<f32> = (0..KMAX + 5)
+        .map(|i| match f32_edges.get(i % 13) {
+            Some(&e) => e,
+            None => i as f32 * -1.37e-3,
+        })
+        .collect();
+    let f64s: Vec<f64> = (0..KMAX + 5)
+        .map(|i| match f64_edges.get(i % 11) {
+            Some(&e) => e,
+            None => i as f64 * 7.25e201,
+        })
+        .collect();
+    assert_slice_codec_is_elementwise(&f32s);
+    assert_slice_codec_is_elementwise(&f64s);
+    let ints = 0..(KMAX + 5) as u64;
+    let spread = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 56);
+    assert_slice_codec_is_elementwise(&ints.clone().map(|i| spread(i) as u32).collect::<Vec<_>>());
+    assert_slice_codec_is_elementwise(&ints.clone().map(spread).collect::<Vec<_>>());
+    assert_slice_codec_is_elementwise(&ints.clone().map(|i| spread(i) as i32).collect::<Vec<_>>());
+    assert_slice_codec_is_elementwise(&ints.map(|i| spread(i) as i64).collect::<Vec<_>>());
+}
+
+/// The two images below were captured on the commit *before* the slice
+/// codec (`2d8f89a`), from the per-element encoder: the format is
+/// frozen, and a node built before the change reads these bytes.
+const PINNED_DENSE: &str = concat!(
+    "434e524f04000000050000004870617274020000000300000000000000040000",
+    "0000000000080000000000000000000000000000000000000000000000000c00",
+    "0000000000000000a0bf000040bf000080be0000803e0000403f0000a03f0000",
+    "e03f0000104000003040000050400000704000008840",
+);
+const PINNED_SPARSE: &str = concat!(
+    "434e524f0400000006000000746f6b656e730200000064000000000000003200",
+    "000000000000000000000000000000000000000000000102000000000000009a",
+    "0000000000000007000000871300000000000001000000",
+);
+
+fn pinned_dense() -> DistArray<f32> {
+    DistArray::dense_from_fn("Hpart", vec![3, 4], |i| {
+        (i[0] * 4 + i[1]) as f32 * 0.5 - 1.25
+    })
+    .with_origin(vec![8, 0])
+}
+
+fn pinned_sparse() -> DistArray<u32> {
+    DistArray::sparse_from(
+        "tokens",
+        vec![100, 50],
+        vec![(vec![3, 4], 7), (vec![99, 49], 1)],
+    )
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn checkpoint_image_is_pinned_to_the_parent_commit() {
+    let dense = checkpoint::to_bytes(&pinned_dense());
+    assert_eq!(hex(&dense), PINNED_DENSE);
+    assert_eq!(dense.len(), checkpoint::encoded_len(&pinned_dense()));
+    let sparse = checkpoint::to_bytes(&pinned_sparse());
+    assert_eq!(hex(&sparse), PINNED_SPARSE);
+    assert_eq!(sparse.len(), checkpoint::encoded_len(&pinned_sparse()));
+    // Appending to a buffer that already holds something leaves it be.
+    let mut framed = vec![1u8, 2, 3];
+    checkpoint::encode_into(&pinned_dense(), &mut framed);
+    assert_eq!(&framed[..3], &[1, 2, 3]);
+    assert_eq!(&framed[3..], &dense[..]);
+}
+
+/// Images whose header lies, each of which must come back `Corrupt`
+/// before a single element is decoded.
+#[test]
+fn hostile_checkpoint_headers_are_corrupt() {
+    let image = checkpoint::to_bytes(&pinned_dense()).to_vec();
+    // Layout: magic 0..4, width 4..8, name len 8..12, "Hpart" 12..17,
+    // ndims 17..21, dims 21..37, origin 37..53, tag 53, base 54..62,
+    // count 62..70, 12 × f32.
+    let patched = |at: usize, bytes: &[u8]| {
+        let mut v = image.clone();
+        v[at..at + bytes.len()].copy_from_slice(bytes);
+        v
+    };
+    let two_pow_32 = (1u64 << 32).to_le_bytes();
+    let mut overflow = image[..54].to_vec();
+    overflow[21..29].copy_from_slice(&two_pow_32);
+    overflow[29..37].copy_from_slice(&two_pow_32);
+    overflow.extend_from_slice(&[0u8; 16]); // base 0, count 0, no payload
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("volume 2^64 wraps to 0 == count", overflow),
+        ("zero extent", patched(21, &0u64.to_le_bytes())),
+        (
+            "count one short of the volume",
+            patched(62, &11u64.to_le_bytes()),
+        ),
+        // 47 payload bytes: not a multiple of the element width, so
+        // `decode_slice` would panic — it must never be reached.
+        (
+            "partial trailing element",
+            image[..image.len() - 1].to_vec(),
+        ),
+        ("element width 8", patched(4, &8u32.to_le_bytes())),
+        ("17 dimensions", patched(17, &17u32.to_le_bytes())),
+        ("dense base 1", patched(54, &1u64.to_le_bytes())),
+        ("storage tag 2", patched(53, &[2])),
+    ];
+    for (what, bytes) in cases {
+        match checkpoint::from_bytes::<f32>(codec::Bytes::from(bytes)) {
+            Err(checkpoint::CheckpointError::Corrupt(_)) => {}
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        }
+    }
+}
+
+/// 2 000 seeded single- and double-byte mutations of a valid dense and a
+/// valid sparse image: `from_bytes` never panics, and whatever it
+/// accepts is an array that survives its own round trip (for the dense
+/// form, which is canonical, re-encoding gives back the mutated bytes).
+#[test]
+fn mutated_checkpoints_never_panic_and_ok_means_round_trip() {
+    let sparse_f32: DistArray<f32> = DistArray::sparse_from(
+        "S",
+        vec![9, 7],
+        vec![(vec![0, 1], 1.5), (vec![4, 4], -2.0), (vec![8, 6], 0.25)],
+    );
+    let images = [
+        checkpoint::to_bytes(&pinned_dense()).to_vec(),
+        checkpoint::to_bytes(&sparse_f32).to_vec(),
+    ];
+    let mut state = 0x5EED_C0DE_u64;
+    let mut next = move || {
+        // splitmix64
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for round in 0..2000 {
+        let dense = round % 2 == 0;
+        let mut bytes = images[round % 2].clone();
+        for _ in 0..1 + (round / 2) % 2 {
+            let at = next() as usize % bytes.len();
+            bytes[at] ^= 1 + (next() % 255) as u8;
+        }
+        let verdict = std::panic::catch_unwind(|| {
+            checkpoint::from_bytes::<f32>(codec::Bytes::from(bytes.clone()))
+        });
+        match verdict.unwrap_or_else(|_| panic!("round {round}: from_bytes panicked")) {
+            Ok(array) => {
+                accepted += 1;
+                let again = checkpoint::to_bytes(&array);
+                if dense {
+                    assert_eq!(&again[..], &bytes[..], "round {round}");
+                }
+                let back = checkpoint::from_bytes::<f32>(again.clone()).expect("own image");
+                assert_eq!(checkpoint::to_bytes(&back), again, "round {round}");
+            }
+            Err(checkpoint::CheckpointError::Corrupt(_)) => rejected += 1,
+            Err(other) => panic!("round {round}: {other:?}"),
+        }
+    }
+    // Value and origin bytes mutate freely; header bytes do not.
+    assert!(accepted > 200 && rejected > 200, "{accepted} / {rejected}");
 }
 
 // ---------------------------------------------------------------------------
