@@ -16,10 +16,11 @@
 //!
 //! - **SGD MF** (2-D unordered, paper Fig. 8): node `w` owns space
 //!   partition `w` of `W`; partitions of `H` rotate peer-to-peer along
-//!   the compiled forwarding edges, exactly as
-//!   [`orion_runtime::run_grid_pass_pooled`] moves them between
-//!   threads. At the end of every epoch each partition is *re-homed*
-//!   to its pass-start owner so the next epoch seeds the same queues.
+//!   the compiled forwarding edges, walked by the same
+//!   [`orion_runtime::walk`] that moves them between pool threads in
+//!   [`orion_runtime::run_grid_pass_pooled`]. At the end of every epoch
+//!   each partition is *re-homed* to its pass-start owner so the next
+//!   epoch seeds the same queues.
 //! - **SLR** (1-D data parallel, §3.3/§4.4): nodes are stateless; the
 //!   coordinator serves the weight array, answers bulk-prefetch
 //!   requests from the pass-start snapshot, and applies the buffered
@@ -35,7 +36,7 @@
 //! stays the conformance oracle: same seed, same plan → bit-identical
 //! model state (enforced by `tests/distributed_conformance.rs`).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -51,7 +52,7 @@ use orion_net::{
     plan_fingerprint, ClusterConfig, Coordinator, EpochStats, Msg, NetError, NodeConfig,
     NodeEndpoint, PartRecv, ENV_COORD, ENV_NODES, ENV_NODE_ID, ENV_ROLE,
 };
-use orion_runtime::{HbEvent, ThreadedPlan};
+use orion_runtime::{walk, HbEvent, ThreadPhase, ThreadedPlan, Transport};
 
 use crate::common::{by_role, space_is_dim0, split_by_role};
 use crate::run::{new_driver, run, App, Engine, NetReport, RunConfig, RunError, RunOutput};
@@ -244,7 +245,8 @@ pub(crate) trait NetApp: App + Sized {
 pub(crate) struct EpochWork {
     compute_ns: u64,
     /// Everything in the epoch that is not the kernel: partitions
-    /// encoded and written, awaited and decoded.
+    /// encoded and written, awaited and decoded (MF); the prefetch round
+    /// trip and the server round (SLR).
     rotation_ns: u64,
     /// Happens-before event log for the O11x detector.
     events: Vec<HbEvent>,
@@ -277,52 +279,75 @@ pub(crate) struct NodeCtx {
     node: usize,
     workdir: PathBuf,
     run_id: String,
-    /// Fault injection: the epoch this node should die in, if it has not
-    /// died already.
-    crash_epoch: Option<u64>,
+    crash: Crash,
 }
 
-impl NodeCtx {
-    fn crash_marker(&self) -> PathBuf {
-        self.workdir
-            .join(format!("{}_crashed_n{}.marker", self.run_id, self.node))
-    }
+/// Fault injection: the epoch this node dies in, if it has not died
+/// already, and the marker file that keeps its respawn alive.
+struct Crash {
+    epoch: Option<u64>,
+    marker: PathBuf,
+}
 
+impl Crash {
     /// Kills the process halfway through (`i` of `n` items) the crash
-    /// epoch — once: a marker file keeps the respawned process alive.
-    fn maybe_crash(&self, epoch: u64, i: usize, n: usize) {
-        if self.crash_epoch == Some(epoch) && i == n / 2 {
-            std::fs::write(self.crash_marker(), b"crashed\n").expect("write crash marker");
+    /// epoch — once: the marker file keeps the respawned process alive.
+    fn maybe(&self, epoch: u64, i: usize, n: usize) {
+        if self.epoch == Some(epoch) && i == n / 2 {
+            std::fs::write(&self.marker, b"crashed\n").expect("write crash marker");
             std::process::exit(17);
         }
     }
+}
 
+impl NodeCtx {
     /// Checkpoint path for one array at one epoch boundary (state
     /// *before* that epoch), via the PR-3 naming scheme.
     fn ckpt_path(&self, array: &str, epoch: u64) -> PathBuf {
         CheckpointPolicy::new(1, &self.workdir, format!("{}_n{}", self.run_id, self.node))
             .path_for(&format!("{array}_e{epoch}"))
     }
+}
 
-    /// Awaits rotated partition `tp` of `epoch`; `Err(ctrl)` when a
-    /// control message preempts the wait.
-    fn recv_partition(&mut self, epoch: u64, tp: u32) -> Result<DistArray<f32>, Msg> {
-        let node = self.node;
-        match self.ep.recv_partition(epoch, tp, ROTATION_TIMEOUT) {
+/// The node's [`Transport`] for one epoch: a rotated partition travels
+/// to its peer as a checkpoint frame (shape + origin + dense run, so
+/// `row_slice_mut` keeps addressing by global index on the receiving
+/// side), and a `Rollback`/`Shutdown` that preempts a wait aborts the
+/// epoch. Everything it does — encode and write, wait and decode — is
+/// rotation time.
+struct Sockets<'a> {
+    ep: &'a mut NodeEndpoint,
+    node: usize,
+    epoch: u64,
+    rotation_ns: u64,
+}
+
+impl Transport<DistArray<f32>> for Sockets<'_> {
+    type Abort = Msg;
+
+    fn recv(&mut self, tp: usize) -> Result<DistArray<f32>, Msg> {
+        let (t0, node, epoch) = (Instant::now(), self.node, self.epoch);
+        let part = match self.ep.recv_partition(epoch, tp as u32, ROTATION_TIMEOUT) {
             Ok(PartRecv::Part(payload)) => {
-                Ok(checkpoint::from_bytes::<f32>(payload).expect("rotated partition decodes"))
+                checkpoint::from_bytes::<f32>(payload).expect("rotated partition decodes")
             }
-            Ok(PartRecv::Ctrl(ctrl)) => Err(ctrl),
+            Ok(PartRecv::Ctrl(ctrl)) => return Err(ctrl),
             Ok(PartRecv::TimedOut) => {
                 panic!("node {node}: timed out awaiting partition {tp} in epoch {epoch}")
             }
             Err(e) => panic!("node {node}: {e}"),
-        }
+        };
+        self.rotation_ns += t0.elapsed().as_nanos() as u64;
+        Ok(part)
     }
 
-    fn send_partition(&mut self, dst: usize, epoch: u64, tp: u32, part: &DistArray<f32>) {
-        self.ep
-            .send_partition(dst, epoch, tp, |frame| checkpoint::encode_into(part, frame));
+    fn send(&mut self, dst: usize, tp: usize, part: DistArray<f32>) -> Result<(), Msg> {
+        let t0 = Instant::now();
+        self.ep.send_partition(dst, self.epoch, tp as u32, |frame| {
+            checkpoint::encode_into(&part, frame)
+        });
+        self.rotation_ns += t0.elapsed().as_nanos() as u64;
+        Ok(())
     }
 }
 
@@ -375,18 +400,22 @@ fn node_main<A: NetApp>(coord: &str, node: usize, n_nodes: usize) -> ! {
         fingerprint: plan_fingerprint(&plan),
     })
     .expect("node connects to the coordinator");
+    let (workdir, run_id) = (PathBuf::from(env(ENV_WORKDIR)), env(ENV_RUN_ID));
+    let marker = workdir.join(format!("{run_id}_crashed_n{node}.marker"));
+    let crash = Crash {
+        epoch: std::env::var(ENV_CRASH_EPOCH)
+            .ok()
+            .filter(|_| !marker.exists())
+            .and_then(|e| e.parse().ok()),
+        marker,
+    };
     let mut ctx = NodeCtx {
         ep,
         node,
-        workdir: PathBuf::from(env(ENV_WORKDIR)),
-        run_id: env(ENV_RUN_ID),
-        crash_epoch: None,
+        workdir,
+        run_id,
+        crash,
     };
-    if !ctx.crash_marker().exists() {
-        ctx.crash_epoch = std::env::var(ENV_CRASH_EPOCH)
-            .ok()
-            .and_then(|e| e.parse().ok());
-    }
     let mut state = app.node(data, job, &compiled, &plan, driver.math_mode(), node);
     // Epoch-0 checkpoint: the initial state, so a rollback before the
     // first barrier restarts training from scratch.
@@ -497,7 +526,7 @@ pub(crate) fn run_net<A: NetApp>(
             cluster.checkpoint_barrier(epoch).map(|()| None)
         } else {
             driver
-                .run_pass_distributed(Some(&compiled), &mut cluster, epoch, |node, msg| {
+                .run_pass_distributed(&compiled, &mut cluster, epoch, |node, msg| {
                     app.on_msg(&mut job, epoch, node, msg)
                 })
                 .map(Some)
@@ -704,7 +733,6 @@ impl NetApp for MfApp {
             .into_iter()
             .enumerate()
             .filter(|(tp, _)| home_of[*tp] == node)
-            .map(|(tp, part)| (tp as u32, part))
             .collect();
         MfNode {
             plan: Arc::clone(plan),
@@ -751,12 +779,12 @@ impl NetApp for MfApp {
 }
 
 /// Held home partitions between epochs, keyed by time partition.
-type Homes = BTreeMap<u32, DistArray<f32>>;
+type Homes = BTreeMap<usize, DistArray<f32>>;
 
 /// One MF node: node `w` owns space partition `w` of the pinned factor;
 /// partitions of the rotated factor travel peer-to-peer along the
-/// compiled forwarding edges, exactly as
-/// [`orion_runtime::run_grid_pass_pooled`] moves them between threads.
+/// compiled forwarding edges, walked by the same [`walk`] a pool worker
+/// runs.
 pub(crate) struct MfNode {
     plan: Arc<ThreadedPlan>,
     triples: Arc<Vec<(u32, u32, f32)>>,
@@ -769,110 +797,61 @@ pub(crate) struct MfNode {
 }
 
 impl NetNode for MfNode {
-    /// One epoch of the Fig.-8 pipelined rotation, mirroring the
-    /// `run_grid_pass_pooled` worker loop with channels replaced by peer
-    /// sockets. Partition payloads travel as bit-exact checkpoint frames
-    /// (shape + origin + dense run), so `row_slice_mut` keeps addressing
-    /// by global index on the receiving side.
+    /// One epoch of the Fig.-8 pipelined rotation: the runtime's
+    /// [`walk`] over [`Sockets`] — the loop a pool worker runs over
+    /// channels — then the re-home.
     fn epoch(&mut self, ctx: &mut NodeCtx, epoch: u64) -> Result<EpochWork, Msg> {
         let (plan, node) = (Arc::clone(&self.plan), ctx.node);
-        let n_time = plan.n_time_partitions();
-        let (mut compute_ns, mut rotation_ns) = (0u64, 0u64);
-        // Event log shape mirrors `orion_check::plan_event_log`: rotation
-        // receives, block executions, and cross-node forwards. Local
-        // re-enqueues and the end-of-epoch re-homing are pure bookkeeping
-        // (no further exec awaits them), so they are not recorded.
-        let mut events = Vec::new();
-
-        // Seed the local queue with the homed partitions, in use order.
-        let mut queue: VecDeque<(u32, DistArray<f32>)> = plan
+        let queue = plan
             .initial_of(node)
             .iter()
             .map(|&tp| {
-                let part = self
-                    .homes
-                    .remove(&(tp as u32))
-                    .expect("home partition present at epoch start");
-                (tp as u32, part)
+                let part = self.homes.remove(&tp);
+                (tp, part.expect("home partition present at epoch start"))
             })
             .collect();
-        let mut kept: Vec<(u32, DistArray<f32>)> = Vec::new();
-        let mut forwards = plan.forwards_of(node).iter();
-        let mut next_forward = forwards.next();
-
-        let execs = plan.execs_of(node);
-        for (i, e) in execs.iter().enumerate() {
-            ctx.maybe_crash(epoch, i, execs.len());
-            if e.awaited.is_some() {
-                let tp = (e.block % n_time) as u32;
-                let t0 = Instant::now();
-                let part = ctx.recv_partition(epoch, tp)?;
-                events.push(HbEvent::Recv { tp });
-                queue.push_back((tp, part));
-                rotation_ns += t0.elapsed().as_nanos() as u64;
+        let mut wire = Sockets {
+            ep: &mut ctx.ep,
+            node,
+            epoch,
+            rotation_ns: 0,
+        };
+        let (crash, n, mut i) = (&ctx.crash, plan.execs_of(node).len(), 0);
+        let (grid, triples, space) = (&self.grid, &self.triples, &mut self.space_part);
+        let walked = walk(&plan, node, queue, &mut wire, Instant::now(), |b, part| {
+            crash.maybe(epoch, i, n);
+            i += 1;
+            for &pos in plan.blocks().items(b) {
+                grid.update(&triples[pos as usize], space, part);
             }
-            let (tp, mut part) = queue.pop_front().expect("schedule keeps the queue fed");
-            debug_assert_eq!(
-                tp as usize,
-                e.block % n_time,
-                "queue order must match schedule"
-            );
-            let t0 = Instant::now();
-            for &pos in plan.blocks().items(e.block) {
-                let triple = &self.triples[pos as usize];
-                self.grid.update(triple, &mut self.space_part, &mut part);
-            }
-            compute_ns += t0.elapsed().as_nanos() as u64;
-            events.push(HbEvent::Exec {
-                step: e.step,
-                block: e.block as u32,
-            });
-            // Fig. 8: forward downstream before starting the next block.
-            match next_forward {
-                Some(&(step, dst)) if step == e.step => {
-                    next_forward = forwards.next();
-                    if dst == node {
-                        queue.push_back((tp, part));
-                    } else {
-                        events.push(HbEvent::Send {
-                            tp,
-                            dst: dst as u32,
-                        });
-                        let t0 = Instant::now();
-                        ctx.send_partition(dst, epoch, tp, &part);
-                        rotation_ns += t0.elapsed().as_nanos() as u64;
-                    }
-                }
-                _ => kept.push((tp, part)),
-            }
-        }
+        })?;
 
         // Re-home: every partition this node ends with goes back to its
         // pass-start owner, so the next epoch seeds canonical queues. The
         // (epoch, tp) inbox key cannot collide with in-epoch rotation: a
-        // partition only lands in `kept` once no further exec awaits it.
-        for (tp, part) in kept.into_iter().chain(queue) {
-            let home = self.home_of[tp as usize];
+        // partition is only held once no further exec awaits it, which is
+        // also why the event log leaves the re-home out.
+        for (tp, part) in walked.held {
+            let home = self.home_of[tp];
             if home == node {
                 self.homes.insert(tp, part);
             } else {
-                let t0 = Instant::now();
-                ctx.send_partition(home, epoch, tp, &part);
-                rotation_ns += t0.elapsed().as_nanos() as u64;
+                wire.send(home, tp, part)?;
             }
         }
         for &tp in plan.initial_of(node) {
-            let tp = tp as u32;
-            if let std::collections::btree_map::Entry::Vacant(home) = self.homes.entry(tp) {
-                let t0 = Instant::now();
-                home.insert(ctx.recv_partition(epoch, tp)?);
-                rotation_ns += t0.elapsed().as_nanos() as u64;
+            if let Entry::Vacant(home) = self.homes.entry(tp) {
+                home.insert(wire.recv(tp)?);
             }
         }
+        let computed = walked
+            .spans
+            .iter()
+            .filter(|s| s.phase == ThreadPhase::Compute);
         Ok(EpochWork {
-            compute_ns,
-            rotation_ns,
-            events,
+            compute_ns: computed.map(|s| s.end_ns - s.start_ns).sum(),
+            rotation_ns: wire.rotation_ns,
+            events: walked.events,
         })
     }
 
@@ -895,13 +874,13 @@ impl NetNode for MfNode {
             .map(|&tp| {
                 let part = checkpoint::load(ctx.ckpt_path(&format!("T{tp}"), epoch))
                     .expect("reload a time partition");
-                (tp as u32, part)
+                (tp, part)
             })
             .collect();
     }
 
     fn gather(&self) -> Vec<(u32, Bytes)> {
-        let homes = self.homes.iter().map(|(&tp, part)| (tp, part));
+        let homes = self.homes.iter().map(|(&tp, part)| (tp as u32, part));
         std::iter::once((u32::MAX, &self.space_part))
             .chain(homes)
             .map(|(tag, part)| (tag, checkpoint::to_bytes(part)))
@@ -1103,7 +1082,7 @@ impl NetNode for SlrNode {
         let snapshot = &self.snapshot;
         let read = |f: u32| snapshot[f as usize];
         for (i, &pos) in self.positions.iter().enumerate() {
-            ctx.maybe_crash(epoch, i, self.positions.len());
+            ctx.crash.maybe(epoch, i, self.positions.len());
             slr::slr_step(
                 &self.data.samples[pos],
                 read,
@@ -1112,6 +1091,10 @@ impl NetNode for SlrNode {
                 self.mode,
             );
         }
+        let compute_ns = t1.elapsed().as_nanos() as u64;
+
+        // The server round is rotation: drain, encode and ship the buffer.
+        let t2 = Instant::now();
         let updates: Vec<(u64, f32)> = self.buf.drain_flat().collect();
         ctx.ep
             .send_coord(&Msg::ServerUpdate {
@@ -1121,8 +1104,8 @@ impl NetNode for SlrNode {
             })
             .expect("send ServerUpdate");
         Ok(EpochWork {
-            compute_ns: t1.elapsed().as_nanos() as u64,
-            rotation_ns,
+            compute_ns,
+            rotation_ns: rotation_ns + t2.elapsed().as_nanos() as u64,
             events: self.events.clone(),
         })
     }

@@ -41,9 +41,11 @@ use crate::race::{check_block_pair, AccessOracle, Race};
 /// The per-actor event log a faithful execution of `plan` records:
 /// for each worker, a `Recv` per awaited rotation, an `Exec` per
 /// scheduled block, and a `Send` per cross-worker forward edge, in
-/// program order. The threaded engine's recorded logs must equal this
-/// exactly (pinned by the conformance tests); the distributed runtime
-/// produces the same shape per node.
+/// program order. Both real engines record their logs in
+/// `orion_runtime::walk`, and a pool worker's log and a TCP node's epoch
+/// log must equal this exactly (pinned by `tests/threaded_conformance.rs`
+/// and `tests/distributed_conformance.rs`). It is written independently
+/// of the walker on purpose: it is the reference they are compared to.
 pub fn plan_event_log(plan: &ThreadedPlan) -> Vec<Vec<HbEvent>> {
     let n_time = plan.n_time_partitions();
     (0..plan.n_workers())

@@ -482,12 +482,23 @@ impl Driver {
         }
     }
 
-    /// Folds a threaded pass's measured wall-clock phases into the
-    /// simulated timeline: each worker's compute/rotation spans land in
-    /// the trace at the current barrier, and every clock advances by the
-    /// pass's wall time, so threaded passes serialize on the virtual
-    /// timeline like simulated ones.
-    fn absorb_thread_spans(&mut self, spans: &[Vec<ThreadSpan>], wall_ns: u64) {
+    /// The tail every real-engine pass shares: checks the pass's
+    /// recorded event logs against `compiled`'s happens-before order
+    /// ([`Driver::sanitize_hb`]), then folds its measured wall-clock
+    /// phases into the simulated timeline — each worker's
+    /// compute/rotation spans land in the trace at the current barrier,
+    /// and every clock advances by the pass's wall time, so real passes
+    /// serialize on the virtual timeline like simulated ones.
+    fn absorb_pass(
+        &mut self,
+        loop_name: &str,
+        blocks: &CompiledBlocks,
+        events: &[Vec<HbEvent>],
+        context: &str,
+        spans: &[Vec<ThreadSpan>],
+        wall_ns: u64,
+    ) {
+        self.sanitize_hb(loop_name, blocks, events, context);
         let base = self.executor.clocks.barrier();
         for (w, worker_spans) in spans.iter().enumerate() {
             let machine = self.executor.cluster.machine_of(w);
@@ -531,14 +542,13 @@ impl Driver {
     /// On a node fault the epoch's effects are *not* absorbed; the
     /// caller recovers the cluster ([`orion_net::Coordinator::recover`])
     /// and rewinds its own bookkeeping ([`Driver::rollback_progress`]).
-    /// When `compiled` is provided and validation is on, the per-node
-    /// [`HbEvent`] logs the nodes attach to their epoch barrier
-    /// contributions are checked against the loop's happens-before
-    /// order (O110–O112); un-instrumented nodes (empty logs) skip the
-    /// check.
+    /// With validation on, the per-node [`HbEvent`] logs the nodes
+    /// attach to their epoch barrier contributions are checked against
+    /// `compiled`'s happens-before order (O110–O112); un-instrumented
+    /// nodes (empty logs) skip the check.
     pub fn run_pass_distributed<F>(
         &mut self,
-        compiled: Option<&CompiledLoop>,
+        compiled: &CompiledLoop,
         cluster: &mut orion_net::Coordinator,
         epoch: u64,
         handler: F,
@@ -547,14 +557,6 @@ impl Driver {
         F: FnMut(usize, orion_net::Msg) -> Option<orion_net::Msg>,
     {
         let stats = cluster.run_epoch_with(epoch, handler)?;
-        if let Some(compiled) = compiled {
-            self.sanitize_hb(
-                &compiled.spec.name,
-                &compiled.schedule.blocks,
-                &stats.events,
-                &format!("epoch {epoch}"),
-            );
-        }
         let spans: Vec<Vec<ThreadSpan>> = stats
             .compute_ns
             .iter()
@@ -574,7 +576,14 @@ impl Driver {
                 ]
             })
             .collect();
-        self.absorb_thread_spans(&spans, stats.wall_ns);
+        self.absorb_pass(
+            &compiled.spec.name,
+            &compiled.schedule.blocks,
+            &stats.events,
+            &format!("epoch {epoch}"),
+            &spans,
+            stats.wall_ns,
+        );
         self.wire_links
             .extend(stats.links.iter().map(|l| LinkBytes {
                 src_machine: l.src,
@@ -620,8 +629,14 @@ impl Driver {
         self.ensure_pool(plan.n_workers());
         let pool = self.pool.as_ref().expect("pool just ensured");
         let out = run_grid_pass_pooled(pool, plan, items, space, time, scratch, body);
-        self.sanitize_hb(loop_name, plan.blocks(), &out.events, "threaded pass");
-        self.absorb_thread_spans(&out.spans, out.wall_ns);
+        self.absorb_pass(
+            loop_name,
+            plan.blocks(),
+            &out.events,
+            "threaded pass",
+            &out.spans,
+            out.wall_ns,
+        );
         out
     }
 
@@ -719,8 +734,14 @@ impl Driver {
         self.ensure_pool(plan.n_workers());
         let pool = self.pool.as_ref().expect("pool just ensured");
         let out = run_one_d_pass_pooled(pool, plan, items, scratch, body);
-        self.sanitize_hb(loop_name, plan.blocks(), &out.events, "threaded pass");
-        self.absorb_thread_spans(&out.spans, out.wall_ns);
+        self.absorb_pass(
+            loop_name,
+            plan.blocks(),
+            &out.events,
+            "threaded pass",
+            &out.spans,
+            out.wall_ns,
+        );
         out
     }
 

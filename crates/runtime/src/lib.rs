@@ -15,6 +15,10 @@
 //!   same schedules on a persistent [`WorkerPool`] of real OS threads
 //!   with partition ownership and zero-copy channel-based rotation —
 //!   the repo's real multi-core execution path;
+//! - [`walk`] is the one loop over a worker's execution list: compute a
+//!   block, forward the time partition, await the next — over a
+//!   [`Transport`] that is a channel on the pool and a peer socket on a
+//!   TCP node (`orion-apps::distributed`);
 //! - [`run_grid_eval_pooled`] reads a per-item metric (the §3.4 loss
 //!   accumulator) on the same pool, against the partitions in place,
 //!   into [`EvalSlots`] the driver sums in item order;
@@ -65,6 +69,6 @@ pub use schedule::{
     ScheduleOptions, SyncMode, PIPELINE_DEPTH,
 };
 pub use threaded::{
-    run_grid_eval_pooled, run_grid_pass_pooled, run_one_d_pass_pooled, EvalSlots, GridPassOutput,
-    OneDPassOutput, ThreadPhase, ThreadSpan, ThreadedPlan,
+    run_grid_eval_pooled, run_grid_pass_pooled, run_one_d_pass_pooled, walk, EvalSlots,
+    GridPassOutput, OneDPassOutput, ThreadPhase, ThreadSpan, ThreadedPlan, Transport, Walk,
 };

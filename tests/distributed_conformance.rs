@@ -9,8 +9,10 @@
 //! instead of re-running the whole suite.
 
 use orion::apps::distributed::{self, DistOptions};
+use orion::apps::run::App;
 use orion::apps::{sgd_mf, slr};
-use orion::core::ClusterSpec;
+use orion::check::plan_event_log;
+use orion::core::{ClusterSpec, Driver};
 use orion::data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
 
 const NODES: usize = 4;
@@ -35,6 +37,11 @@ fn mf_conformance(tag: &str, data_cfg: RatingsConfig, nodes: usize) {
     };
     let (sim_model, sim_stats) = sgd_mf::train_orion(&data, cfg.clone(), &run);
 
+    // The `nodes × 1` plan every node compiles, set up as a node does.
+    let mut driver = Driver::new(ClusterSpec::new(nodes, 1));
+    let (compiled, _) = sgd_mf::MfApp::new(cfg.clone(), run.ordered).setup(&data, &mut driver);
+    let expected_log = plan_event_log(&driver.compile_threaded(&compiled));
+
     let dir = workdir(tag);
     let mut opts = DistOptions::new(nodes, run.passes, &dir);
     opts.run_id = format!("{tag}_conf");
@@ -55,6 +62,13 @@ fn mf_conformance(tag: &str, data_cfg: RatingsConfig, nodes: usize) {
             .any(|l| l.src < nodes && l.dst < nodes && l.bytes > 0)),
         "every MF epoch rotates partitions over real sockets"
     );
+    for e in &out.epochs {
+        assert_eq!(
+            e.events, expected_log,
+            "epoch {}: every node walks the plan's event log",
+            e.epoch
+        );
+    }
     assert_eq!(
         sim_model.w, out.model.w,
         "W must be bit-identical to the sim oracle"

@@ -2,15 +2,20 @@
 //! 1-D schedules, a pass on the real worker pool produces bit-identical
 //! state to executing the same schedule serially in step order (workers
 //! ascending within a step) — the serialization the simulated engine
-//! realizes. Noncommutative float updates make any reordering visible
-//! bitwise.
+//! realizes, and records exactly the happens-before log the plan
+//! implies. Noncommutative float updates make any reordering visible
+//! bitwise. The partition walker both the pool and the TCP node run is
+//! also driven here over a scripted transport.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use orion::analysis::Strategy as ParStrategy;
+use orion::check::plan_event_log;
 use orion::dsm::DistArray;
 use orion::runtime::{
-    build_schedule, run_grid_pass_pooled, run_one_d_pass_pooled, ThreadedPlan, WorkerPool,
+    build_schedule, run_grid_pass_pooled, run_one_d_pass_pooled, walk, AwaitedTransfer, Exec,
+    HbEvent, ThreadedPlan, Transport, Walk, WorkerPool,
 };
 use proptest::prelude::*;
 
@@ -102,6 +107,7 @@ proptest! {
             vec![(); sched.n_workers],
             &body,
         );
+        prop_assert_eq!(&out.events, &plan_event_log(&plan));
         let s_thr = DistArray::merge_along(0, out.space);
         let t_thr = DistArray::merge_along(0, out.time);
         prop_assert_eq!(s_thr, s_ref);
@@ -143,4 +149,150 @@ proptest! {
         let out = run_one_d_pass_pooled(&pool, &plan, &shared, vec![1.0f32; sched.n_workers], &body);
         prop_assert_eq!(out.scratch, folds);
     }
+}
+
+/// A dense `m × n` grid's 2-D unordered plan on `workers` workers.
+fn grid_plan(m: u64, n: u64, workers: usize) -> ThreadedPlan {
+    let items: Vec<[i64; 2]> = (0..m as i64)
+        .flat_map(|i| (0..n as i64).map(move |j| [i, j]))
+        .collect();
+    let indices: Vec<&[i64]> = items.iter().map(|i| i.as_slice()).collect();
+    let strat = ParStrategy::TwoD {
+        space: 0,
+        time: 1,
+        ordered: false,
+    };
+    ThreadedPlan::compile(&build_schedule(&strat, &indices, &[m, n], workers))
+}
+
+/// A scripted [`Transport`] whose partitions are their own ids:
+/// serves `budget` receives, then aborts; logs every send.
+struct Scripted {
+    budget: usize,
+    sent: Vec<(usize, usize)>,
+}
+
+impl Transport<usize> for Scripted {
+    type Abort = &'static str;
+
+    fn recv(&mut self, tp: usize) -> Result<usize, &'static str> {
+        self.budget = self.budget.checked_sub(1).ok_or("preempted")?;
+        Ok(tp)
+    }
+
+    fn send(&mut self, dst: usize, tp: usize, part: usize) -> Result<(), &'static str> {
+        assert_eq!(tp, part);
+        self.sent.push((dst, tp));
+        Ok(())
+    }
+}
+
+/// Walks worker `w` over `wire`; on an abort, hands back the blocks
+/// that ran.
+fn scripted_walk(
+    plan: &ThreadedPlan,
+    w: usize,
+    wire: &mut Scripted,
+) -> Result<Walk<usize>, (&'static str, Vec<usize>)> {
+    let queue = plan.initial_of(w).iter().map(|&tp| (tp, tp)).collect();
+    let mut ran = Vec::new();
+    walk(plan, w, queue, wire, Instant::now(), |b, _| ran.push(b)).map_err(|e| (e, ran))
+}
+
+#[test]
+fn walk_records_the_plan_event_log() {
+    let plan = grid_plan(6, 6, 3);
+    for (w, expected) in plan_event_log(&plan).into_iter().enumerate() {
+        let mut wire = Scripted {
+            budget: usize::MAX,
+            sent: Vec::new(),
+        };
+        let walked = scripted_walk(&plan, w, &mut wire).expect("nothing aborts");
+        let sends: Vec<(usize, usize)> = (expected.iter())
+            .filter_map(|e| match *e {
+                HbEvent::Send { tp, dst } => Some((dst as usize, tp as usize)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(walked.events, expected);
+        assert_eq!(wire.sent, sends, "the transport carries every Send");
+    }
+}
+
+#[test]
+fn walk_stops_at_an_aborted_receive() {
+    let plan = grid_plan(6, 6, 3);
+    let execs = plan.execs_of(1);
+    let awaited: Vec<usize> = (0..execs.len())
+        .filter(|&i| execs[i].awaited.is_some())
+        .collect();
+    assert!(!awaited.is_empty(), "worker 1 receives partitions");
+    for (k, &cut) in awaited.iter().enumerate() {
+        let mut wire = Scripted {
+            budget: k,
+            sent: Vec::new(),
+        };
+        let (abort, ran) = scripted_walk(&plan, 1, &mut wire).expect_err("receive k aborts");
+        assert_eq!(abort, "preempted");
+        // Exactly the blocks before the aborted receive ran, and only
+        // their forwards left.
+        let before: Vec<usize> = execs[..cut].iter().map(|e| e.block).collect();
+        assert_eq!(ran, before);
+        let forwards = plan.forwards_of(1).iter();
+        let sent = forwards.filter(|&&(step, dst)| step < execs[cut].step && dst != 1);
+        assert_eq!(wire.sent.len(), sent.count());
+    }
+}
+
+/// Neither schedule builder emits a rotation edge from a worker to
+/// itself, so the ring is spelled out: one worker runs each of its two
+/// time partitions twice, the second time receiving it from itself.
+#[test]
+fn single_owner_ring_re_enqueues_locally() {
+    let mut sched = build_schedule(
+        &ParStrategy::TwoD {
+            space: 0,
+            time: 1,
+            ordered: false,
+        },
+        &[[0i64, 0], [0, 1]],
+        &[1, 2],
+        1,
+    );
+    let exec = |step: u64, tp: usize, sent_after_step: Option<u64>| {
+        let awaited = sent_after_step.map(|sent_after_step| AwaitedTransfer {
+            from_worker: 0,
+            sent_after_step,
+            time_partition: tp,
+        });
+        vec![Exec {
+            step,
+            worker: 0,
+            block: tp,
+            awaited,
+        }]
+    };
+    sched.steps = vec![
+        exec(0, 0, None),
+        exec(1, 1, None),
+        exec(2, 0, Some(0)),
+        exec(3, 1, Some(1)),
+    ];
+    let plan = ThreadedPlan::compile(&sched);
+    assert_eq!(plan.forwards_of(0), [(0, 0), (1, 0)]);
+    // A zero budget: any receive would abort the walk.
+    let mut wire = Scripted {
+        budget: 0,
+        sent: Vec::new(),
+    };
+    let walked = scripted_walk(&plan, 0, &mut wire).expect("a single owner never waits");
+    assert!(wire.sent.is_empty());
+    assert_eq!(walked.events, plan_event_log(&plan)[0]);
+    assert!(walked
+        .events
+        .iter()
+        .all(|e| matches!(e, HbEvent::Exec { .. })));
+    assert_eq!(walked.events.len(), 4);
+    let held: Vec<usize> = walked.held.iter().map(|&(tp, _)| tp).collect();
+    assert_eq!(held, [0, 1]);
 }
