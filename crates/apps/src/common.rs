@@ -76,6 +76,13 @@ pub(crate) fn split_by_role<T: Element>(
     )
 }
 
+/// Row `row` of a whole dense `rows × width` array as a plain
+/// bounds-checked slice — what a readout term reads from a merged
+/// model, without `row_slice`'s per-call origin and rank checks.
+pub(crate) fn raw_row<T: Element>(array: &DistArray<T>, row: usize, width: usize) -> &[T] {
+    &array.dense_values()[row * width..][..width]
+}
+
 /// One additive DistArray Buffer shaped like `array` per worker (§3.3).
 /// Made once per job: a flush leaves them empty with their tables
 /// allocated, ready for the next pass.

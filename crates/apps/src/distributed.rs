@@ -1022,10 +1022,12 @@ impl NetApp for SlrApp {
     /// the sim applies its per-worker buffers.
     fn end_epoch(&self, job: &mut SlrJob) {
         let SlrJob { model, updates, .. } = job;
-        for payload in updates.iter_mut().map(Option::take) {
+        for (node, payload) in updates.iter_mut().map(Option::take).enumerate() {
             let payload = payload.expect("every node sent its server update");
             // A drained buffer on the wire: distinct features, ascending.
-            slr::apply_updates(model, codec::decode_updates::<f32>(payload));
+            let drained = codec::decode_updates::<f32>(payload)
+                .unwrap_or_else(|e| panic!("node {node}'s server update: {e}"));
+            slr::apply_updates(model, drained);
         }
     }
 }
@@ -1064,7 +1066,9 @@ impl NetNode for SlrNode {
         loop {
             match ctx.ep.next_coord_msg(ROTATION_TIMEOUT) {
                 Ok(Msg::PrefetchResponse { epoch: e, payload }) if e == epoch => {
-                    for (f, w) in codec::decode_updates::<f32>(payload) {
+                    let served = codec::decode_updates::<f32>(payload)
+                        .unwrap_or_else(|e| panic!("node {node}: prefetch response: {e}"));
+                    for (f, w) in served {
                         self.snapshot[f as usize] = w;
                     }
                     break;

@@ -25,7 +25,7 @@ use orion_ps::{PsApp, PsView, UpdateLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{by_role, cost, space_is_dim0, split_by_role};
+use crate::common::{by_role, cost, raw_row, space_is_dim0, split_by_role};
 use crate::distributed::DistOptions;
 use crate::run::{train, unsupported, App, Engine, Pool, RunError, RunOutput};
 
@@ -120,6 +120,15 @@ impl MfModel {
         items
             .iter()
             .map(|(idx, v)| self.sq_err(idx[0], idx[1], *v))
+            .sum()
+    }
+
+    /// [`MfModel::loss`] over flat triples: the same terms in the same
+    /// order, so the same bits.
+    fn triples_loss(&self, triples: &[(u32, u32, f32)]) -> f64 {
+        triples
+            .iter()
+            .map(|&(u, i, v)| self.sq_err(u as i64, i as i64, v))
             .sum()
     }
 
@@ -220,10 +229,10 @@ impl MfApp {
 #[derive(Debug)]
 pub struct MfJob {
     pub(crate) model: MfModel,
-    items: Vec<(Vec<i64>, f32)>,
-    /// Flat (user, item, rating) triples shared with every worker: the
-    /// hot loops read one contiguous record, no per-item index Vec. Both
-    /// the pass and the readout stream all of them through each worker's
+    /// Flat (user, item, rating) triples in ratings order, shared with
+    /// every worker — the job's only copy of the iteration space: the
+    /// hot loops read one contiguous record, no per-item index Vec. The
+    /// pass and the readout stream all of them through each worker's
     /// cache every epoch, so the record is kept to 12 bytes.
     pub(crate) triples: Arc<Vec<(u32, u32, f32)>>,
     iter_ns: f64,
@@ -280,7 +289,20 @@ impl App for MfApp {
 
     fn setup(&self, data: &RatingsData, driver: &mut Driver) -> (CompiledLoop, MfJob) {
         let model = MfModel::for_data(data, self.cfg.clone());
-        let items = data.items();
+        // One walk of the frozen ratings builds the triples and the
+        // loop indices `parallel_for` plans over (one division per
+        // rating yields both coordinates); the indices go once the loop
+        // is compiled.
+        let n_items = data.ratings.shape().dims()[1];
+        let row = |c: u64| u32::try_from(c).expect("factor row index fits u32");
+        let (indices, triples): (Vec<[i64; 2]>, Vec<_>) = data
+            .ratings
+            .iter_flat()
+            .map(|(flat, &v)| {
+                let (u, i) = (flat / n_items, flat % n_items);
+                ([u as i64, i as i64], (row(u), row(i), v))
+            })
+            .unzip();
         let z = driver.register(&data.ratings);
         let w = driver.register(&model.w);
         let h = driver.register(&model.h);
@@ -291,17 +313,11 @@ impl App for MfApp {
         let b = if self.ordered { b.ordered() } else { b };
         let spec = b.build().expect("static MF spec is valid");
         let compiled = driver
-            .parallel_for(spec, &items)
+            .parallel_for(spec, &indices)
             .expect("MF loop parallelizes");
-        let row = |c: i64| u32::try_from(c).expect("factor row index fits u32");
-        let triples = items
-            .iter()
-            .map(|(i, v)| (row(i[0]), row(i[1]), *v))
-            .collect();
         let job = MfJob {
             iter_ns: cost::mf_iter_ns(model.cfg.rank) * self.overhead,
             model,
-            items,
             triples: Arc::new(triples),
         };
         (compiled, job)
@@ -329,7 +345,7 @@ impl App for MfApp {
     }
 
     fn metric(&self, _data: &RatingsData, job: &MfJob) -> f64 {
-        job.model.loss(&job.items)
+        job.model.triples_loss(&job.triples)
     }
 
     fn into_model(job: MfJob) -> MfModel {
@@ -351,10 +367,7 @@ impl App for MfApp {
             return Err(unsupported::<Self>("threads", "adaptive"));
         }
         let MfJob {
-            mut model,
-            items,
-            triples,
-            ..
+            mut model, triples, ..
         } = job;
         let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
         let grid = MfGrid::new(compiled, &model, pool.driver.math_mode());
@@ -370,12 +383,12 @@ impl App for MfApp {
                   tp: &mut DistArray<f32>,
                   _: &mut ()| grid.update(t, sp, tp),
         );
-        let sq_err = Arc::new(
-            move |&(u, i, v): &(u32, u32, f32), sp: &DistArray<f32>, tp: &DistArray<f32>| {
-                let (wp, hp) = by_role(space_is_users, sp, tp);
-                sq_err_rows(wp.row_slice(u as i64), hp.row_slice(i as i64), v, mode)
-            },
-        );
+        // The loss term on raw rows of the merged model.
+        let sq_err = Arc::new(move |&(u, i, v): &(u32, u32, f32), m: &MfModel| {
+            let r = m.cfg.rank;
+            let (w, h) = (raw_row(&m.w, u as usize, r), raw_row(&m.h, i as usize, r));
+            sq_err_rows(w, h, v, mode)
+        });
         let n_workers = plan.n_workers();
         for pass in 0..passes {
             let out = pool.driver.run_pass_threaded(
@@ -389,26 +402,21 @@ impl App for MfApp {
             );
             space_parts = out.space;
             time_parts = out.time;
-            // The loss is read on the pool, against the partitions
-            // where they sit; validation re-reads it serially.
-            let loss = pool.driver.eval_pass_threaded(
-                &plan,
-                &triples,
-                &mut space_parts,
-                &mut time_parts,
-                &sq_err,
-                |space, time| {
-                    let (w_parts, h_parts) = by_role(space_is_users, space, time);
-                    let snap = MfModel {
-                        w: DistArray::merge_along_ref(0, w_parts),
-                        h: DistArray::merge_along_ref(0, h_parts),
-                        wz2: Vec::new(),
-                        hz2: Vec::new(),
-                        cfg: model.cfg.clone(),
-                    };
-                    snap.loss(&items)
-                },
-            );
+            // The loss is read on the pool against the model merged once
+            // from the partitions; validation re-reads it serially. The
+            // fold starts where `Iterator::sum` does.
+            let (w_parts, h_parts) = by_role(space_is_users, &space_parts, &time_parts);
+            let snap = Arc::new(MfModel {
+                w: DistArray::merge_along_ref(0, w_parts),
+                h: DistArray::merge_along_ref(0, h_parts),
+                wz2: Vec::new(),
+                hz2: Vec::new(),
+                cfg: model.cfg.clone(),
+            });
+            let serial = || snap.triples_loss(&triples);
+            let loss = pool
+                .driver
+                .eval_pass(&plan, &triples, &snap, &sq_err, -0.0, serial);
             pool.record(pass, loss);
         }
         let (w_parts, h_parts) = by_role(space_is_users, space_parts, time_parts);
@@ -424,7 +432,9 @@ impl App for MfApp {
         compiled: &CompiledLoop,
         cfg: &TuneConfig,
     ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
-        Ok(driver.tune_loop(compiled, &job.items, cfg, &mut |_pos| job.iter_ns))
+        let index = |&(u, i, _): &(u32, u32, f32)| [u as i64, i as i64];
+        let indices: Vec<[i64; 2]> = job.triples.iter().map(index).collect();
+        Ok(driver.tune_loop(compiled, &indices, cfg, &mut |_pos| job.iter_ns))
     }
 
     fn checkpointed<'a>(

@@ -14,9 +14,8 @@
 use std::sync::Arc;
 
 use orion_core::{
-    run_one_d_pass_pooled, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver,
-    FaultEvent, IndexRecorder, LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript,
-    ThreadedPlan, TuneConfig, TuneOutcome, WorkerPool,
+    ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, IndexRecorder,
+    LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript, TuneConfig, TuneOutcome,
 };
 use orion_data::{SparseData, SparseSample};
 use orion_dsm::kernels;
@@ -99,11 +98,15 @@ impl SlrModel {
     /// its flat offset — every lookup here and in the training loops
     /// skips subscript translation entirely.
     pub fn loss(&self, data: &SparseData) -> f64 {
-        let total = data
-            .samples
+        self.loss_sum(&data.samples) / data.samples.len() as f64
+    }
+
+    /// The sum [`SlrModel::loss`] divides, folded in sample order from
+    /// `+0.0`.
+    fn loss_sum(&self, samples: &[SparseSample]) -> f64 {
+        samples
             .iter()
-            .fold(0.0f64, |total, s| total + self.loss_term(s));
-        total / data.samples.len() as f64
+            .fold(0.0f64, |total, s| total + self.loss_term(s))
     }
 
     /// One sample's logistic loss, `log(1 + exp(-y m))`, stable.
@@ -247,67 +250,6 @@ fn take_back<S>(scratch: &mut Vec<S>, lent: Vec<Lent<S>>) {
     scratch.extend(lent.into_iter().map(|(_, s)| s));
 }
 
-/// The per-pass loss read on the worker pool (a §3.4 accumulator): the
-/// workers evaluate the loss terms of their own samples against the
-/// just-flushed weights, a second dispatch of the 1-D plan that writes
-/// nothing, advances no virtual clock and feeds no checker. Term `i` is
-/// then placed at sample position `i` and the terms are added in sample
-/// order — per-worker partial sums would associate differently — so the
-/// result carries the bits of [`SlrModel::loss`] for any worker count.
-#[derive(Debug)]
-pub struct PooledLoss {
-    /// Sample positions each worker evaluates, in its execution order.
-    positions: Vec<Vec<u32>>,
-    /// Each worker's terms of the latest readout, parallel to `positions`.
-    terms: Vec<Vec<f64>>,
-    by_sample: Vec<f64>,
-}
-
-impl PooledLoss {
-    /// Reusable readout state for `plan`'s workers and items.
-    pub fn new(plan: &ThreadedPlan) -> Self {
-        let positions = plan.worker_positions();
-        PooledLoss {
-            terms: vec![Vec::new(); positions.len()],
-            positions,
-            by_sample: vec![0.0; plan.total_items()],
-        }
-    }
-
-    /// Mean logistic loss of `model` over `samples` (the items `plan` was
-    /// compiled over), evaluated on `pool`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is smaller than the plan or a worker dies.
-    pub fn eval(
-        &mut self,
-        pool: &WorkerPool,
-        plan: &Arc<ThreadedPlan>,
-        samples: &Arc<Vec<SparseSample>>,
-        model: &Arc<SlrModel>,
-    ) -> f64 {
-        self.terms.iter_mut().for_each(Vec::clear);
-        let term = Arc::new(|s: &SparseSample, (model, terms): &mut Lent<Vec<f64>>| {
-            terms.push(model.loss_term(s));
-        });
-        let out = run_one_d_pass_pooled(pool, plan, samples, lend(model, &mut self.terms), &term);
-        take_back(&mut self.terms, out.scratch);
-        for (positions, terms) in self.positions.iter().zip(&self.terms) {
-            for (&pos, &term) in positions.iter().zip(terms) {
-                self.by_sample[pos as usize] = term;
-            }
-        }
-        self.by_sample.iter().fold(0.0f64, |total, t| total + t) / self.by_sample.len() as f64
-    }
-
-    /// Each worker's loss terms of the latest readout, in its execution
-    /// order.
-    pub fn worker_terms(&self) -> &[Vec<f64>] {
-        &self.terms
-    }
-}
-
 impl App for SlrApp {
     type Data = SparseData;
     type Model = SlrModel;
@@ -420,7 +362,6 @@ impl App for SlrApp {
         // positions are sample indices.
         let samples = Arc::new(data.samples.clone());
         let (mut model, mut buffers) = (Arc::new(job.model), job.buffers);
-        let mut readout = PooledLoss::new(&pool.plan);
         let (step, mode) = (model.cfg.step_size, pool.driver.math_mode());
         let body = Arc::new(
             move |sample: &SparseSample, (model, buf): &mut Lent<DistArrayBuffer<f32>>| {
@@ -428,6 +369,8 @@ impl App for SlrApp {
                 slr_step(sample, read, buf, step, mode);
             },
         );
+        let term = Arc::new(|s: &SparseSample, model: &SlrModel| model.loss_term(s));
+        let n = samples.len() as f64;
         for pass in 0..passes {
             let out = pool.driver.run_pass_threaded_one_d(
                 &pool.compiled.spec.name,
@@ -441,10 +384,14 @@ impl App for SlrApp {
             flush_buffers(pool.driver, &mut buffers, |buf| {
                 apply_updates(owned, buf.drain_flat())
             });
-            let workers = pool.driver.pool().expect("the pass above ran on the pool");
-            let loss = readout.eval(workers, &pool.plan, &samples, &model);
-            pool.driver.check_readout(loss, || model.loss(data));
-            pool.record(pass, loss);
+            // The loss is read on the pool against the lent model, from
+            // where `SlrModel::loss` starts its fold; validation re-reads
+            // the sum serially.
+            let serial = || model.loss_sum(&data.samples);
+            let sum = pool
+                .driver
+                .eval_pass(&pool.plan, &samples, &model, &term, 0.0, serial);
+            pool.record(pass, sum / n);
         }
         Ok(Arc::try_unwrap(model).expect("the readout handed the model back"))
     }

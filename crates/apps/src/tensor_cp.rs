@@ -26,7 +26,9 @@ use orion_core::{
 };
 use orion_data::TensorData;
 
-use crate::common::{by_role, cost, flush_buffers, space_is_dim0, split_by_role, write_buffers};
+use crate::common::{
+    by_role, cost, flush_buffers, raw_row, space_is_dim0, split_by_role, write_buffers,
+};
 use crate::run::{train, unsupported, App, Engine, Pool, RunError};
 
 /// CP hyperparameters.
@@ -310,6 +312,12 @@ impl App for CpApp {
                 .collect(),
         );
         let step = model.cfg.step_size;
+        // The loss term on raw rows of the merged model.
+        let sq_err = Arc::new(|&(i, j, k, x): &(i64, i64, i64, f32), m: &CpModel| {
+            let r = m.cfg.rank;
+            let row = |a, c: i64| raw_row(a, c as usize, r);
+            sq_err_rows(row(&m.u, i), row(&m.v, j), row(&m.s, k), x)
+        });
 
         for pass in 0..passes {
             let s_pass = Arc::new(model.s.clone());
@@ -343,34 +351,19 @@ impl App for CpApp {
             flush_buffers(pool.driver, &mut buffers, |buf| {
                 buf.apply_to(&mut model.s, add)
             });
-            // The loss is read on the pool, against the partitions where
-            // they sit; validation re-reads it serially.
-            let s_now = Arc::new(model.s.clone());
-            let sq_err = Arc::new(
-                move |&(i, j, k, x): &(i64, i64, i64, f32),
-                      ap: &DistArray<f32>,
-                      bp: &DistArray<f32>| {
-                    let (up, vp) = by_role(space_is_users, ap, bp);
-                    sq_err_rows(up.row_slice(i), vp.row_slice(j), s_now.row_slice(k), x)
-                },
-            );
-            let loss = pool.driver.eval_pass_threaded(
-                &plan,
-                &entries,
-                &mut space_parts,
-                &mut time_parts,
-                &sq_err,
-                |space, time| {
-                    let (u_parts, v_parts) = by_role(space_is_users, space, time);
-                    let snap = CpModel {
-                        u: DistArray::merge_along_ref(0, u_parts),
-                        v: DistArray::merge_along_ref(0, v_parts),
-                        s: model.s.clone(),
-                        cfg: model.cfg.clone(),
-                    };
-                    snap.loss(&items)
-                },
-            );
+            // The loss is read on the pool against the model merged once
+            // from the partitions; validation re-reads it serially. The
+            // fold starts where `Iterator::sum` does.
+            let (u_parts, v_parts) = by_role(space_is_users, &space_parts, &time_parts);
+            let snap = Arc::new(CpModel {
+                u: DistArray::merge_along_ref(0, u_parts),
+                v: DistArray::merge_along_ref(0, v_parts),
+                s: model.s.clone(),
+                cfg: model.cfg.clone(),
+            });
+            let loss = pool
+                .driver
+                .eval_pass(&plan, &entries, &snap, &sq_err, -0.0, || snap.loss(&items));
             pool.record(pass, loss);
         }
         let (u_parts, v_parts) = by_role(space_is_users, space_parts, time_parts);

@@ -100,7 +100,8 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("codec_encode_decode_10k_updates", |b| {
         b.iter(|| {
             let wire = codec::encode_updates(black_box(&updates));
-            black_box(codec::decode_updates::<f32>(wire).len())
+            let decoded = codec::decode_updates::<f32>(wire).expect("own encoding");
+            black_box(decoded.len())
         });
     });
 }

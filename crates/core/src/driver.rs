@@ -17,10 +17,10 @@ use orion_ir::{ArrayMeta, DistArrayId, LoopSpec};
 use std::sync::Arc;
 
 use orion_runtime::{
-    build_schedule, comm_model_with_spec, default_threads, run_grid_eval_pooled,
-    run_grid_pass_pooled, run_one_d_pass_pooled, CompiledBlocks, EvalSlots, GridPassOutput,
-    HbEvent, LoopCommModel, OneDPassOutput, PassStats, Schedule, SimExecutor, ThreadPhase,
-    ThreadSpan, ThreadedPlan, WorkerPool,
+    build_schedule, comm_model_with_spec, default_threads, run_grid_pass_pooled,
+    run_one_d_pass_pooled, run_readout_pooled, CompiledBlocks, GridPassOutput, HbEvent,
+    LoopCommModel, OneDPassOutput, PassStats, Schedule, SimExecutor, ThreadPhase, ThreadSpan,
+    ThreadedPlan, WorkerPool,
 };
 use orion_sim::{ClusterSpec, FaultPlan, RunStats, VirtualTime};
 use orion_trace::{LinkBytes, LoadStats, OwnedSession, RunReport, SpanCat, Transfer};
@@ -82,6 +82,27 @@ impl CompiledLoop {
     }
 }
 
+/// An element of a materialized iteration space: it knows its loop
+/// index. [`Driver::parallel_for`] and [`Driver::tune_loop`] read only
+/// that, so a caller may hand them `(index, value)` pairs or bare fixed
+/// `[i64; N]` indices built for the call.
+pub trait Indexed {
+    /// The loop index, one coordinate per loop dimension.
+    fn loop_index(&self) -> &[i64];
+}
+
+impl<T> Indexed for (Vec<i64>, T) {
+    fn loop_index(&self) -> &[i64] {
+        &self.0
+    }
+}
+
+impl<const N: usize> Indexed for [i64; N] {
+    fn loop_index(&self) -> &[i64] {
+        self
+    }
+}
+
 /// The driver program state: registered arrays, the simulated cluster,
 /// and compiled loops.
 ///
@@ -138,9 +159,9 @@ pub struct Driver {
     /// Persistent worker pool, created lazily on the first threaded pass
     /// and reused across passes and epochs.
     pool: Option<WorkerPool>,
-    /// Per-item result slots of [`Driver::eval_pass_threaded`], allocated
-    /// on the first readout and reused by every later one.
-    eval_slots: Option<EvalSlots>,
+    /// Per-worker term buffers of [`Driver::eval_pass`], grown by the
+    /// first readout and reused by every later one.
+    readout_terms: Vec<Vec<f64>>,
     /// Floating-point reduction policy loop bodies should honor
     /// (`Exact` keeps seed bit-identity; `FastMath` runs the
     /// reassociated lane fold).
@@ -168,7 +189,7 @@ impl Driver {
             hb_checkers: HashMap::new(),
             threads: None,
             pool: None,
-            eval_slots: None,
+            readout_terms: Vec::new(),
             math_mode: MathMode::default(),
             wire_links: Vec::new(),
         }
@@ -257,24 +278,24 @@ impl Driver {
     /// Statically parallelizes a loop (the `@parallel_for` macro):
     /// dependence analysis, strategy selection, schedule construction.
     ///
-    /// `items` is the materialized iteration space (index/value pairs);
-    /// the returned [`CompiledLoop`] refers to items by position in this
-    /// slice.
+    /// `items` is the materialized iteration space (index/value pairs,
+    /// or bare `[i64; N]` indices); the returned [`CompiledLoop`] refers
+    /// to items by position in this slice.
     ///
     /// # Errors
     ///
     /// Returns [`DriverError::Spec`] for invalid specs.
-    pub fn parallel_for<T: Element>(
+    pub fn parallel_for<I: Indexed>(
         &mut self,
         spec: LoopSpec,
-        items: &[(Vec<i64>, T)],
+        items: &[I],
     ) -> Result<CompiledLoop, DriverError> {
         spec.validate()?;
         let n_workers = self.executor.cluster.n_workers();
         let plan = analyze(&spec, &self.metas, n_workers as u64);
         // Borrow the item indices instead of cloning one Vec per
         // iteration; the schedule stores positions, not indices.
-        let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
+        let indices: Vec<&[i64]> = items.iter().map(Indexed::loop_index).collect();
         let schedule = build_schedule(&plan.strategy, &indices, &spec.iter_dims, n_workers);
         let comm =
             comm_model_with_spec(&plan, &self.metas, self.served_reads_per_iter, Some(&spec));
@@ -332,14 +353,14 @@ impl Driver {
     /// checker, and this driver's per-pass sanitizers keep validating
     /// it on every executed pass (they resolve slots against the
     /// schedule that actually ran).
-    pub fn tune_loop<T: Element>(
+    pub fn tune_loop<I: Indexed>(
         &mut self,
         compiled: &CompiledLoop,
-        items: &[(Vec<i64>, T)],
+        items: &[I],
         cfg: &TuneConfig,
         cost: &mut dyn FnMut(usize) -> f64,
     ) -> (CompiledLoop, TuneOutcome) {
-        let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
+        let indices: Vec<&[i64]> = items.iter().map(Indexed::loop_index).collect();
         let tuned = tune_spec(
             &compiled.spec,
             &self.metas,
@@ -433,11 +454,6 @@ impl Driver {
     /// Effective thread count of the real-core execution path.
     pub fn threads(&self) -> usize {
         self.threads.unwrap_or_else(default_threads)
-    }
-
-    /// The persistent worker pool, if a threaded pass has run.
-    pub fn pool(&self) -> Option<&WorkerPool> {
-        self.pool.as_ref()
     }
 
     /// Compiles `compiled`'s schedule for the threaded engine and — with
@@ -640,53 +656,47 @@ impl Driver {
         out
     }
 
-    /// Evaluates a per-item `f64` on real cores against the partitions
-    /// of a grid schedule, where [`Driver::run_pass_threaded`] left
-    /// them, and returns the sum over all items — the driver-side
-    /// readout of a §3.4 accumulator such as the training loss of
-    /// Fig. 5. Nothing rotates and nothing is written: worker `w`
-    /// evaluates `f(&item, &space[w], &time[block % n_time])` for the
-    /// items of its own blocks. The per-item values are summed in item
-    /// order, so the result is bit-identical to the serial
-    /// `items.iter().map(f).sum()` whatever the worker count.
+    /// Reads a per-item `f64` on real cores — the driver-side readout of
+    /// a §3.4 accumulator such as the training loss of Fig. 5 — and
+    /// returns `items.iter().fold(init, |acc, t| acc + term(t, ctx))`
+    /// bit for bit, whatever the worker count: each of `plan`'s workers
+    /// evaluates one contiguous item range and the fold runs in item
+    /// order ([`orion_runtime::run_readout_pooled`]). `ctx` is what the
+    /// terms read (typically the model merged from the pass's
+    /// partitions); `init` is where the serial fold starts.
     ///
     /// The virtual timeline does not advance: like every engine's
     /// driver-side metric evaluation, the readout is not part of the
     /// pass, and progress points keep pass wall time only.
     ///
     /// Under validation the result is cross-checked against `serial`,
-    /// the caller's serial readout over the same partitions (not
-    /// called otherwise).
+    /// the caller's serial readout of the same state (not called
+    /// otherwise).
     ///
     /// # Panics
     ///
-    /// Panics if partition counts mismatch `plan`, if a worker dies
-    /// (with the worker's panic message), or — under validation — if
-    /// the pooled and serial readouts differ in any bit.
-    pub fn eval_pass_threaded<T, A, B, F>(
+    /// Panics if a worker dies (with the worker's panic message) or —
+    /// under validation — if the pooled and serial readouts differ in
+    /// any bit.
+    pub fn eval_pass<T, C, F>(
         &mut self,
-        plan: &Arc<ThreadedPlan>,
+        plan: &ThreadedPlan,
         items: &Arc<Vec<T>>,
-        space: &mut Vec<DistArray<A>>,
-        time: &mut Vec<DistArray<B>>,
-        f: &Arc<F>,
-        serial: impl FnOnce(&[DistArray<A>], &[DistArray<B>]) -> f64,
+        ctx: &Arc<C>,
+        term: &Arc<F>,
+        init: f64,
+        serial: impl FnOnce() -> f64,
     ) -> f64
     where
         T: Send + Sync + 'static,
-        A: Element,
-        B: Element,
-        F: Fn(&T, &DistArray<A>, &DistArray<B>) -> f64 + Send + Sync + 'static,
+        C: Send + Sync + 'static,
+        F: Fn(&T, &C) -> f64 + Send + Sync + 'static,
     {
         self.ensure_pool(plan.n_workers());
         let pool = self.pool.as_ref().expect("pool just ensured");
-        let slots = match &self.eval_slots {
-            Some(slots) if slots.len() == plan.total_items() => slots,
-            _ => self.eval_slots.insert(EvalSlots::new(plan.total_items())),
-        };
-        run_grid_eval_pooled(pool, plan, items, space, time, slots, f);
-        let sum: f64 = slots.values().sum();
-        self.check_readout(sum, || serial(space, time));
+        let terms = &mut self.readout_terms;
+        let sum = run_readout_pooled(pool, plan.n_workers(), items, ctx, terms, term, init);
+        self.check_readout(sum, serial);
         sum
     }
 

@@ -38,7 +38,7 @@
 mod driver;
 mod recovery;
 
-pub use driver::{CompiledLoop, Driver, DriverError};
+pub use driver::{CompiledLoop, Driver, DriverError, Indexed};
 pub use recovery::{
     clean_checkpoints, CheckpointPolicy, FaultEvent, RecoveryConfig, RecoveryStats,
 };
@@ -61,9 +61,9 @@ pub use orion_ir::{
     SpecError, Subscript,
 };
 pub use orion_runtime::{
-    build_schedule, default_threads, run_grid_eval_pooled, run_grid_pass_pooled,
-    run_one_d_pass_pooled, EvalSlots, GridPassOutput, IndexRecorder, OneDPassOutput, PassStats,
-    PrefetchMode, Schedule, ThreadPhase, ThreadSpan, ThreadedPlan, WorkerPool,
+    build_schedule, default_threads, run_grid_pass_pooled, run_one_d_pass_pooled, GridPassOutput,
+    IndexRecorder, OneDPassOutput, PassStats, PrefetchMode, Schedule, ThreadPhase, ThreadSpan,
+    ThreadedPlan, WorkerPool,
 };
 pub use orion_sim::{
     ClusterSpec, CrashEvent, FaultPlan, LinkFault, PlanParseError, ProgressPoint, RunStats,

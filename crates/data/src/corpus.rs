@@ -81,7 +81,8 @@ pub struct CorpusData {
 }
 
 impl CorpusData {
-    /// Generates the corpus.
+    /// Generates the corpus, in frozen sparse storage (sorted flat keys
+    /// and their counts, no write staging).
     ///
     /// # Panics
     ///
@@ -125,7 +126,7 @@ impl CorpusData {
             }
         }
         CorpusData {
-            tokens,
+            tokens: crate::frozen(&tokens),
             n_tokens,
             config,
         }

@@ -20,6 +20,17 @@ mod tabular;
 mod tensor;
 mod zipf;
 
+use orion_dsm::{DistArray, Element};
+
+/// Rebuilds a generator's sparse array — filled point by point, so its
+/// entries sit in the store's write staging — as frozen sorted columns:
+/// the same entries in the same order, read by every later walk as two
+/// flat vectors instead of a tree.
+fn frozen<T: Element>(staged: &DistArray<T>) -> DistArray<T> {
+    let entries = staged.iter_flat().map(|(flat, v)| (flat, v.clone()));
+    DistArray::sparse_from_flat(staged.name(), staged.shape().dims().to_vec(), entries)
+}
+
 pub use corpus::{CorpusConfig, CorpusData};
 pub use ratings::{RatingsConfig, RatingsData};
 pub use sparse_features::{SparseConfig, SparseData, SparseSample};

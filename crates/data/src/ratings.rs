@@ -83,7 +83,9 @@ pub struct RatingsData {
 }
 
 impl RatingsData {
-    /// Generates the dataset.
+    /// Generates the dataset. The ratings come back in frozen sparse
+    /// storage (sorted flat keys and their values, no write staging), so
+    /// every later walk over them is a linear scan.
     ///
     /// # Panics
     ///
@@ -128,7 +130,10 @@ impl RatingsData {
             ratings.set(&idx, v as f32);
             placed += 1;
         }
-        RatingsData { ratings, config }
+        RatingsData {
+            ratings: crate::frozen(&ratings),
+            config,
+        }
     }
 
     /// Number of observed ratings actually placed.

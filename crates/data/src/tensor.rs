@@ -74,7 +74,8 @@ pub struct TensorData {
 }
 
 impl TensorData {
-    /// Generates the tensor.
+    /// Generates the tensor, in frozen sparse storage (sorted flat keys
+    /// and their values, no write staging).
     ///
     /// # Panics
     ///
@@ -121,7 +122,10 @@ impl TensorData {
             entries.set(&idx, (dot + normal::sample(&mut rng) * config.noise) as f32);
             placed += 1;
         }
-        TensorData { entries, config }
+        TensorData {
+            entries: crate::frozen(&entries),
+            config,
+        }
     }
 
     /// Iteration items for the training loop.

@@ -34,7 +34,7 @@ use crate::element::Element;
 /// let updates = vec![(3u64, 1.5f32), (7, -2.0)];
 /// let wire = codec::encode_updates(&updates);
 /// assert_eq!(wire.len() as u64, codec::updates_wire_bytes::<f32>(2));
-/// assert_eq!(codec::decode_updates::<f32>(wire), updates);
+/// assert_eq!(codec::decode_updates::<f32>(wire), Ok(updates));
 /// ```
 pub fn encode_updates<T: Element>(updates: &[(u64, T)]) -> Bytes {
     let mut buf = BytesMut::with_capacity(8 + updates.len() * (8 + T::WIRE_BYTES));
@@ -46,20 +46,61 @@ pub fn encode_updates<T: Element>(updates: &[(u64, T)]) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes the output of [`encode_updates`].
+/// A payload [`decode_updates`] refuses: its size is not the one its
+/// count announces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BadUpdates {
+    /// The announced count (`None` when the payload is shorter than the
+    /// 8-byte count itself).
+    pub count: Option<u64>,
+    /// Payload bytes after the count.
+    pub body: usize,
+}
+
+impl core::fmt::Display for BadUpdates {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self.count {
+            Some(n) => write!(
+                f,
+                "update payload announces {n} updates in {} bytes",
+                self.body
+            ),
+            None => write!(f, "update payload of {} bytes has no count", self.body),
+        }
+    }
+}
+
+impl std::error::Error for BadUpdates {}
+
+/// Decodes the output of [`encode_updates`]. The payload comes from
+/// another process, so its size is checked against the count it
+/// announces before anything is allocated.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a truncated or malformed buffer.
-pub fn decode_updates<T: Element>(mut wire: Bytes) -> Vec<(u64, T)> {
-    let n = wire.get_u64_le() as usize;
-    let mut out = Vec::with_capacity(n);
+/// [`BadUpdates`] unless the payload is exactly a count `n` followed by
+/// `n` updates.
+pub fn decode_updates<T: Element>(mut wire: Bytes) -> Result<Vec<(u64, T)>, BadUpdates> {
+    if wire.len() < 8 {
+        return Err(BadUpdates {
+            count: None,
+            body: wire.len(),
+        });
+    }
+    let n = wire.get_u64_le();
+    let body = wire.len();
+    if n.checked_mul(8 + T::WIRE_BYTES as u64) != Some(body as u64) {
+        return Err(BadUpdates {
+            count: Some(n),
+            body,
+        });
+    }
+    let mut out = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let idx = wire.get_u64_le();
         out.push((idx, T::decode(&mut wire)));
     }
-    assert!(!wire.has_remaining(), "trailing bytes after updates");
-    out
+    Ok(out)
 }
 
 /// Wire size of `n` sparse updates without encoding them.
@@ -76,22 +117,40 @@ mod tests {
         let updates: Vec<(u64, f64)> = (0..100).map(|i| (i * 3, i as f64 * 0.5)).collect();
         let wire = encode_updates(&updates);
         assert_eq!(wire.len() as u64, updates_wire_bytes::<f64>(100));
-        assert_eq!(decode_updates::<f64>(wire), updates);
+        assert_eq!(decode_updates::<f64>(wire), Ok(updates));
     }
 
     #[test]
     fn empty_updates_roundtrip() {
         let wire = encode_updates::<f32>(&[]);
         assert_eq!(wire.len(), 8);
-        assert!(decode_updates::<f32>(wire).is_empty());
+        assert_eq!(decode_updates::<f32>(wire), Ok(Vec::new()));
     }
 
     #[test]
-    #[should_panic(expected = "trailing bytes")]
-    fn trailing_bytes_rejected() {
-        let mut wire = BytesMut::new();
-        wire.put_u64_le(0);
-        wire.put_u8(0xFF);
-        let _ = decode_updates::<f32>(wire.freeze());
+    fn sizes_that_disagree_with_the_count_are_rejected() {
+        let wire = |count: u64, body: usize| {
+            let mut w = BytesMut::new();
+            w.put_u64_le(count);
+            w.put_slice(&vec![0; body]);
+            w.freeze()
+        };
+        let bad = |count, body| Err(BadUpdates { count, body });
+        // Trailing bytes, a truncated update, and counts whose size
+        // overflows or would need terabytes: nothing is allocated.
+        assert_eq!(decode_updates::<f32>(wire(0, 1)), bad(Some(0), 1));
+        assert_eq!(decode_updates::<f32>(wire(2, 23)), bad(Some(2), 23));
+        assert_eq!(
+            decode_updates::<f32>(wire(u64::MAX, 8)),
+            bad(Some(u64::MAX), 8)
+        );
+        assert_eq!(
+            decode_updates::<f32>(wire(1 << 40, 8)),
+            bad(Some(1 << 40), 8)
+        );
+        assert_eq!(
+            decode_updates::<f32>(Bytes::from_static(&[1, 2])),
+            bad(None, 2)
+        );
     }
 }

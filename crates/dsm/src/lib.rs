@@ -23,8 +23,8 @@
 //!   the three reassociating reductions.
 //!
 //! The paper's accumulators (§3.4) live with the executors that fold
-//! them: `orion_runtime::EvalSlots` and `orion_apps::slr::PooledLoss`
-//! keep one slot per item position and sum in item order, so a readout
+//! them: `orion_runtime::run_readout_pooled` hands each worker one
+//! contiguous item range and folds the terms in item order, so a readout
 //! does not depend on the worker count.
 //!
 //! # Invariants the wire layer relies on

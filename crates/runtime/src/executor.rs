@@ -13,7 +13,7 @@ use orion_sim::{
 };
 use orion_trace::{SpanCat, Tracer};
 
-use crate::prefetch::{PrefetchCost, ServedModel};
+use crate::prefetch::ServedModel;
 use crate::schedule::{Schedule, SyncMode};
 
 /// Communication model of one loop under its chosen placements.
@@ -28,11 +28,6 @@ pub struct LoopCommModel {
 }
 
 impl LoopCommModel {
-    /// A loop with no communication (all arrays local).
-    pub fn local_only() -> Self {
-        LoopCommModel::default()
-    }
-
     fn partition_bytes(&self, n_time: usize) -> u64 {
         self.rotated_bytes / n_time.max(1) as u64
     }
@@ -219,7 +214,6 @@ impl SimExecutor {
         let mut finish: std::collections::HashMap<(usize, u64), VirtualTime> =
             std::collections::HashMap::new();
 
-        let prefetch_cost = comm.served.as_ref().map(PrefetchCost::new);
         // Per-pass served-fetch tracking: pass-cacheable arrays are
         // fetched by each worker at most once per pass.
         let mut served_fetched = vec![false; self.cluster.n_workers()];
@@ -262,16 +256,15 @@ impl SimExecutor {
                 for &pos in block {
                     block_ns += cost(pos as usize);
                 }
-                if let (Some(pc), Some(served)) = (&prefetch_cost, &comm.served) {
+                if let Some(served) = &comm.served {
                     let skip = served.cache_per_pass && served_fetched[w];
                     served_fetched[w] = true;
                     let t = self.clocks.get(w);
                     let (dt, req_bytes, resp_bytes) = if skip {
                         (orion_sim::VirtualTime::ZERO, 0, 0)
                     } else {
-                        pc.block_cost(
+                        served.block_cost(
                             &self.cluster,
-                            served,
                             block.len() as u64,
                             block_ns,
                             self.passes_run == 0,
@@ -461,7 +454,7 @@ mod tests {
         let mut executed = Vec::new();
         let stats = ex.run_pass(
             &s,
-            &LoopCommModel::local_only(),
+            &LoopCommModel::default(),
             &mut |_pos| 100.0,
             &mut |w, pos| executed.push((w, pos)),
         );
@@ -481,7 +474,7 @@ mod tests {
         let t1 = e1
             .run_pass(
                 &s1,
-                &LoopCommModel::local_only(),
+                &LoopCommModel::default(),
                 &mut |_| 1000.0,
                 &mut |_, _| {},
             )
@@ -489,7 +482,7 @@ mod tests {
         let t4 = e4
             .run_pass(
                 &s4,
-                &LoopCommModel::local_only(),
+                &LoopCommModel::default(),
                 &mut |_| 1000.0,
                 &mut |_, _| {},
             )
@@ -511,7 +504,7 @@ mod tests {
         let mut seen = vec![0u32; idx.len()];
         ex.run_pass(
             &s,
-            &LoopCommModel::local_only(),
+            &LoopCommModel::default(),
             &mut |_| 10.0,
             &mut |_, pos| seen[pos] += 1,
         );
@@ -630,7 +623,7 @@ mod tests {
         let mut ex = SimExecutor::new(cluster(1, 3));
         let stats = ex.run_pass(
             &s,
-            &LoopCommModel::local_only(),
+            &LoopCommModel::default(),
             &mut |_| 100.0,
             &mut |_, _| {},
         );
@@ -793,22 +786,12 @@ mod tests {
         let s = build_schedule(&strat, &idx, &[8, 8], 4);
         let mut ex = SimExecutor::new(cluster(2, 2));
         // Disabled by default: nothing is recorded.
-        ex.run_pass(
-            &s,
-            &LoopCommModel::local_only(),
-            &mut |_| 10.0,
-            &mut |_, _| {},
-        );
+        ex.run_pass(&s, &LoopCommModel::default(), &mut |_| 10.0, &mut |_, _| {});
         assert!(ex.slots.drain().is_empty());
 
         ex.slots.enable();
         for _ in 0..2 {
-            ex.run_pass(
-                &s,
-                &LoopCommModel::local_only(),
-                &mut |_| 10.0,
-                &mut |_, _| {},
-            );
+            ex.run_pass(&s, &LoopCommModel::default(), &mut |_| 10.0, &mut |_, _| {});
         }
         let recs = ex.slots.drain();
         let n_execs: usize = s.steps.iter().map(Vec::len).sum();
@@ -825,13 +808,13 @@ mod tests {
         let mut ex = SimExecutor::new(cluster(1, 2));
         let p1 = ex.run_pass(
             &s,
-            &LoopCommModel::local_only(),
+            &LoopCommModel::default(),
             &mut |_| 100.0,
             &mut |_, _| {},
         );
         let p2 = ex.run_pass(
             &s,
-            &LoopCommModel::local_only(),
+            &LoopCommModel::default(),
             &mut |_| 100.0,
             &mut |_, _| {},
         );

@@ -19,10 +19,10 @@
 //!   block, forward the time partition, await the next — over a
 //!   [`Transport`] that is a channel on the pool and a peer socket on a
 //!   TCP node (`orion-apps::distributed`);
-//! - [`run_grid_eval_pooled`] reads a per-item metric (the §3.4 loss
-//!   accumulator) on the same pool, against the partitions in place,
-//!   into [`EvalSlots`] the driver sums in item order;
-//! - [`comm_model_from_plan`] derives the communication model from the
+//! - [`run_readout_pooled`] reads a per-item metric (the §3.4 loss
+//!   accumulator) on the same pool: one contiguous item range per
+//!   worker, folded in item order, so it carries the serial fold's bits;
+//! - [`comm_model_with_spec`] derives the communication model from the
 //!   analyzer's array placements.
 //!
 //! # Invariants the wire layer relies on
@@ -61,14 +61,14 @@ mod threaded;
 
 pub use event::HbEvent;
 pub use executor::{LoopCommModel, PassStats, SimExecutor, SlotLog, SlotRecord};
-pub use model::{comm_model_from_plan, comm_model_with_spec};
-pub use pool::{default_threads, Job, WorkerPool};
-pub use prefetch::{IndexRecorder, PrefetchCost, PrefetchMode, ServedModel};
+pub use model::comm_model_with_spec;
+pub use pool::{default_threads, WorkerPool};
+pub use prefetch::{IndexRecorder, PrefetchMode, ServedModel};
 pub use schedule::{
     build_schedule, build_schedule_with, AwaitedTransfer, CompiledBlocks, Exec, Schedule,
-    ScheduleOptions, SyncMode, PIPELINE_DEPTH,
+    ScheduleOptions, SyncMode,
 };
 pub use threaded::{
-    run_grid_eval_pooled, run_grid_pass_pooled, run_one_d_pass_pooled, walk, EvalSlots,
-    GridPassOutput, OneDPassOutput, ThreadPhase, ThreadSpan, ThreadedPlan, Transport, Walk,
+    run_grid_pass_pooled, run_one_d_pass_pooled, run_readout_pooled, walk, GridPassOutput,
+    OneDPassOutput, ThreadPhase, ThreadSpan, ThreadedPlan, Transport, Walk,
 };

@@ -17,12 +17,17 @@ use crate::prefetch::{PrefetchMode, ServedModel};
 /// accesses this is just the subscript count; for value-dependent ones
 /// it is the dataset's average, e.g. nonzeros per sample in SLR).
 ///
+/// With the loop `spec` at hand, served arrays whose subscripts are all
+/// constants / full-range queries (identical addresses every iteration)
+/// are marked cacheable per pass — a worker fetches them once per pass
+/// instead of per block.
+///
 /// # Examples
 ///
 /// ```
 /// use orion_ir::{ArrayMeta, DistArrayId, LoopSpec, Subscript};
 /// use orion_analysis::analyze;
-/// use orion_runtime::comm_model_from_plan;
+/// use orion_runtime::comm_model_with_spec;
 /// let (z, w, h) = (DistArrayId(0), DistArrayId(1), DistArrayId(2));
 /// let spec = LoopSpec::builder("mf", z, vec![600, 480])
 ///     .read_write(w, vec![Subscript::loop_index(0), Subscript::Full])
@@ -34,23 +39,11 @@ use crate::prefetch::{PrefetchMode, ServedModel};
 ///     ArrayMeta::dense(h, "H", vec![480, 32], 4),
 /// ];
 /// let plan = analyze(&spec, &metas, 8);
-/// let comm = comm_model_from_plan(&plan, &metas, 0.0);
+/// let comm = comm_model_with_spec(&plan, &metas, 0.0, Some(&spec));
 /// // H rotates: 480 × 32 × 4 bytes.
 /// assert_eq!(comm.rotated_bytes, 480 * 32 * 4);
 /// assert!(comm.served.is_none());
 /// ```
-pub fn comm_model_from_plan(
-    plan: &ParallelPlan,
-    metas: &[ArrayMeta],
-    served_reads_per_iter: f64,
-) -> LoopCommModel {
-    comm_model_with_spec(plan, metas, served_reads_per_iter, None)
-}
-
-/// Like [`comm_model_from_plan`], but with access to the loop spec so
-/// served arrays whose subscripts are all constants / full-range queries
-/// (identical addresses every iteration) are marked cacheable per pass —
-/// a worker fetches them once per pass instead of per block.
 pub fn comm_model_with_spec(
     plan: &ParallelPlan,
     metas: &[ArrayMeta],
@@ -139,7 +132,7 @@ mod tests {
             ArrayMeta::dense(g, "g", vec![1000], 4),
         ];
         let plan = analyze(&spec, &metas, 4);
-        let comm = comm_model_from_plan(&plan, &metas, 8.0);
+        let comm = comm_model_with_spec(&plan, &metas, 8.0, None);
         let served = comm.served.expect("served arrays exist");
         assert_eq!(served.mode, PrefetchMode::Disabled);
         assert_eq!(served.reads_per_iter, 8.0);
@@ -157,7 +150,7 @@ mod tests {
             ArrayMeta::dense(a, "a", vec![100], 4),
         ];
         let plan = analyze(&spec, &metas, 4);
-        let comm = comm_model_from_plan(&plan, &metas, 0.0);
+        let comm = comm_model_with_spec(&plan, &metas, 0.0, None);
         assert_eq!(comm.rotated_bytes, 0);
         assert!(comm.served.is_none());
     }

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A unit of work dispatched to one pool worker.
-pub type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Fixed-size pool of named OS threads, one injector channel per
 /// worker so a pass can pin its per-worker state to a specific thread.
@@ -77,11 +77,6 @@ impl WorkerPool {
         }
     }
 
-    /// Pool sized from the host's available parallelism.
-    pub fn with_default_size() -> Self {
-        WorkerPool::new(default_threads())
-    }
-
     /// Number of workers in the pool.
     pub fn size(&self) -> usize {
         self.injectors.len()
@@ -94,7 +89,7 @@ impl WorkerPool {
     ///
     /// Fails if the pool is poisoned (a worker panicked) or `w`'s
     /// thread has exited; the job is returned unexecuted.
-    pub fn submit(&self, w: usize, job: Job) -> Result<(), Job> {
+    pub(crate) fn submit(&self, w: usize, job: Job) -> Result<(), Job> {
         if self.poisoned.load(Ordering::SeqCst) {
             return Err(job);
         }
@@ -109,12 +104,12 @@ impl WorkerPool {
 
     /// Shared flag passes can watch to abandon blocking waits when a
     /// peer worker dies mid-pass.
-    pub fn poison_flag(&self) -> Arc<AtomicBool> {
+    pub(crate) fn poison_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.poisoned)
     }
 
     /// First recorded worker panic as `"worker {w} panicked: {msg}"`.
-    pub fn panic_message(&self) -> Option<String> {
+    pub(crate) fn panic_message(&self) -> Option<String> {
         let panics = self.panics.lock().unwrap_or_else(|p| p.into_inner());
         panics
             .first()

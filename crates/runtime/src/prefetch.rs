@@ -71,63 +71,48 @@ impl ServedModel {
     /// server process co-located round-robin on the *next machine*, so
     /// server traffic always crosses the network on multi-machine
     /// clusters.
-    pub fn server_worker(&self, cluster: &ClusterSpec, worker: usize) -> usize {
+    pub(crate) fn server_worker(&self, cluster: &ClusterSpec, worker: usize) -> usize {
         let m = cluster.machine_of(worker);
         let target_machine = (m + 1) % cluster.n_machines;
         target_machine * cluster.workers_per_machine
     }
-}
 
-/// Computes the time and traffic of served access for one block.
-#[derive(Debug, Clone, Copy)]
-pub struct PrefetchCost {
-    _private: (),
-}
-
-impl PrefetchCost {
-    /// Creates the cost helper (currently stateless; the constructor
-    /// exists so per-run caching state can be added without changing
-    /// call sites).
-    pub fn new(_model: &ServedModel) -> Self {
-        PrefetchCost { _private: () }
-    }
-
-    /// Returns `(extra worker time, request bytes, response bytes)` for a
-    /// block of `n_iters` iterations whose compute cost is `block_ns`.
+    /// Returns `(extra worker time, request bytes, response bytes)` of
+    /// served access for a block of `n_iters` iterations whose compute
+    /// cost is `block_ns`.
     ///
     /// With prefetching the traffic is reported for one bulk round trip;
     /// without it, the round-trip latency of every individual read is
     /// charged directly as worker time (the network messages are tiny and
     /// latency-dominated, which is exactly the pathology §6.3 measures).
-    pub fn block_cost(
+    pub(crate) fn block_cost(
         &self,
         cluster: &ClusterSpec,
-        model: &ServedModel,
         n_iters: u64,
         block_ns: f64,
         first_pass: bool,
     ) -> (VirtualTime, u64, u64) {
-        let reads = (n_iters as f64 * model.reads_per_iter).ceil() as u64;
-        let resp_bytes = reads * model.elem_wire_bytes;
+        let reads = (n_iters as f64 * self.reads_per_iter).ceil() as u64;
+        let resp_bytes = reads * self.elem_wire_bytes;
         let req_bytes = 16 + reads * 8; // header + requested indices
-        match model.mode {
+        match self.mode {
             PrefetchMode::Disabled => {
                 // Each read: request out + response back, latency bound.
                 let rt = cluster.network.latency * 2;
                 let per_read_wire = VirtualTime::from_secs_f64(
-                    (8 + model.elem_wire_bytes) as f64 * 8.0 / cluster.network.bandwidth_bps,
+                    (8 + self.elem_wire_bytes) as f64 * 8.0 / cluster.network.bandwidth_bps,
                 );
                 ((rt + per_read_wire) * reads, 0, 0)
             }
             PrefetchMode::Static => (VirtualTime::ZERO, req_bytes, resp_bytes),
             PrefetchMode::Recorded => (
-                VirtualTime::from_secs_f64(block_ns * model.record_cost_fraction / 1e9),
+                VirtualTime::from_secs_f64(block_ns * self.record_cost_fraction / 1e9),
                 req_bytes,
                 resp_bytes,
             ),
             PrefetchMode::CachedRecorded => {
                 let dt = if first_pass {
-                    VirtualTime::from_secs_f64(block_ns * model.record_cost_fraction / 1e9)
+                    VirtualTime::from_secs_f64(block_ns * self.record_cost_fraction / 1e9)
                 } else {
                     VirtualTime::ZERO
                 };
@@ -204,8 +189,7 @@ mod tests {
             record_cost_fraction: 0.3,
             cache_per_pass: false,
         };
-        let pc = PrefetchCost::new(&m);
-        let (dt, req, resp) = pc.block_cost(&c, &m, 100, 1_000_000.0, true);
+        let (dt, req, resp) = m.block_cost(&c, 100, 1_000_000.0, true);
         assert_eq!((req, resp), (0, 0));
         // 1000 reads × 200 us round trips = 0.2 s.
         assert!(dt >= VirtualTime::from_millis(200));
@@ -215,8 +199,7 @@ mod tests {
     fn recorded_prefetch_charges_recording_and_bulk_bytes() {
         let c = cluster();
         let m = ServedModel::recorded(10.0);
-        let pc = PrefetchCost::new(&m);
-        let (dt, req, resp) = pc.block_cost(&c, &m, 100, 1_000_000.0, false);
+        let (dt, req, resp) = m.block_cost(&c, 100, 1_000_000.0, false);
         assert_eq!(dt, VirtualTime::from_nanos(300_000));
         assert_eq!(resp, 1000 * 12);
         assert_eq!(req, 16 + 1000 * 8);
@@ -227,9 +210,8 @@ mod tests {
         let c = cluster();
         let mut m = ServedModel::recorded(10.0);
         m.mode = PrefetchMode::CachedRecorded;
-        let pc = PrefetchCost::new(&m);
-        let (first, _, _) = pc.block_cost(&c, &m, 100, 1_000_000.0, true);
-        let (later, _, _) = pc.block_cost(&c, &m, 100, 1_000_000.0, false);
+        let (first, _, _) = m.block_cost(&c, 100, 1_000_000.0, true);
+        let (later, _, _) = m.block_cost(&c, 100, 1_000_000.0, false);
         assert!(first > VirtualTime::ZERO);
         assert_eq!(later, VirtualTime::ZERO);
     }
@@ -239,8 +221,7 @@ mod tests {
         let c = cluster();
         let mut m = ServedModel::recorded(5.0);
         m.mode = PrefetchMode::Static;
-        let pc = PrefetchCost::new(&m);
-        let (dt, req, _) = pc.block_cost(&c, &m, 10, 1000.0, true);
+        let (dt, req, _) = m.block_cost(&c, 10, 1000.0, true);
         assert_eq!(dt, VirtualTime::ZERO);
         assert!(req > 0);
     }

@@ -93,7 +93,7 @@ impl CompiledBlocks {
     }
 
     /// Number of blocks.
-    pub fn n_blocks(&self) -> usize {
+    pub(crate) fn n_blocks(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -112,7 +112,7 @@ impl CompiledBlocks {
     /// # Panics
     ///
     /// Panics if `block` is out of range.
-    pub fn len_of(&self, block: usize) -> usize {
+    pub(crate) fn len_of(&self, block: usize) -> usize {
         (self.offsets[block + 1] - self.offsets[block]) as usize
     }
 
@@ -159,11 +159,6 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// Total scheduled item count (for validation).
-    pub fn scheduled_items(&self) -> usize {
-        self.blocks.total_items()
-    }
-
     /// Number of global steps in one pass.
     pub fn n_steps(&self) -> usize {
         self.steps.len()
@@ -185,7 +180,7 @@ impl Schedule {
 
 /// Pipeline depth of unordered 2-D schedules: time partitions per worker.
 /// Two, as in Fig. 8 — one executing, one in flight.
-pub const PIPELINE_DEPTH: usize = 2;
+pub(crate) const PIPELINE_DEPTH: usize = 2;
 
 /// Tunables of schedule construction, defaulting to the paper's design
 /// choices. Exposed so the ablation benchmarks can switch each off.
@@ -617,7 +612,7 @@ mod tests {
     }
 
     fn assert_complete(s: &Schedule, n_items: usize) {
-        assert_eq!(s.scheduled_items(), n_items, "every item scheduled once");
+        assert_eq!(s.blocks.total_items(), n_items, "every item scheduled once");
         let mut seen = vec![false; n_items];
         for b in s.blocks.iter() {
             for &pos in b {

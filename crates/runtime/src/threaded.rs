@@ -29,7 +29,7 @@
 //! `tests/threaded_conformance.rs` proptests).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,11 +155,6 @@ impl ThreadedPlan {
                     .collect()
             })
             .collect()
-    }
-
-    /// Total scheduled items.
-    pub fn total_items(&self) -> usize {
-        self.blocks.total_items()
     }
 
     /// One worker's execution list, in step order. The pool worker and
@@ -476,106 +471,68 @@ where
     out
 }
 
-/// Per-item `f64` results of evaluation passes, one slot per item
-/// position (paper §3.4: the per-pass training loss is an accumulator
-/// the executors fill and the driver only aggregates).
+/// Reads a per-item `f64` metric on the pool — the driver-side readout
+/// of a paper §3.4 accumulator such as the per-pass training loss — and
+/// returns `items.iter().fold(init, |acc, t| acc + term(t, ctx))`, bit
+/// for bit, whatever the worker count.
 ///
-/// The slots are per *position*, not per worker: a float sum joined
-/// from per-worker partials associates differently from the serial
-/// `items.iter().map(f).sum()`, so its bits would depend on the worker
-/// count. Workers store each value at its item position instead and
-/// the driver reduces [`EvalSlots::values`] in item order — the same
-/// additions in the same order as the serial loop. Allocated once per
-/// job (8 bytes per item) and overwritten by every evaluation pass.
-#[derive(Debug, Clone)]
-pub struct EvalSlots(Arc<[AtomicU64]>);
-
-impl EvalSlots {
-    /// Zeroed slots for `n_items` item positions.
-    pub fn new(n_items: usize) -> Self {
-        EvalSlots((0..n_items).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    /// Number of item positions.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether there are no item positions.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// The values of the latest evaluation pass, in item order.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        // Relaxed: each slot has exactly one writer per pass, and the
-        // pass returns only after receiving every worker's completion
-        // message, which orders the stores before these loads.
-        self.0
-            .iter()
-            .map(|s| f64::from_bits(s.load(Ordering::Relaxed)))
-    }
-}
-
-/// Evaluates `f` over every item of a 2-D (grid) schedule on the pool
-/// without rotating or writing anything: the partitions are shared
-/// immutably, worker `w` walks its own execution list (the schedule's
-/// load balance carries over) and stores
-/// `f(&item, &space[w], &time[block % n_time])` at the item's position
-/// in `slots`. The partitions are lent to the pool for the duration of
-/// the call and are back in place, untouched, when it returns.
+/// The `n` item positions are cut into one contiguous range per worker,
+/// `[w·n/W, (w+1)·n/W)`. Worker 0 folds its range from `init` in item
+/// order; every other worker evaluates its terms in item order into its
+/// own slot of `terms` (kept by the caller and reused across readouts),
+/// and the caller's thread continues the fold from worker 0's prefix
+/// through those slots in worker order. The terms, their order and the
+/// fold are the serial loop's, so the result carries its bits: per-worker
+/// partial sums would associate the additions differently for every
+/// worker count. `init` must be where the serial fold starts (`-0.0` for
+/// `Iterator::sum`; it shows when there are no items).
+///
+/// `ctx` (the model the terms read) travels to every worker inside its
+/// job and is dropped there before the worker reports, so the caller
+/// owns it alone again when this returns.
 ///
 /// # Panics
 ///
-/// Panics if partition or slot counts do not match the plan, if the
-/// pool is smaller than the plan's worker count, or — with the
-/// panicking worker's message — if a worker dies mid-pass (the
-/// partition vectors are then left empty).
-pub fn run_grid_eval_pooled<T, A, B, F>(
+/// Panics if `n_workers` is zero or exceeds the pool, or — with the
+/// panicking worker's message — if a worker dies.
+pub fn run_readout_pooled<T, C, F>(
     pool: &WorkerPool,
-    plan: &Arc<ThreadedPlan>,
+    n_workers: usize,
     items: &Arc<Vec<T>>,
-    space_parts: &mut Vec<DistArray<A>>,
-    time_parts: &mut Vec<DistArray<B>>,
-    slots: &EvalSlots,
-    f: &Arc<F>,
-) where
+    ctx: &Arc<C>,
+    terms: &mut Vec<Vec<f64>>,
+    term: &Arc<F>,
+    init: f64,
+) -> f64
+where
     T: Send + Sync + 'static,
-    A: Element,
-    B: Element,
-    F: Fn(&T, &DistArray<A>, &DistArray<B>) -> f64 + Send + Sync + 'static,
+    C: Send + Sync + 'static,
+    F: Fn(&T, &C) -> f64 + Send + Sync + 'static,
 {
-    let n_workers = plan.n_workers;
-    assert_eq!(
-        space_parts.len(),
-        n_workers,
-        "one space partition per worker"
-    );
-    assert_eq!(
-        time_parts.len(),
-        plan.n_time,
-        "one array partition per time partition"
-    );
-    assert_eq!(slots.len(), plan.total_items(), "one slot per item");
-
-    // Each worker drops its handle before reporting, so the caller is
-    // the partitions' sole owner once every worker has reported.
-    let parts = Arc::new((std::mem::take(space_parts), std::mem::take(time_parts)));
-    let (plan, items, f) = (Arc::clone(plan), Arc::clone(items), Arc::clone(f));
-    let slots = slots.clone();
-    dispatch(pool, vec![Arc::clone(&parts); n_workers], move |w, lent| {
-        let (space, time) = &*lent;
-        for e in &plan.per_worker[w] {
-            let tp = &time[e.block % plan.n_time];
-            for &pos in plan.blocks.items(e.block) {
-                let v = f(&items[pos as usize], &space[w], tp);
-                slots.0[pos as usize].store(v.to_bits(), Ordering::Relaxed);
-            }
+    assert!(n_workers > 0, "a readout needs a worker");
+    terms.resize_with(n_workers, Vec::new);
+    let inputs: Vec<_> = terms.drain(..).map(|t| (Arc::clone(ctx), t)).collect();
+    let n = items.len();
+    let (items, term) = (Arc::clone(items), Arc::clone(term));
+    let results = dispatch(pool, inputs, move |w, (ctx, mut out)| {
+        let range = &items[w * n / n_workers..(w + 1) * n / n_workers];
+        out.clear();
+        if w == 0 {
+            let prefix = range.iter().fold(init, |acc, t| acc + term(t, &ctx));
+            return Some((out, Some(prefix)));
         }
-        Some(())
+        out.extend(range.iter().map(|t| term(t, &ctx)));
+        Some((out, None))
     });
-    (*space_parts, *time_parts) = Arc::try_unwrap(parts)
-        .unwrap_or_else(|_| panic!("a worker still holds the partitions after reporting"));
+    let mut results = results.into_iter();
+    let (first, prefix) = results.next().expect("a readout has a worker 0");
+    let mut acc = prefix.expect("worker 0 folds its own range");
+    terms.push(first);
+    for (out, _) in results {
+        acc = out.iter().fold(acc, |acc, t| acc + t);
+        terms.push(out);
+    }
+    acc
 }
 
 /// Executes one pass of a 1-D (or fully-parallel) schedule on the
@@ -633,8 +590,8 @@ where
 
 /// The pool dispatch every pass shares: runs `job(w, inputs[w])` on pool
 /// worker `w` and returns the reports in worker order. A job consumes
-/// its input before reporting, so what the input held (senders, lent
-/// partitions) is released by then. A job that reports `None` abandoned
+/// its input before reporting, so what the input held (senders, a lent
+/// model) is released by then. A job that reports `None` abandoned
 /// its pass because a peer died; the peer's panic is re-raised here,
 /// with its message, instead of hanging.
 fn dispatch<I, R>(

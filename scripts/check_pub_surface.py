@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Keeps `orion-dsm` to surface somebody calls, and the workspace to
-zero build knobs.
+"""Keeps `orion-dsm` and `orion-runtime` to surface somebody calls, and
+the workspace to zero build knobs.
 
 Two checks:
 
@@ -9,18 +9,19 @@ Two checks:
    file under ``crates/``, ``src/``, ``tests/`` or ``examples/`` tests
    one (``cfg!(feature`` / ``cfg(feature``): a build-time switch is an
    axis every test and bench must be multiplied by.
-2. **Use it or delete it.** Every name ``crates/dsm/src/lib.rs``
-   re-exports with ``pub use``, and every ``pub fn`` in the crate's
-   sources (free functions of the ``pub mod``s and methods alike), is
-   mentioned as a whole word by at least one ``.rs`` file outside
-   ``crates/dsm``, not counting ``pub use`` statements (a re-export is
-   not a caller). Unit tests inside ``crates/dsm`` do not count either:
-   a function only its own tests call is surface nobody uses. The match
-   is by name, so a method called ``get`` passes as soon as anything
-   calls a ``get`` — the check catches what nobody mentions at all, not
-   every dead overload.
+2. **Use it or delete it.** For each crate in ``CRATES``: every name its
+   ``src/lib.rs`` re-exports with ``pub use`` (a list may span several
+   lines), and every ``pub fn`` in the crate's sources (free functions
+   and methods alike), is mentioned as a whole word by at least one
+   ``.rs`` file outside that crate, not counting ``pub use`` statements
+   (a re-export is not a caller). Unit tests inside the crate do not
+   count either: a function only its own tests call is surface nobody
+   uses. The match is by name, so a method called ``get`` passes as
+   soon as anything calls a ``get`` — the check catches what nobody
+   mentions at all, not every dead overload.
 
-``ALLOWED`` lists the names kept on purpose, each with its reason.
+``ALLOWED`` lists the names kept on purpose, per crate, each with its
+reason.
 
 Exit status is non-zero if either check fails.
 """
@@ -30,12 +31,21 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DSM = ROOT / "crates" / "dsm"
+CRATES = ["dsm", "runtime"]
 
-# Names with no caller outside `crates/dsm` that stay, and why.
+# Names with no caller outside their crate that stay, and why.
 ALLOWED = {
-    "AccessViolation": "the record `AccessValidator` collects; a checker's "
-    "output type, read through `violations()` by field",
+    "dsm": {
+        "AccessViolation": "the record `AccessValidator` collects; a checker's "
+        "output type, read through `violations()` by field",
+    },
+    "runtime": {
+        "ServedModel": "the type of `LoopCommModel::served`; callers reach it "
+        "through that field and set its `mode`",
+        "SlotLog": "the type of `SimExecutor::slots`, which the driver enables "
+        "and drains by field",
+        "SyncMode": "the type of `Schedule::sync`, read through that field",
+    },
 }
 
 FEATURE_CFG = re.compile(r"cfg!?\(\s*feature\b")
@@ -69,25 +79,25 @@ def check_no_features() -> list[str]:
     return errors
 
 
-def reexported_names() -> dict[str, str]:
-    """`pub use` names of the dsm crate root → where they are listed."""
-    lib = DSM / "src" / "lib.rs"
+def reexported_names(crate: Path) -> dict[str, str]:
+    """`pub use` names of a crate root → the line their statement starts on."""
+    lib = crate / "src" / "lib.rs"
+    text = lib.read_text()
     names = {}
-    for n, line in enumerate(lib.read_text().splitlines(), 1):
-        m = re.match(r"^pub use \w+::(.*);$", line)
-        if not m:
-            continue
-        listed = m.group(1).strip("{}")
-        for name in (part.strip() for part in listed.split(",")):
+    for m in PUB_USE.finditer(text):
+        n = text.count("\n", 0, m.start()) + 1
+        path = re.sub(r"\s+", "", m.group(0))[len("pubuse") : -1]
+        listed = path[path.index("{") + 1 : -1] if "{" in path else path.rsplit("::", 1)[-1]
+        for name in listed.split(","):
             if name:
-                names[name] = f"crates/dsm/src/lib.rs:{n}"
+                names[name] = f"{lib.relative_to(ROOT)}:{n}"
     return names
 
 
-def public_fns() -> dict[str, str]:
-    """`pub fn` names of the dsm sources (unit-test modules skipped)."""
+def public_fns(crate: Path) -> dict[str, str]:
+    """`pub fn` names of a crate's sources (unit-test modules skipped)."""
     names = {}
-    for path in rust_files(DSM / "src"):
+    for path in rust_files(crate / "src"):
         for n, line in enumerate(path.read_text().splitlines(), 1):
             if TEST_MOD.match(line):
                 break
@@ -97,33 +107,38 @@ def public_fns() -> dict[str, str]:
     return names
 
 
-def check_surface_is_used() -> list[str]:
-    surface = {**public_fns(), **reexported_names()}
+def check_surface_is_used(name: str) -> list[str]:
+    crate = ROOT / "crates" / name
+    surface = {**public_fns(crate), **reexported_names(crate)}
+    allowed = ALLOWED.get(name, {})
     roots = (ROOT / d for d in ("crates", "src", "tests", "examples", "benchmark/src"))
     words = set()
     for path in rust_files(*roots):
-        if DSM not in path.parents:
+        if crate not in path.parents:
             words.update(re.findall(r"\w+", PUB_USE.sub("", path.read_text())))
     errors = []
-    for name, where in sorted(surface.items()):
-        if name not in words and name not in ALLOWED:
-            errors.append(f"{where}: `{name}` has no caller outside crates/dsm")
-    for name in sorted(ALLOWED):
-        if name not in surface:
-            errors.append(f"ALLOWED names `{name}`, which orion-dsm no longer exports")
-        elif name in words:
-            errors.append(f"ALLOWED names `{name}`, which has a caller now: drop the entry")
+    for item, where in sorted(surface.items()):
+        if item not in words and item not in allowed:
+            errors.append(f"{where}: `{item}` has no caller outside crates/{name}")
+    for item in sorted(allowed):
+        if item not in surface:
+            errors.append(f"ALLOWED names `{item}`, which orion-{name} no longer exports")
+        elif item in words:
+            errors.append(f"ALLOWED names `{item}`, which has a caller now: drop the entry")
     return errors
 
 
 def main() -> int:
-    errors = check_no_features() + check_surface_is_used()
+    errors = check_no_features()
+    for name in CRATES:
+        errors += check_surface_is_used(name)
     for e in errors:
         print(f"error: {e}", file=sys.stderr)
     if errors:
         print(f"{len(errors)} public-surface problem(s)", file=sys.stderr)
         return 1
-    print("check_pub_surface: no cargo features; every orion-dsm export has a caller")
+    crates = ", ".join(f"orion-{name}" for name in CRATES)
+    print(f"check_pub_surface: no cargo features; every {crates} export has a caller")
     return 0
 
 

@@ -219,7 +219,7 @@ proptest! {
     fn codec_updates_roundtrip(updates in proptest::collection::vec((0u64..1_000_000, any::<f32>()), 0..64)) {
         let wire = codec::encode_updates(&updates);
         prop_assert_eq!(wire.len() as u64, codec::updates_wire_bytes::<f32>(updates.len() as u64));
-        let decoded = codec::decode_updates::<f32>(wire);
+        let decoded = codec::decode_updates::<f32>(wire).expect("an own encoding decodes");
         prop_assert_eq!(decoded.len(), updates.len());
         for ((i1, v1), (i2, v2)) in decoded.iter().zip(&updates) {
             prop_assert_eq!(i1, i2);
@@ -504,22 +504,13 @@ fn mutated_checkpoints_never_panic_and_ok_means_round_trip() {
         checkpoint::to_bytes(&pinned_dense()).to_vec(),
         checkpoint::to_bytes(&sparse_f32).to_vec(),
     ];
-    let mut state = 0x5EED_C0DE_u64;
-    let mut next = move || {
-        // splitmix64
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
+    let mut next = splitmix(0x5EED_C0DE);
     let (mut accepted, mut rejected) = (0u32, 0u32);
     for round in 0..2000 {
         let dense = round % 2 == 0;
         let mut bytes = images[round % 2].clone();
         for _ in 0..1 + (round / 2) % 2 {
-            let at = next() as usize % bytes.len();
-            bytes[at] ^= 1 + (next() % 255) as u8;
+            flip_a_byte(&mut bytes, &mut next);
         }
         let verdict = std::panic::catch_unwind(|| {
             checkpoint::from_bytes::<f32>(codec::Bytes::from(bytes.clone()))
@@ -539,6 +530,60 @@ fn mutated_checkpoints_never_panic_and_ok_means_round_trip() {
         }
     }
     // Value and origin bytes mutate freely; header bytes do not.
+    assert!(accepted > 200 && rejected > 200, "{accepted} / {rejected}");
+}
+
+/// A seeded splitmix64 stream.
+fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
+    move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+/// Changes one byte of `bytes`, at a drawn position, to another value.
+fn flip_a_byte(bytes: &mut [u8], next: &mut impl FnMut() -> u64) {
+    let at = next() as usize % bytes.len();
+    bytes[at] ^= 1 + (next() % 255) as u8;
+}
+
+/// 2 000 seeded single- and double-byte mutations of a valid update
+/// payload (the body of a `ServerUpdate` or `PrefetchResponse`), a
+/// quarter of them also a byte short or long: `decode_updates` never
+/// panics, and whatever it accepts re-encodes to the mutated bytes.
+#[test]
+fn mutated_update_payloads_never_panic_and_ok_means_round_trip() {
+    let updates: Vec<(u64, f32)> = (0..10).map(|i| (i * 7 + 3, i as f32 - 4.5)).collect();
+    let image = codec::encode_updates(&updates).to_vec();
+    let mut next = splitmix(0x0DD_BA11);
+    let (mut accepted, mut rejected) = (0u32, 0u32);
+    for round in 0..2000 {
+        let mut bytes = image.clone();
+        for _ in 0..1 + round % 2 {
+            flip_a_byte(&mut bytes, &mut next);
+        }
+        match round % 8 {
+            3 => drop(bytes.pop()),
+            5 => bytes.push(next() as u8),
+            _ => {}
+        }
+        let verdict = std::panic::catch_unwind(|| {
+            codec::decode_updates::<f32>(codec::Bytes::from(bytes.clone()))
+        });
+        match verdict.unwrap_or_else(|_| panic!("round {round}: decode_updates panicked")) {
+            Ok(decoded) => {
+                accepted += 1;
+                let again = codec::encode_updates(&decoded);
+                assert_eq!(&again[..], &bytes[..], "round {round}");
+            }
+            Err(codec::BadUpdates { .. }) => rejected += 1,
+        }
+    }
+    // Index and value bytes mutate freely; the count and the length
+    // do not.
     assert!(accepted > 200 && rejected > 200, "{accepted} / {rejected}");
 }
 
