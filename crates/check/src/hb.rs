@@ -1,19 +1,19 @@
 //! The happens-before race detector: vector-clock causality checking
 //! over the engines' recorded event logs (`O110`–`O112`).
 //!
-//! The `O100` sanitizer ([`crate::race`]) replays *virtual-time* slots,
-//! which proves a plan race-free but cannot see what the concurrent
-//! engines actually did: a dropped channel edge, a stale rotation, or a
+//! The static `O100` check ([`Sanitizer::check_schedule`]) proves the
+//! schedule race-free but cannot see what the concurrent engines
+//! actually did: a dropped channel edge, a stale rotation, or a
 //! reordered handoff in the thread pool or the TCP runtime still
-//! produces *some* final state. This module closes that gap. Each
+//! produces *some* final state. This module closes that gap. Each real
 //! engine records a per-actor [`HbEvent`] log (block executions,
-//! partition sends/receives, barrier crossings); [`HbChecker`] rebuilds
-//! the happens-before partial order with vector clocks — program order
-//! within an actor, send→recv edges matched FIFO per `(partition,
-//! destination)`, barrier-enter joined into every barrier-exit of the
-//! same epoch — and then demands that every *conflicting* DistArray
-//! access pair (per the same [`AccessOracle`] the sanitizer uses) is
-//! ordered by that relation.
+//! partition sends/receives, barrier crossings);
+//! [`Sanitizer::check_pass`] rebuilds the happens-before partial order
+//! with vector clocks — program order within an actor, send→recv edges
+//! matched FIFO per `(partition, destination)`, barrier-enter joined
+//! into every barrier-exit of the same epoch — and then demands that
+//! every *conflicting* DistArray access pair (per the sanitizer's one
+//! [`crate::AccessOracle`]) is ordered by that relation.
 //!
 //! Three things can go wrong, each with a stable code:
 //!
@@ -29,14 +29,12 @@
 //! engines against it, and mutating its output (deleting an edge) is
 //! how the detector itself is tested.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
+use std::collections::{HashMap, VecDeque};
 
-use orion_ir::{ArrayMeta, Code, Diagnostic, LoopSpec, Severity};
+use orion_ir::{Code, Diagnostic, Severity};
 use orion_runtime::{CompiledBlocks, HbEvent, ThreadedPlan};
 
-use crate::race::{check_block_pair, AccessOracle, Race};
+use crate::race::{Race, Sanitizer};
 
 /// The per-actor event log a faithful execution of `plan` records:
 /// for each worker, a `Recv` per awaited rotation, an `Exec` per
@@ -87,8 +85,6 @@ pub enum HbViolation {
     /// concurrent — no chain of handoff/barrier/message edges orders
     /// them.
     Race {
-        /// Name of the loop whose execution raced.
-        loop_name: String,
         /// Which execution the log came from (e.g. `threaded pass`,
         /// `epoch 3`).
         context: String,
@@ -100,7 +96,8 @@ pub enum HbViolation {
         step_b: u64,
         /// Block of the second execution.
         block_b: u32,
-        /// The conflicting access pair (actors in the worker fields).
+        /// The conflicting access pair (actors in the worker fields,
+        /// the loop's name in `race.loop_name`).
         race: Race,
     },
     /// `O111`: the log cannot be linearized — an actor blocks forever
@@ -135,7 +132,6 @@ impl HbViolation {
     pub fn to_diagnostic(&self) -> Diagnostic {
         match self {
             HbViolation::Race {
-                loop_name,
                 context,
                 step_a,
                 block_a,
@@ -145,9 +141,10 @@ impl HbViolation {
             } => Diagnostic::new(
                 Code::HbRace,
                 Severity::Error,
-                format!("loop `{loop_name}`, {context}"),
+                format!("loop `{}`, {context}", race.loop_name),
                 format!(
-                    "conflicting accesses are not ordered by happens-before in loop `{loop_name}`"
+                    "conflicting accesses are not ordered by happens-before in loop `{}`",
+                    race.loop_name
                 ),
             )
             .with_note(format!(
@@ -213,21 +210,6 @@ impl core::fmt::Display for HbViolation {
 
 impl std::error::Error for HbViolation {}
 
-/// Vector-clock happens-before checker for one compiled loop. Owns the
-/// same [`AccessOracle`] and iteration indices as the `O100` sanitizer;
-/// call [`HbChecker::check_pass`] with each execution's recorded logs.
-///
-/// Like [`crate::RaceChecker`], structurally identical logs are
-/// verified once: the cost is paid per distinct event structure, not
-/// per pass.
-#[derive(Debug, Clone)]
-pub struct HbChecker {
-    oracle: AccessOracle,
-    loop_name: String,
-    indices: Vec<Vec<i64>>,
-    verified: HashSet<u64>,
-}
-
 /// `a ≤ b` componentwise (the vector-clock order).
 fn vc_leq(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
@@ -240,31 +222,7 @@ fn vc_join(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Order-sensitive fingerprint of a set of event logs.
-fn fingerprint(logs: &[Vec<HbEvent>]) -> u64 {
-    let mut h = DefaultHasher::new();
-    logs.len().hash(&mut h);
-    for log in logs {
-        log.len().hash(&mut h);
-        for ev in log {
-            ev.to_wire().hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-impl HbChecker {
-    /// Builds a checker for `spec`'s accesses over the `indices` the
-    /// schedule was built from (same inputs as [`crate::RaceChecker`]).
-    pub fn new<I: AsRef<[i64]>>(spec: &LoopSpec, metas: &[ArrayMeta], indices: &[I]) -> Self {
-        HbChecker {
-            oracle: AccessOracle::new(spec, metas),
-            loop_name: spec.name.clone(),
-            indices: indices.iter().map(|i| i.as_ref().to_vec()).collect(),
-            verified: HashSet::new(),
-        }
-    }
-
+impl Sanitizer {
     /// Checks one execution's per-actor logs against `blocks`, the
     /// block table of the schedule that ran. `context` names the
     /// execution in diagnostics (e.g. `"threaded pass 2"`).
@@ -275,20 +233,16 @@ impl HbChecker {
     /// barrier sequences, `O111` when the log cannot be linearized,
     /// `O110` when two conflicting executions are causally concurrent.
     pub fn check_pass(
-        &mut self,
+        &self,
         blocks: &CompiledBlocks,
         logs: &[Vec<HbEvent>],
         context: &str,
     ) -> Result<(), Box<HbViolation>> {
-        let fp = fingerprint(logs);
-        if self.verified.contains(&fp) {
-            return Ok(());
-        }
-        self.check_barriers(logs, context)?;
-        let execs = self.build_clocks(logs, context)?;
-        self.check_races(blocks, &execs, context)?;
-        self.verified.insert(fp);
-        Ok(())
+        self.once((1u8, logs), blocks, || {
+            self.check_barriers(logs, context)?;
+            let execs = self.build_clocks(logs, context)?;
+            self.check_races(blocks, &execs, context)
+        })
     }
 
     /// Per-actor barrier sanity (`O112`): enter epochs strictly
@@ -446,15 +400,12 @@ impl HbChecker {
                 {
                     continue;
                 }
-                if let Some(race) = check_block_pair(
-                    &self.oracle,
-                    &self.indices,
+                if let Some(race) = self.check_block_pair(
                     blocks,
                     (ea.step, ea.actor, ea.block as usize),
                     (eb.actor, eb.block as usize),
                 ) {
                     return Err(Box::new(HbViolation::Race {
-                        loop_name: self.loop_name.clone(),
                         context: context.to_string(),
                         step_a: ea.step,
                         block_a: ea.block,
@@ -481,7 +432,7 @@ struct ExecStamp {
 mod tests {
     use super::*;
     use orion_analysis::Strategy;
-    use orion_ir::{DistArrayId, Subscript};
+    use orion_ir::{ArrayMeta, DistArrayId, LoopSpec, Subscript};
     use orion_runtime::{build_schedule, Schedule};
 
     fn meta(id: DistArrayId, name: &str, dims: Vec<u64>) -> ArrayMeta {
@@ -542,7 +493,7 @@ mod tests {
         let (spec, metas, indices, schedule) = mf_grid(8, 4);
         let plan = ThreadedPlan::compile(&schedule);
         let logs = plan_event_log(&plan);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         checker
             .check_pass(plan.blocks(), &logs, "threaded pass")
             .expect("faithful rotation logs carry no race");
@@ -558,7 +509,7 @@ mod tests {
         let plan = ThreadedPlan::compile(&schedule);
         let mut logs = plan_event_log(&plan);
         delete_edge(&mut logs, 1);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         let v = checker
             .check_pass(plan.blocks(), &logs, "threaded pass")
             .expect_err("a severed handoff leaves conflicting blocks unordered");
@@ -583,7 +534,7 @@ mod tests {
             })
             .expect("grid plans rotate");
         logs[send_at.0].remove(send_at.1);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         let v = checker
             .check_pass(plan.blocks(), &logs, "threaded pass")
             .expect_err("an orphaned recv can never be enabled");
@@ -611,7 +562,7 @@ mod tests {
         let (spec, metas, indices, schedule) = conflicting_pair();
         let plan = ThreadedPlan::compile(&schedule);
         let base = plan_event_log(&plan);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
 
         // Without any edges the two workers race on H row 0.
         let v = checker
@@ -635,7 +586,7 @@ mod tests {
     fn barrier_anomalies_are_o112() {
         let (spec, metas, indices, schedule) = conflicting_pair();
         let plan = ThreadedPlan::compile(&schedule);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
 
         // Exit before the same actor's enter.
         let logs = vec![
@@ -679,7 +630,7 @@ mod tests {
         let schedule = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[8], 4);
         let plan = ThreadedPlan::compile(&schedule);
         let logs = plan_event_log(&plan);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         checker
             .check_pass(plan.blocks(), &logs, "one-d pass")
             .expect("disjoint writers never race");

@@ -1,5 +1,5 @@
 //! Correctness tooling for Orion's static parallelization: dependence
-//! lints and a dynamic schedule sanitizer.
+//! lints and one schedule sanitizer for every engine.
 //!
 //! Orion's core claim (EuroSys '19 §4) is that its dependence analysis
 //! *safely* parallelizes serial training loops. This crate makes that
@@ -15,25 +15,25 @@
 //!   schedules (§4.3), degenerate served-array prefetch (§4.4), and
 //!   partition load skew are all reported rustc-style with actionable
 //!   help. See `docs/CHECKING.md` for the catalogue.
-//! - **Schedule sanitizer** ([`race`]): a TSan-style shadow-access race
-//!   detector for the simulated cluster. The [`race::AccessOracle`]
-//!   evaluates the loop's declared access pattern for concrete
-//!   iterations; [`race::check_schedule`] proves a schedule free of
-//!   conflicting concurrent slots statically, and [`race::RaceChecker`]
-//!   replays the executor's recorded time slots
-//!   ([`orion_runtime::SlotRecord`]) each pass, failing loudly — with
-//!   the offending access pair, epoch, and virtual timestamps — if two
-//!   concurrent slots of any `build_schedule` output conflict. Writes
-//!   exempted through DistArray Buffers (§3.3, `analyzed_refs`) are
-//!   exempt here too: the buffer defers their visibility, so they
-//!   cannot race.
-//! - **Happens-before detector** ([`hb`]): vector-clock causality
-//!   checking over the event logs the *real* engines record
-//!   ([`orion_runtime::HbEvent`]). Where the sanitizer reasons about
-//!   virtual-time slots, [`hb::HbChecker`] rebuilds the happens-before
-//!   order from actual partition handoffs, barriers, and messages, and
-//!   reports conflicting-but-unordered accesses (`O110`), unmatched
-//!   handoff edges (`O111`), and barrier anomalies (`O112`).
+//! - **Schedule sanitizer** ([`race`], [`hb`]): one [`Sanitizer`] per
+//!   compiled loop, shared by every engine. It owns the loop's
+//!   [`AccessOracle`], which evaluates the declared access pattern for
+//!   concrete iterations (writes exempted through DistArray Buffers,
+//!   §3.3, `analyzed_refs`, cannot race: the buffer defers their
+//!   visibility), and one flat copy of the iteration indices.
+//!   [`Sanitizer::check_schedule`] proves statically that no step of a
+//!   `build_schedule` output co-schedules two dependent iterations
+//!   (`O100`, rendered by [`Race::to_diagnostic`]); the driver runs it
+//!   on the schedule each engine is handed, and the tuner on the plan
+//!   it adopts. [`Sanitizer::check_pass`] checks the event logs the
+//!   *real* engines record ([`orion_runtime::HbEvent`]): it rebuilds the
+//!   happens-before order from actual partition handoffs, barriers, and
+//!   messages, and reports conflicting-but-unordered accesses (`O110`),
+//!   unmatched handoff edges (`O111`), and barrier anomalies (`O112`).
+//!   Each distinct check runs once per sanitizer.
+//! - **Access validator** ([`AccessValidator`]): checks a loop body's
+//!   actual DistArray accesses, recorded once, against its declared
+//!   `LoopSpec` through the oracle's subscript evaluator.
 //! - **Protocol model checker** ([`proto`]): a small-scope explicit-
 //!   state exploration of the orion-net coordinator/node protocol
 //!   (handshake, epoch barriers, checkpoint, rollback/respawn) with a
@@ -50,9 +50,9 @@ mod lint;
 pub mod proto;
 pub mod race;
 
-pub use hb::{plan_event_log, HbChecker, HbViolation};
-pub use lint::{full_report, has_warnings, lint, lint_all, lint_schedule, LintConfig, LintOptions};
-pub use race::{check_schedule, AccessOracle, Race, RaceChecker, RaceViolation};
+pub use hb::{plan_event_log, HbViolation};
+pub use lint::{full_report, has_warnings, lint, lint_all, LintOptions};
+pub use race::{AccessOracle, AccessValidator, AccessViolation, Race, Sanitizer};
 
 use orion_ir::{ArrayMeta, ArrayRef};
 

@@ -30,10 +30,6 @@ impl Default for LintOptions {
     }
 }
 
-/// The lint pass's configuration surface (an alias of [`LintOptions`];
-/// CLI flags like `--skew-threshold` deserialize into it).
-pub type LintConfig = LintOptions;
-
 fn name_of(metas: &[ArrayMeta], id: DistArrayId) -> String {
     metas
         .iter()
@@ -230,8 +226,9 @@ pub fn lint(spec: &LoopSpec, metas: &[ArrayMeta], plan: &ParallelPlan) -> Vec<Di
     out
 }
 
-/// Lints a built schedule (`O005`: partition load skew).
-pub fn lint_schedule(spec: &LoopSpec, schedule: &Schedule, opts: &LintOptions) -> Vec<Diagnostic> {
+/// Lints a built schedule (`O005`: partition load skew); reached
+/// through [`lint_all`].
+fn lint_schedule(spec: &LoopSpec, schedule: &Schedule, opts: &LintOptions) -> Vec<Diagnostic> {
     let loads = schedule.worker_loads();
     let total: u64 = loads.iter().sum();
     if loads.len() < 2 || total == 0 {

@@ -1,5 +1,4 @@
-//! The schedule sanitizer: a shadow-access race detector for simulated
-//! schedules.
+//! The schedule sanitizer: one per-loop checker for every engine.
 //!
 //! Promoted from the brute-force read/write collision oracle that
 //! originally lived in `tests/soundness_props.rs`: the [`AccessOracle`]
@@ -12,19 +11,26 @@
 //! via DistArray Buffers (§3.3) never conflict: they reach the array
 //! only at the synchronized buffer flush.
 //!
-//! [`check_schedule`] proves a whole [`Schedule`] race-free statically;
-//! [`RaceChecker`] validates the executor's recorded [`SlotRecord`]s in
-//! virtual time, pass by pass, TSan-style: two slots are concurrent iff
-//! they share a schedule step on different workers, and a conflict is
-//! reported with both accesses, the epoch, and the slots' virtual
-//! timestamps.
+//! A [`Sanitizer`] owns one loop's oracle and iteration indices and
+//! answers both questions the engines ask:
+//! [`Sanitizer::check_schedule`] proves a whole [`Schedule`] race-free
+//! statically (`O100`: no step co-schedules two dependent iterations on
+//! different workers), and [`Sanitizer::check_pass`] (in [`crate::hb`])
+//! checks a real engine's recorded event logs against happens-before
+//! (`O110`–`O112`). Each distinct check is verified once.
+//!
+//! The same subscript evaluator backs the [`AccessValidator`], which
+//! checks a loop body's *actual* accesses against its declared spec.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Mutex;
 
-use orion_ir::{ArrayMeta, Code, Diagnostic, DistArrayId, LoopSpec, Severity, Subscript};
-use orion_runtime::{CompiledBlocks, Schedule, SlotRecord};
+use orion_ir::{
+    AccessKind, ArrayMeta, ArrayRef, Code, Diagnostic, DistArrayId, LoopSpec, Severity, Subscript,
+};
+use orion_runtime::{CompiledBlocks, Schedule};
 
 /// How one subscript position addresses its array dimension, for a
 /// concrete iteration.
@@ -39,13 +45,45 @@ enum DimAccess {
     All { extent: i64 },
 }
 
-/// One analyzed access with everything needed to evaluate and report it.
+/// One declared access with everything needed to evaluate and report it.
 #[derive(Debug, Clone)]
 struct RefAccess {
     array: DistArrayId,
     is_write: bool,
     label: String,
     dims: Vec<DimAccess>,
+}
+
+impl RefAccess {
+    /// `Full` and unknown subscripts address the whole extent recorded
+    /// in `metas`; an unregistered array (or a subscript beyond its rank)
+    /// is treated as unbounded.
+    fn new(r: &ArrayRef, metas: &[ArrayMeta]) -> Self {
+        let meta = metas.iter().find(|m| m.id == r.array);
+        let dims = r
+            .subscripts
+            .iter()
+            .enumerate()
+            .map(|(k, s)| match s {
+                Subscript::LoopIndex { dim, offset } => DimAccess::Index {
+                    dim: *dim,
+                    offset: *offset,
+                },
+                Subscript::Constant(c) => DimAccess::Const(*c),
+                Subscript::Full | Subscript::Unknown { .. } => DimAccess::All {
+                    extent: meta
+                        .and_then(|m| m.dims.get(k))
+                        .map_or(i64::MAX, |&e| e.min(i64::MAX as u64) as i64),
+                },
+            })
+            .collect();
+        RefAccess {
+            array: r.array,
+            is_write: r.kind.is_write(),
+            label: crate::ref_label(metas, r),
+            dims,
+        }
+    }
 }
 
 /// Evaluates a loop's declared DistArray accesses for concrete
@@ -79,50 +117,14 @@ impl AccessOracle {
     /// subscript beyond its rank) is treated as unbounded, which is
     /// conservative: it can only add conflicts.
     pub fn new(spec: &LoopSpec, metas: &[ArrayMeta]) -> Self {
-        let accesses = spec
-            .analyzed_refs()
-            .into_iter()
-            .map(|r| {
-                let meta = metas.iter().find(|m| m.id == r.array);
-                let dims = r
-                    .subscripts
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| match s {
-                        Subscript::LoopIndex { dim, offset } => DimAccess::Index {
-                            dim: *dim,
-                            offset: *offset,
-                        },
-                        Subscript::Constant(c) => DimAccess::Const(*c),
-                        Subscript::Full | Subscript::Unknown { .. } => DimAccess::All {
-                            extent: meta
-                                .and_then(|m| m.dims.get(k))
-                                .map_or(i64::MAX, |&e| e.min(i64::MAX as u64) as i64),
-                        },
-                    })
-                    .collect();
-                RefAccess {
-                    array: r.array,
-                    is_write: r.kind.is_write(),
-                    label: crate::ref_label(metas, r),
-                    dims,
-                }
-            })
-            .collect();
         AccessOracle {
             ordered: spec.ordered,
-            accesses,
+            accesses: spec
+                .analyzed_refs()
+                .into_iter()
+                .map(|r| RefAccess::new(r, metas))
+                .collect(),
         }
-    }
-
-    /// Number of analyzed accesses.
-    pub fn n_accesses(&self) -> usize {
-        self.accesses.len()
-    }
-
-    /// Label of access `i`, e.g. `` write `W`[i0, :] ``.
-    pub fn access_label(&self, i: usize) -> &str {
-        &self.accesses[i].label
     }
 
     /// Whether one access of iteration `a` overlaps one access of
@@ -159,15 +161,9 @@ impl AccessOracle {
 /// Whether the two addressed regions intersect, dimension by dimension.
 fn overlaps(da: &[DimAccess], db: &[DimAccess], a: &[i64], b: &[i64]) -> bool {
     debug_assert_eq!(da.len(), db.len(), "same array, same rank");
-    da.iter().zip(db).all(|(&xa, &xb)| {
-        let va = eval(xa, a);
-        let vb = eval(xb, b);
-        match (va, vb) {
-            (Val::Point(x), Val::Point(y)) => x == y,
-            (Val::Point(x), Val::Range(e)) | (Val::Range(e), Val::Point(x)) => 0 <= x && x < e,
-            (Val::Range(x), Val::Range(y)) => x > 0 && y > 0,
-        }
-    })
+    da.iter()
+        .zip(db)
+        .all(|(&xa, &xb)| meet(eval(xa, a), eval(xb, b)))
 }
 
 #[derive(Clone, Copy)]
@@ -184,11 +180,142 @@ fn eval(d: DimAccess, p: &[i64]) -> Val {
     }
 }
 
-/// A pair of conflicting accesses found in concurrent slots of one
-/// schedule step.
+/// Whether two evaluated coordinates of one dimension intersect.
+fn meet(va: Val, vb: Val) -> bool {
+    match (va, vb) {
+        (Val::Point(x), Val::Point(y)) => x == y,
+        (Val::Point(x), Val::Range(e)) | (Val::Range(e), Val::Point(x)) => 0 <= x && x < e,
+        (Val::Range(x), Val::Range(y)) => x > 0 && y > 0,
+    }
+}
+
+/// An access a loop body made that no declared reference covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AccessViolation {
+    /// The iteration performing the access.
+    pub iteration: Vec<i64>,
+    /// The array accessed.
+    pub array: DistArrayId,
+    /// The accessed index.
+    pub index: Vec<i64>,
+    /// Read or write.
+    pub kind: AccessKind,
+}
+
+impl core::fmt::Display for AccessViolation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(
+            f,
+            "undeclared {:?} of {}{:?} at iteration {:?}",
+            self.kind, self.array, self.index, self.iteration
+        )
+    }
+}
+
+/// Checks a loop body's actual DistArray accesses against its declared
+/// [`LoopSpec`]: run the body once in *recording* mode, feeding every
+/// access through [`AccessValidator::check_read`] /
+/// [`AccessValidator::check_write`], and each access must be covered by
+/// some declared reference evaluated at that iteration — the property
+/// every soundness result rests on, since the analysis trusts the spec.
+///
+/// Every declared reference counts, buffered writes included: buffering
+/// exempts a write from *dependence analysis*, not from the declared
+/// pattern. `Full` and unknown subscripts admit any coordinate in
+/// `0..i64::MAX`.
+///
+/// # Examples
+///
+/// ```
+/// use orion_check::AccessValidator;
+/// use orion_ir::{DistArrayId, LoopSpec, Subscript};
+/// let w = DistArrayId(1);
+/// let spec = LoopSpec::builder("l", DistArrayId(0), vec![4, 4])
+///     .read_write(w, vec![Subscript::loop_index(0), Subscript::Full])
+///     .build()
+///     .unwrap();
+/// let mut v = AccessValidator::new(&spec);
+/// v.check_write(&[2, 3], w, &[2, 0]);   // covered: W[i0, :]
+/// v.check_write(&[2, 3], w, &[3, 0]);   // NOT covered: wrong row
+/// assert_eq!(v.violations().len(), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct AccessValidator {
+    refs: Vec<RefAccess>,
+    buffered: Vec<DistArrayId>,
+    violations: Vec<AccessViolation>,
+}
+
+impl AccessValidator {
+    /// Builds a validator for one loop.
+    pub fn new(spec: &LoopSpec) -> Self {
+        AccessValidator {
+            refs: spec.refs.iter().map(|r| RefAccess::new(r, &[])).collect(),
+            buffered: spec.buffered.clone(),
+            violations: Vec::new(),
+        }
+    }
+
+    fn check(&mut self, iteration: &[i64], array: DistArrayId, index: &[i64], kind: AccessKind) {
+        let covered = self.refs.iter().any(|r| {
+            r.array == array
+                && r.is_write == kind.is_write()
+                && r.dims.len() == index.len()
+                && r.dims
+                    .iter()
+                    .zip(index)
+                    .all(|(&d, &x)| meet(eval(d, iteration), Val::Point(x)))
+        });
+        if !covered {
+            self.violations.push(AccessViolation {
+                iteration: iteration.to_vec(),
+                array,
+                index: index.to_vec(),
+                kind,
+            });
+        }
+    }
+
+    /// Records a read access; appends a violation if undeclared.
+    pub fn check_read(&mut self, iteration: &[i64], array: DistArrayId, index: &[i64]) {
+        self.check(iteration, array, index, AccessKind::Read);
+    }
+
+    /// Records a write access; appends a violation if undeclared.
+    pub fn check_write(&mut self, iteration: &[i64], array: DistArrayId, index: &[i64]) {
+        self.check(iteration, array, index, AccessKind::Write);
+    }
+
+    /// Whether the array's writes go through a buffer.
+    pub fn is_buffered(&self, array: DistArrayId) -> bool {
+        self.buffered.contains(&array)
+    }
+
+    /// All violations recorded so far.
+    pub fn violations(&self) -> &[AccessViolation] {
+        &self.violations
+    }
+
+    /// Returns `Ok(())` when no violation was recorded, otherwise an
+    /// error message listing the first few.
+    pub fn verdict(&self) -> Result<(), String> {
+        if self.violations.is_empty() {
+            return Ok(());
+        }
+        let mut msg = format!("{} undeclared accesses; first 5:", self.violations.len());
+        for v in self.violations.iter().take(5) {
+            msg.push_str(&format!("\n  {v}"));
+        }
+        Err(msg)
+    }
+}
+
+/// A pair of conflicting accesses run concurrently by two workers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Race {
-    /// The schedule step both slots share.
+    /// Name of the loop whose schedule raced.
+    pub loop_name: String,
+    /// The schedule step of the first access.
     pub step: u64,
     /// Worker executing the first access.
     pub worker_a: usize,
@@ -208,117 +335,26 @@ pub struct Race {
     pub access_b: String,
 }
 
-/// Statically verifies that no step of `schedule` co-schedules two
-/// dependent iterations on different workers. `indices` are the
-/// iteration index vectors the schedule was built from (schedules
-/// address items by position).
-///
-/// # Errors
-///
-/// Returns the first [`Race`] found.
-pub fn check_schedule<I: AsRef<[i64]>>(
-    oracle: &AccessOracle,
-    indices: &[I],
-    schedule: &Schedule,
-) -> Result<(), Box<Race>> {
-    for step_execs in &schedule.steps {
-        for (n, xa) in step_execs.iter().enumerate() {
-            for xb in &step_execs[n + 1..] {
-                if xa.worker == xb.worker {
-                    continue;
-                }
-                if let Some(race) = check_block_pair(
-                    oracle,
-                    indices,
-                    &schedule.blocks,
-                    (xa.step, xa.worker, xa.block),
-                    (xb.worker, xb.block),
-                ) {
-                    return Err(Box::new(race));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Cross product of two blocks' items through the oracle.
-pub(crate) fn check_block_pair<I: AsRef<[i64]>>(
-    oracle: &AccessOracle,
-    indices: &[I],
-    blocks: &CompiledBlocks,
-    (step, worker_a, block_a): (u64, usize, usize),
-    (worker_b, block_b): (usize, usize),
-) -> Option<Race> {
-    for &pa in blocks.items(block_a) {
-        let ia = indices[pa as usize].as_ref();
-        for &pb in blocks.items(block_b) {
-            let ib = indices[pb as usize].as_ref();
-            if let Some((ka, kb)) = oracle.conflict(ia, ib) {
-                return Some(Race {
-                    step,
-                    worker_a,
-                    worker_b,
-                    pos_a: pa as usize,
-                    pos_b: pb as usize,
-                    index_a: ia.to_vec(),
-                    index_b: ib.to_vec(),
-                    access_a: oracle.access_label(ka).to_string(),
-                    access_b: oracle.access_label(kb).to_string(),
-                });
-            }
-        }
-    }
-    None
-}
-
-/// A race caught by the dynamic sanitizer, carrying the virtual-time
-/// evidence of the two offending slots.
-#[derive(Debug, Clone)]
-pub struct RaceViolation {
-    /// Name of the loop whose schedule raced.
-    pub loop_name: String,
-    /// Pass number in which the conflicting slots executed.
-    pub epoch: u64,
-    /// The conflicting access pair.
-    pub race: Race,
-    /// Executed slot of the first access.
-    pub slot_a: SlotRecord,
-    /// Executed slot of the second access.
-    pub slot_b: SlotRecord,
-}
-
-impl RaceViolation {
-    /// Renders the violation as an `O100` error diagnostic naming the
-    /// two accesses, the epoch, and the slots' virtual timestamps.
+impl Race {
+    /// Renders the race as the `O100` error diagnostic — the one text
+    /// every engine and the tuner report a schedule race with.
     pub fn to_diagnostic(&self) -> Diagnostic {
         Diagnostic::new(
             Code::ScheduleRace,
             Severity::Error,
+            format!("loop `{}`, step {}", self.loop_name, self.step),
             format!(
-                "loop `{}`, pass {}, step {}",
-                self.loop_name, self.epoch, self.race.step
-            ),
-            format!(
-                "schedule race: concurrent slots touch the same data in loop `{}`",
+                "schedule race: one step co-schedules dependent iterations in loop `{}`",
                 self.loop_name
             ),
         )
         .with_note(format!(
-            "worker {} @ [{}..{} ns] runs iteration {:?}: {}",
-            self.race.worker_a,
-            self.slot_a.start_ns,
-            self.slot_a.end_ns,
-            self.race.index_a,
-            self.race.access_a,
+            "worker {} runs iteration {:?}: {}",
+            self.worker_a, self.index_a, self.access_a
         ))
         .with_note(format!(
-            "worker {} @ [{}..{} ns] runs iteration {:?}: {}",
-            self.race.worker_b,
-            self.slot_b.start_ns,
-            self.slot_b.end_ns,
-            self.race.index_b,
-            self.race.access_b,
+            "worker {} runs iteration {:?}: {}",
+            self.worker_b, self.index_b, self.access_b
         ))
         .with_note("the accesses overlap and at least one is a write".to_string())
         .with_help(
@@ -328,130 +364,139 @@ impl RaceViolation {
     }
 }
 
-impl core::fmt::Display for RaceViolation {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(&self.to_diagnostic().render())
-    }
-}
-
-impl std::error::Error for RaceViolation {}
-
-/// Dynamic sanitizer for one compiled loop: owns the oracle, the
-/// iteration index vectors, and the schedule's block table, and checks
-/// each executed pass's [`SlotRecord`]s for conflicting concurrent
-/// slots.
+/// The schedule sanitizer of one compiled loop: the loop's
+/// [`AccessOracle`], its name, and one flat copy of the iteration index
+/// vectors the schedule was built from (schedules address items by
+/// position).
 ///
-/// Identical passes are verified once: a pass whose slot structure
-/// (step/worker/block triples) matches an already-verified pass is
-/// accepted from the cache, so validation cost is paid per distinct
-/// schedule rather than per pass.
-#[derive(Debug, Clone)]
-pub struct RaceChecker {
+/// [`Sanitizer::check_schedule`] is the static `O100` check every engine
+/// runs on the schedule it is handed; [`Sanitizer::check_pass`] is the
+/// `O110`–`O112` happens-before check of a real engine's event logs.
+/// A check that passed is remembered by the content of what it checked
+/// — the steps or logs *and* the block table's item lists — so its cost
+/// is paid once per distinct schedule, not per pass, and a same-shaped
+/// table with other items is checked afresh.
+#[derive(Debug)]
+pub struct Sanitizer {
     oracle: AccessOracle,
-    loop_name: String,
-    indices: Vec<Vec<i64>>,
-    verified: HashSet<u64>,
+    pub(crate) loop_name: String,
+    arity: usize,
+    indices: Vec<i64>,
+    verified: Mutex<HashSet<u64>>,
 }
 
-impl RaceChecker {
-    /// Builds a checker for `spec`'s accesses over the `indices` the
+impl Sanitizer {
+    /// Builds the sanitizer for `spec`'s accesses over the `indices` the
     /// schedule was built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index vectors differ in length.
     pub fn new<I: AsRef<[i64]>>(spec: &LoopSpec, metas: &[ArrayMeta], indices: &[I]) -> Self {
-        RaceChecker {
+        let arity = indices.first().map_or(0, |i| i.as_ref().len());
+        let mut flat = Vec::with_capacity(indices.len() * arity);
+        for i in indices {
+            assert_eq!(i.as_ref().len(), arity, "iteration indices differ in arity");
+            flat.extend_from_slice(i.as_ref());
+        }
+        Sanitizer {
             oracle: AccessOracle::new(spec, metas),
             loop_name: spec.name.clone(),
-            indices: indices.iter().map(|i| i.as_ref().to_vec()).collect(),
-            verified: HashSet::new(),
+            arity,
+            indices: flat,
+            verified: Mutex::new(HashSet::new()),
         }
     }
 
-    /// Statically verifies `schedule` before any pass runs: no step may
-    /// co-schedule two dependent iterations on different workers. The
-    /// threaded execution path uses this — it has no virtual-time slot
-    /// log, so the schedule itself is sanitized once per compiled loop.
+    /// Statically verifies that no step of `schedule` co-schedules two
+    /// dependent iterations on different workers.
     ///
     /// # Errors
     ///
     /// Returns the first [`Race`] found.
-    pub fn check_static(&self, schedule: &Schedule) -> Result<(), Box<Race>> {
-        check_schedule(&self.oracle, &self.indices, schedule)
-    }
-
-    /// Checks the slots recorded during one (or more) executed passes
-    /// against `blocks`, the block table of the schedule that actually
-    /// ran (slot records address blocks by id). Slots are concurrent
-    /// iff they share an epoch and step on different workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RaceViolation`] found.
-    pub fn check_epoch(
-        &mut self,
-        blocks: &CompiledBlocks,
-        records: &[SlotRecord],
-    ) -> Result<(), Box<RaceViolation>> {
-        // Group by epoch, then step: only same-step slots are concurrent.
-        let mut by_epoch: BTreeMap<u64, StepGroups<'_>> = BTreeMap::new();
-        for r in records {
-            by_epoch
-                .entry(r.epoch)
-                .or_default()
-                .entry(r.step)
-                .or_default()
-                .push(r);
-        }
-        for (epoch, steps) in by_epoch {
-            let fp = fingerprint(steps.values().flat_map(|slots| slots.iter().copied()));
-            if self.verified.contains(&fp) {
-                continue;
-            }
-            for slots in steps.values() {
-                for (n, sa) in slots.iter().enumerate() {
-                    for sb in &slots[n + 1..] {
-                        if sa.worker == sb.worker {
+    pub fn check_schedule(&self, schedule: &Schedule) -> Result<(), Box<Race>> {
+        self.once((0u8, &schedule.steps), &schedule.blocks, || {
+            for step_execs in &schedule.steps {
+                for (n, xa) in step_execs.iter().enumerate() {
+                    for xb in &step_execs[n + 1..] {
+                        if xa.worker == xb.worker {
                             continue;
                         }
-                        if let Some(race) = check_block_pair(
-                            &self.oracle,
-                            &self.indices,
-                            blocks,
-                            (sa.step, sa.worker, sa.block),
-                            (sb.worker, sb.block),
+                        if let Some(race) = self.check_block_pair(
+                            &schedule.blocks,
+                            (xa.step, xa.worker, xa.block),
+                            (xb.worker, xb.block),
                         ) {
-                            return Err(Box::new(RaceViolation {
-                                loop_name: self.loop_name.clone(),
-                                epoch,
-                                race,
-                                slot_a: **sa,
-                                slot_b: **sb,
-                            }));
+                            return Err(Box::new(race));
                         }
                     }
                 }
             }
-            self.verified.insert(fp);
+            Ok(())
+        })
+    }
+
+    /// Runs `check` unless a check of the same `what` against the same
+    /// `blocks` already passed, and remembers it when it passes.
+    pub(crate) fn once<E>(
+        &self,
+        what: impl Hash,
+        blocks: &CompiledBlocks,
+        check: impl FnOnce() -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut h = DefaultHasher::new();
+        what.hash(&mut h);
+        blocks.hash(&mut h);
+        let key = h.finish();
+        let mut verified = self.verified.lock().expect("only a bug panics in a check");
+        if !verified.contains(&key) {
+            check()?;
+            verified.insert(key);
         }
         Ok(())
     }
-}
 
-/// One pass's slots keyed by step.
-type StepGroups<'a> = BTreeMap<u64, Vec<&'a SlotRecord>>;
+    /// The index vector of the item at `pos`.
+    fn index(&self, pos: u32) -> &[i64] {
+        let at = pos as usize * self.arity;
+        &self.indices[at..at + self.arity]
+    }
 
-/// Order-insensitive fingerprint of a pass's slot structure.
-fn fingerprint<'a>(slots: impl Iterator<Item = &'a SlotRecord>) -> u64 {
-    let mut keys: Vec<(u64, usize, usize)> = slots.map(|s| (s.step, s.worker, s.block)).collect();
-    keys.sort_unstable();
-    let mut h = DefaultHasher::new();
-    keys.hash(&mut h);
-    h.finish()
+    /// Cross product of two blocks' items through the oracle.
+    pub(crate) fn check_block_pair(
+        &self,
+        blocks: &CompiledBlocks,
+        (step, worker_a, block_a): (u64, usize, usize),
+        (worker_b, block_b): (usize, usize),
+    ) -> Option<Race> {
+        for &pa in blocks.items(block_a) {
+            let ia = self.index(pa);
+            for &pb in blocks.items(block_b) {
+                let ib = self.index(pb);
+                if let Some((ka, kb)) = self.oracle.conflict(ia, ib) {
+                    return Some(Race {
+                        loop_name: self.loop_name.clone(),
+                        step,
+                        worker_a,
+                        worker_b,
+                        pos_a: pa as usize,
+                        pos_b: pb as usize,
+                        index_a: ia.to_vec(),
+                        index_b: ib.to_vec(),
+                        access_a: self.oracle.accesses[ka].label.clone(),
+                        access_b: self.oracle.accesses[kb].label.clone(),
+                    });
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use orion_analysis::Strategy;
-    use orion_ir::DistArrayId;
     use orion_runtime::build_schedule;
 
     fn meta(id: DistArrayId, name: &str, dims: Vec<u64>) -> ArrayMeta {
@@ -494,7 +539,7 @@ mod tests {
             .unwrap();
         let metas = vec![meta(s, "S", vec![4])];
         let o = AccessOracle::new(&spec, &metas);
-        assert_eq!(o.n_accesses(), 1, "only the read is analyzed");
+        assert_eq!(o.accesses.len(), 1, "only the read is analyzed");
         assert!(!o.dependent(&[0], &[1]), "read–read never conflicts");
     }
 
@@ -516,7 +561,7 @@ mod tests {
     }
 
     #[test]
-    fn conflicting_one_d_schedule_is_caught_with_slots() {
+    fn conflicting_one_d_schedule_is_caught() {
         // Every iteration writes H row i1 = 0: partitioning by i0 (1D)
         // co-schedules conflicting iterations — the sanitizer must name
         // both accesses and the step.
@@ -529,39 +574,19 @@ mod tests {
         let indices: Vec<Vec<i64>> = (0..4).map(|i| vec![i, 0]).collect();
         let schedule = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[4, 1], 2);
 
-        let oracle = AccessOracle::new(&spec, &metas);
-        let race = check_schedule(&oracle, &indices, &schedule).unwrap_err();
+        let race = Sanitizer::new(&spec, &metas, &indices)
+            .check_schedule(&schedule)
+            .unwrap_err();
         assert_ne!(race.worker_a, race.worker_b);
         assert!(race.access_a.contains("`H`"));
         assert!(race.access_b.contains("`H`"));
-
-        // The dynamic checker reports the same conflict with epoch and
-        // virtual timestamps.
-        let mut checker = RaceChecker::new(&spec, &metas, &indices);
-        let records: Vec<SlotRecord> = schedule
-            .steps
-            .iter()
-            .flatten()
-            .map(|e| SlotRecord {
-                epoch: 3,
-                step: e.step,
-                worker: e.worker,
-                block: e.block,
-                start_ns: 10,
-                end_ns: 20,
-            })
-            .collect();
-        let v = checker.check_epoch(&schedule.blocks, &records).unwrap_err();
-        assert_eq!(v.epoch, 3);
-        let text = v.to_diagnostic().render();
-        assert!(text.starts_with("error[O100]:"), "{text}");
-        assert!(text.contains("pass 3"), "{text}");
-        assert!(text.contains("`H`"), "{text}");
-        assert!(text.contains("10..20 ns"), "{text}");
+        let d = race.to_diagnostic();
+        assert_eq!((d.code, d.severity), (Code::ScheduleRace, Severity::Error));
+        assert_eq!(d.subject, "loop `conflict`, step 0");
     }
 
     #[test]
-    fn sound_two_d_schedule_passes_both_checks() {
+    fn sound_two_d_schedule_passes_and_is_cached_by_content() {
         let (spec, metas) = mf();
         let indices: Vec<Vec<i64>> = (0..8)
             .flat_map(|i| (0..8).map(move |j| vec![i, j]))
@@ -572,30 +597,108 @@ mod tests {
             ordered: false,
         };
         let schedule = build_schedule(&strat, &indices, &[8, 8], 4);
-        let oracle = AccessOracle::new(&spec, &metas);
-        assert!(check_schedule(&oracle, &indices, &schedule).is_ok());
+        let sanitizer = Sanitizer::new(&spec, &metas, &indices);
+        assert!(sanitizer.check_schedule(&schedule).is_ok());
+        assert!(sanitizer.check_schedule(&schedule).is_ok(), "cached");
+        assert_eq!(sanitizer.verified.lock().unwrap().len(), 1);
+    }
 
-        let mut checker = RaceChecker::new(&spec, &metas, &indices);
-        let records: Vec<SlotRecord> = schedule
-            .steps
-            .iter()
-            .flatten()
-            .map(|e| SlotRecord {
-                epoch: 0,
-                step: e.step,
-                worker: e.worker,
-                block: e.block,
-                start_ns: 0,
-                end_ns: 1,
-            })
-            .collect();
-        assert!(checker.check_epoch(&schedule.blocks, &records).is_ok());
-        // Identical slot structure in a later epoch hits the verified
-        // cache (still ok).
-        let later: Vec<SlotRecord> = records
-            .iter()
-            .map(|r| SlotRecord { epoch: 5, ..*r })
-            .collect();
-        assert!(checker.check_epoch(&schedule.blocks, &later).is_ok());
+    fn mf_spec() -> LoopSpec {
+        mf().0
+    }
+
+    #[test]
+    fn conforming_accesses_pass() {
+        let spec = mf_spec();
+        let mut v = AccessValidator::new(&spec);
+        let (w, h) = (DistArrayId(1), DistArrayId(2));
+        for it in [[0i64, 0], [3, 5], [7, 2]] {
+            v.check_read(&it, w, &[it[0], 3]);
+            v.check_write(&it, w, &[it[0], 0]);
+            v.check_read(&it, h, &[it[1], 1]);
+            v.check_write(&it, h, &[it[1], 2]);
+        }
+        assert!(v.verdict().is_ok());
+    }
+
+    #[test]
+    fn wrong_row_is_flagged() {
+        let spec = mf_spec();
+        let mut v = AccessValidator::new(&spec);
+        v.check_write(&[2, 3], DistArrayId(1), &[3, 0]); // W row of another user
+        assert_eq!(v.violations().len(), 1);
+        assert!(v.verdict().is_err());
+        assert_eq!(v.violations()[0].kind, AccessKind::Write);
+    }
+
+    #[test]
+    fn undeclared_array_is_flagged() {
+        let spec = mf_spec();
+        let mut v = AccessValidator::new(&spec);
+        v.check_read(&[0, 0], DistArrayId(9), &[0]);
+        assert_eq!(v.violations().len(), 1);
+    }
+
+    #[test]
+    fn read_does_not_license_write() {
+        let (z, a) = (DistArrayId(0), DistArrayId(1));
+        let spec = LoopSpec::builder("l", z, vec![4])
+            .read(a, vec![Subscript::loop_index(0)])
+            .build()
+            .unwrap();
+        let mut v = AccessValidator::new(&spec);
+        v.check_read(&[1], a, &[1]);
+        v.check_write(&[1], a, &[1]);
+        assert_eq!(v.violations().len(), 1);
+        assert_eq!(v.violations()[0].kind, AccessKind::Write);
+    }
+
+    #[test]
+    fn offsets_respected() {
+        let (z, a) = (DistArrayId(0), DistArrayId(1));
+        let spec = LoopSpec::builder("stencil", z, vec![10])
+            .read(a, vec![Subscript::loop_index(0).shifted(-1)])
+            .write(a, vec![Subscript::loop_index(0)])
+            .build()
+            .unwrap();
+        let mut v = AccessValidator::new(&spec);
+        v.check_read(&[5], a, &[4]); // i0 - 1 ✓
+        v.check_read(&[5], a, &[5]); // not declared as read
+        assert_eq!(v.violations().len(), 1);
+    }
+
+    #[test]
+    fn unknown_subscripts_admit_anything() {
+        let (z, w) = (DistArrayId(0), DistArrayId(1));
+        let spec = LoopSpec::builder("slr", z, vec![10])
+            .read(w, vec![Subscript::unknown()])
+            .write(w, vec![Subscript::unknown()])
+            .buffer_writes(w)
+            .build()
+            .unwrap();
+        let mut v = AccessValidator::new(&spec);
+        v.check_read(&[0], w, &[9_999]);
+        v.check_write(&[0], w, &[123]);
+        assert!(v.verdict().is_ok());
+        assert!(v.is_buffered(w));
+    }
+
+    #[test]
+    fn arity_mismatch_is_flagged() {
+        let spec = mf_spec();
+        let mut v = AccessValidator::new(&spec);
+        v.check_read(&[0, 0], DistArrayId(1), &[0]); // 1-D access to 2-D ref
+        assert_eq!(v.violations().len(), 1);
+    }
+
+    #[test]
+    fn verdict_lists_violations() {
+        let spec = mf_spec();
+        let mut v = AccessValidator::new(&spec);
+        for i in 0..8i64 {
+            v.check_write(&[0, 0], DistArrayId(1), &[i + 1, 0]);
+        }
+        let err = v.verdict().unwrap_err();
+        assert!(err.contains("8 undeclared"));
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use orion_analysis::{analyze, ParallelPlan, Strategy};
-use orion_check::{full_report, HbChecker, RaceChecker};
+use orion_check::{full_report, Sanitizer};
 use orion_dsm::{DistArray, Element, MathMode};
 use orion_ir::{ArrayMeta, DistArrayId, LoopSpec};
 use std::sync::Arc;
@@ -146,13 +146,12 @@ pub struct Driver {
     stats: RunStats,
     recovery_cfg: RecoveryConfig,
     recovery: RecoveryStats,
-    /// Whether compiled loops are sanitized by the dynamic race checker.
+    /// Whether compiled loops get a schedule sanitizer.
     validate: bool,
-    /// Per-loop schedule sanitizers (`orion-check`), keyed by loop name.
-    checkers: HashMap<String, RaceChecker>,
-    /// Per-loop happens-before checkers (`orion-check`, O11x), fed the
-    /// event logs the threaded and distributed engines record.
-    hb_checkers: HashMap<String, HbChecker>,
+    /// Per-loop schedule sanitizers (`orion-check`), keyed by loop name:
+    /// the static O100 check of every schedule a pass is handed, and the
+    /// O11x check of the event logs the real engines record.
+    sanitizers: HashMap<String, Sanitizer>,
     /// Thread count for the real-core execution path (`None` = host
     /// parallelism).
     threads: Option<usize>,
@@ -185,8 +184,7 @@ impl Driver {
             recovery_cfg: RecoveryConfig::default(),
             recovery: RecoveryStats::default(),
             validate: Self::validate_by_default(),
-            checkers: HashMap::new(),
-            hb_checkers: HashMap::new(),
+            sanitizers: HashMap::new(),
             threads: None,
             pool: None,
             readout_terms: Vec::new(),
@@ -220,10 +218,12 @@ impl Driver {
     }
 
     /// Turns the schedule sanitizer on or off for loops compiled *after*
-    /// this call. When on, every executed pass's time slots are checked
-    /// against the loop's declared accesses (TSan-style, in virtual
-    /// time) and a detected race panics with an `O100` diagnostic
-    /// naming the offending access pair, epoch, and timestamps.
+    /// this call. When on, the schedule every pass is handed — on any
+    /// engine — is checked statically against the loop's declared
+    /// accesses (once per distinct schedule), and a race panics with an
+    /// `O100` diagnostic naming the offending access pair and step; the
+    /// real engines' recorded event logs are checked for happens-before
+    /// order (O110–O112).
     pub fn set_validate(&mut self, on: bool) {
         self.validate = on;
     }
@@ -241,21 +241,6 @@ impl Driver {
         self.next_id += 1;
         self.metas.push(array.meta(id));
         id
-    }
-
-    /// Refreshes the recorded metadata of `id` (e.g. after inserting into
-    /// a sparse array).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this driver.
-    pub fn refresh_meta<T: Element>(&mut self, id: DistArrayId, array: &DistArray<T>) {
-        let slot = self
-            .metas
-            .iter_mut()
-            .find(|m| m.id == id)
-            .unwrap_or_else(|| panic!("{id} is not registered"));
-        *slot = array.meta(id);
     }
 
     /// Registered metadata (analyzer input).
@@ -300,14 +285,9 @@ impl Driver {
         let comm =
             comm_model_with_spec(&plan, &self.metas, self.served_reads_per_iter, Some(&spec));
         if self.validate {
-            self.executor.slots.enable();
-            self.checkers.insert(
+            self.sanitizers.insert(
                 spec.name.clone(),
-                RaceChecker::new(&spec, &self.metas, &indices),
-            );
-            self.hb_checkers.insert(
-                spec.name.clone(),
-                HbChecker::new(&spec, &self.metas, &indices),
+                Sanitizer::new(&spec, &self.metas, &indices),
             );
         }
         self.compiled.insert(spec.name.clone(), 0);
@@ -326,19 +306,17 @@ impl Driver {
     /// # Panics
     ///
     /// With validation on (see [`Driver::set_validate`]), panics with a
-    /// rendered `O100` diagnostic if the executed pass co-scheduled two
-    /// conflicting accesses.
+    /// rendered `O100` diagnostic, before running anything, if the
+    /// schedule co-schedules two conflicting accesses.
     pub fn run_pass(
         &mut self,
         compiled: &CompiledLoop,
         cost: &mut dyn FnMut(usize) -> f64,
         body: &mut dyn FnMut(usize, usize),
     ) -> PassStats {
-        let stats = self
-            .executor
-            .run_pass(&compiled.schedule, &compiled.comm, cost, body);
-        self.sanitize_pass(compiled);
-        stats
+        self.sanitize_schedule(compiled);
+        self.executor
+            .run_pass(&compiled.schedule, &compiled.comm, cost, body)
     }
 
     /// Re-plans a compiled loop from measured costs (`orion-tune`):
@@ -348,11 +326,10 @@ impl Driver {
     /// decision record (including the `O020` diagnostic on a re-plan).
     ///
     /// `items` must be the same slice the loop was compiled from —
-    /// schedules address iterations by position. The returned loop is
-    /// checked by the `O100` race checker and the happens-before
-    /// checker, and this driver's per-pass sanitizers keep validating
-    /// it on every executed pass (they resolve slots against the
-    /// schedule that actually ran).
+    /// schedules address iterations by position. The returned loop was
+    /// checked by the tuner's own sanitizer, and this driver's sanitizer
+    /// checks the swapped-in schedule again on its first pass (the check
+    /// is keyed by the schedule's content, not the loop's name).
     pub fn tune_loop<I: Indexed>(
         &mut self,
         compiled: &CompiledLoop,
@@ -381,30 +358,25 @@ impl Driver {
         )
     }
 
-    /// Feeds the pass's recorded time slots to the loop's race checker
-    /// and fails loudly on a conflict. The slots are resolved against
-    /// the block table of the schedule that actually ran, so a schedule
-    /// swapped in after compilation is still checked honestly. Slots
-    /// are drained even when the loop has no checker (compiled by
-    /// another driver, or before validation was enabled) so the log
-    /// cannot grow unbounded.
-    fn sanitize_pass(&mut self, compiled: &CompiledLoop) {
-        if !self.executor.slots.is_enabled() {
-            return;
-        }
-        let records = self.executor.slots.drain();
-        if let Some(checker) = self.checkers.get_mut(&compiled.spec.name) {
-            if let Err(violation) = checker.check_epoch(&compiled.schedule.blocks, &records) {
-                panic!("schedule sanitizer tripped:\n{violation}");
+    /// Statically checks the schedule `compiled` is about to run with
+    /// the loop's sanitizer, if it has one (compiled by this driver with
+    /// validation on), and fails loudly on a race.
+    fn sanitize_schedule(&self, compiled: &CompiledLoop) {
+        if let Some(sanitizer) = self.sanitizers.get(&compiled.spec.name) {
+            if let Err(race) = sanitizer.check_schedule(&compiled.schedule) {
+                panic!(
+                    "schedule sanitizer tripped:\n{}",
+                    race.to_diagnostic().render()
+                );
             }
         }
     }
 
-    /// Feeds a recorded per-actor event log to the loop's
-    /// happens-before checker. No-op when validation is off (no checker
-    /// was registered) or every log is empty (un-instrumented actors).
+    /// Feeds a recorded per-actor event log to the loop's sanitizer.
+    /// No-op when validation is off (no sanitizer was registered) or
+    /// every log is empty (un-instrumented actors).
     fn sanitize_hb(
-        &mut self,
+        &self,
         loop_name: &str,
         blocks: &CompiledBlocks,
         events: &[Vec<HbEvent>],
@@ -413,35 +385,11 @@ impl Driver {
         if events.iter().all(Vec::is_empty) {
             return;
         }
-        if let Some(checker) = self.hb_checkers.get_mut(loop_name) {
-            if let Err(violation) = checker.check_pass(blocks, events, context) {
+        if let Some(sanitizer) = self.sanitizers.get(loop_name) {
+            if let Err(violation) = sanitizer.check_pass(blocks, events, context) {
                 panic!("happens-before checker tripped:\n{violation}");
             }
         }
-    }
-
-    /// Checks an externally recorded per-actor [`HbEvent`] log against
-    /// `compiled`'s happens-before order — the entry point for replaying
-    /// logs captured outside the driver's own pass methods (e.g. logs
-    /// persisted from a cluster run).
-    ///
-    /// # Panics
-    ///
-    /// Panics with a rendered O110–O112 diagnostic when the log
-    /// contains a concurrent conflicting access pair, an unmatched
-    /// handoff edge, or a barrier anomaly (and validation is on).
-    pub fn check_hb_events(
-        &mut self,
-        compiled: &CompiledLoop,
-        events: &[Vec<HbEvent>],
-        context: &str,
-    ) {
-        self.sanitize_hb(
-            &compiled.spec.name,
-            &compiled.schedule.blocks,
-            events,
-            context,
-        );
     }
 
     /// Pins the thread count of the real-core execution path (default:
@@ -457,32 +405,16 @@ impl Driver {
     }
 
     /// Compiles `compiled`'s schedule for the threaded engine and — with
-    /// validation on — statically sanitizes it first: the threaded path
-    /// has no virtual-time slot log, so the O100 race check runs on the
-    /// schedule itself, once per loop.
+    /// validation on — statically sanitizes it first, exactly as
+    /// [`Driver::run_pass`] does (a schedule either of them already
+    /// checked is not checked again).
     ///
     /// # Panics
     ///
     /// Panics with a rendered `O100` diagnostic if the schedule
     /// co-schedules two dependent iterations.
     pub fn compile_threaded(&self, compiled: &CompiledLoop) -> Arc<ThreadedPlan> {
-        if let Some(checker) = self.checkers.get(&compiled.spec.name) {
-            if let Err(race) = checker.check_static(&compiled.schedule) {
-                panic!(
-                    "schedule sanitizer tripped:\nerror[O100]: schedule race in loop `{}` \
-                     at step {}: worker {} iteration {:?} ({}) conflicts with worker {} \
-                     iteration {:?} ({})",
-                    compiled.spec.name,
-                    race.step,
-                    race.worker_a,
-                    race.index_a,
-                    race.access_a,
-                    race.worker_b,
-                    race.index_b,
-                    race.access_b,
-                );
-            }
-        }
+        self.sanitize_schedule(compiled);
         Arc::new(ThreadedPlan::compile(&compiled.schedule))
     }
 
@@ -769,12 +701,6 @@ impl Driver {
         self.executor.set_fault_plan(plan);
     }
 
-    /// Overrides detection/recovery timing (barrier timeout, modeled
-    /// disk bandwidth).
-    pub fn set_recovery_config(&mut self, cfg: RecoveryConfig) {
-        self.recovery_cfg = cfg;
-    }
-
     /// Fault-handling accounting so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
@@ -909,11 +835,6 @@ impl Driver {
         self.executor.trace.enable(capacity);
     }
 
-    /// Whether span tracing is on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.executor.trace.is_enabled()
-    }
-
     /// Snapshots the traced run — executor spans plus every wire transfer
     /// from the network log — as an owned session for Perfetto export
     /// (`orion_trace::write_perfetto`). Empty when tracing is off.
@@ -1024,17 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_meta_updates_nnz() {
-        let mut d = Driver::new(ClusterSpec::serial());
-        let mut a: DistArray<f32> = DistArray::sparse("a", vec![8]);
-        let id = d.register(&a);
-        assert_eq!(d.metas()[0].nnz, 0);
-        a.set(&[3], 1.0);
-        d.refresh_meta(id, &a);
-        assert_eq!(d.metas()[0].nnz, 1);
-    }
-
-    #[test]
     fn mf_loop_compiles_to_2d_unordered() {
         let mut d = Driver::new(ClusterSpec::new(2, 2));
         let (c, _items) = mf_compiled(&mut d);
@@ -1135,7 +1045,6 @@ mod tests {
         let mut d = Driver::new(ClusterSpec::new(2, 2));
         let (c, _items) = mf_compiled(&mut d);
         d.enable_tracing(1024);
-        assert!(d.tracing_enabled());
         for _ in 0..2 {
             d.run_pass(&c, &mut |_| 500.0, &mut |_, _| {});
         }
@@ -1179,71 +1088,6 @@ mod tests {
         let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
         c.schedule = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[8, 1], 4);
         d.run_pass(&c, &mut |_| 10.0, &mut |_, _| {});
-    }
-
-    /// Dense MF-shaped loop whose compiled grid schedule rotates time
-    /// partitions: the raw material for the happens-before tests.
-    fn dense_mf(d: &mut Driver) -> (CompiledLoop, Vec<(Vec<i64>, f32)>) {
-        let n = 8i64;
-        let z: DistArray<f32> = DistArray::sparse_from(
-            "z",
-            vec![n as u64, n as u64],
-            (0..n).flat_map(|i| (0..n).map(move |j| (vec![i, j], 1.0))),
-        );
-        let z_id = d.register(&z);
-        let w: DistArray<f32> = DistArray::dense("W", vec![n as u64, 4]);
-        let h: DistArray<f32> = DistArray::dense("H", vec![n as u64, 4]);
-        let w_id = d.register(&w);
-        let h_id = d.register(&h);
-        let spec = LoopSpec::builder("mf_hb", z_id, vec![n as u64, n as u64])
-            .read_write(w_id, vec![Subscript::loop_index(0), Subscript::Full])
-            .read_write(h_id, vec![Subscript::loop_index(1), Subscript::Full])
-            .build()
-            .unwrap();
-        let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
-        let c = d.parallel_for(spec, &items).unwrap();
-        (c, items)
-    }
-
-    #[test]
-    fn hb_checker_accepts_a_faithful_rotation_log() {
-        let mut d = Driver::new(ClusterSpec::new(4, 1));
-        assert!(d.validating());
-        let (c, _items) = dense_mf(&mut d);
-        let plan = ThreadedPlan::compile(&c.schedule);
-        let logs = orion_check::plan_event_log(&plan);
-        d.check_hb_events(&c, &logs, "faithful replay");
-    }
-
-    #[test]
-    #[should_panic(expected = "O110")]
-    fn hb_checker_catches_a_severed_rotation_edge() {
-        // Replay the plan's own event log with one rotation handoff
-        // (send + matching recv) deleted: the freed blocks share a time
-        // partition, so the detector must report a race on H or W.
-        let mut d = Driver::new(ClusterSpec::new(4, 1));
-        let (c, _items) = dense_mf(&mut d);
-        let plan = ThreadedPlan::compile(&c.schedule);
-        let mut logs = orion_check::plan_event_log(&plan);
-        let (a, p, tp, dst) = logs
-            .iter()
-            .enumerate()
-            .find_map(|(a, log)| {
-                log.iter().enumerate().find_map(|(p, e)| match e {
-                    HbEvent::Send { tp, dst } => Some((a, p, *tp, *dst)),
-                    _ => None,
-                })
-            })
-            .expect("grid plans rotate");
-        logs[a].remove(p);
-        // Also drop the matching recv so the worklist still completes
-        // and the failure is a race, not an unmatched edge.
-        let rp = logs[dst as usize]
-            .iter()
-            .position(|e| *e == HbEvent::Recv { tp })
-            .expect("every send has a matching recv");
-        logs[dst as usize].remove(rp);
-        d.check_hb_events(&c, &logs, "severed rotation edge");
     }
 
     #[test]

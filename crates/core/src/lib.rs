@@ -39,9 +39,7 @@ mod driver;
 mod recovery;
 
 pub use driver::{CompiledLoop, Driver, DriverError, Indexed};
-pub use recovery::{
-    clean_checkpoints, CheckpointPolicy, FaultEvent, RecoveryConfig, RecoveryStats,
-};
+pub use recovery::{clean_checkpoints, CheckpointPolicy, FaultEvent, RecoveryStats};
 
 // The layers re-exported for convenience, so applications can depend on
 // `orion-core` alone.
@@ -50,8 +48,7 @@ pub use orion_analysis::{
     DepVec, ParallelPlan, Placement, PrefetchPlan, Strategy, UniMat,
 };
 pub use orion_check::{
-    check_schedule, full_report, has_warnings, lint, lint_all, lint_schedule, AccessOracle,
-    LintOptions, Race, RaceChecker, RaceViolation,
+    full_report, has_warnings, lint, lint_all, AccessOracle, LintOptions, Race, Sanitizer,
 };
 pub use orion_dsm::{
     codec, kernels, DistArray, DistArrayBuffer, Element, Float, MathMode, RangePartition, Shape,

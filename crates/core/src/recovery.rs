@@ -50,9 +50,9 @@ impl CheckpointPolicy {
     }
 }
 
-/// Detection and recovery timing knobs.
+/// Detection and recovery timing.
 #[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
+pub(crate) struct RecoveryConfig {
     /// Time the barrier waits past expected progress before declaring a
     /// machine failed.
     pub barrier_timeout: VirtualTime,
@@ -71,7 +71,7 @@ impl Default for RecoveryConfig {
 
 impl RecoveryConfig {
     /// Virtual time to move `bytes` through the modeled disk.
-    pub fn io_time(&self, bytes: u64) -> VirtualTime {
+    pub(crate) fn io_time(&self, bytes: u64) -> VirtualTime {
         VirtualTime::from_secs_f64(bytes as f64 * 8.0 / self.disk_bandwidth_bps)
     }
 }

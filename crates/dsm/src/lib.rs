@@ -16,8 +16,6 @@
 //!   serialization of rotated partitions and parameter-server traffic.
 //! - [`checkpoint`] — eager DistArray checkpointing to disk (§4.3
 //!   fault tolerance).
-//! - [`AccessValidator`] — runtime verification that a loop body's
-//!   actual accesses are covered by its declared [`orion_ir::LoopSpec`].
 //! - [`kernels`] — the five applications' inner loops, one body per
 //!   order-preserving kernel, and a [`MathMode`] that picks the fold of
 //!   the three reassociating reductions.
@@ -55,7 +53,6 @@ mod index;
 pub mod kernels;
 mod partition;
 mod sparse;
-mod validator;
 
 pub use array::DistArray;
 pub use buffer::DistArrayBuffer;
@@ -63,4 +60,3 @@ pub use element::{Element, Float};
 pub use index::Shape;
 pub use kernels::MathMode;
 pub use partition::RangePartition;
-pub use validator::{AccessValidator, AccessViolation};

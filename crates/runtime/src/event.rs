@@ -1,16 +1,16 @@
 //! Lightweight happens-before event logs recorded by the real
 //! execution engines.
 //!
-//! The schedule sanitizer (`O100`) replays *virtual-time* slots, which
-//! proves a plan race-free but says nothing about what the concurrent
-//! engines actually did: a dropped channel edge or a stale rotation in
-//! the thread pool or the TCP runtime would still produce some final
-//! state. So the threaded engine and each distributed node record a
-//! per-actor [`HbEvent`] log — block executions, partition
-//! sends/receives, barrier crossings, server-side update applies — and
-//! `orion-check`'s happens-before detector rebuilds the vector-clock
-//! order from the handoff edges and verifies every conflicting
-//! DistArray access pair is ordered (`O110`–`O112`).
+//! The schedule sanitizer's static check (`O100`) proves a schedule
+//! race-free but says nothing about what the concurrent engines
+//! actually did: a dropped channel edge or a stale rotation in the
+//! thread pool or the TCP runtime would still produce some final state.
+//! So the threaded engine and each distributed node record a per-actor
+//! [`HbEvent`] log — block executions, partition sends/receives,
+//! barrier crossings, server-side update applies — and the same
+//! `orion-check` sanitizer rebuilds the vector-clock order from the
+//! handoff edges and verifies every conflicting DistArray access pair
+//! is ordered (`O110`–`O112`).
 //!
 //! Events are deliberately tiny (a tag and two integers) so recording
 //! them is branch-free bookkeeping on the hot path and shipping them

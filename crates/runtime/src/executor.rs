@@ -33,65 +33,6 @@ impl LoopCommModel {
     }
 }
 
-/// One executed time slot, as observed by the schedule sanitizer: which
-/// worker computed which block at which step of which pass (epoch), and
-/// the virtual-time window of the computation.
-///
-/// Records are raw data: the executor only captures them (behind
-/// [`SlotLog`], disabled by default); `orion-check` interprets them
-/// against the loop's access pattern to detect races.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotRecord {
-    /// Pass number (0-based) in which the slot executed.
-    pub epoch: u64,
-    /// Schedule step: slots sharing a step on different workers are
-    /// concurrent by construction.
-    pub step: u64,
-    /// Worker that executed the block.
-    pub worker: usize,
-    /// Block id into the schedule's [`crate::CompiledBlocks`].
-    pub block: usize,
-    /// Virtual time the compute window started (ns).
-    pub start_ns: u64,
-    /// Virtual time the compute window ended (ns).
-    pub end_ns: u64,
-}
-
-/// Recorder of executed time slots for the schedule sanitizer.
-///
-/// Like the tracer, it is disabled by default so the hot path pays a
-/// single branch per block when validation is off.
-#[derive(Debug, Clone, Default)]
-pub struct SlotLog {
-    enabled: bool,
-    records: Vec<SlotRecord>,
-}
-
-impl SlotLog {
-    /// Turns recording on.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Whether slots are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records one slot (no-op while disabled).
-    #[inline]
-    pub fn record(&mut self, rec: SlotRecord) {
-        if self.enabled {
-            self.records.push(rec);
-        }
-    }
-
-    /// Takes all records accumulated since the last drain.
-    pub fn drain(&mut self) -> Vec<SlotRecord> {
-        std::mem::take(&mut self.records)
-    }
-}
-
 /// Statistics of one executed pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PassStats {
@@ -124,9 +65,6 @@ pub struct SimExecutor {
     /// disabled every record call is a single branch, preserving the
     /// hot-path invariants of DESIGN.md.
     pub trace: Tracer,
-    /// Time-slot recorder feeding the schedule sanitizer
-    /// (`orion-check`). Disabled by default, like the tracer.
-    pub slots: SlotLog,
     passes_run: u64,
     /// Installed fault plan being consumed, if any.
     faults: Option<FaultTimeline>,
@@ -142,7 +80,6 @@ impl SimExecutor {
             clocks,
             net,
             trace: Tracer::default(),
-            slots: SlotLog::default(),
             passes_run: 0,
             faults: None,
         }
@@ -315,14 +252,6 @@ impl SimExecutor {
                     exec.block as u64,
                 );
                 iterations += block.len() as u64;
-                self.slots.record(SlotRecord {
-                    epoch: self.passes_run,
-                    step: exec.step,
-                    worker: w,
-                    block: exec.block,
-                    start_ns: compute_from.as_nanos(),
-                    end_ns: self.clocks.get(w).as_nanos(),
-                });
 
                 // Execute the real computation, in schedule order.
                 for &pos in block {
@@ -773,32 +702,6 @@ mod tests {
         assert!(slow_t > clean_t, "straggler must stretch the pass");
         assert_eq!(clean_order, slow_order, "execution order unchanged");
         assert_eq!(clean_bytes, slow_bytes, "traffic unchanged");
-    }
-
-    #[test]
-    fn slot_log_captures_every_block_with_epochs() {
-        let idx = grid_indices(8, 8);
-        let strat = Strategy::TwoD {
-            space: 0,
-            time: 1,
-            ordered: false,
-        };
-        let s = build_schedule(&strat, &idx, &[8, 8], 4);
-        let mut ex = SimExecutor::new(cluster(2, 2));
-        // Disabled by default: nothing is recorded.
-        ex.run_pass(&s, &LoopCommModel::default(), &mut |_| 10.0, &mut |_, _| {});
-        assert!(ex.slots.drain().is_empty());
-
-        ex.slots.enable();
-        for _ in 0..2 {
-            ex.run_pass(&s, &LoopCommModel::default(), &mut |_| 10.0, &mut |_, _| {});
-        }
-        let recs = ex.slots.drain();
-        let n_execs: usize = s.steps.iter().map(Vec::len).sum();
-        assert_eq!(recs.len(), 2 * n_execs, "one record per exec per pass");
-        assert!(recs.iter().any(|r| r.epoch == 1), "epoch = pass number");
-        assert!(recs.iter().all(|r| r.end_ns >= r.start_ns));
-        assert!(ex.slots.drain().is_empty(), "drain takes everything");
     }
 
     #[test]

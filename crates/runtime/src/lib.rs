@@ -60,7 +60,7 @@ mod schedule;
 mod threaded;
 
 pub use event::HbEvent;
-pub use executor::{LoopCommModel, PassStats, SimExecutor, SlotLog, SlotRecord};
+pub use executor::{LoopCommModel, PassStats, SimExecutor};
 pub use model::comm_model_with_spec;
 pub use pool::{default_threads, WorkerPool};
 pub use prefetch::{IndexRecorder, PrefetchMode, ServedModel};

@@ -19,7 +19,7 @@ use orion_dsm::RangePartition;
 
 /// A transfer the executing worker must wait for before a step: the named
 /// time partition, sent by `from_worker` after it finished `sent_after_step`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AwaitedTransfer {
     /// The sending worker.
     pub from_worker: usize,
@@ -31,7 +31,7 @@ pub struct AwaitedTransfer {
 
 /// One block execution: `worker` runs `block` at global `step`, possibly
 /// after receiving a rotated partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Exec {
     /// Global time step.
     pub step: u64,
@@ -65,7 +65,7 @@ pub enum SyncMode {
 /// Executors dispatch a block by borrowing its slice — no per-item or
 /// per-block allocation on the hot path, and positions of one block are
 /// adjacent in memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompiledBlocks {
     /// All item positions, grouped by block.
     positions: Vec<u32>,

@@ -1,7 +1,7 @@
 //! Candidate enumeration, prediction, measurement, and plan selection.
 
 use orion_analysis::{analyze, plan_placements_with, CostParams, ParallelPlan, Strategy, UniMat};
-use orion_check::{plan_event_log, HbChecker, RaceChecker};
+use orion_check::{plan_event_log, Sanitizer};
 use orion_ir::{ArrayMeta, Code, Diagnostic, LoopSpec, Severity};
 use orion_runtime::{
     build_schedule, comm_model_with_spec, LoopCommModel, PrefetchMode, Schedule, ThreadedPlan,
@@ -107,8 +107,8 @@ struct Candidate {
 ///
 /// Ties keep the static plan (strict `<` to replace it), so the tuned
 /// plan is never slower than the static plan under the simulator's
-/// deterministic clock. The chosen schedule is statically verified by
-/// the `O100` race checker and the happens-before checker before being
+/// deterministic clock. The chosen schedule is verified by the loop's
+/// schedule sanitizer (`O100` and happens-before) before being
 /// returned.
 ///
 /// `cost` must be a pure function of item position; it is invoked many
@@ -465,33 +465,25 @@ fn worker_sweep(max_workers: usize, cfg: &TuneConfig) -> Vec<usize> {
     v
 }
 
-/// Statically verifies a schedule with the `O100` race checker and the
-/// happens-before checker (over the faithful threaded-plan event log).
+/// Statically verifies a schedule with one [`Sanitizer`]: the `O100`
+/// check, then the happens-before check over the faithful threaded-plan
+/// event log.
 fn validate_schedule<I: AsRef<[i64]>>(
     spec: &LoopSpec,
     metas: &[ArrayMeta],
     indices: &[I],
     schedule: &Schedule,
 ) {
-    let checker = RaceChecker::new(spec, metas, indices);
-    if let Err(race) = checker.check_static(schedule) {
+    let sanitizer = Sanitizer::new(spec, metas, indices);
+    if let Err(race) = sanitizer.check_schedule(schedule) {
         panic!(
-            "tuned schedule tripped the O100 sanitizer in loop `{}` at step {}: \
-             worker {} iteration {:?} ({}) conflicts with worker {} iteration {:?} ({})",
-            spec.name,
-            race.step,
-            race.worker_a,
-            race.index_a,
-            race.access_a,
-            race.worker_b,
-            race.index_b,
-            race.access_b,
+            "tuned schedule tripped the schedule sanitizer:\n{}",
+            race.to_diagnostic().render()
         );
     }
     let plan = ThreadedPlan::compile(schedule);
     let logs = plan_event_log(&plan);
-    let mut hb = HbChecker::new(spec, metas, indices);
-    if let Err(v) = hb.check_pass(plan.blocks(), &logs, "tuned plan") {
+    if let Err(v) = sanitizer.check_pass(plan.blocks(), &logs, "tuned plan") {
         panic!(
             "tuned schedule tripped the happens-before checker:\n{}",
             v.to_diagnostic().render()

@@ -6,7 +6,7 @@
 
 use orion::analysis::Strategy;
 use orion::apps::specs;
-use orion::check::{plan_event_log, HbChecker, HbViolation};
+use orion::check::{plan_event_log, HbViolation, Sanitizer};
 use orion::ir::{ArrayMeta, DistArrayId, LoopSpec, Subscript};
 use orion::runtime::{build_schedule, HbEvent, ThreadedPlan};
 use proptest::prelude::*;
@@ -83,7 +83,7 @@ proptest! {
         app.n_workers = workers;
         let plan = ThreadedPlan::compile(&app.schedule(&app.analyze()));
         let logs = plan_event_log(&plan);
-        let mut checker = HbChecker::new(&app.spec, &app.metas, &app.indices);
+        let checker = Sanitizer::new(&app.spec, &app.metas, &app.indices);
         let verdict = checker.check_pass(plan.blocks(), &logs, "prop");
         prop_assert!(
             verdict.is_ok(),
@@ -103,7 +103,7 @@ proptest! {
         prop_assume!(!sends.is_empty());
         let (actor, pos) = sends[pick % sends.len()];
         sever_edge(&mut logs, actor, pos);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         let v = checker
             .check_pass(plan.blocks(), &logs, "prop")
             .expect_err("a severed handoff must be detected");
@@ -120,7 +120,7 @@ proptest! {
         prop_assume!(!sends.is_empty());
         let (actor, pos) = sends[pick % sends.len()];
         logs[actor].remove(pos);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         let v = checker
             .check_pass(plan.blocks(), &logs, "prop")
             .expect_err("an orphaned recv can never be enabled");
@@ -154,7 +154,7 @@ proptest! {
         let exec1 = logs[1].remove(1);
         logs[1].push(HbEvent::BarrierExit { epoch: 0 });
         logs[1].push(exec1);
-        let mut checker = HbChecker::new(&spec, &metas, &indices);
+        let checker = Sanitizer::new(&spec, &metas, &indices);
         checker
             .check_pass(plan.blocks(), &logs, "prop")
             .expect("barrier-separated execs are ordered");

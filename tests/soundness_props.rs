@@ -4,9 +4,9 @@
 //! oracle from `orion-check` on randomly generated loop specs.
 
 use orion::analysis::{analyze, dependence_vectors, DepElem, DepVec, Strategy as ParStrategy};
-use orion::check::{check_schedule, AccessOracle, RaceChecker};
+use orion::check::{AccessOracle, Sanitizer};
 use orion::ir::{ArrayMeta, ArrayRef, DistArrayId, LoopSpec, Subscript};
-use orion::runtime::{build_schedule, SlotRecord};
+use orion::runtime::build_schedule;
 use proptest::prelude::*;
 
 const ARRAY_DIMS: u64 = 8;
@@ -108,8 +108,8 @@ proptest! {
 
     /// End-to-end schedule soundness: whatever strategy the analyzer
     /// picks, the schedule never runs two oracle-dependent iterations in
-    /// the same step on different workers. This is the static face of
-    /// the runtime sanitizer — the same oracle `RaceChecker` consults.
+    /// the same step on different workers: the sanitizer's static check,
+    /// which every engine runs on the schedule it is handed.
     #[test]
     fn schedules_never_coschedule_dependent_iterations(spec in arb_spec()) {
         prop_assume!(spec.validate().is_ok());
@@ -119,49 +119,13 @@ proptest! {
             .flat_map(|i| (0..6).map(move |j| vec![i, j]))
             .collect();
         let schedule = build_schedule(&plan.strategy, &indices, &spec.iter_dims, 4);
-        let oracle = AccessOracle::new(&spec, &metas);
-        if let Err(race) = check_schedule(&oracle, &indices, &schedule) {
+        if let Err(race) = Sanitizer::new(&spec, &metas, &indices).check_schedule(&schedule) {
             prop_assert!(
                 false,
                 "dependent iterations co-scheduled (strategy {:?}): {race:?}",
                 plan.strategy
             );
         }
-    }
-
-    /// The runtime sanitizer agrees: replaying the schedule's slots as
-    /// executed passes through `RaceChecker` never trips on an
-    /// analyzer-derived plan.
-    #[test]
-    fn sanitizer_never_fires_on_analyzed_plans(spec in arb_spec()) {
-        prop_assume!(spec.validate().is_ok());
-        let metas = metas();
-        let plan = analyze(&spec, &metas, 4);
-        let indices: Vec<Vec<i64>> = (0..6)
-            .flat_map(|i| (0..6).map(move |j| vec![i, j]))
-            .collect();
-        let schedule = build_schedule(&plan.strategy, &indices, &spec.iter_dims, 4);
-        let mut checker = RaceChecker::new(&spec, &metas, &indices);
-        let records: Vec<SlotRecord> = schedule
-            .steps
-            .iter()
-            .flatten()
-            .map(|e| SlotRecord {
-                epoch: 0,
-                step: e.step,
-                worker: e.worker,
-                block: e.block,
-                start_ns: e.step * 10,
-                end_ns: e.step * 10 + 10,
-            })
-            .collect();
-        let verdict = checker.check_epoch(&schedule.blocks, &records);
-        prop_assert!(
-            verdict.is_ok(),
-            "sanitizer tripped on analyzed plan {:?}: {}",
-            plan.strategy,
-            verdict.unwrap_err()
-        );
     }
 
     /// Ordered loops additionally respect lexicographic order between
@@ -246,9 +210,10 @@ proptest! {
     }
 }
 
-/// A hand-built conflicting schedule is caught, naming the two accesses
-/// and the co-scheduled time slots (the deliberate-failure face of the
-/// sanitizer acceptance test).
+/// A hand-built conflicting schedule is caught, naming the two accesses,
+/// the step and both workers (the deliberate-failure face of the
+/// sanitizer acceptance test). The render is the sample in
+/// docs/CHECKING.md.
 #[test]
 fn hand_built_conflicting_schedule_is_caught() {
     // Every iteration writes row `i1 = 0` of the shared array, so a 1-D
@@ -263,34 +228,23 @@ fn hand_built_conflicting_schedule_is_caught() {
     let metas = metas();
     let indices: Vec<Vec<i64>> = (0..4).map(|i| vec![i, 0]).collect();
     let schedule = build_schedule(&ParStrategy::OneD { dim: 0 }, &indices, &[4, 1], 2);
-    let oracle = AccessOracle::new(&spec, &metas);
 
-    let race = check_schedule(&oracle, &indices, &schedule).unwrap_err();
+    let race = Sanitizer::new(&spec, &metas, &indices)
+        .check_schedule(&schedule)
+        .unwrap_err();
     assert_ne!(race.worker_a, race.worker_b, "race must span two workers");
     assert_eq!(race.index_a[1], race.index_b[1], "both write row 0");
     assert!(race.access_a.contains("`shared`"), "{}", race.access_a);
     assert!(race.access_b.contains("`shared`"), "{}", race.access_b);
 
-    // The runtime checker reports the same conflict with virtual
-    // timestamps once the slots are replayed as an executed epoch.
-    let mut checker = RaceChecker::new(&spec, &metas, &indices);
-    let records: Vec<SlotRecord> = schedule
-        .steps
-        .iter()
-        .flatten()
-        .map(|e| SlotRecord {
-            epoch: 2,
-            step: e.step,
-            worker: e.worker,
-            block: e.block,
-            start_ns: 100,
-            end_ns: 250,
-        })
-        .collect();
-    let violation = checker.check_epoch(&schedule.blocks, &records).unwrap_err();
-    let rendered = violation.to_diagnostic().render();
-    assert!(rendered.starts_with("error[O100]:"), "{rendered}");
-    assert!(rendered.contains("pass 2"), "{rendered}");
-    assert!(rendered.contains("100..250 ns"), "{rendered}");
-    assert!(rendered.contains("`shared`"), "{rendered}");
+    assert_eq!(
+        race.to_diagnostic().render(),
+        "error[O100]: schedule race: one step co-schedules dependent iterations in loop `conflict`
+ --> loop `conflict`, step 0
+  = note: worker 0 runs iteration [0, 0]: read `shared`[i1, :]
+  = note: worker 1 runs iteration [2, 0]: write `shared`[i1, :]
+  = note: the accesses overlap and at least one is a write
+  = help: this schedule violates its dependence analysis — `build_schedule` output must never co-schedule dependent iterations
+"
+    );
 }

@@ -3,7 +3,7 @@
 //! soundness rests on. These tests re-run each app's body through the
 //! [`AccessValidator`] in recording mode.
 
-use orion::dsm::AccessValidator;
+use orion::check::AccessValidator;
 use orion::ir::{DistArrayId, LoopSpec, Subscript};
 
 #[test]
