@@ -135,26 +135,13 @@ impl CostParams {
 }
 
 /// Classifies one array against `(space, time)` partitioning dims and
-/// estimates its per-pass communication, using the default (static)
-/// cost parameters.
+/// estimates its per-pass communication under `params`.
 ///
 /// `n_workers` scales rotation/serving costs: a rotated array is
 /// retransmitted once per time step and there are as many time steps as
 /// workers (Fig. 7f), so a full pass moves roughly the whole array once
 /// per worker.
-pub fn place_array(
-    meta: &ArrayMeta,
-    refs: &[&ArrayRef],
-    space: Option<Dim>,
-    time: Option<Dim>,
-    n_workers: u64,
-) -> ArrayPlacement {
-    place_array_with(meta, refs, space, time, n_workers, &CostParams::default())
-}
-
-/// [`place_array`] with explicit [`CostParams`] weights, for calibrated
-/// re-planning.
-pub fn place_array_with(
+fn place_array_with(
     meta: &ArrayMeta,
     refs: &[&ArrayRef],
     space: Option<Dim>,
@@ -243,7 +230,7 @@ fn slice_bytes(meta: &ArrayMeta, array_dim: Dim) -> u64 {
 /// (§4.4): static when all subscripts are compile-time expressions of the
 /// loop indices, recorded when runtime-dependent but computable without
 /// reading other DistArrays, none otherwise.
-pub fn prefetch_plan(refs: &[&ArrayRef]) -> PrefetchPlan {
+fn prefetch_plan(refs: &[&ArrayRef]) -> PrefetchPlan {
     let mut plan = PrefetchPlan::Static;
     for r in refs {
         if r.unknown_reads_dist_array() {
@@ -257,20 +244,8 @@ pub fn prefetch_plan(refs: &[&ArrayRef]) -> PrefetchPlan {
 }
 
 /// Places every referenced array for the candidate `(space, time)` dims
-/// and returns the placements with the total estimated bytes per pass,
-/// using the default (static) cost parameters.
-pub fn plan_placements(
-    spec: &LoopSpec,
-    metas: &[ArrayMeta],
-    space: Option<Dim>,
-    time: Option<Dim>,
-    n_workers: u64,
-) -> (Vec<ArrayPlacement>, u64) {
-    plan_placements_with(spec, metas, space, time, n_workers, &CostParams::default())
-}
-
-/// [`plan_placements`] with explicit [`CostParams`] weights, for
-/// calibrated re-planning.
+/// under `params` and returns the placements with the total estimated
+/// bytes per pass.
 pub fn plan_placements_with(
     spec: &LoopSpec,
     metas: &[ArrayMeta],
@@ -306,6 +281,16 @@ pub fn plan_placements_with(
 mod tests {
     use super::*;
     use orion_ir::Subscript;
+
+    fn plan_placements(
+        spec: &LoopSpec,
+        metas: &[ArrayMeta],
+        space: Option<Dim>,
+        time: Option<Dim>,
+        n_workers: u64,
+    ) -> (Vec<ArrayPlacement>, u64) {
+        plan_placements_with(spec, metas, space, time, n_workers, &CostParams::default())
+    }
 
     fn mf_spec() -> (LoopSpec, Vec<ArrayMeta>) {
         let (z, w, h) = (DistArrayId(0), DistArrayId(1), DistArrayId(2));

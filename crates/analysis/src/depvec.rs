@@ -54,7 +54,7 @@ impl core::fmt::Display for DepElem {
 ///
 /// A dependence vector `d` states that iteration `p + d` may depend on
 /// iteration `p` for every `p` (a dependence *pattern*, §4.2). Vectors
-/// produced by [`normalize`] are lexicographically positive: the first
+/// produced by `normalize` are lexicographically positive: the first
 /// component that is not exactly zero is `Int(c)` with `c > 0`, or
 /// `PosAny`.
 ///
@@ -146,16 +146,7 @@ impl core::fmt::Display for DepVec {
 /// small covering set of patterns for exactly those members — the paper's
 /// "correct dvec for lexicographical positiveness" step of Alg. 2, made
 /// precise.
-///
-/// # Examples
-///
-/// ```
-/// use orion_analysis::{normalize, DepElem, DepVec};
-/// // (∞, 0) covers (k, 0) for any k; the positive members are (+∞, 0).
-/// let out = normalize(vec![DepElem::Any, DepElem::Int(0)]);
-/// assert_eq!(out, vec![DepVec::new(vec![DepElem::PosAny, DepElem::Int(0)])]);
-/// ```
-pub fn normalize(raw: Vec<DepElem>) -> Vec<DepVec> {
+pub(crate) fn normalize(raw: Vec<DepElem>) -> Vec<DepVec> {
     let mut out = Vec::new();
     normalize_into(&raw, 0, &mut out);
     out.dedup();

@@ -51,12 +51,9 @@ mod report;
 mod strategy;
 mod unimodular;
 
-pub use comm::{
-    place_array, place_array_with, plan_placements, plan_placements_with, prefetch_plan,
-    ArrayPlacement, CostParams, Placement, PrefetchPlan,
-};
+pub use comm::{plan_placements_with, ArrayPlacement, CostParams, Placement, PrefetchPlan};
 pub use deptest::dependence_vectors;
-pub use depvec::{normalize, DepElem, DepVec};
+pub use depvec::{DepElem, DepVec};
 pub use report::{plan_diagnostic, report, report_with};
 pub use strategy::{analyze, analyze_with, ParallelPlan, Strategy};
 pub use unimodular::{find_unimodular, Ext, UniMat};

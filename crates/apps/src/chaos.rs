@@ -65,7 +65,7 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Builds the report from the driver's accounting plus the loop's
     /// re-execution count.
-    pub fn from_stats(stats: RecoveryStats, passes_reexecuted: u64) -> Self {
+    pub(crate) fn from_stats(stats: RecoveryStats, passes_reexecuted: u64) -> Self {
         ChaosReport {
             crashes_recovered: stats.crashes,
             passes_reexecuted,

@@ -146,7 +146,7 @@ pub mod cost {
 
 /// Numerically stable logistic sigmoid, generic over the element dtype
 /// (f32 callers keep f32 arithmetic, f64 callers never narrow).
-pub fn sigmoid<T: Float>(x: T) -> T {
+pub(crate) fn sigmoid<T: Float>(x: T) -> T {
     if x >= T::ZERO {
         T::ONE / (T::ONE + (-x).exp())
     } else {

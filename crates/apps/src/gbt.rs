@@ -385,6 +385,8 @@ impl App for GbtApp {
             preds,
             feature_cost,
         } = job;
+        // The round's first crash; the caller discards the whole round.
+        let mut fault = None;
         boost_round(
             data,
             model,
@@ -392,25 +394,27 @@ impl App for GbtApp {
             driver,
             &mut |driver, grads, slot_of_node, assign, hist_len| {
                 let mut hists = vec![vec![BinStat::default(); hist_len]; n_features];
-                driver.run_pass(compiled, &mut |_pos| *feature_cost, &mut |_w, pos| {
-                    let f = items[pos].1 as usize;
-                    kernels::feature_histogram(
-                        f,
-                        n_samples,
-                        n_features,
-                        n_bins,
-                        &data.features,
-                        &slot_of_node,
-                        assign,
-                        grads,
-                        NO_SLOT,
-                        &mut hists[f],
-                    );
-                });
+                let (_, crash) =
+                    driver.run_pass(compiled, &mut |_pos| *feature_cost, &mut |_w, pos| {
+                        let f = items[pos].1 as usize;
+                        kernels::feature_histogram(
+                            f,
+                            n_samples,
+                            n_features,
+                            n_bins,
+                            &data.features,
+                            &slot_of_node,
+                            assign,
+                            grads,
+                            NO_SLOT,
+                            &mut hists[f],
+                        );
+                    });
+                fault = fault.or(crash);
                 hists
             },
         );
-        None
+        fault
     }
 
     fn metric(&self, data: &TabularData, job: &GbtJob) -> f64 {

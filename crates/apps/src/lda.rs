@@ -108,7 +108,7 @@ impl LdaModel {
 
     /// Negative per-token predictive log likelihood (lower is better) —
     /// the convergence metric of Figs. 9c/10c/11.
-    pub fn neg_log_likelihood(&self, corpus: &CorpusData) -> f64 {
+    pub(crate) fn neg_log_likelihood(&self, corpus: &CorpusData) -> f64 {
         let k = self.cfg.n_topics;
         let (alpha, beta) = (self.cfg.alpha as f64, self.cfg.beta as f64);
         let vbeta = self.vocab as f64 * beta;
@@ -139,7 +139,7 @@ impl LdaModel {
 /// the deliberately violated dependence). The decision sequence depends
 /// only on `(pass, cell position, occurrence)`.
 #[allow(clippy::too_many_arguments)]
-pub fn gibbs_cell(
+pub(crate) fn gibbs_cell(
     cfg: &LdaConfig,
     vocab: u64,
     dt_row: &mut [u32],
@@ -269,7 +269,7 @@ impl App for LdaApp {
         // at the pass boundary (the buffered-write application).
         let snapshot = model.ts.clone();
         let mut local_ts: Vec<Vec<i64>> = vec![snapshot.clone(); compiled.schedule.n_workers];
-        {
+        let fault = {
             let LdaModel {
                 dt,
                 wt,
@@ -278,7 +278,7 @@ impl App for LdaApp {
                 vocab,
                 ..
             } = &mut *model;
-            driver.run_pass(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
+            let (_, fault) = driver.run_pass(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
                 let (idx, _) = &items[pos];
                 gibbs_cell(
                     cfg,
@@ -291,14 +291,15 @@ impl App for LdaApp {
                     pos,
                 );
             });
-        }
+            fault
+        };
         // Apply buffered summary deltas.
         for lt in &local_ts {
             for (t, snap) in snapshot.iter().enumerate() {
                 model.ts[t] += lt[t] - snap;
             }
         }
-        None
+        fault
     }
 
     fn metric(&self, corpus: &CorpusData, job: &LdaJob) -> f64 {
@@ -448,160 +449,6 @@ pub fn train_serial(corpus: &CorpusData, cfg: LdaConfig, passes: u64) -> (LdaMod
         ordered: false,
     };
     train(&app, corpus, Engine::Sim(ClusterSpec::serial()), passes)
-}
-
-/// Resamples one cell under *stale* word–topic counts: the worker reads
-/// a pass-start snapshot of `wt`/`ts` corrected by its own buffered
-/// deltas (data parallelism — the "1D" parallelization of LDA in the
-/// paper's Table 2, expressed in the same programming model by exempting
-/// the `wt` and `ts` writes through buffers).
-#[allow(clippy::too_many_arguments)]
-pub fn gibbs_cell_stale(
-    cfg: &LdaConfig,
-    vocab: u64,
-    dt_row: &mut [u32],
-    wt_snapshot_row: &[u32],
-    wt_delta_row: &mut [i64],
-    ts_snapshot: &[i64],
-    ts_delta: &mut [i64],
-    zs: &mut [u16],
-    pass: u64,
-    cell_pos: usize,
-) {
-    let k = cfg.n_topics;
-    let (alpha, beta) = (cfg.alpha as f64, cfg.beta as f64);
-    let vbeta = vocab as f64 * beta;
-    let mut weights = vec![0.0f64; k];
-    for (occ, zslot) in zs.iter_mut().enumerate() {
-        let old = *zslot as usize;
-        dt_row[old] -= 1;
-        wt_delta_row[old] -= 1;
-        ts_delta[old] -= 1;
-        let mut total = 0.0f64;
-        for t in 0..k {
-            let wt_c = (wt_snapshot_row[t] as i64 + wt_delta_row[t]).max(0) as f64;
-            let ts_c = (ts_snapshot[t] + ts_delta[t]).max(0) as f64;
-            let w = (dt_row[t] as f64 + alpha) * (wt_c + beta) / (ts_c + vbeta);
-            total += w;
-            weights[t] = total;
-        }
-        let u = (mix64(pass.wrapping_mul(0x9E37_79B9) ^ (cell_pos as u64) << 24 ^ occ as u64)
-            as f64
-            / u64::MAX as f64)
-            * total;
-        let new = weights.partition_point(|&c| c < u).min(k - 1);
-        *zslot = new as u16;
-        dt_row[new] += 1;
-        wt_delta_row[new] += 1;
-        ts_delta[new] += 1;
-    }
-}
-
-/// Trains LDA with 1-D data parallelism: documents sharded across
-/// workers (the doc–topic table stays exact), while the word–topic table
-/// and summary row are read stale and written through buffers applied at
-/// pass boundaries — the alternative "1D" parallelization the paper's
-/// Table 2 lists for LDA, expressed in the same programming model.
-pub fn train_orion_1d(
-    corpus: &CorpusData,
-    cfg: LdaConfig,
-    run: &LdaRunConfig,
-) -> (LdaModel, RunStats) {
-    let items = corpus.items();
-    let dims = corpus.tokens.shape().dims().to_vec();
-    let mut model = LdaModel::init(corpus, cfg);
-    let k = model.cfg.n_topics;
-    let vocab = dims[1] as usize;
-
-    let mut driver = Driver::new(run.cluster.clone());
-    let tok_id = driver.register(&corpus.tokens);
-    let dt_id = driver.register(&model.dt);
-    let wt_id = driver.register(&model.wt);
-    let ts_arr: DistArray<i64> = DistArray::dense("topic_sum", vec![k as u64]);
-    let ts_id = driver.register(&ts_arr);
-    // Buffering the word-topic and summary writes removes their
-    // dependences; only the doc-topic dependence (zero along the doc
-    // dimension) remains, so the analyzer derives 1-D over documents.
-    let spec = LoopSpec::builder("lda_gibbs_1d", tok_id, dims)
-        .read_write(dt_id, vec![Subscript::loop_index(0), Subscript::Full])
-        .read(wt_id, vec![Subscript::loop_index(1), Subscript::Full])
-        .write(wt_id, vec![Subscript::loop_index(1), Subscript::Full])
-        .read(ts_id, vec![Subscript::Full])
-        .write(ts_id, vec![Subscript::Full])
-        .buffer_writes(wt_id)
-        .buffer_writes(ts_id)
-        .build()
-        .expect("static 1-D LDA spec is valid");
-    let compiled = driver
-        .parallel_for(spec, &items)
-        .expect("1-D LDA parallelizes");
-    debug_assert!(matches!(
-        compiled.strategy(),
-        orion_core::Strategy::OneD { dim: 0 }
-    ));
-
-    let n_workers = compiled.schedule.n_workers;
-    let iter_cost: Vec<f64> = items
-        .iter()
-        .map(|(_, c)| cost::lda_token_ns(k) * *c as f64 * cost::ORION_OVERHEAD)
-        .collect();
-
-    for pass in 0..run.passes {
-        // Pass-start snapshots of the buffered tables; per-worker deltas.
-        let wt_snapshot = model.wt.clone();
-        let ts_snapshot = model.ts.clone();
-        let mut wt_delta: Vec<Vec<i64>> = vec![vec![0i64; vocab * k]; n_workers];
-        let mut ts_delta: Vec<Vec<i64>> = vec![vec![0i64; k]; n_workers];
-        {
-            let LdaModel {
-                dt,
-                z,
-                cfg,
-                vocab: vc,
-                ..
-            } = &mut model;
-            driver.run_pass(&compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
-                let (idx, _) = &items[pos];
-                let word = idx[1] as usize;
-                gibbs_cell_stale(
-                    cfg,
-                    *vc,
-                    dt.row_slice_mut(idx[0]),
-                    wt_snapshot.row_slice(idx[1]),
-                    &mut wt_delta[w][word * k..(word + 1) * k],
-                    &ts_snapshot,
-                    &mut ts_delta[w],
-                    &mut z[pos],
-                    pass,
-                    pos,
-                );
-            });
-        }
-        // Apply buffered deltas (the DistArray Buffer flush), and model
-        // its traffic: each worker ships its nonzero deltas.
-        let mut up_bytes = 0u64;
-        for w in 0..n_workers {
-            up_bytes += wt_delta[w].iter().filter(|&&d| d != 0).count() as u64 * 12;
-            // `wt` is the full (unpartitioned) table, so the delta index
-            // `word * k + t` is already its flat offset.
-            for (flat, &d) in wt_delta[w].iter().enumerate() {
-                if d != 0 {
-                    model.wt.update_flat(flat as u64, |c| {
-                        *c = (*c as i64 + d).max(0) as u32;
-                    });
-                }
-            }
-            for (t, &d) in ts_delta[w].iter().enumerate() {
-                model.ts[t] += d;
-            }
-        }
-        driver.sync_exchange(
-            up_bytes / n_workers.max(1) as u64,
-            up_bytes / n_workers.max(1) as u64,
-        );
-        driver.record_progress(pass, model.neg_log_likelihood(corpus));
-    }
-    (model, driver.finish())
 }
 
 /// Adapter for Bösen-style data-parallel LDA: `wt` and `ts` live on the
@@ -849,37 +696,6 @@ mod tests {
         assert!(
             orion.final_metric().unwrap() <= last + 0.02,
             "dependence-aware should converge at least as fast per pass"
-        );
-    }
-
-    #[test]
-    fn one_d_data_parallel_lda_converges_but_lags() {
-        let c = corpus();
-        let passes = 8;
-        let run = LdaRunConfig {
-            cluster: ClusterSpec::new(4, 2),
-            passes,
-            ordered: false,
-        };
-        // (The analyzer choosing 1-D is the debug_assert inside.)
-        let (m1d, s1d) = train_orion_1d(&c, LdaConfig::new(4), &run);
-        assert_eq!(s1d.progress.len(), passes as usize);
-        assert!(s1d.total_bytes > 0, "buffer flush must be communicated");
-        // Counts stay conserved under the buffered flush.
-        let total_ts: i64 = m1d.ts.iter().sum();
-        assert_eq!(total_ts as u64, c.n_tokens);
-        // It converges...
-        let first = s1d.progress[0].metric;
-        let last = s1d.final_metric().unwrap();
-        assert!(last < first, "1D LDA should improve: {first} -> {last}");
-        // ...to a likelihood comparable to the dependence-aware schedule
-        // (at this tiny scale sampling noise dominates the staleness
-        // penalty; Fig. 9c measures the real gap at benchmark scale).
-        let (_, s2d) = train_orion(&c, LdaConfig::new(4), &run);
-        let l2d = s2d.final_metric().unwrap();
-        assert!(
-            (l2d - last).abs() < 0.15,
-            "2D {l2d} vs 1D {last} diverged unreasonably"
         );
     }
 

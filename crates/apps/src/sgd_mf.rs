@@ -20,7 +20,7 @@ use orion_core::{
     Subscript, TuneConfig, TuneOutcome,
 };
 use orion_data::RatingsData;
-use orion_dsm::{kernels, Element};
+use orion_dsm::kernels;
 use orion_ps::{PsApp, PsView, UpdateLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,7 +111,7 @@ impl MfModel {
     }
 
     /// Squared prediction error of one rating under the current factors.
-    pub fn sq_err(&self, u: i64, i: i64, v: f32) -> f64 {
+    fn sq_err(&self, u: i64, i: i64, v: f32) -> f64 {
         sq_err_rows(self.w.row_slice(u), self.h.row_slice(i), v, self.cfg.math)
     }
 
@@ -337,7 +337,7 @@ impl App for MfApp {
             iter_ns,
             ..
         } = job;
-        let (_, fault) = driver.run_pass_checked(compiled, &mut |_pos| *iter_ns, &mut |_w, pos| {
+        let (_, fault) = driver.run_pass(compiled, &mut |_pos| *iter_ns, &mut |_w, pos| {
             let (u, i, v) = triples[pos];
             model.sgd_update(u as i64, i as i64, v);
         });
@@ -620,11 +620,6 @@ impl orion_dataflow::DataflowApp for MfDataflowAdapter {
     fn loss(&self, params: &[f32]) -> f64 {
         self.0.loss(params)
     }
-}
-
-/// Serialized-size helper used by byte-accounting tests.
-pub fn model_bytes(model: &MfModel) -> u64 {
-    model.w.payload_bytes() + model.h.payload_bytes() + (f32::WIRE_BYTES as u64)
 }
 
 #[cfg(test)]

@@ -322,11 +322,10 @@ impl App for SlrApp {
         }
         let weights = &model.weights;
         let (step, mode) = (model.cfg.step_size, driver.math_mode());
-        let (_, fault) =
-            driver.run_pass_checked(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
-                let read = |f| weights.get_flat_or_default(f as u64);
-                slr_step(&data.samples[pos], read, &mut buffers[w], step, mode);
-            });
+        let (_, fault) = driver.run_pass(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
+            let read = |f| weights.get_flat_or_default(f as u64);
+            slr_step(&data.samples[pos], read, &mut buffers[w], step, mode);
+        });
         match fault {
             None => flush_buffers(driver, buffers, |buf| {
                 apply_updates(model, buf.drain_flat())
@@ -517,7 +516,7 @@ pub fn train_serial(data: &SparseData, cfg: SlrConfig, passes: u64) -> (SlrModel
 /// Runs the synthesized prefetch recording pass over one block of
 /// samples: executes only the subscript-producing statements and records
 /// the weight indices that would be read (§4.4).
-pub fn record_prefetch_indices(data: &SparseData, block: &[usize]) -> Vec<u64> {
+pub(crate) fn record_prefetch_indices(data: &SparseData, block: &[usize]) -> Vec<u64> {
     let mut rec = IndexRecorder::new();
     for &pos in block {
         for &f in &data.samples[pos].features {

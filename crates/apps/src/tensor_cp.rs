@@ -258,19 +258,20 @@ impl App for CpApp {
             iter_ns,
             buffers,
         } = job;
-        if self.buffer_s {
-            driver.run_pass(compiled, &mut |_| *iter_ns, &mut |w, pos| {
+        let (_, fault) = if self.buffer_s {
+            let out = driver.run_pass(compiled, &mut |_| *iter_ns, &mut |w, pos| {
                 let (idx, x) = &items[pos];
                 cp_update(model, idx, *x, Some(&mut buffers[w]));
             });
             flush_buffers(driver, buffers, |buf| buf.apply_to(&mut model.s, add));
+            out
         } else {
             driver.run_pass(compiled, &mut |_| *iter_ns, &mut |_w, pos| {
                 let (idx, x) = &items[pos];
                 cp_update(model, idx, *x, None);
-            });
-        }
-        None
+            })
+        };
+        fault
     }
 
     fn metric(&self, _data: &TensorData, job: &CpJob) -> f64 {

@@ -251,15 +251,6 @@ pub fn write_report<R: Report>(name: &str, report: &R) {
     println!("  [run report written to {}]", path.display());
 }
 
-/// Prints a convergence-over-iterations series.
-pub fn print_over_iterations(label: &str, stats: &RunStats) {
-    print!("{label:<44}");
-    for p in &stats.progress {
-        print!(" {:.4}", p.metric);
-    }
-    println!();
-}
-
 /// Collects `label,iteration,seconds,metric` CSV rows from a run.
 pub fn csv_rows(label: &str, stats: &RunStats) -> Vec<String> {
     stats

@@ -301,7 +301,16 @@ impl Driver {
 
     /// Executes one pass of a compiled loop: `cost(pos)` returns the
     /// compute nanoseconds of iteration `pos`, `body(worker, pos)`
-    /// performs it. Returns the pass statistics.
+    /// performs it. Returns the pass statistics, and the machine crash
+    /// the pass ran into when a fault plan is installed
+    /// ([`Driver::set_fault_plan`]; without one it is always `None`).
+    ///
+    /// On a crash the caller must discard the pass's results: the
+    /// failure is detected at the pass barrier after `barrier_timeout`
+    /// of missing progress, a `Fault` span covers the detection window
+    /// on every worker, and the returned [`FaultEvent`] must be fed to
+    /// [`Driver::complete_recovery`] after the caller restores model
+    /// state from its latest checkpoint.
     ///
     /// # Panics
     ///
@@ -313,10 +322,25 @@ impl Driver {
         compiled: &CompiledLoop,
         cost: &mut dyn FnMut(usize) -> f64,
         body: &mut dyn FnMut(usize, usize),
-    ) -> PassStats {
+    ) -> (PassStats, Option<FaultEvent>) {
         self.sanitize_schedule(compiled);
-        self.executor
-            .run_pass(&compiled.schedule, &compiled.comm, cost, body)
+        let stats = self
+            .executor
+            .run_pass(&compiled.schedule, &compiled.comm, cost, body);
+        let Some(crash) = self.executor.take_crash_before(stats.end) else {
+            return (stats, None);
+        };
+        let detected = stats.end + self.recovery_cfg.barrier_timeout;
+        self.stall_all(SpanCat::Fault, detected, 0, crash.machine as u64);
+        self.recovery.crashes += 1;
+        self.recovery.fault_ns += detected.saturating_sub(stats.end).as_nanos();
+        let ev = FaultEvent {
+            machine: crash.machine,
+            at: crash.at,
+            detected_at: detected,
+            restart_delay: crash.restart_delay,
+        };
+        (stats, Some(ev))
     }
 
     /// Re-plans a compiled loop from measured costs (`orion-tune`):
@@ -695,8 +719,8 @@ impl Driver {
     }
 
     /// Installs a fault plan on the simulated cluster (crashes,
-    /// stragglers, link faults). Pair with [`Driver::run_pass_checked`]
-    /// to detect and recover from the scripted crashes.
+    /// stragglers, link faults). [`Driver::run_pass`] then reports the
+    /// scripted crashes for the caller to recover from.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.executor.set_fault_plan(plan);
     }
@@ -704,37 +728,6 @@ impl Driver {
     /// Fault-handling accounting so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
-    }
-
-    /// Like [`Driver::run_pass`], but afterwards checks the fault plan
-    /// for a machine crash during the pass. On a crash, the pass's
-    /// results must be discarded by the caller: the failure is detected
-    /// at the pass barrier after `barrier_timeout` of missing progress,
-    /// a `Fault` span covers the detection window on every worker, and
-    /// the returned [`FaultEvent`] must be fed to
-    /// [`Driver::complete_recovery`] after the caller restores model
-    /// state from its latest checkpoint.
-    pub fn run_pass_checked(
-        &mut self,
-        compiled: &CompiledLoop,
-        cost: &mut dyn FnMut(usize) -> f64,
-        body: &mut dyn FnMut(usize, usize),
-    ) -> (PassStats, Option<FaultEvent>) {
-        let stats = self.run_pass(compiled, cost, body);
-        let Some(crash) = self.executor.take_crash_before(stats.end) else {
-            return (stats, None);
-        };
-        let detected = stats.end + self.recovery_cfg.barrier_timeout;
-        self.stall_all(SpanCat::Fault, detected, 0, crash.machine as u64);
-        self.recovery.crashes += 1;
-        self.recovery.fault_ns += detected.saturating_sub(stats.end).as_nanos();
-        let ev = FaultEvent {
-            machine: crash.machine,
-            at: crash.at,
-            detected_at: detected,
-            restart_delay: crash.restart_delay,
-        };
-        (stats, Some(ev))
     }
 
     /// Stalls every worker until `until`, recording a `cat` span from the
@@ -989,7 +982,7 @@ mod tests {
             assert!(Driver::validate_by_default());
             let mut acc = vec![0.0f32; 16];
             for _ in 0..3 {
-                let stats = d.run_pass(&c, &mut |_| 75.0, &mut |_w, pos| {
+                let (stats, _) = d.run_pass(&c, &mut |_| 75.0, &mut |_w, pos| {
                     let (idx, v) = &items[pos];
                     acc[idx[0] as usize] += v * 0.5 + acc[idx[0] as usize] * 1e-3;
                 });
@@ -1013,7 +1006,7 @@ mod tests {
             .unwrap();
         let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
         let c = d.parallel_for(spec, &items).unwrap();
-        let stats = d.run_pass(&c, &mut |_| 50.0, &mut |_w, pos| {
+        let (stats, _) = d.run_pass(&c, &mut |_| 50.0, &mut |_w, pos| {
             let (idx, v) = &items[pos];
             a.update(&[idx[0], 0], |x| *x += v);
         });

@@ -62,12 +62,6 @@ pub use orion_runtime::{
     IndexRecorder, OneDPassOutput, PassStats, PrefetchMode, Schedule, ThreadPhase, ThreadSpan,
     ThreadedPlan, WorkerPool,
 };
-pub use orion_sim::{
-    ClusterSpec, CrashEvent, FaultPlan, LinkFault, PlanParseError, ProgressPoint, RunStats,
-    Straggler, VirtualTime,
-};
+pub use orion_sim::{ClusterSpec, CrashEvent, FaultPlan, ProgressPoint, RunStats, VirtualTime};
 pub use orion_trace::{write_perfetto, OwnedSession, RunReport, SessionView, SpanCat};
-pub use orion_tune::{
-    calibrate, measure_pass_ns, tune_spec, Calibration, PlanChoice, TuneConfig, TuneOutcome,
-    TunedPlan,
-};
+pub use orion_tune::{tune_spec, Calibration, PlanChoice, TuneConfig, TuneOutcome, TunedPlan};

@@ -4,9 +4,10 @@
 //! DistArrays are checkpointed every N data passes, a failed machine is
 //! detected by barrier timeout, and training restarts from the latest
 //! checkpoint, re-executing the passes since. These types carry the
-//! policy knobs and the accounting; the driver methods
-//! (`run_pass_checked`, `complete_recovery`, `charge_checkpoint`) do the
-//! virtual-time charging, and `orion_apps::run` owns the loop.
+//! policy knobs and the accounting; the driver methods (`run_pass`,
+//! which reports a pass's crash, `complete_recovery` and
+//! `charge_checkpoint`) do the virtual-time charging, and
+//! `orion_apps::run` owns the loop.
 
 use std::path::{Path, PathBuf};
 
@@ -76,8 +77,7 @@ impl RecoveryConfig {
     }
 }
 
-/// One detected machine failure, as surfaced by
-/// `Driver::run_pass_checked`.
+/// One detected machine failure, as surfaced by `Driver::run_pass`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// Machine that crashed.

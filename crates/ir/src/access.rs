@@ -76,20 +76,6 @@ impl ArrayRef {
         self.subscripts.len()
     }
 
-    /// Iteration-space dimensions that appear in this reference's
-    /// subscripts, deduplicated, in subscript order.
-    pub fn used_iter_dims(&self) -> Vec<Dim> {
-        let mut dims = Vec::new();
-        for sub in &self.subscripts {
-            if let Some(d) = sub.used_dim() {
-                if !dims.contains(&d) {
-                    dims.push(d);
-                }
-            }
-        }
-        dims
-    }
-
     /// The array dimension subscripted by iteration-space dimension
     /// `iter_dim`, if there is exactly one such position.
     ///
@@ -154,19 +140,6 @@ mod tests {
             DistArrayId(1),
             vec![Subscript::Full, Subscript::loop_index(0)],
         )
-    }
-
-    #[test]
-    fn used_iter_dims_dedup_and_order() {
-        let r = ArrayRef::read(
-            DistArrayId(0),
-            vec![
-                Subscript::loop_index(1),
-                Subscript::loop_index(0),
-                Subscript::loop_index(1),
-            ],
-        );
-        assert_eq!(r.used_iter_dims(), vec![1, 0]);
     }
 
     #[test]

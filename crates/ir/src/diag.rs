@@ -40,7 +40,7 @@ impl core::fmt::Display for Severity {
 /// Stable diagnostic codes.
 ///
 /// Numbering scheme: `O000` is the plan summary, `O001`–`O009` are
-/// analysis lints, `O010`–`O019` map [`crate::SpecError`] variants,
+/// analysis lints, `O010`–`O019` are retired and never reused,
 /// `O020`–`O029` are profile-guided tuning findings, `O100`–`O109` are
 /// schedule sanitizer findings, `O110`–`O119` are happens-before race
 /// detector findings, and `O200`–`O209` are protocol model checker /
@@ -60,12 +60,6 @@ pub enum Code {
     DegeneratePrefetch,
     /// Partition load skew above threshold.
     LoadSkew,
-    /// `SpecError::IterDimOutOfRange`.
-    SpecIterDimOutOfRange,
-    /// `SpecError::EmptyIterSpace`.
-    SpecEmptyIterSpace,
-    /// `SpecError::BufferedArrayNotWritten`.
-    SpecBufferedArrayNotWritten,
     /// A calibrating auto-tuner re-planned the loop from measured costs
     /// (strategy, partition dims, worker count, or prefetch regime).
     Replanned,
@@ -104,9 +98,6 @@ impl Code {
             Code::BlockedDependence => "O003",
             Code::DegeneratePrefetch => "O004",
             Code::LoadSkew => "O005",
-            Code::SpecIterDimOutOfRange => "O010",
-            Code::SpecEmptyIterSpace => "O011",
-            Code::SpecBufferedArrayNotWritten => "O012",
             Code::Replanned => "O020",
             Code::ScheduleRace => "O100",
             Code::HbRace => "O110",
@@ -129,9 +120,6 @@ impl Code {
             Code::BlockedDependence,
             Code::DegeneratePrefetch,
             Code::LoadSkew,
-            Code::SpecIterDimOutOfRange,
-            Code::SpecEmptyIterSpace,
-            Code::SpecBufferedArrayNotWritten,
             Code::Replanned,
             Code::ScheduleRace,
             Code::HbRace,
@@ -228,22 +216,6 @@ impl Diagnostic {
         self
     }
 
-    /// Maps a [`crate::SpecError`] onto its stable diagnostic code,
-    /// preserving the error's `Display` output as the message.
-    pub fn from_spec_error(err: &crate::SpecError, loop_name: &str) -> Self {
-        let code = match err {
-            crate::SpecError::IterDimOutOfRange { .. } => Code::SpecIterDimOutOfRange,
-            crate::SpecError::EmptyIterSpace => Code::SpecEmptyIterSpace,
-            crate::SpecError::BufferedArrayNotWritten(_) => Code::SpecBufferedArrayNotWritten,
-        };
-        Diagnostic::new(
-            code,
-            Severity::Error,
-            format!("loop `{loop_name}`"),
-            err.to_string(),
-        )
-    }
-
     /// Renders the diagnostic rustc-style (trailing newline included).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -304,8 +276,8 @@ mod tests {
         assert_eq!(
             rendered,
             [
-                "O000", "O001", "O002", "O003", "O004", "O005", "O010", "O011", "O012", "O020",
-                "O100", "O110", "O111", "O112", "O200", "O201", "O202", "O203", "O204"
+                "O000", "O001", "O002", "O003", "O004", "O005", "O020", "O100", "O110", "O111",
+                "O112", "O200", "O201", "O202", "O203", "O204"
             ]
         );
     }
@@ -327,16 +299,6 @@ mod tests {
              = note: only `i<k> ± c` subscripts are analyzed exactly (§3.2)\n  \
              = help: exempt the writes with a DistArray Buffer (§3.3)\n"
         );
-    }
-
-    #[test]
-    fn spec_errors_map_to_o01x() {
-        let e = crate::SpecError::EmptyIterSpace;
-        let d = Diagnostic::from_spec_error(&e, "bad");
-        assert_eq!(d.code, Code::SpecEmptyIterSpace);
-        assert_eq!(d.severity, Severity::Error);
-        assert_eq!(d.message, "iteration space has zero dimensions");
-        assert_eq!(d.subject, "loop `bad`");
     }
 
     #[test]

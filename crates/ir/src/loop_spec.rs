@@ -161,11 +161,6 @@ impl LoopSpec {
         }
         Ok(())
     }
-
-    /// Total number of iterations (product of extents).
-    pub fn iteration_count(&self) -> u64 {
-        self.iter_dims.iter().product()
-    }
 }
 
 /// Builder for [`LoopSpec`].
@@ -238,7 +233,6 @@ mod tests {
         let s = mf_spec();
         assert_eq!(s.refs.len(), 4);
         assert_eq!(s.referenced_arrays(), vec![DistArrayId(1), DistArrayId(2)]);
-        assert_eq!(s.iteration_count(), 24);
     }
 
     #[test]

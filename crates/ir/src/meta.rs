@@ -23,7 +23,7 @@ pub enum Density {
 /// ```
 /// use orion_ir::{ArrayMeta, Density, DistArrayId};
 /// let w = ArrayMeta::dense(DistArrayId(1), "W", vec![32, 600], 4);
-/// assert_eq!(w.num_elements(), 32 * 600);
+/// assert_eq!(w.nnz, 32 * 600);
 /// assert_eq!(w.total_bytes(), 32 * 600 * 4);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,11 +80,6 @@ impl ArrayMeta {
         }
     }
 
-    /// Number of materialized elements.
-    pub fn num_elements(&self) -> u64 {
-        self.nnz
-    }
-
     /// Total bytes of materialized payload (excluding indices).
     pub fn total_bytes(&self) -> u64 {
         self.nnz * self.elem_bytes
@@ -103,7 +98,6 @@ mod tests {
     #[test]
     fn dense_nnz_is_volume() {
         let m = ArrayMeta::dense(DistArrayId(0), "Z", vec![3, 4, 5], 8);
-        assert_eq!(m.num_elements(), 60);
         assert_eq!(m.total_bytes(), 480);
         assert_eq!(m.ndims(), 3);
         assert_eq!(m.density, Density::Dense);
@@ -112,7 +106,6 @@ mod tests {
     #[test]
     fn sparse_nnz_is_explicit() {
         let m = ArrayMeta::sparse(DistArrayId(0), "Z", vec![1000, 1000], 4, 12345);
-        assert_eq!(m.num_elements(), 12345);
         assert_eq!(m.total_bytes(), 12345 * 4);
         assert_eq!(m.density, Density::Sparse);
     }

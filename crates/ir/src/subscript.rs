@@ -95,7 +95,7 @@ impl Subscript {
     }
 
     /// The iteration-space dimension used by this subscript, if any.
-    pub fn used_dim(&self) -> Option<Dim> {
+    pub(crate) fn used_dim(&self) -> Option<Dim> {
         match self {
             Subscript::LoopIndex { dim, .. } => Some(*dim),
             _ => None,
@@ -103,7 +103,7 @@ impl Subscript {
     }
 
     /// True when the subscript's value is only known at runtime.
-    pub fn is_unknown(&self) -> bool {
+    pub(crate) fn is_unknown(&self) -> bool {
         matches!(self, Subscript::Unknown { .. })
     }
 }

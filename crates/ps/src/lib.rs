@@ -16,18 +16,16 @@
 //! - **Adaptive revision (AdaRev \[34\])**: the server applies updates
 //!   with an AdaGrad-style per-parameter step size plus a delay-based
 //!   damping of late updates, improving convergence under staleness.
+//!
+//! The baseline has no fault path: crashes, stragglers and recovery run
+//! on Orion's driver only (`docs/FAULTS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 
-use orion_dsm::{checkpoint, DistArray};
-use orion_sim::{
-    ClusterSpec, FaultPlan, FaultTimeline, ProgressPoint, RunStats, SimNet, VirtualTime,
-    WorkerClocks,
-};
+use orion_sim::{ClusterSpec, ProgressPoint, RunStats, SimNet, VirtualTime, WorkerClocks};
 use orion_trace::{OwnedSession, SpanCat, Tracer, Transfer};
 
 /// Accumulated updates keyed by parameter index.
@@ -170,82 +168,7 @@ pub struct PsEngine<A: PsApp> {
     stats: RunStats,
     /// Span recorder (disabled by default; see `orion-trace`).
     trace: Tracer,
-    /// Scripted faults, when chaos-running (see [`PsEngine::run_chaos`]).
-    faults: Option<FaultTimeline>,
     pass: u64,
-}
-
-/// Chaos-run configuration for the parameter server: scripted faults
-/// plus the checkpoint policy and recovery timing knobs. Mirrors the
-/// Orion driver's recovery semantics so the two systems are comparable
-/// under identical fault plans.
-#[derive(Debug, Clone)]
-pub struct PsChaosConfig {
-    /// Scripted faults.
-    pub plan: FaultPlan,
-    /// Checkpoint every N passes (≥ 1).
-    pub checkpoint_every: u64,
-    /// Directory checkpoints are written into (created if absent).
-    pub dir: PathBuf,
-    /// Filename prefix distinguishing concurrent runs.
-    pub run_id: String,
-    /// Time the barrier waits past expected progress before declaring a
-    /// machine failed.
-    pub barrier_timeout: VirtualTime,
-    /// Modeled disk bandwidth for checkpoint writes and reloads.
-    pub disk_bandwidth_bps: f64,
-}
-
-impl PsChaosConfig {
-    /// A config with the default detection / disk timing knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every` is zero.
-    pub fn new(plan: FaultPlan, every: u64, dir: impl Into<PathBuf>, run_id: &str) -> Self {
-        assert!(every >= 1, "checkpoint interval must be >= 1 pass");
-        PsChaosConfig {
-            plan,
-            checkpoint_every: every,
-            dir: dir.into(),
-            run_id: run_id.to_string(),
-            barrier_timeout: VirtualTime::from_millis(50),
-            disk_bandwidth_bps: 8e9,
-        }
-    }
-
-    /// The checkpoint file holding this run's master parameters.
-    pub fn params_path(&self) -> PathBuf {
-        self.dir.join(format!("{}_params.ckpt", self.run_id))
-    }
-
-    fn io_time(&self, bytes: u64) -> VirtualTime {
-        VirtualTime::from_secs_f64(bytes as f64 * 8.0 / self.disk_bandwidth_bps)
-    }
-}
-
-/// Fault-handling accounting of a parameter-server chaos run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PsRecovery {
-    /// Crashes detected and recovered from.
-    pub crashes_recovered: u64,
-    /// Passes whose work was discarded and re-executed.
-    pub passes_reexecuted: u64,
-    /// Checkpoints written.
-    pub checkpoints_written: u64,
-    /// Virtual time between a crash's pass completing and detection.
-    pub fault_ns: u64,
-    /// Virtual time restarting machines and reloading checkpoints.
-    pub recovery_ns: u64,
-    /// Virtual time stalled on checkpoint writes.
-    pub checkpoint_ns: u64,
-}
-
-impl PsRecovery {
-    /// Total virtual time fault handling cost.
-    pub fn overhead_ns(&self) -> u64 {
-        self.fault_ns + self.recovery_ns + self.checkpoint_ns
-    }
 }
 
 /// Wire bytes of one sparse update or parameter value (index + f32).
@@ -274,21 +197,9 @@ impl<A: PsApp> PsEngine<A> {
             net: SimNet::new(&cfg.cluster),
             stats: RunStats::default(),
             trace: Tracer::default(),
-            faults: None,
             cfg,
             pass: 0,
         }
-    }
-
-    /// Arms a fault plan: crashes and stragglers are consulted on the
-    /// virtual clock, link faults are installed into the network model.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.net.set_link_faults(plan.link_faults.clone());
-        self.faults = Some(FaultTimeline::new(plan));
-    }
-
-    fn slowdown_of(&self, worker: usize) -> f64 {
-        self.faults.as_ref().map_or(1.0, |f| f.slowdown_of(worker))
     }
 
     /// Turns on span tracing with a pre-sized buffer.
@@ -402,7 +313,7 @@ impl<A: PsApp> PsEngine<A> {
                     cost += self.app.item_cost_ns(item);
                 }
                 *pend = local;
-                let dt = self.cfg.cluster.compute_time(cost * self.slowdown_of(w));
+                let dt = self.cfg.cluster.compute_time(cost);
                 let compute_from = self.clocks.get(w);
                 self.clocks.advance(w, dt);
                 self.trace.record(
@@ -588,113 +499,6 @@ impl<A: PsApp> PsEngine<A> {
         self.refresh_snapshot(Some(&refreshed));
     }
 
-    /// Runs `passes` data passes under `chaos`'s fault plan with
-    /// checkpoint-every-N and restore-and-reexecute recovery, mirroring
-    /// the Orion driver's protocol: a crash completing pass `p` is
-    /// detected by barrier timeout, pass `p`'s effects (master
-    /// parameters *and* its progress point) are discarded, the latest
-    /// checkpoint is reloaded, and training resumes from the checkpoint
-    /// pass.
-    ///
-    /// Restoring resets the snapshot to the reloaded parameters and
-    /// clears the adaptive-revision accumulators, which reproduces the
-    /// fault-free run bit-for-bit under vanilla (non-adaptive)
-    /// configurations — adaptive state is not checkpointed.
-    pub fn run_chaos(&mut self, passes: u64, chaos: &PsChaosConfig) -> PsRecovery {
-        self.set_fault_plan(chaos.plan.clone());
-        std::fs::create_dir_all(&chaos.dir).expect("create checkpoint directory");
-        let path = chaos.params_path();
-        let mut rec = PsRecovery::default();
-
-        // Initial checkpoint before the first pass, so "the latest
-        // checkpoint" always exists.
-        let bytes = self.save_params(&path);
-        self.charge_checkpoint(chaos, bytes, &mut rec);
-        let base = self.pass;
-        let target = base + passes;
-        let mut last_ckpt = base;
-        while self.pass < target {
-            if (self.pass - base).is_multiple_of(chaos.checkpoint_every) && self.pass != last_ckpt {
-                let bytes = self.save_params(&path);
-                self.charge_checkpoint(chaos, bytes, &mut rec);
-                last_ckpt = self.pass;
-            }
-            self.run_pass();
-            let end = self.clocks.barrier();
-            let crash = self.faults.as_mut().and_then(|f| f.take_crash_before(end));
-            if let Some(crash) = crash {
-                let detected = end + chaos.barrier_timeout;
-                rec.fault_ns += detected.saturating_sub(end).as_nanos();
-                self.stall_all(SpanCat::Fault, detected, 0, crash.machine as u64);
-                let bytes = self.restore_params(&path);
-                let recovered = detected + crash.restart_delay + chaos.io_time(bytes);
-                rec.recovery_ns += recovered.saturating_sub(detected).as_nanos();
-                self.stall_all(SpanCat::Recovery, recovered, bytes, crash.machine as u64);
-                rec.crashes_recovered += 1;
-                // The crashed pass plus everything since the checkpoint
-                // reruns.
-                rec.passes_reexecuted += self.pass - last_ckpt;
-                let keep = self.stats.progress.len() - (self.pass - last_ckpt) as usize;
-                self.stats.progress.truncate(keep);
-                self.pass = last_ckpt;
-            }
-        }
-        rec
-    }
-
-    /// Checkpoints the master parameters atomically, returning the bytes
-    /// written.
-    fn save_params(&mut self, path: &Path) -> u64 {
-        let arr = DistArray::dense_from_vec(
-            "params",
-            vec![self.params.len() as u64],
-            self.params.clone(),
-        );
-        checkpoint::save(&arr, path).expect("checkpoint write")
-    }
-
-    /// Reloads the master parameters from the latest checkpoint,
-    /// resetting the snapshot and adaptive state; returns the bytes
-    /// read.
-    fn restore_params(&mut self, path: &Path) -> u64 {
-        let arr = checkpoint::load::<f32>(path).expect("checkpoint reload");
-        for (i, v) in self.params.iter_mut().enumerate() {
-            *v = arr.get_flat_or_default(i as u64);
-        }
-        self.snapshot.copy_from_slice(&self.params);
-        self.z2.fill(0.0);
-        self.staleness.fill(0);
-        std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
-    }
-
-    /// Stalls every worker until `until` under a fault-handling span,
-    /// preserving per-worker timeline tiling.
-    fn stall_all(&mut self, cat: SpanCat, until: VirtualTime, bytes: u64, aux: u64) {
-        for w in 0..self.clocks.n_workers() {
-            let from = self.clocks.get(w);
-            self.trace.record(
-                cat,
-                self.cfg.cluster.machine_of(w),
-                w,
-                from.as_nanos(),
-                until.as_nanos(),
-                bytes,
-                aux,
-            );
-            self.clocks.wait_until(w, until);
-        }
-        self.net.release_nics(until);
-    }
-
-    /// Charges a checkpoint write: all workers stall behind the disk.
-    fn charge_checkpoint(&mut self, chaos: &PsChaosConfig, bytes: u64, rec: &mut PsRecovery) {
-        let from = self.clocks.barrier();
-        let done = from + chaos.io_time(bytes);
-        rec.checkpoints_written += 1;
-        rec.checkpoint_ns += done.saturating_sub(from).as_nanos();
-        self.stall_all(SpanCat::Checkpoint, done, bytes, 0);
-    }
-
     fn server_for(&self, worker: usize) -> usize {
         let m = self.cfg.cluster.machine_of(worker);
         let target = (m + 1) % self.cfg.cluster.n_machines;
@@ -870,71 +674,6 @@ mod tests {
         let stats2 = e2.finish();
         assert_eq!(stats.total_bytes, stats2.total_bytes);
         assert_eq!(stats.progress, stats2.progress);
-    }
-
-    #[test]
-    fn chaos_recovery_reproduces_fault_free_params() {
-        let dir = std::env::temp_dir().join(format!("orion_ps_chaos_{}", std::process::id()));
-        let passes = 6u64;
-
-        let mut clean = PsEngine::new(quad(), PsConfig::vanilla(ClusterSpec::new(2, 2), 0.2));
-        for _ in 0..passes {
-            clean.run_pass();
-        }
-        let clean_params = clean.params().to_vec();
-        let clean_wall = clean.now();
-
-        let plan = FaultPlan::new(7).crash(
-            1,
-            VirtualTime::from_nanos(clean_wall.as_nanos() / 2),
-            VirtualTime::from_millis(200),
-        );
-        let chaos_cfg = PsChaosConfig::new(plan, 2, &dir, "quad");
-        let mut chaotic = PsEngine::new(quad(), PsConfig::vanilla(ClusterSpec::new(2, 2), 0.2));
-        let rec = chaotic.run_chaos(passes, &chaos_cfg);
-
-        assert_eq!(rec.crashes_recovered, 1);
-        assert!(rec.passes_reexecuted >= 1);
-        assert!(rec.checkpoints_written >= 2);
-        assert!(rec.overhead_ns() > 0);
-        assert_eq!(chaotic.params().len(), clean_params.len());
-        assert!(
-            chaotic
-                .params()
-                .iter()
-                .zip(&clean_params)
-                .all(|(a, b)| a.to_bits() == b.to_bits()),
-            "recovered parameters must match the fault-free run bit-for-bit"
-        );
-        assert!(
-            chaotic.now() > clean_wall,
-            "fault handling must cost virtual time"
-        );
-        let stats = chaotic.finish();
-        assert_eq!(stats.progress.len(), passes as usize);
-        let _ = std::fs::remove_file(chaos_cfg.params_path());
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn straggler_stretches_ps_wall_clock_but_not_params() {
-        let mk = |plan: Option<FaultPlan>| {
-            let mut e = PsEngine::new(quad(), PsConfig::vanilla(ClusterSpec::new(2, 2), 0.2));
-            if let Some(p) = plan {
-                e.set_fault_plan(p);
-            }
-            for _ in 0..4 {
-                e.run_pass();
-            }
-            (e.params().to_vec(), e.now())
-        };
-        let (fast_params, fast_wall) = mk(None);
-        let (slow_params, slow_wall) = mk(Some(FaultPlan::new(1).straggler(0, 4.0)));
-        assert_eq!(fast_params, slow_params);
-        assert!(
-            slow_wall > fast_wall,
-            "straggler {slow_wall:?} must be slower than {fast_wall:?}"
-        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ type ShardCaches = Vec<Mutex<LruCache<u64, ()>>>;
 /// Per-request access counters, filled by [`ServeCtx`] and fed into the
 /// virtual service-time model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AccessCounts {
+pub(crate) struct AccessCounts {
     /// Cached row fetches that hit.
     pub row_hits: u64,
     /// Cached row fetches that missed (and loaded from the shard).
@@ -76,7 +76,7 @@ pub struct ServeCtx<'a, T: Element> {
     arrays: &'a [ShardedArray<T>],
     caches: &'a [ShardCaches],
     /// Counters for the service-time model.
-    pub counts: AccessCounts,
+    pub(crate) counts: AccessCounts,
 }
 
 impl<'a, T: Element> ServeCtx<'a, T> {
@@ -280,7 +280,7 @@ impl<M: ServeModel> ServeEngine<M> {
 
     /// [`ServeEngine::answer`] plus the access counters the session
     /// loop feeds into the service-time model.
-    pub fn answer_counted(&self, query: &M::Query) -> (M::Answer, AccessCounts) {
+    pub(crate) fn answer_counted(&self, query: &M::Query) -> (M::Answer, AccessCounts) {
         let mut ctx = ServeCtx {
             arrays: self.model.arrays(),
             caches: &self.caches,
@@ -299,14 +299,6 @@ impl<M: ServeModel> ServeEngine<M> {
             }
         }
         total
-    }
-
-    /// Per-shard cache counters of the primary array.
-    pub fn primary_cache_stats(&self) -> Vec<CacheStats> {
-        self.caches[0]
-            .iter()
-            .map(|c| c.lock().expect("cache lock").stats())
-            .collect()
     }
 
     /// Replays a timestamped request stream through the virtual-clock

@@ -40,8 +40,6 @@ pub mod shard;
 pub mod traffic;
 
 pub use cache::{CacheStats, LruCache};
-pub use engine::{
-    AccessCounts, EngineConfig, Request, ServeCtx, ServeEngine, ServeModel, ServeStats,
-};
+pub use engine::{EngineConfig, Request, ServeCtx, ServeEngine, ServeModel, ServeStats};
 pub use shard::{LanePanels, ServeShard, ShardedArray};
 pub use traffic::{RawRequest, TrafficConfig};

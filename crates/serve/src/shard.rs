@@ -10,7 +10,6 @@
 //! `DistArray` — the invariant `tests/serve_conformance.rs` pins.
 
 use std::ops::Range;
-use std::path::Path;
 
 use bytes::Bytes;
 
@@ -204,19 +203,6 @@ impl<T: Element> ShardedArray<T> {
     /// `ShardedArray` is only ever built from a bit-exact checkpoint.
     pub fn from_checkpoint_bytes(wire: Bytes, n_shards: usize) -> Result<Self, CheckpointError> {
         let array = checkpoint::from_bytes::<T>(wire)?;
-        Ok(Self::from_array(&array, n_shards))
-    }
-
-    /// Loads a checkpoint file (see [`checkpoint::load`]) into shards.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures and corrupt checkpoints.
-    pub fn from_checkpoint_file(
-        path: impl AsRef<Path>,
-        n_shards: usize,
-    ) -> Result<Self, CheckpointError> {
-        let array = checkpoint::load::<T>(path)?;
         Ok(Self::from_array(&array, n_shards))
     }
 

@@ -23,7 +23,7 @@ pub struct NetworkSpec {
 impl NetworkSpec {
     /// 40 Gbps Ethernet as in the paper's testbed, 50 µs latency, no
     /// zero-copy (Orion's Julia workers are separate processes).
-    pub fn ethernet_40g() -> Self {
+    pub(crate) fn ethernet_40g() -> Self {
         NetworkSpec {
             bandwidth_bps: 40e9,
             latency: VirtualTime::from_micros(50),

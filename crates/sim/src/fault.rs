@@ -14,6 +14,11 @@
 
 use crate::time::VirtualTime;
 
+/// The largest time a plan file may name, in milliseconds (about 31
+/// years, 10^18 ns): a crash instant plus its restart delay plus a run's
+/// clock then still fits the `u64` nanoseconds of a [`VirtualTime`].
+const MAX_PLAN_MS: f64 = 1e12;
+
 /// One machine crash: the machine dies at `at` and needs
 /// `restart_delay` of virtual time to come back after detection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +76,10 @@ impl LinkFault {
 /// use orion_sim::{FaultPlan, VirtualTime};
 /// let plan = FaultPlan::new(42)
 ///     .crash(1, VirtualTime::from_millis(50), VirtualTime::from_millis(20))
-///     .straggler(3, 2.5)
-///     .partition_link(0, 1, VirtualTime::from_millis(10), VirtualTime::from_millis(30));
+///     .straggler(3, 2.5);
 /// assert_eq!(plan.slowdown_of(3), 2.5);
-/// let reparsed = FaultPlan::parse(&plan.to_text()).unwrap();
-/// assert_eq!(plan, reparsed);
+/// let text = "seed 42\ncrash machine=1 at_ms=50 restart_ms=20\nstraggler worker=3 slowdown=2.5\n";
+/// assert_eq!(FaultPlan::parse(text).unwrap(), plan);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -136,9 +140,8 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics unless `0.0 < factor <= 1.0` (use
-    /// [`FaultPlan::partition_link`] for a full outage).
-    pub fn degrade_link(
+    /// Panics unless `0.0 < factor <= 1.0`.
+    fn degrade_link(
         mut self,
         src_machine: usize,
         dst_machine: usize,
@@ -156,24 +159,6 @@ impl FaultPlan {
             from,
             until,
             factor,
-        });
-        self
-    }
-
-    /// Adds a full partition window on a directed link.
-    pub fn partition_link(
-        mut self,
-        src_machine: usize,
-        dst_machine: usize,
-        from: VirtualTime,
-        until: VirtualTime,
-    ) -> Self {
-        self.link_faults.push(LinkFault {
-            src_machine,
-            dst_machine,
-            from,
-            until,
-            factor: 0.0,
         });
         self
     }
@@ -227,50 +212,6 @@ impl FaultPlan {
             )
     }
 
-    /// Serializes the plan in the text format accepted by
-    /// [`FaultPlan::parse`].
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let ms = |t: VirtualTime| t.as_nanos() as f64 / 1e6;
-        let mut out = String::new();
-        let _ = writeln!(out, "seed {}", self.seed);
-        for c in &self.crashes {
-            let _ = writeln!(
-                out,
-                "crash machine={} at_ms={} restart_ms={}",
-                c.machine,
-                ms(c.at),
-                ms(c.restart_delay)
-            );
-        }
-        for s in &self.stragglers {
-            let _ = writeln!(out, "straggler worker={} slowdown={}", s.worker, s.slowdown);
-        }
-        for l in &self.link_faults {
-            if l.factor <= 0.0 {
-                let _ = writeln!(
-                    out,
-                    "partition src={} dst={} from_ms={} until_ms={}",
-                    l.src_machine,
-                    l.dst_machine,
-                    ms(l.from),
-                    ms(l.until)
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "degrade src={} dst={} from_ms={} until_ms={} factor={}",
-                    l.src_machine,
-                    l.dst_machine,
-                    ms(l.from),
-                    ms(l.until),
-                    l.factor
-                );
-            }
-        }
-        out
-    }
-
     /// Parses the line-oriented plan format (see `docs/FAULTS.md`):
     /// `#` comments and blank lines are skipped; each remaining line is
     /// `seed N`, `crash machine=M at_ms=T restart_ms=T`,
@@ -312,22 +253,35 @@ impl FaultPlan {
                     .map(|(_, v)| *v)
                     .ok_or_else(|| err(format!("`{keyword}` needs `{key}=`")))
             };
+            // A NaN passes every range check below (it compares false),
+            // and an infinite or negative time would be clamped or
+            // saturated into a `VirtualTime` instead of being refused.
             let num = |key: &str| -> Result<f64, PlanParseError> {
-                get(key)?
+                let v = get(key)?
                     .parse::<f64>()
-                    .map_err(|_| err(format!("`{key}` is not a number")))
+                    .map_err(|_| err(format!("`{key}` is not a number")))?;
+                if !v.is_finite() || v < 0.0 {
+                    return Err(err(format!("`{key}` must be a finite number >= 0")));
+                }
+                Ok(v)
+            };
+            let ms = |key: &str| -> Result<VirtualTime, PlanParseError> {
+                let v = num(key)?;
+                if v > MAX_PLAN_MS {
+                    return Err(err(format!("`{key}` exceeds {MAX_PLAN_MS} ms")));
+                }
+                Ok(VirtualTime::from_secs_f64(v / 1e3))
             };
             let idx = |key: &str| -> Result<usize, PlanParseError> {
                 get(key)?
                     .parse::<usize>()
                     .map_err(|_| err(format!("`{key}` is not an index")))
             };
-            let at_ms = |v: f64| VirtualTime::from_secs_f64(v / 1e3);
             match keyword {
                 "crash" => plan.crashes.push(CrashEvent {
                     machine: idx("machine")?,
-                    at: at_ms(num("at_ms")?),
-                    restart_delay: at_ms(num("restart_ms")?),
+                    at: ms("at_ms")?,
+                    restart_delay: ms("restart_ms")?,
                 }),
                 "straggler" => {
                     let slowdown = num("slowdown")?;
@@ -352,8 +306,8 @@ impl FaultPlan {
                     plan.link_faults.push(LinkFault {
                         src_machine: idx("src")?,
                         dst_machine: idx("dst")?,
-                        from: at_ms(num("from_ms")?),
-                        until: at_ms(num("until_ms")?),
+                        from: ms("from_ms")?,
+                        until: ms("until_ms")?,
                         factor,
                     });
                 }
@@ -431,8 +385,8 @@ mod tests {
     use crate::net::SimNet;
 
     #[test]
-    fn builder_and_text_roundtrip() {
-        let plan = FaultPlan::new(9)
+    fn parse_reads_every_directive() {
+        let mut plan = FaultPlan::new(9)
             .crash(
                 2,
                 VirtualTime::from_millis(120),
@@ -445,15 +399,20 @@ mod tests {
                 VirtualTime::from_millis(10),
                 VirtualTime::from_millis(40),
                 0.25,
-            )
-            .partition_link(
-                3,
-                0,
-                VirtualTime::from_millis(50),
-                VirtualTime::from_millis(60),
             );
-        let reparsed = FaultPlan::parse(&plan.to_text()).unwrap();
-        assert_eq!(plan, reparsed);
+        plan.link_faults.push(LinkFault {
+            src_machine: 3,
+            dst_machine: 0,
+            from: VirtualTime::from_millis(50),
+            until: VirtualTime::from_millis(60),
+            factor: 0.0,
+        });
+        let text = "seed 9\n\
+                    crash machine=2 at_ms=120 restart_ms=35\n\
+                    straggler worker=1 slowdown=3.5\n\
+                    degrade src=0 dst=3 from_ms=10 until_ms=40 factor=0.25\n\
+                    partition src=3 dst=0 from_ms=50 until_ms=60\n";
+        assert_eq!(FaultPlan::parse(text).unwrap(), plan);
     }
 
     #[test]
@@ -543,20 +502,12 @@ mod tests {
                 let ready = VirtualTime::from_micros((i as u64 + 1) * 100 * slowdown);
                 last = net.send(&cluster, src, dst, bytes, ready);
             }
-            (
-                net.total_bytes(),
-                net.link_bytes(0, 1),
-                net.link_bytes(1, 0),
-                net.link_messages(0, 1),
-                last,
-            )
+            (net.total_bytes(), net.per_link(), last)
         };
         let fast = run(1);
         let slow = run(5);
         assert_eq!(fast.0, slow.0, "total bytes unaffected by slowdown");
-        assert_eq!(fast.1, slow.1);
-        assert_eq!(fast.2, slow.2);
-        assert_eq!(fast.3, slow.3);
-        assert!(slow.4 > fast.4, "only the timing moves");
+        assert_eq!(fast.1, slow.1, "per-link bytes and messages too");
+        assert!(slow.2 > fast.2, "only the timing moves");
     }
 }

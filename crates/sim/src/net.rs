@@ -50,7 +50,7 @@ pub struct LinkTraffic {
 /// let arrive = net.send(&cluster, 0, 1, 1_000_000, VirtualTime::ZERO);
 /// assert!(arrive > VirtualTime::ZERO);
 /// assert_eq!(net.total_bytes(), 1_000_000);
-/// assert_eq!(net.link_bytes(0, 1), 1_000_000);
+/// assert_eq!(net.per_link()[0].bytes, 1_000_000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimNet {
@@ -69,8 +69,6 @@ pub struct SimNet {
     link_faults: Vec<LinkFault>,
     /// Initial backoff when a send hits a partitioned link.
     retry_backoff: VirtualTime,
-    /// Sends that had to retry at least once because of a partition.
-    retries: u64,
 }
 
 impl SimNet {
@@ -86,7 +84,6 @@ impl SimNet {
             n_machines: n,
             link_faults: Vec::new(),
             retry_backoff: VirtualTime::from_micros(500),
-            retries: 0,
         }
     }
 
@@ -95,11 +92,6 @@ impl SimNet {
     /// partition retry with exponential backoff until the window closes.
     pub fn set_link_faults(&mut self, faults: Vec<LinkFault>) {
         self.link_faults = faults;
-    }
-
-    /// Number of sends that hit a partitioned link and had to back off.
-    pub fn n_retries(&self) -> u64 {
-        self.retries
     }
 
     /// The bandwidth multiplier of the `src → dst` machine link at
@@ -149,7 +141,6 @@ impl SimNet {
         // the loop.
         let mut backoff = self.retry_backoff;
         while self.link_factor(src_m, dst_m, start) <= 0.0 {
-            self.retries += 1;
             start += backoff;
             backoff = backoff * 2;
         }
@@ -191,26 +182,6 @@ impl SimNet {
         &self.log
     }
 
-    /// Bytes sent over the directed link `src` → `dst` (machine ids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a machine id is out of range.
-    pub fn link_bytes(&self, src: usize, dst: usize) -> u64 {
-        assert!(src < self.n_machines && dst < self.n_machines);
-        self.link_bytes[src * self.n_machines + dst]
-    }
-
-    /// Messages sent over the directed link `src` → `dst` (machine ids).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a machine id is out of range.
-    pub fn link_messages(&self, src: usize, dst: usize) -> u64 {
-        assert!(src < self.n_machines && dst < self.n_machines);
-        self.link_msgs[src * self.n_machines + dst]
-    }
-
     /// Traffic totals of every directed link that carried at least one
     /// message, in `(src, dst)` order.
     pub fn per_link(&self) -> Vec<LinkTraffic> {
@@ -226,9 +197,14 @@ impl SimNet {
             .collect()
     }
 
-    /// Bins departures of messages matching `keep` into windows of `bin`,
-    /// reporting `(window start seconds, Mbps)`.
-    fn binned_trace(&self, bin: VirtualTime, keep: impl Fn(&MsgRecord) -> bool) -> Vec<(f64, f64)> {
+    /// Aggregate cluster bandwidth usage over time: bins departures into
+    /// windows of `bin` and reports `(window start seconds, Mbps)` —
+    /// the series plotted in the paper's Fig. 12.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin` is zero.
+    pub fn bandwidth_trace(&self, bin: VirtualTime) -> Vec<(f64, f64)> {
         assert!(bin > VirtualTime::ZERO, "bin width must be positive");
         let end = self
             .log
@@ -238,7 +214,7 @@ impl SimNet {
             .unwrap_or(VirtualTime::ZERO);
         let n_bins = (end.as_nanos() / bin.as_nanos() + 1) as usize;
         let mut bytes_per_bin = vec![0u64; n_bins];
-        for m in self.log.iter().filter(|m| keep(m)) {
+        for m in &self.log {
             let b = (m.depart.as_nanos() / bin.as_nanos()) as usize;
             bytes_per_bin[b] += m.bytes;
         }
@@ -248,34 +224,6 @@ impl SimNet {
             .enumerate()
             .map(|(i, &b)| (i as f64 * bin_s, b as f64 * 8.0 / bin_s / 1e6))
             .collect()
-    }
-
-    /// Aggregate cluster bandwidth usage over time: bins departures into
-    /// windows of `bin` and reports `(window start seconds, Mbps)` —
-    /// the series plotted in the paper's Fig. 12.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` is zero.
-    pub fn bandwidth_trace(&self, bin: VirtualTime) -> Vec<(f64, f64)> {
-        self.binned_trace(bin, |_| true)
-    }
-
-    /// Bandwidth-over-time of one directed machine link, same binning as
-    /// [`SimNet::bandwidth_trace`]. The trace spans the whole run (bins
-    /// where this link was idle report 0 Mbps), so per-link series line
-    /// up when plotted together.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` is zero.
-    pub fn link_bandwidth_trace(
-        &self,
-        src: usize,
-        dst: usize,
-        bin: VirtualTime,
-    ) -> Vec<(f64, f64)> {
-        self.binned_trace(bin, |m| m.src_machine == src && m.dst_machine == dst)
     }
 
     /// Resets the NIC availability to `t` on all machines (used at pass
@@ -374,36 +322,20 @@ mod tests {
         net.send(&c, 0, 3, 2_000, VirtualTime::ZERO); // same link: m0 -> m1
         net.send(&c, 2, 0, 5_000, VirtualTime::ZERO);
         net.send(&c, 0, 1, 9_000, VirtualTime::ZERO); // intra-machine: uncounted
-        assert_eq!(net.link_bytes(0, 1), 3_000);
-        assert_eq!(net.link_messages(0, 1), 2);
-        assert_eq!(net.link_bytes(1, 0), 5_000);
-        assert_eq!(net.link_bytes(0, 0), 0);
         let links = net.per_link();
-        assert_eq!(links.len(), 2);
+        assert_eq!(links.len(), 2, "the intra-machine send is no link");
         assert_eq!(
-            (links[0].src_machine, links[0].dst_machine, links[0].bytes),
-            (0, 1, 3_000)
+            (links[0].src_machine, links[0].dst_machine),
+            (0, 1),
+            "(src, dst) order"
+        );
+        assert_eq!((links[0].bytes, links[0].messages), (3_000, 2));
+        assert_eq!(
+            (links[1].src_machine, links[1].dst_machine, links[1].bytes),
+            (1, 0, 5_000)
         );
         let total: u64 = links.iter().map(|l| l.bytes).sum();
         assert_eq!(total, net.total_bytes());
-    }
-
-    #[test]
-    fn link_trace_decomposes_aggregate_trace() {
-        let c = cluster();
-        let mut net = SimNet::new(&c);
-        net.send(&c, 0, 2, 1_000_000, VirtualTime::ZERO);
-        net.send(&c, 2, 0, 3_000_000, VirtualTime::from_secs(1));
-        let bin = VirtualTime::from_secs(1);
-        let all = net.bandwidth_trace(bin);
-        let l01 = net.link_bandwidth_trace(0, 1, bin);
-        let l10 = net.link_bandwidth_trace(1, 0, bin);
-        assert_eq!(all.len(), l01.len());
-        assert_eq!(all.len(), l10.len());
-        for i in 0..all.len() {
-            assert!((l01[i].1 + l10[i].1 - all[i].1).abs() < 1e-9);
-        }
-        assert!(l01[0].1 > 0.0 && l10[0].1 == 0.0);
     }
 
     #[test]
@@ -430,8 +362,7 @@ mod tests {
             VirtualTime::from_millis(1) + VirtualTime::from_micros(10)
         );
         // Byte accounting sees the payload, not the slowdown.
-        assert_eq!(net.link_bytes(0, 1), 1_000_000);
-        assert_eq!(net.n_retries(), 0);
+        assert_eq!(net.per_link()[0].bytes, 1_000_000);
     }
 
     #[test]
@@ -448,8 +379,7 @@ mod tests {
         let arrive = net.send(&c, 0, 2, 1_000_000, VirtualTime::ZERO);
         // Transfer cannot begin before the partition heals at 20 ms.
         assert!(arrive >= VirtualTime::from_millis(21));
-        assert!(net.n_retries() > 0);
-        assert_eq!(net.link_bytes(0, 1), 1_000_000);
+        assert_eq!(net.per_link()[0].bytes, 1_000_000);
         // After the window everything is back to nominal speed.
         let later = net.send(&c, 0, 2, 1_000_000, VirtualTime::from_secs(1));
         assert_eq!(

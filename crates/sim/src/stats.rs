@@ -56,15 +56,6 @@ impl RunStats {
         Some(end.time.saturating_sub(t0).as_secs_f64() / (to - from) as f64)
     }
 
-    /// First virtual time the metric reaches (is at or below) `target`,
-    /// for losses that decrease; `None` when never reached.
-    pub fn time_to_loss(&self, target: f64) -> Option<VirtualTime> {
-        self.progress
-            .iter()
-            .find(|p| p.metric <= target)
-            .map(|p| p.time)
-    }
-
     /// First iteration the metric reaches (is at or below) `target`.
     pub fn iters_to_loss(&self, target: f64) -> Option<u64> {
         self.progress
@@ -120,9 +111,8 @@ mod tests {
     #[test]
     fn convergence_lookups() {
         let s = stats();
-        assert_eq!(s.time_to_loss(25.0), Some(VirtualTime::from_secs(4)));
         assert_eq!(s.iters_to_loss(25.0), Some(3));
-        assert_eq!(s.time_to_loss(1.0), None);
+        assert_eq!(s.iters_to_loss(1.0), None);
         assert_eq!(s.final_metric(), Some(10.0));
     }
 }

@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use orion_sim::{ClusterSpec, CpuSpec, NetworkSpec, VirtualTime};
+use orion_sim::{ClusterSpec, CpuSpec, NetworkSpec};
 
 /// Lines of C++ in the original STRADS SGD MF application (coordinator +
 /// worker), as reported in §2.2 — the manual-effort datum of Table 2.
@@ -122,23 +122,6 @@ impl ManualSchedule {
             time_dim: 1,
         }
     }
-
-    /// The strategy value equivalent to this manual schedule, to feed the
-    /// shared runtime.
-    pub fn as_strategy(&self) -> orion_analysis::Strategy {
-        orion_analysis::Strategy::TwoD {
-            space: self.space_dim,
-            time: self.time_dim,
-            ordered: false,
-        }
-    }
-}
-
-/// Virtual-time helper: STRADS's hand-rolled synchronization uses the
-/// same point-to-point signaling the runtime models; nothing extra to
-/// charge. Exposed for symmetry in the benchmarks.
-pub fn sync_overhead() -> VirtualTime {
-    VirtualTime::ZERO
 }
 
 #[cfg(test)]
@@ -153,19 +136,6 @@ mod tests {
         assert_eq!(s.n_workers(), 12);
         assert!(s.network.zero_copy_local);
         assert_eq!(s.cpu.compute_scale, 0.9);
-    }
-
-    #[test]
-    fn manual_schedule_matches_orion_mf_strategy() {
-        let manual = ManualSchedule::sgd_mf().as_strategy();
-        assert_eq!(
-            manual,
-            orion_analysis::Strategy::TwoD {
-                space: 0,
-                time: 1,
-                ordered: false
-            }
-        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl Value {
     }
 
     /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Value]> {
         match self {
             Value::Arr(v) => Some(v),
             _ => None,

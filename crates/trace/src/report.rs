@@ -24,7 +24,7 @@ impl PhaseTotals {
 
     /// Sum over the categories that occupy the executor timeline
     /// (everything except server-track work).
-    pub fn worker_track_ns(&self) -> u64 {
+    pub(crate) fn worker_track_ns(&self) -> u64 {
         self.iter()
             .filter(|(c, _)| c.on_worker_track())
             .map(|(_, ns)| ns)
@@ -163,12 +163,12 @@ impl LoadStats {
     }
 
     /// Heaviest worker's item count.
-    pub fn max_items(&self) -> u64 {
+    pub(crate) fn max_items(&self) -> u64 {
         self.per_worker_items.iter().copied().max().unwrap_or(0)
     }
 
     /// Mean items per worker.
-    pub fn mean_items(&self) -> f64 {
+    pub(crate) fn mean_items(&self) -> f64 {
         if self.per_worker_items.is_empty() {
             return 0.0;
         }

@@ -35,7 +35,7 @@ pub struct Calibration {
 /// ([`orion_runtime::PrefetchMode::CachedRecorded`]) pay their recording
 /// cost only on the first pass, and the steady-state time is what a
 /// training run amortizes to.
-pub fn measure_pass_ns(
+pub(crate) fn measure_pass_ns(
     cluster: &ClusterSpec,
     schedule: &Schedule,
     comm: &LoopCommModel,
@@ -66,7 +66,7 @@ pub fn measure_pass_ns(
 /// overheads (served fetch + write-back), not cluster speed, and the
 /// static ranking between placements is already byte-exact in the
 /// simulator.
-pub fn calibrate(
+pub(crate) fn calibrate(
     cluster: &ClusterSpec,
     schedule: &Schedule,
     comm: &LoopCommModel,

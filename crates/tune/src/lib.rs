@@ -8,7 +8,7 @@
 //! 1. **Calibrate** — run a few seeded passes of the static plan in the
 //!    deterministic virtual-time simulator with a no-op body, tracing
 //!    per-slot compute spans, per-link bytes and load skew
-//!    ([`calibrate`]);
+//!    (`calibrate`);
 //! 2. **Fit** — turn the measurements into [`CostParams`] for the
 //!    parameterized `orion-analysis` cost model: measured ns/iteration,
 //!    effective network bandwidth, and partition skew;
@@ -40,13 +40,14 @@
 mod calibrate;
 mod plan;
 
-pub use calibrate::{calibrate, measure_pass_ns, Calibration};
+pub use calibrate::Calibration;
 pub use orion_analysis::CostParams;
 pub use plan::{fmt_ns, tune_spec, PlanChoice, TuneConfig, TuneOutcome, TunedPlan};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::calibrate::measure_pass_ns;
     use orion_ir::{ArrayMeta, DistArrayId, LoopSpec, Subscript};
     use orion_sim::ClusterSpec;
 

@@ -26,9 +26,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-# Canonical docs referred to by bare name throughout prose and rustdoc.
+# Canonical docs referred to by bare name throughout prose and rustdoc,
+# with the directories in front of the name when a mention has them
+# (`.claude/skills/verify/SKILL.md` names that file, not a root SKILL.md).
 DOC_MENTION = re.compile(
-    r"\b((?:docs/)[A-Za-z0-9_\-]+\.md|[A-Z][A-Z0-9_]+\.md)\b"
+    r"(?<![\w./\-])((?:[\w.\-]+/)*(?:docs/[A-Za-z0-9_\-]+|[A-Z][A-Z0-9_]+)\.md)\b"
 )
 
 SKIP_DIRS = {"target", ".git", "vendor", "results"}
