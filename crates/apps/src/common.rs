@@ -76,6 +76,37 @@ pub(crate) fn split_by_role<T: Element>(
     )
 }
 
+/// One walk of a frozen iteration-space array (§3.2): the flat record
+/// table every pass body reads, one `record(position, index, value)` per
+/// element in ascending flat order, and the loop indices `parallel_for`
+/// plans over, which the caller drops once the loop is compiled.
+pub(crate) fn flat_table<T: Element, R, const N: usize>(
+    space: &DistArray<T>,
+    record: impl Fn(usize, [i64; N], &T) -> R,
+) -> (Vec<[i64; N]>, Vec<R>) {
+    let dims = space.shape().dims();
+    assert_eq!(dims.len(), N, "`{}` is not {N}-dimensional", space.name());
+    space
+        .iter_flat()
+        .enumerate()
+        .map(|(pos, (flat, v))| {
+            // `%` and `/` by one extent compile to one division.
+            let (mut index, mut rest) = ([0; N], flat);
+            for d in (1..N).rev() {
+                index[d] = (rest % dims[d]) as i64;
+                rest /= dims[d];
+            }
+            index[0] = rest as i64;
+            (index, record(pos, index, v))
+        })
+        .unzip()
+}
+
+/// A factor-row coordinate as the `u32` a flat record stores.
+pub(crate) fn row_u32(coord: i64) -> u32 {
+    u32::try_from(coord).expect("factor row index fits u32")
+}
+
 /// Row `row` of a whole dense `rows × width` array as a plain
 /// bounds-checked slice — what a readout term reads from a merged
 /// model, without `row_slice`'s per-call origin and rank checks.

@@ -17,7 +17,7 @@ use orion_core::{
 };
 use orion_data::TabularData;
 
-use crate::common::cost;
+use crate::common::{cost, flat_table};
 use crate::run::{train, App, Engine, Pool, RunError};
 
 /// GBT hyperparameters.
@@ -258,12 +258,13 @@ pub struct GbtApp {
     pub cfg: GbtConfig,
 }
 
-/// What [`GbtApp`]'s setup builds: the ensemble so far and its
-/// predictions.
+/// What [`GbtApp`]'s setup builds: the ensemble so far, its
+/// predictions and the feature table.
 #[derive(Debug)]
 pub struct GbtJob {
     model: GbtModel,
-    items: Vec<(Vec<i64>, u32)>,
+    /// The iteration space, feature `f` at position `f`, shared with the pool.
+    feats: Arc<Vec<u32>>,
     preds: Vec<f32>,
     feature_cost: f64,
 }
@@ -332,7 +333,7 @@ impl App for GbtApp {
         // Iteration space: the features.
         let feat_arr: DistArray<u32> =
             DistArray::dense_from_fn("features", vec![n_features as u64], |i| i[0] as u32);
-        let items: Vec<(Vec<i64>, u32)> = feat_arr.iter().map(|(i, &v)| (i, v)).collect();
+        let (indices, feats): (Vec<[i64; 1]>, _) = flat_table(&feat_arr, |_, _, &f| f);
         let feats_id = driver.register(&feat_arr);
         // Gradient vector (read by every feature) and per-feature histogram
         // slots (each feature writes only its own row).
@@ -349,7 +350,7 @@ impl App for GbtApp {
             .build()
             .expect("static GBT spec is valid");
         let compiled = driver
-            .parallel_for(spec, &items)
+            .parallel_for(spec, &indices)
             .expect("GBT split loop parallelizes");
         debug_assert!(matches!(
             compiled.strategy(),
@@ -363,7 +364,7 @@ impl App for GbtApp {
         let job = GbtJob {
             preds: vec![model.base; n_samples],
             model,
-            items,
+            feats: Arc::new(feats),
             feature_cost: cost::gbt_feature_ns(n_samples) * cost::ORION_OVERHEAD,
         };
         (compiled, job)
@@ -381,9 +382,9 @@ impl App for GbtApp {
         let n_bins = self.cfg.n_bins;
         let GbtJob {
             model,
-            items,
             preds,
             feature_cost,
+            ..
         } = job;
         // The round's first crash; the caller discards the whole round.
         let mut fault = None;
@@ -395,8 +396,7 @@ impl App for GbtApp {
             &mut |driver, grads, slot_of_node, assign, hist_len| {
                 let mut hists = vec![vec![BinStat::default(); hist_len]; n_features];
                 let (_, crash) =
-                    driver.run_pass(compiled, &mut |_pos| *feature_cost, &mut |_w, pos| {
-                        let f = items[pos].1 as usize;
+                    driver.run_pass(compiled, &mut |_pos| *feature_cost, &mut |_w, f| {
                         kernels::feature_histogram(
                             f,
                             n_samples,
@@ -440,7 +440,6 @@ impl App for GbtApp {
         let (n_samples, n_features) = (data.config.n_samples, data.config.n_features);
         let n_bins = self.cfg.n_bins;
         let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
-        let feats: Arc<Vec<u32>> = Arc::new(job.items.iter().map(|(_, v)| *v).collect());
         let x: Arc<Vec<f32>> = Arc::new(data.features.clone());
         for round in 0..rounds {
             boost_round(
@@ -466,7 +465,7 @@ impl App for GbtApp {
                     let out = driver.run_pass_threaded_one_d(
                         &compiled.spec.name,
                         &plan,
-                        &feats,
+                        &job.feats,
                         scratch,
                         &body,
                     );

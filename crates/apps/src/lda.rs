@@ -23,7 +23,7 @@ use orion_data::CorpusData;
 use orion_dsm::kernels;
 use orion_ps::{PsApp, PsView, UpdateLog};
 
-use crate::common::{by_role, cost, mix64, space_is_dim0, split_by_role};
+use crate::common::{by_role, cost, flat_table, mix64, row_u32, space_is_dim0, split_by_role};
 use crate::run::{train, App, Engine, Pool, RunError};
 
 /// LDA hyperparameters.
@@ -61,7 +61,7 @@ pub struct LdaModel {
     /// Topic totals, length K.
     pub ts: Vec<i64>,
     /// Topic assignment of every token occurrence, aligned with the
-    /// corpus item list (one inner vec per `(doc, word)` cell).
+    /// corpus's cells in flat order (one inner vec per `(doc, word)`).
     pub z: Vec<Vec<u16>>,
     /// Hyperparameters.
     pub cfg: LdaConfig,
@@ -69,26 +69,48 @@ pub struct LdaModel {
     pub vocab: u64,
 }
 
+/// One `(doc, word)` cell of the token loop: its occurrence count and
+/// its position in the table (the sampler's seed, carried so a pool
+/// worker's body knows it).
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    doc: u32,
+    word: u32,
+    count: u32,
+    pos: u32,
+}
+
+/// The token loop's iteration space: one walk of the frozen corpus
+/// builds the cell table and the loop indices.
+fn cell_table(corpus: &CorpusData) -> (Vec<[i64; 2]>, Vec<Cell>) {
+    flat_table(&corpus.tokens, |pos, [d, w], &count| Cell {
+        doc: row_u32(d),
+        word: row_u32(w),
+        count,
+        pos: u32::try_from(pos).expect("cell position fits u32"),
+    })
+}
+
 impl LdaModel {
-    /// Initializes assignments uniformly at random (seeded) and builds
-    /// the count tables consistently.
-    pub fn init(corpus: &CorpusData, cfg: LdaConfig) -> Self {
+    /// Initializes assignments uniformly at random (seeded by cell
+    /// position) and builds the count tables consistently.
+    fn init(corpus: &CorpusData, cells: &[Cell], cfg: LdaConfig) -> Self {
         let dims = corpus.tokens.shape().dims().to_vec();
         let (n_docs, vocab) = (dims[0], dims[1]);
         let k = cfg.n_topics;
         let mut dt = DistArray::dense("doc_topic", vec![n_docs, k as u64]);
         let mut wt = DistArray::dense("word_topic", vec![vocab, k as u64]);
         let mut ts = vec![0i64; k];
-        let items = corpus.items();
-        let mut z = Vec::with_capacity(items.len());
-        for (pos, (idx, count)) in items.iter().enumerate() {
-            let mut cell = Vec::with_capacity(*count as usize);
+        let mut z = Vec::with_capacity(cells.len());
+        for c in cells {
+            let mut cell = Vec::with_capacity(c.count as usize);
             // Translate each count row to a flat base offset once per
             // cell; topic updates are then direct offsets into it.
-            let dt_base = dt.flat_of(&[idx[0], 0]).expect("doc id in range");
-            let wt_base = wt.flat_of(&[idx[1], 0]).expect("word id in range");
-            for occ in 0..*count {
-                let topic = (mix64(cfg.seed ^ (pos as u64) << 20 ^ occ as u64) % k as u64) as u16;
+            let dt_base = dt.flat_of(&[c.doc.into(), 0]).expect("doc id in range");
+            let wt_base = wt.flat_of(&[c.word.into(), 0]).expect("word id in range");
+            for occ in 0..c.count {
+                let seed = cfg.seed ^ u64::from(c.pos) << 20 ^ u64::from(occ);
+                let topic = (mix64(seed) % k as u64) as u16;
                 cell.push(topic);
                 dt.update_flat(dt_base + topic as u64, |c| *c += 1);
                 wt.update_flat(wt_base + topic as u64, |c| *c += 1);
@@ -108,25 +130,23 @@ impl LdaModel {
 
     /// Negative per-token predictive log likelihood (lower is better) —
     /// the convergence metric of Figs. 9c/10c/11.
-    pub(crate) fn neg_log_likelihood(&self, corpus: &CorpusData) -> f64 {
+    fn neg_log_likelihood(&self, corpus: &CorpusData, cells: &[Cell]) -> f64 {
         let k = self.cfg.n_topics;
         let (alpha, beta) = (self.cfg.alpha as f64, self.cfg.beta as f64);
         let vbeta = self.vocab as f64 * beta;
         let kalpha = k as f64 * alpha;
         let doc_lens = corpus.tokens.histogram_along(0);
         let mut ll = 0.0f64;
-        let shape = corpus.tokens.shape();
-        for (flat, &count) in corpus.tokens.iter_flat() {
-            let (d, w) = (shape.coord_of(flat, 0), shape.coord_of(flat, 1));
-            let dt_row = self.dt.row_slice(d);
-            let wt_row = self.wt.row_slice(w);
-            let len_d = doc_lens[d as usize] as f64;
+        for c in cells {
+            let dt_row = self.dt.row_slice(c.doc.into());
+            let wt_row = self.wt.row_slice(c.word.into());
+            let len_d = doc_lens[c.doc as usize] as f64;
             let mut p = 0.0f64;
             for t in 0..k {
                 p += (dt_row[t] as f64 + alpha) / (len_d + kalpha) * (wt_row[t] as f64 + beta)
                     / (self.ts[t] as f64 + vbeta);
             }
-            ll += count as f64 * p.max(1e-300).ln();
+            ll += c.count as f64 * p.max(1e-300).ln();
         }
         -ll / corpus.n_tokens as f64
     }
@@ -194,12 +214,12 @@ pub struct LdaApp {
     pub ordered: bool,
 }
 
-/// What [`LdaApp`]'s setup builds: the sampler state and per-cell costs.
+/// What [`LdaApp`]'s setup builds: the sampler state and the cell
+/// table, the job's only copy of the iteration space.
 #[derive(Debug)]
 pub struct LdaJob {
     model: LdaModel,
-    items: Vec<(Vec<i64>, u32)>,
-    iter_cost: Vec<f64>,
+    cells: Arc<Vec<Cell>>,
 }
 
 /// Scratch a pool worker carries through one threaded LDA pass: its
@@ -219,9 +239,9 @@ impl App for LdaApp {
     const NAME: &'static str = "lda";
 
     fn setup(&self, corpus: &CorpusData, driver: &mut Driver) -> (CompiledLoop, LdaJob) {
-        let items = corpus.items();
+        let (indices, cells) = cell_table(corpus);
         let dims = corpus.tokens.shape().dims().to_vec();
-        let model = LdaModel::init(corpus, self.cfg.clone());
+        let model = LdaModel::init(corpus, &cells, self.cfg.clone());
         let k = model.cfg.n_topics;
         let tokens = driver.register(&corpus.tokens);
         let dt = driver.register(&model.dt);
@@ -238,16 +258,11 @@ impl App for LdaApp {
         let b = if self.ordered { b.ordered() } else { b };
         let spec = b.build().expect("static LDA spec is valid");
         let compiled = driver
-            .parallel_for(spec, &items)
+            .parallel_for(spec, &indices)
             .expect("LDA loop parallelizes");
-        let iter_cost = items
-            .iter()
-            .map(|(_, c)| cost::lda_token_ns(k) * *c as f64 * cost::ORION_OVERHEAD)
-            .collect();
         let job = LdaJob {
             model,
-            items,
-            iter_cost,
+            cells: Arc::new(cells),
         };
         (compiled, job)
     }
@@ -260,50 +275,45 @@ impl App for LdaApp {
         compiled: &CompiledLoop,
         pass: u64,
     ) -> Option<FaultEvent> {
-        let LdaJob {
-            model,
-            items,
-            iter_cost,
-        } = job;
+        let LdaModel {
+            dt,
+            wt,
+            ts,
+            z,
+            cfg,
+            vocab,
+        } = &mut job.model;
+        let cells = &job.cells;
         // Worker-local topic summaries: snapshot + local updates; merged
         // at the pass boundary (the buffered-write application).
-        let snapshot = model.ts.clone();
+        let snapshot = ts.clone();
         let mut local_ts: Vec<Vec<i64>> = vec![snapshot.clone(); compiled.schedule.n_workers];
-        let fault = {
-            let LdaModel {
-                dt,
-                wt,
-                z,
+        let token_ns = cost::lda_token_ns(cfg.n_topics);
+        let cell_ns = |pos: usize| token_ns * cells[pos].count as f64 * cost::ORION_OVERHEAD;
+        let (_, fault) = driver.run_pass(compiled, &mut |pos| cell_ns(pos), &mut |w, pos| {
+            let Cell { doc, word, .. } = cells[pos];
+            gibbs_cell(
                 cfg,
-                vocab,
-                ..
-            } = &mut *model;
-            let (_, fault) = driver.run_pass(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
-                let (idx, _) = &items[pos];
-                gibbs_cell(
-                    cfg,
-                    *vocab,
-                    dt.row_slice_mut(idx[0]),
-                    wt.row_slice_mut(idx[1]),
-                    &mut local_ts[w],
-                    &mut z[pos],
-                    pass,
-                    pos,
-                );
-            });
-            fault
-        };
+                *vocab,
+                dt.row_slice_mut(doc.into()),
+                wt.row_slice_mut(word.into()),
+                &mut local_ts[w],
+                &mut z[pos],
+                pass,
+                pos,
+            );
+        });
         // Apply buffered summary deltas.
         for lt in &local_ts {
             for (t, snap) in snapshot.iter().enumerate() {
-                model.ts[t] += lt[t] - snap;
+                ts[t] += lt[t] - snap;
             }
         }
         fault
     }
 
     fn metric(&self, corpus: &CorpusData, job: &LdaJob) -> f64 {
-        job.model.neg_log_likelihood(corpus)
+        job.model.neg_log_likelihood(corpus, &job.cells)
     }
 
     fn into_model(job: LdaJob) -> LdaModel {
@@ -320,49 +330,35 @@ impl App for LdaApp {
         pool: &mut Pool<'_>,
         passes: u64,
     ) -> Result<LdaModel, RunError> {
-        let LdaJob {
-            mut model, items, ..
-        } = job;
-        let k = model.cfg.n_topics;
+        let LdaJob { mut model, cells } = job;
         let (compiled, plan) = (pool.compiled, Arc::clone(&pool.plan));
         let positions = plan.worker_positions();
-        // Flat (doc, word, cell position) records; the position seeds the
-        // sampler and is carried so sharded cells stay addressable.
-        let cells: Arc<Vec<(i64, i64, u32)>> = Arc::new(
-            items
-                .iter()
-                .enumerate()
-                .map(|(pos, (idx, _))| (idx[0], idx[1], pos as u32))
-                .collect(),
-        );
         // The analyzer is free to pick either loop dimension as space: the
         // array subscripted by the space dimension is worker-local, the
         // other rotates. Map `dt` (docs, loop dim 0) and `wt` (words, loop
         // dim 1) accordingly.
         let space_is_docs = space_is_dim0(compiled);
         let (mut space_parts, mut time_parts) = split_by_role(compiled, model.dt, model.wt);
-        let cfg_arc = Arc::new(model.cfg.clone());
         let vocab = model.vocab;
 
         for pass in 0..passes {
             let snapshot = model.ts.clone();
             // Shard the assignments: each worker takes ownership of its
             // cells' z vectors in execution order and walks them by cursor.
-            let mut scratch = Vec::with_capacity(plan.n_workers());
-            for ps in &positions {
-                let z: Vec<Vec<u16>> = ps
-                    .iter()
-                    .map(|&p| std::mem::take(&mut model.z[p as usize]))
-                    .collect();
-                scratch.push(LdaThreadScratch {
+            let scratch = positions
+                .iter()
+                .map(|ps| LdaThreadScratch {
                     ts: snapshot.clone(),
-                    z,
+                    z: ps
+                        .iter()
+                        .map(|&p| std::mem::take(&mut model.z[p as usize]))
+                        .collect(),
                     cursor: 0,
-                });
-            }
-            let cfg2 = Arc::clone(&cfg_arc);
+                })
+                .collect();
+            let cfg = model.cfg.clone();
             let body = Arc::new(
-                move |&(d, w, pos): &(i64, i64, u32),
+                move |&Cell { doc, word, pos, .. }: &Cell,
                       ap: &mut DistArray<u32>,
                       bp: &mut DistArray<u32>,
                       sc: &mut LdaThreadScratch| {
@@ -371,10 +367,10 @@ impl App for LdaApp {
                     let LdaThreadScratch { ts, z, .. } = sc;
                     let (dp, wp) = by_role(space_is_docs, ap, bp);
                     gibbs_cell(
-                        &cfg2,
+                        &cfg,
                         vocab,
-                        dp.row_slice_mut(d),
-                        wp.row_slice_mut(w),
+                        dp.row_slice_mut(doc.into()),
+                        wp.row_slice_mut(word.into()),
                         ts,
                         &mut z[cur],
                         pass,
@@ -399,7 +395,7 @@ impl App for LdaApp {
                 for (&p, zcell) in positions[w].iter().zip(sc.z) {
                     model.z[p as usize] = zcell;
                 }
-                for (t, snap) in snapshot.iter().enumerate().take(k) {
+                for (t, snap) in snapshot.iter().enumerate() {
                     model.ts[t] += sc.ts[t] - snap;
                 }
             }
@@ -415,7 +411,7 @@ impl App for LdaApp {
                 cfg: model.cfg.clone(),
                 vocab,
             };
-            pool.record(pass, snap.neg_log_likelihood(corpus));
+            pool.record(pass, snap.neg_log_likelihood(corpus, &cells));
         }
         let (dt_parts, wt_parts) = by_role(space_is_docs, space_parts, time_parts);
         model.dt = DistArray::merge_along(0, dt_parts);
@@ -456,7 +452,7 @@ pub fn train_serial(corpus: &CorpusData, cfg: LdaConfig, passes: u64) -> (LdaMod
 /// assignments are worker-local state (documents are sharded), which the
 /// engine's sequential execution keeps exact.
 pub struct LdaPsAdapter {
-    items: Vec<(Vec<i64>, u32)>,
+    cells: Vec<Cell>,
     state: std::cell::RefCell<LdaPsState>,
     k: usize,
     vocab: usize,
@@ -473,44 +469,23 @@ struct LdaPsState {
 
 impl LdaPsAdapter {
     /// Builds the adapter with the same seeded initialization as
-    /// [`LdaModel::init`].
+    /// [`LdaApp`]'s setup.
     pub fn new(corpus: &CorpusData, cfg: LdaConfig) -> Self {
-        let model = LdaModel::init(corpus, cfg.clone());
-        let items = corpus.items();
-        let dims = corpus.tokens.shape().dims();
-        let (n_docs, vocab) = (dims[0] as usize, dims[1] as usize);
-        let k = cfg.n_topics;
-        let mut dt = vec![0u32; n_docs * k];
-        for d in 0..n_docs {
-            dt[d * k..(d + 1) * k].copy_from_slice(model.dt.row_slice(d as i64));
-        }
+        let (_, cells) = cell_table(corpus);
+        let model = LdaModel::init(corpus, &cells, cfg.clone());
         LdaPsAdapter {
             state: std::cell::RefCell::new(LdaPsState {
-                dt,
+                dt: model.dt.dense_values().to_vec(),
                 z: model.z,
-                pass_of_item: vec![0; items.len()],
+                pass_of_item: vec![0; cells.len()],
             }),
-            items,
-            k,
-            vocab,
+            cells,
+            k: cfg.n_topics,
+            vocab: model.vocab as usize,
             cfg,
             doc_lens: corpus.tokens.histogram_along(0),
             n_tokens: corpus.n_tokens,
         }
-    }
-
-    /// Initial word–topic + summary parameters consistent with the
-    /// assignments.
-    fn init_wt_ts(&self) -> Vec<f32> {
-        let mut p = vec![0f32; self.n_params()];
-        let state = self.state.borrow();
-        for (pos, (idx, _)) in self.items.iter().enumerate() {
-            for &t in &state.z[pos] {
-                p[idx[1] as usize * self.k + t as usize] += 1.0;
-                p[self.vocab * self.k + t as usize] += 1.0;
-            }
-        }
-        p
     }
 }
 
@@ -519,21 +494,31 @@ impl PsApp for LdaPsAdapter {
         (self.vocab + 1) * self.k
     }
 
+    /// Initial word–topic + summary parameters consistent with the
+    /// assignments.
     fn init_params(&self) -> Vec<f32> {
-        self.init_wt_ts()
+        let mut p = vec![0f32; self.n_params()];
+        let state = self.state.borrow();
+        for (c, zs) in self.cells.iter().zip(&state.z) {
+            for &t in zs {
+                p[c.word as usize * self.k + t as usize] += 1.0;
+                p[self.vocab * self.k + t as usize] += 1.0;
+            }
+        }
+        p
     }
 
     fn n_items(&self) -> usize {
-        self.items.len()
+        self.cells.len()
     }
 
     fn item_cost_ns(&self, item: usize) -> f64 {
-        cost::lda_token_ns(self.k) * self.items[item].1 as f64
+        cost::lda_token_ns(self.k) * self.cells[item].count as f64
     }
 
     fn update(&self, item: usize, view: &PsView<'_>, out: &mut UpdateLog) {
-        let (idx, _) = &self.items[item];
-        let (d, w) = (idx[0] as usize, idx[1] as usize);
+        let Cell { doc, word, .. } = self.cells[item];
+        let (d, w) = (doc as usize, word as usize);
         let k = self.k;
         let (alpha, beta) = (self.cfg.alpha as f64, self.cfg.beta as f64);
         let vbeta = self.vocab as f64 * beta;
@@ -577,8 +562,8 @@ impl PsApp for LdaPsAdapter {
         let kalpha = k as f64 * alpha;
         let st = self.state.borrow();
         let mut ll = 0.0f64;
-        for (idx, count) in self.items.iter().map(|(i, c)| (i, *c)) {
-            let (d, w) = (idx[0] as usize, idx[1] as usize);
+        for c in &self.cells {
+            let (d, w) = (c.doc as usize, c.word as usize);
             let len_d = self.doc_lens[d] as f64;
             let mut p = 0.0f64;
             for t in 0..k {
@@ -586,7 +571,7 @@ impl PsApp for LdaPsAdapter {
                     * (params[w * k + t].max(0.0) as f64 + beta)
                     / (params[self.vocab * k + t].max(0.0) as f64 + vbeta);
             }
-            ll += count as f64 * p.max(1e-300).ln();
+            ll += c.count as f64 * p.max(1e-300).ln();
         }
         -ll / self.n_tokens as f64
     }
@@ -604,7 +589,7 @@ mod tests {
     #[test]
     fn init_counts_are_consistent() {
         let c = corpus();
-        let m = LdaModel::init(&c, LdaConfig::new(4));
+        let m = LdaModel::init(&c, &cell_table(&c).1, LdaConfig::new(4));
         let total_dt: u64 = (0..c.config.n_docs as i64)
             .flat_map(|d| {
                 m.dt.row_slice(d)

@@ -25,7 +25,7 @@ use orion_ps::{PsApp, PsView, UpdateLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{by_role, cost, raw_row, space_is_dim0, split_by_role};
+use crate::common::{by_role, cost, flat_table, raw_row, row_u32, space_is_dim0, split_by_role};
 use crate::distributed::DistOptions;
 use crate::run::{train, unsupported, App, Engine, Pool, RunError, RunOutput};
 
@@ -289,20 +289,8 @@ impl App for MfApp {
 
     fn setup(&self, data: &RatingsData, driver: &mut Driver) -> (CompiledLoop, MfJob) {
         let model = MfModel::for_data(data, self.cfg.clone());
-        // One walk of the frozen ratings builds the triples and the
-        // loop indices `parallel_for` plans over (one division per
-        // rating yields both coordinates); the indices go once the loop
-        // is compiled.
-        let n_items = data.ratings.shape().dims()[1];
-        let row = |c: u64| u32::try_from(c).expect("factor row index fits u32");
-        let (indices, triples): (Vec<[i64; 2]>, Vec<_>) = data
-            .ratings
-            .iter_flat()
-            .map(|(flat, &v)| {
-                let (u, i) = (flat / n_items, flat % n_items);
-                ([u as i64, i as i64], (row(u), row(i), v))
-            })
-            .unzip();
+        let (indices, triples) =
+            flat_table(&data.ratings, |_, [u, i], &v| (row_u32(u), row_u32(i), v));
         let z = driver.register(&data.ratings);
         let w = driver.register(&model.w);
         let h = driver.register(&model.h);

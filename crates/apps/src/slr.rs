@@ -173,7 +173,6 @@ impl SlrApp {
 #[derive(Debug)]
 pub struct SlrJob {
     pub(crate) model: SlrModel,
-    items: Vec<(Vec<i64>, f32)>,
     iter_cost: Vec<f64>,
     /// One write buffer per worker of the compiled schedule, empty
     /// between passes.
@@ -184,17 +183,19 @@ pub struct SlrJob {
 }
 
 /// The iteration space: one element per sample, valued by its label.
-fn sample_items(data: &SparseData) -> (DistArray<f32>, Vec<(Vec<i64>, f32)>) {
-    let samples: DistArray<f32> = DistArray::sparse_from(
+fn samples_array(data: &SparseData) -> DistArray<f32> {
+    let labels = data.samples.iter().map(|s| s.label as f32);
+    DistArray::sparse_from_flat(
         "samples",
         vec![data.samples.len() as u64],
-        data.samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (vec![i as i64], s.label as f32)),
-    );
-    let items = samples.iter().map(|(i, &v)| (i, v)).collect();
-    (samples, items)
+        (0..).zip(labels),
+    )
+}
+
+/// The loop indices of `n` samples, built for `parallel_for` and
+/// dropped once the loop is compiled.
+fn sample_indices(n: usize) -> Vec<[i64; 1]> {
+    (0..n as i64).map(|i| [i]).collect()
 }
 
 /// The buffered per-sample step every engine runs: the margin under
@@ -263,8 +264,7 @@ impl App for SlrApp {
 
     fn setup(&self, data: &SparseData, driver: &mut Driver) -> (CompiledLoop, SlrJob) {
         let model = SlrModel::new(data.config.n_features, self.cfg.clone());
-        let (samples, items) = sample_items(data);
-        let samples_id = driver.register(&samples);
+        let samples_id = driver.register(&samples_array(data));
         let weights_id = driver.register(&model.weights);
         // The synthesized prefetch function (the recording pass of §4.4)
         // executes only the subscript-producing statements and logs
@@ -278,7 +278,7 @@ impl App for SlrApp {
             .build()
             .expect("static SLR spec is valid");
         let mut compiled = driver
-            .parallel_for(spec, &items)
+            .parallel_for(spec, &sample_indices(data.samples.len()))
             .expect("SLR loop parallelizes with buffers");
         debug_assert!(matches!(
             compiled.strategy(),
@@ -293,7 +293,6 @@ impl App for SlrApp {
         let job = SlrJob {
             buffers: write_buffers(&model.weights, compiled.schedule.n_workers),
             model,
-            items,
             iter_cost,
             updates: vec![None; compiled.schedule.n_workers],
         };
@@ -407,8 +406,9 @@ impl App for SlrApp {
         compiled: &CompiledLoop,
         cfg: &TuneConfig,
     ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
+        let indices = sample_indices(job.iter_cost.len());
         let (mut tuned, outcome) =
-            driver.tune_loop(compiled, &job.items, cfg, &mut |pos| job.iter_cost[pos]);
+            driver.tune_loop(compiled, &indices, cfg, &mut |pos| job.iter_cost[pos]);
         self.apply_prefetch_override(&mut tuned);
         Ok((tuned, outcome))
     }
@@ -472,8 +472,7 @@ pub fn train_serial(data: &SparseData, cfg: SlrConfig, passes: u64) -> (SlrModel
     let mut driver = Driver::new(ClusterSpec::serial());
     driver.set_math_mode(model.cfg.math);
     let mode = driver.math_mode();
-    let (samples_arr, items) = sample_items(data);
-    let samples_id = driver.register(&samples_arr);
+    let samples_id = driver.register(&samples_array(data));
     let weights_id = driver.register(&model.weights);
     // Serial program: no buffering, direct writes (the original
     // imperative loop before parallelization).
@@ -483,7 +482,7 @@ pub fn train_serial(data: &SparseData, cfg: SlrConfig, passes: u64) -> (SlrModel
         .build()
         .expect("valid spec");
     let compiled = driver
-        .parallel_for(spec, &items)
+        .parallel_for(spec, &sample_indices(data.samples.len()))
         .expect("compiles (serial)");
     debug_assert!(matches!(compiled.strategy(), Strategy::Serial));
     let iter_cost: Vec<f64> = data

@@ -81,10 +81,6 @@ fn derive<A: App>(app: &A, data: &A::Data, indices: Vec<Vec<i64>>) -> AppSpec {
     }
 }
 
-fn indices_of<T>(items: Vec<(Vec<i64>, T)>) -> Vec<Vec<i64>> {
-    items.into_iter().map(|(i, _)| i).collect()
-}
-
 /// The five canonical applications (Table 2), lint clean.
 pub fn canonical() -> Vec<AppSpec> {
     vec![sgd_mf(), lda(), slr(), tensor_cp(), gbt()]
@@ -113,17 +109,17 @@ pub fn by_name(name: &str) -> Option<AppSpec> {
 pub fn sgd_mf() -> AppSpec {
     let data = RatingsData::generate(RatingsConfig::tiny());
     let app = MfApp::new(MfConfig::new(4), false);
-    derive(&app, &data, indices_of(data.items()))
+    derive(&app, &data, data.ratings.iter().map(|(i, _)| i).collect())
 }
 
 /// LDA collapsed Gibbs: 2-D unordered with the topic summary buffered.
 pub fn lda() -> AppSpec {
-    let corpus = CorpusData::generate(CorpusConfig::tiny());
+    let data = CorpusData::generate(CorpusConfig::tiny());
     let app = LdaApp {
         cfg: LdaConfig::new(8),
         ordered: false,
     };
-    derive(&app, &corpus, indices_of(corpus.items()))
+    derive(&app, &data, data.tokens.iter().map(|(i, _)| i).collect())
 }
 
 /// Sparse logistic regression: 1-D data parallelism via buffered
@@ -134,8 +130,8 @@ pub fn slr() -> AppSpec {
         cfg: SlrConfig::new(),
         prefetch_override: None,
     };
-    let indices = (0..data.samples.len() as i64).map(|i| vec![i]).collect();
-    derive(&app, &data, indices)
+    let n = data.samples.len() as i64;
+    derive(&app, &data, (0..n).map(|i| vec![i]).collect())
 }
 
 /// SLR *without* the buffer exemption: the runtime-only subscripts
@@ -154,7 +150,7 @@ fn cp_app(buffer_s: bool) -> AppSpec {
         cfg: CpConfig::new(4),
         buffer_s,
     };
-    derive(&app, &data, indices_of(data.items()))
+    derive(&app, &data, data.entries.iter().map(|(i, _)| i).collect())
 }
 
 /// CP tensor decomposition with the context factor buffered: 2-D
@@ -175,10 +171,8 @@ pub fn gbt() -> AppSpec {
     let app = GbtApp {
         cfg: GbtConfig::new(1),
     };
-    let indices = (0..data.config.n_features as i64)
-        .map(|i| vec![i])
-        .collect();
-    derive(&app, &data, indices)
+    let n = data.config.n_features as i64;
+    derive(&app, &data, (0..n).map(|i| vec![i]).collect())
 }
 
 #[cfg(test)]

@@ -27,7 +27,8 @@ use orion_core::{
 use orion_data::TensorData;
 
 use crate::common::{
-    by_role, cost, flush_buffers, raw_row, space_is_dim0, split_by_role, write_buffers,
+    by_role, cost, flat_table, flush_buffers, raw_row, row_u32, space_is_dim0, split_by_role,
+    write_buffers,
 };
 use crate::run::{train, unsupported, App, Engine, Pool, RunError};
 
@@ -93,33 +94,29 @@ impl CpModel {
         )
     }
 
-    /// Squared loss over the observed entries.
-    pub fn loss(&self, items: &[(Vec<i64>, f32)]) -> f64 {
-        items
-            .iter()
-            .map(|(idx, x)| {
-                let (i, j, k) = (idx[0], idx[1], idx[2]);
-                sq_err_rows(
-                    self.u.row_slice(i),
-                    self.v.row_slice(j),
-                    self.s.row_slice(k),
-                    *x,
-                )
-            })
-            .sum()
+    /// Squared loss over the observed entries, as flat `(i, j, k, x)`.
+    pub fn loss(&self, entries: &[(u32, u32, u32, f32)]) -> f64 {
+        let sq_err = |&(i, j, k, x): &(u32, u32, u32, f32)| {
+            ((x - self.predict(i.into(), j.into(), k.into())) as f64).powi(2)
+        };
+        entries.iter().map(sq_err).sum()
     }
 }
 
-/// Squared prediction error of one entry on raw factor rows — the one
-/// loss term every readout (serial or pooled) sums.
+/// Squared prediction error of one entry on raw factor rows — the term
+/// the pooled readout sums, as [`CpModel::loss`] does through `predict`.
 fn sq_err_rows(u: &[f32], v: &[f32], s: &[f32], x: f32) -> f64 {
     ((x - kernels::cp_predict(u, v, s, MathMode::Exact)) as f64).powi(2)
 }
 
 /// One SGD step for one entry; `S`'s gradient goes through `s_sink`
 /// instead of the array when buffering is active.
-fn cp_update(model: &mut CpModel, idx: &[i64], x: f32, s_sink: Option<&mut DistArrayBuffer<f32>>) {
-    let (i, j, k) = (idx[0], idx[1], idx[2]);
+fn cp_update(
+    model: &mut CpModel,
+    &(i, j, k, x): &(u32, u32, u32, f32),
+    s_sink: Option<&mut DistArrayBuffer<f32>>,
+) {
+    let (i, j, k) = (i64::from(i), i64::from(j), i64::from(k));
     let step = model.cfg.step_size;
     let r = model.cfg.rank;
     match s_sink {
@@ -190,7 +187,9 @@ pub struct CpApp {
 #[derive(Debug)]
 pub struct CpJob {
     model: CpModel,
-    items: Vec<(Vec<i64>, f32)>,
+    /// Flat `(i, j, k, value)` records in tensor order — the job's only
+    /// copy of the iteration space, shared with every pool worker.
+    entries: Arc<Vec<(u32, u32, u32, f32)>>,
     iter_ns: f64,
     /// One `S` write buffer per worker (`buffer_s` only; unwritten
     /// buffers hold no table), empty between passes.
@@ -210,7 +209,9 @@ impl App for CpApp {
     const NAME: &'static str = "tensor_cp";
 
     fn setup(&self, data: &TensorData, driver: &mut Driver) -> (CompiledLoop, CpJob) {
-        let items = data.items();
+        let (indices, entries) = flat_table(&data.entries, |_, [i, j, k], &x| {
+            (row_u32(i), row_u32(j), row_u32(k), x)
+        });
         let dims = data.entries.shape().dims().to_vec();
         let model = CpModel::new(&dims, self.cfg.clone());
         let t = driver.register(&data.entries);
@@ -229,7 +230,7 @@ impl App for CpApp {
             .read_write(s, vec![Subscript::loop_index(2), Subscript::Full]);
         let b = if self.buffer_s { b.buffer_writes(s) } else { b };
         let spec = b.build().expect("static CP spec is valid");
-        let compiled = driver.parallel_for(spec, &items).expect("compiles");
+        let compiled = driver.parallel_for(spec, &indices).expect("compiles");
         if self.buffer_s {
             debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
         } else {
@@ -239,7 +240,7 @@ impl App for CpApp {
             iter_ns: cost::mf_iter_ns(model.cfg.rank) * 1.5 * cost::ORION_OVERHEAD,
             buffers: write_buffers(&model.s, compiled.schedule.n_workers),
             model,
-            items,
+            entries: Arc::new(entries),
         };
         (compiled, job)
     }
@@ -254,28 +255,22 @@ impl App for CpApp {
     ) -> Option<FaultEvent> {
         let CpJob {
             model,
-            items,
+            entries,
             iter_ns,
             buffers,
         } = job;
-        let (_, fault) = if self.buffer_s {
-            let out = driver.run_pass(compiled, &mut |_| *iter_ns, &mut |w, pos| {
-                let (idx, x) = &items[pos];
-                cp_update(model, idx, *x, Some(&mut buffers[w]));
-            });
+        let buffered = self.buffer_s;
+        let (_, fault) = driver.run_pass(compiled, &mut |_| *iter_ns, &mut |w, pos| {
+            cp_update(model, &entries[pos], buffered.then_some(&mut buffers[w]));
+        });
+        if buffered {
             flush_buffers(driver, buffers, |buf| buf.apply_to(&mut model.s, add));
-            out
-        } else {
-            driver.run_pass(compiled, &mut |_| *iter_ns, &mut |_w, pos| {
-                let (idx, x) = &items[pos];
-                cp_update(model, idx, *x, None);
-            })
-        };
+        }
         fault
     }
 
     fn metric(&self, _data: &TensorData, job: &CpJob) -> f64 {
-        job.model.loss(&job.items)
+        job.model.loss(&job.entries)
     }
 
     fn into_model(job: CpJob) -> CpModel {
@@ -297,7 +292,7 @@ impl App for CpApp {
         }
         let CpJob {
             mut model,
-            items,
+            entries,
             mut buffers,
             ..
         } = job;
@@ -306,28 +301,23 @@ impl App for CpApp {
         // context dim carries no dependence); either may be space.
         let space_is_users = space_is_dim0(compiled);
         let (mut space_parts, mut time_parts) = split_by_role(compiled, model.u, model.v);
-        let entries: Arc<Vec<(i64, i64, i64, f32)>> = Arc::new(
-            items
-                .iter()
-                .map(|(idx, x)| (idx[0], idx[1], idx[2], *x))
-                .collect(),
-        );
         let step = model.cfg.step_size;
         // The loss term on raw rows of the merged model.
-        let sq_err = Arc::new(|&(i, j, k, x): &(i64, i64, i64, f32), m: &CpModel| {
+        let sq_err = Arc::new(|&(i, j, k, x): &(u32, u32, u32, f32), m: &CpModel| {
             let r = m.cfg.rank;
-            let row = |a, c: i64| raw_row(a, c as usize, r);
+            let row = |a, c: u32| raw_row(a, c as usize, r);
             sq_err_rows(row(&m.u, i), row(&m.v, j), row(&m.s, k), x)
         });
 
         for pass in 0..passes {
             let s_pass = Arc::new(model.s.clone());
             let body = Arc::new(
-                move |&(i, j, k, x): &(i64, i64, i64, f32),
+                move |&(i, j, k, x): &(u32, u32, u32, f32),
                       ap: &mut DistArray<f32>,
                       bp: &mut DistArray<f32>,
                       buf: &mut DistArrayBuffer<f32>| {
                     let (up, vp) = by_role(space_is_users, ap, bp);
+                    let (i, j, k) = (i64::from(i), i64::from(j), i64::from(k));
                     cp_update_rows(
                         up.row_slice_mut(i),
                         vp.row_slice_mut(j),
@@ -364,7 +354,9 @@ impl App for CpApp {
             });
             let loss = pool
                 .driver
-                .eval_pass(&plan, &entries, &snap, &sq_err, -0.0, || snap.loss(&items));
+                .eval_pass(&plan, &entries, &snap, &sq_err, -0.0, || {
+                    snap.loss(&entries)
+                });
             pool.record(pass, loss);
         }
         let (u_parts, v_parts) = by_role(space_is_users, space_parts, time_parts);

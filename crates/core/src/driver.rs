@@ -436,9 +436,18 @@ impl Driver {
     /// # Panics
     ///
     /// Panics with a rendered `O100` diagnostic if the schedule
-    /// co-schedules two dependent iterations.
+    /// co-schedules two dependent iterations, and — validation on or
+    /// off — on a wavefront schedule, which needs a barrier after every
+    /// step that neither the pool nor the TCP nodes run.
     pub fn compile_threaded(&self, compiled: &CompiledLoop) -> Arc<ThreadedPlan> {
         self.sanitize_schedule(compiled);
+        assert!(
+            !matches!(compiled.strategy(), Strategy::TwoDUnimodular { .. }),
+            "loop `{}`: a wavefront schedule (`StepBarrier` sync) needs a barrier after \
+             every step, which the thread pool and the TCP nodes do not run; run it on \
+             the simulated engine",
+            compiled.spec.name
+        );
         Arc::new(ThreadedPlan::compile(&compiled.schedule))
     }
 

@@ -131,12 +131,6 @@ impl CorpusData {
             config,
         }
     }
-
-    /// The iteration items of the LDA token loop: one item per distinct
-    /// `(doc, word)` cell, valued with the occurrence count.
-    pub fn items(&self) -> Vec<(Vec<i64>, u32)> {
-        self.tokens.iter().map(|(i, &c)| (i, c)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -127,11 +127,6 @@ impl TensorData {
             config,
         }
     }
-
-    /// Iteration items for the training loop.
-    pub fn items(&self) -> Vec<(Vec<i64>, f32)> {
-        self.entries.iter().map(|(i, &v)| (i, v)).collect()
-    }
 }
 
 #[cfg(test)]

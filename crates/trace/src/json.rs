@@ -58,6 +58,10 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts, so hostile input is
+/// an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -100,11 +104,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, String> {
+    /// A value nested in `depth` arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                self.err(&format!("nesting deeper than {MAX_DEPTH}"))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.eat_lit("true", Value::Bool(true)),
             Some(b'f') => self.eat_lit("false", Value::Bool(false)),
@@ -114,7 +122,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, String> {
+    fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.eat(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -127,7 +135,7 @@ impl<'a> Parser<'a> {
             let key = self.string()?;
             self.skip_ws();
             self.eat(b':')?;
-            members.push((key, self.value()?));
+            members.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -140,7 +148,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, String> {
+    fn array(&mut self, depth: usize) -> Result<Value, String> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -149,7 +157,7 @@ impl<'a> Parser<'a> {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -239,14 +247,15 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message with the byte offset of the first syntax error, or
-/// of trailing non-whitespace input.
+/// Returns a message with the byte offset of the first syntax error, of
+/// nesting deeper than 128 arrays/objects, or of trailing
+/// non-whitespace input.
 pub fn parse(s: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
     };
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return p.err("trailing input");

@@ -1,13 +1,17 @@
 //! Property tests for the `orion-net` frame codec: arbitrary payloads
 //! round-trip through a byte stream, the incremental decoder is
-//! insensitive to how reads are chunked, and malformed prefixes fail
-//! with typed errors instead of panics or unbounded allocations.
+//! insensitive to how reads are chunked, and malformed prefixes — and
+//! mutated bodies of every message kind — fail with typed errors
+//! instead of panics or unbounded allocations.
 
 use std::io::Cursor;
 
 use orion::net::frame::{read_frame, write_frame};
 use orion::net::{send_msg, FrameDecoder, FrameError, Msg, HEADER_LEN, MAGIC, MAX_FRAME_LEN};
+use orion::runtime::HbEvent;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng as _, SeedableRng};
 
 /// A batch of frames: (kind, payload) pairs with modest payload sizes.
 fn frames_strategy() -> impl Strategy<Value = Vec<(u32, Vec<u8>)>> {
@@ -282,5 +286,106 @@ fn hostile_lengths_are_typed_errors() {
             assert_eq!((expected, got), (MAX_FRAME_LEN as usize, 10));
         }
         other => panic!("expected Truncated, got {other:?}"),
+    }
+}
+
+/// One message of every kind, with non-empty bodies where a kind has one.
+fn one_of_each_kind() -> Vec<Msg> {
+    let payload = || vec![0x5Au8; 24].into();
+    vec![
+        Msg::Hello {
+            node: 1,
+            port: 4_000,
+            fingerprint: 0xFEED,
+        },
+        Msg::Welcome {
+            node: 1,
+            n_nodes: 2,
+            epochs: 3,
+        },
+        Msg::Peers {
+            ports: vec![4_000, 4_001],
+        },
+        Msg::EpochStart { epoch: 2 },
+        Msg::EpochDone {
+            epoch: 2,
+            node: 1,
+            compute_ns: 10,
+            rotation_ns: 20,
+            sent: Vec::new(),
+            events: vec![
+                HbEvent::Recv { tp: 1 },
+                HbEvent::Exec { step: 3, block: 4 },
+                HbEvent::Send { tp: 1, dst: 0 },
+                HbEvent::BarrierEnter { epoch: 2 },
+                HbEvent::BarrierExit { epoch: 2 },
+                HbEvent::ServerApply { node: 1 },
+            ],
+        },
+        Msg::Partition {
+            epoch: 2,
+            tp: 1,
+            payload: payload(),
+        },
+        Msg::ServerUpdate {
+            epoch: 2,
+            node: 1,
+            payload: payload(),
+        },
+        Msg::PrefetchRequest {
+            epoch: 2,
+            node: 1,
+            indices: vec![3, 5, 8],
+        },
+        Msg::PrefetchResponse {
+            epoch: 2,
+            payload: payload(),
+        },
+        Msg::Checkpoint { epoch: 2 },
+        Msg::CheckpointDone { epoch: 2, node: 1 },
+        Msg::Rollback { epoch: 2 },
+        Msg::RollbackDone { epoch: 2, node: 1 },
+        Msg::Gather,
+        Msg::FinalState {
+            node: 1,
+            parts: vec![(u32::MAX, payload()), (0, payload())],
+        },
+        Msg::Shutdown,
+    ]
+}
+
+/// Seeded mutations of every kind's encoded body — overwritten,
+/// inserted and deleted bytes, truncations, and the body decoded as
+/// another kind — decode to a message or a typed error, never a panic.
+#[test]
+fn mutated_message_bodies_never_panic_the_decoder() {
+    let mut rng = StdRng::seed_from_u64(0x00B0_D1E5);
+    let msgs = one_of_each_kind();
+    for msg in &msgs {
+        let (kind, body) = msg.encode();
+        assert_eq!(&Msg::decode(kind, body.clone()).expect("decodes"), msg);
+        for _ in 0..500 {
+            let mut bytes = body.to_vec();
+            for _ in 0..rng.random_range(1..=4) {
+                let at = rng.random_range(0..=bytes.len());
+                let b = if rng.random_bool(0.5) {
+                    rng.random::<u32>() as u8
+                } else {
+                    0xFF
+                };
+                match rng.random_range(0..4) {
+                    0 if at < bytes.len() => bytes[at] = b,
+                    1 => bytes.insert(at, b),
+                    2 if at < bytes.len() => drop(bytes.remove(at)),
+                    _ => bytes.truncate(at),
+                }
+            }
+            let as_kind = if rng.random_bool(0.9) {
+                kind
+            } else {
+                rng.random_range(0..=msgs.len() as u32 + 1)
+            };
+            let _ = Msg::decode(as_kind, bytes.into());
+        }
     }
 }

@@ -52,7 +52,7 @@ fn lda_body_conforms_to_spec() {
         .unwrap();
     let mut v = AccessValidator::new(&spec);
     let k = 4i64;
-    for (idx, _count) in corpus.items() {
+    for (idx, _count) in corpus.tokens.iter() {
         for t in 0..k {
             v.check_read(&idx, dt, &[idx[0], t]);
             v.check_write(&idx, dt, &[idx[0], t]);

@@ -122,3 +122,33 @@ fn wavefront_time_beats_serial_time() {
         "wavefront on 8 workers ({parallel}) should beat serial ({serial})"
     );
 }
+
+/// The pool and the TCP nodes synchronize per rotation, not per step, so
+/// the one entry point that compiles a plan for them refuses a
+/// wavefront before anything runs — with validation off too, where no
+/// sanitizer would object.
+#[test]
+fn threaded_compile_refuses_a_wavefront_plan() {
+    let iter_space: DistArray<f32> = DistArray::dense("grid", vec![N as u64, N as u64]);
+    let mut driver = Driver::new(ClusterSpec::new(1, 4));
+    driver.set_validate(false);
+    let z_id = driver.register(&iter_space);
+    let a_id = driver.register(&grid());
+    let indices: Vec<[i64; 2]> = (0..N).flat_map(|i| (0..N).map(move |j| [i, j])).collect();
+    let compiled = driver.parallel_for(spec(z_id, a_id), &indices).unwrap();
+    assert!(matches!(
+        compiled.strategy(),
+        Strategy::TwoDUnimodular { .. }
+    ));
+    let compile = std::panic::AssertUnwindSafe(|| driver.compile_threaded(&compiled));
+    let Err(refused) = std::panic::catch_unwind(compile) else {
+        panic!("a wavefront plan must not compile for the pool");
+    };
+    let msg = refused
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        msg.contains("StepBarrier") && msg.contains("`skewed_stencil`"),
+        "{msg}"
+    );
+}

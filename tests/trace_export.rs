@@ -9,8 +9,12 @@ use orion::apps::sgd_mf::{train_orion, MfApp, MfConfig, MfModel, MfRunConfig};
 use orion::core::{ClusterSpec, RunStats};
 use orion::data::{RatingsConfig, RatingsData};
 use orion::serve::{EngineConfig, Request, ServeEngine, TrafficConfig};
-use orion::trace::json::validate_trace_events;
+use orion::trace::json::{parse, validate_trace_events};
 use orion::trace::{write_perfetto, SessionView, SpanCat, Tracer, Transfer};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_small.json");
 
 fn data() -> RatingsData {
     RatingsData::generate(RatingsConfig::tiny())
@@ -85,17 +89,59 @@ fn golden_trace_matches_committed_file() {
     let produced = String::from_utf8(buf).expect("utf8");
     // The golden file itself must be schema-valid.
     validate_trace_events(&produced).expect("golden output is schema-valid");
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_small.json");
     if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(golden_path, &produced).expect("regenerate golden file");
+        std::fs::write(GOLDEN_PATH, &produced).expect("regenerate golden file");
     }
-    let committed = std::fs::read_to_string(golden_path).expect("read golden file");
+    let committed = std::fs::read_to_string(GOLDEN_PATH).expect("read golden file");
     assert_eq!(
         produced, committed,
         "exporter output drifted from tests/golden/trace_small.json; if the \
          format change is intentional, re-run with GOLDEN_REGEN=1 and re-check \
          the file loads at https://ui.perfetto.dev"
     );
+}
+
+/// Nesting far past the parser's bound is an error naming a byte
+/// offset, not a stack overflow; nesting within it still parses.
+#[test]
+fn deep_nesting_is_an_error_not_a_stack_overflow() {
+    for open in ["[", "{\"a\":"] {
+        let err = parse(&open.repeat(200_000)).expect_err("nesting is bounded");
+        assert!(
+            err.contains("nesting deeper than") && err.contains("at byte"),
+            "{err}"
+        );
+        let err = validate_trace_events(&open.repeat(200_000)).expect_err("bounded");
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+    let nested = format!("{}{}", "[".repeat(100), "]".repeat(100));
+    assert!(parse(&nested).is_ok());
+}
+
+/// Seeded byte mutations of the golden trace — overwritten, inserted
+/// and deleted JSON punctuation, digits and letters — are accepted or
+/// rejected by the validator, never a panic.
+#[test]
+fn mutated_golden_trace_never_panics_the_validator() {
+    const BYTES: &[u8] = b"{}[]\",:-+.0123456789eEtfnu\\ Xx";
+    let golden = std::fs::read_to_string(GOLDEN_PATH).expect("read golden file");
+    let mut rng = StdRng::seed_from_u64(0x7ACE_5EED);
+    let mut accepted = 0;
+    for _ in 0..2_000 {
+        let mut bytes = golden.clone().into_bytes();
+        for _ in 0..rng.random_range(1..=4) {
+            let at = rng.random_range(0..bytes.len());
+            let b = BYTES[rng.random_range(0..BYTES.len())];
+            match rng.random_range(0..3) {
+                0 => bytes[at] = b,
+                1 => bytes.insert(at, b),
+                _ => drop(bytes.remove(at)),
+            }
+        }
+        let text = String::from_utf8(bytes).expect("ASCII mutations of ASCII stay UTF-8");
+        accepted += usize::from(validate_trace_events(&text).is_ok());
+    }
+    assert!(accepted < 2_000, "some mutation must break the trace");
 }
 
 /// A real (small) MF run exports schema-valid `trace_event` JSON with at
