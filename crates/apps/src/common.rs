@@ -140,7 +140,7 @@ pub(crate) fn flush_buffers(
 /// four spans per block execution plus barrier spans per step and pass,
 /// so traced runs never reallocate the span buffer mid-pass.
 pub fn span_capacity(schedule: &Schedule, passes: u64) -> usize {
-    let execs: usize = schedule.steps.iter().map(Vec::len).sum();
+    let execs = schedule.n_execs();
     passes as usize * (execs * 4 + (schedule.n_steps() + 1) * schedule.n_workers) + 64
 }
 

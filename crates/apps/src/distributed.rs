@@ -37,6 +37,7 @@
 //! model state (enforced by `tests/distributed_conformance.rs`).
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -55,7 +56,9 @@ use orion_net::{
 use orion_runtime::{walk, HbEvent, ThreadPhase, ThreadedPlan, Transport};
 
 use crate::common::{by_role, space_is_dim0, split_by_role};
-use crate::run::{new_driver, run, App, Engine, NetReport, RunConfig, RunError, RunOutput};
+use crate::run::{
+    new_driver, run, unsupported, App, Engine, NetReport, RunConfig, RunError, RunOutput,
+};
 use crate::sgd_mf::{MfApp, MfConfig, MfGrid, MfJob, MfModel};
 use crate::slr::{self, SlrApp, SlrConfig, SlrJob, SlrModel};
 
@@ -392,7 +395,8 @@ fn node_main<A: NetApp>(coord: &str, node: usize, n_nodes: usize) -> ! {
     let (app, data) = A::from_env(&env(ENV_DATA), &env(ENV_HYPER));
     let mut driver = new_driver(&app, ClusterSpec::new(n_nodes, 1));
     let (compiled, job) = app.setup(&data, &mut driver);
-    let plan = driver.compile_threaded(&compiled);
+    let plan = (driver.compile_threaded(&compiled))
+        .expect("the coordinator compiled the same plan before launching nodes");
     let ep = NodeEndpoint::connect(&NodeConfig {
         node,
         n_nodes,
@@ -495,7 +499,8 @@ pub(crate) fn run_net<A: NetApp>(
     std::fs::create_dir_all(&opts.workdir).map_err(NetError::from)?;
     let mut driver = new_driver(app, ClusterSpec::new(opts.nodes, 1));
     let (compiled, mut job) = app.setup(data, &mut driver);
-    let plan = driver.compile_threaded(&compiled);
+    let plan =
+        (driver.compile_threaded(&compiled)).map_err(|_| unsupported::<A>("net", "wavefront"))?;
 
     let mut ccfg = ClusterConfig::new(opts.nodes, opts.epochs, plan_fingerprint(&plan));
     ccfg.record_msgs = opts.record_msgs;
@@ -816,9 +821,10 @@ impl NetNode for MfNode {
             epoch,
             rotation_ns: 0,
         };
-        let (crash, n, mut i) = (&ctx.crash, plan.execs_of(node).len(), 0);
+        let (crash, n, mut i) = (&ctx.crash, plan.exec_count(node), 0);
         let (grid, triples, space) = (&self.grid, &self.triples, &mut self.space_part);
         let walked = walk(&plan, node, queue, &mut wire, Instant::now(), |b, part| {
+            let part = part.expect("an MF plan rotates its time partitions");
             crash.maybe(epoch, i, n);
             i += 1;
             for &pos in plan.blocks().items(b) {
@@ -961,25 +967,12 @@ impl NetApp for SlrApp {
             .map(|&p| p as usize)
             .collect();
         let indices = slr::record_prefetch_indices(&data, &positions);
-        // The 1-D pass runs this node's blocks against a read-only
-        // prefetched snapshot and ships one buffered update the
-        // coordinator applies, so the log is the same every epoch.
-        let node_id = node as u32;
-        let events = plan
-            .execs_of(node)
-            .iter()
-            .map(|e| HbEvent::Exec {
-                step: e.step,
-                block: e.block as u32,
-            })
-            .chain(std::iter::once(HbEvent::ServerApply { node: node_id }))
-            .collect();
         let shape = job.model.weights.shape().clone();
         SlrNode {
             data,
-            positions,
+            plan: Arc::clone(plan),
+            n_items: positions.len(),
             indices,
-            events,
             step: self.cfg.step_size,
             mode,
             snapshot: vec![0.0; shape.volume() as usize],
@@ -1035,9 +1028,10 @@ impl NetApp for SlrApp {
 /// One stateless SLR worker process.
 pub(crate) struct SlrNode {
     data: SparseData,
-    positions: Vec<usize>,
+    plan: Arc<ThreadedPlan>,
+    /// Items this node runs per epoch.
+    n_items: usize,
     indices: Vec<u64>,
-    events: Vec<HbEvent>,
     step: f32,
     mode: MathMode,
     /// The served weights this node reads, dense by feature: every epoch
@@ -1049,8 +1043,10 @@ pub(crate) struct SlrNode {
 
 impl NetNode for SlrNode {
     /// Bulk-prefetch the weights this node's samples touch, run the 1-D
-    /// pass into an additive buffer against that snapshot, ship the
-    /// drained buffer back as a server update.
+    /// pass into an additive buffer against that snapshot — the
+    /// runtime's [`walk`] over [`Sockets`], which carry nothing since no
+    /// partition rotates — and ship the drained buffer back as a server
+    /// update.
     fn epoch(&mut self, ctx: &mut NodeCtx, epoch: u64) -> Result<EpochWork, Msg> {
         let node = ctx.node as u32;
         let t0 = Instant::now();
@@ -1081,21 +1077,33 @@ impl NetNode for SlrNode {
         }
         let rotation_ns = t0.elapsed().as_nanos() as u64;
 
-        let t1 = Instant::now();
+        let mut wire = Sockets {
+            ep: &mut ctx.ep,
+            node: ctx.node,
+            epoch,
+            rotation_ns: 0,
+        };
+        let (crash, n, mut i) = (&ctx.crash, self.n_items, 0);
+        let SlrNode {
+            data,
+            plan,
+            snapshot,
+            buf,
+            step,
+            mode,
+            ..
+        } = self;
         // The worker view of the sim pass: the served snapshot.
-        let snapshot = &self.snapshot;
         let read = |f: u32| snapshot[f as usize];
-        for (i, &pos) in self.positions.iter().enumerate() {
-            ctx.crash.maybe(epoch, i, self.positions.len());
-            slr::slr_step(
-                &self.data.samples[pos],
-                read,
-                &mut self.buf,
-                self.step,
-                self.mode,
-            );
-        }
-        let compute_ns = t1.elapsed().as_nanos() as u64;
+        let walked = walk(plan, ctx.node, VecDeque::new(), &mut wire, t0, |b, _| {
+            for &pos in plan.blocks().items(b) {
+                crash.maybe(epoch, i, n);
+                i += 1;
+                slr::slr_step(&data.samples[pos as usize], read, buf, *step, *mode);
+            }
+        })?;
+        let computed = walked.spans.iter().map(|s| s.end_ns - s.start_ns);
+        let compute_ns = computed.sum();
 
         // The server round is rotation: drain, encode and ship the buffer.
         let t2 = Instant::now();
@@ -1107,10 +1115,13 @@ impl NetNode for SlrNode {
                 payload: codec::encode_updates(&updates),
             })
             .expect("send ServerUpdate");
+        // The coordinator applies the shipped buffer in node order.
+        let mut events = walked.events;
+        events.push(HbEvent::ServerApply { node });
         Ok(EpochWork {
             compute_ns,
             rotation_ns: rotation_ns + t2.elapsed().as_nanos() as u64,
-            events: self.events.clone(),
+            events,
         })
     }
 }

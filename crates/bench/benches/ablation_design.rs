@@ -13,7 +13,9 @@
 use orion_analysis::Strategy;
 use orion_bench::{banner, fmt_secs, write_csv};
 use orion_data::{RatingsConfig, RatingsData};
-use orion_runtime::{build_schedule_with, LoopCommModel, ScheduleOptions, SimExecutor};
+use orion_runtime::{
+    build_schedule_with, LoopCommModel, ScheduleOptions, SimExecutor, ThreadedPlan,
+};
 use orion_sim::ClusterSpec;
 
 fn run_mf_pass_time(
@@ -30,7 +32,7 @@ fn run_mf_pass_time(
         time: 1,
         ordered: false,
     };
-    let sched = build_schedule_with(&strat, &indices, &dims, 32, opts);
+    let plan = ThreadedPlan::compile(&build_schedule_with(&strat, &indices, &dims, 32, opts));
     let mut ex = SimExecutor::new(ClusterSpec::new(8, 4));
     let comm = LoopCommModel {
         rotated_bytes,
@@ -38,7 +40,7 @@ fn run_mf_pass_time(
     };
     let mut total = 0.0;
     for _ in 0..passes {
-        let stats = ex.run_pass(&sched, &comm, &mut |_| 160.0, &mut |_, _| {});
+        let stats = ex.run_pass(&plan, &comm, &mut |_| 160.0, &mut |_, _| {});
         total += stats.elapsed().as_secs_f64();
     }
     total / passes as f64

@@ -32,26 +32,47 @@
 use std::collections::{HashMap, VecDeque};
 
 use orion_ir::{Code, Diagnostic, Severity};
-use orion_runtime::{CompiledBlocks, HbEvent, ThreadedPlan};
+use orion_runtime::{CompiledBlocks, HbEvent, SyncMode, ThreadedPlan};
 
 use crate::race::{Race, Sanitizer};
 
 /// The per-actor event log a faithful execution of `plan` records:
 /// for each worker, a `Recv` per awaited rotation, an `Exec` per
 /// scheduled block, and a `Send` per cross-worker forward edge, in
-/// program order. Both real engines record their logs in
-/// `orion_runtime::walk`, and a pool worker's log and a TCP node's epoch
-/// log must equal this exactly (pinned by `tests/threaded_conformance.rs`
-/// and `tests/distributed_conformance.rs`). It is written independently
-/// of the walker on purpose: it is the reference they are compared to.
+/// program order — plus, for a `StepBarrier` plan, a
+/// `BarrierEnter`/`BarrierExit` pair with the step as epoch closing
+/// every step of the plan, on every worker, whether or not it runs a
+/// block in that step (the plan's barrier is global). Every engine
+/// records its logs with `orion_runtime`'s walker, and a simulated
+/// pass's, a pool worker's and a TCP node's epoch log must equal this
+/// exactly (pinned by `tests/hb_props.rs`,
+/// `tests/threaded_conformance.rs` and
+/// `tests/distributed_conformance.rs`). It is written independently of
+/// the walker on purpose: it is the reference they are compared to.
 pub fn plan_event_log(plan: &ThreadedPlan) -> Vec<Vec<HbEvent>> {
     let n_time = plan.n_time_partitions();
+    let mut barriers: Vec<u64> = Vec::new();
+    if plan.sync() == SyncMode::StepBarrier {
+        barriers = (0..plan.n_workers())
+            .flat_map(|w| plan.execs_of(w).iter().map(|e| e.step))
+            .collect();
+        barriers.sort_unstable();
+        barriers.dedup();
+    }
+    let barrier = |log: &mut Vec<HbEvent>, epoch: u64| {
+        log.push(HbEvent::BarrierEnter { epoch });
+        log.push(HbEvent::BarrierExit { epoch });
+    };
     (0..plan.n_workers())
         .map(|w| {
             let mut log = Vec::new();
+            let mut barriers = barriers.iter().copied().peekable();
             let mut forwards = plan.forwards_of(w).iter();
             let mut next_forward = forwards.next();
             for e in plan.execs_of(w) {
+                while let Some(step) = barriers.next_if(|&s| s < e.step) {
+                    barrier(&mut log, step);
+                }
                 if e.awaited.is_some() {
                     log.push(HbEvent::Recv {
                         tp: (e.block % n_time) as u32,
@@ -72,7 +93,11 @@ pub fn plan_event_log(plan: &ThreadedPlan) -> Vec<Vec<HbEvent>> {
                         }
                     }
                 }
+                if let Some(step) = barriers.next_if_eq(&e.step) {
+                    barrier(&mut log, step);
+                }
             }
+            barriers.for_each(|step| barrier(&mut log, step));
             log
         })
         .collect()

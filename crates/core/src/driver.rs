@@ -9,6 +9,7 @@
 //! executes passes on the simulated cluster.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use orion_analysis::{analyze, ParallelPlan, Strategy};
 use orion_check::{full_report, Sanitizer};
@@ -19,8 +20,8 @@ use std::sync::Arc;
 use orion_runtime::{
     build_schedule, comm_model_with_spec, default_threads, run_grid_pass_pooled,
     run_one_d_pass_pooled, run_readout_pooled, CompiledBlocks, GridPassOutput, HbEvent,
-    LoopCommModel, OneDPassOutput, PassStats, Schedule, SimExecutor, ThreadPhase, ThreadSpan,
-    ThreadedPlan, WorkerPool,
+    LoopCommModel, OneDPassOutput, PassStats, Schedule, SimExecutor, SyncMode, ThreadPhase,
+    ThreadSpan, ThreadedPlan, WorkerPool,
 };
 use orion_sim::{ClusterSpec, FaultPlan, RunStats, VirtualTime};
 use orion_trace::{LinkBytes, LoadStats, OwnedSession, RunReport, SpanCat, Transfer};
@@ -36,6 +37,10 @@ pub enum DriverError {
     /// A loop body requires parallelization but analysis found none and
     /// the caller required a parallel strategy.
     NotParallelizable(String),
+    /// The named loop's schedule is a wavefront (`StepBarrier` sync):
+    /// it needs a barrier after every step, which the thread pool and
+    /// the TCP nodes do not run.
+    StepBarrier(String),
 }
 
 impl core::fmt::Display for DriverError {
@@ -48,6 +53,12 @@ impl core::fmt::Display for DriverError {
                     "loop `{name}` has no dependence-preserving parallelization"
                 )
             }
+            DriverError::StepBarrier(name) => write!(
+                f,
+                "loop `{name}`: a wavefront schedule (`StepBarrier` sync) needs a barrier \
+                 after every step, which the thread pool and the TCP nodes do not run; run it \
+                 on the simulated engine"
+            ),
         }
     }
 }
@@ -69,16 +80,27 @@ pub struct CompiledLoop {
     pub spec: LoopSpec,
     /// Dependence vectors, strategy and placements.
     pub plan: ParallelPlan,
-    /// The computation schedule.
+    /// The computation schedule. Replacing it after a pass ran leaves
+    /// the plan compiled from it stale: compile the loop again instead.
     pub schedule: Schedule,
     /// Communication model used by the simulator.
     pub comm: LoopCommModel,
+    /// `schedule` compiled for the walker, on the first pass of any
+    /// engine.
+    walker_plan: OnceLock<Arc<ThreadedPlan>>,
 }
 
 impl CompiledLoop {
     /// The chosen strategy.
     pub fn strategy(&self) -> &Strategy {
         &self.plan.strategy
+    }
+
+    /// The schedule compiled for the walker every engine runs, compiled
+    /// at most once.
+    fn walker_plan(&self) -> &Arc<ThreadedPlan> {
+        self.walker_plan
+            .get_or_init(|| Arc::new(ThreadedPlan::compile(&self.schedule)))
     }
 }
 
@@ -296,6 +318,7 @@ impl Driver {
             plan,
             schedule,
             comm,
+            walker_plan: OnceLock::new(),
         })
     }
 
@@ -316,7 +339,9 @@ impl Driver {
     ///
     /// With validation on (see [`Driver::set_validate`]), panics with a
     /// rendered `O100` diagnostic, before running anything, if the
-    /// schedule co-schedules two conflicting accesses.
+    /// schedule co-schedules two conflicting accesses, and with an
+    /// `O110`–`O112` diagnostic if the pass's recorded event logs leave
+    /// a conflicting access pair unordered.
     pub fn run_pass(
         &mut self,
         compiled: &CompiledLoop,
@@ -324,9 +349,10 @@ impl Driver {
         body: &mut dyn FnMut(usize, usize),
     ) -> (PassStats, Option<FaultEvent>) {
         self.sanitize_schedule(compiled);
-        let stats = self
-            .executor
-            .run_pass(&compiled.schedule, &compiled.comm, cost, body);
+        let plan = compiled.walker_plan();
+        let stats = self.executor.run_pass(plan, &compiled.comm, cost, body);
+        let events = self.executor.pass_events();
+        self.sanitize_hb(&compiled.spec.name, plan.blocks(), events, "simulated pass");
         let Some(crash) = self.executor.take_crash_before(stats.end) else {
             return (stats, None);
         };
@@ -377,6 +403,7 @@ impl Driver {
                 plan: tuned.plan,
                 schedule: tuned.schedule,
                 comm: tuned.comm,
+                walker_plan: OnceLock::new(),
             },
             tuned.outcome,
         )
@@ -428,27 +455,31 @@ impl Driver {
         self.threads.unwrap_or_else(default_threads)
     }
 
-    /// Compiles `compiled`'s schedule for the threaded engine and — with
-    /// validation on — statically sanitizes it first, exactly as
-    /// [`Driver::run_pass`] does (a schedule either of them already
+    /// The plan the thread pool and the TCP nodes run `compiled` with —
+    /// the one [`Driver::run_pass`] walks, compiled once per loop — after
+    /// statically sanitizing its schedule (with validation on) exactly
+    /// as [`Driver::run_pass`] does (a schedule either of them already
     /// checked is not checked again).
+    ///
+    /// # Errors
+    ///
+    /// [`DriverError::StepBarrier`] — validation on or off — for a
+    /// wavefront schedule, which needs a barrier after every step that
+    /// neither the pool nor the TCP nodes run.
     ///
     /// # Panics
     ///
     /// Panics with a rendered `O100` diagnostic if the schedule
-    /// co-schedules two dependent iterations, and — validation on or
-    /// off — on a wavefront schedule, which needs a barrier after every
-    /// step that neither the pool nor the TCP nodes run.
-    pub fn compile_threaded(&self, compiled: &CompiledLoop) -> Arc<ThreadedPlan> {
+    /// co-schedules two dependent iterations.
+    pub fn compile_threaded(
+        &self,
+        compiled: &CompiledLoop,
+    ) -> Result<Arc<ThreadedPlan>, DriverError> {
         self.sanitize_schedule(compiled);
-        assert!(
-            !matches!(compiled.strategy(), Strategy::TwoDUnimodular { .. }),
-            "loop `{}`: a wavefront schedule (`StepBarrier` sync) needs a barrier after \
-             every step, which the thread pool and the TCP nodes do not run; run it on \
-             the simulated engine",
-            compiled.spec.name
-        );
-        Arc::new(ThreadedPlan::compile(&compiled.schedule))
+        if compiled.schedule.sync == SyncMode::StepBarrier {
+            return Err(DriverError::StepBarrier(compiled.spec.name.clone()));
+        }
+        Ok(Arc::clone(compiled.walker_plan()))
     }
 
     /// Ensures the persistent pool covers `n_workers` threads, creating

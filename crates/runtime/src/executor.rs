@@ -1,20 +1,28 @@
 //! The simulated distributed executor.
 //!
-//! Executes a compiled [`Schedule`] over the real iteration items,
-//! invoking the application's loop body for every iteration in schedule
-//! order (so algorithm state evolves exactly as the distributed system
-//! would compute it), while advancing per-worker virtual clocks and the
+//! Executes a compiled plan over the real iteration items, invoking the
+//! application's loop body for every iteration in schedule order (so
+//! algorithm state evolves exactly as the distributed system would
+//! compute it), while advancing per-worker virtual clocks and the
 //! simulated network: compute cost per iteration, rotated-partition
 //! transfers with pipelining (Fig. 8), served-array prefetch round trips
-//! (§4.4), and synchronization.
+//! (§4.4), and synchronization. Every worker's execution list is run by
+//! the same walker the thread pool and the TCP nodes run; only the
+//! [`Transport`] differs.
+
+use std::collections::VecDeque;
+use std::convert::Infallible;
+use std::time::Instant;
 
 use orion_sim::{
     ClusterSpec, CrashEvent, FaultPlan, FaultTimeline, SimNet, VirtualTime, WorkerClocks,
 };
 use orion_trace::{SpanCat, Tracer};
 
+use crate::event::HbEvent;
 use crate::prefetch::ServedModel;
-use crate::schedule::{Schedule, SyncMode};
+use crate::schedule::SyncMode;
+use crate::threaded::{ThreadedPlan, Transport, Walker};
 
 /// Communication model of one loop under its chosen placements.
 #[derive(Debug, Clone, Default)]
@@ -68,6 +76,39 @@ pub struct SimExecutor {
     passes_run: u64,
     /// Installed fault plan being consumed, if any.
     faults: Option<FaultTimeline>,
+    /// Per-worker happens-before logs of the last pass.
+    events: Vec<Vec<HbEvent>>,
+}
+
+/// A rotated time partition on the simulator's virtual links: the
+/// worker that last ran it and the virtual instant it finished.
+type Token = Option<(usize, VirtualTime)>;
+
+/// The simulator's [`Transport`]: a FIFO of tokens per receiving worker.
+/// Nothing is charged here: the receiver charges marshalling and the
+/// transfer when its block takes the token, at its own turn in the step
+/// order, because [`SimNet::send`] claims the NICs in call order.
+struct VirtualLinks {
+    /// The worker whose walker is stepping.
+    me: usize,
+    inbox: Vec<VecDeque<(usize, Token)>>,
+}
+
+impl Transport<Token> for VirtualLinks {
+    type Abort = Infallible;
+
+    fn recv(&mut self, tp: usize) -> Result<Token, Infallible> {
+        let (got, token) = self.inbox[self.me]
+            .pop_front()
+            .expect("sent a step earlier");
+        debug_assert_eq!(got, tp, "tokens arrive in schedule order");
+        Ok(token)
+    }
+
+    fn send(&mut self, dst: usize, tp: usize, token: Token) -> Result<(), Infallible> {
+        self.inbox[dst].push_back((tp, token));
+        Ok(())
+    }
 }
 
 impl SimExecutor {
@@ -82,6 +123,7 @@ impl SimExecutor {
             trace: Tracer::default(),
             passes_run: 0,
             faults: None,
+            events: Vec::new(),
         }
     }
 
@@ -118,171 +160,139 @@ impl SimExecutor {
         self.clocks.max()
     }
 
-    /// Executes one pass of the loop.
+    /// Executes one pass of a compiled loop.
     ///
     /// For every scheduled block, `cost(item_pos)` returns the declared
     /// compute nanoseconds of that iteration and `body(worker, item_pos)`
     /// performs the real computation. Items are addressed by their
-    /// position in the slice the schedule was built from.
+    /// position in the slice the schedule was built from. Every worker's
+    /// walker is stepped in step-major order, workers ascending inside
+    /// a step (the order every schedule builder emits); the logs they
+    /// record are [`SimExecutor::pass_events`].
     ///
     /// # Panics
     ///
-    /// Panics if the schedule references more workers than the cluster
+    /// Panics if the plan references more workers than the cluster
     /// has.
     pub fn run_pass(
         &mut self,
-        schedule: &Schedule,
+        plan: &ThreadedPlan,
         comm: &LoopCommModel,
         cost: &mut dyn FnMut(usize) -> f64,
         body: &mut dyn FnMut(usize, usize),
     ) -> PassStats {
+        let n = plan.n_workers();
         assert!(
-            schedule.n_workers <= self.cluster.n_workers(),
-            "schedule wants {} workers, cluster has {}",
-            schedule.n_workers,
+            n <= self.cluster.n_workers(),
+            "schedule wants {n} workers, cluster has {}",
             self.cluster.n_workers()
         );
         let start = self.clocks.barrier();
-        let part_bytes = comm.partition_bytes(schedule.n_time_partitions);
+        let part_bytes = comm.partition_bytes(plan.n_time_partitions());
         let mut iterations = 0u64;
-
-        // Completion time of each (worker, step) execution, for rotation
-        // arrival computation.
-        let mut finish: std::collections::HashMap<(usize, u64), VirtualTime> =
-            std::collections::HashMap::new();
 
         // Per-pass served-fetch tracking: pass-cacheable arrays are
         // fetched by each worker at most once per pass.
         let mut served_fetched = vec![false; self.cluster.n_workers()];
 
-        for step_execs in &schedule.steps {
-            for exec in step_execs {
-                let w = exec.worker;
-                let machine = self.machine(w);
-
-                // Wait for the rotated partition, if any: the sender
-                // marshals it after finishing its own step, then the
-                // network delivers it.
-                if part_bytes > 0 {
-                    if let Some(a) = exec.awaited {
-                        let sent_at = finish
-                            .get(&(a.from_worker, a.sent_after_step))
-                            .copied()
-                            .unwrap_or(start)
-                            + self.cluster.marshal_time(part_bytes);
-                        let arrive =
-                            self.net
-                                .send(&self.cluster, a.from_worker, w, part_bytes, sent_at);
+        let wall = Instant::now();
+        let mut walkers: Vec<Walker<Token>> = (0..n)
+            .map(|w| {
+                let queue = plan.initial_of(w).iter().map(|&tp| (tp, None));
+                Walker::new(plan, w, queue.collect(), wall)
+            })
+            .collect();
+        let inbox = vec![VecDeque::new(); n];
+        let mut links = VirtualLinks { me: 0, inbox };
+        let mut stepped = Vec::with_capacity(n);
+        while let Some(step) = walkers.iter().filter_map(Walker::next_step).min() {
+            stepped.clear();
+            for (w, walker) in walkers.iter_mut().enumerate() {
+                if walker.next_step() != Some(step) {
+                    continue;
+                }
+                links.me = w;
+                stepped.push(w);
+                let Ok(()) = walker.step(&mut links, |b, mut token| {
+                    // Wait for the rotated partition, if one arrived: the
+                    // sender marshals it after finishing its block, then
+                    // the network delivers it.
+                    let arrived = token.as_mut().and_then(|t| t.take());
+                    if let Some((from, done)) = arrived.filter(|_| part_bytes > 0) {
+                        let sent_at = done + self.cluster.marshal_time(part_bytes);
+                        let arrive = self.net.send(&self.cluster, from, w, part_bytes, sent_at);
                         let waiting_from = self.clocks.get(w);
                         self.clocks.wait_until(w, arrive);
-                        self.trace.record(
-                            SpanCat::Rotation,
-                            machine,
-                            w,
-                            waiting_from.as_nanos(),
-                            self.clocks.get(w).as_nanos(),
-                            part_bytes,
-                            a.from_worker as u64,
-                        );
+                        self.span(SpanCat::Rotation, w, waiting_from, part_bytes, from as u64);
                     }
-                }
 
-                // Compute cost of the block, plus served-array access.
-                let block = schedule.blocks.items(exec.block);
-                let mut block_ns = 0.0f64;
-                for &pos in block {
-                    block_ns += cost(pos as usize);
-                }
-                if let Some(served) = &comm.served {
-                    let skip = served.cache_per_pass && served_fetched[w];
-                    served_fetched[w] = true;
-                    let t = self.clocks.get(w);
-                    let (dt, req_bytes, resp_bytes) = if skip {
-                        (orion_sim::VirtualTime::ZERO, 0, 0)
-                    } else {
-                        served.block_cost(
-                            &self.cluster,
-                            block.len() as u64,
-                            block_ns,
-                            self.passes_run == 0,
-                        )
-                    };
-                    // Account server traffic on the wire: request up,
-                    // response down (server machines are modeled as the
-                    // cluster's machines in round-robin).
-                    if req_bytes > 0 {
-                        let server = served.server_worker(&self.cluster, w);
-                        let arrive = self.net.send(&self.cluster, w, server, req_bytes, t);
-                        let back = self.net.send(&self.cluster, server, w, resp_bytes, arrive);
-                        self.clocks.wait_until(w, back);
-                        // Server-side gather of the bulk response, drawn
-                        // on the serving machine's server track.
-                        self.trace.record(
-                            SpanCat::Server,
-                            self.machine(server),
-                            server,
-                            arrive.as_nanos(),
-                            (arrive + self.cluster.marshal_time(resp_bytes)).as_nanos(),
-                            resp_bytes,
-                            w as u64,
-                        );
+                    // Compute cost of the block, plus served-array access.
+                    let block = plan.blocks().items(b);
+                    let mut block_ns = 0.0f64;
+                    for &pos in block {
+                        block_ns += cost(pos as usize);
                     }
-                    self.clocks.advance(w, dt);
-                    self.trace.record(
-                        SpanCat::Prefetch,
-                        machine,
-                        w,
-                        t.as_nanos(),
-                        self.clocks.get(w).as_nanos(),
-                        req_bytes + resp_bytes,
-                        block.len() as u64,
-                    );
-                }
+                    if let Some(served) = &comm.served {
+                        let skip = served.cache_per_pass && served_fetched[w];
+                        served_fetched[w] = true;
+                        let t = self.clocks.get(w);
+                        let (dt, req_bytes, resp_bytes) = if skip {
+                            (VirtualTime::ZERO, 0, 0)
+                        } else {
+                            served.block_cost(
+                                &self.cluster,
+                                block.len() as u64,
+                                block_ns,
+                                self.passes_run == 0,
+                            )
+                        };
+                        // Account server traffic on the wire: request up,
+                        // response down (server machines are modeled as
+                        // the cluster's machines in round-robin).
+                        if req_bytes > 0 {
+                            let server = served.server_worker(&self.cluster, w);
+                            let arrive = self.net.send(&self.cluster, w, server, req_bytes, t);
+                            let back = self.net.send(&self.cluster, server, w, resp_bytes, arrive);
+                            self.clocks.wait_until(w, back);
+                            // Server-side gather of the bulk response.
+                            self.server_span(server, arrive, resp_bytes, w);
+                        }
+                        self.clocks.advance(w, dt);
+                        let (bytes, items) = (req_bytes + resp_bytes, block.len() as u64);
+                        self.span(SpanCat::Prefetch, w, t, bytes, items);
+                    }
 
-                let compute_from = self.clocks.get(w);
-                self.clocks
-                    .advance(w, self.cluster.compute_time(block_ns * self.slowdown_of(w)));
-                self.trace.record(
-                    SpanCat::Compute,
-                    machine,
-                    w,
-                    compute_from.as_nanos(),
-                    self.clocks.get(w).as_nanos(),
-                    0,
-                    exec.block as u64,
-                );
-                iterations += block.len() as u64;
+                    let compute_from = self.clocks.get(w);
+                    self.clocks
+                        .advance(w, self.cluster.compute_time(block_ns * self.slowdown_of(w)));
+                    self.span(SpanCat::Compute, w, compute_from, 0, b as u64);
+                    iterations += block.len() as u64;
 
-                // Execute the real computation, in schedule order.
-                for &pos in block {
-                    body(w, pos as usize);
-                }
-
-                finish.insert((w, exec.step), self.clocks.get(w));
+                    // Execute the real computation, in schedule order.
+                    for &pos in block {
+                        body(w, pos as usize);
+                    }
+                    if let Some(token) = token {
+                        *token = Some((w, self.clocks.get(w)));
+                    }
+                });
             }
 
-            if schedule.sync == SyncMode::StepBarrier {
-                // Barrier among scheduled workers only.
-                let m = step_execs
-                    .iter()
-                    .map(|e| self.clocks.get(e.worker))
-                    .max()
-                    .unwrap_or(start);
-                for e in step_execs {
-                    let t = self.clocks.get(e.worker);
-                    self.clocks.wait_until(e.worker, m);
-                    self.trace.record(
-                        SpanCat::Barrier,
-                        self.machine(e.worker),
-                        e.worker,
-                        t.as_nanos(),
-                        m.as_nanos(),
-                        0,
-                        e.step,
-                    );
+            if plan.sync() == SyncMode::StepBarrier {
+                // The steps run in order, so every worker's log closes
+                // the step with the plan's barrier; the clocks charge it
+                // among the step's scheduled workers only.
+                walkers.iter_mut().for_each(|walker| walker.barrier(step));
+                let m = (stepped.iter().map(|&w| self.clocks.get(w)))
+                    .fold(VirtualTime::ZERO, VirtualTime::max);
+                for &w in &stepped {
+                    let t = self.clocks.get(w);
+                    self.clocks.wait_until(w, m);
+                    self.span(SpanCat::Barrier, w, t, 0, step);
                 }
             }
         }
+        self.events = walkers.into_iter().map(|w| w.finish().events).collect();
 
         let end = self.record_pass_barrier();
         self.net.release_nics(end);
@@ -292,6 +302,11 @@ impl SimExecutor {
             end,
             iterations,
         }
+    }
+
+    /// The per-worker happens-before logs the last pass recorded.
+    pub fn pass_events(&self) -> &[Vec<HbEvent>] {
+        &self.events
     }
 
     /// Models a data-parallel synchronization: every worker ships
@@ -307,26 +322,10 @@ impl SimExecutor {
             let up = self.net.send(&self.cluster, w, server, up_bytes, t);
             let down = self.net.send(&self.cluster, server, w, down_bytes, up);
             self.clocks.wait_until(w, down);
-            self.trace.record(
-                SpanCat::Flush,
-                self.machine(w),
-                w,
-                flush_from.as_nanos(),
-                self.clocks.get(w).as_nanos(),
-                up_bytes + down_bytes,
-                server as u64,
-            );
-            // Server-side apply of the shipped updates, drawn on the
-            // serving machine's server track.
-            self.trace.record(
-                SpanCat::Server,
-                self.machine(server),
-                server,
-                up.as_nanos(),
-                (up + self.cluster.marshal_time(up_bytes)).as_nanos(),
-                up_bytes,
-                w as u64,
-            );
+            let bytes = up_bytes + down_bytes;
+            self.span(SpanCat::Flush, w, flush_from, bytes, server as u64);
+            // Server-side apply of the shipped updates.
+            self.server_span(server, up, up_bytes, w);
         }
         let end = self.record_pass_barrier();
         self.net.release_nics(end);
@@ -334,25 +333,32 @@ impl SimExecutor {
     }
 
     /// Barriers all workers, recording a `Barrier` span for each worker
-    /// that had to wait for the straggler. Equivalent to
-    /// `self.clocks.barrier()` when tracing is disabled.
+    /// that had to wait for the straggler.
     fn record_pass_barrier(&mut self) -> VirtualTime {
-        if self.trace.is_enabled() {
-            let end = self.clocks.max();
-            for w in 0..self.clocks.n_workers() {
-                let t = self.clocks.get(w);
-                self.trace.record(
-                    SpanCat::Barrier,
-                    self.machine(w),
-                    w,
-                    t.as_nanos(),
-                    end.as_nanos(),
-                    0,
-                    u64::MAX, // pass-end barrier marker
-                );
-            }
+        let end = self.clocks.max();
+        for w in 0..self.clocks.n_workers() {
+            let t = self.clocks.get(w);
+            self.clocks.wait_until(w, end);
+            self.span(SpanCat::Barrier, w, t, 0, u64::MAX); // pass-end marker
         }
-        self.clocks.barrier()
+        end
+    }
+
+    /// Records a `cat` span on worker `w`'s track, from `from` to its
+    /// clock.
+    fn span(&mut self, cat: SpanCat, w: usize, from: VirtualTime, bytes: u64, aux: u64) {
+        let (machine, to) = (self.machine(w), self.clocks.get(w).as_nanos());
+        self.trace
+            .record(cat, machine, w, from.as_nanos(), to, bytes, aux);
+    }
+
+    /// Records `server`'s handling of `bytes` for `client` on its
+    /// machine's server track: from `at`, for their marshalling time.
+    fn server_span(&mut self, server: usize, at: VirtualTime, bytes: u64, client: usize) {
+        let (machine, to) = (self.machine(server), at + self.cluster.marshal_time(bytes));
+        let (from, to, aux) = (at.as_nanos(), to.as_nanos(), client as u64);
+        self.trace
+            .record(SpanCat::Server, machine, server, from, to, bytes, aux);
     }
 }
 
@@ -366,6 +372,11 @@ mod tests {
         (0..m)
             .flat_map(|i| (0..n).map(move |j| vec![i, j]))
             .collect()
+    }
+
+    /// The schedule compiled for the walker the executor steps.
+    fn compiled(s: &crate::schedule::Schedule) -> ThreadedPlan {
+        ThreadedPlan::compile(s)
     }
 
     fn cluster(machines: usize, wpm: usize) -> ClusterSpec {
@@ -382,7 +393,7 @@ mod tests {
         let mut ex = SimExecutor::new(ClusterSpec::serial());
         let mut executed = Vec::new();
         let stats = ex.run_pass(
-            &s,
+            &compiled(&s),
             &LoopCommModel::default(),
             &mut |_pos| 100.0,
             &mut |w, pos| executed.push((w, pos)),
@@ -402,7 +413,7 @@ mod tests {
         let mut e4 = SimExecutor::new(cluster(1, 4));
         let t1 = e1
             .run_pass(
-                &s1,
+                &compiled(&s1),
                 &LoopCommModel::default(),
                 &mut |_| 1000.0,
                 &mut |_, _| {},
@@ -410,7 +421,7 @@ mod tests {
             .elapsed();
         let t4 = e4
             .run_pass(
-                &s4,
+                &compiled(&s4),
                 &LoopCommModel::default(),
                 &mut |_| 1000.0,
                 &mut |_, _| {},
@@ -432,7 +443,7 @@ mod tests {
         let mut ex = SimExecutor::new(cluster(2, 2));
         let mut seen = vec![0u32; idx.len()];
         ex.run_pass(
-            &s,
+            &compiled(&s),
             &LoopCommModel::default(),
             &mut |_| 10.0,
             &mut |_, pos| seen[pos] += 1,
@@ -454,7 +465,7 @@ mod tests {
             rotated_bytes: 8_000,
             served: None,
         };
-        ex.run_pass(&s, &comm, &mut |_| 1000.0, &mut |_, _| {});
+        ex.run_pass(&compiled(&s), &comm, &mut |_| 1000.0, &mut |_, _| {});
         // Steps 2..8 await transfers: 6 steps × 4 workers × 1000 bytes.
         assert_eq!(ex.net.total_bytes(), 24_000);
     }
@@ -476,10 +487,10 @@ mod tests {
         let mut eu = SimExecutor::new(cluster(4, 1));
         let mut eo = SimExecutor::new(cluster(4, 1));
         let tu = eu
-            .run_pass(&su, &comm, &mut |_| 10_000.0, &mut |_, _| {})
+            .run_pass(&compiled(&su), &comm, &mut |_| 10_000.0, &mut |_, _| {})
             .elapsed();
         let to = eo
-            .run_pass(&so, &comm, &mut |_| 10_000.0, &mut |_, _| {})
+            .run_pass(&compiled(&so), &comm, &mut |_| 10_000.0, &mut |_, _| {})
             .elapsed();
         assert!(
             to.as_secs_f64() > tu.as_secs_f64() * 1.4,
@@ -506,11 +517,11 @@ mod tests {
             rotated_bytes: 0,
             served: Some(served),
         };
-        ex.run_pass(&s, &comm, &mut |_| 10.0, &mut |_, _| {});
+        ex.run_pass(&compiled(&s), &comm, &mut |_| 10.0, &mut |_, _| {});
         // 4 workers × (request + response) crossing machines.
         assert_eq!(ex.net.n_messages(), 8);
         let first_bytes = ex.net.total_bytes();
-        ex.run_pass(&s, &comm, &mut |_| 10.0, &mut |_, _| {});
+        ex.run_pass(&compiled(&s), &comm, &mut |_| 10.0, &mut |_, _| {});
         assert_eq!(ex.net.total_bytes(), first_bytes * 2, "fetched every pass");
     }
 
@@ -532,7 +543,7 @@ mod tests {
             served: Some(served),
         };
         let mut ex = SimExecutor::new(cluster(2, 2));
-        ex.run_pass(&s, &comm, &mut |_| 10.0, &mut |_, _| {});
+        ex.run_pass(&compiled(&s), &comm, &mut |_| 10.0, &mut |_, _| {});
         // One round trip per worker for the whole pass, not per block.
         assert_eq!(ex.net.n_messages(), 8);
     }
@@ -551,7 +562,7 @@ mod tests {
         assert_eq!(s.sync, crate::schedule::SyncMode::StepBarrier);
         let mut ex = SimExecutor::new(cluster(1, 3));
         let stats = ex.run_pass(
-            &s,
+            &compiled(&s),
             &LoopCommModel::default(),
             &mut |_| 100.0,
             &mut |_, _| {},
@@ -573,7 +584,7 @@ mod tests {
             served: None,
         };
         let mut ex = SimExecutor::new(cluster(4, 1));
-        ex.run_pass(&s, &comm, &mut |_| 1000.0, &mut |_, _| {});
+        ex.run_pass(&compiled(&s), &comm, &mut |_| 1000.0, &mut |_, _| {});
         ex.sync_exchange(100, 100);
         assert!(!ex.trace.is_enabled());
         assert!(ex.trace.spans().is_empty());
@@ -594,7 +605,7 @@ mod tests {
         };
         let mut ex = SimExecutor::new(cluster(4, 1));
         ex.trace.enable(1024);
-        let stats = ex.run_pass(&s, &comm, &mut |_| 1000.0, &mut |_, _| {});
+        let stats = ex.run_pass(&compiled(&s), &comm, &mut |_| 1000.0, &mut |_, _| {});
         let wall = stats.end.as_nanos() - stats.start.as_nanos();
         assert!(wall > 0);
         // Worker-track spans must exactly tile [start, end] per worker:
@@ -669,7 +680,9 @@ mod tests {
                 ex.trace.enable(1024);
             }
             let mut order = Vec::new();
-            let stats = ex.run_pass(&s, &comm, &mut |_| 1000.0, &mut |_, pos| order.push(pos));
+            let stats = ex.run_pass(&compiled(&s), &comm, &mut |_| 1000.0, &mut |_, pos| {
+                order.push(pos)
+            });
             (stats, order, ex.net.total_bytes())
         };
         assert_eq!(run(false), run(true));
@@ -694,7 +707,9 @@ mod tests {
                 ex.set_fault_plan(p);
             }
             let mut order = Vec::new();
-            let stats = ex.run_pass(&s, &comm, &mut |_| 1000.0, &mut |_, pos| order.push(pos));
+            let stats = ex.run_pass(&compiled(&s), &comm, &mut |_| 1000.0, &mut |_, pos| {
+                order.push(pos)
+            });
             (stats.elapsed(), order, ex.net.total_bytes())
         };
         let (clean_t, clean_order, clean_bytes) = run(None);
@@ -710,13 +725,13 @@ mod tests {
         let s = build_schedule(&Strategy::OneD { dim: 0 }, &idx, &[4, 4], 2);
         let mut ex = SimExecutor::new(cluster(1, 2));
         let p1 = ex.run_pass(
-            &s,
+            &compiled(&s),
             &LoopCommModel::default(),
             &mut |_| 100.0,
             &mut |_, _| {},
         );
         let p2 = ex.run_pass(
-            &s,
+            &compiled(&s),
             &LoopCommModel::default(),
             &mut |_| 100.0,
             &mut |_, _| {},

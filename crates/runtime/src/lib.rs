@@ -7,18 +7,21 @@
 //! - [`build_schedule`] compiles the chosen strategy over the
 //!   materialized iteration space into a [`Schedule`] — blocks, step
 //!   plan, rotation edges, synchronization mode (Fig. 7);
-//! - [`SimExecutor`] executes passes of the *real* algorithm in schedule
-//!   order while advancing virtual clocks and the simulated network
-//!   (rotated-partition pipelining of Fig. 8, served-array prefetch
-//!   round trips of §4.4, barriers and point-to-point waits);
-//! - [`run_grid_pass_pooled`] / [`run_one_d_pass_pooled`] execute the
-//!   same schedules on a persistent [`WorkerPool`] of real OS threads
-//!   with partition ownership and zero-copy channel-based rotation —
-//!   the repo's real multi-core execution path;
-//! - [`walk`] is the one loop over a worker's execution list: compute a
-//!   block, forward the time partition, await the next — over a
-//!   [`Transport`] that is a channel on the pool and a peer socket on a
-//!   TCP node (`orion-apps::distributed`);
+//! - [`ThreadedPlan::compile`] lowers a schedule into per-worker
+//!   execution lists and rotation edges, and one interpreter runs them
+//!   on every engine: a walker per worker computes a block, forwards
+//!   the time partition and awaits the next, over a [`Transport`];
+//!   [`walk`] steps one to the end;
+//! - [`SimExecutor`] steps every worker's walker in step order over
+//!   virtual links, running the *real* algorithm while advancing
+//!   virtual clocks and the simulated network (rotated-partition
+//!   pipelining of Fig. 8, served-array prefetch round trips of §4.4,
+//!   barriers and point-to-point waits);
+//! - [`run_grid_pass_pooled`] / [`run_one_d_pass_pooled`] walk the same
+//!   plans on a persistent [`WorkerPool`] of real OS threads with
+//!   partition ownership and zero-copy channel-based rotation — the
+//!   repo's real multi-core execution path; a TCP node
+//!   (`orion-apps::distributed`) walks them over peer sockets;
 //! - [`run_readout_pooled`] reads a per-item metric (the §3.4 loss
 //!   accumulator) on the same pool: one contiguous item range per
 //!   worker, folded in item order, so it carries the serial fold's bits;

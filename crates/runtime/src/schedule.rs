@@ -164,6 +164,11 @@ impl Schedule {
         self.steps.len()
     }
 
+    /// Block executions in one pass, over all workers.
+    pub fn n_execs(&self) -> usize {
+        self.steps.iter().map(Vec::len).sum()
+    }
+
     /// Items assigned to each worker over one pass — the scheduler's
     /// load-balance outcome (§4.3). Feeds `orion_trace::LoadStats` for
     /// skew reporting.

@@ -17,11 +17,13 @@
 //! holds its next partition locally when it finishes a block, so
 //! rotation overlaps compute instead of serializing it.
 //!
-//! One function walks an execution list: [`walk`] runs a worker's
-//! blocks in step order and moves time partitions through a
-//! [`Transport`]. The pool's transport is a channel per worker; the TCP
-//! node's (`orion-apps::distributed`) is a checkpoint frame per peer
-//! socket. Nothing else forwards a partition.
+//! One interpreter runs a compiled plan: a walker per worker steps
+//! through its execution list one exec at a time, and [`walk`] is the
+//! loop over those steps. Time partitions move through a [`Transport`]:
+//! a channel per pool worker, a checkpoint frame per peer socket on a
+//! TCP node (`orion-apps::distributed`), or a virtual-time token the
+//! simulated executor charges on the modelled network. Nothing else
+//! runs a plan's execs or forwards a partition.
 //!
 //! Because every schedule produced by the analyzer is serializable, a
 //! threaded pass produces *bit-identical* results to the simulated
@@ -29,6 +31,7 @@
 //! `tests/threaded_conformance.rs` proptests).
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -38,7 +41,7 @@ use orion_dsm::{DistArray, Element};
 
 use crate::event::HbEvent;
 use crate::pool::WorkerPool;
-use crate::schedule::{Exec, Schedule};
+use crate::schedule::{Exec, Schedule, SyncMode};
 
 /// How long a blocked parcel/result wait sleeps between checks of the
 /// pool's poison flag. Long enough to be free on the happy path, short
@@ -70,14 +73,19 @@ pub struct ThreadSpan {
     pub end_ns: u64,
 }
 
-/// A schedule compiled for the threaded engine: per-worker execution
-/// lists, the rotation topology (initial owners and forwarding edges),
-/// and the shared block table. Built once per loop and reused across
-/// passes and epochs behind an [`Arc`].
+/// A schedule compiled for the walker: per-worker execution lists,
+/// the rotation topology (initial owners and forwarding edges), the
+/// synchronization mode and the shared block table. Built once per loop
+/// and reused across passes and epochs behind an [`Arc`], by every
+/// engine.
 #[derive(Debug, Clone)]
 pub struct ThreadedPlan {
     n_workers: usize,
     n_time: usize,
+    /// Whether time partitions rotate; a plan that rotates nothing
+    /// walks with no parcel.
+    rotated: bool,
+    sync: SyncMode,
     blocks: crate::schedule::CompiledBlocks,
     /// Execution list of each worker, in step order.
     per_worker: Vec<Vec<Exec>>,
@@ -125,6 +133,8 @@ impl ThreadedPlan {
         ThreadedPlan {
             n_workers,
             n_time,
+            rotated,
+            sync: schedule.sync,
             blocks: schedule.blocks.clone(),
             per_worker,
             forward,
@@ -142,6 +152,11 @@ impl ThreadedPlan {
         self.n_time
     }
 
+    /// How the scheduled workers synchronize between steps.
+    pub fn sync(&self) -> SyncMode {
+        self.sync
+    }
+
     /// Item positions each worker touches, in execution order. Lets
     /// callers shard per-item state (e.g. LDA topic assignments) into
     /// per-worker scratch that the pass body consumes sequentially.
@@ -157,10 +172,15 @@ impl ThreadedPlan {
             .collect()
     }
 
-    /// One worker's execution list, in step order. The pool worker and
-    /// the TCP node both run it through [`walk`].
+    /// One worker's execution list, in step order. Every engine runs it
+    /// through a walker.
     pub fn execs_of(&self, worker: usize) -> &[Exec] {
         &self.per_worker[worker]
+    }
+
+    /// How many blocks `worker` executes per pass.
+    pub fn exec_count(&self, worker: usize) -> usize {
+        self.per_worker[worker].len()
     }
 
     /// One worker's rotation edges, `(step, dst)` sorted by step: after
@@ -217,11 +237,11 @@ pub struct OneDPassOutput<S> {
     pub wall_ns: u64,
 }
 
-/// How [`walk`] moves time partitions between workers: a channel per
-/// pool worker, or a checkpoint frame per peer socket on a TCP node.
-/// Either method failing abandons the walk — the pass is being torn
-/// down (a peer died, a control message preempted the epoch) and
-/// `Abort` says why.
+/// How a walker moves time partitions between workers: a channel
+/// per pool worker, a checkpoint frame per peer socket on a TCP node, or
+/// a stamped token on the simulator's virtual links. Either method
+/// failing abandons the walk — the pass is being torn down (a peer died,
+/// a control message preempted the epoch) and `Abort` says why.
 pub trait Transport<P> {
     /// Why a walk was abandoned.
     type Abort;
@@ -231,6 +251,22 @@ pub trait Transport<P> {
 
     /// Hands time partition `tp` to worker `dst` (never the caller).
     fn send(&mut self, dst: usize, tp: usize, part: P) -> Result<(), Self::Abort>;
+}
+
+/// The [`Transport`] of a plan that rotates nothing: no exec awaits a
+/// partition and no edge forwards one, so neither method is called.
+struct NoEdges;
+
+impl<P> Transport<P> for NoEdges {
+    type Abort = Infallible;
+
+    fn recv(&mut self, _tp: usize) -> Result<P, Infallible> {
+        unreachable!("a plan without rotation edges awaits nothing")
+    }
+
+    fn send(&mut self, _dst: usize, _tp: usize, _part: P) -> Result<(), Infallible> {
+        unreachable!("a plan without rotation edges forwards nothing")
+    }
 }
 
 /// What one worker's [`walk`] leaves behind.
@@ -248,14 +284,123 @@ pub struct Walk<P> {
     pub events: Vec<HbEvent>,
 }
 
-/// Runs worker `w`'s execution list for one pass — the rotation of
-/// paper Fig. 8, shared by the pool and the TCP node. `queue` holds the
-/// time partitions the worker starts with, in use order
-/// ([`ThreadedPlan::initial_of`]). Per exec: await the partition from
-/// upstream if the schedule says so, run `block(block, &mut partition)`,
-/// then — before the next block starts — forward the partition
-/// downstream, re-enqueue it (a single-owner ring), or keep it. `block`
-/// owns the item loop, the space partition and any scratch.
+/// Worker `w` part-way through its execution list — the rotation of
+/// paper Fig. 8, one exec per [`Walker::step`]. [`walk`] steps one to
+/// the end; the simulated executor steps every worker's in step-major
+/// order.
+pub(crate) struct Walker<'a, P> {
+    plan: &'a ThreadedPlan,
+    w: usize,
+    execs: std::slice::Iter<'a, Exec>,
+    forwards: std::iter::Peekable<std::slice::Iter<'a, (u64, usize)>>,
+    queue: VecDeque<(usize, P)>,
+    start: Instant,
+    walked: Walk<P>,
+}
+
+impl<'a, P> Walker<'a, P> {
+    /// Worker `w` at the head of its list, holding `queue`.
+    pub(crate) fn new(
+        plan: &'a ThreadedPlan,
+        w: usize,
+        queue: VecDeque<(usize, P)>,
+        start: Instant,
+    ) -> Self {
+        let (held, spans, events) = Default::default();
+        Walker {
+            plan,
+            w,
+            execs: plan.per_worker[w].iter(),
+            forwards: plan.forward[w].iter().peekable(),
+            queue,
+            start,
+            walked: Walk {
+                held,
+                spans,
+                events,
+            },
+        }
+    }
+
+    /// The step of the next exec; `None` once the list is done.
+    pub(crate) fn next_step(&self) -> Option<u64> {
+        self.execs.as_slice().first().map(|e| e.step)
+    }
+
+    /// Runs the next exec: awaits its partition from upstream if the
+    /// schedule says so, runs `block(block, partition)` (no partition
+    /// when the plan rotates nothing), then — before the next exec —
+    /// forwards the partition downstream, re-enqueues it (a single-owner
+    /// ring) or keeps it. On the transport's abort nothing after the
+    /// failed call runs.
+    pub(crate) fn step<X: Transport<P>>(
+        &mut self,
+        transport: &mut X,
+        block: impl FnOnce(usize, Option<&mut P>),
+    ) -> Result<(), X::Abort> {
+        let (w, start, walked) = (self.w, self.start, &mut self.walked);
+        let now = || start.elapsed().as_nanos() as u64;
+        let e = self.execs.next().expect("the walk is not done");
+        let tp = e.block % self.plan.n_time;
+        if e.awaited.is_some() {
+            let from = now();
+            self.queue.push_back((tp, transport.recv(tp)?));
+            walked.events.push(HbEvent::Recv { tp: tp as u32 });
+            walked.spans.push(ThreadSpan {
+                phase: ThreadPhase::Rotation,
+                start_ns: from,
+                end_ns: now(),
+            });
+        }
+        let mut part = self.plan.rotated.then(|| {
+            let (got, part) = self.queue.pop_front().expect("schedule keeps queues fed");
+            debug_assert_eq!(got, tp, "queue order must match schedule");
+            part
+        });
+        let from = now();
+        block(e.block, part.as_mut());
+        walked.events.push(HbEvent::Exec {
+            step: e.step,
+            block: e.block as u32,
+        });
+        walked.spans.push(ThreadSpan {
+            phase: ThreadPhase::Compute,
+            start_ns: from,
+            end_ns: now(),
+        });
+        let Some(part) = part else { return Ok(()) };
+        match self.forwards.next_if(|&&(step, _)| step == e.step) {
+            Some(&(_, dst)) if dst == w => self.queue.push_back((tp, part)),
+            Some(&(_, dst)) => {
+                walked.events.push(HbEvent::Send {
+                    tp: tp as u32,
+                    dst: dst as u32,
+                });
+                transport.send(dst, tp, part)?;
+            }
+            None => walked.held.push((tp, part)),
+        }
+        Ok(())
+    }
+
+    /// Logs the barrier closing `step`.
+    pub(crate) fn barrier(&mut self, step: u64) {
+        let events = &mut self.walked.events;
+        events.push(HbEvent::BarrierEnter { epoch: step });
+        events.push(HbEvent::BarrierExit { epoch: step });
+    }
+
+    /// What the walk leaves behind.
+    pub(crate) fn finish(mut self) -> Walk<P> {
+        self.walked.held.extend(self.queue);
+        self.walked
+    }
+}
+
+/// Runs worker `w`'s execution list for one pass: a walker stepped
+/// to the end. `queue` holds the time partitions the worker starts
+/// with, in use order ([`ThreadedPlan::initial_of`]); `block` owns the
+/// item loop, the space partition and any scratch.
 ///
 /// # Errors
 ///
@@ -263,57 +408,16 @@ pub struct Walk<P> {
 pub fn walk<P, X: Transport<P>>(
     plan: &ThreadedPlan,
     w: usize,
-    mut queue: VecDeque<(usize, P)>,
+    queue: VecDeque<(usize, P)>,
     transport: &mut X,
     start: Instant,
-    mut block: impl FnMut(usize, &mut P),
+    mut block: impl FnMut(usize, Option<&mut P>),
 ) -> Result<Walk<P>, X::Abort> {
-    let now = || start.elapsed().as_nanos() as u64;
-    let (mut held, mut spans, mut events) = (Vec::new(), Vec::new(), Vec::new());
-    let mut forwards = plan.forward[w].iter().peekable();
-    for e in &plan.per_worker[w] {
-        let tp = e.block % plan.n_time;
-        if e.awaited.is_some() {
-            let from = now();
-            queue.push_back((tp, transport.recv(tp)?));
-            events.push(HbEvent::Recv { tp: tp as u32 });
-            spans.push(ThreadSpan {
-                phase: ThreadPhase::Rotation,
-                start_ns: from,
-                end_ns: now(),
-            });
-        }
-        let (got, mut part) = queue.pop_front().expect("schedule keeps queues fed");
-        debug_assert_eq!(got, tp, "queue order must match schedule");
-        let from = now();
-        block(e.block, &mut part);
-        events.push(HbEvent::Exec {
-            step: e.step,
-            block: e.block as u32,
-        });
-        spans.push(ThreadSpan {
-            phase: ThreadPhase::Compute,
-            start_ns: from,
-            end_ns: now(),
-        });
-        match forwards.next_if(|&&(step, _)| step == e.step) {
-            Some(&(_, dst)) if dst == w => queue.push_back((tp, part)),
-            Some(&(_, dst)) => {
-                events.push(HbEvent::Send {
-                    tp: tp as u32,
-                    dst: dst as u32,
-                });
-                transport.send(dst, tp, part)?;
-            }
-            None => held.push((tp, part)),
-        }
+    let mut walker = Walker::new(plan, w, queue, start);
+    while walker.next_step().is_some() {
+        walker.step(transport, &mut block)?;
     }
-    held.extend(queue);
-    Ok(Walk {
-        held,
-        spans,
-        events,
-    })
+    Ok(walker.finish())
 }
 
 /// The pool's [`Transport`]: a parcel channel per worker. Aborts when
@@ -434,6 +538,7 @@ where
         inputs,
         move |w, (mut space, queue, mut sc, mut wire)| {
             let walked = walk(&plan, w, queue, &mut wire, start, |b, part| {
+                let part = part.expect("a grid plan rotates its time partitions");
                 for &pos in plan.blocks.items(b) {
                     body(&items[pos as usize], &mut space, part, &mut sc);
                 }
@@ -560,23 +665,13 @@ where
     let start = Instant::now();
     let (plan, items, body) = (Arc::clone(plan), Arc::clone(items), Arc::clone(body));
     let results = dispatch(pool, scratch, move |w, mut sc| {
-        let (mut spans, mut events) = (Vec::new(), Vec::new());
-        for e in &plan.per_worker[w] {
-            let block_from = start.elapsed().as_nanos() as u64;
-            for &pos in plan.blocks.items(e.block) {
+        let queue = VecDeque::<(usize, ())>::new();
+        let Ok(walked) = walk(&plan, w, queue, &mut NoEdges, start, |b, _| {
+            for &pos in plan.blocks.items(b) {
                 body(&items[pos as usize], &mut sc);
             }
-            events.push(HbEvent::Exec {
-                step: e.step,
-                block: e.block as u32,
-            });
-            spans.push(ThreadSpan {
-                phase: ThreadPhase::Compute,
-                start_ns: block_from,
-                end_ns: start.elapsed().as_nanos() as u64,
-            });
-        }
-        Some((sc, (spans, events)))
+        });
+        Some((sc, (walked.spans, walked.events)))
     });
     let wall_ns = start.elapsed().as_nanos() as u64;
     let (scratch, (spans, events)) = results.into_iter().unzip();

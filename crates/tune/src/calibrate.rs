@@ -2,7 +2,7 @@
 //! simulator and fit the measurements back into [`CostParams`].
 
 use orion_analysis::CostParams;
-use orion_runtime::{LoopCommModel, Schedule, SimExecutor};
+use orion_runtime::{LoopCommModel, Schedule, SimExecutor, ThreadedPlan};
 use orion_sim::ClusterSpec;
 use orion_trace::{LoadStats, SpanCat};
 
@@ -43,9 +43,10 @@ pub(crate) fn measure_pass_ns(
     passes: u64,
 ) -> u64 {
     let mut ex = SimExecutor::new(cluster.clone());
+    let plan = ThreadedPlan::compile(schedule);
     let mut last = 0u64;
     for _ in 0..passes.max(1) {
-        let stats = ex.run_pass(schedule, comm, cost, &mut |_, _| {});
+        let stats = ex.run_pass(&plan, comm, cost, &mut |_, _| {});
         last = stats.elapsed().as_nanos();
     }
     last
@@ -75,14 +76,14 @@ pub(crate) fn calibrate(
 ) -> Calibration {
     let passes = passes.max(1);
     let mut ex = SimExecutor::new(cluster.clone());
-    let execs_per_pass: usize = schedule.steps.iter().map(Vec::len).sum();
+    let plan = ThreadedPlan::compile(schedule);
     ex.trace
-        .enable(execs_per_pass * 4 * passes as usize + 16 * cluster.n_workers() + 64);
+        .enable(schedule.n_execs() * 4 * passes as usize + 16 * cluster.n_workers() + 64);
 
     let mut last_pass_ns = 0u64;
     let mut iterations = 0u64;
     for _ in 0..passes {
-        let stats = ex.run_pass(schedule, comm, cost, &mut |_, _| {});
+        let stats = ex.run_pass(&plan, comm, cost, &mut |_, _| {});
         last_pass_ns = stats.elapsed().as_nanos();
         iterations += stats.iterations;
     }

@@ -54,8 +54,6 @@ ALLOWED = {
         "output type, read through `violations()` by field",
     },
     "core": {
-        "DriverError": "the error type of `Driver::parallel_for`, which callers "
-        "unwrap or propagate without naming it",
         "Indexed": "the item bound of `Driver::parallel_for` / `tune_loop`; "
         "callers pass slices of its impls without naming the trait",
     },
@@ -71,7 +69,6 @@ ALLOWED = {
     "runtime": {
         "ServedModel": "the type of `LoopCommModel::served`; callers reach it "
         "through that field and set its `mode`",
-        "SyncMode": "the type of `Schedule::sync`, read through that field",
     },
     "serve": {
         "CacheStats": "the type of `ServeStats::cache` and of "

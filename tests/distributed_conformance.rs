@@ -14,6 +14,7 @@ use orion::apps::{sgd_mf, slr};
 use orion::check::plan_event_log;
 use orion::core::{ClusterSpec, Driver};
 use orion::data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
+use orion::runtime::HbEvent;
 
 const NODES: usize = 4;
 
@@ -40,7 +41,8 @@ fn mf_conformance(tag: &str, data_cfg: RatingsConfig, nodes: usize) {
     // The `nodes × 1` plan every node compiles, set up as a node does.
     let mut driver = Driver::new(ClusterSpec::new(nodes, 1));
     let (compiled, _) = sgd_mf::MfApp::new(cfg.clone(), run.ordered).setup(&data, &mut driver);
-    let expected_log = plan_event_log(&driver.compile_threaded(&compiled));
+    let plan = driver.compile_threaded(&compiled).expect("a grid plan");
+    let expected_log = plan_event_log(&plan);
 
     let dir = workdir(tag);
     let mut opts = DistOptions::new(nodes, run.passes, &dir);
@@ -96,12 +98,34 @@ fn slr_conformance() {
     };
     let (sim_model, _) = slr::train_orion(&data, cfg.clone(), &run);
 
+    // The plan every node compiles; each node's epoch log is its walk
+    // plus the coordinator's apply of its buffered updates.
+    let mut driver = Driver::new(ClusterSpec::new(NODES, 1));
+    let app = slr::SlrApp {
+        cfg: cfg.clone(),
+        prefetch_override: None,
+    };
+    let (compiled, _) = app.setup(&data, &mut driver);
+    let plan = driver.compile_threaded(&compiled).expect("a 1-D plan");
+    let mut expected_log = plan_event_log(&plan);
+    for (node, log) in expected_log.iter_mut().enumerate() {
+        log.push(HbEvent::ServerApply { node: node as u32 });
+    }
+
     let dir = workdir("slr");
     let mut opts = DistOptions::new(NODES, run.passes, &dir);
     opts.run_id = "slr_conf".into();
     let out = distributed::train_slr_distributed(&data, cfg, &opts)
         .expect("distributed SLR run succeeds");
     assert_eq!(out.recoveries, 0, "fault-free run must not recover");
+    assert_eq!(out.epochs.len(), run.passes as usize);
+    for e in &out.epochs {
+        assert_eq!(
+            e.events, expected_log,
+            "epoch {}: every node walks the plan's event log",
+            e.epoch
+        );
+    }
     assert_eq!(
         sim_model.weights, out.model.weights,
         "weights must be bit-identical to the sim oracle"

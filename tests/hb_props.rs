@@ -1,14 +1,16 @@
 //! Property-based coverage of the O11x happens-before detector
 //! (checker-of-the-checker): the faithful event log of a compiled plan
-//! never fires — for every canonical application and across worker
-//! counts — while mutated logs (a severed rotation handoff, an orphaned
-//! send, a dropped barrier) always do.
+//! never fires — for every canonical application and the skewed
+//! stencil's wavefront, across worker counts — while mutated logs (a
+//! severed rotation handoff, an orphaned send, a dropped barrier, a
+//! dropped step barrier) always do.
 
 use orion::analysis::Strategy;
 use orion::apps::specs;
 use orion::check::{plan_event_log, HbViolation, Sanitizer};
 use orion::ir::{ArrayMeta, DistArrayId, LoopSpec, Subscript};
-use orion::runtime::{build_schedule, HbEvent, ThreadedPlan};
+use orion::runtime::{build_schedule, HbEvent, LoopCommModel, SimExecutor, SyncMode, ThreadedPlan};
+use orion::sim::ClusterSpec;
 use proptest::prelude::*;
 
 /// Dense MF-shaped grid loop: every pair of blocks sharing a time
@@ -34,6 +36,37 @@ fn dense_mf(n: i64, workers: usize) -> (LoopSpec, Vec<ArrayMeta>, Vec<Vec<i64>>,
         ordered: false,
     };
     let schedule = build_schedule(&strat, &indices, &[n as u64, n as u64], workers);
+    (spec, metas, indices, ThreadedPlan::compile(&schedule))
+}
+
+/// The skewed stencil of `tests/stencil_unimodular.rs` on an `n × n`
+/// grid: dependences `{(1,-1), (0,1)}`, so the analyzer skews the space
+/// and schedules a wavefront with a barrier after every step.
+fn stencil(n: i64, workers: usize) -> (LoopSpec, Vec<ArrayMeta>, Vec<Vec<i64>>, ThreadedPlan) {
+    let (z, a) = (DistArrayId(0), DistArrayId(1));
+    let shifted = |d0, d1| {
+        vec![
+            Subscript::loop_index(0).shifted(d0),
+            Subscript::loop_index(1).shifted(d1),
+        ]
+    };
+    let spec = LoopSpec::builder("skewed_stencil", z, vec![n as u64, n as u64])
+        .read(a, shifted(-1, 1))
+        .read(a, shifted(0, -1))
+        .write(a, shifted(0, 0))
+        .ordered()
+        .build()
+        .unwrap();
+    let metas = vec![
+        ArrayMeta::dense(z, "grid", vec![n as u64, n as u64], 4),
+        ArrayMeta::dense(a, "field", vec![n as u64, n as u64], 4),
+    ];
+    let indices: Vec<Vec<i64>> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| vec![i, j]))
+        .collect();
+    let plan = orion::analysis::analyze(&spec, &metas, workers as u64);
+    assert!(matches!(plan.strategy, Strategy::TwoDUnimodular { .. }));
+    let schedule = build_schedule(&plan.strategy, &indices, &[n as u64, n as u64], workers);
     (spec, metas, indices, ThreadedPlan::compile(&schedule))
 }
 
@@ -176,4 +209,69 @@ proptest! {
             "{v}"
         );
     }
+}
+
+/// The wavefront's faithful log carries a barrier per step, and the
+/// simulated executor records exactly that log. Without the barriers,
+/// blocks of consecutive steps on different workers are unordered, and
+/// the stencil's neighbours conflict.
+#[test]
+fn wavefront_logs_carry_step_barriers() {
+    for workers in 1..6 {
+        let (spec, metas, indices, plan) = stencil(12, workers);
+        assert_eq!(plan.sync(), SyncMode::StepBarrier);
+        let logs = plan_event_log(&plan);
+        let mut sim = SimExecutor::new(ClusterSpec::new(1, workers));
+        let comm = LoopCommModel::default();
+        sim.run_pass(&plan, &comm, &mut |_| 1.0, &mut |_, _| {});
+        assert_eq!(sim.pass_events(), logs.as_slice(), "{workers} workers");
+        let checker = Sanitizer::new(&spec, &metas, &indices);
+        let verdict = checker.check_pass(plan.blocks(), &logs, "wavefront");
+        if let Err(v) = verdict {
+            panic!("{workers} workers: the faithful wavefront log fired:\n{v}");
+        }
+    }
+}
+
+/// Dropping one step's barrier (every worker's enter and exit of it)
+/// leaves that step's blocks unordered against the next step's blocks
+/// on other workers, and the stencil's neighbours conflict: O110
+/// exactly when the two steps run on more than one worker. On 4
+/// workers that includes the ramp's first shared step: worker 0 writes
+/// `field[i0, i1]` in step 5, worker 1 reads `field[i0-1, i1+1]` in
+/// step 6.
+#[test]
+fn dropped_step_barriers_race() {
+    let (spec, metas, indices, plan) = stencil(12, 4);
+    let checker = Sanitizer::new(&spec, &metas, &indices);
+    let logs = plan_event_log(&plan);
+    let workers_at = |step: u64| -> Vec<usize> {
+        (0..plan.n_workers())
+            .filter(|&w| plan.execs_of(w).iter().any(|e| e.step == step))
+            .collect()
+    };
+    let last = (0..plan.n_workers())
+        .filter_map(|w| plan.execs_of(w).last().map(|e| e.step))
+        .max()
+        .expect("a wavefront has steps");
+    let (mut fired, mut shared) = (Vec::new(), Vec::new());
+    for step in 0..last {
+        let (now, next) = (workers_at(step), workers_at(step + 1));
+        if now.iter().any(|a| next.iter().any(|b| a != b)) {
+            shared.push(step);
+        }
+        let mut dropped = logs.clone();
+        for log in &mut dropped {
+            log.retain(|e| {
+                !matches!(*e, HbEvent::BarrierEnter { epoch } | HbEvent::BarrierExit { epoch } if epoch == step)
+            });
+        }
+        if let Err(v) = checker.check_pass(plan.blocks(), &dropped, "dropped barrier") {
+            assert!(matches!(*v, HbViolation::Race { .. }), "{v}");
+            assert!(v.to_diagnostic().render().starts_with("error[O110]:"));
+            fired.push(step);
+        }
+    }
+    assert_eq!(fired, shared);
+    assert_eq!(fired.first(), Some(&5));
 }

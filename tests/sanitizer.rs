@@ -100,7 +100,7 @@ fn sim_and_threaded_paths_render_the_same_o100() {
     });
     let (d, c) = racy();
     let threaded = panic_text(|| {
-        d.compile_threaded(&c);
+        let _ = d.compile_threaded(&c);
     });
     assert!(sim.contains("error[O100]:"), "{sim}");
     assert_eq!(sim, threaded);

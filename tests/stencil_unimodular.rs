@@ -4,7 +4,7 @@
 //! the analyzer must skew the iteration space and schedule a wavefront.
 //! The parallel execution must equal serial execution exactly.
 
-use orion::core::{ClusterSpec, DistArray, Driver, LoopSpec, Strategy, Subscript};
+use orion::core::{ClusterSpec, DistArray, Driver, DriverError, LoopSpec, Strategy, Subscript};
 
 const N: i64 = 24;
 
@@ -125,8 +125,8 @@ fn wavefront_time_beats_serial_time() {
 
 /// The pool and the TCP nodes synchronize per rotation, not per step, so
 /// the one entry point that compiles a plan for them refuses a
-/// wavefront before anything runs — with validation off too, where no
-/// sanitizer would object.
+/// wavefront with a typed error before anything runs — with validation
+/// off too, where no sanitizer would object.
 #[test]
 fn threaded_compile_refuses_a_wavefront_plan() {
     let iter_space: DistArray<f32> = DistArray::dense("grid", vec![N as u64, N as u64]);
@@ -140,13 +140,11 @@ fn threaded_compile_refuses_a_wavefront_plan() {
         compiled.strategy(),
         Strategy::TwoDUnimodular { .. }
     ));
-    let compile = std::panic::AssertUnwindSafe(|| driver.compile_threaded(&compiled));
-    let Err(refused) = std::panic::catch_unwind(compile) else {
+    let Err(refused) = driver.compile_threaded(&compiled) else {
         panic!("a wavefront plan must not compile for the pool");
     };
-    let msg = refused
-        .downcast_ref::<String>()
-        .expect("a formatted panic message");
+    assert!(matches!(refused, DriverError::StepBarrier(_)));
+    let msg = refused.to_string();
     assert!(
         msg.contains("StepBarrier") && msg.contains("`skewed_stencil`"),
         "{msg}"
