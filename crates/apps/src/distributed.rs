@@ -395,7 +395,8 @@ fn node_main<A: NetApp>(coord: &str, node: usize, n_nodes: usize) -> ! {
     let (app, data) = A::from_env(&env(ENV_DATA), &env(ENV_HYPER));
     let mut driver = new_driver(&app, ClusterSpec::new(n_nodes, 1));
     let (compiled, job) = app.setup(&data, &mut driver);
-    let plan = (driver.compile_threaded(&compiled))
+    let plan = driver
+        .compile_threaded(&compiled)
         .expect("the coordinator compiled the same plan before launching nodes");
     let ep = NodeEndpoint::connect(&NodeConfig {
         node,
@@ -499,8 +500,9 @@ pub(crate) fn run_net<A: NetApp>(
     std::fs::create_dir_all(&opts.workdir).map_err(NetError::from)?;
     let mut driver = new_driver(app, ClusterSpec::new(opts.nodes, 1));
     let (compiled, mut job) = app.setup(data, &mut driver);
-    let plan =
-        (driver.compile_threaded(&compiled)).map_err(|_| unsupported::<A>("net", "wavefront"))?;
+    let plan = driver
+        .compile_threaded(&compiled)
+        .map_err(|_| unsupported::<A>("net", "wavefront"))?;
 
     let mut ccfg = ClusterConfig::new(opts.nodes, opts.epochs, plan_fingerprint(&plan));
     ccfg.record_msgs = opts.record_msgs;

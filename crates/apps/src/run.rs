@@ -444,7 +444,8 @@ fn run_threads<A: App>(
     if cfg.trace {
         driver.enable_tracing(span_capacity(&compiled.schedule, app.loop_runs(cfg.passes)));
     }
-    let plan = (driver.compile_threaded(&compiled))
+    let plan = driver
+        .compile_threaded(&compiled)
         .map_err(|_| unsupported::<A>("threads", "wavefront"))?;
     let mut pool = Pool {
         driver: &mut driver,

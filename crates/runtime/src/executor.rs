@@ -283,8 +283,8 @@ impl SimExecutor {
                 // the step with the plan's barrier; the clocks charge it
                 // among the step's scheduled workers only.
                 walkers.iter_mut().for_each(|walker| walker.barrier(step));
-                let m = (stepped.iter().map(|&w| self.clocks.get(w)))
-                    .fold(VirtualTime::ZERO, VirtualTime::max);
+                let clocks = stepped.iter().map(|&w| self.clocks.get(w));
+                let m = clocks.fold(VirtualTime::ZERO, VirtualTime::max);
                 for &w in &stepped {
                     let t = self.clocks.get(w);
                     self.clocks.wait_until(w, m);

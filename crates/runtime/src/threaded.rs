@@ -279,7 +279,8 @@ pub struct Walk<P> {
     pub spans: Vec<ThreadSpan>,
     /// Happens-before log in program order: a `Recv` per awaited exec,
     /// an `Exec` per block, a `Send` per cross-worker forward and
-    /// nothing for a local re-enqueue — the log
+    /// nothing for a local re-enqueue (plus, in the simulator, a barrier
+    /// pair closing every step of a `StepBarrier` plan) — the log
     /// `orion_check::plan_event_log` reconstructs from the plan.
     pub events: Vec<HbEvent>,
 }

@@ -28,8 +28,10 @@ use orion::data::{
     CorpusConfig, CorpusData, RatingsConfig, RatingsData, SparseConfig, SparseData, TabularConfig,
     TabularData, TensorConfig, TensorData,
 };
-use orion::runtime::PrefetchMode;
-use orion::trace::OwnedSession;
+use orion::runtime::{
+    build_schedule, AwaitedTransfer, Exec, LoopCommModel, PrefetchMode, SimExecutor, ThreadedPlan,
+};
+use orion::trace::{OwnedSession, Span, SpanCat};
 
 /// FNV-1a over little-endian `u64` words.
 #[derive(Clone, Copy)]
@@ -54,9 +56,9 @@ impl Fnv {
         ]);
     }
 
-    /// Every span's fields, then every transfer's, in record order.
-    fn session(&mut self, session: &OwnedSession) {
-        for s in &session.spans {
+    /// Every span's fields, in record order.
+    fn spans(&mut self, spans: &[Span]) {
+        for s in spans {
             self.eat([
                 s.cat as u64,
                 u64::from(s.machine),
@@ -67,6 +69,11 @@ impl Fnv {
                 s.aux,
             ]);
         }
+    }
+
+    /// Every span's fields, then every transfer's, in record order.
+    fn session(&mut self, session: &OwnedSession) {
+        self.spans(&session.spans);
         for t in &session.transfers {
             self.eat([
                 u64::from(t.src_machine),
@@ -256,4 +263,58 @@ fn skewed_stencil_wavefront_on_eight_workers() {
     h.session(&session);
     h.eat(field.dense_values().iter().map(|x| u64::from(x.to_bits())));
     assert_eq!(h.0, 656_590_169_739_969_317);
+}
+
+/// A hand-built single-owner ring (no schedule builder emits one): one
+/// worker runs each of its two time partitions twice, the second time
+/// receiving it from itself. The compiled plan turns the self-edge into
+/// a local re-enqueue, and the simulator still charges its marshalling
+/// and delivery: the re-enqueued token carries its stamp.
+#[test]
+fn a_self_edge_keeps_its_marshalling_charge() {
+    let strategy = Strategy::TwoD {
+        space: 0,
+        time: 1,
+        ordered: false,
+    };
+    let mut schedule = build_schedule(&strategy, &[[0i64, 0], [0, 1]], &[1, 2], 1);
+    let exec = |step: u64, tp: usize, sent_after_step: Option<u64>| {
+        let awaited = sent_after_step.map(|sent_after_step| AwaitedTransfer {
+            from_worker: 0,
+            sent_after_step,
+            time_partition: tp,
+        });
+        vec![Exec {
+            step,
+            worker: 0,
+            block: tp,
+            awaited,
+        }]
+    };
+    schedule.steps = vec![
+        exec(0, 0, None),
+        exec(1, 1, None),
+        exec(2, 0, Some(0)),
+        exec(3, 1, Some(1)),
+    ];
+    let plan = ThreadedPlan::compile(&schedule);
+    let mut ex = SimExecutor::new(ClusterSpec::new(1, 1));
+    ex.trace.enable(64);
+    let comm = LoopCommModel {
+        rotated_bytes: 8_000,
+        served: None,
+    };
+    let mut h = Fnv::new();
+    for _ in 0..2 {
+        h.pass(&ex.run_pass(&plan, &comm, &mut |pos| 100.0 + pos as f64, &mut |_, _| {}));
+    }
+    h.eat([ex.net.total_bytes(), ex.net.n_messages() as u64]);
+    h.spans(ex.trace.spans());
+    let rotations = ex
+        .trace
+        .spans()
+        .iter()
+        .filter(|s| s.cat == SpanCat::Rotation);
+    assert_eq!(rotations.count(), 4, "two self-edges a pass");
+    assert_eq!(h.0, 13_328_279_313_531_548_629);
 }
