@@ -110,24 +110,27 @@ impl CorpusData {
             })
             .collect();
 
-        let mut tokens =
-            DistArray::sparse("tokens", vec![config.n_docs as u64, config.vocab as u64]);
-        let mut n_tokens = 0u64;
+        // Each document's sorted, run-length counted words: flat keys ascend.
+        let (mut counts, mut words) = (Vec::new(), Vec::new());
         for d in 0..config.n_docs {
             // Sparse topic mixture: 1–3 active topics per document.
             let k1 = rng.random_range(0..config.true_topics);
             let k2 = rng.random_range(0..config.true_topics);
             let len = (config.mean_doc_len / 2) + rng.random_range(0..config.mean_doc_len.max(1));
+            words.clear();
             for _ in 0..len {
                 let topic = if rng.random::<f64>() < 0.7 { k1 } else { k2 };
-                let w = perms[topic][zipf.sample(&mut rng)];
-                tokens.update(&[d as i64, w as i64], |c| *c += 1);
-                n_tokens += 1;
+                words.push(perms[topic][zipf.sample(&mut rng)]);
+            }
+            words.sort_unstable();
+            for run in words.chunk_by(|a, b| a == b) {
+                counts.push(((d * config.vocab + run[0]) as u64, run.len() as u32));
             }
         }
+        let dims = vec![config.n_docs as u64, config.vocab as u64];
         CorpusData {
-            tokens: crate::frozen(&tokens),
-            n_tokens,
+            n_tokens: counts.iter().map(|&(_, c)| u64::from(c)).sum(),
+            tokens: DistArray::sparse_from_flat("tokens", dims, counts),
             config,
         }
     }

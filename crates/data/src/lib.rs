@@ -20,15 +20,38 @@ mod tabular;
 mod tensor;
 mod zipf;
 
-use orion_dsm::{DistArray, Element};
+use orion_dsm::DistArray;
+use rand::rngs::StdRng;
 
-/// Rebuilds a generator's sparse array — filled point by point, so its
-/// entries sit in the store's write staging — as frozen sorted columns:
-/// the same entries in the same order, read by every later walk as two
-/// flat vectors instead of a tree.
-fn frozen<T: Element>(staged: &DistArray<T>) -> DistArray<T> {
-    let entries = staged.iter_flat().map(|(flat, v)| (flat, v.clone()));
-    DistArray::sparse_from_flat(staged.name(), staged.shape().dims().to_vec(), entries)
+/// Rejection-samples a sparse array of `dims`: draws a position with
+/// `position` until `nnz` distinct ones are placed or `20 × nnz` draws
+/// are spent, and right after each new one draws its value with
+/// `value`. Repeats are caught in a one-bit-per-cell bitmap, dropped
+/// before the entries freeze into sorted columns.
+fn distinct_entries<const N: usize>(
+    name: &str,
+    dims: [usize; N],
+    nnz: usize,
+    rng: &mut StdRng,
+    mut position: impl FnMut(&mut StdRng) -> [usize; N],
+    mut value: impl FnMut(&mut StdRng, [usize; N]) -> f32,
+) -> DistArray<f32> {
+    let mut seen = vec![0u64; dims.iter().product::<usize>().div_ceil(64)];
+    let mut entries = Vec::with_capacity(nnz);
+    let mut attempts = 0usize;
+    while entries.len() < nnz && attempts < nnz * 20 {
+        attempts += 1;
+        let at = position(rng);
+        let flat = at.iter().zip(&dims).fold(0, |flat, (&i, &d)| flat * d + i);
+        let (word, bit) = (flat / 64, 1u64 << (flat % 64));
+        if seen[word] & bit != 0 {
+            continue;
+        }
+        seen[word] |= bit;
+        entries.push((flat as u64, value(rng, at)));
+    }
+    drop(seen);
+    DistArray::sparse_from_flat(name, dims.map(|d| d as u64).to_vec(), entries)
 }
 
 pub use corpus::{CorpusConfig, CorpusData};

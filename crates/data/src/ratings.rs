@@ -106,34 +106,19 @@ impl RatingsData {
 
         let user_pop = Zipf::new(config.n_users, config.skew);
         let item_pop = Zipf::new(config.n_items, config.skew);
-        let mut ratings = DistArray::sparse(
+        let r = config.true_rank;
+        let ratings = crate::distinct_entries(
             "ratings",
-            vec![config.n_users as u64, config.n_items as u64],
+            [config.n_users, config.n_items],
+            config.nnz,
+            &mut rng,
+            |rng| [user_pop.sample(rng), item_pop.sample(rng)],
+            |rng, [u, i]| {
+                let dot = (0..r).fold(0.0, |dot, c| dot + wstar[u * r + c] * hstar[i * r + c]);
+                (dot + normal::sample(rng) * config.noise) as f32
+            },
         );
-        let mut placed = 0usize;
-        // Rejection on duplicates; bounded attempts keep generation total.
-        let mut attempts = 0usize;
-        let max_attempts = config.nnz * 20;
-        while placed < config.nnz && attempts < max_attempts {
-            attempts += 1;
-            let u = user_pop.sample(&mut rng);
-            let i = item_pop.sample(&mut rng);
-            let idx = [u as i64, i as i64];
-            if ratings.get(&idx).is_some() {
-                continue;
-            }
-            let mut dot = 0.0f64;
-            for r in 0..config.true_rank {
-                dot += wstar[u * config.true_rank + r] * hstar[i * config.true_rank + r];
-            }
-            let v = dot + normal::sample(&mut rng) * config.noise;
-            ratings.set(&idx, v as f32);
-            placed += 1;
-        }
-        RatingsData {
-            ratings: crate::frozen(&ratings),
-            config,
-        }
+        RatingsData { ratings, config }
     }
 
     /// Number of observed ratings actually placed.

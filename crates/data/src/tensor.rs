@@ -99,33 +99,21 @@ impl TensorData {
         let p0 = Zipf::new(config.dim0, config.skew);
         let p1 = Zipf::new(config.dim1, config.skew);
         let p2 = Zipf::new(config.dim2, config.skew);
-        let mut entries = DistArray::sparse(
+        let r = config.true_rank;
+        let entries = crate::distinct_entries(
             "tensor",
-            vec![config.dim0 as u64, config.dim1 as u64, config.dim2 as u64],
+            [config.dim0, config.dim1, config.dim2],
+            config.nnz,
+            &mut rng,
+            |rng| [p0.sample(rng), p1.sample(rng), p2.sample(rng)],
+            |rng, [i, j, k]| {
+                let dot: f64 = (0..r)
+                    .map(|c| u[i * r + c] * v[j * r + c] * s[k * r + c])
+                    .sum();
+                (dot + normal::sample(rng) * config.noise) as f32
+            },
         );
-        let (mut placed, mut attempts) = (0usize, 0usize);
-        while placed < config.nnz && attempts < config.nnz * 20 {
-            attempts += 1;
-            let (i, j, k) = (
-                p0.sample(&mut rng),
-                p1.sample(&mut rng),
-                p2.sample(&mut rng),
-            );
-            let idx = [i as i64, j as i64, k as i64];
-            if entries.get(&idx).is_some() {
-                continue;
-            }
-            let r = config.true_rank;
-            let dot: f64 = (0..r)
-                .map(|c| u[i * r + c] * v[j * r + c] * s[k * r + c])
-                .sum();
-            entries.set(&idx, (dot + normal::sample(&mut rng) * config.noise) as f32);
-            placed += 1;
-        }
-        TensorData {
-            entries: crate::frozen(&entries),
-            config,
-        }
+        TensorData { entries, config }
     }
 }
 

@@ -89,15 +89,27 @@ impl<T: Element> DistArray<T> {
     }
 
     /// Creates a dense array initialized per index (the analog of
-    /// `Orion.randn` / `Orion.map` initialization chains).
+    /// `Orion.randn` / `Orion.map` initialization chains). `f` sees
+    /// every index in row-major order, stepped in one reused buffer.
     pub fn dense_from_fn(
         name: impl Into<String>,
         dims: Vec<u64>,
         mut f: impl FnMut(&[i64]) -> T,
     ) -> Self {
         let shape = Shape::new(dims);
+        let mut index = vec![0i64; shape.ndims()];
         let data: Vec<T> = (0..shape.volume())
-            .map(|flat| f(&shape.unflatten(flat)))
+            .map(|_| {
+                let v = f(&index);
+                for (i, &d) in index.iter_mut().zip(shape.dims()).rev() {
+                    *i += 1;
+                    if (*i as u64) < d {
+                        break;
+                    }
+                    *i = 0;
+                }
+                v
+            })
             .collect();
         DistArray {
             name: name.into(),

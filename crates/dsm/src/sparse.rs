@@ -59,12 +59,7 @@ impl<T: Element> SparseStore<T> {
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "from_sorted requires strictly ascending keys"
         );
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut vals = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            keys.push(k);
-            vals.push(v);
-        }
+        let (keys, vals) = pairs.into_iter().unzip();
         SparseStore {
             keys,
             vals,
@@ -125,28 +120,14 @@ impl<T: Element> SparseStore<T> {
         loop {
             // Staging and frozen keys are disjoint, so plain less-than
             // ordering fully decides the merge.
-            match (frozen.peek(), fresh.peek()) {
-                (Some((fk, _)), Some((sk, _))) => {
-                    let (k, v) = if fk < sk {
-                        frozen.next().unwrap()
-                    } else {
-                        fresh.next().unwrap()
-                    };
-                    keys.push(k);
-                    vals.push(v);
-                }
-                (Some(_), None) => {
-                    let (k, v) = frozen.next().unwrap();
-                    keys.push(k);
-                    vals.push(v);
-                }
-                (None, Some(_)) => {
-                    let (k, v) = fresh.next().unwrap();
-                    keys.push(k);
-                    vals.push(v);
-                }
-                (None, None) => break,
-            }
+            let next = match (frozen.peek(), fresh.peek()) {
+                (Some((fk, _)), Some((sk, _))) if sk < fk => fresh.next(),
+                (Some(_), _) => frozen.next(),
+                (None, _) => fresh.next(),
+            };
+            let Some((k, v)) = next else { break };
+            keys.push(k);
+            vals.push(v);
         }
         self.keys = keys;
         self.vals = vals;
@@ -234,16 +215,16 @@ impl<T: Element> FromIterator<(u64, T)> for SparseStore<T> {
     fn from_iter<I: IntoIterator<Item = (u64, T)>>(iter: I) -> Self {
         let mut pairs: Vec<(u64, T)> = iter.into_iter().collect();
         // Stable sort keeps duplicate keys in arrival order; the dedup
-        // below then keeps the *last* arrival.
+        // below then moves the *last* arrival's value into the survivor.
         pairs.sort_by_key(|&(k, _)| k);
-        let mut out: Vec<(u64, T)> = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            match out.last_mut() {
-                Some(last) if last.0 == k => last.1 = v,
-                _ => out.push((k, v)),
+        pairs.dedup_by(|later, kept| {
+            let dup = later.0 == kept.0;
+            if dup {
+                std::mem::swap(&mut later.1, &mut kept.1);
             }
-        }
-        SparseStore::from_sorted(out)
+            dup
+        });
+        SparseStore::from_sorted(pairs)
     }
 }
 

@@ -10,7 +10,6 @@
 //! generation and are dropped, so a zombie socket cannot corrupt a
 //! barrier.
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command};
@@ -236,7 +235,7 @@ impl Coordinator {
                     if Instant::now() > deadline {
                         return Err(NetError::Timeout("waiting for a node to connect".into()));
                     }
-                    thread::sleep(Duration::from_millis(5));
+                    thread::sleep(Duration::from_millis(1));
                 }
                 Err(e) => return Err(NetError::Io(e)),
             }
@@ -577,7 +576,6 @@ impl Coordinator {
         let n = self.cfg.nodes;
         let deadline = Instant::now() + self.cfg.barrier_timeout;
         let mut out: Vec<Option<Vec<(u32, Bytes)>>> = (0..n).map(|_| None).collect();
-        let mut pending: VecDeque<usize> = VecDeque::new();
         let mut n_done = 0;
         while n_done < n {
             let (node, event) = self.next_event(deadline, "gather")?;
@@ -595,7 +593,6 @@ impl Coordinator {
                     if slot < n && out[slot].is_none() {
                         out[slot] = Some(parts);
                         n_done += 1;
-                        pending.push_back(slot);
                     }
                 }
                 ReaderEvent::Msg(_) => {}
@@ -624,7 +621,7 @@ impl Coordinator {
                         let _ = child.wait();
                         break;
                     }
-                    Ok(None) => thread::sleep(Duration::from_millis(20)),
+                    Ok(None) => thread::sleep(Duration::from_millis(1)),
                     Err(_) => break,
                 }
             }
