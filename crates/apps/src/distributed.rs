@@ -1101,7 +1101,8 @@ impl NetNode for SlrNode {
             for &pos in plan.blocks().items(b) {
                 crash.maybe(epoch, i, n);
                 i += 1;
-                slr::slr_step(&data.samples[pos as usize], read, buf, *step, *mode);
+                let s = &data.samples[pos as usize];
+                slr::slr_step(&s.features, s.label, read, buf, *step, *mode);
             }
         })?;
         let computed = walked.spans.iter().map(|s| s.end_ns - s.start_ns);

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use orion_core::{
     ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, IndexRecorder,
     LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript, TuneConfig, TuneOutcome,
+    VirtualTime,
 };
 use orion_data::{SparseData, SparseSample};
 use orion_dsm::kernels;
@@ -104,26 +105,31 @@ impl SlrModel {
     /// The sum [`SlrModel::loss`] divides, folded in sample order from
     /// `+0.0`.
     fn loss_sum(&self, samples: &[SparseSample]) -> f64 {
-        samples
-            .iter()
-            .fold(0.0f64, |total, s| total + self.loss_term(s))
+        samples.iter().fold(0.0f64, |total, s| {
+            total + self.loss_term(&s.features, s.label)
+        })
     }
 
-    /// One sample's logistic loss, `log(1 + exp(-y m))`, stable.
-    fn loss_term(&self, s: &SparseSample) -> f64 {
-        let m = Self::margin_with(
-            &s.features,
-            |f| self.weights.get_flat_or_default(f as u64),
-            self.cfg.math,
-        );
-        let ym = s.label as f32 * m;
-        if ym > 30.0 {
-            0.0
-        } else if ym < -30.0 {
-            (-ym) as f64
-        } else {
-            ((-ym).exp() as f64).ln_1p()
-        }
+    /// One sample's logistic loss: its margin under these weights, then
+    /// [`term_of`].
+    fn loss_term(&self, features: &[u32], label: i8) -> f64 {
+        let get = |f| self.weights.get_flat_or_default(f as u64);
+        term_of(label, Self::margin_with(features, get, self.cfg.math))
+    }
+}
+
+/// One sample's logistic loss from its margin, `log(1 + exp(-y m))`,
+/// stable. Both routes to the metric end here: a readout's
+/// [`SlrModel::loss_term`] and the pooled pass that computed the margin
+/// for its step anyway.
+fn term_of(label: i8, margin: f32) -> f64 {
+    let ym = label as f32 * margin;
+    if ym > 30.0 {
+        0.0
+    } else if ym < -30.0 {
+        (-ym) as f64
+    } else {
+        ((-ym).exp() as f64).ln_1p()
     }
 }
 
@@ -169,17 +175,72 @@ impl SlrApp {
     }
 }
 
-/// What [`SlrApp`]'s setup builds: the model and the per-sample costs.
+/// What [`SlrApp`]'s setup builds: the model and the sample table.
 #[derive(Debug)]
 pub struct SlrJob {
     pub(crate) model: SlrModel,
-    iter_cost: Vec<f64>,
+    table: SampleTable,
     /// One write buffer per worker of the compiled schedule, empty
     /// between passes.
     buffers: Vec<DistArrayBuffer<f32>>,
     /// `Net` only: each node's (= worker's) buffered updates of the
     /// epoch in flight.
     pub(crate) updates: Vec<Option<bytes::Bytes>>,
+}
+
+/// One sample's row of a [`SampleTable`]: its range of the table's
+/// features and its label — the item a pooled pass steps.
+#[derive(Debug, Clone, Copy)]
+struct SampleRow {
+    start: u32,
+    end: u32,
+    label: i8,
+}
+
+impl SampleRow {
+    fn features<'a>(&self, features: &'a [u32]) -> &'a [u32] {
+        &features[self.start as usize..self.end as usize]
+    }
+}
+
+/// The samples as one flat table, built by setup in one walk over
+/// `data.samples`. The pool shares it with every pooled pass and readout,
+/// so a job makes no copy of the samples.
+#[derive(Debug)]
+struct SampleTable {
+    /// Every sample's feature ids, back to back in sample order.
+    features: Arc<Vec<u32>>,
+    /// One row per sample, in sample order.
+    rows: Arc<Vec<SampleRow>>,
+}
+
+impl SampleTable {
+    fn new(samples: &[SparseSample]) -> Self {
+        let offset = |len: usize| u32::try_from(len).expect("SLR nonzeros fit u32");
+        let mut features = Vec::with_capacity(samples.iter().map(|s| s.features.len()).sum());
+        let rows = samples
+            .iter()
+            .map(|s| {
+                let start = offset(features.len());
+                features.extend_from_slice(&s.features);
+                SampleRow {
+                    start,
+                    end: offset(features.len()),
+                    label: s.label,
+                }
+            })
+            .collect();
+        SampleTable {
+            features: Arc::new(features),
+            rows: Arc::new(rows),
+        }
+    }
+
+    /// The simulated cost of stepping sample `pos` on an Orion worker.
+    fn iter_ns(&self, pos: usize) -> f64 {
+        let row = &self.rows[pos];
+        cost::slr_iter_ns((row.end - row.start) as usize) * cost::ORION_OVERHEAD
+    }
 }
 
 /// The iteration space: one element per sample, valued by its label.
@@ -200,19 +261,21 @@ fn sample_indices(n: usize) -> Vec<[i64; 1]> {
 
 /// The buffered per-sample step every engine runs: the margin under
 /// `read`'s pass-start weights (buffered writes are not read back, §3.3),
-/// then one buffered write per active feature.
+/// then one buffered write per active feature. Returns the margin.
 pub(crate) fn slr_step(
-    sample: &SparseSample,
+    features: &[u32],
+    label: i8,
     read: impl Fn(u32) -> f32,
     buf: &mut DistArrayBuffer<f32>,
     step: f32,
     mode: MathMode,
-) {
-    let margin = SlrModel::margin_with(&sample.features, read, mode);
-    let delta = -step * logistic_grad_coef(sample.label, margin);
-    for &f in &sample.features {
+) -> f32 {
+    let margin = SlrModel::margin_with(features, read, mode);
+    let delta = -step * logistic_grad_coef(label, margin);
+    for &f in features {
         buf.write_flat(f as u64, delta);
     }
+    margin
 }
 
 /// Applies one worker's buffered writes, `(feature, delta)` ascending by
@@ -238,18 +301,12 @@ pub(crate) fn apply_updates(model: &mut SlrModel, updates: impl IntoIterator<Ite
     }
 }
 
-/// Per-worker scratch carrying the model lent to a pooled pass: the
-/// handle travels out with the job and back with its result, so once
-/// the pass has returned the caller owns the model alone again.
-type Lent<S> = (Arc<SlrModel>, S);
-
-fn lend<S>(model: &Arc<SlrModel>, scratch: &mut Vec<S>) -> Vec<Lent<S>> {
-    scratch.drain(..).map(|s| (Arc::clone(model), s)).collect()
-}
-
-fn take_back<S>(scratch: &mut Vec<S>, lent: Vec<Lent<S>>) {
-    scratch.extend(lent.into_iter().map(|(_, s)| s));
-}
+/// A pooled worker's scratch: the model lent to the pass, its write
+/// buffer, and — from pass 1 on — the loss term of every sample it
+/// steps, in step order. The model handle travels out with the job and
+/// back with its result, so once the pass has returned the caller owns
+/// the model alone again.
+type Lent = (Arc<SlrModel>, (DistArrayBuffer<f32>, Option<Vec<f64>>));
 
 impl App for SlrApp {
     type Data = SparseData;
@@ -285,15 +342,10 @@ impl App for SlrApp {
             Strategy::FullyParallel { .. }
         ));
         self.apply_prefetch_override(&mut compiled);
-        let iter_cost = data
-            .samples
-            .iter()
-            .map(|s| cost::slr_iter_ns(s.features.len()) * cost::ORION_OVERHEAD)
-            .collect();
         let job = SlrJob {
             buffers: write_buffers(&model.weights, compiled.schedule.n_workers),
             model,
-            iter_cost,
+            table: SampleTable::new(&data.samples),
             updates: vec![None; compiled.schedule.n_workers],
         };
         (compiled, job)
@@ -311,7 +363,7 @@ impl App for SlrApp {
     ) -> Option<FaultEvent> {
         let SlrJob {
             model,
-            iter_cost,
+            table,
             buffers,
             ..
         } = job;
@@ -321,9 +373,10 @@ impl App for SlrApp {
         }
         let weights = &model.weights;
         let (step, mode) = (model.cfg.step_size, driver.math_mode());
-        let (_, fault) = driver.run_pass(compiled, &mut |pos| iter_cost[pos], &mut |w, pos| {
+        let (_, fault) = driver.run_pass(compiled, &mut |pos| table.iter_ns(pos), &mut |w, pos| {
+            let s = &data.samples[pos];
             let read = |f| weights.get_flat_or_default(f as u64);
-            slr_step(&data.samples[pos], read, &mut buffers[w], step, mode);
+            slr_step(&s.features, s.label, read, &mut buffers[w], step, mode);
         });
         match fault {
             None => flush_buffers(driver, buffers, |buf| {
@@ -348,7 +401,16 @@ impl App for SlrApp {
     /// weights; buffers accumulate the same deltas in the same order as
     /// the simulated pass and apply in worker order. The model is lent to
     /// the workers inside their scratch and is back — sole owner, no
-    /// copy — when a pass returns; the loss is read the same way.
+    /// copy — when a pass returns.
+    ///
+    /// A pass reads only the weights as they stood at its start (§3.3):
+    /// the model the previous pass's loss is read from. So from pass 1 on
+    /// each worker also keeps every sample's loss term, from the margin
+    /// its step computed anyway, and the workers' terms, one after
+    /// another, are the samples in order: folded from `+0.0` they are
+    /// the previous pass's loss sum, bit for bit. Only the last pass's
+    /// loss is read by a readout of its own. Validation re-reads every
+    /// sum serially; each point keeps the clock of its own pass's end.
     fn pooled(
         &self,
         data: &SparseData,
@@ -356,40 +418,73 @@ impl App for SlrApp {
         pool: &mut Pool<'_>,
         passes: u64,
     ) -> Result<SlrModel, RunError> {
-        // Samples shared immutably with every worker; the schedule's item
-        // positions are sample indices.
-        let samples = Arc::new(data.samples.clone());
-        let (mut model, mut buffers) = (Arc::new(job.model), job.buffers);
-        let (step, mode) = (model.cfg.step_size, pool.driver.math_mode());
-        let body = Arc::new(
-            move |sample: &SparseSample, (model, buf): &mut Lent<DistArrayBuffer<f32>>| {
-                let read = |f| model.weights.get_flat_or_default(f as u64);
-                slr_step(sample, read, buf, step, mode);
-            },
+        let SlrJob {
+            model,
+            table: SampleTable { features, rows },
+            mut buffers,
+            ..
+        } = job;
+        let n = rows.len();
+        // The fused fold reads the workers' terms one after another.
+        let order = pool.plan.worker_positions();
+        assert!(
+            order.iter().flatten().map(|&p| p as usize).eq(0..n),
+            "the 1-D plan's blocks do not tile [0, {n}) in worker order"
         );
-        let term = Arc::new(|s: &SparseSample, model: &SlrModel| model.loss_term(s));
-        let n = samples.len() as f64;
+        let mut model = Arc::new(model);
+        // The mode `loss_term` reads, so fused terms are a readout's.
+        let (step, mode) = (model.cfg.step_size, model.cfg.math);
+        let shared = Arc::clone(&features);
+        let body = Arc::new(move |row: &SampleRow, (model, (buf, terms)): &mut Lent| {
+            // The weights are dense, so the slice holds what
+            // `get_flat_or_default` returns, without a call per feature.
+            let weights = model.weights.dense_values();
+            let read = |f: u32| weights[f as usize];
+            let margin = slr_step(row.features(&shared), row.label, read, buf, step, mode);
+            if let Some(terms) = terms {
+                terms.push(term_of(row.label, margin));
+            }
+        });
+        let mut terms: Vec<Option<Vec<f64>>> = vec![None; buffers.len()];
+        // The last flushed pass and the clock at its end.
+        let mut flushed: Option<(u64, VirtualTime)> = None;
         for pass in 0..passes {
+            let lent = (buffers.drain(..).zip(terms.drain(..)))
+                .map(|s| (Arc::clone(&model), s))
+                .collect();
             let out = pool.driver.run_pass_threaded_one_d(
                 &pool.compiled.spec.name,
                 &pool.plan,
-                &samples,
-                lend(&model, &mut buffers),
+                &rows,
+                lent,
                 &body,
             );
-            take_back(&mut buffers, out.scratch);
+            (buffers, terms) = out.scratch.into_iter().map(|(_, s)| s).unzip();
+            if let Some((prev, at)) = flushed {
+                let sum = (terms.iter().flatten().flatten()).fold(0.0f64, |acc, t| acc + t);
+                // Not flushed yet: `model` is still the one the terms read.
+                pool.driver
+                    .check_readout(sum, || model.loss_sum(&data.samples));
+                pool.driver.record_progress_at(prev, at, sum / n as f64);
+            }
             let owned = Arc::get_mut(&mut model).expect("the pass handed the model back");
             flush_buffers(pool.driver, &mut buffers, |buf| {
                 apply_updates(owned, buf.drain_flat())
             });
-            // The loss is read on the pool against the lent model, from
-            // where `SlrModel::loss` starts its fold; validation re-reads
-            // the sum serially.
+            terms
+                .iter_mut()
+                .for_each(|t| t.get_or_insert_with(Vec::new).clear());
+            flushed = Some((pass, pool.driver.now()));
+        }
+        if let Some((last, at)) = flushed {
+            let term = Arc::new(move |row: &SampleRow, model: &SlrModel| {
+                model.loss_term(row.features(&features), row.label)
+            });
             let serial = || model.loss_sum(&data.samples);
             let sum = pool
                 .driver
-                .eval_pass(&pool.plan, &samples, &model, &term, 0.0, serial);
-            pool.record(pass, sum / n);
+                .eval_pass(&pool.plan, &rows, &model, &term, 0.0, serial);
+            pool.driver.record_progress_at(last, at, sum / n as f64);
         }
         Ok(Arc::try_unwrap(model).expect("the readout handed the model back"))
     }
@@ -406,9 +501,9 @@ impl App for SlrApp {
         compiled: &CompiledLoop,
         cfg: &TuneConfig,
     ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
-        let indices = sample_indices(job.iter_cost.len());
+        let indices = sample_indices(job.table.rows.len());
         let (mut tuned, outcome) =
-            driver.tune_loop(compiled, &indices, cfg, &mut |pos| job.iter_cost[pos]);
+            driver.tune_loop(compiled, &indices, cfg, &mut |pos| job.table.iter_ns(pos));
         self.apply_prefetch_override(&mut tuned);
         Ok((tuned, outcome))
     }
@@ -485,16 +580,12 @@ pub fn train_serial(data: &SparseData, cfg: SlrConfig, passes: u64) -> (SlrModel
         .parallel_for(spec, &sample_indices(data.samples.len()))
         .expect("compiles (serial)");
     debug_assert!(matches!(compiled.strategy(), Strategy::Serial));
-    let iter_cost: Vec<f64> = data
-        .samples
-        .iter()
-        .map(|s| cost::slr_iter_ns(s.features.len()))
-        .collect();
+    let mut iter_ns = |pos: usize| cost::slr_iter_ns(data.samples[pos].features.len());
     for pass in 0..passes {
         {
             let weights = &mut model.weights;
             let step = model.cfg.step_size;
-            driver.run_pass(&compiled, &mut |pos| iter_cost[pos], &mut |_w, pos| {
+            driver.run_pass(&compiled, &mut iter_ns, &mut |_w, pos| {
                 let sample = &data.samples[pos];
                 let margin = SlrModel::margin_with(
                     &sample.features,

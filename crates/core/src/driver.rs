@@ -822,7 +822,13 @@ impl Driver {
     /// Records a convergence observation (driver-side metric evaluation,
     /// like the `err` accumulator readout of Fig. 5).
     pub fn record_progress(&mut self, iteration: u64, metric: f64) {
-        let time = self.now();
+        self.record_progress_at(iteration, self.now(), metric);
+    }
+
+    /// [`Driver::record_progress`] stamped `time`, an earlier [`Driver::now`]:
+    /// for a metric read after later work has advanced the clock, such as
+    /// a loss that rides the next pass.
+    pub fn record_progress_at(&mut self, iteration: u64, time: VirtualTime, metric: f64) {
         self.stats.progress.push(orion_sim::ProgressPoint {
             iteration,
             time,

@@ -4,7 +4,9 @@
 //! starts, so every recorded metric is bit-identical to the simulated
 //! engine's serial readout — for any thread count, ordered or not, and
 //! whichever loop dimension the planner picked as space (tall and wide
-//! shapes).
+//! shapes). SLR's pooled job reads every pass's loss but the last from
+//! the next pass's margins (DESIGN.md §3.6), and is held to the same
+//! bits.
 //!
 //! Debug test builds validate by default, so there every
 //! `train_threaded` pass also cross-checks the pooled readout against
@@ -14,9 +16,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use orion::analysis::Strategy;
-use orion::apps::run::{self, Engine, RunConfig};
+use orion::apps::run::{self, App, Engine, Pool, RunConfig};
 use orion::apps::sgd_mf::{self, MfConfig, MfRunConfig};
-use orion::apps::slr::{self, SlrConfig, SlrModel, SlrRunConfig};
+use orion::apps::slr::{self, SlrApp, SlrConfig, SlrModel, SlrRunConfig};
 use orion::apps::tensor_cp::{self, CpApp, CpConfig, CpRunConfig};
 use orion::core::{ClusterSpec, Driver, RunStats};
 use orion::data::{
@@ -231,6 +233,79 @@ fn validated_slr_readout_catches_a_sum_in_worker_order() {
     let mut driver = Driver::new(ClusterSpec::new(1, 2));
     driver.set_validate(true);
     driver.check_readout(in_worker_order, || model.loss(&data));
+}
+
+/// SLR's pooled job reads each pass's loss from the next pass's margins
+/// and keeps a readout only after the last pass: for any pass count,
+/// math mode, update rule and thread count, every recorded metric — one
+/// per pass, in pass order — and the final weights carry the oracle's
+/// bits. A curve shifted by one pass, a lost last point or fused terms
+/// taken under another math mode than the readout's all show here.
+#[test]
+fn slr_fused_curve_matches_the_oracle() {
+    let data = SparseData::generate(SparseConfig::tiny());
+    let configs = [
+        ("exact", SlrConfig::new()),
+        ("fast_math", SlrConfig::new().fast_math()),
+        (
+            "adaptive",
+            SlrConfig {
+                adaptive: true,
+                ..SlrConfig::new()
+            },
+        ),
+    ];
+    for passes in [1, 2, 3, 5] {
+        for (name, cfg) in &configs {
+            for threads in 1..=4 {
+                let run = SlrRunConfig {
+                    cluster: ClusterSpec::new(1, threads),
+                    passes,
+                    prefetch_override: None,
+                };
+                let (oracle, expect) = slr::train_orion(&data, cfg.clone(), &run);
+                let (model, got) = slr::train_threaded(&data, cfg.clone(), threads, passes);
+                let case = format!("slr {name} passes={passes} threads={threads}");
+                assert_eq!(expect.progress.len(), passes as usize, "{case}");
+                assert_same_curve(&got, &expect, &case);
+                let order: Vec<u64> = got.progress.iter().map(|p| p.iteration).collect();
+                assert_eq!(order, (0..passes).collect::<Vec<_>>(), "{case}");
+                assert_eq!(
+                    bits(&model.weights),
+                    bits(&oracle.weights),
+                    "{case}: weights"
+                );
+            }
+        }
+    }
+}
+
+/// The seeded negative case of the fused loss: with the two workers'
+/// blocks swapped, a 1-D plan still steps every sample once, but the
+/// workers' terms one after another are no longer the samples in order.
+/// The pooled job must refuse the plan rather than fold them.
+#[test]
+#[should_panic(expected = "do not tile [0, 200) in worker order")]
+fn slr_fused_fold_refuses_blocks_out_of_worker_order() {
+    let data = SparseData::generate(SparseConfig::tiny());
+    let app = SlrApp {
+        cfg: SlrConfig::new(),
+        prefetch_override: None,
+    };
+    let mut driver = Driver::new(ClusterSpec::new(1, 2));
+    driver.set_validate(true);
+    let (compiled, job) = app.setup(&data, &mut driver);
+    let mut swapped = compiled.schedule.clone();
+    assert_eq!(swapped.n_workers, 2);
+    for exec in &mut swapped.steps[0] {
+        exec.block = 1 - exec.block;
+    }
+    let mut pool = Pool {
+        driver: &mut driver,
+        compiled: &compiled,
+        plan: Arc::new(ThreadedPlan::compile(&swapped)),
+    };
+    let _ = app.pooled(&data, job, &mut pool, 2);
 }
 
 /// Both shapes really exercise both layouts.
