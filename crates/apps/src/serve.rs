@@ -7,7 +7,7 @@
 //! `Exact`-mode kernels. The conformance suite demands bit-identity
 //! between the two — `f32` compared by `to_bits`, top-k lists compared
 //! element-wise — which is what makes the serving path trustworthy: a
-//! shard, a cache hit, or a batch boundary can never change an answer.
+//! shard or a cache hit can never change an answer.
 //!
 //! Tie-breaking for every top-k list is total and deterministic: score
 //! descending (`f32::total_cmp`, `u32::cmp`), then id ascending. Scans
@@ -249,14 +249,7 @@ impl ServeModel for MfServe {
         &self.arrays
     }
 
-    fn home_shard(&self, query: &MfQuery) -> usize {
-        let user = match query {
-            MfQuery::Predict { user, .. } | MfQuery::Recommend { user, .. } => *user,
-        };
-        self.arrays[0].shard_of(user)
-    }
-
-    fn answer(&self, query: &MfQuery, ctx: &mut ServeCtx<'_, f32>) -> MfAnswer {
+    fn answer(&self, query: &MfQuery, ctx: &ServeCtx<'_, f32>) -> MfAnswer {
         match query {
             MfQuery::Predict { user, item } => {
                 let w = ctx.row(0, *user);
@@ -364,14 +357,7 @@ impl ServeModel for SlrServe {
         &self.arrays
     }
 
-    fn home_shard(&self, query: &SlrQuery) -> usize {
-        match query.features.first() {
-            Some(&f) => self.arrays[0].shard_of(f as u64),
-            None => 0,
-        }
-    }
-
-    fn answer(&self, query: &SlrQuery, ctx: &mut ServeCtx<'_, f32>) -> f32 {
+    fn answer(&self, query: &SlrQuery, ctx: &ServeCtx<'_, f32>) -> f32 {
         kernels::gather_sum(
             &query.features,
             |f| ctx.row(0, f as u64)[0],
@@ -484,16 +470,7 @@ impl ServeModel for LdaServe {
         &self.arrays
     }
 
-    fn home_shard(&self, query: &LdaQuery) -> usize {
-        match query {
-            LdaQuery::DocTopics { doc } => self.arrays[0].shard_of(*doc),
-            // Topic scans read every word shard; route by topic id so
-            // they spread over shards deterministically.
-            LdaQuery::TopWords { topic, .. } => topic % self.arrays[0].n_shards(),
-        }
-    }
-
-    fn answer(&self, query: &LdaQuery, ctx: &mut ServeCtx<'_, u32>) -> LdaAnswer {
+    fn answer(&self, query: &LdaQuery, ctx: &ServeCtx<'_, u32>) -> LdaAnswer {
         match query {
             LdaQuery::DocTopics { doc } => LdaAnswer::Histogram(ctx.row(0, *doc).to_vec()),
             LdaQuery::TopWords { topic, k } => {

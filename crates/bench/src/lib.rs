@@ -140,107 +140,6 @@ impl Report for KernelReport {
     }
 }
 
-/// One serving configuration's measurements: a (shard count ×
-/// concurrency) cell of the `serve_load` sweep.
-#[derive(Debug, Clone)]
-pub struct ServeRow {
-    /// Serving shards.
-    pub shards: usize,
-    /// Concurrent client streams (the concurrency level).
-    pub streams: usize,
-    /// Requests offered by the generator.
-    pub offered: u64,
-    /// Requests admitted and answered.
-    pub completed: u64,
-    /// Requests rejected by admission control.
-    pub rejected: u64,
-    /// Completed requests per virtual second.
-    pub throughput_rps: f64,
-    /// Median end-to-end latency, milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    pub p99_ms: f64,
-    /// 99.9th-percentile latency, milliseconds.
-    pub p999_ms: f64,
-    /// Worst-case latency, milliseconds.
-    pub max_ms: f64,
-    /// Row-cache hit fraction over the whole run.
-    pub cache_hit_rate: f64,
-}
-
-/// The serving load sweep (`BENCH_serve.json`): throughput and latency
-/// percentiles across shard counts × concurrency levels, with cache hit
-/// rates (see `docs/SERVING.md`).
-#[derive(Debug, Clone)]
-pub struct ServeBenchReport {
-    /// Served model (`sgd_mf`, …).
-    pub model: String,
-    /// Per-configuration measurements.
-    pub rows: Vec<ServeRow>,
-}
-
-impl Report for ServeBenchReport {
-    fn to_json(&self) -> String {
-        let mut json = format!(
-            "{{\n  \"bench\": \"serve_load\",\n  \"model\": \"{}\",\n  \"rows\": [\n",
-            self.model
-        );
-        for (i, r) in self.rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"shards\": {}, \"streams\": {}, \"offered\": {}, \
-                 \"completed\": {}, \"rejected\": {}, \"throughput_rps\": {:.1}, \
-                 \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \"p999_ms\": {:.4}, \
-                 \"max_ms\": {:.4}, \"cache_hit_rate\": {:.4}}}{}\n",
-                r.shards,
-                r.streams,
-                r.offered,
-                r.completed,
-                r.rejected,
-                r.throughput_rps,
-                r.p50_ms,
-                r.p99_ms,
-                r.p999_ms,
-                r.max_ms,
-                r.cache_hit_rate,
-                if i + 1 < self.rows.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        json
-    }
-
-    fn render(&self) -> String {
-        let mut out = format!(
-            "serving load sweep ({})\n{:>7} {:>8} {:>9} {:>9} {:>12} {:>9} {:>9} {:>9} {:>9}\n",
-            self.model,
-            "shards",
-            "streams",
-            "completed",
-            "rejected",
-            "rps",
-            "p50 ms",
-            "p99 ms",
-            "p999 ms",
-            "hit rate"
-        );
-        for r in &self.rows {
-            out.push_str(&format!(
-                "{:>7} {:>8} {:>9} {:>9} {:>12.0} {:>9.3} {:>9.3} {:>9.3} {:>8.1}%\n",
-                r.shards,
-                r.streams,
-                r.completed,
-                r.rejected,
-                r.throughput_rps,
-                r.p50_ms,
-                r.p99_ms,
-                r.p999_ms,
-                r.cache_hit_rate * 100.0
-            ));
-        }
-        out
-    }
-}
-
 /// Writes a [`Report`] as JSON under `results/` next to the CSVs
 /// (e.g. `BENCH_trace.json`, `BENCH_simd.json`) and prints its rendered
 /// summary (see `docs/OBSERVABILITY.md` for the trace schema).

@@ -243,17 +243,30 @@ impl<T: Element> DistArray<T> {
     /// absent sparse elements with `T::default()` — the read-optimized
     /// layout `orion-serve` loads checkpoints into. Element values are
     /// copied bit-for-bit; the result is indexed by local flat offset.
-    pub fn to_dense_vec(&self) -> Vec<T> {
+    ///
+    /// `None` when the dense form does not fit in memory: its element
+    /// count overflows `usize`, or the allocator refuses it. A sparse
+    /// array states a shape, not elements, so a few bytes of checkpoint
+    /// can declare 2^50 of them; they are refused, never a panic or an
+    /// aborted process.
+    pub fn to_dense_vec(&self) -> Option<Vec<T>> {
+        let n = self
+            .shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(usize::try_from(d).ok()?))?;
+        let mut out = Vec::new();
+        out.try_reserve_exact(n).ok()?;
         match &self.storage {
-            Storage::Dense(v) => v.clone(),
+            Storage::Dense(v) => out.extend_from_slice(v),
             Storage::Sparse(s) => {
-                let mut out = vec![T::default(); self.shape.volume() as usize];
+                out.resize(n, T::default());
                 for (flat, v) in s.iter() {
                     out[flat as usize] = v.clone();
                 }
-                out
             }
         }
+        Some(out)
     }
 
     /// Number of materialized elements.
@@ -1044,9 +1057,9 @@ mod tests {
     fn to_dense_vec_materializes_defaults() {
         let d: DistArray<f32> =
             DistArray::dense_from_vec("d", vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.to_dense_vec(), vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(d.to_dense_vec(), Some(vec![1.0, 2.0, 3.0, 4.0]));
         let s: DistArray<u32> = DistArray::sparse_from_flat("s", vec![2, 3], vec![(0, 5), (4, 9)]);
-        assert_eq!(s.to_dense_vec(), vec![5, 0, 0, 0, 9, 0]);
+        assert_eq!(s.to_dense_vec(), Some(vec![5, 0, 0, 0, 9, 0]));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! working set for rows that are read once). The engine stores keys only
 //! (`LruCache<u64, ()>`): the rows are borrowed from the immutable
 //! shards either way, so a "cached" answer is the uncached one by
-//! construction, and what the cache contributes is recency — the hit and
-//! miss counts the virtual service model prices. The oracle conformance
-//! suite still re-runs every query with the cache disabled.
+//! construction, and what the cache contributes is recency and its hit
+//! and miss counts (the ledger's `serve.cache_hit_rate`). The oracle
+//! conformance suite still re-runs every query with the cache disabled.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

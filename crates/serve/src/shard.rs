@@ -127,7 +127,7 @@ pub struct ShardedArray<T: Element> {
 impl<T: Element> ShardedArray<T> {
     /// Shards a materialized array into `n_shards` near-equal row runs.
     ///
-    /// `n_shards` is clamped to the row count (every shard must own at
+    /// `n_shards` is clamped to `1..=rows` (every shard must own at
     /// least one row). Sparse arrays are densified — serving reads every
     /// row at memory speed, so the read-optimized layout is always the
     /// contiguous one. The array's origin is discarded: serve addresses
@@ -135,22 +135,23 @@ impl<T: Element> ShardedArray<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `n_shards == 0` or the array is empty.
+    /// Panics if the array is empty, or sparse with a dense form that
+    /// does not fit in memory.
     pub fn from_array(array: &DistArray<T>, n_shards: usize) -> Self {
-        Self::build(array, |rows| {
-            RangePartition::uniform(0, rows, n_shards.min(rows as usize).max(1))
-        })
+        Self::build(array, uniform(n_shards)).expect("the dense form fits in memory")
     }
 
     /// Shards with the histogram-balanced partitioner: `weights\[r\]` is
     /// the expected traffic of row `r` (e.g. the Zipf profile of the
     /// traffic generator), so hot rows end up in small shards and the
-    /// per-shard serving load evens out.
+    /// per-shard serving load evens out. `n_shards` is clamped as in
+    /// [`ShardedArray::from_array`].
     ///
     /// # Panics
     ///
-    /// Panics if `weights.len()` differs from the row count or
-    /// `n_shards == 0`.
+    /// Panics if the array is empty or too large to densify, as in
+    /// [`ShardedArray::from_array`], or if `weights.len()` differs from
+    /// the row count.
     pub fn from_array_balanced(array: &DistArray<T>, weights: &[u64], n_shards: usize) -> Self {
         Self::build(array, |rows| {
             assert_eq!(
@@ -160,9 +161,12 @@ impl<T: Element> ShardedArray<T> {
             );
             RangePartition::balanced(0, weights, n_shards.min(rows as usize).max(1))
         })
+        .expect("the dense form fits in memory")
     }
 
-    fn build(array: &DistArray<T>, make: impl FnOnce(u64) -> RangePartition) -> Self {
+    /// `None` when the array is sparse and its dense form does not fit
+    /// in memory.
+    fn build(array: &DistArray<T>, make: impl FnOnce(u64) -> RangePartition) -> Option<Self> {
         let dims = array.shape().dims().to_vec();
         let rows = dims[0];
         assert!(rows > 0, "cannot shard an empty array");
@@ -174,7 +178,7 @@ impl<T: Element> ShardedArray<T> {
         let values = if array.is_dense() {
             array.dense_values()
         } else {
-            densified = array.to_dense_vec();
+            densified = array.to_dense_vec()?;
             &densified
         };
         let shards = partition
@@ -186,12 +190,12 @@ impl<T: Element> ShardedArray<T> {
                 values: values[r.start as usize * width..r.end as usize * width].to_vec(),
             })
             .collect();
-        ShardedArray {
+        Some(ShardedArray {
             name: array.name().to_string(),
             dims,
             partition,
             shards,
-        }
+        })
     }
 
     /// Loads a checkpoint byte image into shards.
@@ -200,10 +204,17 @@ impl<T: Element> ShardedArray<T> {
     ///
     /// Any malformed image — truncated, extended, bad magic, wrong
     /// element width — surfaces as [`CheckpointError::Corrupt`]; a
-    /// `ShardedArray` is only ever built from a bit-exact checkpoint.
+    /// `ShardedArray` is only ever built from a bit-exact checkpoint. So
+    /// does a sparse image whose dense form does not fit in memory (see
+    /// `DistArray::to_dense_vec`).
     pub fn from_checkpoint_bytes(wire: Bytes, n_shards: usize) -> Result<Self, CheckpointError> {
         let array = checkpoint::from_bytes::<T>(wire)?;
-        Ok(Self::from_array(&array, n_shards))
+        Self::build(&array, uniform(n_shards)).ok_or_else(|| {
+            CheckpointError::Corrupt(format!(
+                "sparse shape {:?} is too large to densify",
+                array.shape().dims()
+            ))
+        })
     }
 
     /// The served array's name (from the checkpoint header).
@@ -258,6 +269,12 @@ impl<T: Element> ShardedArray<T> {
         }
         self.shards[self.partition.part_of(row)].row(row)
     }
+}
+
+/// The uniform partitioner of [`ShardedArray::from_array`], with
+/// `n_shards` clamped to `1..=rows`.
+fn uniform(n_shards: usize) -> impl FnOnce(u64) -> RangePartition {
+    move |rows| RangePartition::uniform(0, rows, n_shards.min(rows as usize).max(1))
 }
 
 #[cfg(test)]

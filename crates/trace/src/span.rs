@@ -27,10 +27,10 @@ pub enum SpanCat {
     Recovery = 7,
     /// Writing a periodic checkpoint (atomic temp-file + rename).
     Checkpoint = 8,
-    /// One online-inference request from arrival to completion
-    /// (`orion-serve`). Requests overlap on a shard's track while they
-    /// queue, so the category lives off the worker track like
-    /// [`SpanCat::Server`]; span durations are end-to-end latencies and
+    /// One online-inference query, timed around its `orion-serve`
+    /// `ServeEngine::answer` call. Concurrent clients' queries overlap,
+    /// so the category lives off the worker track like
+    /// [`SpanCat::Server`]; span durations are wall-clock latencies and
     /// feed [`crate::LatencyStats`] in the run report.
     Serve = 9,
 }

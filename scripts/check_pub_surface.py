@@ -71,11 +71,9 @@ ALLOWED = {
         "through that field and set its `mode`",
     },
     "serve": {
-        "CacheStats": "the type of `ServeStats::cache` and of "
-        "`ServeEngine::cache_stats`",
+        "CacheStats": "what `ServeEngine::cache_stats` and `LruCache::stats` "
+        "return; callers read its fields",
         "ServeShard": "what `ServeCtx::scan` and `ShardedArray::shard` return",
-        "ServeStats": "what `ServeEngine::run_session` returns; callers read "
-        "its fields",
     },
     "sim": {
         "LinkFault": "the element type of `FaultPlan::link_faults`",

@@ -39,8 +39,8 @@
 //! - [`apps`] — SGD MF, LDA, SLR, GBT and CP tensor decomposition, each
 //!   with serial and Orion-parallelized runners;
 //! - [`serve`] — sharded online inference over trained checkpoints:
-//!   LRU-cached point lookups and top-k queries, batching, admission
-//!   control, virtual-clock latency modelling (see `docs/SERVING.md`);
+//!   LRU-cached point lookups and top-k queries through one thread-safe
+//!   query path (see `docs/SERVING.md`);
 //! - [`tune`] — profile-guided adaptive planning: seeded calibration
 //!   passes fit measured compute/bandwidth/skew into the analysis cost
 //!   model and re-plan strategy, partition dims, worker count and

@@ -1,9 +1,7 @@
 //! Serving under concurrency: the engine's query path is thread-safe
 //! and answer-deterministic (N threads produce bit-identical answers to
-//! a serial replay of the same seeded stream, cache on or off), and the
-//! virtual-clock session loop applies backpressure deterministically —
-//! exactly the requests above the in-flight limit are rejected, every
-//! run.
+//! a serial replay of the same seeded stream, cache on or off), and a
+//! serial replay leaves pinned cache counts.
 
 use std::sync::Arc;
 use std::thread;
@@ -12,8 +10,7 @@ use orion::apps::serve::{MfAnswer, MfQuery, MfServe};
 use orion::apps::sgd_mf::{train_orion, MfConfig, MfModel, MfRunConfig};
 use orion::core::ClusterSpec;
 use orion::data::{RatingsConfig, RatingsData};
-use orion::serve::{EngineConfig, Request, ServeEngine, TrafficConfig};
-use orion::trace::Tracer;
+use orion::serve::{EngineConfig, ServeEngine, TrafficConfig};
 
 fn trained_model() -> MfModel {
     let data = RatingsData::generate(RatingsConfig::tiny());
@@ -94,87 +91,12 @@ fn threaded_answers_match_serial_replay() {
     }
 }
 
-/// Backpressure is exact and deterministic: a burst of `M + X` requests
-/// at the same instant admits exactly the first `M` (the in-flight
-/// limit) and rejects exactly the trailing `X` — on every rerun, with
-/// identical stats and spans.
-#[test]
-fn backpressure_rejects_exactly_the_excess() {
-    const LIMIT: usize = 8;
-    const EXCESS: usize = 5;
-    let limited = || {
-        ServeEngine::new(
-            MfServe::from_model(&trained_model(), 4),
-            EngineConfig::default()
-                .with_cache_capacity(64)
-                .with_max_in_flight(LIMIT),
-        )
-    };
-    let eng = limited();
-    let qs = queries(&eng, LIMIT + EXCESS);
-    let burst: Vec<Request<MfQuery>> = qs
-        .iter()
-        .map(|q| Request {
-            arrive_ns: 0,
-            query: q.clone(),
-        })
-        .collect();
-
-    let run = |eng: &ServeEngine<MfServe>| {
-        let mut tracer = Tracer::default();
-        tracer.enable(burst.len());
-        let (stats, answers) = eng.run_session(&burst, &mut tracer);
-        (stats, answers, tracer.into_spans())
-    };
-    let (stats, answers, spans) = run(&eng);
-    assert_eq!(stats.offered, (LIMIT + EXCESS) as u64);
-    assert_eq!(stats.completed, LIMIT as u64);
-    assert_eq!(stats.rejected, EXCESS as u64);
-    assert!(answers[..LIMIT].iter().all(Option::is_some));
-    assert!(answers[LIMIT..].iter().all(Option::is_none));
-    assert_eq!(spans.len(), LIMIT);
-
-    // Bit-for-bit reproducible (fresh engine: same cold cache state).
-    let (stats2, answers2, spans2) = run(&limited());
-    assert_eq!(stats, stats2);
-    assert_eq!(answers, answers2);
-    assert_eq!(spans, spans2);
-}
-
-/// Once in-flight requests complete, admission reopens: the same burst
-/// spread over time is admitted in full.
-#[test]
-fn admission_reopens_after_completions() {
-    let eng = engine(64);
-    let qs = queries(&eng, 60);
-    let paced: Vec<Request<MfQuery>> = qs
-        .iter()
-        .enumerate()
-        .map(|(i, q)| Request {
-            // Far apart relative to service time: nothing overlaps.
-            arrive_ns: i as u64 * 50_000_000,
-            query: q.clone(),
-        })
-        .collect();
-    let mut tracer = Tracer::default();
-    tracer.enable(paced.len());
-    let (stats, answers) = ServeEngine::new(
-        MfServe::from_model(&trained_model(), 4),
-        EngineConfig::default().with_max_in_flight(2),
-    )
-    .run_session(&paced, &mut tracer);
-    assert_eq!(stats.rejected, 0);
-    assert!(answers.iter().all(Option::is_some));
-    assert_eq!(stats.completed, 60);
-}
-
-/// The row caches hold keys only — what they are for is the hit and
-/// miss counts the virtual service model charges — so those counts are
-/// pinned: a seeded Zipf session through a default-config engine, users
-/// and items both outnumbering a shard's 256 slots so that rows are
-/// evicted. The constants were recorded when the caches still held
-/// `Arc<[f32]>` row copies; the session's virtual wall follows from
-/// them.
+/// The row caches hold keys only, so what they are for is their hit
+/// and miss counts, and those are pinned: a seeded Zipf stream replayed
+/// serially through a default-config engine, users and items both
+/// outnumbering a shard's 256 slots so that rows are evicted. The
+/// constants were recorded when the caches still held `Arc<[f32]>` row
+/// copies.
 #[test]
 fn session_cache_counts_are_pinned() {
     let model = MfModel::new(2_000, 600, MfConfig::new(4));
@@ -188,18 +110,9 @@ fn session_cache_counts_are_pinned() {
         key2_domain: eng.model().n_items(),
         seed: 17,
     };
-    let session: Vec<Request<MfQuery>> = traffic
-        .generate()
-        .iter()
-        .map(|raw| Request {
-            arrive_ns: raw.arrive_ns,
-            query: eng.model().query_from_raw(raw, 0.95, 10),
-        })
-        .collect();
-    let (stats, _) = eng.run_session(&session, &mut Tracer::default());
-    let c = stats.cache;
-    assert_eq!(
-        (c.hits, c.misses, c.evictions, stats.rejected, stats.wall_ns),
-        (9_094, 2_616, 1_592, 0, 100_470_074)
-    );
+    for raw in traffic.generate() {
+        eng.answer(&eng.model().query_from_raw(&raw, 0.95, 10));
+    }
+    let c = eng.cache_stats();
+    assert_eq!((c.hits, c.misses, c.evictions), (9_094, 2_616, 1_592));
 }

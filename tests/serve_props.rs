@@ -267,3 +267,23 @@ proptest! {
         prop_assert_eq!(cache.stats().misses, reference.misses);
     }
 }
+
+/// A sparse image states a shape, not elements: two empty ones of 58
+/// bytes each declare 2^62 and 2^50 `f32`s. Densifying either would
+/// overflow the allocation size or ask for petabytes, so loading comes
+/// back as `Corrupt`, naming the shape — never a panic, never an aborted
+/// process.
+#[test]
+fn oversized_sparse_checkpoints_never_become_shards() {
+    for dims in [vec![1u64 << 31, 1 << 31], vec![1 << 40, 1 << 10]] {
+        let empty = DistArray::<f32>::sparse_from("w", dims.clone(), []);
+        let wire = checkpoint::to_bytes(&empty);
+        assert_eq!(wire.len(), 58);
+        match ShardedArray::<f32>::from_checkpoint_bytes(wire, 2) {
+            Err(CheckpointError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("{dims:?}")), "{msg}")
+            }
+            other => panic!("{dims:?}: {:?}", other.map(|s| s.dims().to_vec())),
+        }
+    }
+}

@@ -2,15 +2,17 @@
 //! Perfetto `trace_event` JSON, the exporter's byte output is pinned by a
 //! golden file, and tracing never perturbs training results.
 
+use std::time::Instant;
+
 use orion::apps::common::TraceArtifacts;
 use orion::apps::run::{run, Engine, RunConfig};
 use orion::apps::serve::MfServe;
 use orion::apps::sgd_mf::{train_orion, MfApp, MfConfig, MfModel, MfRunConfig};
 use orion::core::{ClusterSpec, RunStats};
 use orion::data::{RatingsConfig, RatingsData};
-use orion::serve::{EngineConfig, Request, ServeEngine, TrafficConfig};
+use orion::serve::{EngineConfig, ServeEngine, TrafficConfig};
 use orion::trace::json::{parse, validate_trace_events};
-use orion::trace::{write_perfetto, SessionView, SpanCat, Tracer, Transfer};
+use orion::trace::{write_perfetto, LoadStats, RunReport, SessionView, SpanCat, Tracer, Transfer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -202,30 +204,34 @@ fn run_report_json_parses() {
 }
 
 /// A traced serving session exports schema-valid Perfetto JSON carrying
-/// `serve` spans, and its run report carries the latency percentiles
-/// (p50/p99/p999) in both the struct and the JSON schema.
+/// `serve` spans, one per `answer` call at its wall-clock offset, and
+/// its run report carries the latency percentiles (p50/p99/p999) of
+/// every query in both the struct and the JSON schema.
 #[test]
 fn serve_session_exports_valid_trace_and_latency_report() {
     let d = data();
     let (model, _) = train_orion(&d, MfConfig::new(4), &run_cfg(2));
     let engine = ServeEngine::new(MfServe::from_model(&model, 4), EngineConfig::default());
-    let requests: Vec<Request<_>> = TrafficConfig::tiny(engine.model().n_users())
+    let queries: Vec<_> = TrafficConfig::tiny(engine.model().n_users())
         .generate()
         .iter()
-        .map(|raw| Request {
-            arrive_ns: raw.arrive_ns,
-            query: engine.model().query_from_raw(raw, 0.7, 5),
-        })
+        .map(|raw| engine.model().query_from_raw(raw, 0.7, 5))
         .collect();
-    let mut tracer = Tracer::default();
-    tracer.enable(requests.len());
-    let (stats, _) = engine.run_session(&requests, &mut tracer);
-    assert!(stats.completed > 0);
+    let mut tracer = Tracer::enabled(queries.len());
+    let session = Instant::now();
+    for (i, q) in queries.iter().enumerate() {
+        let start = session.elapsed().as_nanos() as u64;
+        engine.answer(q);
+        // A span needs a positive length to be recorded.
+        let end = (session.elapsed().as_nanos() as u64).max(start + 1);
+        tracer.record(SpanCat::Serve, 0, 0, start, end, 0, i as u64);
+    }
+    let wall_ns = session.elapsed().as_nanos() as u64;
 
     // Perfetto export: schema-valid, and the serve category is present.
     let view = SessionView {
         name: "serve/mf",
-        n_machines: engine.n_shards(),
+        n_machines: 1,
         workers_per_machine: 1,
         spans: tracer.spans(),
         transfers: &[],
@@ -241,9 +247,17 @@ fn serve_session_exports_valid_trace_and_latency_report() {
     );
 
     // Run report: latency percentiles in the struct and in the JSON.
-    let report = engine.session_report(&stats, tracer.spans());
+    let report = RunReport::build(
+        wall_ns,
+        tracer.spans(),
+        1,
+        1,
+        vec![],
+        vec![],
+        LoadStats::new(vec![queries.len() as u64]),
+    );
     let latency = report.latency.expect("serve spans produce latency");
-    assert_eq!(latency.count, stats.completed);
+    assert_eq!(latency.count, queries.len() as u64);
     assert!(latency.p50_ns <= latency.p99_ns && latency.p99_ns <= latency.p999_ns);
     let doc = orion::trace::json::parse(&report.to_json()).expect("report JSON parses");
     let lat = doc.get("serve_latency").expect("serve_latency key");
@@ -252,6 +266,6 @@ fn serve_session_exports_valid_trace_and_latency_report() {
     }
     assert_eq!(
         lat.get("count").unwrap().as_f64().unwrap() as u64,
-        stats.completed
+        queries.len() as u64
     );
 }
