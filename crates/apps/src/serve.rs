@@ -21,6 +21,7 @@ use bytes::Bytes;
 
 use orion_dsm::checkpoint::{self, CheckpointError};
 use orion_dsm::kernels::{self, MathMode};
+use orion_dsm::{DistArray, Element};
 use orion_serve::{LanePanels, RawRequest, ServeCtx, ServeModel, ShardedArray};
 
 use crate::lda::LdaModel;
@@ -122,6 +123,35 @@ pub fn top_k_reference<S: Score>(mut scored: Vec<(u64, S)>, k: usize) -> Vec<(u6
 // Matrix factorization: predict one rating, or recommend top-k items.
 // ---------------------------------------------------------------------------
 
+/// Pairs `a` with the array `load_b(n)` cuts into at most `n` shards,
+/// so both end up in the shard count both can take (the engine routes
+/// every array by one count): `a` was cut into at most the requested
+/// count, and when `b` has fewer rows than that, `a` is cut again to
+/// match. A pair whose rows differ in width is
+/// [`CheckpointError::Corrupt`], naming both shapes: a query would read
+/// one row against a prefix of the other.
+fn shard_pair<T: Element>(
+    a: ShardedArray<T>,
+    load_b: impl FnOnce(usize) -> Result<ShardedArray<T>, CheckpointError>,
+) -> Result<(ShardedArray<T>, ShardedArray<T>), CheckpointError> {
+    let b = load_b(a.n_shards())?;
+    if a.width() != b.width() {
+        return Err(CheckpointError::Corrupt(format!(
+            "`{}` {:?} and `{}` {:?} differ in row width",
+            a.name(),
+            a.dims(),
+            b.name(),
+            b.dims()
+        )));
+    }
+    if b.n_shards() == a.n_shards() {
+        return Ok((a, b));
+    }
+    let values = a.shards().iter().flat_map(|s| s.values().iter().cloned());
+    let whole = DistArray::dense_from_vec(a.name(), a.dims().to_vec(), values.collect());
+    Ok((ShardedArray::from_array(&whole, b.n_shards()), b))
+}
+
 /// A query against a trained MF model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MfQuery {
@@ -172,11 +202,16 @@ impl MfServe {
         }
     }
 
-    /// Shards a trained model, `W` by the partitioner in `shard_w` and
-    /// `H` uniformly into the same number of shards.
+    /// Shards a trained model: `W` and `H` uniformly into the same
+    /// number of shards, `n_shards` capped by each one's rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `W` and `H` differ in rank.
     pub fn from_model(model: &MfModel, n_shards: usize) -> Self {
         let w = ShardedArray::from_array(&model.w, n_shards);
-        let h = ShardedArray::from_array(&model.h, w.n_shards());
+        let (w, h) = shard_pair(w, |n| Ok(ShardedArray::from_array(&model.h, n)))
+            .expect("W and H share the rank");
         Self::new(w, h)
     }
 
@@ -185,8 +220,12 @@ impl MfServe {
     /// traffic of user `u` (e.g. the generator's Zipf profile), so hot
     /// users spread across shards.
     pub fn from_model_balanced(model: &MfModel, user_weights: &[u64], n_shards: usize) -> Self {
-        let w = ShardedArray::from_array_balanced(&model.w, user_weights, n_shards);
-        let h = ShardedArray::from_array(&model.h, w.n_shards());
+        // Capped by the items up front, so `W` is never cut again
+        // uniformly.
+        let n_items = model.h.shape().dims()[0] as usize;
+        let w = ShardedArray::from_array_balanced(&model.w, user_weights, n_shards.min(n_items));
+        let (w, h) = shard_pair(w, |n| Ok(ShardedArray::from_array(&model.h, n)))
+            .expect("W and H share the rank");
         Self::new(w, h)
     }
 
@@ -195,14 +234,15 @@ impl MfServe {
     ///
     /// # Errors
     ///
-    /// Any malformed image surfaces as [`CheckpointError::Corrupt`].
+    /// Any malformed image surfaces as [`CheckpointError::Corrupt`], and
+    /// so does a pair whose ranks differ.
     pub fn from_checkpoint_bytes(
         w: Bytes,
         h: Bytes,
         n_shards: usize,
     ) -> Result<Self, CheckpointError> {
         let w = ShardedArray::from_checkpoint_bytes(w, n_shards)?;
-        let h = ShardedArray::from_checkpoint_bytes(h, w.n_shards())?;
+        let (w, h) = shard_pair(w, |n| ShardedArray::from_checkpoint_bytes(h, n))?;
         Ok(Self::new(w, h))
     }
 
@@ -415,10 +455,16 @@ pub struct LdaServe {
 }
 
 impl LdaServe {
-    /// Shards a trained model.
+    /// Shards a trained model: both arrays into the same number of
+    /// shards, `n_shards` capped by each one's rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two arrays differ in topic count.
     pub fn from_model(model: &LdaModel, n_shards: usize) -> Self {
         let dt = ShardedArray::from_array(&model.dt, n_shards);
-        let wt = ShardedArray::from_array(&model.wt, dt.n_shards());
+        let (dt, wt) = shard_pair(dt, |n| Ok(ShardedArray::from_array(&model.wt, n)))
+            .expect("doc_topic and word_topic share the topic count");
         LdaServe {
             arrays: vec![dt, wt],
         }
@@ -429,14 +475,15 @@ impl LdaServe {
     ///
     /// # Errors
     ///
-    /// Any malformed image surfaces as [`CheckpointError::Corrupt`].
+    /// Any malformed image surfaces as [`CheckpointError::Corrupt`], and
+    /// so does a pair whose topic counts differ.
     pub fn from_checkpoint_bytes(
         dt: Bytes,
         wt: Bytes,
         n_shards: usize,
     ) -> Result<Self, CheckpointError> {
         let dt = ShardedArray::from_checkpoint_bytes(dt, n_shards)?;
-        let wt = ShardedArray::from_checkpoint_bytes(wt, dt.n_shards())?;
+        let (dt, wt) = shard_pair(dt, |n| ShardedArray::from_checkpoint_bytes(wt, n))?;
         Ok(LdaServe {
             arrays: vec![dt, wt],
         })

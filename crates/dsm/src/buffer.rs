@@ -57,9 +57,6 @@ pub struct DistArrayBuffer<T> {
     len: usize,
     /// `None`: additive, [`Element::accumulate`] called directly.
     combine: Option<CombineFn<T>>,
-    /// Loop executions since the buffer was last flushed (applications
-    /// may bound how long writes are buffered, §3.3).
-    age: u64,
 }
 
 impl<T: Element> DistArrayBuffer<T> {
@@ -81,7 +78,6 @@ impl<T: Element> DistArrayBuffer<T> {
             present: Vec::new(),
             len: 0,
             combine,
-            age: 0,
         }
     }
 
@@ -154,16 +150,6 @@ impl<T: Element> DistArrayBuffer<T> {
         (self.len * (T::WIRE_BYTES + 8)) as u64
     }
 
-    /// Marks one more loop execution without a flush.
-    pub fn tick(&mut self) {
-        self.age += 1;
-    }
-
-    /// Loop executions since the last flush.
-    pub fn age(&self) -> u64 {
-        self.age
-    }
-
     fn is_pending(&self, i: usize) -> bool {
         self.present[i / 64] >> (i % 64) & 1 == 1
     }
@@ -182,7 +168,6 @@ impl<T: Element> DistArrayBuffer<T> {
     /// table stays allocated for the next pass; an update the iterator
     /// was dropped before yielding stays pending.
     pub fn drain_flat(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
-        self.age = 0;
         // First presence word that may still have a bit set.
         let mut word = 0;
         std::iter::from_fn(move || {
@@ -261,7 +246,6 @@ impl<T: Element> core::fmt::Debug for DistArrayBuffer<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DistArrayBuffer")
             .field("pending", &self.len)
-            .field("age", &self.age)
             .finish()
     }
 }
@@ -342,16 +326,6 @@ mod tests {
             b.drain_flat().collect::<Vec<_>>(),
             [(70, 70.0), (199, 199.0)]
         );
-    }
-
-    #[test]
-    fn age_tracks_flushes() {
-        let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[4]));
-        b.tick();
-        b.tick();
-        assert_eq!(b.age(), 2);
-        let _ = b.drain();
-        assert_eq!(b.age(), 0);
     }
 
     #[test]

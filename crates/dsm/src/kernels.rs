@@ -1,9 +1,9 @@
 //! The five applications' inner loops, one body per job.
 //!
-//! - **Order-preserving kernels** ([`scaled_add`], [`gather`],
-//!   [`mf_update_rows`], [`cp_update_rows`], [`topic_cdf`],
-//!   [`feature_histogram`]) have exactly one body: the loop the seed
-//!   engines ran, same operations in the same order. A chunked-lane
+//! - **Order-preserving kernels** ([`gather`], [`mf_update_rows`],
+//!   [`cp_update_rows`], [`topic_cdf`], [`feature_histogram`]) have
+//!   exactly one body: the loop the seed engines ran, same operations
+//!   in the same order. A chunked-lane
 //!   second body of an elementwise loop computes the same bits, so it
 //!   could only ever be a speed choice — and measured in situ it was
 //!   none (the compiler vectorizes the plain loop; see DESIGN.md §3.7).
@@ -216,13 +216,6 @@ pub fn dot_panel<T: Float>(w: &[T], panel: &[T]) -> [T; LANES] {
 // ---------------------------------------------------------------------------
 // Order-preserving kernels (one body each)
 // ---------------------------------------------------------------------------
-
-/// Scaled add: `y[i] += alpha * x[i]`, truncating to the shorter slice.
-pub fn scaled_add<T: Float>(y: &mut [T], x: &[T], alpha: T) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * *xi;
-    }
-}
 
 /// Gather: `dst[i] = get(idx[i])` in ascending `i`, truncating to the
 /// shorter slice.

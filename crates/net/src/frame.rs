@@ -13,13 +13,12 @@
 //! [`FrameError::Closed`], and an EOF *inside* a frame is
 //! [`FrameError::Truncated`].
 //!
-//! Two consumption styles are provided: blocking [`read_frame`] /
-//! [`write_frame`] over `Read`/`Write` (used by the socket runtime), and
-//! the incremental [`FrameDecoder`] that accepts arbitrarily-chunked
-//! byte slices (used by the interleaved-partial-read property tests).
-//! There is one way onto a stream: [`write_frame`] builds header and
-//! body in one buffer and issues one write, so a frame is never split
-//! into a 16-byte segment and its payload under `TCP_NODELAY`.
+//! There is one way onto a stream and one way off it, both blocking over
+//! `Read`/`Write`: [`write_frame`] builds header and body in one buffer
+//! and issues one write, so a frame is never split into a 16-byte
+//! segment and its payload under `TCP_NODELAY`; [`read_frame`] takes
+//! whatever chunks the stream's reads return and yields the same frame
+//! however the bytes were split.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -95,19 +94,6 @@ impl From<io::Error> for FrameError {
     }
 }
 
-fn parse_header(header: &[u8; HEADER_LEN]) -> Result<(u32, u64), FrameError> {
-    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 header bytes"));
-    if magic != MAGIC {
-        return Err(FrameError::BadMagic(magic));
-    }
-    let kind = u32::from_le_bytes(header[4..8].try_into().expect("4 header bytes"));
-    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 header bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    Ok((kind, len))
-}
-
 /// Builds one frame in `buf` and puts it on the stream with a single
 /// `write_all` (then a flush): header placeholder, then `body` appends
 /// the payload in place and returns the frame kind, then kind and
@@ -159,7 +145,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u32, Bytes), FrameError> {
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let (kind, len) = parse_header(&header)?;
+    let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 header bytes"));
+    if magic != MAGIC {
+        return Err(FrameError::BadMagic(magic));
+    }
+    let kind = u32::from_le_bytes(header[4..8].try_into().expect("4 header bytes"));
+    let len = u64::from_le_bytes(header[8..16].try_into().expect("8 header bytes"));
+    if len > MAX_FRAME_LEN {
+        return Err(FrameError::Oversized(len));
+    }
     let mut payload = Vec::with_capacity(len as usize);
     let got = r.by_ref().take(len).read_to_end(&mut payload)?;
     if got < len as usize {
@@ -169,67 +163,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(u32, Bytes), FrameError> {
         });
     }
     Ok((kind, Bytes::from(payload)))
-}
-
-/// Incremental frame decoder over arbitrarily-chunked input.
-///
-/// Feed bytes with [`FrameDecoder::push`] in whatever slice sizes the
-/// transport produces; [`FrameDecoder::try_next`] yields complete frames
-/// as they become available and `Ok(None)` while a frame is still
-/// partial. Header validation (magic, length cap) happens as soon as the
-/// 16 header bytes are buffered, before the payload is awaited.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-/// Compact the internal buffer once consumed bytes pass this threshold.
-const COMPACT_AT: usize = 64 * 1024;
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a chunk of raw stream bytes.
-    pub fn push(&mut self, chunk: &[u8]) {
-        self.buf.extend_from_slice(chunk);
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Pops the next complete frame, or `Ok(None)` if more bytes are
-    /// needed. Errors ([`FrameError::BadMagic`], [`FrameError::Oversized`])
-    /// are sticky in the sense that the buffer is left untouched — a
-    /// desynced stream cannot be resumed.
-    pub fn try_next(&mut self) -> Result<Option<(u32, Bytes)>, FrameError> {
-        if self.buffered() < HEADER_LEN {
-            return Ok(None);
-        }
-        let header: [u8; HEADER_LEN] = self.buf[self.pos..self.pos + HEADER_LEN]
-            .try_into()
-            .expect("header slice has HEADER_LEN bytes");
-        let (kind, len) = parse_header(&header)?;
-        let total = HEADER_LEN + len as usize;
-        if self.buffered() < total {
-            return Ok(None);
-        }
-        let payload = Bytes::from(self.buf[self.pos + HEADER_LEN..self.pos + total].to_vec());
-        self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > COMPACT_AT {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some((kind, payload)))
-    }
 }
 
 #[cfg(test)]
@@ -304,28 +237,7 @@ mod tests {
     fn bad_magic_is_rejected() {
         let mut wire = frame_bytes(1, b"x");
         wire[0] ^= 0xff;
-        let mut r = Cursor::new(wire.clone());
+        let mut r = Cursor::new(wire);
         assert!(matches!(read_frame(&mut r), Err(FrameError::BadMagic(_))));
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert!(matches!(dec.try_next(), Err(FrameError::BadMagic(_))));
-    }
-
-    #[test]
-    fn decoder_handles_byte_at_a_time_feeds() {
-        let mut wire = frame_bytes(5, b"partial reads");
-        wire.extend_from_slice(&frame_bytes(6, b"back to back"));
-        let mut dec = FrameDecoder::new();
-        let mut got = Vec::new();
-        for b in wire {
-            dec.push(&[b]);
-            while let Some(f) = dec.try_next().expect("valid stream") {
-                got.push(f);
-            }
-        }
-        assert_eq!(got.len(), 2);
-        assert_eq!((got[0].0, &got[0].1[..]), (5, &b"partial reads"[..]));
-        assert_eq!((got[1].0, &got[1].1[..]), (6, &b"back to back"[..]));
-        assert_eq!(dec.buffered(), 0);
     }
 }

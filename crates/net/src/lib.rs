@@ -45,7 +45,7 @@ pub mod plan;
 
 pub use coordinator::{ClusterConfig, Coordinator, EpochStats, MsgRecord, NodeFault, WireLink};
 pub use error::NetError;
-pub use frame::{FrameDecoder, FrameError, HEADER_LEN, MAGIC, MAX_FRAME_LEN};
+pub use frame::{FrameError, HEADER_LEN, MAGIC, MAX_FRAME_LEN};
 pub use message::{recv_msg, send_msg, LinkStat, Msg};
 pub use node::{NodeConfig, NodeEndpoint, PartRecv};
 pub use plan::plan_fingerprint;

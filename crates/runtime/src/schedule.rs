@@ -14,6 +14,8 @@
 //!   simulator uses to time communication, including the pipelined
 //!   rotation of Fig. 8.
 
+use std::sync::Arc;
+
 use orion_analysis::{Strategy, UniMat};
 use orion_dsm::RangePartition;
 
@@ -142,8 +144,9 @@ pub struct Schedule {
     pub n_workers: usize,
     /// Iteration blocks, compiled to contiguous position arrays; each
     /// position indexes the iteration-item slice the schedule was built
-    /// from.
-    pub blocks: CompiledBlocks,
+    /// from. Shared with every [`crate::ThreadedPlan`] compiled from
+    /// the schedule.
+    pub blocks: Arc<CompiledBlocks>,
     /// Block executions grouped by global step, workers in id order.
     pub steps: Vec<Vec<Exec>>,
     /// Number of time partitions (1 for 1D schedules).
@@ -303,7 +306,7 @@ fn build_serial<I>(indices: &[I], label: String) -> Schedule {
     let block: Vec<usize> = (0..indices.len()).collect();
     Schedule {
         n_workers: 1,
-        blocks: CompiledBlocks::from_nested(vec![block]),
+        blocks: Arc::new(CompiledBlocks::from_nested(vec![block])),
         steps: vec![vec![Exec {
             step: 0,
             worker: 0,
@@ -349,7 +352,7 @@ fn build_one_d<I: AsRef<[i64]>>(
         .collect();
     Schedule {
         n_workers: n,
-        blocks: CompiledBlocks::from_nested(blocks),
+        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
         steps: vec![step],
         n_time_partitions: 1,
         sync: SyncMode::PassBarrier,
@@ -472,7 +475,7 @@ fn build_two_d_unordered<I: AsRef<[i64]>>(
     }
     Schedule {
         n_workers: n_space,
-        blocks: CompiledBlocks::from_nested(blocks),
+        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
         steps,
         n_time_partitions: n_time,
         sync: SyncMode::PointToPoint,
@@ -537,7 +540,7 @@ fn build_two_d_ordered<I: AsRef<[i64]>>(
     }
     Schedule {
         n_workers: n_space,
-        blocks: CompiledBlocks::from_nested(blocks),
+        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
         steps,
         n_time_partitions: n_time,
         sync: SyncMode::PointToPoint,
@@ -594,7 +597,7 @@ fn build_unimodular<I: AsRef<[i64]>>(
         .collect();
     Schedule {
         n_workers: n_space,
-        blocks: CompiledBlocks::from_nested(blocks),
+        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
         steps,
         n_time_partitions: n_steps,
         sync: SyncMode::StepBarrier,

@@ -31,7 +31,6 @@
 //! `tests/threaded_conformance.rs` proptests).
 
 use std::collections::VecDeque;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -41,7 +40,7 @@ use orion_dsm::{DistArray, Element};
 
 use crate::event::HbEvent;
 use crate::pool::WorkerPool;
-use crate::schedule::{Exec, Schedule, SyncMode};
+use crate::schedule::{CompiledBlocks, Exec, Schedule, SyncMode};
 
 /// How long a blocked parcel/result wait sleeps between checks of the
 /// pool's poison flag. Long enough to be free on the happy path, short
@@ -49,7 +48,7 @@ use crate::schedule::{Exec, Schedule, SyncMode};
 const POISON_POLL: Duration = Duration::from_millis(50);
 
 /// A rotated time partition in flight between workers.
-type Parcel<B> = (usize, DistArray<B>);
+type Parcel<P> = (usize, P);
 
 /// What a worker executes (compute) or waits on (rotation) during a
 /// threaded pass.
@@ -86,7 +85,7 @@ pub struct ThreadedPlan {
     /// walks with no parcel.
     rotated: bool,
     sync: SyncMode,
-    blocks: crate::schedule::CompiledBlocks,
+    blocks: Arc<CompiledBlocks>,
     /// Execution list of each worker, in step order.
     per_worker: Vec<Vec<Exec>>,
     /// `forward[w]` = `(step, dst)` pairs, sorted by step: after
@@ -135,7 +134,7 @@ impl ThreadedPlan {
             n_time,
             rotated,
             sync: schedule.sync,
-            blocks: schedule.blocks.clone(),
+            blocks: Arc::clone(&schedule.blocks),
             per_worker,
             forward,
             initial,
@@ -195,8 +194,9 @@ impl ThreadedPlan {
         &self.initial[worker]
     }
 
-    /// The compiled block table shared by all workers.
-    pub fn blocks(&self) -> &crate::schedule::CompiledBlocks {
+    /// The compiled block table shared by all workers: the schedule's
+    /// own, not a copy.
+    pub fn blocks(&self) -> &CompiledBlocks {
         &self.blocks
     }
 }
@@ -251,22 +251,6 @@ pub trait Transport<P> {
 
     /// Hands time partition `tp` to worker `dst` (never the caller).
     fn send(&mut self, dst: usize, tp: usize, part: P) -> Result<(), Self::Abort>;
-}
-
-/// The [`Transport`] of a plan that rotates nothing: no exec awaits a
-/// partition and no edge forwards one, so neither method is called.
-struct NoEdges;
-
-impl<P> Transport<P> for NoEdges {
-    type Abort = Infallible;
-
-    fn recv(&mut self, _tp: usize) -> Result<P, Infallible> {
-        unreachable!("a plan without rotation edges awaits nothing")
-    }
-
-    fn send(&mut self, _dst: usize, _tp: usize, _part: P) -> Result<(), Infallible> {
-        unreachable!("a plan without rotation edges forwards nothing")
-    }
 }
 
 /// What one worker's [`walk`] leaves behind.
@@ -424,19 +408,19 @@ pub fn walk<P, X: Transport<P>>(
 /// The pool's [`Transport`]: a parcel channel per worker. Aborts when
 /// the pool is poisoned or upstream vanished, so a peer panic can never
 /// deadlock the rotation ring.
-struct Channels<B: Element> {
-    rx: Receiver<Parcel<B>>,
+struct Channels<P> {
+    rx: Receiver<Parcel<P>>,
     /// Senders to every other worker; the own slot is empty (rotation
     /// edges never target their sender), so a walk abandoned on poison
     /// drops every foreign sender it holds.
-    tx: Vec<Option<Sender<Parcel<B>>>>,
+    tx: Vec<Option<Sender<Parcel<P>>>>,
     poison: Arc<AtomicBool>,
 }
 
-impl<B: Element> Transport<DistArray<B>> for Channels<B> {
+impl<P> Transport<P> for Channels<P> {
     type Abort = ();
 
-    fn recv(&mut self, tp: usize) -> Result<DistArray<B>, ()> {
+    fn recv(&mut self, tp: usize) -> Result<P, ()> {
         loop {
             match self.rx.recv_timeout(POISON_POLL) {
                 Ok((got, part)) => {
@@ -449,10 +433,94 @@ impl<B: Element> Transport<DistArray<B>> for Channels<B> {
         }
     }
 
-    fn send(&mut self, dst: usize, tp: usize, part: DistArray<B>) -> Result<(), ()> {
+    fn send(&mut self, dst: usize, tp: usize, part: P) -> Result<(), ()> {
         let tx = self.tx[dst].as_ref().expect("rotation edges cross workers");
         tx.send((tp, part)).map_err(drop)
     }
+}
+
+/// The one pooled walk, behind every pool pass: builds the pass's
+/// parcel channels, seeds each worker's queue with the time partitions
+/// it starts with ([`ThreadedPlan::initial_of`]), walks every worker's
+/// list on its pool thread, and gathers the partitions the workers end
+/// up holding back into partition order. `state[w]` is what worker `w`
+/// owns through the pass (its space partition, its scratch);
+/// `block(state, positions, part)` runs one block's item positions
+/// against it and the time partition the block uses (none when the
+/// plan rotates nothing, which also never touches its channels).
+/// Returns the pass (each worker's state as its scratch) and the time
+/// partitions in partition order.
+fn pool_walk<S, P, F>(
+    pool: &WorkerPool,
+    plan: &Arc<ThreadedPlan>,
+    time_parts: Vec<P>,
+    state: Vec<S>,
+    block: F,
+) -> (OneDPassOutput<S>, Vec<P>)
+where
+    S: Send + 'static,
+    P: Send + 'static,
+    F: Fn(&mut S, &[u32], Option<&mut P>) + Send + Sync + 'static,
+{
+    let mut time: Vec<Option<P>> = time_parts.into_iter().map(Some).collect();
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..plan.n_workers).map(|_| channel()).unzip();
+    let inputs: Vec<_> = state
+        .into_iter()
+        .zip(receivers)
+        .enumerate()
+        .map(|(w, (st, rx))| {
+            let queue: VecDeque<Parcel<P>> = plan.initial[w]
+                .iter()
+                .map(|&tp| (tp, time[tp].take().expect("each partition starts once")))
+                .collect();
+            let tx = senders
+                .iter()
+                .enumerate()
+                .map(|(dst, s)| (dst != w).then(|| s.clone()))
+                .collect();
+            let poison = pool.poison_flag();
+            (st, queue, Channels { rx, tx, poison })
+        })
+        .collect();
+    drop(senders);
+    // The emptied slots collect the partitions the workers end up holding.
+    assert!(
+        time.iter().all(Option::is_none),
+        "every time partition must have an initial owner"
+    );
+
+    let start = Instant::now();
+    let plan = Arc::clone(plan);
+    let results = dispatch(pool, inputs, move |w, (mut st, queue, mut wire)| {
+        let walked = walk(&plan, w, queue, &mut wire, start, |b, part| {
+            block(&mut st, plan.blocks.items(b), part);
+        })
+        .ok()?;
+        Some((st, walked))
+    });
+    let mut out = OneDPassOutput {
+        scratch: Vec::new(),
+        spans: Vec::new(),
+        events: Vec::new(),
+        wall_ns: start.elapsed().as_nanos() as u64,
+    };
+    for (st, walked) in results {
+        out.scratch.push(st);
+        out.spans.push(walked.spans);
+        out.events.push(walked.events);
+        for (tp, part) in walked.held {
+            assert!(
+                time[tp].replace(part).is_none(),
+                "time partition {tp} duplicated"
+            );
+        }
+    }
+    let time = time
+        .into_iter()
+        .enumerate()
+        .map(|(tp, p)| p.unwrap_or_else(|| panic!("time partition {tp} lost")))
+        .collect();
+    (out, time)
 }
 
 /// Executes one pass of a 2-D (grid) schedule on the pool.
@@ -490,91 +558,34 @@ where
     S: Send + 'static,
     F: Fn(&T, &mut DistArray<A>, &mut DistArray<B>, &mut S) + Send + Sync + 'static,
 {
-    let n_workers = plan.n_workers;
     assert_eq!(
         space_parts.len(),
-        n_workers,
+        plan.n_workers,
         "one space partition per worker"
     );
-    assert_eq!(scratch.len(), n_workers, "one scratch slot per worker");
+    assert_eq!(scratch.len(), plan.n_workers, "one scratch slot per worker");
     assert_eq!(
         time_parts.len(),
         plan.n_time,
         "one array partition per time partition"
     );
-
-    let mut time: Vec<Option<DistArray<B>>> = time_parts.into_iter().map(Some).collect();
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_workers).map(|_| channel()).unzip();
-    let inputs: Vec<_> = space_parts
-        .into_iter()
-        .zip(scratch)
-        .zip(receivers)
-        .enumerate()
-        .map(|(w, ((space, sc), rx))| {
-            // The time partitions the worker starts with, in use order.
-            let queue: VecDeque<Parcel<B>> = plan.initial[w]
-                .iter()
-                .map(|&tp| (tp, time[tp].take().expect("each partition starts once")))
-                .collect();
-            let tx = senders
-                .iter()
-                .enumerate()
-                .map(|(dst, s)| (dst != w).then(|| s.clone()))
-                .collect();
-            let poison = pool.poison_flag();
-            (space, queue, sc, Channels { rx, tx, poison })
-        })
-        .collect();
-    drop(senders);
-    // The emptied slots collect the partitions the workers end up holding.
-    assert!(
-        time.iter().all(Option::is_none),
-        "every time partition must have an initial owner"
-    );
-
-    let start = Instant::now();
-    let (plan, items, body) = (Arc::clone(plan), Arc::clone(items), Arc::clone(body));
-    let results = dispatch(
-        pool,
-        inputs,
-        move |w, (mut space, queue, mut sc, mut wire)| {
-            let walked = walk(&plan, w, queue, &mut wire, start, |b, part| {
-                let part = part.expect("a grid plan rotates its time partitions");
-                for &pos in plan.blocks.items(b) {
-                    body(&items[pos as usize], &mut space, part, &mut sc);
-                }
-            })
-            .ok()?;
-            Some((space, sc, walked))
-        },
-    );
-
-    let mut out = GridPassOutput {
-        space: Vec::new(),
-        time: Vec::new(),
-        scratch: Vec::new(),
-        spans: Vec::new(),
-        events: Vec::new(),
-        wall_ns: start.elapsed().as_nanos() as u64,
-    };
-    for (space, sc, walked) in results {
-        out.space.push(space);
-        out.scratch.push(sc);
-        out.spans.push(walked.spans);
-        out.events.push(walked.events);
-        for (tp, part) in walked.held {
-            assert!(
-                time[tp].replace(part).is_none(),
-                "time partition {tp} duplicated"
-            );
+    let (items, body) = (Arc::clone(items), Arc::clone(body));
+    let state = space_parts.into_iter().zip(scratch).collect();
+    let (pass, time) = pool_walk(pool, plan, time_parts, state, move |(a, s), ps, b| {
+        let b = b.expect("a grid plan rotates its time partitions");
+        for &pos in ps {
+            body(&items[pos as usize], a, b, s);
         }
+    });
+    let (space, scratch) = pass.scratch.into_iter().unzip();
+    GridPassOutput {
+        space,
+        time,
+        scratch,
+        spans: pass.spans,
+        events: pass.events,
+        wall_ns: pass.wall_ns,
     }
-    out.time = time
-        .into_iter()
-        .enumerate()
-        .map(|(tp, p)| p.unwrap_or_else(|| panic!("time partition {tp} lost")))
-        .collect();
-    out
 }
 
 /// Reads a per-item `f64` metric on the pool — the driver-side readout
@@ -663,25 +674,13 @@ where
     F: Fn(&T, &mut S) + Send + Sync + 'static,
 {
     assert_eq!(scratch.len(), plan.n_workers, "one scratch slot per worker");
-    let start = Instant::now();
-    let (plan, items, body) = (Arc::clone(plan), Arc::clone(items), Arc::clone(body));
-    let results = dispatch(pool, scratch, move |w, mut sc| {
-        let queue = VecDeque::<(usize, ())>::new();
-        let Ok(walked) = walk(&plan, w, queue, &mut NoEdges, start, |b, _| {
-            for &pos in plan.blocks.items(b) {
-                body(&items[pos as usize], &mut sc);
-            }
-        });
-        Some((sc, (walked.spans, walked.events)))
+    let (items, body) = (Arc::clone(items), Arc::clone(body));
+    let (pass, _) = pool_walk(pool, plan, Vec::<()>::new(), scratch, move |sc, ps, _| {
+        for &pos in ps {
+            body(&items[pos as usize], sc);
+        }
     });
-    let wall_ns = start.elapsed().as_nanos() as u64;
-    let (scratch, (spans, events)) = results.into_iter().unzip();
-    OneDPassOutput {
-        scratch,
-        spans,
-        events,
-        wall_ns,
-    }
+    pass
 }
 
 /// The pool dispatch every pass shares: runs `job(w, inputs[w])` on pool

@@ -7,10 +7,9 @@
 //! bit-identically. The cluster consults the plan on the *virtual*
 //! clock: no wall-clock randomness ever enters a run.
 //!
-//! Plans can be built programmatically, generated from a seed
-//! ([`FaultPlan::random`]), or loaded from the line-oriented text format
-//! documented in `docs/FAULTS.md` (the `--fault-plan` flag of the
-//! examples).
+//! Plans are built programmatically or loaded from the line-oriented
+//! text format documented in `docs/FAULTS.md` (the `--fault-plan` flag
+//! of the examples).
 
 use crate::time::VirtualTime;
 
@@ -83,8 +82,7 @@ impl LinkFault {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Seed identifying the plan (recorded in reports; also the seed
-    /// [`FaultPlan::random`] generated from).
+    /// Seed identifying the plan (recorded in reports).
     pub seed: u64,
     /// Machine crashes.
     pub crashes: Vec<CrashEvent>,
@@ -136,33 +134,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a bandwidth-degradation window on a directed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 < factor <= 1.0`.
-    fn degrade_link(
-        mut self,
-        src_machine: usize,
-        dst_machine: usize,
-        from: VirtualTime,
-        until: VirtualTime,
-        factor: f64,
-    ) -> Self {
-        assert!(
-            factor > 0.0 && factor <= 1.0,
-            "degradation factor must be in (0, 1]"
-        );
-        self.link_faults.push(LinkFault {
-            src_machine,
-            dst_machine,
-            from,
-            until,
-            factor,
-        });
-        self
-    }
-
     /// The compute slowdown of `worker`: the product of every matching
     /// straggler entry, 1.0 when none match.
     pub fn slowdown_of(&self, worker: usize) -> f64 {
@@ -176,40 +147,6 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.crashes.is_empty() && self.stragglers.is_empty() && self.link_faults.is_empty()
-    }
-
-    /// A small deterministic plan derived from `seed`: one crash
-    /// somewhere in the middle of `[0, horizon)`, one straggler, and one
-    /// degradation window. Same seed, same plan — chaos runs replay.
-    pub fn random(seed: u64, n_machines: usize, n_workers: usize, horizon: VirtualTime) -> Self {
-        let mut state = seed;
-        let mut next = move || -> u64 {
-            // SplitMix64: deterministic, dependency-free.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let h = horizon.as_nanos().max(1);
-        // Crash in the middle half of the horizon, restart 2–10% of it.
-        let at = VirtualTime::from_nanos(h / 4 + next() % (h / 2).max(1));
-        let restart = VirtualTime::from_nanos(h / 50 + next() % (h / 12).max(1));
-        let from = VirtualTime::from_nanos(next() % h);
-        let until = from + VirtualTime::from_nanos(h / 10 + next() % (h / 4).max(1));
-        FaultPlan::new(seed)
-            .crash(next() as usize % n_machines.max(1), at, restart)
-            .straggler(
-                next() as usize % n_workers.max(1),
-                1.5 + (next() % 200) as f64 / 100.0,
-            )
-            .degrade_link(
-                next() as usize % n_machines.max(1),
-                next() as usize % n_machines.max(1),
-                from,
-                until,
-                0.1 + (next() % 80) as f64 / 100.0,
-            )
     }
 
     /// Parses the line-oriented plan format (see `docs/FAULTS.md`):
@@ -392,14 +329,14 @@ mod tests {
                 VirtualTime::from_millis(120),
                 VirtualTime::from_millis(35),
             )
-            .straggler(1, 3.5)
-            .degrade_link(
-                0,
-                3,
-                VirtualTime::from_millis(10),
-                VirtualTime::from_millis(40),
-                0.25,
-            );
+            .straggler(1, 3.5);
+        plan.link_faults.push(LinkFault {
+            src_machine: 0,
+            dst_machine: 3,
+            from: VirtualTime::from_millis(10),
+            until: VirtualTime::from_millis(40),
+            factor: 0.25,
+        });
         plan.link_faults.push(LinkFault {
             src_machine: 3,
             dst_machine: 0,
@@ -454,19 +391,6 @@ mod tests {
         assert_eq!(second.machine, 1);
         // Consumed: time moving past the instants again re-kills nothing.
         assert!(tl.take_crash_before(VirtualTime::from_secs(100)).is_none());
-    }
-
-    #[test]
-    fn random_plans_are_deterministic_per_seed() {
-        let horizon = VirtualTime::from_secs(10);
-        let a = FaultPlan::random(11, 4, 16, horizon);
-        let b = FaultPlan::random(11, 4, 16, horizon);
-        let c = FaultPlan::random(12, 4, 16, horizon);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.crashes.len(), 1);
-        assert!(a.crashes[0].machine < 4);
-        assert!(a.stragglers[0].slowdown >= 1.0);
     }
 
     // Satellite: straggler accounting. The barrier lands exactly on the

@@ -15,14 +15,20 @@ check fails when any ``.rs`` file under ``crates/``
 - ``steps``: reads ``.steps`` (the schedule's step plan, which only the
   plan compiler, `Schedule` itself and the static O100 check read);
 - ``walker``: inside ``threaded.rs``, reads ``.per_worker`` or
-  ``.forward`` outside the walker's and the plan's own functions,
+  ``.forward`` outside the walker's and the plan's own functions;
+- ``pool``: inside ``threaded.rs``, calls ``walk(``, ``dispatch(`` or
+  ``channel(`` anywhere but the one pooled walk (``pool_walk``), which
+  builds the parcel channels and dispatches a walker per worker; the
+  pooled readout may only dispatch, and ``dispatch`` only build its
+  result channel,
 
 unless the enclosing function (or, for ``*``, the whole file) is in that
-rule's ``ALLOWED`` table. An entry that no longer matches anything is an
+rule's ``ALLOWED`` table — for an entry given as ``(why, calls)``, only
+for the named calls. An entry that no longer matches anything is an
 error too: delete it.
 
 ``--self-test`` runs the check over a generated tree with one offender
-per rule, and fails unless exactly those four are reported.
+per rule, and fails unless exactly those five are reported.
 
 Exit status is non-zero on any finding.
 """
@@ -79,13 +85,24 @@ RULES = {
             for fn in ("worker_positions", "execs_of", "exec_count", "forwards_of", "new")
         },
     ),
+    "pool": (
+        re.compile(r"\b(walk|dispatch|channel)\("),
+        {THREADED},
+        {
+            (THREADED, "pool_walk"): "the one pooled walk every pool pass runs",
+            (THREADED, "run_readout_pooled"): ("the pooled readout walks nothing",
+                                               {"dispatch"}),
+            (THREADED, "dispatch"): ("its result channel carries no parcel", {"channel"}),
+        },
+    ),
 }
 
 FN = re.compile(r"^\s*(?:pub(?:\([\w:]+\))?\s+)?fn\s+(\w+)")
 
 
 def findings(root: Path, rules):
-    """Yields `(rule, file, enclosing fn, line number)` for every match."""
+    """Yields `(rule, file, enclosing fn, line number, call)` for every
+    match; `call` is the pattern's group, if it has one."""
     for path in sorted((root / "crates").rglob("*.rs")):
         if "target" in path.parts:
             continue
@@ -98,15 +115,18 @@ def findings(root: Path, rules):
             if m:
                 enclosing = m.group(1)
             for name, pat in active:
-                if pat.search(line):
-                    yield name, rel, enclosing, n
+                m = pat.search(line)
+                if m:
+                    yield name, rel, enclosing, n, m.group(m.lastindex or 0)
 
 
 def check(root: Path, rules) -> list[str]:
     errors, used = [], set()
-    for rule, rel, fn, n in findings(root, rules):
+    for rule, rel, fn, n, call in findings(root, rules):
         allowed = rules[rule][2]
         key = next((k for k in ((rel, fn), (rel, "*")) if k in allowed), None)
+        if key and isinstance(allowed[key], tuple) and call not in allowed[key][1]:
+            key = None
         if key:
             used.add((rule, key))
         else:
@@ -138,7 +158,9 @@ def self_test() -> int:
         "fn exec_loop(p: &P) { for e in p.execs_of(0) {} }\n"
         "fn step_loop(s: &S) { for st in &s.steps {} }\n",
         THREADED: "fn second_pass(plan: &ThreadedPlan) {\n"
-        "    for e in &plan.per_worker[0] {}\n}\n",
+        "    for e in &plan.per_worker[0] {}\n}\n"
+        "fn second_pool_walk(pool: &WorkerPool, plan: &ThreadedPlan) {\n"
+        "    dispatch(pool, queues, |w, q| walk(plan, w, q, &mut wire, start, f));\n}\n",
     }
     rules = {name: (pat, files_, {}) for name, (pat, files_, _) in RULES.items()}
     out = io.StringIO()
@@ -150,7 +172,7 @@ def self_test() -> int:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             status = report(check(root, rules))
     reported = sorted(re.findall(r"\[(\w+)\] `(\w+)`", out.getvalue()))
-    expected = [("edges", "edge_reader"), ("execs", "exec_loop"),
+    expected = [("edges", "edge_reader"), ("execs", "exec_loop"), ("pool", "second_pool_walk"),
                 ("steps", "step_loop"), ("walker", "second_pass")]
     if status == 0 or reported != expected:
         print(f"self-test failed: exit {status}, output:\n{out.getvalue()}", file=sys.stderr)

@@ -1,13 +1,13 @@
 //! Property tests for the `orion-net` frame codec: arbitrary payloads
-//! round-trip through a byte stream, the incremental decoder is
-//! insensitive to how reads are chunked, and malformed prefixes — and
+//! round-trip through a byte stream, `read_frame` is insensitive to how
+//! the stream's reads are chunked, and malformed prefixes — and
 //! mutated bodies of every message kind — fail with typed errors
 //! instead of panics or unbounded allocations.
 
 use std::io::Cursor;
 
 use orion::net::frame::{read_frame, write_frame};
-use orion::net::{send_msg, FrameDecoder, FrameError, Msg, HEADER_LEN, MAGIC, MAX_FRAME_LEN};
+use orion::net::{send_msg, FrameError, Msg, HEADER_LEN, MAGIC, MAX_FRAME_LEN};
 use orion::runtime::HbEvent;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,6 +54,23 @@ impl std::io::Write for CountingSink {
     }
 }
 
+/// A stream that hands out `wire` in the given chunk sizes, cycling, at
+/// most one chunk per `read` call: the partial reads a socket makes.
+struct Chunked<'a, I> {
+    wire: &'a [u8],
+    sizes: I,
+}
+
+impl<I: Iterator<Item = usize>> std::io::Read for Chunked<'_, I> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.sizes.next().expect("sizes never run out");
+        let n = n.min(buf.len()).min(self.wire.len());
+        buf[..n].copy_from_slice(&self.wire[..n]);
+        self.wire = &self.wire[n..];
+        Ok(n)
+    }
+}
+
 /// The frame header a peer claiming `len` payload bytes would send.
 fn header(kind: u32, len: u64) -> Vec<u8> {
     let mut wire = Vec::with_capacity(HEADER_LEN);
@@ -77,34 +94,27 @@ proptest! {
         prop_assert!(matches!(read_frame(&mut reader), Err(FrameError::Closed)));
     }
 
-    /// The incremental decoder yields the same frames regardless of how
-    /// the byte stream is sliced into reads (interleaved partial reads).
+    /// `read_frame` yields the same frames however the byte stream is
+    /// sliced into reads (1 to 63 bytes per `read` call).
     #[test]
     fn decoder_is_chunking_insensitive(
         frames in frames_strategy(),
         chunk_sizes in proptest::collection::vec(1usize..64, 1..64),
     ) {
         let wire = encode_all(&frames);
-        let mut decoder = FrameDecoder::new();
+        let sizes = chunk_sizes.iter().copied().cycle();
+        let mut reader = Chunked { wire: &wire, sizes };
         let mut decoded: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut offset = 0;
-        let mut chunks = chunk_sizes.iter().cycle();
-        while offset < wire.len() {
-            let n = (*chunks.next().expect("cycle is infinite")).min(wire.len() - offset);
-            decoder.push(&wire[offset..offset + n]);
-            offset += n;
-            while let Some((kind, payload)) = decoder.try_next().expect("valid stream") {
-                decoded.push((kind, payload.to_vec()));
-            }
+        for _ in &frames {
+            let (kind, payload) = read_frame(&mut reader).expect("valid stream");
+            decoded.push((kind, payload.to_vec()));
         }
-        let expect: Vec<(u32, Vec<u8>)> = frames;
-        prop_assert_eq!(decoded, expect);
-        prop_assert_eq!(decoder.buffered(), 0, "no residue after the last frame");
+        prop_assert!(matches!(read_frame(&mut reader), Err(FrameError::Closed)));
+        prop_assert_eq!(decoded, frames);
     }
 
     /// Cutting a stream mid-frame is `Truncated`; cutting exactly on a
-    /// frame boundary is `Closed`. The decoder never fabricates a frame
-    /// from a truncated tail.
+    /// frame boundary is `Closed`.
     #[test]
     fn truncation_is_distinguished_from_close(
         kind in any::<u32>(),
@@ -121,11 +131,6 @@ proptest! {
             Ok(_) => prop_assert_eq!(cut, wire.len(), "a full frame must be intact"),
             Err(other) => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
         }
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&wire[..cut]);
-        if cut < wire.len() {
-            prop_assert!(decoder.try_next().expect("prefix is well-formed").is_none());
-        }
     }
 
     /// An oversized length prefix is rejected from the 16-byte header
@@ -134,14 +139,11 @@ proptest! {
     fn oversized_length_prefix_is_rejected(kind in any::<u32>(), excess in 1u64..1 << 20) {
         let len = MAX_FRAME_LEN + excess;
         let wire = header(kind, len);
-        let mut reader = Cursor::new(wire.clone());
+        let mut reader = Cursor::new(wire);
         prop_assert!(matches!(
             read_frame(&mut reader),
             Err(FrameError::Oversized(l)) if l == len
         ));
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&wire);
-        prop_assert!(matches!(decoder.try_next(), Err(FrameError::Oversized(l)) if l == len));
     }
 
     /// A corrupted magic is rejected with the offending value.
@@ -215,26 +217,22 @@ fn a_frame_is_one_write_of_header_then_payload() {
     assert_eq!(sink.writes, vec![expect]);
 }
 
-/// For every way of cutting the stream in two, `FrameDecoder` yields the
-/// frame the one-write primitive produced, and `read_frame` reports
-/// every strict prefix as `Closed` (nothing read) or `Truncated` with
-/// the exact byte counts.
+/// For every way of cutting the stream in two reads, `read_frame` yields
+/// the frame the one-write primitive produced, and it reports every
+/// strict prefix as `Closed` (nothing read) or `Truncated` with the
+/// exact byte counts.
 #[test]
 fn every_split_and_every_prefix_of_a_written_frame() {
     let payload: Vec<u8> = (0..40u8).collect();
     let mut wire = Vec::new();
     put_frame(&mut wire, 11, &payload);
     for cut in 0..=wire.len() {
-        let mut decoder = FrameDecoder::new();
-        decoder.push(&wire[..cut]);
-        if cut < wire.len() {
-            assert!(decoder
-                .try_next()
-                .expect("a prefix is well-formed")
-                .is_none());
-            decoder.push(&wire[cut..]);
-        }
-        let (kind, got) = decoder.try_next().expect("valid").expect("complete");
+        let sizes = [cut, wire.len() - cut]
+            .into_iter()
+            .filter(|&n| n > 0)
+            .cycle();
+        let mut split = Chunked { wire: &wire, sizes };
+        let (kind, got) = read_frame(&mut split).expect("two reads make the frame");
         assert_eq!((kind, &got[..]), (11, &payload[..]));
 
         let mut reader = Cursor::new(&wire[..cut]);

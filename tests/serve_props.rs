@@ -1,13 +1,18 @@
 //! Property tests of the serving substrate: checkpoint → shard round
 //! trips over arbitrary shapes and dtypes, corruption rejection (a
 //! malformed image must never become a shard), LRU cache invariants
-//! against a reference model, and the streaming top-k selector against
-//! the sort-based reference.
+//! against a reference model, the streaming top-k selector against
+//! the sort-based reference, and model pairs the engine can route (one
+//! shard count) and answer (one row width).
 
-use orion::apps::serve::{top_k_reference, Score, TopK};
+use orion::apps::serve::{
+    oracle_lda_doc_topics, oracle_lda_top_words, oracle_mf_predict, oracle_mf_recommend,
+    top_k_reference, LdaAnswer, LdaQuery, LdaServe, MfAnswer, MfQuery, MfServe, Score, TopK,
+};
+use orion::apps::{lda, sgd_mf};
 use orion::dsm::checkpoint::{self, CheckpointError};
 use orion::dsm::{DistArray, Shape};
-use orion::serve::{LruCache, ShardedArray};
+use orion::serve::{EngineConfig, LruCache, ServeEngine, ShardedArray};
 use proptest::prelude::*;
 
 fn arb_dims() -> impl Strategy<Value = Vec<u64>> {
@@ -285,5 +290,111 @@ fn oversized_sparse_checkpoints_never_become_shards() {
             }
             other => panic!("{dims:?}: {:?}", other.map(|s| s.dims().to_vec())),
         }
+    }
+}
+
+/// An MF model with `users × rank` and `items × rank` factors.
+fn mf_model(users: u64, items: u64, rank: usize) -> sgd_mf::MfModel {
+    let mut model = sgd_mf::MfModel::new(users, items, sgd_mf::MfConfig::new(rank));
+    let dims = |rows| vec![rows, rank as u64];
+    let value = |i: &[i64], salt: i64| ((i[0] * 7 + i[1] * 3 + salt) % 11) as f32 * 0.25 - 1.0;
+    model.w = DistArray::dense_from_fn("W", dims(users), |i| value(i, 1));
+    model.h = DistArray::dense_from_fn("H", dims(items), |i| value(i, 5));
+    model
+}
+
+/// An LDA model with `docs × topics` and `vocab × topics` counts.
+fn lda_model(docs: u64, vocab: u64, n_topics: usize) -> lda::LdaModel {
+    let dims = |rows| vec![rows, n_topics as u64];
+    let count = |i: &[i64], salt: i64| ((i[0] * 5 + i[1] * 3 + salt) % 7) as u32;
+    lda::LdaModel {
+        dt: DistArray::dense_from_fn("doc_topic", dims(docs), |i| count(i, 1)),
+        wt: DistArray::dense_from_fn("word_topic", dims(vocab), |i| count(i, 2)),
+        ts: vec![0; n_topics],
+        z: Vec::new(),
+        cfg: lda::LdaConfig::new(n_topics),
+        vocab,
+    }
+}
+
+/// Every predict and recommend answer of `serve` is the oracle's, bit
+/// for bit.
+fn assert_mf_serves(model: &sgd_mf::MfModel, serve: MfServe) {
+    let engine = ServeEngine::new(serve, EngineConfig::default());
+    let (users, items) = (model.w.shape().dims()[0], model.h.shape().dims()[0]);
+    for user in 0..users {
+        for item in 0..items {
+            let got = engine.answer(&MfQuery::Predict { user, item });
+            let want = oracle_mf_predict(model, user, item);
+            assert_eq!(got, MfAnswer::Score(want), "user {user}, item {item}");
+        }
+        let got = engine.answer(&MfQuery::Recommend { user, k: 3 });
+        assert_eq!(got, MfAnswer::TopK(oracle_mf_recommend(model, user, 3)));
+    }
+}
+
+/// Every doc-topics and top-words answer of `serve` is the oracle's.
+fn assert_lda_serves(model: &lda::LdaModel, serve: LdaServe) {
+    let engine = ServeEngine::new(serve, EngineConfig::default());
+    for doc in 0..model.dt.shape().dims()[0] {
+        let got = engine.answer(&LdaQuery::DocTopics { doc });
+        assert_eq!(got, LdaAnswer::Histogram(oracle_lda_doc_topics(model, doc)));
+    }
+    for topic in 0..model.cfg.n_topics {
+        let got = engine.answer(&LdaQuery::TopWords { topic, k: 2 });
+        assert_eq!(got, LdaAnswer::TopK(oracle_lda_top_words(model, topic, 2)));
+    }
+}
+
+/// Checkpoints of 8 users or docs and 2 items or words, loaded into 4
+/// shards: both arrays are cut into the 2 shards the smaller one can
+/// take, so the engine builds and every answer is the oracle's.
+#[test]
+fn checkpoint_pairs_with_fewer_rows_than_shards_share_one_shard_count() {
+    let mf = mf_model(8, 2, 4);
+    let (w, h) = MfServe::checkpoint_bytes(&mf);
+    let serve = MfServe::from_checkpoint_bytes(w, h, 4).expect("intact pair loads");
+    assert_mf_serves(&mf, serve);
+
+    let lda = lda_model(8, 2, 3);
+    let (dt, wt) = LdaServe::checkpoint_bytes(&lda);
+    let serve = LdaServe::from_checkpoint_bytes(dt, wt, 4).expect("intact pair loads");
+    assert_lda_serves(&lda, serve);
+}
+
+/// The same cut from a trained model in memory: fewer items (or words)
+/// than shards serves every query.
+#[test]
+fn models_with_fewer_rows_than_shards_serve() {
+    for (users, items, n_shards) in [(8, 2, 4), (3, 5, 4), (2, 1, 8)] {
+        let mf = mf_model(users, items, 4);
+        assert_mf_serves(&mf, MfServe::from_model(&mf, n_shards));
+        let lda = lda_model(users, items, 3);
+        assert_lda_serves(&lda, LdaServe::from_model(&lda, n_shards));
+    }
+}
+
+/// A pair whose row widths differ (MF rank 4 against 8, LDA 3 topics
+/// against 5) is `Corrupt`, naming both shapes: a query would dot a row
+/// against a prefix of the other.
+#[test]
+fn pairs_that_differ_in_width_are_corrupt() {
+    let (w, _) = MfServe::checkpoint_bytes(&mf_model(8, 8, 4));
+    let (_, h) = MfServe::checkpoint_bytes(&mf_model(8, 8, 8));
+    match MfServe::from_checkpoint_bytes(w, h, 2) {
+        Err(CheckpointError::Corrupt(msg)) => {
+            assert!(msg.contains("[8, 4]") && msg.contains("[8, 8]"), "{msg}")
+        }
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("an MF pair of ranks 4 and 8 loaded"),
+    }
+    let (dt, _) = LdaServe::checkpoint_bytes(&lda_model(8, 8, 3));
+    let (_, wt) = LdaServe::checkpoint_bytes(&lda_model(8, 8, 5));
+    match LdaServe::from_checkpoint_bytes(dt, wt, 2) {
+        Err(CheckpointError::Corrupt(msg)) => {
+            assert!(msg.contains("[8, 3]") && msg.contains("[8, 5]"), "{msg}")
+        }
+        Err(other) => panic!("expected Corrupt, got {other:?}"),
+        Ok(_) => panic!("an LDA pair of 3 and 5 topics loaded"),
     }
 }

@@ -296,3 +296,84 @@ fn single_owner_ring_re_enqueues_locally() {
     let held: Vec<usize> = walked.held.iter().map(|&(tp, _)| tp).collect();
     assert_eq!(held, [0, 1]);
 }
+
+/// A compiled plan reads the schedule's block table, not a copy of it.
+#[test]
+fn compiled_plan_shares_the_schedule_block_table() {
+    let items: Vec<[i64; 2]> = (0..4).flat_map(|i| (0..4).map(move |j| [i, j])).collect();
+    let indices: Vec<&[i64]> = items.iter().map(|i| i.as_slice()).collect();
+    for strat in [
+        ParStrategy::TwoD {
+            space: 0,
+            time: 1,
+            ordered: false,
+        },
+        ParStrategy::OneD { dim: 0 },
+    ] {
+        let sched = build_schedule(&strat, &indices, &[4, 4], 2);
+        let plan = ThreadedPlan::compile(&sched);
+        assert!(std::ptr::eq(plan.blocks(), &*sched.blocks));
+    }
+}
+
+/// Runs `pass`, which must panic, and returns the message it raised.
+fn raised_message(pass: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(pass))
+        .expect_err("the pass re-raises the worker's panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default()
+}
+
+/// A body that panics on one item of a grid pass: the pass re-raises
+/// the worker's message instead of hanging the rotation ring, and the
+/// pool stays poisoned.
+#[test]
+fn a_panicking_grid_body_re_raises_and_poisons_the_pool() {
+    let items: Vec<(Vec<i64>, f32)> = (0..6)
+        .flat_map(|i| (0..6).map(move |j| (vec![i, j], 1.0)))
+        .collect();
+    let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
+    let strat = ParStrategy::TwoD {
+        space: 0,
+        time: 1,
+        ordered: false,
+    };
+    let sched = build_schedule(&strat, &indices, &[6, 6], 3);
+    let (sp, tp) = (sched.space_partition.clone(), sched.time_partition.clone());
+    let w = DistArray::<f32>::dense("w", vec![6, 1]).split_along(0, &sp.unwrap().ranges);
+    let h = DistArray::<f32>::dense("h", vec![6, 1]).split_along(0, &tp.unwrap().ranges);
+    let plan = Arc::new(ThreadedPlan::compile(&sched));
+    let pool = WorkerPool::new(3);
+    let body = Arc::new(
+        |(idx, _): &(Vec<i64>, f32), _: &mut DistArray<f32>, _: &mut DistArray<f32>, _: &mut ()| {
+            assert!(idx[..] != [4, 2], "item [4, 2] is poisoned");
+        },
+    );
+    let items = Arc::new(items);
+    let msg = raised_message(|| {
+        run_grid_pass_pooled(&pool, &plan, &items, w, h, vec![(); 3], &body);
+    });
+    assert!(msg.contains("item [4, 2] is poisoned"), "{msg}");
+    assert!(pool.is_poisoned());
+}
+
+/// The same for a 1-D pass, which rotates nothing.
+#[test]
+fn a_panicking_one_d_body_re_raises_and_poisons_the_pool() {
+    let items: Vec<(Vec<i64>, f32)> = (0..12).map(|i| (vec![i], 1.0)).collect();
+    let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
+    let sched = build_schedule(&ParStrategy::OneD { dim: 0 }, &indices, &[12], 3);
+    let plan = Arc::new(ThreadedPlan::compile(&sched));
+    let pool = WorkerPool::new(3);
+    let body = Arc::new(|(idx, _): &(Vec<i64>, f32), _: &mut f32| {
+        assert!(idx[0] != 7, "item 7 is poisoned");
+    });
+    let items = Arc::new(items);
+    let msg = raised_message(|| {
+        run_one_d_pass_pooled(&pool, &plan, &items, vec![0.0; 3], &body);
+    });
+    assert!(msg.contains("item 7 is poisoned"), "{msg}");
+    assert!(pool.is_poisoned());
+}
