@@ -77,29 +77,27 @@ pub(crate) fn split_by_role<T: Element>(
 }
 
 /// One walk of a frozen iteration-space array (§3.2): the flat record
-/// table every pass body reads, one `record(position, index, value)` per
-/// element in ascending flat order, and the loop indices `parallel_for`
-/// plans over, which the caller drops once the loop is compiled.
+/// table every pass body reads and `parallel_for` plans over, one
+/// `record(position, index, value)` per element in ascending flat
+/// order, allocated once at its exact length.
 pub(crate) fn flat_table<T: Element, R, const N: usize>(
     space: &DistArray<T>,
     record: impl Fn(usize, [i64; N], &T) -> R,
-) -> (Vec<[i64; N]>, Vec<R>) {
+) -> Vec<R> {
     let dims = space.shape().dims();
     assert_eq!(dims.len(), N, "`{}` is not {N}-dimensional", space.name());
-    space
-        .iter_flat()
-        .enumerate()
-        .map(|(pos, (flat, v))| {
-            // `%` and `/` by one extent compile to one division.
-            let (mut index, mut rest) = ([0; N], flat);
-            for d in (1..N).rev() {
-                index[d] = (rest % dims[d]) as i64;
-                rest /= dims[d];
-            }
-            index[0] = rest as i64;
-            (index, record(pos, index, v))
-        })
-        .unzip()
+    let mut table = Vec::with_capacity(space.nnz() as usize);
+    table.extend(space.iter_flat().enumerate().map(|(pos, (flat, v))| {
+        // `%` and `/` by one extent compile to one division.
+        let (mut index, mut rest) = ([0; N], flat);
+        for d in (1..N).rev() {
+            index[d] = (rest % dims[d]) as i64;
+            rest /= dims[d];
+        }
+        index[0] = rest as i64;
+        record(pos, index, v)
+    }));
+    table
 }
 
 /// A factor-row coordinate as the `u32` a flat record stores.

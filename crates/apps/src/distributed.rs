@@ -59,7 +59,7 @@ use crate::common::{by_role, space_is_dim0, split_by_role};
 use crate::run::{
     new_driver, run, unsupported, App, Engine, NetReport, RunConfig, RunError, RunOutput,
 };
-use crate::sgd_mf::{MfApp, MfConfig, MfGrid, MfJob, MfModel};
+use crate::sgd_mf::{MfApp, MfConfig, MfGrid, MfJob, MfModel, Rating};
 use crate::slr::{self, SlrApp, SlrConfig, SlrJob, SlrModel};
 
 /// Which application a node process should run (`mf` or `slr`).
@@ -794,7 +794,7 @@ type Homes = BTreeMap<usize, DistArray<f32>>;
 /// runs.
 pub(crate) struct MfNode {
     plan: Arc<ThreadedPlan>,
-    triples: Arc<Vec<(u32, u32, f32)>>,
+    triples: Arc<Vec<Rating>>,
     grid: MfGrid,
     /// This node's partition of the pinned factor.
     space_part: DistArray<f32>,

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use orion_core::{
-    kernels, ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, LoopSpec, RunStats,
+    kernels, ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, Indexed, LoopSpec, RunStats,
     Strategy, Subscript,
 };
 use orion_data::TabularData;
@@ -264,9 +264,19 @@ pub struct GbtApp {
 pub struct GbtJob {
     model: GbtModel,
     /// The iteration space, feature `f` at position `f`, shared with the pool.
-    feats: Arc<Vec<u32>>,
+    feats: Arc<Vec<Feature>>,
     preds: Vec<f32>,
     feature_cost: f64,
+}
+
+/// One feature id: an item of the split-finding loop, and its index.
+#[derive(Debug, Clone, Copy)]
+struct Feature(u32);
+
+impl Indexed for Feature {
+    fn coord(&self, _: usize, _: usize) -> i64 {
+        self.0.into()
+    }
 }
 
 /// The engine-specific part of a round: the per-feature histograms of
@@ -333,7 +343,7 @@ impl App for GbtApp {
         // Iteration space: the features.
         let feat_arr: DistArray<u32> =
             DistArray::dense_from_fn("features", vec![n_features as u64], |i| i[0] as u32);
-        let (indices, feats): (Vec<[i64; 1]>, _) = flat_table(&feat_arr, |_, _, &f| f);
+        let feats = flat_table(&feat_arr, |_, [_], &f| Feature(f));
         let feats_id = driver.register(&feat_arr);
         // Gradient vector (read by every feature) and per-feature histogram
         // slots (each feature writes only its own row).
@@ -350,7 +360,7 @@ impl App for GbtApp {
             .build()
             .expect("static GBT spec is valid");
         let compiled = driver
-            .parallel_for(spec, &indices)
+            .parallel_for(spec, &feats)
             .expect("GBT split loop parallelizes");
         debug_assert!(matches!(
             compiled.strategy(),
@@ -453,8 +463,8 @@ impl App for GbtApp {
                     let slots = Arc::new(slot_of_node);
                     let assigned = Arc::new(assign.to_vec());
                     let (g2, x2) = (Arc::clone(grads), Arc::clone(&x));
-                    let body = Arc::new(move |&f: &u32, sc: &mut Vec<(u32, Vec<BinStat>)>| {
-                        let mut hist = vec![BinStat::default(); hist_len];
+                    let body = Arc::new(move |f: &Feature, sc: &mut Vec<(u32, Vec<BinStat>)>| {
+                        let (f, mut hist) = (f.0, vec![BinStat::default(); hist_len]);
                         kernels::feature_histogram(
                             f as usize, n_samples, n_features, n_bins, &x2, &slots, &assigned, &g2,
                             NO_SLOT, &mut hist,

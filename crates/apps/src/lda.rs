@@ -17,7 +17,8 @@
 use std::sync::Arc;
 
 use orion_core::{
-    ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, LoopSpec, RunStats, Subscript,
+    ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, Indexed, LoopSpec, RunStats,
+    Subscript,
 };
 use orion_data::CorpusData;
 use orion_dsm::kernels;
@@ -80,9 +81,15 @@ struct Cell {
     pos: u32,
 }
 
+impl Indexed for Cell {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        [self.doc, self.word][dim].into()
+    }
+}
+
 /// The token loop's iteration space: one walk of the frozen corpus
-/// builds the cell table and the loop indices.
-fn cell_table(corpus: &CorpusData) -> (Vec<[i64; 2]>, Vec<Cell>) {
+/// builds the cell table the loop is planned over.
+fn cell_table(corpus: &CorpusData) -> Vec<Cell> {
     flat_table(&corpus.tokens, |pos, [d, w], &count| Cell {
         doc: row_u32(d),
         word: row_u32(w),
@@ -239,7 +246,7 @@ impl App for LdaApp {
     const NAME: &'static str = "lda";
 
     fn setup(&self, corpus: &CorpusData, driver: &mut Driver) -> (CompiledLoop, LdaJob) {
-        let (indices, cells) = cell_table(corpus);
+        let cells = cell_table(corpus);
         let dims = corpus.tokens.shape().dims().to_vec();
         let model = LdaModel::init(corpus, &cells, self.cfg.clone());
         let k = model.cfg.n_topics;
@@ -258,7 +265,7 @@ impl App for LdaApp {
         let b = if self.ordered { b.ordered() } else { b };
         let spec = b.build().expect("static LDA spec is valid");
         let compiled = driver
-            .parallel_for(spec, &indices)
+            .parallel_for(spec, &cells)
             .expect("LDA loop parallelizes");
         let job = LdaJob {
             model,
@@ -471,7 +478,7 @@ impl LdaPsAdapter {
     /// Builds the adapter with the same seeded initialization as
     /// [`LdaApp`]'s setup.
     pub fn new(corpus: &CorpusData, cfg: LdaConfig) -> Self {
-        let (_, cells) = cell_table(corpus);
+        let cells = cell_table(corpus);
         let model = LdaModel::init(corpus, &cells, cfg.clone());
         LdaPsAdapter {
             state: std::cell::RefCell::new(LdaPsState {
@@ -589,7 +596,7 @@ mod tests {
     #[test]
     fn init_counts_are_consistent() {
         let c = corpus();
-        let m = LdaModel::init(&c, &cell_table(&c).1, LdaConfig::new(4));
+        let m = LdaModel::init(&c, &cell_table(&c), LdaConfig::new(4));
         let total_dt: u64 = (0..c.config.n_docs as i64)
             .flat_map(|d| {
                 m.dt.row_slice(d)

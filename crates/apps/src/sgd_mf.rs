@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use orion_core::{
-    ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, LoopSpec, MathMode, RunStats,
-    Subscript, TuneConfig, TuneOutcome,
+    ClusterSpec, CompiledLoop, DistArray, Driver, FaultEvent, Indexed, LoopSpec, MathMode,
+    RunStats, Subscript, TuneConfig, TuneOutcome,
 };
 use orion_data::RatingsData;
 use orion_dsm::kernels;
@@ -125,10 +125,10 @@ impl MfModel {
 
     /// [`MfModel::loss`] over flat triples: the same terms in the same
     /// order, so the same bits.
-    fn triples_loss(&self, triples: &[(u32, u32, f32)]) -> f64 {
+    fn triples_loss(&self, triples: &[Rating]) -> f64 {
         triples
             .iter()
-            .map(|&(u, i, v)| self.sq_err(u as i64, i as i64, v))
+            .map(|&Rating(u, i, v)| self.sq_err(u as i64, i as i64, v))
             .sum()
     }
 
@@ -234,8 +234,19 @@ pub struct MfJob {
     /// hot loops read one contiguous record, no per-item index Vec. The
     /// pass and the readout stream all of them through each worker's
     /// cache every epoch, so the record is kept to 12 bytes.
-    pub(crate) triples: Arc<Vec<(u32, u32, f32)>>,
+    pub(crate) triples: Arc<Vec<Rating>>,
     iter_ns: f64,
+}
+
+/// One rating as the flat table stores it: `(user, item, rating)`. The
+/// planner reads the loop index `(user, item)` straight from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Rating(u32, u32, f32);
+
+impl Indexed for Rating {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        [self.0, self.1][dim].into()
+    }
 }
 
 /// The MF step in partition form — what a pool worker and a cluster
@@ -261,7 +272,7 @@ impl MfGrid {
     #[inline]
     pub(crate) fn update(
         &self,
-        &(u, i, v): &(u32, u32, f32),
+        &Rating(u, i, v): &Rating,
         sp: &mut DistArray<f32>,
         tp: &mut DistArray<f32>,
     ) {
@@ -289,8 +300,9 @@ impl App for MfApp {
 
     fn setup(&self, data: &RatingsData, driver: &mut Driver) -> (CompiledLoop, MfJob) {
         let model = MfModel::for_data(data, self.cfg.clone());
-        let (indices, triples) =
-            flat_table(&data.ratings, |_, [u, i], &v| (row_u32(u), row_u32(i), v));
+        let triples = flat_table(&data.ratings, |_, [u, i], &v| {
+            Rating(row_u32(u), row_u32(i), v)
+        });
         let z = driver.register(&data.ratings);
         let w = driver.register(&model.w);
         let h = driver.register(&model.h);
@@ -301,7 +313,7 @@ impl App for MfApp {
         let b = if self.ordered { b.ordered() } else { b };
         let spec = b.build().expect("static MF spec is valid");
         let compiled = driver
-            .parallel_for(spec, &indices)
+            .parallel_for(spec, &triples)
             .expect("MF loop parallelizes");
         let job = MfJob {
             iter_ns: cost::mf_iter_ns(model.cfg.rank) * self.overhead,
@@ -326,7 +338,7 @@ impl App for MfApp {
             ..
         } = job;
         let (_, fault) = driver.run_pass(compiled, &mut |_pos| *iter_ns, &mut |_w, pos| {
-            let (u, i, v) = triples[pos];
+            let Rating(u, i, v) = triples[pos];
             model.sgd_update(u as i64, i as i64, v);
         });
         fault
@@ -366,13 +378,12 @@ impl App for MfApp {
         } = grid;
         let (mut space_parts, mut time_parts) = split_by_role(compiled, model.w, model.h);
         let body = Arc::new(
-            move |t: &(u32, u32, f32),
-                  sp: &mut DistArray<f32>,
-                  tp: &mut DistArray<f32>,
-                  _: &mut ()| grid.update(t, sp, tp),
+            move |t: &Rating, sp: &mut DistArray<f32>, tp: &mut DistArray<f32>, _: &mut ()| {
+                grid.update(t, sp, tp)
+            },
         );
         // The loss term on raw rows of the merged model.
-        let sq_err = Arc::new(move |&(u, i, v): &(u32, u32, f32), m: &MfModel| {
+        let sq_err = Arc::new(move |&Rating(u, i, v): &Rating, m: &MfModel| {
             let r = m.cfg.rank;
             let (w, h) = (raw_row(&m.w, u as usize, r), raw_row(&m.h, i as usize, r));
             sq_err_rows(w, h, v, mode)
@@ -420,9 +431,11 @@ impl App for MfApp {
         compiled: &CompiledLoop,
         cfg: &TuneConfig,
     ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
-        let index = |&(u, i, _): &(u32, u32, f32)| [u as i64, i as i64];
-        let indices: Vec<[i64; 2]> = job.triples.iter().map(index).collect();
-        Ok(driver.tune_loop(compiled, &indices, cfg, &mut |_pos| job.iter_ns))
+        Ok(
+            driver.tune_loop(compiled, job.triples.as_slice(), cfg, &mut |_pos| {
+                job.iter_ns
+            }),
+        )
     }
 
     fn checkpointed<'a>(

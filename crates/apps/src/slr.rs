@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use orion_core::{
     ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, IndexRecorder,
-    LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript, TuneConfig, TuneOutcome,
-    VirtualTime,
+    Indexed, LoopSpec, MathMode, PrefetchMode, RunStats, Strategy, Subscript, TuneConfig,
+    TuneOutcome, VirtualTime,
 };
 use orion_data::{SparseData, SparseSample};
 use orion_dsm::kernels;
@@ -111,9 +111,11 @@ impl SlrModel {
     }
 
     /// One sample's logistic loss: its margin under these weights, then
-    /// [`term_of`].
+    /// [`term_of`]. The weights are dense, so the slice holds what
+    /// `get_flat_or_default` returns, without a call per feature.
     fn loss_term(&self, features: &[u32], label: i8) -> f64 {
-        let get = |f| self.weights.get_flat_or_default(f as u64);
+        let weights = self.weights.dense_values();
+        let get = |f: u32| weights[f as usize];
         term_of(label, Self::margin_with(features, get, self.cfg.math))
     }
 }
@@ -197,6 +199,14 @@ struct SampleRow {
     label: i8,
 }
 
+/// A sample's loop index is its row: the table holds every sample in
+/// order.
+impl Indexed for SampleRow {
+    fn coord(&self, pos: usize, _: usize) -> i64 {
+        pos as i64
+    }
+}
+
 impl SampleRow {
     fn features<'a>(&self, features: &'a [u32]) -> &'a [u32] {
         &features[self.start as usize..self.end as usize]
@@ -251,12 +261,6 @@ fn samples_array(data: &SparseData) -> DistArray<f32> {
         vec![data.samples.len() as u64],
         (0..).zip(labels),
     )
-}
-
-/// The loop indices of `n` samples, built for `parallel_for` and
-/// dropped once the loop is compiled.
-fn sample_indices(n: usize) -> Vec<[i64; 1]> {
-    (0..n as i64).map(|i| [i]).collect()
 }
 
 /// The buffered per-sample step every engine runs: the margin under
@@ -334,8 +338,9 @@ impl App for SlrApp {
             .buffer_writes(weights_id)
             .build()
             .expect("static SLR spec is valid");
+        let table = SampleTable::new(&data.samples);
         let mut compiled = driver
-            .parallel_for(spec, &sample_indices(data.samples.len()))
+            .parallel_for(spec, table.rows.as_slice())
             .expect("SLR loop parallelizes with buffers");
         debug_assert!(matches!(
             compiled.strategy(),
@@ -345,7 +350,7 @@ impl App for SlrApp {
         let job = SlrJob {
             buffers: write_buffers(&model.weights, compiled.schedule.n_workers),
             model,
-            table: SampleTable::new(&data.samples),
+            table,
             updates: vec![None; compiled.schedule.n_workers],
         };
         (compiled, job)
@@ -501,9 +506,9 @@ impl App for SlrApp {
         compiled: &CompiledLoop,
         cfg: &TuneConfig,
     ) -> Result<(CompiledLoop, TuneOutcome), RunError> {
-        let indices = sample_indices(job.table.rows.len());
+        let rows = job.table.rows.as_slice();
         let (mut tuned, outcome) =
-            driver.tune_loop(compiled, &indices, cfg, &mut |pos| job.table.iter_ns(pos));
+            driver.tune_loop(compiled, rows, cfg, &mut |pos| job.table.iter_ns(pos));
         self.apply_prefetch_override(&mut tuned);
         Ok((tuned, outcome))
     }
@@ -576,24 +581,25 @@ pub fn train_serial(data: &SparseData, cfg: SlrConfig, passes: u64) -> (SlrModel
         .write(weights_id, vec![Subscript::unknown()])
         .build()
         .expect("valid spec");
+    let SampleTable { features, rows } = SampleTable::new(&data.samples);
     let compiled = driver
-        .parallel_for(spec, &sample_indices(data.samples.len()))
+        .parallel_for(spec, rows.as_slice())
         .expect("compiles (serial)");
     debug_assert!(matches!(compiled.strategy(), Strategy::Serial));
-    let mut iter_ns = |pos: usize| cost::slr_iter_ns(data.samples[pos].features.len());
+    let mut iter_ns = |pos: usize| cost::slr_iter_ns(rows[pos].features(&features).len());
     for pass in 0..passes {
         {
             let weights = &mut model.weights;
             let step = model.cfg.step_size;
             driver.run_pass(&compiled, &mut iter_ns, &mut |_w, pos| {
-                let sample = &data.samples[pos];
+                let (row, features) = (rows[pos], &features);
                 let margin = SlrModel::margin_with(
-                    &sample.features,
+                    row.features(features),
                     |f| weights.get_flat_or_default(f as u64),
                     mode,
                 );
-                let coef = logistic_grad_coef(sample.label, margin);
-                for &f in &sample.features {
+                let coef = logistic_grad_coef(row.label, margin);
+                for &f in row.features(features) {
                     weights.update_flat(f as u64, |w| *w -= step * coef);
                 }
             });

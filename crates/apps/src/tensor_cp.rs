@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use orion_core::{
-    kernels, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, LoopSpec,
-    MathMode, RunStats, Strategy, Subscript,
+    kernels, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, Driver, FaultEvent, Indexed,
+    LoopSpec, MathMode, RunStats, Strategy, Subscript,
 };
 use orion_data::TensorData;
 
@@ -95,8 +95,8 @@ impl CpModel {
     }
 
     /// Squared loss over the observed entries, as flat `(i, j, k, x)`.
-    pub fn loss(&self, entries: &[(u32, u32, u32, f32)]) -> f64 {
-        let sq_err = |&(i, j, k, x): &(u32, u32, u32, f32)| {
+    fn loss(&self, entries: &[Entry]) -> f64 {
+        let sq_err = |&Entry(i, j, k, x): &Entry| {
             ((x - self.predict(i.into(), j.into(), k.into())) as f64).powi(2)
         };
         entries.iter().map(sq_err).sum()
@@ -113,7 +113,7 @@ fn sq_err_rows(u: &[f32], v: &[f32], s: &[f32], x: f32) -> f64 {
 /// instead of the array when buffering is active.
 fn cp_update(
     model: &mut CpModel,
-    &(i, j, k, x): &(u32, u32, u32, f32),
+    &Entry(i, j, k, x): &Entry,
     s_sink: Option<&mut DistArrayBuffer<f32>>,
 ) {
     let (i, j, k) = (i64::from(i), i64::from(j), i64::from(k));
@@ -183,13 +183,24 @@ pub struct CpApp {
     pub buffer_s: bool,
 }
 
+/// One observed entry as the flat table stores it: `(i, j, k, x)`. The
+/// planner reads the loop index `(i, j, k)` straight from it.
+#[derive(Debug, Clone, Copy)]
+struct Entry(u32, u32, u32, f32);
+
+impl Indexed for Entry {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        [self.0, self.1, self.2][dim].into()
+    }
+}
+
 /// What [`CpApp`]'s setup builds: the factors and the observed entries.
 #[derive(Debug)]
 pub struct CpJob {
     model: CpModel,
     /// Flat `(i, j, k, value)` records in tensor order — the job's only
     /// copy of the iteration space, shared with every pool worker.
-    entries: Arc<Vec<(u32, u32, u32, f32)>>,
+    entries: Arc<Vec<Entry>>,
     iter_ns: f64,
     /// One `S` write buffer per worker (`buffer_s` only; unwritten
     /// buffers hold no table), empty between passes.
@@ -209,8 +220,8 @@ impl App for CpApp {
     const NAME: &'static str = "tensor_cp";
 
     fn setup(&self, data: &TensorData, driver: &mut Driver) -> (CompiledLoop, CpJob) {
-        let (indices, entries) = flat_table(&data.entries, |_, [i, j, k], &x| {
-            (row_u32(i), row_u32(j), row_u32(k), x)
+        let entries = flat_table(&data.entries, |_, [i, j, k], &x| {
+            Entry(row_u32(i), row_u32(j), row_u32(k), x)
         });
         let dims = data.entries.shape().dims().to_vec();
         let model = CpModel::new(&dims, self.cfg.clone());
@@ -230,7 +241,7 @@ impl App for CpApp {
             .read_write(s, vec![Subscript::loop_index(2), Subscript::Full]);
         let b = if self.buffer_s { b.buffer_writes(s) } else { b };
         let spec = b.build().expect("static CP spec is valid");
-        let compiled = driver.parallel_for(spec, &indices).expect("compiles");
+        let compiled = driver.parallel_for(spec, &entries).expect("compiles");
         if self.buffer_s {
             debug_assert!(matches!(compiled.strategy(), Strategy::TwoD { .. }));
         } else {
@@ -303,7 +314,7 @@ impl App for CpApp {
         let (mut space_parts, mut time_parts) = split_by_role(compiled, model.u, model.v);
         let step = model.cfg.step_size;
         // The loss term on raw rows of the merged model.
-        let sq_err = Arc::new(|&(i, j, k, x): &(u32, u32, u32, f32), m: &CpModel| {
+        let sq_err = Arc::new(|&Entry(i, j, k, x): &Entry, m: &CpModel| {
             let r = m.cfg.rank;
             let row = |a, c: u32| raw_row(a, c as usize, r);
             sq_err_rows(row(&m.u, i), row(&m.v, j), row(&m.s, k), x)
@@ -312,7 +323,7 @@ impl App for CpApp {
         for pass in 0..passes {
             let s_pass = Arc::new(model.s.clone());
             let body = Arc::new(
-                move |&(i, j, k, x): &(u32, u32, u32, f32),
+                move |&Entry(i, j, k, x): &Entry,
                       ap: &mut DistArray<f32>,
                       bp: &mut DistArray<f32>,
                       buf: &mut DistArrayBuffer<f32>| {

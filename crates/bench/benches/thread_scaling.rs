@@ -62,8 +62,7 @@ fn mf_pass_wall(
         time: 1,
         ordered: false,
     };
-    let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-    let sched = build_schedule(&strat, &indices, &dims, threads);
+    let sched = build_schedule(&strat, &items, &dims, threads);
     let plan = Arc::new(ThreadedPlan::compile(&sched));
     let pool = WorkerPool::new(sched.n_workers);
     let sp = sched.space_partition.clone().unwrap();
@@ -124,9 +123,8 @@ fn slr_pass_wall(
 ) -> f64 {
     let n = data.samples.len();
     let strat = Strategy::OneD { dim: 0 };
-    let idx: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![i]).collect();
-    let indices: Vec<&[i64]> = idx.iter().map(|v| v.as_slice()).collect();
-    let sched = build_schedule(&strat, &indices, &[n as u64], threads);
+    let idx: Vec<[i64; 1]> = (0..n as i64).map(|i| [i]).collect();
+    let sched = build_schedule(&strat, &idx, &[n as u64], threads);
     let plan = Arc::new(ThreadedPlan::compile(&sched));
     let pool = WorkerPool::new(sched.n_workers);
     let samples = Arc::new(data.samples.clone());

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use orion_ir::{
     AccessKind, ArrayMeta, ArrayRef, Code, Diagnostic, DistArrayId, LoopSpec, Severity, Subscript,
 };
-use orion_runtime::{CompiledBlocks, Schedule};
+use orion_runtime::{CompiledBlocks, Indexed, Schedule};
 
 /// How one subscript position addresses its array dimension, for a
 /// concrete iteration.
@@ -386,18 +386,13 @@ pub struct Sanitizer {
 }
 
 impl Sanitizer {
-    /// Builds the sanitizer for `spec`'s accesses over the `indices` the
-    /// schedule was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index vectors differ in length.
-    pub fn new<I: AsRef<[i64]>>(spec: &LoopSpec, metas: &[ArrayMeta], indices: &[I]) -> Self {
-        let arity = indices.first().map_or(0, |i| i.as_ref().len());
-        let mut flat = Vec::with_capacity(indices.len() * arity);
-        for i in indices {
-            assert_eq!(i.as_ref().len(), arity, "iteration indices differ in arity");
-            flat.extend_from_slice(i.as_ref());
+    /// Builds the sanitizer for `spec`'s accesses over the `items` the
+    /// schedule was built from, copying each item's loop index once.
+    pub fn new<I: Indexed>(spec: &LoopSpec, metas: &[ArrayMeta], items: &[I]) -> Self {
+        let arity = spec.iter_dims.len();
+        let mut flat = Vec::with_capacity(items.len() * arity);
+        for (pos, item) in items.iter().enumerate() {
+            flat.extend((0..arity).map(|d| item.coord(pos, d)));
         }
         Sanitizer {
             oracle: AccessOracle::new(spec, metas),

@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use orion_runtime::{
     build_schedule, comm_model_with_spec, default_threads, run_grid_pass_pooled,
-    run_one_d_pass_pooled, run_readout_pooled, CompiledBlocks, GridPassOutput, HbEvent,
+    run_one_d_pass_pooled, run_readout_pooled, CompiledBlocks, GridPassOutput, HbEvent, Indexed,
     LoopCommModel, OneDPassOutput, PassStats, Schedule, SimExecutor, SyncMode, ThreadPhase,
     ThreadSpan, ThreadedPlan, WorkerPool,
 };
@@ -101,27 +101,6 @@ impl CompiledLoop {
     fn walker_plan(&self) -> &Arc<ThreadedPlan> {
         self.walker_plan
             .get_or_init(|| Arc::new(ThreadedPlan::compile(&self.schedule)))
-    }
-}
-
-/// An element of a materialized iteration space: it knows its loop
-/// index. [`Driver::parallel_for`] and [`Driver::tune_loop`] read only
-/// that, so a caller may hand them `(index, value)` pairs or bare fixed
-/// `[i64; N]` indices built for the call.
-pub trait Indexed {
-    /// The loop index, one coordinate per loop dimension.
-    fn loop_index(&self) -> &[i64];
-}
-
-impl<T> Indexed for (Vec<i64>, T) {
-    fn loop_index(&self) -> &[i64] {
-        &self.0
-    }
-}
-
-impl<const N: usize> Indexed for [i64; N] {
-    fn loop_index(&self) -> &[i64] {
-        self
     }
 }
 
@@ -285,9 +264,10 @@ impl Driver {
     /// Statically parallelizes a loop (the `@parallel_for` macro):
     /// dependence analysis, strategy selection, schedule construction.
     ///
-    /// `items` is the materialized iteration space (index/value pairs,
-    /// or bare `[i64; N]` indices); the returned [`CompiledLoop`] refers
-    /// to items by position in this slice.
+    /// `items` is the materialized iteration space, read only through
+    /// [`Indexed`] (an app's record table, index/value pairs or bare
+    /// indices); the returned [`CompiledLoop`] refers to items by
+    /// position in this slice.
     ///
     /// # Errors
     ///
@@ -300,17 +280,12 @@ impl Driver {
         spec.validate()?;
         let n_workers = self.executor.cluster.n_workers();
         let plan = analyze(&spec, &self.metas, n_workers as u64);
-        // Borrow the item indices instead of cloning one Vec per
-        // iteration; the schedule stores positions, not indices.
-        let indices: Vec<&[i64]> = items.iter().map(Indexed::loop_index).collect();
-        let schedule = build_schedule(&plan.strategy, &indices, &spec.iter_dims, n_workers);
+        let schedule = build_schedule(&plan.strategy, items, &spec.iter_dims, n_workers);
         let comm =
             comm_model_with_spec(&plan, &self.metas, self.served_reads_per_iter, Some(&spec));
         if self.validate {
-            self.sanitizers.insert(
-                spec.name.clone(),
-                Sanitizer::new(&spec, &self.metas, &indices),
-            );
+            self.sanitizers
+                .insert(spec.name.clone(), Sanitizer::new(&spec, &self.metas, items));
         }
         self.compiled.insert(spec.name.clone(), 0);
         Ok(CompiledLoop {
@@ -387,11 +362,10 @@ impl Driver {
         cfg: &TuneConfig,
         cost: &mut dyn FnMut(usize) -> f64,
     ) -> (CompiledLoop, TuneOutcome) {
-        let indices: Vec<&[i64]> = items.iter().map(Indexed::loop_index).collect();
         let tuned = tune_spec(
             &compiled.spec,
             &self.metas,
-            &indices,
+            items,
             &self.executor.cluster,
             self.served_reads_per_iter,
             cost,
@@ -1018,14 +992,13 @@ mod tests {
         // Same schedule => same execution order => same float results.
         let run = || {
             let mut d = Driver::new(ClusterSpec::new(2, 2));
+            // Every pass of the swapped-in schedule is fed to the O100
+            // sanitizer.
+            d.set_validate(true);
             let (c, items) = mf_compiled(&mut d);
             let (c, outcome) = d.tune_loop(&c, &items, &TuneConfig::default(), &mut |_| 75.0);
             assert!(outcome.candidates_evaluated >= 2);
             assert!(outcome.chosen.measured_ns <= outcome.baseline.measured_ns);
-            // Validation is on in test builds (`Driver::validate_by_default`),
-            // so every pass of the swapped-in schedule is fed to the O100
-            // sanitizer.
-            assert!(Driver::validate_by_default());
             let mut acc = vec![0.0f32; 16];
             for _ in 0..3 {
                 let (stats, _) = d.run_pass(&c, &mut |_| 75.0, &mut |_w, pos| {
@@ -1115,6 +1088,7 @@ mod tests {
         let z: DistArray<f32> =
             DistArray::sparse_from("z", vec![8, 1], (0..8).map(|i| (vec![i, 0], 1.0)));
         let mut d = Driver::new(ClusterSpec::new(2, 2));
+        d.set_validate(true);
         let z_id = d.register(&z);
         let h: DistArray<f32> = DistArray::dense("H", vec![1, 4]);
         let h_id = d.register(&h);
@@ -1124,15 +1098,15 @@ mod tests {
             .unwrap();
         let items: Vec<(Vec<i64>, f32)> = z.iter().map(|(i, &v)| (i, v)).collect();
         let mut c = d.parallel_for(spec, &items).unwrap();
-        let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-        c.schedule = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[8, 1], 4);
+        c.schedule = build_schedule(&Strategy::OneD { dim: 0 }, &items, &[8, 1], 4);
         d.run_pass(&c, &mut |_| 10.0, &mut |_, _| {});
     }
 
     #[test]
     fn sanitizer_stays_quiet_on_compiled_schedules() {
         let mut d = Driver::new(ClusterSpec::new(2, 2));
-        assert!(d.validating());
+        assert_eq!(d.validating(), cfg!(debug_assertions));
+        d.set_validate(true);
         let (c, _items) = mf_compiled(&mut d);
         for _ in 0..3 {
             d.run_pass(&c, &mut |_| 10.0, &mut |_, _| {});

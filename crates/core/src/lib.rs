@@ -38,7 +38,7 @@
 mod driver;
 mod recovery;
 
-pub use driver::{CompiledLoop, Driver, DriverError, Indexed};
+pub use driver::{CompiledLoop, Driver, DriverError};
 pub use recovery::{clean_checkpoints, CheckpointPolicy, FaultEvent, RecoveryStats};
 
 // The layers re-exported for convenience, so applications can depend on
@@ -59,8 +59,8 @@ pub use orion_ir::{
 };
 pub use orion_runtime::{
     build_schedule, default_threads, run_grid_pass_pooled, run_one_d_pass_pooled, GridPassOutput,
-    IndexRecorder, OneDPassOutput, PassStats, PrefetchMode, Schedule, ThreadPhase, ThreadSpan,
-    ThreadedPlan, WorkerPool,
+    IndexRecorder, Indexed, OneDPassOutput, PassStats, PrefetchMode, Schedule, ThreadPhase,
+    ThreadSpan, ThreadedPlan, WorkerPool,
 };
 pub use orion_sim::{ClusterSpec, CrashEvent, FaultPlan, ProgressPoint, RunStats, VirtualTime};
 pub use orion_trace::{write_perfetto, OwnedSession, RunReport, SessionView, SpanCat};

@@ -68,7 +68,7 @@ pub use model::comm_model_with_spec;
 pub use pool::{default_threads, WorkerPool};
 pub use prefetch::{IndexRecorder, PrefetchMode, ServedModel};
 pub use schedule::{
-    build_schedule, build_schedule_with, AwaitedTransfer, CompiledBlocks, Exec, Schedule,
+    build_schedule, build_schedule_with, AwaitedTransfer, CompiledBlocks, Exec, Indexed, Schedule,
     ScheduleOptions, SyncMode,
 };
 pub use threaded::{

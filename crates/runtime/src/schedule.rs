@@ -14,6 +14,7 @@
 //!   simulator uses to time communication, including the pipelined
 //!   rotation of Fig. 8.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use orion_analysis::{Strategy, UniMat};
@@ -60,6 +61,39 @@ pub enum SyncMode {
     PointToPoint,
 }
 
+/// An item of a materialized iteration space as the planner reads it:
+/// the coordinates of its loop index. The planner passes each item its
+/// position in the planned table, so the items of a dense 1-D loop —
+/// whose index is the position — need not store an index at all.
+pub trait Indexed {
+    /// Coordinate `dim` of the loop index of this item, found at `pos`.
+    fn coord(&self, pos: usize, dim: usize) -> i64;
+}
+
+impl Indexed for &[i64] {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        self[dim]
+    }
+}
+
+impl<const N: usize> Indexed for [i64; N] {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        self[dim]
+    }
+}
+
+impl Indexed for Vec<i64> {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        self[dim]
+    }
+}
+
+impl<T> Indexed for (Vec<i64>, T) {
+    fn coord(&self, _: usize, dim: usize) -> i64 {
+        self.0[dim]
+    }
+}
+
 /// Iteration blocks baked into contiguous flat arrays at schedule-build
 /// time (CSR layout): block `b`'s item positions are the slice
 /// `positions[offsets[b]..offsets[b + 1]]`.
@@ -76,20 +110,32 @@ pub struct CompiledBlocks {
 }
 
 impl CompiledBlocks {
-    /// Compiles nested per-block position lists into the flat layout.
+    /// Groups the positions `0..n_items` into `n_blocks` blocks by
+    /// `block_of`, ascending within each block: a counting sort that
+    /// counts each block's items, prefix-sums the offsets and scatters
+    /// the positions straight into place.
     ///
     /// # Panics
     ///
-    /// Panics if the total item count exceeds `u32::MAX`.
-    fn from_nested(nested: Vec<Vec<usize>>) -> Self {
-        let total: usize = nested.iter().map(Vec::len).sum();
-        assert!(total <= u32::MAX as usize, "schedule exceeds u32 positions");
-        let mut positions = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(nested.len() + 1);
-        offsets.push(0u32);
-        for block in nested {
-            positions.extend(block.into_iter().map(|p| p as u32));
-            offsets.push(positions.len() as u32);
+    /// Panics if `n_items` exceeds `u32::MAX`.
+    fn group(n_items: usize, n_blocks: usize, block_of: impl Fn(usize) -> usize) -> Self {
+        assert!(
+            u32::try_from(n_items).is_ok(),
+            "schedule exceeds u32 positions"
+        );
+        let mut offsets = vec![0u32; n_blocks + 1];
+        for pos in 0..n_items {
+            offsets[block_of(pos) + 1] += 1;
+        }
+        for b in 0..n_blocks {
+            offsets[b + 1] += offsets[b];
+        }
+        let mut next = offsets.clone();
+        let mut positions = vec![0u32; n_items];
+        for pos in 0..n_items {
+            let slot = &mut next[block_of(pos)];
+            positions[*slot as usize] = pos as u32;
+            *slot += 1;
         }
         CompiledBlocks { positions, offsets }
     }
@@ -212,29 +258,31 @@ impl Default for ScheduleOptions {
     }
 }
 
-/// Builds the schedule for `strategy` over the given iteration indices.
+/// Builds the schedule for `strategy` over a materialized iteration
+/// space.
 ///
-/// `indices` are the materialized iteration-space element indices (one
-/// per loop iteration) — anything slice-like works (`&[Vec<i64>]`,
-/// `&[&[i64]]`), so callers holding `(index, value)` items can pass
-/// borrowed index slices instead of cloning every index. `extents` are
-/// the iteration-space dimensions; `n_workers` the executing workers.
-/// Blocks are balanced using per-coordinate histograms of the (typically
-/// skewed) index distribution.
+/// `items` are its elements, one per loop iteration, read only through
+/// [`Indexed`]: an app's record table, `(index, value)` pairs or bare
+/// indices (`&[Vec<i64>]`, `&[&[i64]]`, `&[[i64; N]]`). The schedule
+/// refers to items by position in `items`. `extents` are the
+/// iteration-space dimensions; `n_workers` the executing workers.
+/// Blocks are balanced using per-coordinate histograms of the
+/// (typically skewed) index distribution.
 ///
 /// # Panics
 ///
-/// Panics if `indices` is empty, `n_workers == 0`, or the strategy names
-/// out-of-range dimensions.
-pub fn build_schedule<I: AsRef<[i64]>>(
+/// Panics if `items` is empty, `n_workers == 0`, the strategy names
+/// out-of-range dimensions, or an item's coordinate lies outside its
+/// extent.
+pub fn build_schedule<I: Indexed>(
     strategy: &Strategy,
-    indices: &[I],
+    items: &[I],
     extents: &[u64],
     n_workers: usize,
 ) -> Schedule {
     build_schedule_with(
         strategy,
-        indices,
+        items,
         extents,
         n_workers,
         ScheduleOptions::default(),
@@ -246,83 +294,98 @@ pub fn build_schedule<I: AsRef<[i64]>>(
 /// # Panics
 ///
 /// As [`build_schedule`]; additionally if `opts.pipeline_depth == 0`.
-pub fn build_schedule_with<I: AsRef<[i64]>>(
+pub fn build_schedule_with<I: Indexed>(
     strategy: &Strategy,
-    indices: &[I],
+    items: &[I],
     extents: &[u64],
     n_workers: usize,
     opts: ScheduleOptions,
 ) -> Schedule {
-    assert!(!indices.is_empty(), "cannot schedule an empty loop");
+    assert!(!items.is_empty(), "cannot schedule an empty loop");
     assert!(n_workers > 0, "need at least one worker");
     assert!(opts.pipeline_depth > 0, "pipeline depth must be positive");
+    let label = strategy.label();
     match strategy {
         Strategy::FullyParallel { dim } | Strategy::OneD { dim } => {
-            build_one_d(indices, extents, *dim, n_workers, strategy.label(), opts)
+            build_one_d(items, extents, *dim, n_workers, label, opts)
         }
         Strategy::TwoD {
             space,
             time,
-            ordered: false,
-        } => build_two_d_unordered(
-            indices,
+            ordered,
+        } => build_grid(
+            items,
             extents,
-            *space,
-            *time,
+            [*space, *time],
+            *ordered,
             n_workers,
-            strategy.label(),
-            opts,
-        ),
-        Strategy::TwoD {
-            space,
-            time,
-            ordered: true,
-        } => build_two_d_ordered(
-            indices,
-            extents,
-            *space,
-            *time,
-            n_workers,
-            strategy.label(),
+            label,
             opts,
         ),
         Strategy::TwoDUnimodular {
             transform, space, ..
-        } => build_unimodular(indices, transform, *space, n_workers, strategy.label()),
-        Strategy::Serial => build_serial(indices, strategy.label()),
+        } => build_unimodular(items, transform, *space, n_workers, label),
+        Strategy::Serial => one_step(CompiledBlocks::group(items.len(), 1, |_| 0), label, None),
     }
 }
 
-/// Histogram of iteration counts per coordinate along `dim`.
-fn histogram<I: AsRef<[i64]>>(indices: &[I], extent: u64, dim: usize) -> Vec<u64> {
-    let mut h = vec![0u64; extent as usize];
-    for idx in indices {
-        h[idx.as_ref()[dim] as usize] += 1;
+/// Cuts each of `dims` into `parts[k]` coordinate ranges: balanced by
+/// per-coordinate histograms, all filled in one pass over `items`, or
+/// uniform.
+fn cut<I: Indexed, const K: usize>(
+    items: &[I],
+    extents: &[u64],
+    dims: [usize; K],
+    parts: [usize; K],
+    balance: bool,
+) -> [RangePartition; K] {
+    if !balance {
+        return std::array::from_fn(|k| {
+            RangePartition::uniform(dims[k], extents[dims[k]], parts[k])
+        });
     }
-    h
+    let mut hists = dims.map(|d| vec![0u64; extents[d] as usize]);
+    for (pos, item) in items.iter().enumerate() {
+        for (hist, &d) in hists.iter_mut().zip(&dims) {
+            hist[item.coord(pos, d) as usize] += 1;
+        }
+    }
+    std::array::from_fn(|k| RangePartition::balanced(dims[k], &hists[k], parts[k]))
 }
 
-fn build_serial<I>(indices: &[I], label: String) -> Schedule {
-    let block: Vec<usize> = (0..indices.len()).collect();
+/// The part of every coordinate `part` covers, so an item finds its
+/// part with one load instead of a binary search over the ranges.
+fn part_table(part: &RangePartition) -> Vec<usize> {
+    let ranges = part.ranges.iter().enumerate();
+    ranges
+        .flat_map(|(p, r)| r.clone().map(move |_| p))
+        .collect()
+}
+
+/// A one-step schedule: worker `w` runs block `w`, then the pass
+/// barrier.
+fn one_step(blocks: CompiledBlocks, label: String, part: Option<RangePartition>) -> Schedule {
+    let n = blocks.n_blocks();
+    let exec = |w| Exec {
+        step: 0,
+        worker: w,
+        block: w,
+        awaited: None,
+    };
     Schedule {
-        n_workers: 1,
-        blocks: Arc::new(CompiledBlocks::from_nested(vec![block])),
-        steps: vec![vec![Exec {
-            step: 0,
-            worker: 0,
-            block: 0,
-            awaited: None,
-        }]],
+        n_workers: n,
+        blocks: Arc::new(blocks),
+        steps: vec![(0..n).map(exec).collect()],
         n_time_partitions: 1,
         sync: SyncMode::PassBarrier,
         strategy_label: label,
-        space_partition: None,
+        space_partition: part,
         time_partition: None,
     }
 }
 
-fn build_one_d<I: AsRef<[i64]>>(
-    indices: &[I],
+fn build_one_d<I: Indexed>(
+    items: &[I],
     extents: &[u64],
     dim: usize,
     n_workers: usize,
@@ -332,34 +395,12 @@ fn build_one_d<I: AsRef<[i64]>>(
     assert!(dim < extents.len(), "partition dim {dim} out of range");
     // When the extent cannot feed every worker, shrink the worker set.
     let n = n_workers.min(extents[dim] as usize);
-    let part = if opts.balance_partitions {
-        let weights = histogram(indices, extents[dim], dim);
-        RangePartition::balanced(dim, &weights, n)
-    } else {
-        RangePartition::uniform(dim, extents[dim], n)
-    };
-    let mut blocks = vec![Vec::new(); n];
-    for (pos, idx) in indices.iter().enumerate() {
-        blocks[part.part_of(idx.as_ref()[dim] as u64)].push(pos);
-    }
-    let step: Vec<Exec> = (0..n)
-        .map(|w| Exec {
-            step: 0,
-            worker: w,
-            block: w,
-            awaited: None,
-        })
-        .collect();
-    Schedule {
-        n_workers: n,
-        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
-        steps: vec![step],
-        n_time_partitions: 1,
-        sync: SyncMode::PassBarrier,
-        strategy_label: label,
-        space_partition: Some(part),
-        time_partition: None,
-    }
+    let [part] = cut(items, extents, [dim], [n], opts.balance_partitions);
+    let part_of = part_table(&part);
+    let blocks = CompiledBlocks::group(items.len(), n, |pos| {
+        part_of[items[pos].coord(pos, dim) as usize]
+    });
+    one_step(blocks, label, Some(part))
 }
 
 /// Block id in the space × time grid.
@@ -367,43 +408,11 @@ fn grid_block(s: usize, t: usize, n_time: usize) -> usize {
     s * n_time + t
 }
 
-fn grid_blocks<I: AsRef<[i64]>>(
-    indices: &[I],
+fn build_grid<I: Indexed>(
+    items: &[I],
     extents: &[u64],
-    space: usize,
-    time: usize,
-    n_space: usize,
-    n_time: usize,
-    balance: bool,
-) -> (Vec<Vec<usize>>, RangePartition, RangePartition) {
-    let (sp, tp) = if balance {
-        let sw = histogram(indices, extents[space], space);
-        let tw = histogram(indices, extents[time], time);
-        (
-            RangePartition::balanced(space, &sw, n_space),
-            RangePartition::balanced(time, &tw, n_time),
-        )
-    } else {
-        (
-            RangePartition::uniform(space, extents[space], n_space),
-            RangePartition::uniform(time, extents[time], n_time),
-        )
-    };
-    let mut blocks = vec![Vec::new(); n_space * n_time];
-    for (pos, idx) in indices.iter().enumerate() {
-        let idx = idx.as_ref();
-        let s = sp.part_of(idx[space] as u64);
-        let t = tp.part_of(idx[time] as u64);
-        blocks[grid_block(s, t, n_time)].push(pos);
-    }
-    (blocks, sp, tp)
-}
-
-fn build_two_d_unordered<I: AsRef<[i64]>>(
-    indices: &[I],
-    extents: &[u64],
-    space: usize,
-    time: usize,
+    [space, time]: [usize; 2],
+    ordered: bool,
     n_workers: usize,
     label: String,
     opts: ScheduleOptions,
@@ -413,38 +422,51 @@ fn build_two_d_unordered<I: AsRef<[i64]>>(
         "dims out of range"
     );
     let n_space = n_workers.min(extents[space] as usize).max(1);
-    // `pipeline_depth` time partitions per worker (Fig. 8), bounded by
-    // the time extent.
-    let n_time = (n_space * opts.pipeline_depth)
-        .min(extents[time] as usize)
-        .max(1);
-    let (blocks, sp, tp) = grid_blocks(
-        indices,
+    // Time partitions per worker: one on a wavefront, `pipeline_depth`
+    // when rotating (Fig. 8); bounded by the time extent.
+    let per_worker = if ordered { 1 } else { opts.pipeline_depth };
+    let n_time = (n_space * per_worker).min(extents[time] as usize).max(1);
+    let [sp, tp] = cut(
+        items,
         extents,
-        space,
-        time,
-        n_space,
-        n_time,
+        [space, time],
+        [n_space, n_time],
         opts.balance_partitions,
     );
+    let (s_of, t_of) = (part_table(&sp), part_table(&tp));
+    let blocks = CompiledBlocks::group(items.len(), n_space * n_time, |pos| {
+        let item = &items[pos];
+        let s = s_of[item.coord(pos, space) as usize];
+        grid_block(s, t_of[item.coord(pos, time) as usize], n_time)
+    });
+    Schedule {
+        n_workers: n_space,
+        blocks: Arc::new(blocks),
+        steps: if ordered {
+            wavefront_steps(n_space, n_time)
+        } else {
+            rotation_steps(n_space, n_time)
+        },
+        n_time_partitions: n_time,
+        sync: SyncMode::PointToPoint,
+        strategy_label: label,
+        space_partition: Some(sp),
+        time_partition: Some(tp),
+    }
+}
 
-    // Rotation by per-worker queues: worker j starts holding time
-    // partitions [j*depth, (j+1)*depth); each step it executes the front
-    // and forwards it to worker (j + 1) % n_space, which enqueues it.
+/// The step plan of an unordered grid: rotation by per-worker queues.
+/// Worker j starts holding time partitions [j*depth, (j+1)*depth); each
+/// step it executes the front and forwards it to worker
+/// (j + 1) % n_space, which enqueues it.
+fn rotation_steps(n_space: usize, n_time: usize) -> Vec<Vec<Exec>> {
     let depth = n_time.div_ceil(n_space);
-    let mut queues: Vec<std::collections::VecDeque<(usize, Option<AwaitedTransfer>)>> = (0
-        ..n_space)
-        .map(|j| {
-            (0..n_time)
-                .filter(|t| t / depth == j)
-                .map(|t| (t, None))
-                .collect()
-        })
-        .collect();
+    let held = |j: usize| (j * depth..n_time.min((j + 1) * depth)).map(|t| (t, None));
+    let mut queues: Vec<VecDeque<_>> = (0..n_space).map(|j| held(j).collect()).collect();
     let mut steps: Vec<Vec<Exec>> = Vec::with_capacity(n_time);
     for step in 0..n_time as u64 {
         let mut execs = Vec::with_capacity(n_space);
-        let mut forwards: Vec<(usize, (usize, Option<AwaitedTransfer>))> = Vec::new();
+        let mut forwards = Vec::with_capacity(n_space);
         for (j, queue) in queues.iter_mut().enumerate() {
             let Some((t, awaited)) = queue.pop_front() else {
                 continue;
@@ -455,66 +477,27 @@ fn build_two_d_unordered<I: AsRef<[i64]>>(
                 block: grid_block(j, t, n_time),
                 awaited,
             });
-            let next = (j + 1) % n_space;
-            forwards.push((
-                next,
-                (
-                    t,
-                    Some(AwaitedTransfer {
-                        from_worker: j,
-                        sent_after_step: step,
-                        time_partition: t,
-                    }),
-                ),
-            ));
+            forwards.push(AwaitedTransfer {
+                from_worker: j,
+                sent_after_step: step,
+                time_partition: t,
+            });
         }
-        for (next, entry) in forwards {
-            queues[next].push_back(entry);
+        for sent in forwards {
+            queues[(sent.from_worker + 1) % n_space].push_back((sent.time_partition, Some(sent)));
         }
         steps.push(execs);
     }
-    Schedule {
-        n_workers: n_space,
-        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
-        steps,
-        n_time_partitions: n_time,
-        sync: SyncMode::PointToPoint,
-        strategy_label: label,
-        space_partition: Some(sp),
-        time_partition: Some(tp),
-    }
+    steps
 }
 
-fn build_two_d_ordered<I: AsRef<[i64]>>(
-    indices: &[I],
-    extents: &[u64],
-    space: usize,
-    time: usize,
-    n_workers: usize,
-    label: String,
-    opts: ScheduleOptions,
-) -> Schedule {
-    assert!(
-        space < extents.len() && time < extents.len(),
-        "dims out of range"
-    );
-    let n_space = n_workers.min(extents[space] as usize).max(1);
-    let n_time = n_space.min(extents[time] as usize).max(1);
-    let (blocks, sp, tp) = grid_blocks(
-        indices,
-        extents,
-        space,
-        time,
-        n_space,
-        n_time,
-        opts.balance_partitions,
-    );
-
-    // Wavefront (Fig. 7e): at global step s, worker j executes time
-    // partition i = s - j when 0 <= i < n_time. Partition i is released
-    // by worker j-1 at step s-1. Lexicographic order within a block and
-    // across blocks is preserved: blocks executed earlier precede in time
-    // order, and space order follows the wavefront.
+/// The step plan of an ordered grid, a wavefront (Fig. 7e): at global
+/// step s, worker j executes time partition i = s - j when
+/// 0 <= i < n_time. Partition i is released by worker j-1 at step s-1.
+/// Lexicographic order within a block and across blocks is preserved:
+/// blocks executed earlier precede in time order, and space order
+/// follows the wavefront.
+fn wavefront_steps(n_space: usize, n_time: usize) -> Vec<Vec<Exec>> {
     let total_steps = (n_time + n_space - 1) as u64;
     let mut steps = Vec::with_capacity(total_steps as usize);
     for s in 0..total_steps {
@@ -538,54 +521,54 @@ fn build_two_d_ordered<I: AsRef<[i64]>>(
         }
         steps.push(execs);
     }
-    Schedule {
-        n_workers: n_space,
-        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
-        steps,
-        n_time_partitions: n_time,
-        sync: SyncMode::PointToPoint,
-        strategy_label: label,
-        space_partition: Some(sp),
-        time_partition: Some(tp),
-    }
+    steps
 }
 
-fn build_unimodular<I: AsRef<[i64]>>(
-    indices: &[I],
+fn build_unimodular<I: Indexed>(
+    items: &[I],
     transform: &UniMat,
     space_dim: usize,
     n_workers: usize,
     label: String,
 ) -> Schedule {
-    // Transform every index; group by the outer coordinate (time), and
-    // partition each group by the chosen inner coordinate (space).
-    let transformed: Vec<Vec<i64>> = indices
-        .iter()
-        .map(|i| transform.apply(i.as_ref()))
-        .collect();
-    let mut q0s: Vec<i64> = transformed.iter().map(|q| q[0]).collect();
-    q0s.sort_unstable();
-    q0s.dedup();
-    let (qs_min, qs_max) = transformed
-        .iter()
-        .map(|q| q[space_dim])
-        .fold((i64::MAX, i64::MIN), |(lo, hi), v| (lo.min(v), hi.max(v)));
-    let span = (qs_max - qs_min + 1) as u64;
+    // Key every item by its transformed outer coordinate (time) and the
+    // chosen inner one (space), computed in place from the matrix rows;
+    // steps are the distinct outer values, each partitioned by space.
+    let n = transform.ndims();
+    let row = |r: usize| (0..n).map(|c| transform.at(r, c)).collect::<Vec<i64>>();
+    let rows = [row(0), row(space_dim)];
+    let key = |pos: usize, k: usize| -> i64 {
+        let item = &items[pos];
+        (0..n).map(|c| rows[k][c] * item.coord(pos, c)).sum()
+    };
+    let (mut lo, mut hi) = ([i64::MAX; 2], [i64::MIN; 2]);
+    for pos in 0..items.len() {
+        for k in 0..2 {
+            let q = key(pos, k);
+            (lo[k], hi[k]) = (lo[k].min(q), hi[k].max(q));
+        }
+    }
+    // Number the outer values that occur, in ascending order.
+    let mut step_of = vec![0usize; (hi[0] - lo[0] + 1) as usize];
+    for pos in 0..items.len() {
+        step_of[(key(pos, 0) - lo[0]) as usize] = 1;
+    }
+    let mut n_steps = 0;
+    for s in &mut step_of {
+        (*s, n_steps) = (n_steps, n_steps + *s);
+    }
+    let span = (hi[1] - lo[1] + 1) as u64;
     let n_space = n_workers.min(span as usize).max(1);
     let part = RangePartition::uniform(space_dim, span, n_space);
-
-    let n_steps = q0s.len();
-    let mut blocks = vec![Vec::new(); n_steps * n_space];
-    let step_of = |q0: i64| q0s.binary_search(&q0).expect("q0 recorded");
-    for (pos, q) in transformed.iter().enumerate() {
-        let st = step_of(q[0]);
-        let sp = part.part_of((q[space_dim] - qs_min) as u64);
-        blocks[st * n_space + sp].push(pos);
-    }
+    let part_of = part_table(&part);
+    let blocks = CompiledBlocks::group(items.len(), n_steps * n_space, |pos| {
+        let st = step_of[(key(pos, 0) - lo[0]) as usize];
+        st * n_space + part_of[(key(pos, 1) - lo[1]) as usize]
+    });
     let steps: Vec<Vec<Exec>> = (0..n_steps)
         .map(|st| {
             (0..n_space)
-                .filter(|&w| !blocks[st * n_space + w].is_empty())
+                .filter(|&w| blocks.len_of(st * n_space + w) > 0)
                 .map(|w| Exec {
                     step: st as u64,
                     worker: w,
@@ -597,7 +580,7 @@ fn build_unimodular<I: AsRef<[i64]>>(
         .collect();
     Schedule {
         n_workers: n_space,
-        blocks: Arc::new(CompiledBlocks::from_nested(blocks)),
+        blocks: Arc::new(blocks),
         steps,
         n_time_partitions: n_steps,
         sync: SyncMode::StepBarrier,
@@ -610,7 +593,6 @@ fn build_unimodular<I: AsRef<[i64]>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orion_analysis::{DepElem, DepVec};
 
     /// All indices of a dense 2-D grid.
     fn grid_indices(m: i64, n: i64) -> Vec<Vec<i64>> {
@@ -923,9 +905,6 @@ mod tests {
     /// steps).
     #[test]
     fn mf_dependences_respected_by_unordered_schedule() {
-        let dvec_row = DepVec::new(vec![DepElem::Int(0), DepElem::PosAny]);
-        let dvec_col = DepVec::new(vec![DepElem::PosAny, DepElem::Int(0)]);
-        let _ = (dvec_row, dvec_col); // documented intent; structural check below
         let idx = grid_indices(12, 12);
         let strat = Strategy::TwoD {
             space: 0,

@@ -775,8 +775,7 @@ mod tests {
             time: 1,
             ordered,
         };
-        let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-        let sched = build_schedule(&strat, &indices, extents, n_workers);
+        let sched = build_schedule(&strat, &items, extents, n_workers);
         let plan = Arc::new(ThreadedPlan::compile(&sched));
         (WorkerPool::new(n_workers), plan, Arc::new(items), sched)
     }
@@ -895,8 +894,7 @@ mod tests {
     #[test]
     fn one_d_pass_pooled_counts() {
         let items = grid_items(8, 4);
-        let indices: Vec<&[i64]> = items.iter().map(|(i, _)| i.as_slice()).collect();
-        let sched = build_schedule(&Strategy::OneD { dim: 0 }, &indices, &[8, 4], 4);
+        let sched = build_schedule(&Strategy::OneD { dim: 0 }, &items, &[8, 4], 4);
         let plan = Arc::new(ThreadedPlan::compile(&sched));
         let pool = WorkerPool::new(plan.n_workers());
         let items = Arc::new(items);

@@ -42,6 +42,16 @@ pub trait ServeModel: Send + Sync {
 /// a cache keeps is recency, and its hit and miss counts.
 type ShardCaches = Vec<Mutex<LruCache<u64, ()>>>;
 
+/// Records a read of `row` in its shard's LRU. Not generic, so it is
+/// compiled once, here: instantiated in a caller's crate, whether the
+/// cache's hashing was inlined moved with that crate's unrelated edits.
+fn touch(cache: &Mutex<LruCache<u64, ()>>, row: u64) {
+    let mut cache = cache.lock().expect("cache lock");
+    if cache.get(&row).is_none() {
+        cache.insert(row, ());
+    }
+}
+
 /// The access context handed to [`ServeModel::answer`]: cached row
 /// fetches plus direct shard scans.
 pub struct ServeCtx<'a, T: Element> {
@@ -66,10 +76,7 @@ impl<'a, T: Element> ServeCtx<'a, T> {
             .shard(shard)
             .row(row)
             .unwrap_or_else(|| panic!("row {row} out of bounds of `{}`", a.name()));
-        let mut cache = self.caches[array][shard].lock().expect("cache lock");
-        if cache.get(&row).is_none() {
-            cache.insert(row, ());
-        }
+        touch(&self.caches[array][shard], row);
         values
     }
 

@@ -4,7 +4,8 @@ use orion_analysis::{analyze, plan_placements_with, CostParams, ParallelPlan, St
 use orion_check::{plan_event_log, Sanitizer};
 use orion_ir::{ArrayMeta, Code, Diagnostic, LoopSpec, Severity};
 use orion_runtime::{
-    build_schedule, comm_model_with_spec, LoopCommModel, PrefetchMode, Schedule, ThreadedPlan,
+    build_schedule, comm_model_with_spec, Indexed, LoopCommModel, PrefetchMode, Schedule,
+    ThreadedPlan,
 };
 use orion_sim::ClusterSpec;
 
@@ -119,16 +120,16 @@ struct Candidate {
 /// Panics if the chosen schedule fails the `O100` or happens-before
 /// check — by construction candidates are dependence-valid, so a trip
 /// indicates a planner bug and must not be silently swallowed.
-pub fn tune_spec<I: AsRef<[i64]>>(
+pub fn tune_spec<I: Indexed>(
     spec: &LoopSpec,
     metas: &[ArrayMeta],
-    indices: &[I],
+    items: &[I],
     cluster: &ClusterSpec,
     served_reads_per_iter: f64,
     cost: &mut dyn FnMut(usize) -> f64,
     cfg: &TuneConfig,
 ) -> TunedPlan {
-    assert!(!indices.is_empty(), "cannot tune an empty loop");
+    assert!(!items.is_empty(), "cannot tune an empty loop");
     let max_workers = cluster.n_workers();
 
     // Static plan: what `Driver::parallel_for` would compile.
@@ -140,7 +141,7 @@ pub fn tune_spec<I: AsRef<[i64]>>(
     };
     let static_schedule = build_schedule(
         &static_plan.strategy,
-        indices,
+        items,
         &spec.iter_dims,
         static_workers,
     );
@@ -164,7 +165,7 @@ pub fn tune_spec<I: AsRef<[i64]>>(
         predicted_ns: predict_pass_ns(
             &params,
             cluster,
-            indices.len(),
+            items.len(),
             static_plan.est_bytes_per_pass,
             static_schedule.n_steps(),
             static_workers,
@@ -218,7 +219,7 @@ pub fn tune_spec<I: AsRef<[i64]>>(
                     predicted_ns: predict_pass_ns(
                         &params,
                         cluster,
-                        indices.len(),
+                        items.len(),
                         plan.est_bytes_per_pass,
                         n_steps,
                         w,
@@ -235,7 +236,7 @@ pub fn tune_spec<I: AsRef<[i64]>>(
     let mut best: Option<(PlanChoice, ParallelPlan, Schedule, LoopCommModel)> = None;
     let candidates_evaluated = candidates.len() + 1;
     for cand in candidates {
-        let schedule = build_schedule(&cand.strategy, indices, &spec.iter_dims, cand.n_workers);
+        let schedule = build_schedule(&cand.strategy, items, &spec.iter_dims, cand.n_workers);
         let mut comm = comm_model_with_spec(&cand.plan, metas, served_reads_per_iter, Some(spec));
         if let (Some(mode), Some(served)) = (cand.prefetch_override, comm.served.as_mut()) {
             served.mode = mode;
@@ -279,7 +280,7 @@ pub fn tune_spec<I: AsRef<[i64]>>(
         )
     };
 
-    validate_schedule(spec, metas, indices, &schedule);
+    validate_schedule(spec, metas, items, &schedule);
 
     let mut diagnostics = Vec::new();
     if replanned {
@@ -468,13 +469,13 @@ fn worker_sweep(max_workers: usize, cfg: &TuneConfig) -> Vec<usize> {
 /// Statically verifies a schedule with one [`Sanitizer`]: the `O100`
 /// check, then the happens-before check over the faithful threaded-plan
 /// event log.
-fn validate_schedule<I: AsRef<[i64]>>(
+fn validate_schedule<I: Indexed>(
     spec: &LoopSpec,
     metas: &[ArrayMeta],
-    indices: &[I],
+    items: &[I],
     schedule: &Schedule,
 ) {
-    let sanitizer = Sanitizer::new(spec, metas, indices);
+    let sanitizer = Sanitizer::new(spec, metas, items);
     if let Err(race) = sanitizer.check_schedule(schedule) {
         panic!(
             "tuned schedule tripped the schedule sanitizer:\n{}",

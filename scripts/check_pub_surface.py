@@ -53,10 +53,6 @@ ALLOWED = {
         "AccessViolation": "the record `AccessValidator` collects; a checker's "
         "output type, read through `violations()` by field",
     },
-    "core": {
-        "Indexed": "the item bound of `Driver::parallel_for` / `tune_loop`; "
-        "callers pass slices of its impls without naming the trait",
-    },
     "ir": {
         "LoopSpecBuilder": "the return type of `LoopSpec::builder`; callers "
         "chain its methods",

@@ -290,13 +290,14 @@ fn chaos_runs_are_reproducible() {
     assert_eq!(a.chaos, b.chaos);
 }
 
-/// Chaos runs are sanitized: validation defaults on in test builds, so
-/// re-executed passes after recovery go through the same slot-level
-/// race check as first-try passes.
+/// Chaos runs are sanitized in debug builds: validation defaults on
+/// there, as `debug_assert!` does, so re-executed passes after recovery
+/// go through the same slot-level race check as first-try passes.
 #[test]
 fn chaos_runs_execute_under_the_schedule_sanitizer() {
-    assert!(
+    assert_eq!(
         orion::core::Driver::validate_by_default(),
-        "test builds must run the schedule sanitizer during chaos recovery"
+        cfg!(debug_assertions),
+        "debug test builds must run the schedule sanitizer during chaos recovery"
     );
 }

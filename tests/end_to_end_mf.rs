@@ -186,18 +186,22 @@ fn fig9b_shape_holds() {
     );
 }
 
-/// The runs above are sanitized: validation defaults on in test builds,
-/// so every pass's recorded time slots were checked against the
-/// dependence oracle. This assertion keeps that guarantee from silently
-/// rotting if the default ever changes.
+/// The runs above are sanitized in debug builds: validation defaults on
+/// there, as `debug_assert!` does, so every pass's recorded time slots
+/// were checked against the dependence oracle. This assertion keeps that
+/// guarantee from silently rotting if the default ever changes, and the
+/// per-driver switch works both ways in any build.
 #[test]
 fn e2e_runs_execute_under_the_schedule_sanitizer() {
-    assert!(
+    assert_eq!(
         Driver::validate_by_default(),
-        "test builds must run the schedule sanitizer (see Driver::set_validate)"
+        cfg!(debug_assertions),
+        "debug test builds must run the schedule sanitizer (see Driver::set_validate)"
     );
     let mut driver = Driver::new(ClusterSpec::new(2, 2));
-    assert!(driver.validating());
+    assert_eq!(driver.validating(), Driver::validate_by_default());
+    driver.set_validate(true);
+    assert!(driver.validating(), "opt-in must stick");
     driver.set_validate(false);
     assert!(!driver.validating(), "opt-out must stick");
 }

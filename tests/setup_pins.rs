@@ -9,7 +9,7 @@
 //!   MF compiled over bare `[i64; 2]` indices is the loop compiled over
 //!   `(Vec<i64>, f32)` items — same strategy, blocks, steps and
 //!   partitions — on tall and wide matrices, and every other app's
-//!   setup, which compiles over the flat indices it builds, plans as
+//!   setup, which compiles over the record table it builds, plans as
 //!   its loop over `(Vec<i64>, T)` items does.
 //! - Every app's trained bits and loss curve on `Sim` and `Threads`,
 //!   and the parameter-server baselines' curves.
@@ -123,7 +123,7 @@ fn assert_same_plan(a: &CompiledLoop, b: &CompiledLoop, n: usize) {
     assert_eq!(a.blocks.total_items(), n);
 }
 
-/// `app`'s setup compiles its loop over the flat indices it builds; the
+/// `app`'s setup compiles its loop over the record table it builds; the
 /// same spec, on a driver holding the same arrays, compiled over
 /// `(Vec<i64>, T)` items plans the same.
 fn assert_setup_plans_like_pairs<A: App, T>(app: &A, data: &A::Data, pairs: &[(Vec<i64>, T)]) {
