@@ -7,6 +7,11 @@
 //!   `mf_net` ledger workload's ratings shape (8 000 × 4 000, 200 k
 //!   ratings, true rank 16, skew 0.7). The values were captured from
 //!   the generators that staged their entries point by point.
+//! - A sparse array's checkpoint image (`checkpoint::to_bytes`) keeps
+//!   its bytes: an FNV-1a hash of the whole image for the `tiny()` and
+//!   `mf_net` ratings, the `tiny()` corpus counts and a `u32` array with
+//!   staged writes and an origin, captured before the sparse codec wrote
+//!   its records straight into the image.
 //! - `DistArray::dense_from_fn` hands its closure the index sequence
 //!   `Shape::unflatten` names, in flat order, for 1-, 2- and 3-D shapes;
 //!   a zero extent is refused before the closure runs.
@@ -17,7 +22,7 @@ use orion::data::{
     CorpusConfig, CorpusData, RatingsConfig, RatingsData, SparseConfig, SparseData, TabularConfig,
     TabularData, TensorConfig, TensorData,
 };
-use orion::dsm::{DistArray, Element, Shape};
+use orion::dsm::{checkpoint, DistArray, Element, Shape};
 
 /// FNV-1a over little-endian `(flat key, value bits)` words, then the
 /// entry count.
@@ -153,6 +158,36 @@ fn generated_table_is_pinned() {
     assert_eq!(
         tabular_hash(TabularConfig::tiny()),
         5_289_764_191_943_455_339
+    );
+}
+
+/// FNV-1a over a checkpoint image's bytes, then its length.
+fn image_hash<T: Element>(array: &DistArray<T>) -> u64 {
+    let image = checkpoint::to_bytes(array);
+    Fnv::new().eat(&image).finish(image.len() as u64)
+}
+
+#[test]
+fn sparse_checkpoint_images_are_pinned() {
+    let tiny = RatingsData::generate(RatingsConfig::tiny()).ratings;
+    let mf_net = RatingsData::generate(mf_net_shape()).ratings;
+    let tokens = CorpusData::generate(CorpusConfig::tiny()).tokens;
+    // Frozen entries, two staged writes between them and one over a
+    // frozen key, homed away from the origin.
+    let mut staged: DistArray<u32> =
+        DistArray::sparse_from_flat("staged", vec![9, 7], [(3, 30), (40, 400), (62, 620)]);
+    staged.set(&[0, 5], 50);
+    staged.set(&[8, 0], 560);
+    staged.set(&[5, 5], 4_000);
+    let staged = staged.with_origin(vec![18, -7]);
+    let hashes = [&tiny, &mf_net].map(image_hash);
+    assert_eq!(
+        hashes,
+        [16_187_171_934_876_913_133, 11_863_991_705_965_437_412]
+    );
+    assert_eq!(
+        [image_hash(&tokens), image_hash(&staged)],
+        [1_824_937_506_862_633_562, 3_312_340_214_124_284_565]
     );
 }
 
