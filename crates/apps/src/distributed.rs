@@ -5,12 +5,13 @@
 //! One process per node: a [`Coordinator`] launched by the training
 //! driver re-executes the current binary `N` times with
 //! `ORION_NET_ROLE=node`; each child calls [`maybe_node`] at the top of
-//! `main`, regenerates the dataset and model from the seeds in its
-//! environment, recompiles the schedule, and proves it compiled the
-//! *same* schedule via [`plan_fingerprint`] in its `Hello`. No code or
-//! plan ever crosses the wire — only DistArray partitions,
-//! server-style updates, and prefetch responses, all in the bit-exact
-//! `orion-dsm` codecs.
+//! `main`, loads the dataset from the image the coordinator wrote to
+//! the workdir ([`DataImage`]: checkpoint files of the arrays it already
+//! holds), rebuilds the model from the seeds in its environment,
+//! recompiles the schedule, and proves it compiled the *same* schedule
+//! via [`plan_fingerprint`] in its `Hello`. No code or plan ever crosses
+//! the wire — only DistArray partitions, server-style updates, and
+//! prefetch responses, all in the bit-exact `orion-dsm` codecs.
 //!
 //! Two execution shapes, mirroring the in-process engines:
 //!
@@ -36,9 +37,10 @@
 //! stays the conformance oracle: same seed, same plan → bit-identical
 //! model state (enforced by `tests/distributed_conformance.rs`).
 
+use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,7 +49,7 @@ use orion_core::{
     CheckpointPolicy, ClusterSpec, CompiledLoop, DistArray, DistArrayBuffer, MathMode, RunReport,
     RunStats,
 };
-use orion_data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
+use orion_data::{RatingsConfig, RatingsData, SparseConfig, SparseData, SparseSample};
 use orion_dsm::{checkpoint, codec};
 use orion_net::{
     plan_fingerprint, ClusterConfig, Coordinator, EpochStats, Msg, NetError, NodeConfig,
@@ -64,13 +66,13 @@ use crate::slr::{self, SlrApp, SlrConfig, SlrJob, SlrModel};
 
 /// Which application a node process should run (`mf` or `slr`).
 pub const ENV_APP: &str = "ORION_NET_APP";
-/// Dataset generator configuration (seeds and sizes, floats as bit
+/// The dataset's generator configuration (seeds and sizes, floats as bit
 /// patterns in hex — replication must be exact, not round-tripped
-/// through decimal).
+/// through decimal); the data itself comes from the [`DataImage`].
 pub const ENV_DATA: &str = "ORION_NET_DATA";
 /// Hyperparameters (same encoding rules as [`ENV_DATA`]).
 pub const ENV_HYPER: &str = "ORION_NET_HYPER";
-/// Directory for checkpoints and crash markers.
+/// Directory for the dataset image, checkpoints and crash markers.
 pub const ENV_WORKDIR: &str = "ORION_NET_WORKDIR";
 /// Run identifier scoping checkpoint/marker filenames.
 pub const ENV_RUN_ID: &str = "ORION_NET_RUN";
@@ -105,6 +107,89 @@ fn fields(raw: &str, n: usize, what: &str) -> Vec<String> {
 
 fn env(key: &str) -> String {
     std::env::var(key).unwrap_or_else(|_| panic!("node environment is missing {key}"))
+}
+
+// ---------------------------------------------------------------------
+// The dataset image.
+
+/// A dataset the coordinator hands its nodes as an image in the workdir,
+/// one checkpoint file per array, written once per run and loaded by
+/// every node (a respawned one too) instead of running the generator.
+pub trait DataImage: Sized {
+    /// What the dataset was generated from (sent in [`ENV_DATA`]).
+    type Config;
+    /// How many arrays the image holds.
+    const ARRAYS: usize;
+
+    /// The image's arrays, in the order [`DataImage::from_image`] takes
+    /// them.
+    fn to_image(&self) -> Vec<Cow<'_, DistArray<f32>>>;
+
+    /// The dataset back from its config and the arrays of its image;
+    /// panics on arrays [`DataImage::to_image`] would not have written.
+    fn from_image(config: Self::Config, image: Vec<DistArray<f32>>) -> Self;
+}
+
+/// Where array `i` of a run's dataset image lives.
+fn image_path(workdir: &Path, run_id: &str, i: usize) -> PathBuf {
+    CheckpointPolicy::new(1, workdir, run_id).path_for(&format!("data{i}"))
+}
+
+impl DataImage for RatingsData {
+    type Config = RatingsConfig;
+    const ARRAYS: usize = 1;
+
+    fn to_image(&self) -> Vec<Cow<'_, DistArray<f32>>> {
+        vec![Cow::Borrowed(&self.ratings)]
+    }
+
+    fn from_image(config: RatingsConfig, image: Vec<DistArray<f32>>) -> Self {
+        let [ratings] = image.try_into().expect("a ratings image is one array");
+        RatingsData { ratings, config }
+    }
+}
+
+impl DataImage for SparseData {
+    type Config = SparseConfig;
+    const ARRAYS: usize = 2;
+
+    /// The samples as a sparse `n_samples × n_features` array holding
+    /// each sample's label at its active features, then the planted
+    /// weights.
+    fn to_image(&self) -> Vec<Cow<'_, DistArray<f32>>> {
+        let n = self.config.n_features as u64;
+        let labels = self.samples.iter().enumerate().flat_map(|(s, sample)| {
+            assert!(!sample.features.is_empty(), "sample {s} has no feature");
+            let (row, label) = (s as u64 * n, f32::from(sample.label));
+            let features = sample.features.iter();
+            features.map(move |&f| (row + u64::from(f), label))
+        });
+        let dims = vec![self.samples.len() as u64, n];
+        let samples = DistArray::sparse_from_flat("samples", dims, labels);
+        let weights = DistArray::dense_from_vec("true_weights", vec![n], self.true_weights.clone());
+        vec![Cow::Owned(samples), Cow::Owned(weights)]
+    }
+
+    fn from_image(config: SparseConfig, image: Vec<DistArray<f32>>) -> Self {
+        let [labels, weights] = image.try_into().expect("an SLR image is two arrays");
+        let n = config.n_features as u64;
+        let mut samples: Vec<SparseSample> = Vec::with_capacity(config.n_samples);
+        for (flat, &label) in labels.iter_flat() {
+            let (s, f) = ((flat / n) as usize, (flat % n) as u32);
+            if s == samples.len() {
+                let (features, label) = (vec![f], label as i8);
+                samples.push(SparseSample { features, label });
+            } else {
+                samples[s].features.push(f);
+            }
+        }
+        assert_eq!(samples.len(), config.n_samples, "every sample is imaged");
+        SparseData {
+            samples,
+            true_weights: weights.dense_values().to_vec(),
+            config,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -192,7 +277,7 @@ impl<M> From<RunOutput<M>> for DistRunResult<M> {
 /// An [`App`] with a node side. Coordinator and nodes compile through
 /// the app's one [`App::setup`] on a `nodes × 1` cluster, and the
 /// fingerprint handshake proves they compiled the same schedule.
-pub(crate) trait NetApp: App + Sized {
+pub(crate) trait NetApp: App<Data: DataImage> + Sized {
     /// The [`ENV_APP`] value selecting this app in a node process.
     const TAG: &'static str;
     /// Whether the model lives on the nodes between epochs. If so the
@@ -209,8 +294,8 @@ pub(crate) trait NetApp: App + Sized {
     fn to_env(&self, data: &Self::Data) -> (String, String);
 
     /// The node side of [`NetApp::to_env`]: the app, and the dataset
-    /// regenerated from its seed.
-    fn from_env(data: &str, hyper: &str) -> (Self, Self::Data);
+    /// rebuilt from its config and the arrays of its image.
+    fn from_env(data: &str, hyper: &str, image: Vec<DistArray<f32>>) -> (Self, Self::Data);
 
     /// Node `node`'s slice of a freshly set-up job.
     fn node(
@@ -392,7 +477,13 @@ pub fn run_as_node(coord: &str) -> ! {
 /// The node process: set up exactly as the coordinator does, connect,
 /// then obey the coordinator's commands on the ordered control stream.
 fn node_main<A: NetApp>(coord: &str, node: usize, n_nodes: usize) -> ! {
-    let (app, data) = A::from_env(&env(ENV_DATA), &env(ENV_HYPER));
+    let (workdir, run_id) = (PathBuf::from(env(ENV_WORKDIR)), env(ENV_RUN_ID));
+    let image = (0..A::Data::ARRAYS).map(|i| {
+        let path = image_path(&workdir, &run_id, i);
+        let array = checkpoint::load(&path);
+        array.unwrap_or_else(|e| panic!("node {node}: dataset image {}: {e}", path.display()))
+    });
+    let (app, data) = A::from_env(&env(ENV_DATA), &env(ENV_HYPER), image.collect());
     let mut driver = new_driver(&app, ClusterSpec::new(n_nodes, 1));
     let (compiled, job) = app.setup(&data, &mut driver);
     let plan = driver
@@ -405,7 +496,6 @@ fn node_main<A: NetApp>(coord: &str, node: usize, n_nodes: usize) -> ! {
         fingerprint: plan_fingerprint(&plan),
     })
     .expect("node connects to the coordinator");
-    let (workdir, run_id) = (PathBuf::from(env(ENV_WORKDIR)), env(ENV_RUN_ID));
     let marker = workdir.join(format!("{run_id}_crashed_n{node}.marker"));
     let crash = Crash {
         epoch: std::env::var(ENV_CRASH_EPOCH)
@@ -504,6 +594,11 @@ pub(crate) fn run_net<A: NetApp>(
         .compile_threaded(&compiled)
         .map_err(|_| unsupported::<A>("net", "wavefront"))?;
 
+    // The nodes load the dataset from this image before they plan.
+    for (i, array) in data.to_image().iter().enumerate() {
+        checkpoint::save(array, image_path(&opts.workdir, &opts.run_id, i))
+            .map_err(|e| NetError::Io(std::io::Error::other(e)))?;
+    }
     let mut ccfg = ClusterConfig::new(opts.nodes, opts.epochs, plan_fingerprint(&plan));
     ccfg.record_msgs = opts.record_msgs;
     let (data_env, hyper_env) = app.to_env(data);
@@ -690,7 +785,7 @@ impl NetApp for MfApp {
         )
     }
 
-    fn from_env(data: &str, hyper: &str) -> (Self, RatingsData) {
+    fn from_env(data: &str, hyper: &str, image: Vec<DistArray<f32>>) -> (Self, RatingsData) {
         let d = fields(data, 7, "MF data config");
         let data = RatingsConfig {
             n_users: d[0].parse().expect("n_users"),
@@ -709,7 +804,8 @@ impl NetApp for MfApp {
             seed: h[2].parse().expect("model seed"),
             math: parse_math(&h[3]),
         };
-        (MfApp::new(cfg, h[4] == "1"), RatingsData::generate(data))
+        let data = RatingsData::from_image(data, image);
+        (MfApp::new(cfg, h[4] == "1"), data)
     }
 
     /// This node's slice of the model: its own space partition of the
@@ -930,7 +1026,7 @@ impl NetApp for SlrApp {
         )
     }
 
-    fn from_env(data: &str, hyper: &str) -> (Self, SparseData) {
+    fn from_env(data: &str, hyper: &str, image: Vec<DistArray<f32>>) -> (Self, SparseData) {
         let d = fields(data, 6, "SLR data config");
         let data = SparseConfig {
             n_samples: d[0].parse().expect("n_samples"),
@@ -950,7 +1046,7 @@ impl NetApp for SlrApp {
             cfg,
             prefetch_override: None,
         };
-        (app, SparseData::generate(data))
+        (app, SparseData::from_image(data, image))
     }
 
     fn node(
@@ -1133,6 +1229,10 @@ impl NetNode for SlrNode {
 mod tests {
     use super::*;
 
+    fn image<D: DataImage>(data: &D) -> Vec<DistArray<f32>> {
+        data.to_image().into_iter().map(Cow::into_owned).collect()
+    }
+
     /// A node honours the math mode the coordinator ships: `FastMath`
     /// (and `Exact`) survive `to_env → from_env`, with the rest of the
     /// hyperparameters.
@@ -1146,7 +1246,7 @@ mod tests {
         ] {
             let mf = MfApp::new(mf_cfg.clone(), true);
             let (data_env, hyper_env) = mf.to_env(&ratings);
-            let (node_mf, node_ratings) = MfApp::from_env(&data_env, &hyper_env);
+            let (node_mf, node_ratings) = MfApp::from_env(&data_env, &hyper_env, image(&ratings));
             assert_eq!(node_mf.cfg.math, mf_cfg.math);
             assert_eq!(node_mf.math(), mf_cfg.math);
             assert_eq!(node_mf.cfg.step_size.to_bits(), mf_cfg.step_size.to_bits());
@@ -1158,7 +1258,7 @@ mod tests {
                 prefetch_override: None,
             };
             let (data_env, hyper_env) = slr.to_env(&sparse);
-            let (node_slr, _) = SlrApp::from_env(&data_env, &hyper_env);
+            let (node_slr, _) = SlrApp::from_env(&data_env, &hyper_env, image(&sparse));
             assert_eq!(node_slr.cfg.math, slr_cfg.math);
             assert_eq!(node_slr.math(), slr_cfg.math);
         }

@@ -56,16 +56,23 @@ pub struct DistArray<T: Element> {
 }
 
 impl<T: Element> DistArray<T> {
+    /// A whole array (origin at zero) of `shape` over `storage`: what
+    /// every constructor returns.
+    pub(crate) fn whole(name: impl Into<String>, shape: Shape, storage: Storage<T>) -> Self {
+        let (name, origin) = (name.into(), vec![0; shape.ndims()]);
+        DistArray {
+            name,
+            shape,
+            origin,
+            storage,
+        }
+    }
+
     /// Creates a dense array of default-valued elements.
     pub fn dense(name: impl Into<String>, dims: Vec<u64>) -> Self {
         let shape = Shape::new(dims);
         let data = vec![T::default(); shape.volume() as usize];
-        DistArray {
-            name: name.into(),
-            origin: vec![0; shape.ndims()],
-            shape,
-            storage: Storage::Dense(data),
-        }
+        Self::whole(name, shape, Storage::Dense(data))
     }
 
     /// Creates a dense array from row-major values.
@@ -80,12 +87,7 @@ impl<T: Element> DistArray<T> {
             shape.volume(),
             "value count must match shape volume"
         );
-        DistArray {
-            name: name.into(),
-            origin: vec![0; shape.ndims()],
-            shape,
-            storage: Storage::Dense(values),
-        }
+        Self::whole(name, shape, Storage::Dense(values))
     }
 
     /// Creates a dense array initialized per index (the analog of
@@ -111,22 +113,12 @@ impl<T: Element> DistArray<T> {
                 v
             })
             .collect();
-        DistArray {
-            name: name.into(),
-            origin: vec![0; shape.ndims()],
-            shape,
-            storage: Storage::Dense(data),
-        }
+        Self::whole(name, shape, Storage::Dense(data))
     }
 
     /// Creates an empty sparse array with the given bounds.
     pub fn sparse(name: impl Into<String>, dims: Vec<u64>) -> Self {
-        DistArray {
-            name: name.into(),
-            origin: vec![0; dims.len()],
-            shape: Shape::new(dims),
-            storage: Storage::Sparse(SparseStore::new()),
-        }
+        Self::whole(name, Shape::new(dims), Storage::Sparse(SparseStore::new()))
     }
 
     /// Creates a sparse array from `(index, value)` items. Duplicate
@@ -148,12 +140,8 @@ impl<T: Element> DistArray<T> {
                 .unwrap_or_else(|| panic!("index {idx:?} out of bounds of `{name}`"));
             (flat, v)
         });
-        DistArray {
-            origin: vec![0; shape.ndims()],
-            storage: Storage::Sparse(pairs.collect()),
-            name,
-            shape,
-        }
+        let storage = Storage::Sparse(pairs.collect());
+        Self::whole(name, shape, storage)
     }
 
     /// Creates a frozen sparse array from `(local_flat, value)` pairs in
@@ -176,12 +164,8 @@ impl<T: Element> DistArray<T> {
                 "flat offset {flat} out of bounds of `{name}`"
             );
         });
-        DistArray {
-            origin: vec![0; shape.ndims()],
-            storage: Storage::Sparse(checked.collect()),
-            name,
-            shape,
-        }
+        let storage = Storage::Sparse(checked.collect());
+        Self::whole(name, shape, storage)
     }
 
     /// The array's name.
@@ -647,7 +631,8 @@ impl<T: Element> DistArray<T> {
                 out.into_iter().map(Storage::Dense).collect()
             }
             Storage::Sparse(store) => {
-                let mut out: Vec<Vec<(u64, T)>> = ranges.iter().map(|_| Vec::new()).collect();
+                let mut out: Vec<(Vec<u64>, Vec<T>)> =
+                    ranges.iter().map(|_| <_>::default()).collect();
                 for (flat, v) in store.into_sorted() {
                     let outer = flat / block;
                     let c = (flat % block) / s_dim;
@@ -656,10 +641,11 @@ impl<T: Element> DistArray<T> {
                     let r = &ranges[p];
                     let part_flat =
                         outer * ((r.end - r.start) * s_dim) + (c - r.start) * s_dim + inner;
-                    out[p].push((part_flat, v));
+                    out[p].0.push(part_flat);
+                    out[p].1.push(v);
                 }
                 out.into_iter()
-                    .map(|pairs| Storage::Sparse(SparseStore::from_sorted(pairs)))
+                    .map(|(keys, vals)| Storage::Sparse(SparseStore::from_columns(keys, vals)))
                     .collect()
             }
         };
@@ -672,12 +658,7 @@ impl<T: Element> DistArray<T> {
                 dims[dim] = r.end - r.start;
                 let mut origin = vec![0i64; dims.len()];
                 origin[dim] = r.start as i64;
-                DistArray {
-                    name: name.clone(),
-                    shape: Shape::new(dims),
-                    origin,
-                    storage,
-                }
+                Self::whole(name.clone(), Shape::new(dims), storage).with_origin(origin)
             })
             .collect()
     }
@@ -762,12 +743,7 @@ impl<T: Element> DistArray<T> {
             // re-sorts; split output is duplicate-free by construction.
             Storage::Sparse(pairs.into_iter().collect())
         };
-        DistArray {
-            origin: vec![0; shape.ndims()],
-            name,
-            shape,
-            storage,
-        }
+        Self::whole(name, shape, storage)
     }
 
     /// Metadata snapshot for the analyzer.

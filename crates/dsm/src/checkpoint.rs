@@ -8,7 +8,7 @@
 //! name, density, shape, origin) followed by either a dense run or
 //! sparse updates.
 
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::path::Path;
 
 use bytes::{Buf, BufMut, Bytes};
@@ -16,6 +16,8 @@ use bytes::{Buf, BufMut, Bytes};
 use crate::array::{DistArray, Storage};
 use crate::codec;
 use crate::element::Element;
+use crate::index::Shape;
+use crate::sparse::SparseStore;
 
 const MAGIC: u32 = 0x4F52_4E43; // "ORNC"
 
@@ -91,9 +93,13 @@ pub fn encode_into<T: Element>(array: &DistArray<T>, out: &mut Vec<u8>) {
             T::encode_slice(values, out);
         }
         Storage::Sparse(store) => {
+            // The records of `codec::encode_updates`, written in place.
             out.put_u8(1);
-            let updates: Vec<(u64, T)> = store.iter().map(|(k, v)| (k, v.clone())).collect();
-            out.put_slice(&codec::encode_updates(&updates));
+            out.put_u64_le(store.len() as u64);
+            for (flat, v) in store.iter() {
+                out.put_u64_le(flat);
+                v.encode(out);
+            }
         }
     }
 }
@@ -145,11 +151,10 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
             CheckpointError::Corrupt(format!("shape {dims:?} overflows or has a zero extent"))
         })?;
     let tag = wire.get_u8();
-    // The payload is decoded inline rather than through `codec`: the
-    // codec decoders are wire-path helpers that panic on malformed
-    // buffers, while a checkpoint file can be truncated by a crash and
-    // must come back as `Corrupt`. Lengths are validated exactly, before
-    // any allocation.
+    // The payload is decoded inline rather than through `codec`, straight
+    // into the array's storage. A file truncated by a crash must come
+    // back as `Corrupt`: lengths are validated exactly, before any
+    // allocation.
     match tag {
         0 => {
             need(16, &wire)?;
@@ -186,7 +191,8 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
                     wire.remaining()
                 )));
             }
-            let mut updates = Vec::with_capacity(n as usize);
+            let mut keys = Vec::with_capacity(n as usize);
+            let mut vals = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 let flat = wire.get_u64_le();
                 if flat >= volume {
@@ -194,9 +200,12 @@ pub fn from_bytes<T: Element>(mut wire: Bytes) -> Result<DistArray<T>, Checkpoin
                         "index {flat} out of bounds {volume}"
                     )));
                 }
-                updates.push((flat, T::decode(&mut wire)));
+                keys.push(flat);
+                vals.push(T::decode(&mut wire));
             }
-            Ok(DistArray::sparse_from_flat(name, dims, updates).with_origin(origin))
+            let store = SparseStore::from_columns(keys, vals);
+            let array = DistArray::whole(name, Shape::new(dims), Storage::Sparse(store));
+            Ok(array.with_origin(origin))
         }
         other => Err(CheckpointError::Corrupt(format!("bad storage tag {other}"))),
     }
@@ -236,10 +245,7 @@ pub fn save<T: Element>(
 ///
 /// Propagates filesystem errors and corrupt-checkpoint failures.
 pub fn load<T: Element>(path: impl AsRef<Path>) -> Result<DistArray<T>, CheckpointError> {
-    let mut f = std::fs::File::open(path)?;
-    let mut buf = Vec::new();
-    f.read_to_end(&mut buf)?;
-    from_bytes(Bytes::from(buf))
+    from_bytes(Bytes::from(std::fs::read(path)?))
 }
 
 #[cfg(test)]

@@ -48,18 +48,14 @@ impl<T: Element> SparseStore<T> {
         }
     }
 
-    /// Builds a frozen store from key-ascending, duplicate-free pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if keys are not strictly ascending (debug builds assert;
-    /// release builds trust the caller — all in-crate callers sort first).
-    pub(crate) fn from_sorted(pairs: Vec<(u64, T)>) -> Self {
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "from_sorted requires strictly ascending keys"
-        );
-        let (keys, vals) = pairs.into_iter().unzip();
+    /// Builds a frozen store from parallel key and value columns: kept
+    /// as they are when the keys are strictly ascending, else sorted
+    /// with last-write-wins like [`FromIterator`].
+    pub(crate) fn from_columns(keys: Vec<u64>, vals: Vec<T>) -> Self {
+        debug_assert_eq!(keys.len(), vals.len());
+        if !keys.windows(2).all(|w| w[0] < w[1]) {
+            return keys.into_iter().zip(vals).collect();
+        }
         SparseStore {
             keys,
             vals,
@@ -224,7 +220,8 @@ impl<T: Element> FromIterator<(u64, T)> for SparseStore<T> {
             }
             dup
         });
-        SparseStore::from_sorted(pairs)
+        let (keys, vals) = pairs.into_iter().unzip();
+        SparseStore::from_columns(keys, vals)
     }
 }
 
@@ -234,7 +231,7 @@ mod tests {
 
     #[test]
     fn staged_and_frozen_interleave_in_key_order() {
-        let mut s: SparseStore<u32> = SparseStore::from_sorted(vec![(2, 20), (8, 80)]);
+        let mut s: SparseStore<u32> = SparseStore::from_columns(vec![2, 8], vec![20, 80]);
         s.insert(5, 50);
         s.insert(1, 10);
         let got: Vec<(u64, u32)> = s.iter().map(|(k, &v)| (k, v)).collect();
@@ -250,7 +247,7 @@ mod tests {
 
     #[test]
     fn writes_to_frozen_keys_hit_in_place() {
-        let mut s: SparseStore<u32> = SparseStore::from_sorted(vec![(3, 1)]);
+        let mut s: SparseStore<u32> = SparseStore::from_columns(vec![3], vec![1]);
         s.insert(3, 2);
         assert_eq!(s.staging.len(), 0, "frozen hit must not stage");
         assert_eq!(s.get(3), Some(&2));

@@ -225,13 +225,22 @@ impl Coordinator {
     }
 
     /// Accepts one node connection, validates its `Hello`, and starts a
-    /// generation-tagged reader thread for it.
+    /// generation-tagged reader thread for it. A spawned node that exits
+    /// before it connects fails the wait at once.
     fn accept_node(&mut self) -> Result<usize, NetError> {
         let deadline = Instant::now() + self.cfg.handshake_timeout;
         let stream = loop {
             match self.listener.accept() {
                 Ok((s, _)) => break s,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    for node in (0..self.cfg.nodes).filter(|&n| self.writers[n].is_none()) {
+                        let exit = self.children[node].as_mut().map(Child::try_wait);
+                        if let Some(status) = exit.transpose()?.flatten() {
+                            return Err(NetError::Protocol(format!(
+                                "node {node} exited before its Hello ({status})"
+                            )));
+                        }
+                    }
                     if Instant::now() > deadline {
                         return Err(NetError::Timeout("waiting for a node to connect".into()));
                     }

@@ -12,12 +12,17 @@
 //!   `mf_net` ratings, the `tiny()` corpus counts and a `u32` array with
 //!   staged writes and an origin, captured before the sparse codec wrote
 //!   its records straight into the image.
+//! - Each `Net` app's dataset image (`distributed::DataImage`), written
+//!   to checkpoint bytes and read back, gives the generated data bit for
+//!   bit: the ratings at `tiny()` and the `mf_net` shape hash to the
+//!   generator pins, the SLR samples and weights at `tiny()` too.
 //! - `DistArray::dense_from_fn` hands its closure the index sequence
 //!   `Shape::unflatten` names, in flat order, for 1-, 2- and 3-D shapes;
 //!   a zero extent is refused before the closure runs.
 
 use std::panic;
 
+use orion::apps::distributed::DataImage;
 use orion::data::{
     CorpusConfig, CorpusData, RatingsConfig, RatingsData, SparseConfig, SparseData, TabularConfig,
     TabularData, TensorConfig, TensorData,
@@ -73,7 +78,10 @@ fn corpus_hash(config: CorpusConfig) -> u64 {
 /// Each sample's features keyed `sample × n_features + feature` with the
 /// label's bits, then the planted weights keyed by feature.
 fn sparse_hash(config: SparseConfig) -> u64 {
-    let data = SparseData::generate(config);
+    sparse_data_hash(&SparseData::generate(config))
+}
+
+fn sparse_data_hash(data: &SparseData) -> u64 {
     let n = data.config.n_features as u64;
     let mut h = Fnv::new();
     let mut count = 0u64;
@@ -189,6 +197,33 @@ fn sparse_checkpoint_images_are_pinned() {
         [image_hash(&tokens), image_hash(&staged)],
         [1_824_937_506_862_633_562, 3_312_340_214_124_284_565]
     );
+}
+
+/// `data` through its `Net` image: each array to checkpoint bytes and
+/// back, then the dataset rebuilt from them.
+fn through_image<D: DataImage>(data: &D, config: D::Config) -> D {
+    let arrays = data.to_image().into_iter().map(|array| {
+        checkpoint::from_bytes(checkpoint::to_bytes(&array)).expect("an image array decodes")
+    });
+    D::from_image(config, arrays.collect())
+}
+
+#[test]
+fn net_images_rebuild_the_generated_data() {
+    let pins = [
+        (RatingsConfig::tiny(), 10_905_196_903_776_962_751),
+        (mf_net_shape(), 438_176_544_409_442_655),
+    ];
+    for (config, pin) in pins {
+        let data = RatingsData::generate(config.clone());
+        let back = through_image(&data, config);
+        assert_eq!(back.ratings, data.ratings);
+        assert_eq!(array_hash(&back.ratings, |v| v.to_bits()), pin);
+    }
+    let data = SparseData::generate(SparseConfig::tiny());
+    let back = through_image(&data, SparseConfig::tiny());
+    assert_eq!(back.samples, data.samples);
+    assert_eq!(sparse_data_hash(&back), 14_006_472_809_887_070_348);
 }
 
 /// Every index `dense_from_fn` hands its closure, in call order.

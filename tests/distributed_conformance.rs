@@ -7,6 +7,10 @@
 //! test binary itself as node processes (`ORION_NET_ROLE=node`); the
 //! first line of `main` diverts those children into the node runtime
 //! instead of re-running the whole suite.
+//!
+//! The nodes load the dataset from the image the coordinator writes to
+//! the workdir; a node of the `truncated_image` or `missing_image` run
+//! breaks that image before it loads it, and the run must fail fast.
 
 use orion::apps::distributed::{self, DistOptions};
 use orion::apps::run::App;
@@ -15,6 +19,7 @@ use orion::check::plan_event_log;
 use orion::core::{ClusterSpec, Driver};
 use orion::data::{RatingsConfig, RatingsData, SparseConfig, SparseData};
 use orion::runtime::HbEvent;
+use std::time::{Duration, Instant};
 
 const NODES: usize = 4;
 
@@ -175,9 +180,62 @@ fn mf_crash_recovery() {
     println!("ok - mf_crash_recovery");
 }
 
+/// Truncates (`truncated_image`) or deletes (`missing_image`) the
+/// dataset image of the run a node process belongs to; any other run's
+/// image is left alone. Both edits are idempotent, so every node of the
+/// run finds the image broken, whichever breaks it first.
+fn break_image_of_this_node_run() {
+    let Ok(run) = std::env::var(distributed::ENV_RUN_ID) else {
+        return;
+    };
+    if run != "truncated_image" && run != "missing_image" {
+        return;
+    }
+    let dir = std::env::var(distributed::ENV_WORKDIR).expect("a node knows its workdir");
+    let prefix = format!("{run}_data");
+    for entry in std::fs::read_dir(dir).expect("the workdir lists") {
+        let path = entry.expect("a workdir entry").path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        if !name.starts_with(&prefix) || !name.ends_with(".ckpt") {
+            continue;
+        }
+        if run == "truncated_image" {
+            let file = std::fs::OpenOptions::new().write(true).open(&path);
+            file.and_then(|f| f.set_len(12))
+                .expect("truncate the image");
+        } else if let Err(e) = std::fs::remove_file(&path) {
+            assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}");
+        }
+    }
+}
+
+/// A node that cannot load the dataset image exits before its `Hello`;
+/// the coordinator returns an error that names it well before the 60-s
+/// handshake timeout, for a truncated and for a missing image alike.
+fn broken_image_fails_fast(run: &str) {
+    let data = RatingsData::generate(RatingsConfig::tiny());
+    let dir = workdir(run);
+    let mut opts = DistOptions::new(2, 2, &dir);
+    opts.run_id = run.into();
+    let start = Instant::now();
+    let out = distributed::train_mf_distributed(&data, sgd_mf::MfConfig::new(4), false, &opts);
+    let took = start.elapsed();
+    let err = out
+        .expect_err("a node without its dataset image cannot train")
+        .to_string();
+    assert!(err.contains("exited before its Hello"), "{run}: {err}");
+    assert!(
+        took < Duration::from_secs(10),
+        "{run}: failed after {took:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("ok - {run}_fails_fast in {took:.2?} ({err})");
+}
+
 fn main() {
     // Children spawned by the coordinator run the node main and exit
     // here; only the original invocation proceeds to the assertions.
+    break_image_of_this_node_run();
     distributed::maybe_node();
 
     mf_conformance("mf", RatingsConfig::tiny(), NODES);
@@ -190,5 +248,7 @@ fn main() {
     mf_conformance("mf_wide", wide, 2);
     slr_conformance();
     mf_crash_recovery();
+    broken_image_fails_fast("truncated_image");
+    broken_image_fails_fast("missing_image");
     println!("distributed_conformance: all checks passed");
 }

@@ -524,6 +524,26 @@ fn mutated_checkpoints_never_panic_and_ok_means_round_trip() {
     assert!(accepted > 200 && rejected > 200, "{accepted} / {rejected}");
 }
 
+/// The sparse decoder keeps accepting records out of key order and
+/// repeated keys, as `sparse_from_flat` does: sorted, the last write
+/// winning.
+#[test]
+fn sparse_records_in_any_order_decode_like_sparse_from_flat() {
+    let records = [(40u64, 4.0f32), (3, 0.5), (40, -1.0), (62, 7.25)];
+    let one: DistArray<f32> = DistArray::sparse_from_flat("S", vec![9, 7], [(3, 0.5)]);
+    let mut image = checkpoint::to_bytes(&one).to_vec();
+    // Swap the one-record payload (count, key, value) for `records`.
+    image.truncate(image.len() - 20);
+    image.extend((records.len() as u64).to_le_bytes());
+    for (flat, v) in records {
+        image.extend(flat.to_le_bytes());
+        image.extend(v.to_le_bytes());
+    }
+    let back = checkpoint::from_bytes::<f32>(codec::Bytes::from(image)).expect("decodes");
+    assert_eq!(back, DistArray::sparse_from_flat("S", vec![9, 7], records));
+    assert_eq!(back.get_flat(40), Some(&-1.0));
+}
+
 /// A seeded splitmix64 stream.
 fn splitmix(mut state: u64) -> impl FnMut() -> u64 {
     move || {
