@@ -12,7 +12,8 @@
 //!   setup, which compiles over the record table it builds, plans as
 //!   its loop over `(Vec<i64>, T)` items does.
 //! - Every app's trained bits and loss curve on `Sim` and `Threads`,
-//!   and the parameter-server baselines' curves.
+//!   and the parameter-server baselines' curves; SLR's buffered paths
+//!   also with the adaptive apply UDF and on a skewed mid-size stream.
 
 use orion::apps::gbt::{GbtApp, GbtConfig, GbtModel};
 use orion::apps::lda::{LdaApp, LdaConfig, LdaModel, LdaPsAdapter};
@@ -326,5 +327,49 @@ fn trained_bits_are_pinned() {
     assert_eq!(
         ps_curve(MfPsAdapter::new(&ratings, MfConfig::new(4))),
         1_628_760_558_662_192_333
+    );
+}
+
+/// SLR's buffered paths, captured before additive buffer slots started
+/// from the sum identity: the adaptive apply UDF at `tiny()`, and a
+/// skewed mid-size run where most features take many writes per pass.
+#[test]
+fn buffered_slr_bits_are_pinned() {
+    let weights = |m: &SlrModel| f32_words(&m.weights);
+    let tiny = SparseData::generate(SparseConfig::tiny());
+    let mut cfg = SlrConfig::new();
+    cfg.adaptive = true;
+    let adaptive = SlrApp {
+        cfg,
+        prefetch_override: None,
+    };
+    assert_eq!(
+        trained(&adaptive, &tiny, 3, weights),
+        [
+            (13_642_559_299_163_355_593, 12_597_519_838_258_155_747),
+            (14_982_284_512_350_292_279, 12_383_595_664_083_404_361),
+        ]
+    );
+
+    let skewed = SparseData::generate(SparseConfig {
+        n_samples: 4_000,
+        n_features: 5_000,
+        nnz_per_sample: 30,
+        skew: 0.9,
+        informative_frac: 0.05,
+        seed: 7,
+    });
+    let mut cfg = SlrConfig::new();
+    cfg.step_size = 1e-4;
+    let plain = SlrApp {
+        cfg,
+        prefetch_override: None,
+    };
+    assert_eq!(
+        trained(&plain, &skewed, 3, weights),
+        [
+            (17_873_028_192_508_925_800, 8_189_331_591_843_535_057),
+            (4_299_758_571_200_999_144, 18_225_357_545_691_365_319),
+        ]
     );
 }
