@@ -594,10 +594,14 @@ pub(crate) fn run_net<A: NetApp>(
         .compile_threaded(&compiled)
         .map_err(|_| unsupported::<A>("net", "wavefront"))?;
 
-    // The nodes load the dataset from this image before they plan.
+    // The nodes load the dataset from this image. Only this run's nodes read
+    // it, so it is renamed into place (no partial reads) but not fsynced.
     for (i, array) in data.to_image().iter().enumerate() {
-        checkpoint::save(array, image_path(&opts.workdir, &opts.run_id, i))
-            .map_err(|e| NetError::Io(std::io::Error::other(e)))?;
+        let path = image_path(&opts.workdir, &opts.run_id, i);
+        let tmp = path.with_extension("ckpt.tmp");
+        std::fs::write(&tmp, checkpoint::to_bytes(array))
+            .and_then(|()| std::fs::rename(&tmp, &path))
+            .map_err(NetError::from)?;
     }
     let mut ccfg = ClusterConfig::new(opts.nodes, opts.epochs, plan_fingerprint(&plan));
     ccfg.record_msgs = opts.record_msgs;

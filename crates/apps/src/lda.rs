@@ -164,7 +164,8 @@ impl LdaModel {
 /// `ts` is the *effective* topic-summary the worker sees (global for
 /// serial execution, a worker-local copy under parallel execution —
 /// the deliberately violated dependence). The decision sequence depends
-/// only on `(pass, cell position, occurrence)`.
+/// only on `(pass, cell position, occurrence)`. `weights` is the topic
+/// CDF's scratch, `n_topics` long; each occurrence overwrites it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gibbs_cell(
     cfg: &LdaConfig,
@@ -173,13 +174,13 @@ pub(crate) fn gibbs_cell(
     wt_row: &mut [u32],
     ts: &mut [i64],
     zs: &mut [u16],
+    weights: &mut [f64],
     pass: u64,
     cell_pos: usize,
 ) {
     let k = cfg.n_topics;
     let (alpha, beta) = (cfg.alpha as f64, cfg.beta as f64);
     let vbeta = vocab as f64 * beta;
-    let mut weights = vec![0.0f64; k];
     for (occ, zslot) in zs.iter_mut().enumerate() {
         let old = *zslot as usize;
         dt_row[old] -= 1;
@@ -187,7 +188,7 @@ pub(crate) fn gibbs_cell(
         ts[old] -= 1;
         // The count-histogram weight loop, vectorized behind the kernel
         // dispatch (bit-identical to the fused form for every input).
-        let total = kernels::topic_cdf(dt_row, wt_row, ts, alpha, beta, vbeta, &mut weights);
+        let total = kernels::topic_cdf(dt_row, wt_row, ts, alpha, beta, vbeta, weights);
         let u = (mix64(pass.wrapping_mul(0x9E37_79B9) ^ (cell_pos as u64) << 24 ^ occ as u64)
             as f64
             / u64::MAX as f64)
@@ -236,6 +237,7 @@ struct LdaThreadScratch {
     ts: Vec<i64>,
     z: Vec<Vec<u16>>,
     cursor: usize,
+    weights: Vec<f64>,
 }
 
 impl App for LdaApp {
@@ -297,6 +299,7 @@ impl App for LdaApp {
         let mut local_ts: Vec<Vec<i64>> = vec![snapshot.clone(); compiled.schedule.n_workers];
         let token_ns = cost::lda_token_ns(cfg.n_topics);
         let cell_ns = |pos: usize| token_ns * cells[pos].count as f64 * cost::ORION_OVERHEAD;
+        let mut weights = vec![0.0f64; cfg.n_topics];
         let (_, fault) = driver.run_pass(compiled, &mut |pos| cell_ns(pos), &mut |w, pos| {
             let Cell { doc, word, .. } = cells[pos];
             gibbs_cell(
@@ -306,6 +309,7 @@ impl App for LdaApp {
                 wt.row_slice_mut(word.into()),
                 &mut local_ts[w],
                 &mut z[pos],
+                &mut weights,
                 pass,
                 pos,
             );
@@ -361,6 +365,7 @@ impl App for LdaApp {
                         .map(|&p| std::mem::take(&mut model.z[p as usize]))
                         .collect(),
                     cursor: 0,
+                    weights: vec![0.0; model.cfg.n_topics],
                 })
                 .collect();
             let cfg = model.cfg.clone();
@@ -371,7 +376,7 @@ impl App for LdaApp {
                       sc: &mut LdaThreadScratch| {
                     let cur = sc.cursor;
                     sc.cursor += 1;
-                    let LdaThreadScratch { ts, z, .. } = sc;
+                    let LdaThreadScratch { ts, z, weights, .. } = sc;
                     let (dp, wp) = by_role(space_is_docs, ap, bp);
                     gibbs_cell(
                         &cfg,
@@ -380,6 +385,7 @@ impl App for LdaApp {
                         wp.row_slice_mut(word.into()),
                         ts,
                         &mut z[cur],
+                        weights,
                         pass,
                         pos as usize,
                     );
@@ -407,9 +413,9 @@ impl App for LdaApp {
                 }
             }
             let (dt_parts, wt_parts) = by_role(space_is_docs, &space_parts, &time_parts);
-            // The likelihood normalizes per document, so it is not a
-            // per-item sum: it stays a serial readout of a merged snapshot,
-            // built from the partitions where they sit.
+            // A per-item sum (cell terms folded from `0.0`, divided once),
+            // but a serial readout of a snapshot merged from the partitions
+            // where they sit until LDA reads through `eval_pass` (item 21).
             let snap = LdaModel {
                 dt: DistArray::merge_along_ref(0, dt_parts),
                 wt: DistArray::merge_along_ref(0, wt_parts),
@@ -701,7 +707,8 @@ mod tests {
         let dt_sum: u32 = dt.iter().sum();
         let wt_sum: u32 = wt.iter().sum();
         let ts_sum: i64 = ts.iter().sum();
-        gibbs_cell(&cfg, 120, &mut dt, &mut wt, &mut ts, &mut zs, 0, 0);
+        let mut w = [0.0; 4];
+        gibbs_cell(&cfg, 120, &mut dt, &mut wt, &mut ts, &mut zs, &mut w, 0, 0);
         assert_eq!(dt.iter().sum::<u32>(), dt_sum);
         assert_eq!(wt.iter().sum::<u32>(), wt_sum);
         assert_eq!(ts.iter().sum::<i64>(), ts_sum);

@@ -289,19 +289,25 @@ pub(crate) fn slr_step(
 /// adaptive gradient algorithms").
 pub(crate) fn apply_updates(model: &mut SlrModel, updates: impl IntoIterator<Item = (u64, f32)>) {
     let SlrModel { weights, z2, cfg } = model;
-    if cfg.adaptive {
-        for (f, delta) in updates {
+    for (f, delta) in updates {
+        let mut scale = 1.0; // `delta * 1.0` is `delta`, bit for bit
+        if cfg.adaptive {
             // Recover the accumulated gradient from the pre-scaled delta.
             let g = delta / cfg.step_size;
             let z2 = &mut z2[f as usize];
             *z2 += g * g;
-            let scale = 2.0 / (1.0 + *z2).sqrt();
-            weights.update_flat(f, |w| *w += delta * scale);
+            scale = 2.0 / (1.0 + *z2).sqrt();
         }
+        weights.update_flat(f, |w| *w += delta * scale);
+    }
+}
+
+/// Applies (and empties) one worker's buffer on `Sim` and `Threads`.
+fn flush_into(model: &mut SlrModel, buf: &mut DistArrayBuffer<f32>) {
+    if model.cfg.adaptive {
+        apply_updates(model, buf.drain_flat());
     } else {
-        for (f, delta) in updates {
-            weights.update_flat(f, |w| *w += delta);
-        }
+        buf.apply_to(&mut model.weights, |w, delta| *w += delta);
     }
 }
 
@@ -384,9 +390,7 @@ impl App for SlrApp {
             slr_step(&s.features, s.label, read, &mut buffers[w], step, mode);
         });
         match fault {
-            None => flush_buffers(driver, buffers, |buf| {
-                apply_updates(model, buf.drain_flat())
-            }),
+            None => flush_buffers(driver, buffers, |buf| flush_into(model, buf)),
             Some(_) => buffers
                 .iter_mut()
                 .for_each(|buf| buf.drain_flat().for_each(drop)),
@@ -473,9 +477,7 @@ impl App for SlrApp {
                 pool.driver.record_progress_at(prev, at, sum / n as f64);
             }
             let owned = Arc::get_mut(&mut model).expect("the pass handed the model back");
-            flush_buffers(pool.driver, &mut buffers, |buf| {
-                apply_updates(owned, buf.drain_flat())
-            });
+            flush_buffers(pool.driver, &mut buffers, |buf| flush_into(owned, buf));
             terms
                 .iter_mut()
                 .for_each(|t| t.get_or_insert_with(Vec::new).clear());

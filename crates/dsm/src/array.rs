@@ -52,7 +52,8 @@ pub struct DistArray<T: Element> {
     name: String,
     shape: Shape,
     origin: Vec<i64>,
-    storage: Storage<T>,
+    /// Read by checkpointing and by a buffer's apply.
+    pub(crate) storage: Storage<T>,
 }
 
 impl<T: Element> DistArray<T> {
@@ -198,11 +199,6 @@ impl<T: Element> DistArray<T> {
         );
         self.origin = origin;
         self
-    }
-
-    /// The backing storage (read-only; used by checkpointing).
-    pub(crate) fn storage(&self) -> &Storage<T> {
-        &self.storage
     }
 
     /// The whole dense payload as one contiguous row-major slice — the

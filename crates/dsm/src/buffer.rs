@@ -9,7 +9,7 @@
 //! function atomically per element, which is where adaptive-gradient
 //! update rules (AdaGrad, AdaRevision, AdaDelay — [15, 34, 44]) live.
 
-use crate::array::DistArray;
+use crate::array::{DistArray, Storage};
 use crate::element::Element;
 use crate::index::Shape;
 
@@ -20,13 +20,16 @@ type CombineFn<T> = Box<dyn Fn(&mut T, T) + Send>;
 ///
 /// The pending updates live in a dense table — one slot per index
 /// position of the array plus a presence bit each, allocated on the
-/// first write and kept across drains — so a write is one index, one
-/// presence test and one combine, with no tree or hash walk. A buffer
-/// that has been written to therefore holds `volume × size_of::<T>()`
-/// bytes (plus `volume / 8` of presence bits) however few distinct
-/// elements are pending, and a buffered loop holds that once per
-/// worker: 400 KB for 2 workers × 50 k `f32` weights, 77 MB for 384
-/// workers × 50 k.
+/// first write and kept across drains. An idle slot holds
+/// [`Element::SUM_IDENTITY`], so an additive write is one
+/// [`Element::accumulate`] and one bit-or, with no branch on whether the
+/// slot was empty (a custom combine has no identity and keeps that
+/// branch); a drain walks the presence words' set bits, resetting each
+/// slot it hands out. A buffer that has been written to therefore holds
+/// `volume × size_of::<T>()` bytes (plus `volume / 8` of presence bits)
+/// however few distinct elements are pending, and a buffered loop holds
+/// that once per worker: 400 KB for 2 workers × 50 k `f32` weights,
+/// 77 MB for 384 workers × 50 k.
 ///
 /// Two orders are part of the contract, because the engines are
 /// compared bit for bit: pending updates drain in ascending flat-index
@@ -48,13 +51,11 @@ type CombineFn<T> = Box<dyn Fn(&mut T, T) + Send>;
 pub struct DistArrayBuffer<T> {
     shape: Shape,
     /// One slot per index position, indexed by global flat index; empty
-    /// until the first write. A slot's value means something only while
-    /// its presence bit is set.
+    /// until the first write. A slot whose presence bit is clear holds
+    /// [`Element::SUM_IDENTITY`].
     slots: Vec<T>,
     /// Presence bit of slot `i`: bit `i % 64` of word `i / 64`.
     present: Vec<u64>,
-    /// Number of presence bits set.
-    len: usize,
     /// `None`: additive, [`Element::accumulate`] called directly.
     combine: Option<CombineFn<T>>,
 }
@@ -76,7 +77,6 @@ impl<T: Element> DistArrayBuffer<T> {
             shape,
             slots: Vec::new(),
             present: Vec::new(),
-            len: 0,
             combine,
         }
     }
@@ -109,16 +109,12 @@ impl<T: Element> DistArrayBuffer<T> {
             return self.write_first(flat, value);
         };
         let bit = 1u64 << (i % 64);
-        if *word & bit == 0 {
-            *word |= bit;
-            self.len += 1;
-            *slot = value;
-        } else {
-            match &self.combine {
-                None => slot.accumulate(value),
-                Some(combine) => combine(slot, value),
-            }
+        match &self.combine {
+            None => slot.accumulate(value),
+            Some(_) if *word & bit == 0 => *slot = value,
+            Some(combine) => combine(slot, value),
         }
+        *word |= bit;
     }
 
     /// The first write allocates the table; any later miss is an
@@ -130,37 +126,24 @@ impl<T: Element> DistArrayBuffer<T> {
             flat < volume,
             "buffered write at flat offset {flat} out of bounds"
         );
-        self.slots = vec![T::default(); volume as usize];
+        self.slots = vec![T::SUM_IDENTITY; volume as usize];
         self.present = vec![0; self.slots.len().div_ceil(64)];
         self.write_flat(flat, value);
     }
 
     /// Number of distinct pending elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.present.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// True when no writes are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.present.iter().all(|&w| w == 0)
     }
 
     /// Wire size of the pending updates (index + value per element).
     pub fn payload_bytes(&self) -> u64 {
-        (self.len * (T::WIRE_BYTES + 8)) as u64
-    }
-
-    fn is_pending(&self, i: usize) -> bool {
-        self.present[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Removes and returns the pending update at `flat`.
-    fn take(&mut self, flat: u64) -> T {
-        let i = flat as usize;
-        debug_assert!(self.is_pending(i));
-        self.present[i / 64] &= !(1 << (i % 64));
-        self.len -= 1;
-        std::mem::take(&mut self.slots[i])
+        (self.len() * (T::WIRE_BYTES + 8)) as u64
     }
 
     /// Drains pending updates as `(flat index, value)` pairs in ascending
@@ -168,26 +151,41 @@ impl<T: Element> DistArrayBuffer<T> {
     /// table stays allocated for the next pass; an update the iterator
     /// was dropped before yielding stays pending.
     pub fn drain_flat(&mut self) -> impl Iterator<Item = (u64, T)> + '_ {
-        // First presence word that may still have a bit set.
-        let mut word = 0;
-        std::iter::from_fn(move || {
-            if self.len == 0 {
-                return None;
-            }
-            while self.present[word] == 0 {
-                word += 1;
-            }
-            let flat = word as u64 * 64 + u64::from(self.present[word].trailing_zeros());
-            Some((flat, self.take(flat)))
+        let words = self.present.iter_mut().zip(self.slots.chunks_mut(64));
+        let bases = (0u64..).step_by(64);
+        bases.zip(words).flat_map(|(base, (word, slots))| {
+            std::iter::from_fn(move || {
+                if *word == 0 {
+                    return None;
+                }
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                let value = std::mem::replace(&mut slots[bit as usize], T::SUM_IDENTITY);
+                Some((base + u64::from(bit), value))
+            })
         })
+    }
+
+    /// Hands every pending update to `f` in ascending index order,
+    /// clearing each presence word once.
+    fn drain_each(&mut self, mut f: impl FnMut(u64, T)) {
+        let words = self.present.iter_mut().zip(self.slots.chunks_mut(64));
+        for (base, (word, slots)) in (0u64..).step_by(64).zip(words) {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                bits &= bits - 1;
+                let value = std::mem::replace(&mut slots[bit as usize], T::SUM_IDENTITY);
+                f(base + u64::from(bit), value);
+            }
+        }
     }
 
     /// Drains pending updates in deterministic key order.
     pub fn drain(&mut self) -> Vec<(Vec<i64>, T)> {
-        let shape = self.shape.clone();
-        self.drain_flat()
-            .map(|(flat, v)| (shape.unflatten(flat), v))
-            .collect()
+        let (shape, mut out) = (self.shape.clone(), Vec::new());
+        self.drain_each(|flat, v| out.push((shape.unflatten(flat), v)));
+        out
     }
 
     /// Drains the `k` pending updates with the largest magnitude according
@@ -199,18 +197,23 @@ impl<T: Element> DistArrayBuffer<T> {
         k: usize,
         mut magnitude: impl FnMut(&T) -> f64,
     ) -> Vec<(Vec<i64>, T)> {
-        if k >= self.len {
+        if k >= self.len() {
             return self.drain();
         }
         let mut keys: Vec<(u64, f64)> = (0..self.slots.len())
-            .filter(|&i| self.is_pending(i))
+            .filter(|&i| self.present[i / 64] >> (i % 64) & 1 == 1)
             .map(|i| (i as u64, magnitude(&self.slots[i])))
             .collect();
         // Sort by magnitude descending; ties broken by key for determinism.
         keys.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         keys.truncate(k);
         keys.iter()
-            .map(|&(flat, _)| (self.shape.unflatten(flat), self.take(flat)))
+            .map(|&(flat, _)| {
+                let i = flat as usize;
+                self.present[i / 64] &= !(1 << (i % 64));
+                let v = std::mem::replace(&mut self.slots[i], T::SUM_IDENTITY);
+                (self.shape.unflatten(flat), v)
+            })
             .collect()
     }
 
@@ -236,8 +239,10 @@ impl<T: Element> DistArrayBuffer<T> {
             array.name(),
             array.origin()
         );
-        for (flat, v) in self.drain_flat() {
-            array.update_flat(flat, |elem| udf(elem, v));
+        // A dense array's slice is taken once, not matched per update.
+        match &mut array.storage {
+            Storage::Dense(values) => self.drain_each(|flat, v| udf(&mut values[flat as usize], v)),
+            _ => self.drain_each(|flat, v| array.update_flat(flat, |elem| udf(elem, v))),
         }
     }
 }
@@ -245,7 +250,7 @@ impl<T: Element> DistArrayBuffer<T> {
 impl<T: Element> core::fmt::Debug for DistArrayBuffer<T> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("DistArrayBuffer")
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .finish()
     }
 }
@@ -268,6 +273,14 @@ mod tests {
         let drained = b.drain();
         assert_eq!(drained, vec![(vec![2], 3.0), (vec![5], 4.0)]);
         assert!(b.is_empty());
+    }
+
+    #[test]
+    fn a_first_write_of_negative_zero_drains_negative_zero() {
+        let mut b: DistArrayBuffer<f32> = DistArrayBuffer::additive(shape(&[2]));
+        b.write_flat(1, -0.0);
+        let (flat, v) = b.drain_flat().next().unwrap();
+        assert_eq!((flat, v.to_bits()), (1, (-0.0f32).to_bits()));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub fn to_bytes<T: Element>(array: &DistArray<T>) -> Bytes {
 pub fn encoded_len<T: Element>(array: &DistArray<T>) -> usize {
     let header = 4 + 4 + 4 + array.name().len() + 4 + 16 * array.shape().ndims() + 1;
     header
-        + match array.storage() {
+        + match &array.storage {
             Storage::Dense(values) => 16 + values.len() * T::WIRE_BYTES,
             Storage::Sparse(store) => codec::updates_wire_bytes::<T>(store.len() as u64) as usize,
         }
@@ -84,7 +84,7 @@ pub fn encode_into<T: Element>(array: &DistArray<T>, out: &mut Vec<u8>) {
     for &o in array.origin() {
         out.put_i64_le(o);
     }
-    match array.storage() {
+    match &array.storage {
         Storage::Dense(values) => {
             out.put_u8(0);
             // A dense run: base flat index (always 0), count, elements.

@@ -40,12 +40,18 @@ pub trait Element: Clone + Send + Sync + Default + PartialEq + core::fmt::Debug 
     /// two writes to one element. A trait method rather than a function
     /// the buffer stores, so its hot write path calls it directly.
     fn accumulate(&mut self, v: Self);
+
+    /// The identity of [`Element::accumulate`], held by an additive
+    /// buffer's idle slots: `0`, or `-0.0` for floats, since `-0.0 + v`
+    /// is `v` bit for bit for every non-NaN `v` (`+0.0 + -0.0` is `+0.0`).
+    const SUM_IDENTITY: Self;
 }
 
 macro_rules! impl_element {
-    ($($t:ty),*) => {$(
+    ($($t:ty = $identity:expr),*) => {$(
         impl Element for $t {
             const WIRE_BYTES: usize = size_of::<$t>();
+            const SUM_IDENTITY: Self = $identity;
 
             fn encode(&self, buf: &mut impl BufMut) {
                 buf.put_slice(&self.to_le_bytes());
@@ -81,7 +87,7 @@ macro_rules! impl_element {
     )*};
 }
 
-impl_element!(f32, f64, u32, u64, i32, i64);
+impl_element!(f32 = -0.0, f64 = -0.0, u32 = 0, u64 = 0, i32 = 0, i64 = 0);
 
 /// A floating-point [`Element`]: the numeric sub-trait the kernel layer
 /// dispatches on. [`Element`] deliberately carries no arithmetic beyond

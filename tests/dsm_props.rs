@@ -8,6 +8,19 @@ use proptest::prelude::*;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
+/// Buffered write values: both signed zeros and both infinities (whose
+/// sum is NaN) next to exact finite values.
+const VALUES: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0,
+    -1.5,
+    2.25,
+    -0.125,
+];
+
 fn arb_dims() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(1u64..8, 1..4)
 }
@@ -137,27 +150,32 @@ proptest! {
     fn buffer_matches_a_btree_reference(
         dims in (1u64..6, 1u64..40),
         custom in any::<bool>(),
-        ops in proptest::collection::vec((0u32..6, 0u64..240, -50i64..50, 0usize..6), 0..120),
+        ops in proptest::collection::vec((0u32..6, 0u64..240, 0..VALUES.len(), 0usize..6), 0..120),
     ) {
         // The dense table against the tree it replaced: same pairs in
-        // the same order, same `len` / `payload_bytes`, through
-        // any interleaving of writes, drains and applies — so a buffer
-        // reused after a drain behaves like a fresh one.
+        // the same order, same value bits, same `len` / `payload_bytes`,
+        // through any interleaving of writes, drains and applies — so a
+        // buffer reused after a drain behaves like a fresh one, and an
+        // additive slot's identity never shows: a first write of `-0.0`
+        // drains `-0.0`.
         let shape = Shape::new(vec![dims.0, dims.1]);
         // Not commutative: the result depends on the write order.
-        let double_add = |acc: &mut i64, v: i64| *acc = acc.wrapping_mul(2).wrapping_add(v);
-        let mut buf: DistArrayBuffer<i64> = match custom {
+        let double_add = |acc: &mut f64, v: f64| *acc = *acc * 2.0 + v;
+        let mut buf: DistArrayBuffer<f64> = match custom {
             true => DistArrayBuffer::new(shape.clone(), double_add),
             false => DistArrayBuffer::additive(shape.clone()),
         };
-        let mut array: DistArray<i64> = DistArray::dense("a", vec![dims.0, dims.1]);
-        let mut pending = BTreeMap::<u64, i64>::new();
-        let mut applied = vec![0i64; shape.volume() as usize];
-        let with_index = |pairs: Vec<(u64, i64)>| -> Vec<(Vec<i64>, i64)> {
-            pairs.into_iter().map(|(f, v)| (shape.unflatten(f), v)).collect()
+        let mut array: DistArray<f64> = DistArray::dense("a", vec![dims.0, dims.1]);
+        let mut pending = BTreeMap::<u64, f64>::new();
+        let mut applied = vec![0f64; shape.volume() as usize];
+        let bits = |pairs: Vec<(Vec<i64>, f64)>| -> Vec<(Vec<i64>, u64)> {
+            pairs.into_iter().map(|(i, v)| (i, v.to_bits())).collect()
         };
-        for (op, key, v, k) in ops {
-            let flat = key % shape.volume();
+        let with_index = |pairs: Vec<(u64, f64)>| -> Vec<(Vec<i64>, u64)> {
+            pairs.into_iter().map(|(f, v)| (shape.unflatten(f), v.to_bits())).collect()
+        };
+        for (op, key, value, k) in ops {
+            let (flat, v) = (key % shape.volume(), VALUES[value]);
             match op {
                 0 | 1 => {
                     match op {
@@ -172,32 +190,36 @@ proptest! {
                 }
                 2 => {
                     let expect = with_index(std::mem::take(&mut pending).into_iter().collect());
-                    prop_assert_eq!(buf.drain(), expect);
+                    prop_assert_eq!(bits(buf.drain()), expect);
                 }
                 3 => {
-                    let expect: Vec<(u64, i64)> = std::mem::take(&mut pending).into_iter().collect();
-                    prop_assert_eq!(buf.drain_flat().collect::<Vec<_>>(), expect);
+                    let expect: Vec<(u64, u64)> =
+                        std::mem::take(&mut pending).into_iter().map(|(f, v)| (f, v.to_bits())).collect();
+                    let drained: Vec<(u64, u64)> = buf.drain_flat().map(|(f, v)| (f, v.to_bits())).collect();
+                    prop_assert_eq!(drained, expect);
                 }
                 4 => {
                     // Largest magnitude first, ties by ascending key.
-                    let mut order: Vec<(u64, i64)> = pending.iter().map(|(&f, &v)| (f, v)).collect();
-                    order.sort_by_key(|&(f, v)| (std::cmp::Reverse(v.unsigned_abs()), f));
+                    let mut order: Vec<(u64, f64)> = pending.iter().map(|(&f, &v)| (f, v)).collect();
+                    order.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()).then(a.0.cmp(&b.0)));
                     order.truncate(k);
                     for (f, _) in &order {
                         pending.remove(f);
                     }
                     if pending.is_empty() {
                         // Taking everything is a full drain: key order.
-                        order.sort_unstable();
+                        order.sort_unstable_by_key(|&(f, _)| f);
                     }
-                    prop_assert_eq!(buf.drain_largest(k, |v| v.unsigned_abs() as f64), with_index(order));
+                    prop_assert_eq!(bits(buf.drain_largest(k, |v| v.abs())), with_index(order));
                 }
                 _ => {
                     for (f, v) in std::mem::take(&mut pending) {
-                        applied[f as usize] = applied[f as usize].wrapping_mul(3).wrapping_add(v);
+                        applied[f as usize] = applied[f as usize] * 3.0 + v;
                     }
-                    buf.apply_to(&mut array, |x, v| *x = x.wrapping_mul(3).wrapping_add(v));
-                    prop_assert_eq!(array.dense_values(), &applied[..]);
+                    buf.apply_to(&mut array, |x, v| *x = *x * 3.0 + v);
+                    let got: Vec<u64> = array.dense_values().iter().map(|x| x.to_bits()).collect();
+                    let want: Vec<u64> = applied.iter().map(|x| x.to_bits()).collect();
+                    prop_assert_eq!(got, want);
                 }
             }
             prop_assert_eq!(buf.len(), pending.len());
